@@ -27,7 +27,7 @@ from .factor import uni_factor
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import StabilizerRun, compute_stabilizer, halevi_lift_check, lift_residue_point
 from .poly import Poly, PolyRing
-from .series import PrecisionPolicy, PuiseuxSeries, ScalarDomain, parse_series, ser_subst
+from .series import PuiseuxSeries, ScalarDomain, parse_series, ser_subst
 from .stabilizer import mu_correct, mu_reduce, stab_reparam
 from .subgroups import (
     Failure,
@@ -53,7 +53,6 @@ __all__ = [
     "PlaneCurveInput",
     "Poly",
     "PolyRing",
-    "PrecisionPolicy",
     "PuiseuxSeries",
     "QQ",
     "Scalar",

@@ -10,15 +10,15 @@ PrecisionInsufficient instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .errors import PrecisionInsufficient
 from .exponents import Exponent
 from .groups import GroupElement, GroupScheme
-from .ideals import Ideal, groebner_basis
+from .ideals import Ideal, _dim_from_leading_monomials, groebner_basis
 from .linalg import nullspace
-from .poly import PolyRing
+from .poly import PolyRing, monomials_up_to
 from .series import PuiseuxSeries, ScalarDomain
 
 
@@ -51,23 +51,13 @@ class Branch:
         return f"branch {self.element} (ram {self.ramification})"
 
 
-def _lcm(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a * b // g
-
-
 def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
     """Check the entries against the scheme equations and infer ramification.
 
     Raises NotOnGroup with the offending equation and residual term.
     """
     element = GroupElement(scheme, entries, y=y, check=True)
-    ram = 1
-    for s in element._flat():
-        ram = _lcm(ram, s.ramification())
-    return Branch(element, ram)
+    return Branch(element, math.lcm(*(s.ramification() for s in element._flat())))
 
 
 def is_centered_at_infinity(branch: Branch) -> bool:
@@ -96,14 +86,7 @@ def implicitize(branch: Branch, degree_bound: int, return_details: bool = False)
     series_list = [values[v] for v in names]
     nvars = len(names)
 
-    monos = []
-    for d in range(degree_bound + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            m = [0] * nvars
-            for i in combo:
-                m[i] += 1
-            monos.append(tuple(m))
-    monos.sort(key=lambda m: (sum(m), m))
+    monos = sorted(monomials_up_to(nvars, degree_bound), key=lambda m: (sum(m), m))
 
     evaluated = []
     for m in monos:
@@ -160,19 +143,6 @@ def implicitize(branch: Branch, degree_bound: int, return_details: bool = False)
     if not return_details:
         return ideal_out
     return ClosureResult(ideal_out, dim, degree_bound, exact)
-
-
-def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
-    from itertools import combinations
-
-    if not lead_monos:
-        return nvars
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(any(e and i not in sset for i, e in enumerate(m)) for m in lead_monos):
-                return size
-    return 0
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> tuple[int, int]:

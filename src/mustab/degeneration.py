@@ -12,13 +12,12 @@ fragment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .branches import Branch, is_centered_at_infinity
 from .errors import BudgetExceeded, NotCenteredAtInfinity
 from .factor import uni_factor
 from .fields import Scalar
-from .groups import GroupElement
+from .groups import GroupElement, mat_mul
 from .ideals import (
     Budgets,
     Ideal,
@@ -27,7 +26,7 @@ from .ideals import (
     ideal_equal,
     krull_dim,
 )
-from .poly import Monomial, Poly, PolyRing
+from .poly import Monomial, Poly, PolyRing, eval_poly, monomials_up_to
 from .series import PuiseuxSeries, ScalarDomain
 from .subgroups import SubgroupDesc, verify_subgroup
 
@@ -104,29 +103,12 @@ class SeriesPoly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def is_zero_known(self) -> bool:
-        return all(not s.terms for s in self.terms.values())
-
     def is_exact_zero(self) -> bool:
         return all(s.is_zero() and s.is_exact() for s in self.terms.values())
-
-    def eval_at(self, values: dict[str, PuiseuxSeries], dom) -> PuiseuxSeries:
-        acc = PuiseuxSeries.zero(dom)
-        for m, s in self.terms.items():
-            term = s
-            for i, e in enumerate(m):
-                if e:
-                    term = term * values[self.ring.variables[i]] ** e
-            acc = acc + term
-        return acc
 
     def __str__(self):
         parts = [f"({s}) * {m}" for m, s in self.terms.items()]
         return " + ".join(parts) if parts else "0"
-
-
-def _poly_to_seriespoly(p: Poly, ring: PolyRing, dom) -> SeriesPoly:
-    return SeriesPoly(ring, {m: PuiseuxSeries.constant(dom, c) for m, c in p.terms.items()})
 
 
 def translated_ideal_rows(branch: Branch, V: Ideal, budgets: Budgets) -> tuple[list[SeriesPoly], PolyRing]:
@@ -145,14 +127,12 @@ def translated_ideal_rows(branch: Branch, V: Ideal, budgets: Budgets) -> tuple[l
             values[name] = SeriesPoly.variable(ring, name, dom) + SeriesPoly.constant(ring, s)
     else:
         n = r.n
-        a = branch.element.entries
+        xmat = [[SeriesPoly.variable(ring, f"x{i + 1}{j + 1}", dom) for j in range(n)] for i in range(n)]
+        amat = [[SeriesPoly.constant(ring, s) for s in row] for row in branch.element.entries]
+        moved = mat_mul(xmat, amat)
         for i in range(n):
             for j in range(n):
-                acc = None
-                for k in range(n):
-                    term = SeriesPoly.variable(ring, f"x{i + 1}{k + 1}", dom).scale_series(a[k][j])
-                    acc = term if acc is None else acc + term
-                values[f"x{i + 1}{j + 1}"] = acc
+                values[f"x{i + 1}{j + 1}"] = moved[i][j]
         if r.kind == "GL":
             ya = branch.element.y
             values["y"] = SeriesPoly.variable(ring, "y", dom).scale_series(ya)
@@ -165,16 +145,9 @@ def translated_ideal_rows(branch: Branch, V: Ideal, budgets: Budgets) -> tuple[l
         if key in seen:
             continue
         seen.add(key)
-        acc = None
-        for m, c in g.terms.items():
-            term = SeriesPoly.constant(ring, PuiseuxSeries.constant(dom, c))
-            for i, e in enumerate(m):
-                if e:
-                    for _ in range(e):
-                        term = term * values[ring.variables[i]]
-            acc = term if acc is None else acc + term
-        if acc is not None and not acc.is_exact_zero():
-            rows.append(acc)
+        row = eval_poly(g, values, lambda c: SeriesPoly.constant(ring, PuiseuxSeries.constant(dom, c)), SeriesPoly(ring, {}))
+        if not row.is_exact_zero():
+            rows.append(row)
     return rows, ring
 
 
@@ -200,7 +173,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     rows: list[SeriesPoly] = []
     for q in base_rows:
         dq = q.total_degree()
-        for mono in _monomials_up_to(ring.nvars, max(0, D - dq)):
+        for mono in monomials_up_to(ring.nvars, max(0, D - dq)):
             if sum(mono) == 0:
                 rows.append(q)
             else:
@@ -286,15 +259,6 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     )
     verify_subgroup(desc, budgets)
     return DegenerationResult(desc, fiber, basis, dims, complete)
-
-
-def _monomials_up_to(nvars: int, degree: int):
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            m = [0] * nvars
-            for i in combo:
-                m[i] += 1
-            yield tuple(m)
 
 
 # -- component splitting -------------------------------------------------------
@@ -415,7 +379,7 @@ def verify_flat_rows_at(rows: list[SeriesPoly], point: GroupElement) -> bool:
     dom = ScalarDomain(point.scheme.field)
     values = point._values()
     for q in rows:
-        out = q.eval_at(values, dom)
+        out = eval_poly(q, values, lambda s: s, PuiseuxSeries.zero(dom))
         if out.terms:
             return False
     return True

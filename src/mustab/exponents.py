@@ -147,11 +147,3 @@ def exp(q, d: int | None = None) -> Exponent:
     if isinstance(q, tuple):
         return Exponent(Fraction(q[0]), Fraction(q[1]), d)
     return Exponent(Fraction(q))
-
-
-def min_exp(*es: Exponent) -> Exponent:
-    out = es[0]
-    for e in es[1:]:
-        if e < out:
-            out = e
-    return out

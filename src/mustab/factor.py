@@ -9,6 +9,7 @@ unfactored and flagged, which is a legitimate partial result.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,7 +43,6 @@ class Factorization:
         out = []
         for f, m in self.factors:
             if f.total_degree() == 1:
-                var = next(iter(f.variables_used()))
                 a = _uni_coeff(f, 1)
                 b = _uni_coeff(f, 0)
                 out.append((-b / a, m))
@@ -255,9 +255,7 @@ def _rational_root(f: Poly) -> Scalar | None:
     (returning None) when the divisor enumeration would be unreasonable."""
     field = f.ring.field
     i = _uni_var_index(f)
-    denom = 1
-    for c in f.terms.values():
-        denom = denom * c.rep.denominator // _gcd(denom, c.rep.denominator)
+    denom = math.lcm(*(c.rep.denominator for c in f.terms.values()))
     ints = {m[i]: c.rep * denom for m, c in f.terms.items()}
     deg = max(ints)
     a0 = ints.get(0, Fraction(0))
@@ -273,12 +271,6 @@ def _rational_root(f: Poly) -> Scalar | None:
                 if f.eval_scalars({f.ring.variables[i]: cand}).is_zero():
                     return cand
     return None
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list[int]:
@@ -379,21 +371,3 @@ def scalar_roots(f: Poly) -> list[Scalar]:
             f"cannot certify roots of degree-{max(_uni_deg(g) for g, _ in fac.unfactored)} remainder over {f.ring.field}"
         )
     return roots
-
-
-def roots_with_multiplicity(f: Poly) -> list[tuple[Scalar, int]]:
-    fac = uni_factor(f)
-    if fac.unfactored:
-        raise CoefficientFieldTooSmall(f"unfactored remainder over {f.ring.field}")
-    return fac.roots()
-
-
-def scalar_kth_root(a: Scalar, k: int) -> Scalar:
-    """k-th root via the field's own machinery."""
-    return a.kth_root(k)
-
-
-def nonsplit_factors(f: Poly) -> list[tuple[Poly, int]]:
-    """Irreducible (or unfactored) nonlinear parts, for extension building."""
-    fac = uni_factor(f)
-    return [(g, m) for g, m in fac.factors + fac.unfactored if _uni_deg(g) >= 2]

@@ -392,9 +392,6 @@ class Scalar:
             e >>= 1
         return result
 
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
-
     def sqrt(self) -> Scalar | None:
         """A square root in the same field, or None."""
         if self.is_zero():

@@ -19,10 +19,10 @@ from .errors import (
     PrecisionInsufficient,
     SingularAtPrecision,
 )
-from .exponents import Exponent, exp
+from .exponents import exp
 from .fields import FieldSpec, Scalar
 from .ideals import Ideal
-from .poly import Poly, PolyRing
+from .poly import Poly, PolyRing, eval_poly
 from .series import PuiseuxSeries, ScalarDomain
 
 
@@ -122,51 +122,32 @@ class GroupScheme:
 
 def symbolic_det(ring: PolyRing, n: int) -> Poly:
     """Determinant of the matrix of coordinate variables x_ij."""
-    rows = [[ring.var(f"x{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
-    return _poly_det(rows, ring)
-
-
-def _poly_det(rows, ring: PolyRing) -> Poly:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _poly_det(minor, ring)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    return mat_det([[ring.var(f"x{i + 1}{j + 1}") for j in range(n)] for i in range(n)])
 
 
 def eval_poly_series(p: Poly, values: dict[str, PuiseuxSeries], dom) -> PuiseuxSeries:
-    acc = PuiseuxSeries.zero(dom)
-    for mono, coeff in p.terms.items():
-        term = PuiseuxSeries.constant(dom, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * values[p.ring.variables[i]] ** e
-        acc = acc + term
-    return acc
+    return eval_poly(p, values, lambda c: PuiseuxSeries.constant(dom, c), PuiseuxSeries.zero(dom))
 
 
-# -- series matrices --------------------------------------------------------
+# -- matrices over k, k[x] and the series field -------------------------------
 
 def mat_mul(a, b):
+    """Product of n x n matrices by + and * only: Poly and truncated series have no exact division."""
     n = len(a)
-    return tuple(
-        tuple(_dot(a[i], [b[k][j] for k in range(n)]) for j in range(n)) for i in range(n)
-    )
-
-
-def _dot(row, col):
-    acc = None
-    for x, y in zip(row, col):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = a[i][0] * b[0][j]
+            for k in range(1, n):
+                acc = acc + a[i][k] * b[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def mat_det(rows):
+    """Cofactor expansion along the first row, by + - * only: Poly and truncated series have no exact division."""
     n = len(rows)
     if n == 1:
         return rows[0][0]
@@ -175,25 +156,41 @@ def mat_det(rows):
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
         term = rows[0][j] * mat_det(minor)
         if acc is None:
-            acc = term if j % 2 == 0 else -term
+            acc = term
         else:
             acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
 def mat_adjugate(rows):
+    """Transposed cofactor matrix, by + - * only: Poly and truncated series have no exact division."""
     n = len(rows)
     if n == 1:
-        raise ValueError("adjugate needs n >= 2")
+        # the cofactor of a 1 x 1 matrix is the empty determinant, 1;
+        # x ** 0 is the one of x's ring
+        return ((rows[0][0] ** 0,),)
     out = []
     for i in range(n):
         out_row = []
         for j in range(n):
             minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = mat_det(minor) if minor else None
+            cof = mat_det(minor)
             out_row.append(cof if (i + j) % 2 == 0 else -cof)
         out.append(tuple(out_row))
     return tuple(out)
+
+
+def with_unit_det(rows) -> list[list[PuiseuxSeries]]:
+    """A copy of the series matrix rows with its last diagonal entry solved from det = 1."""
+    n = len(rows)
+    one = PuiseuxSeries.one(rows[0][0].dom)
+    rows = [list(row) for row in rows]
+    rows[n - 1][n - 1] = one
+    cof = mat_det([row[: n - 1] for row in rows[: n - 1]]) if n > 1 else one
+    full = mat_det(rows)
+    # det is affine in the entry: det = full - cof + cof * x
+    rows[n - 1][n - 1] = (one - (full - cof)) * cof.inv()
+    return rows
 
 
 class GroupElement:
@@ -260,9 +257,6 @@ class GroupElement:
         r = self.scheme.root
         if r.kind == "Additive":
             return GroupElement(self.scheme, tuple(-a for a in self.entries), check=False)
-        if r.n == 1:
-            det = self.entries[0][0]
-            return GroupElement(self.scheme, ((det.inv(),),), det if r.kind == "GL" else None, check=False)
         adj = mat_adjugate(self.entries)
         if r.kind == "SL":
             return GroupElement(self.scheme, adj, check=False)
@@ -318,13 +312,6 @@ class GroupElement:
             raise
         return self.res() == self.scheme.identity()
 
-    def min_precision(self) -> Exponent | None:
-        out = None
-        for s in self._flat():
-            if s.precision is not None and (out is None or s.precision < out):
-                out = s.precision
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
@@ -365,7 +352,7 @@ class KPoint:
             return dict(zip(names, self.entries))
         flat = [self.entries[i][j] for i in range(r.n) for j in range(r.n)]
         if r.kind == "GL":
-            y = self.y if self.y is not None else _scalar_det(self.entries).inv()
+            y = self.y if self.y is not None else mat_det(self.entries).inv()
             flat.append(y)
         return dict(zip(names, flat))
 
@@ -373,30 +360,18 @@ class KPoint:
         r = self.scheme.root
         if r.kind == "Additive":
             return KPoint(self.scheme, tuple(a + b for a, b in zip(self.entries, other.entries)))
-        n = r.n
-        rows = tuple(
-            tuple(
-                _sum_scalars([self.entries[i][k] * other.entries[k][j] for k in range(n)])
-                for j in range(n)
-            )
-            for i in range(n)
-        )
         y = self.y * other.y if r.kind == "GL" else None
-        return KPoint(self.scheme, rows, y)
+        return KPoint(self.scheme, mat_mul(self.entries, other.entries), y)
 
     def inv(self) -> KPoint:
         r = self.scheme.root
         if r.kind == "Additive":
             return KPoint(self.scheme, tuple(-a for a in self.entries))
-        det = _scalar_det(self.entries)
-        adj = _scalar_adjugate(self.entries, self.scheme.field)
+        det = mat_det(self.entries)
+        adj = mat_adjugate(self.entries)
         dinv = det.inv()
         rows = tuple(tuple(e * dinv for e in row) for row in adj)
         return KPoint(self.scheme, rows, det if r.kind == "GL" else None)
-
-    def conjugate(self, h: KPoint) -> KPoint:
-        """h * self * h^-1."""
-        return h.mul(self).mul(h.inv())
 
     def is_identity(self) -> bool:
         return self == self.scheme.identity()
@@ -416,39 +391,6 @@ class KPoint:
         if r.kind == "Additive":
             return "(" + ", ".join(str(s) for s in self.entries) + ")"
         return "[" + "; ".join(", ".join(str(s) for s in row) for row in self.entries) + "]"
-
-
-def _sum_scalars(xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = acc + x
-    return acc
-
-
-def _scalar_det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = rows[0][j] * _scalar_det(minor)
-        signed = term if j % 2 == 0 else -term
-        acc = signed if acc is None else acc + signed
-    return acc
-
-
-def _scalar_adjugate(rows, field: FieldSpec):
-    n = len(rows)
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _scalar_det(minor) if minor else field.one()
-            out_row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(tuple(out_row))
-    return tuple(out)
 
 
 # -- Iwasawa decomposition ---------------------------------------------------

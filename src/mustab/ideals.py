@@ -8,7 +8,7 @@ by leading monomial, so re-running is a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetExceeded, EmptyVariety
@@ -219,20 +219,18 @@ def krull_dim(I: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> int:
     gb = buchberger(list(I.gens), order, budget)
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise EmptyVariety("ideal contains a unit")
-    n = I.ring.nvars
-    leads = [g.leading_monomial(order) for g in gb]
-    if not leads:
-        return n
-    indices = list(range(n))
-    for size in range(n, -1, -1):
-        for subset in combinations(indices, size):
+    return _dim_from_leading_monomials([g.leading_monomial(order) for g in gb], I.ring.nvars)
+
+
+def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
+    """Size of the largest variable set that contains the support of no
+    leading monomial: the Krull dimension of the monomial ideal."""
+    if not lead_monos:
+        return nvars
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
             sset = set(subset)
-            ok = True
-            for lm in leads:
-                if all((e == 0 or i in sset) for i, e in enumerate(lm)):
-                    ok = False
-                    break
-            if ok:
+            if all(any(e and i not in sset for i, e in enumerate(m)) for m in lead_monos):
                 return size
     return 0
 
@@ -261,4 +259,3 @@ class Budgets:
     order_budget: int = 6
     spoly_budget: int = DEFAULT_SPOLY_BUDGET
     sample_budget: int = 24
-    extras: dict = dc_field(default_factory=dict)

@@ -15,6 +15,7 @@ from .errors import (
     CoefficientFieldTooSmall,
     IrrationalExponentInSubstitution,
     MustabError,
+    PrecisionInsufficient,
     WildRamification,
 )
 from .fields import FieldSpec
@@ -164,8 +165,8 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
     except UNSUPPORTED as exc:
         report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
         code = EXIT_UNSUPPORTED
-    except BudgetExceeded as exc:
-        report["errors"].append({"type": "BudgetExceeded", "message": str(exc)})
+    except (BudgetExceeded, PrecisionInsufficient) as exc:
+        report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
         code = EXIT_BUDGET
     except MustabError as exc:
         report["errors"].append({"type": type(exc).__name__, "message": str(exc)})

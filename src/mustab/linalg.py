@@ -43,21 +43,3 @@ def nullspace(rows: list[list[Scalar]], ncols: int, field: FieldSpec) -> list[li
             vec[pc] = -red[ri][fc]
         basis.append(vec)
     return basis
-
-
-def solve(rows: list[list[Scalar]], rhs: list[Scalar], field: FieldSpec) -> list[Scalar] | None:
-    """One solution of rows * x = rhs, or None if inconsistent."""
-    if not rows:
-        return []
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    ncols = len(rows[0])
-    for row in red:
-        if all(x.is_zero() for x in row[:-1]) and not row[-1].is_zero():
-            return None
-    x = [field.zero()] * ncols
-    for ri, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[ri][-1]
-    return x

@@ -12,6 +12,7 @@ F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from .errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
 from .exponents import exp
 from .factor import uni_factor
 from .fields import FieldSpec, Scalar
-from .groups import GroupScheme, eval_poly_series
+from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
 from .poly import Poly, PolyRing
 from .series import PuiseuxSeries, ScalarDomain
@@ -100,12 +101,7 @@ def check_irreducible_fragment(f: Poly) -> tuple[bool, bool]:
             [b * half, c, e * half],
             [d * half, e * half, g],
         ]
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        if not det.is_zero():
+        if not mat_det(m).is_zero():
             return True, True
         return False, True
     return False, True
@@ -406,9 +402,7 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
 
     branches: list[Branch] = []
     for chart, c0, terms, exact in expansions:
-        e = 1
-        for g, _ in terms:
-            e = _lcm(e, g.denominator)
+        e = math.lcm(*(g.denominator for g, _ in terms))
         prec_t = None if exact else exp(e * (prec_z - 1))
         pole = PuiseuxSeries.monomial(dom, exp(-e), field.one())
         w_terms = [(exp(Fraction(g) * e), c) for g, c in terms]
@@ -428,13 +422,6 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
             branches.append(branch)
 
     return _dedup_branches(branches)
-
-
-def _lcm(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a * b // g
 
 
 def _embed_branch(curve: PlaneCurveInput, xs: PuiseuxSeries, ys: PuiseuxSeries) -> Branch | None:

@@ -9,7 +9,7 @@ by `+`/`-` and scalars written `a/b`, `a+b*sqrt(d)` or integers mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .errors import FieldMismatch
 from .fields import FieldSpec, Scalar
@@ -146,10 +146,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def degree_in(self, var: str) -> int:
-        i = self.ring.variables.index(var)
-        return max((m[i] for m in self.terms), default=0)
-
     def variables_used(self) -> set[str]:
         used = set()
         for m in self.terms:
@@ -257,45 +253,11 @@ class Poly:
 
     # -- evaluation / substitution ----------------------------------------
     def eval_scalars(self, values: dict[str, Scalar]) -> Scalar:
-        acc = self.ring.field.zero()
-        idx = {v: i for i, v in enumerate(self.ring.variables)}
-        for m, c in self.terms.items():
-            term = c
-            for v, i in idx.items():
-                if m[i]:
-                    term = term * (values[v] ** m[i])
-            acc = acc + term
-        return acc
-
-    def eval_generic(self, values: dict[str, object], one, add, mul):
-        """Evaluate with arbitrary ring elements (series, polynomials...).
-
-        `one` is the multiplicative identity for coefficients lifted via
-        `mul(coeff_image, power_product)`; the caller supplies coefficient
-        images through values["__coeff__"](scalar).
-        """
-        lift = values["__coeff__"]
-        acc = None
-        for m, c in self.terms.items():
-            term = lift(c)
-            for i, e in enumerate(m):
-                if e:
-                    v = values[self.ring.variables[i]]
-                    for _ in range(e):
-                        term = mul(term, v)
-            acc = term if acc is None else add(acc, term)
-        return acc if acc is not None else mul(lift(self.ring.field.zero()), one)
+        return eval_poly(self, values, lambda c: c, self.ring.field.zero())
 
     def subs_polys(self, values: dict[str, Poly], target: PolyRing) -> Poly:
         """Substitute polynomials (in `target`) for variables."""
-        acc = target.zero()
-        for m, c in self.terms.items():
-            term = target.from_scalar(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * values[self.ring.variables[i]] ** e
-            acc = acc + term
-        return acc
+        return eval_poly(self, values, target.from_scalar, target.zero())
 
     def rename(self, mapping: dict[str, str], target: PolyRing) -> Poly:
         """Transport into `target` by renaming variables."""
@@ -349,6 +311,33 @@ class Poly:
 def _scalar_is_atomic(s: str) -> bool:
     core = s[1:] if s.startswith("-") else s
     return "+" not in core and "-" not in core
+
+
+def eval_poly(p, values: dict, lift, acc):
+    """acc + p(values) with coefficients lift(c), by + and * only: Poly and truncated series have no exact division."""
+    # p is a Poly or anything with `terms` and `ring`; powers are repeated
+    # products, no more work than square-and-multiply at these small degrees
+    names = p.ring.variables
+    for m, c in p.terms.items():
+        term = lift(c)
+        for i, e in enumerate(m):
+            if e:
+                v = values[names[i]]
+                for _ in range(e):
+                    term = term * v
+        acc = acc + term
+    return acc
+
+
+def monomials_up_to(nvars: int, degree: int):
+    """Exponent tuples of total degree <= degree, by ascending degree and,
+    within a degree, in itertools.combinations_with_replacement order."""
+    for d in range(degree + 1):
+        for combo in combinations_with_replacement(range(nvars), d):
+            m = [0] * nvars
+            for i in combo:
+                m[i] += 1
+            yield tuple(m)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +468,3 @@ def parse_scalar(text: str, field: FieldSpec) -> Scalar:
     ring = PolyRing(field, ())
     p = parse_poly(text, ring)
     return p.constant_coefficient()
-
-
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text.replace(" ", ""))

@@ -10,7 +10,7 @@ import random
 
 from .exponents import exp
 from .fields import FieldSpec
-from .groups import GroupElement, GroupScheme, KPoint
+from .groups import GroupElement, GroupScheme, KPoint, with_unit_det
 from .series import PuiseuxSeries, ScalarDomain
 
 
@@ -115,16 +115,7 @@ def random_mu_element(scheme: GroupScheme, rng: random.Random, prec: int = 8) ->
         for i in range(n)
     ]
     if r.kind == "SL":
-        # solve the last diagonal entry from det = 1
-        from .groups import mat_det
-
-        rows[n - 1][n - 1] = one
-        minor = [[rows[i][j] for j in range(n - 1)] for i in range(n - 1)]
-        cof = mat_det(minor) if n > 1 else one
-        full = mat_det(rows)
-        # det = full - cof + cof * x  where x replaces the (n-1,n-1) entry
-        x = (one - (full - cof)) * cof.inv()
-        rows[n - 1][n - 1] = x
+        rows = with_unit_det(rows)
         return GroupElement(scheme, tuple(tuple(r2) for r2 in rows), check=True)
     return GroupElement(scheme, tuple(tuple(r2) for r2 in rows), check=False)
 

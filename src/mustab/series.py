@@ -13,6 +13,7 @@ CoeffDomain adapter supplies zero/one, rational images and unit inversion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,20 +30,6 @@ from .fields import FieldSpec, Scalar
 from .poly import Poly, PolyRing
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
-HARD_CAP = Exponent(Fraction(64))
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    default_order: Exponent = DEFAULT_PRECISION
-    hard_cap: Exponent = HARD_CAP
-
-    def __post_init__(self):
-        if self.hard_cap < self.default_order:
-            raise ValueError("default precision exceeds the hard cap")
-
-    def clamp(self, e: Exponent) -> Exponent:
-        return e if e <= self.hard_cap else self.hard_cap
 
 
 class CoeffDomain:
@@ -206,12 +193,7 @@ class PuiseuxSeries:
 
     def ramification(self) -> int:
         """LCM of rational-exponent denominators (1 for the zero series)."""
-        r = 1
-        for e, _ in self.terms:
-            if e.is_rational():
-                q = e.as_fraction().denominator
-                r = r * q // _gcd(r, q)
-        return r
+        return math.lcm(*(e.as_fraction().denominator for e, _ in self.terms if e.is_rational()))
 
     def has_irrational_exponent(self) -> bool:
         return any(not e.is_rational() for e, _ in self.terms)
@@ -325,9 +307,6 @@ class PuiseuxSeries:
             raise PrecisionInsufficient("coefficient at exponent 0 is below the precision bound")
         return self.dom.zero()
 
-    def val_res(self):
-        return self.val(), self.res()
-
     # -- io -------------------------------------------------------------------
     def __str__(self):
         if not self.terms:
@@ -376,12 +355,6 @@ class PuiseuxSeries:
         if cut is None:
             return diff.is_zero()
         return all(not e < cut for e, _ in diff.terms)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _rational_lower_bound(e: Exponent) -> Fraction:

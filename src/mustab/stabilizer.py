@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .branches import Branch, is_centered_at_infinity, type_dimension
+from .branches import Branch, is_centered_at_infinity, type_dimension, validate_branch
 from .errors import (
     BudgetExceeded,
     IrrationalExponentInSubstitution,
@@ -21,7 +21,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .exponents import EXP_ZERO, Exponent, exp
-from .groups import GroupElement, GroupScheme
+from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import Poly, PolyRing
 from .series import PolyDomain, PuiseuxSeries, ScalarDomain, ser_subst
@@ -324,11 +324,9 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
 
     def rebuild(new_flat):
         if r.kind == "Additive":
-            entries = tuple(new_flat)
-            return GroupElement(scheme, entries, check=False)
+            return tuple(new_flat)
         n = r.n
-        rows = tuple(tuple(new_flat[i * n + j] for j in range(n)) for i in range(n))
-        return GroupElement(scheme, rows, check=r.kind != "GL")
+        return tuple(tuple(new_flat[i * n + j] for j in range(n)) for i in range(n))
 
     seen = set()
     for idx, s in enumerate(flat):
@@ -342,72 +340,31 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             if key in seen:
                 continue
             seen.add(key)
-            cand = _try_candidate(scheme, rebuild, new_flat, branch)
+            cand = _try_candidate(scheme, rebuild(new_flat), branch)
             if cand is not None:
                 out.append(cand)
-    # all-entries truncation with determinant repair
+    # all-entries truncation, with determinant repair on SL
     all_cut = [PuiseuxSeries(s.dom, [(e, c) for e, c in s.terms if e.sign() <= 0], s.precision) for s in flat]
-    if r.kind in ("SL", "GL") and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
-        repaired = _repair_det(scheme, all_cut)
-        if repaired is not None:
-            key = tuple(tuple(x.terms) for x in repaired)
-            if key not in seen:
-                cand = _try_candidate(scheme, rebuild, repaired, branch)
-                if cand is not None:
-                    out.append(cand)
-    elif r.kind == "Additive":
-        key = tuple(tuple(x.terms) for x in all_cut)
-        if key not in seen and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
-            cand = _try_candidate(scheme, rebuild, all_cut, branch)
+    if r.kind != "GL" and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
+        if r.kind == "SL":
+            try:
+                rows = with_unit_det(rebuild(all_cut))
+            except Exception:
+                return out
+            all_cut = [x for row in rows for x in row]
+        if tuple(tuple(x.terms) for x in all_cut) not in seen:
+            cand = _try_candidate(scheme, rebuild(all_cut), branch)
             if cand is not None:
                 out.append(cand)
     return out
 
 
-def _try_candidate(scheme, rebuild, new_flat, original: Branch) -> Branch | None:
+def _try_candidate(scheme: GroupScheme, entries, original: Branch) -> Branch | None:
     try:
-        el = rebuild(new_flat)
-        el._validate()
+        b = validate_branch(scheme, entries)
     except Exception:
         return None
-    ram = 1
-    for s in el._flat():
-        ram = _lcm_int(ram, s.ramification())
-    return Branch(el, ram, original.trusted_irreducible, original.notes)
-
-
-def _repair_det(scheme: GroupScheme, flat: list[PuiseuxSeries]) -> list[PuiseuxSeries] | None:
-    """Solve the last diagonal entry from det = 1 (SL only)."""
-    from .groups import mat_det
-    from .series import PuiseuxSeries as PS
-
-    r = scheme.root
-    if r.kind != "SL":
-        return None
-    n = r.n
-    rows = [[flat[i * n + j] for j in range(n)] for i in range(n)]
-    dom = rows[0][0].dom
-    one = PS.one(dom)
-    minor = [[rows[i][j] for j in range(n - 1)] for i in range(n - 1)]
-    cof = mat_det(minor) if n > 1 else one
-    if not cof.terms:
-        return None
-    save = rows[n - 1][n - 1]
-    rows[n - 1][n - 1] = one
-    full = mat_det(rows)
-    try:
-        x = (one - (full - cof)) * cof.inv()
-    except Exception:
-        return None
-    rows[n - 1][n - 1] = x
-    return [rows[i][j] for i in range(n) for j in range(n)]
-
-
-def _lcm_int(a: int, b: int) -> int:
-    g, x = a, b
-    while x:
-        g, x = x, g % x
-    return a * b // g
+    return Branch(b.element, b.ramification, original.trusted_irreducible, original.notes)
 
 
 def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
 
 from .fields import Scalar
-from .groups import GroupScheme, KPoint
+from .groups import GroupScheme, KPoint, mat_adjugate, mat_det, mat_mul
 from .ideals import (
     Budgets,
     Ideal,
@@ -26,7 +25,7 @@ from .ideals import (
 )
 from .factor import scalar_roots
 from .linalg import nullspace
-from .poly import Lex, Poly, PolyRing
+from .poly import Lex, Poly, PolyRing, monomials_up_to
 from .series import PuiseuxSeries
 
 
@@ -172,49 +171,6 @@ def _partial_eval(g: Poly, assign: dict[str, Scalar]) -> Poly:
 
 # -- verification -------------------------------------------------------------
 
-def _point_ring_values(scheme: GroupScheme, ring: PolyRing, prefix: str) -> dict[str, Poly]:
-    """Coordinate variables of one generic point named with a prefix."""
-    return {name: ring.var(prefix + name) for name in scheme.coordinates()}
-
-
-def _matrix_of(values: dict[str, Poly], scheme: GroupScheme):
-    r = scheme.root
-    names = scheme.coordinates()
-    if r.kind == "Additive":
-        return [values[n] for n in names]
-    n = r.n
-    return [[values[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-
-
-def _poly_mat_mul(a, b, ring: PolyRing):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ring.zero()
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _poly_adjugate(rows, ring: PolyRing):
-    from .groups import _poly_det
-
-    n = len(rows)
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
-            cof = _poly_det(minor, ring) if minor else ring.one()
-            out_row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(out_row)
-    return out
-
-
 def _substituted(f: Poly, matrix, scheme: GroupScheme, ring: PolyRing, y_image: Poly | None = None) -> Poly:
     """f with scheme coordinates replaced by the entries of `matrix`."""
     r = scheme.root
@@ -274,14 +230,12 @@ def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bo
         n = r.n
         umat = [[uvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
         vmat = [[vvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-        prod = _poly_mat_mul(umat, vmat, big)
-        adj = _poly_adjugate(umat, big)
+        prod = mat_mul(umat, vmat)
+        adj = mat_adjugate(umat)
         if r.kind == "GL":
             y_prod = uvals["y"] * vvals["y"]
             inv_pt = [[adj[i][j] * uvals["y"] for j in range(len(adj))] for i in range(len(adj))]
-            from .groups import _poly_det
-
-            y_inv = _poly_det(umat, big)
+            y_inv = mat_det(umat)
         else:
             y_prod = y_inv = None
             inv_pt = adj
@@ -319,26 +273,13 @@ def conjugate_stab(H: SubgroupDesc, g: KPoint) -> SubgroupDesc:
         return SubgroupDesc(scheme, H.ideal, H.dim, H.param, dict(H.flags), H.cosets)
     n = r.n
     ginv = g.inv()
-    xmat = [[ring.var(f"x{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
 
-    def smul(c: Scalar, p: Poly) -> Poly:
-        return p.scale(c)
+    def lifted(point: KPoint, target: PolyRing):
+        return [[target.from_scalar(c) for c in row] for row in point.entries]
 
     # g^-1 * X * g, entries linear in the coordinates
-    left = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ring.zero()
-            for k in range(n):
-                acc = acc + smul(ginv.entries[i][k], xmat[k][j])
-            left[i][j] = acc
-    moved = [[ring.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ring.zero()
-            for k in range(n):
-                acc = acc + smul(g.entries[k][j], left[i][k])
-            moved[i][j] = acc
+    xmat = [[ring.var(f"x{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
+    moved = mat_mul(mat_mul(lifted(ginv, ring), xmat), lifted(g, ring))
     new_gens = [_substituted(f, moved, scheme, ring) for f in H.ideal.gens]
     new_ideal = groebner_basis(Ideal(ring, tuple(new_gens)))
 
@@ -346,16 +287,8 @@ def conjugate_stab(H: SubgroupDesc, g: KPoint) -> SubgroupDesc:
     if H.param is not None:
         pr = H.param.ring
         if isinstance(H.param.entries[0], tuple):
-            m = [[e for e in row] for row in H.param.entries]
-            conj = [[pr.zero() for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    acc = pr.zero()
-                    for k in range(n):
-                        for l in range(n):
-                            acc = acc + m[k][l].scale(g.entries[i][k] * ginv.entries[l][j])
-                    conj[i][j] = acc
-            param = ParamFamily(pr, tuple(tuple(row) for row in conj), H.param.relations, H.param.ram_power, H.param.gammas)
+            conj = mat_mul(mat_mul(lifted(g, pr), H.param.entries), lifted(ginv, pr))
+            param = ParamFamily(pr, conj, H.param.relations, H.param.ram_power, H.param.gammas)
     return SubgroupDesc(scheme, new_ideal, H.dim, param, dict(H.flags), H.cosets)
 
 
@@ -422,8 +355,8 @@ def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool
     n = r.n
     umat = [[uvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
     vmat = [[vvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-    uv = _poly_mat_mul(umat, vmat, big)
-    vu = _poly_mat_mul(vmat, umat, big)
+    uv = mat_mul(umat, vmat)
+    vu = mat_mul(vmat, umat)
     for i in range(n):
         for j in range(n):
             if not normal_form(uv[i][j] - vu[i][j], list(gb), big.order).is_zero():
@@ -433,15 +366,7 @@ def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool
 
 def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int) -> Ideal:
     """Vanishing ideal of a finite point cloud, up to a degree bound."""
-    nvars = ring.nvars
-    monos = []
-    for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
-            m = [0] * nvars
-            for i in combo:
-                m[i] += 1
-            monos.append(tuple(m))
-    monos.sort(key=lambda m: (sum(m), m))
+    monos = sorted(monomials_up_to(ring.nvars, degree), key=lambda m: (sum(m), m))
     rows = []
     for pt in points:
         row = []

@@ -90,6 +90,16 @@ def test_exit_code_budget():
     assert report["errors"][0]["type"] == "BudgetExceeded"
 
 
+def test_exit_code_precision_budget():
+    # circle_f5 at precision 1 or 2 has too few exponent slots for a stable
+    # implicitization: a budget outcome, not a failed theorem
+    job = next(e["job"] for e in corpus_entries() if e["name"] == "circle_f5")
+    for precision in (1, 2):
+        report, code = run_job(job, {"precision": precision})
+        assert code == 4
+        assert report["errors"][0]["type"] == "PrecisionInsufficient"
+
+
 def test_reduce_job():
     job = {
         "field": {"kind": "Q"},

@@ -7,10 +7,12 @@ import pytest
 from mustab.errors import NotIntegral, NotOnGroup
 from mustab.exponents import exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupElement, GroupScheme, KPoint, iwasawa, mat_det
+from mustab.groups import GroupElement, GroupScheme, KPoint, iwasawa, mat_adjugate, mat_det, mat_mul
+from mustab.poly import PolyRing
 from mustab.samples import (
     random_gl_laurent,
     random_kpoint_sl2,
+    random_laurent,
     random_mu_element,
     random_sl_laurent,
 )
@@ -251,12 +253,47 @@ def test_unipotent_embedding_adapter():
     assert prod.entries == direct.entries
 
 
-def test_precision_policy_guard():
-    import pytest as _pytest
-    from mustab.series import PrecisionPolicy
-    from mustab.exponents import exp as _exp
+PXY = PolyRing(QQ, ("x", "y"))
+# one random-entry sampler and the ring's one per coefficient ring
+MATRIX_RINGS = {
+    "Q": (lambda rng: QQ.from_int(rng.randrange(-3, 4)), QQ.one()),
+    "F5": (lambda rng: F5.from_int(rng.randrange(5)), F5.one()),
+    "poly": (
+        lambda rng: PXY.monomial((rng.randrange(2), rng.randrange(2)), QQ.from_int(rng.randrange(-2, 3)))
+        + PXY.from_int(rng.randrange(-2, 3)),
+        PXY.one(),
+    ),
+    "series": (lambda rng: random_laurent(QQ, rng, terms=2), PuiseuxSeries.one(DQ)),
+}
 
-    with _pytest.raises(ValueError):
-        PrecisionPolicy(default_order=_exp(100), hard_cap=_exp(64))
-    pol = PrecisionPolicy()
-    assert pol.clamp(_exp(100)) == pol.hard_cap
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("ring", sorted(MATRIX_RINGS))
+def test_generic_matrix_helpers(ring, n):
+    draw, one = MATRIX_RINGS[ring]
+    rng = random.Random(f"{ring}-{n}")
+
+    def invertible():
+        while True:
+            m = tuple(tuple(draw(rng) for _ in range(n)) for _ in range(n))
+            if not mat_det(m).is_zero():
+                return m
+
+    a, b = invertible(), invertible()
+    det_a = mat_det(a)
+    a_adj = mat_mul(a, mat_adjugate(a))
+    for i in range(n):
+        for j in range(n):
+            assert a_adj[i][j] == det_a if i == j else a_adj[i][j].is_zero()
+    assert mat_det(mat_mul(a, b)) == det_a * mat_det(b)
+    if n == 1:
+        assert mat_adjugate(a) == ((one,),)
+    if ring in ("Q", "F5"):
+        scheme = GroupScheme("GL", n, one.field)
+        g, h = (KPoint(scheme, m, mat_det(m).inv()) for m in (a, b))
+        assert g.mul(h).entries == mat_mul(a, b)
+        assert g.mul(g.inv()).is_identity()
+    if ring == "series":
+        scheme = GroupScheme("GL", n, QQ)
+        g, h = (GroupElement(scheme, m, check=False) for m in (a, b))
+        assert g.mul(h).entries == mat_mul(a, b)
