@@ -486,8 +486,15 @@ def _binomial_power(w: PuiseuxSeries, gamma: Fraction, local_prec: Exponent | No
         raise PrecisionInsufficient("tail precision too low for binomial expansion")
     if gamma.denominator == 1 and gamma >= 0:
         base = PuiseuxSeries.one(dom) + w
-        out = base ** int(gamma)
-        return out if local_prec is None else out.truncate(local_prec)
+        if local_prec is None:
+            return base ** int(gamma)
+        if not EXP_ZERO < local_prec:
+            return PuiseuxSeries.zero(dom, local_prec)
+        # Truncating before powering is exact: every exponent of 1 + w is
+        # >= 0, so a term at or above local_prec only feeds product terms at
+        # or above local_prec, and each product keeps the precision
+        # min(w.precision, local_prec) because its valuation bound is 0.
+        return (base.truncate(local_prec) ** int(gamma)).truncate(local_prec)
     if local_prec is None:
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
     acc = PuiseuxSeries.one(dom).truncate(local_prec)

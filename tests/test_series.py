@@ -14,7 +14,16 @@ from mustab.errors import (
 )
 from mustab.exponents import EXP_ZERO, Exponent, exp
 from mustab.fields import QQ, FieldSpec
-from mustab.series import PuiseuxSeries, ScalarDomain, parse_series, ser_subst, series_to_json
+from mustab.poly import PolyRing
+from mustab.series import (
+    PolyDomain,
+    PuiseuxSeries,
+    ScalarDomain,
+    _binomial_power,
+    parse_series,
+    ser_subst,
+    series_to_json,
+)
 
 QS2 = FieldSpec("QSqrt", d=2)
 F5 = FieldSpec("Fp", p=5)
@@ -162,6 +171,37 @@ def test_subst_associativity():
     lhs = ser_subst(ser_subst(f, s1, prec=exp(5)), s2, prec=exp(5))
     rhs = ser_subst(f, ser_subst(s1, s2, prec=exp(6)), prec=exp(5))
     assert lhs.agrees_with(rhs)
+
+
+RING_AB = PolyRing(QQ, ("a", "b"))
+
+
+def _random_tail(rng, dom):
+    """w with positive valuation; coefficients in dom, exact or truncated."""
+    if isinstance(dom, PolyDomain):
+        pool = [RING_AB.var("a"), RING_AB.var("b"), RING_AB.var("a") * RING_AB.var("b") - RING_AB.from_int(2)]
+        coeff = lambda: rng.choice(pool).scale(QQ.from_int(rng.randrange(1, 4)))
+    else:
+        coeff = lambda: dom.field.from_int(rng.randrange(1, 5))
+    terms = {Fraction(rng.randrange(1, 7), rng.choice([1, 2])): coeff() for _ in range(rng.randrange(1, 4))}
+    prec = rng.choice([None, exp(rng.randrange(4, 9))])
+    return PuiseuxSeries(dom, [(exp(e), c) for e, c in terms.items()], prec)
+
+
+@pytest.mark.parametrize("dom", [DQ, ScalarDomain(F5), PolyDomain(RING_AB)], ids=["Q", "F5", "Poly"])
+def test_binomial_power_truncated_matches_exact(dom):
+    """(1 + w)^gamma for integer gamma >= 0 is raised after truncating to
+    local_prec; it must equal the exact power truncated afterwards, also for
+    local_prec <= 0, where nothing is known."""
+    rng = random.Random(23)
+    one = PuiseuxSeries.one(dom)
+    for _ in range(40):
+        w = _random_tail(rng, dom)
+        gamma = rng.randrange(0, 7)
+        local = exp(Fraction(rng.randrange(-3, 10), rng.choice([1, 2])))
+        exact = ((one + w) ** gamma).truncate(local)
+        assert _binomial_power(w, Fraction(gamma), local, dom) == exact
+    assert _binomial_power(w, Fraction(3), None, dom) == (one + w) ** 3
 
 
 def random_series(rng, dom=DQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
