@@ -50,6 +50,8 @@ class Exponent:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: Exponent) -> Exponent:
+        if not self.b and not other.b:
+            return _rational(self.a + other.a)
         d = self._join_d(other)
         return Exponent(self.a + other.a, self.b + other.b, d if self.b + other.b != 0 else None)
 
@@ -85,15 +87,23 @@ class Exponent:
         return self.a == 0 and self.b == 0
 
     def __lt__(self, other: Exponent) -> bool:
+        if not self.b and not other.b:
+            return self.a < other.a
         return (self - other).sign() < 0
 
     def __le__(self, other: Exponent) -> bool:
+        if not self.b and not other.b:
+            return self.a <= other.a
         return (self - other).sign() <= 0
 
     def __gt__(self, other: Exponent) -> bool:
+        if not self.b and not other.b:
+            return self.a > other.a
         return (self - other).sign() > 0
 
     def __ge__(self, other: Exponent) -> bool:
+        if not self.b and not other.b:
+            return self.a >= other.a
         return (self - other).sign() >= 0
 
     # -- io --------------------------------------------------------------------
@@ -136,6 +146,16 @@ class Exponent:
         return Exponent(a, b, dd)
 
 
+def _rational(a: Fraction) -> Exponent:
+    """Exponent(a) for a Fraction a, without re-wrapping it in __post_init__."""
+    e = object.__new__(Exponent)
+    object.__setattr__(e, "a", a)
+    object.__setattr__(e, "b", _FRACTION_ZERO)
+    object.__setattr__(e, "d", None)
+    return e
+
+
+_FRACTION_ZERO = Fraction(0)
 EXP_ZERO = Exponent(Fraction(0))
 EXP_ONE = Exponent(Fraction(1))
 

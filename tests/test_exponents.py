@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mustab.errors import FieldMismatch
-from mustab.exponents import EXP_ZERO, Exponent, exp
+from mustab.exponents import EXP_ZERO, Exponent, _rational, exp
 
 
 def test_basic_order():
@@ -67,3 +68,35 @@ def test_comparison_agrees_with_high_precision_sqrt2():
 def test_denominator():
     assert exp("3/4").denominator == 4
     assert Exponent(Fraction(1, 2), Fraction(1, 3), 2).denominator == 6
+
+
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+exponents = st.one_of(
+    fractions.map(Exponent),
+    st.tuples(fractions, fractions).map(lambda ab: Exponent(ab[0], ab[1], 2)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponents, exponents)
+def test_rational_fast_path_matches_sign(x, y):
+    """The shortcuts for two rational exponents agree with the general
+    sign() arithmetic, and irrational operands are unaffected."""
+    diff = Exponent(x.a - y.a, x.b - y.b, 2 if x.b != y.b else None)
+    s = diff.sign()
+    assert (x < y) == (s < 0)
+    assert (x <= y) == (s <= 0)
+    assert (x > y) == (s > 0)
+    assert (x >= y) == (s >= 0)
+    total = x + y
+    assert total == Exponent(x.a + y.a, x.b + y.b, 2 if x.b + y.b != 0 else None)
+    assert hash(total) == hash(Exponent(total.a, total.b, total.d))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions)
+def test_rational_constructor_matches_exponent(a):
+    e = _rational(a)
+    assert e == Exponent(a) and hash(e) == hash(Exponent(a))
+    assert (e.a, e.b, e.d) == (a, Fraction(0), None)
+    assert e.is_rational() and str(e) == str(Exponent(a))
