@@ -88,13 +88,16 @@ def implicitize(branch: Branch, degree_bound: int, return_details: bool = False)
 
     monos = sorted(monomials_up_to(nvars, degree_bound), key=lambda m: (sum(m), m))
 
-    evaluated = []
+    # a(t)^m = a(t)^(m - e_i) * a_i(t) for the last variable i of m; the
+    # parent has lower degree, so it comes earlier in monos
+    by_mono = {}
     for m in monos:
-        acc = PuiseuxSeries.one(ScalarDomain(field))
-        for i, e in enumerate(m):
-            if e:
-                acc = acc * series_list[i] ** e
-        evaluated.append(acc)
+        if any(m):
+            i = max(j for j, e in enumerate(m) if e)
+            by_mono[m] = by_mono[m[:i] + (m[i] - 1,) + m[i + 1 :]] * series_list[i]
+        else:
+            by_mono[m] = PuiseuxSeries.one(ScalarDomain(field))
+    evaluated = [by_mono[m] for m in monos]
 
     hi: Exponent | None = None
     exact = True

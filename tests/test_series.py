@@ -229,6 +229,16 @@ def test_ring_axioms_randomized():
         assert ((f * g) * h).agrees_with(f * (g * h))
 
 
+def test_product_grouping_is_exact():
+    """Terms and precision of a product do not depend on its grouping, so
+    implicitize may build each monomial from its parent monomial."""
+    rng = random.Random(29)
+    for _ in range(300):
+        f, g, h = (random_series(rng, prec_range=(2, 8)) if rng.random() < 0.7 else S((-1, 2), (1, 1)) for _ in range(3))
+        assert (f * g) * h == f * (g * h)
+        assert (f * f) * (f * g) == ((f * f) * f) * g
+
+
 def test_valuation_rules_randomized():
     rng = random.Random(13)
     checked_product = 0
