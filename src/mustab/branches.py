@@ -65,28 +65,17 @@ def is_centered_at_infinity(branch: Branch) -> bool:
     return not branch.element.is_integral()
 
 
-@dataclass
-class ClosureResult:
-    ideal: Ideal
-    dim: int
-    degree_bound: int
-    certified_exact: bool
-
-
-def implicitize(branch: Branch, degree_bound: int, return_details: bool = False):
-    """Generators of all polynomial relations of total degree <= degree_bound
-    among the coordinates of a(t)."""
+def _relation_kernel(branch: Branch, degree_bound: int):
+    """The monomials of degree <= degree_bound in the coordinates, in
+    ascending deglex order, and a basis of the linear relations among
+    their series a(t)^m, one coefficient vector per relation."""
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    scheme = branch.scheme
-    field = scheme.field
-    names = scheme.coordinates()
-    ring = PolyRing(field, names)
+    field = branch.field
     values = branch.series_by_coordinate()
-    series_list = [values[v] for v in names]
-    nvars = len(names)
+    series_list = [values[v] for v in branch.scheme.coordinates()]
 
-    monos = sorted(monomials_up_to(nvars, degree_bound), key=lambda m: (sum(m), m))
+    monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
 
     # a(t)^m = a(t)^(m - e_i) * a_i(t) for the last variable i of m; the
     # parent has lower degree, so it comes earlier in monos
@@ -125,31 +114,32 @@ def implicitize(branch: Branch, degree_bound: int, return_details: bool = False)
             raise PrecisionInsufficient(
                 f"relations unstable under window shrink ({len(smaller)} vs {len(basis)}); raise precision"
             )
+    return monos, basis
 
+
+def implicitize(branch: Branch, degree_bound: int) -> Ideal:
+    """Reduced Groebner basis of all polynomial relations of total degree
+    <= degree_bound among the coordinates of a(t)."""
+    monos, basis = _relation_kernel(branch, degree_bound)
+    ring = PolyRing(branch.field, branch.scheme.coordinates())
     gens = []
-    lead_monos = []
     for vec in basis:
         p = ring.zero()
-        lead = None
         for c, m in zip(vec, monos):
             if not c.is_zero():
                 p = p + ring.monomial(m, c)
-                lead = m  # columns ascend in deglex, so the last hit leads
         if not p.is_zero():
             gens.append(p)
-            lead_monos.append(lead)
-    # the kernel of an ascending-ordered matrix has one basis vector per free
-    # column, led by that column: lead_monos is the degree-<=D slice of the
-    # leading-term ideal, which is all the dimension count needs
-    dim = _dim_from_leading_monomials(lead_monos, nvars)
-    ideal_out = groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
-    if not return_details:
-        return ideal_out
-    return ClosureResult(ideal_out, dim, degree_bound, exact)
+    return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> tuple[int, int]:
     """Krull dimension of the degree-bounded closure; an upper bound for the
     true dimension, certified at the stated degree."""
-    closure = implicitize(branch, degree_bound, return_details=True)
-    return closure.dim, degree_bound
+    monos, basis = _relation_kernel(branch, degree_bound)
+    # the kernel of an ascending-ordered matrix has one basis vector per free
+    # column, led by that column (its last nonzero entry): these leading
+    # monomials are the degree-<=D slice of the leading-term ideal, which is
+    # all the dimension count needs
+    leads = [[m for c, m in zip(vec, monos) if not c.is_zero()][-1] for vec in basis]
+    return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates())), degree_bound

@@ -117,3 +117,30 @@ def test_type_dimension_monotone_nonincreasing():
     dims = [type_dimension(b, D)[0] for D in (2, 3, 4, 5)]
     assert dims == sorted(dims, reverse=True)
     assert dims[0] == 2 and dims[-1] == 1  # no relation exists at degree 2
+
+
+def test_type_dimension_needs_no_groebner_basis(monkeypatch):
+    """type_dimension reads the dimension off the leading monomials of the
+    relation kernel; it must not compute a Groebner basis."""
+    from mustab import branches
+    from mustab.corpus import corpus_entries
+    from mustab.jobs import _input_branches, parse_budgets
+
+    def refuse(_ideal):
+        raise AssertionError("type_dimension computed a Groebner basis")
+
+    monkeypatch.setattr(branches, "groebner_basis", refuse)
+    expected = {"x1": [1, 1], "cusp": [2, 1], "circle_f5": [1, 1, 1, 1]}
+    for entry in corpus_entries():
+        if entry["name"] not in expected:
+            continue
+        job = entry["job"]
+        scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
+        budgets = parse_budgets(job.get("budgets"))
+        found = [
+            type_dimension(b, D)[0]
+            for b in _input_branches(job, scheme, job.get("exponent_d"), budgets)
+            for D in (2, budgets.degree_bound)
+        ]
+        assert found == expected.pop(entry["name"])
+    assert not expected
