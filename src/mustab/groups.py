@@ -338,6 +338,8 @@ class KPoint:
     y: Scalar | None = None
 
     def __post_init__(self):
+        if self.scheme.root.kind == "GL" and self.y is None:
+            object.__setattr__(self, "y", mat_det(self.entries).inv())
         ring = self.scheme.coordinate_ring()
         values = self._values()
         for eq in self.scheme.defining_polys(ring):
@@ -352,8 +354,7 @@ class KPoint:
             return dict(zip(names, self.entries))
         flat = [self.entries[i][j] for i in range(r.n) for j in range(r.n)]
         if r.kind == "GL":
-            y = self.y if self.y is not None else mat_det(self.entries).inv()
-            flat.append(y)
+            flat.append(self.y)
         return dict(zip(names, flat))
 
     def mul(self, other: KPoint) -> KPoint:
@@ -383,7 +384,7 @@ class KPoint:
         if r.kind == "Additive":
             return GroupElement(self.scheme, tuple(PuiseuxSeries.constant(dom, c) for c in self.entries), check=False)
         rows = tuple(tuple(PuiseuxSeries.constant(dom, c) for c in row) for row in self.entries)
-        y = PuiseuxSeries.constant(dom, self.y) if r.kind == "GL" and self.y is not None else None
+        y = PuiseuxSeries.constant(dom, self.y) if r.kind == "GL" else None
         return GroupElement(self.scheme, rows, y, check=False)
 
     def __str__(self):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .errors import MustabError
 from .fields import Scalar
 from .groups import GroupScheme, KPoint, mat_adjugate, mat_det, mat_mul
 from .ideals import (
@@ -446,7 +447,7 @@ def _param_point(H: SubgroupDesc, sol: dict[str, Scalar]) -> KPoint | None:
             rows = tuple(tuple(e.eval_scalars(sol) for e in row) for row in entries)
             return KPoint(scheme, rows)
         return KPoint(scheme, tuple(e.eval_scalars(sol) for e in entries))
-    except Exception:
+    except MustabError:
         return None
 
 

@@ -1,6 +1,7 @@
 """Group element arithmetic, integrality, residues, mu, Iwasawa."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -203,6 +204,21 @@ def test_kpoint_ops():
     for _ in range(10):
         g = random_kpoint_sl2(F5, rng)
         assert g.mul(g.inv()).is_identity()
+
+
+def test_gl_kpoint_without_y():
+    """A GL k-point built without y (as sampled subgroup points are) gets
+    y = det^-1, so it multiplies and inverts."""
+    gl2 = GroupScheme("GL", 2, QQ)
+    q = QQ.from_int
+    g = KPoint(gl2, ((q(2), q(1)), (q(0), q(1))))
+    assert g.y == QQ.from_fraction(Fraction(1, 2))
+    g2 = g.mul(g)
+    assert g2.entries == ((q(4), q(3)), (q(0), q(1))) and g2.y == QQ.from_fraction(Fraction(1, 4))
+    assert g.inv().y == q(2)
+    assert g.mul(g.inv()).is_identity() and g.inv().mul(g).is_identity()
+    with pytest.raises(NotOnGroup):
+        KPoint(gl2, ((q(2), q(1)), (q(0), q(1))), q(1))
 
 
 def test_subgroup_scheme_membership_inherited():
