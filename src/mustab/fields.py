@@ -14,6 +14,19 @@ from fractions import Fraction
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 
 
+def pow_by_squaring(base, e: int, one):
+    """base ** e for an int e >= 0 in any ring with *, starting from one;
+    the base is not squared again after the last bit of e."""
+    result = one
+    while True:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if not e:
+            return result
+        base = base * base
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -383,14 +396,7 @@ class Scalar:
     def __pow__(self, e: int) -> Scalar:
         if e < 0:
             return self.inv() ** (-e)
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return pow_by_squaring(self, e, self.field.one())
 
     def sqrt(self) -> Scalar | None:
         """A square root in the same field, or None."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .errors import FieldMismatch
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, pow_by_squaring
 
 Monomial = tuple[int, ...]
 
@@ -212,14 +212,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = self.ring.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return pow_by_squaring(self, e, self.ring.one())
 
     def scale(self, c: Scalar) -> Poly:
         if c.is_zero():

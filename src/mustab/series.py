@@ -26,7 +26,7 @@ from .errors import (
     ZeroLeadingTerm,
 )
 from .exponents import EXP_ZERO, Exponent, exp
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, pow_by_squaring
 from .poly import Poly, PolyRing
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
@@ -257,14 +257,7 @@ class PuiseuxSeries:
     def __pow__(self, k: int) -> PuiseuxSeries:
         if k < 0:
             return self.inv() ** (-k)
-        result = PuiseuxSeries.one(self.dom)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return pow_by_squaring(self, k, PuiseuxSeries.one(self.dom))
 
     def inv(self, prec: Exponent | None = None) -> PuiseuxSeries:
         """Inverse via geometric series; leading exponent becomes -val."""

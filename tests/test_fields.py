@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mustab.errors import DivisionByZero, FieldMismatch
-from mustab.fields import QQ, FieldSpec
+from mustab.fields import QQ, FieldSpec, pow_by_squaring
 
 QS2 = FieldSpec("QSqrt", d=2)
 F5 = FieldSpec("Fp", p=5)
@@ -115,3 +115,23 @@ def test_scalar_str_roundtrip():
     ]:
         s = parse_scalar(text, field)
         assert parse_scalar(str(s), field) == s
+
+
+def test_pow_by_squaring_skips_the_last_square():
+    """One square-and-multiply serves Scalar, Poly and series powers; it
+    multiplies exactly as many times as binary powering needs."""
+    class Counted:
+        def __init__(self, value, log):
+            self.value, self.log = value, log
+
+        def __mul__(self, other):
+            self.log.append(other.value)
+            return Counted(self.value * other.value, self.log)
+
+    for e in range(0, 40):
+        log = []
+        out = pow_by_squaring(Counted(3, log), e, Counted(1, log))
+        assert out.value == 3**e
+        # squarings: bit_length - 1; products: popcount
+        assert len(log) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+    assert QQ.from_int(2) ** -3 == QQ.from_fraction(Fraction(1, 8))
