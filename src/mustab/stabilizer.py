@@ -16,6 +16,7 @@ from .branches import Branch, is_centered_at_infinity, type_dimension, validate_
 from .errors import (
     BudgetExceeded,
     IrrationalExponentInSubstitution,
+    MustabError,
     NotCenteredAtInfinity,
     NotReduced,
     PrecisionInsufficient,
@@ -349,7 +350,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
         if r.kind == "SL":
             try:
                 rows = with_unit_det(rebuild(all_cut))
-            except Exception:
+            except (MustabError, ValueError):
                 return out
             all_cut = [x for row in rows for x in row]
         if tuple(tuple(x.terms) for x in all_cut) not in seen:
@@ -362,7 +363,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
 def _try_candidate(scheme: GroupScheme, entries, original: Branch) -> Branch | None:
     try:
         b = validate_branch(scheme, entries)
-    except Exception:
+    except (MustabError, ValueError):
         return None
     return Branch(b.element, b.ramification, original.trusted_irreducible, original.notes)
 
