@@ -3,7 +3,7 @@
 import json
 
 from mustab.cli import main
-from mustab.corpus import corpus_entries
+from mustab.corpus import corpus_entries, run_corpus
 from mustab.jobs import run_job
 
 
@@ -169,6 +169,18 @@ def test_corpus_fixtures_parse():
     assert names == ["x1", "x2", "psl2_quotient", "reduced_a2", "reduced_a2_f5", "cusp", "bounded", "circle_f5"]
     skips = [e for e in entries if "skip" in e["job"]]
     assert len(skips) == 1 and skips[0]["name"] == "psl2_quotient"
+
+
+def test_whole_corpus_matches_fixtures():
+    """Every non-skipped corpus entry exits 0 and matches its expected
+    fixture (ideals, dimensions, classification, theorem checks)."""
+    summary, code = run_corpus()
+    assert code == 0
+    assert (summary["passed"], summary["failed"], summary["skipped"]) == (7, 0, 1)
+    for item in summary["entries"]:
+        if item["status"] != "skipped":
+            # run_corpus records the check_expected mismatches as "problems"
+            assert item["exit_code"] == 0 and "problems" not in item, item
 
 
 def test_cli_override_algorithm(tmp_path):
