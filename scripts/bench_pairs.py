@@ -3,13 +3,15 @@
 
 Usage:
     python scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_N.json
-        [--pairs 10] [--seconds 20] [--workloads corpus sl2_q plane_puiseux]
 
-Each directory is a source checkout with its own perfbench/run.py. Pair i
-runs both sides with seed i + 1 and --trace 0, parent first on even i and
-change first on odd i. The file keeps the last JSON line of every run and,
-per workload and end-to-end metric of BENCHMARK.json, each side's median
-and quartiles and the number of pairs the change won.
+Each directory is a source checkout with its own perfbench/run.py. The run
+length, the workloads and the end-to-end metrics come from the change's
+BENCHMARK.json. Pair i of PAIRS runs both sides with seed i + 1 and --trace 0,
+parent first on even i and change first on odd i. A run whose output gate
+fails (`correct` false) stops the script. The file keeps the last JSON line
+of every run and, per workload, each side's total `failed` jobs and, per
+end-to-end metric, each side's median and quartiles and the number of pairs
+the change won.
 """
 
 import argparse
@@ -19,6 +21,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+PAIRS = 10
+
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -26,7 +30,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = out.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} printed nothing (exit {out.returncode})\n{out.stderr}")
-    return json.loads(lines[-1])
+    run = json.loads(lines[-1])
+    if not run["correct"]:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} failed its output gate (exit {out.returncode})\n{out.stdout[-2000:]}")
+    return run
 
 
 def spread(values: list[float]) -> dict:
@@ -35,7 +42,7 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    out = {}
+    out = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -50,22 +57,20 @@ def main() -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
-    ap.add_argument("--workloads", nargs="+", default=["corpus", "sl2_q", "plane_puiseux"])
     args = ap.parse_args()
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
-    result = {"seconds": args.seconds, "workloads": {}}
-    for workload in args.workloads:
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    result = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             pair = {"seed": i + 1, "first": order[0]}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, i + 1, args.seconds)
+                pair[side] = run_once(getattr(args, side), workload, i + 1, seconds)
             pairs.append(pair)
             print(workload, i + 1, {s: pair[s]["metrics"]["jobs_per_s"]["value"] for s in order}, file=sys.stderr)
-        result["workloads"][workload] = {"summary": summarize(pairs, metrics), "pairs": pairs}
+        result["workloads"][workload] = {"summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

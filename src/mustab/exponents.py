@@ -86,25 +86,22 @@ class Exponent:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def __lt__(self, other: Exponent) -> bool:
+    def _cmp(self, other: Exponent) -> int:
         if not self.b and not other.b:
-            return self.a < other.a
-        return (self - other).sign() < 0
+            return (self.a > other.a) - (self.a < other.a)
+        return (self - other).sign()
+
+    def __lt__(self, other: Exponent) -> bool:
+        return self._cmp(other) < 0
 
     def __le__(self, other: Exponent) -> bool:
-        if not self.b and not other.b:
-            return self.a <= other.a
-        return (self - other).sign() <= 0
+        return self._cmp(other) <= 0
 
     def __gt__(self, other: Exponent) -> bool:
-        if not self.b and not other.b:
-            return self.a > other.a
-        return (self - other).sign() > 0
+        return self._cmp(other) > 0
 
     def __ge__(self, other: Exponent) -> bool:
-        if not self.b and not other.b:
-            return self.a >= other.a
-        return (self - other).sign() >= 0
+        return self._cmp(other) >= 0
 
     # -- io --------------------------------------------------------------------
     def __str__(self):
