@@ -39,9 +39,6 @@ class Branch:
     def field(self):
         return self.element.scheme.field
 
-    def series_by_coordinate(self) -> dict[str, PuiseuxSeries]:
-        return self.element._values()
-
     def translate(self, g) -> Branch:
         """Left-translate by a k-point g."""
         moved = g.to_series().mul(self.element)
@@ -57,7 +54,7 @@ def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
     Raises NotOnGroup with the offending equation and residual term.
     """
     element = GroupElement(scheme, entries, y=y, check=True)
-    return Branch(element, math.lcm(*(s.ramification() for s in element._flat())))
+    return Branch(element, math.lcm(*(s.ramification() for s in element.entries_flat())))
 
 
 def is_centered_at_infinity(branch: Branch) -> bool:
@@ -72,8 +69,7 @@ def _relation_kernel(branch: Branch, degree_bound: int):
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
     field = branch.field
-    values = branch.series_by_coordinate()
-    series_list = [values[v] for v in branch.scheme.coordinates()]
+    series_list = branch.element.flat()
 
     monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
 

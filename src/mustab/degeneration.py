@@ -17,7 +17,7 @@ from .branches import Branch, is_centered_at_infinity
 from .errors import BudgetExceeded, NotCenteredAtInfinity
 from .factor import uni_factor
 from .fields import Scalar
-from .groups import GroupElement, mat_mul
+from .groups import GroupElement
 from .ideals import (
     Budgets,
     Ideal,
@@ -119,23 +119,11 @@ def translated_ideal_rows(branch: Branch, V: Ideal, budgets: Budgets) -> tuple[l
     field = scheme.field
     dom = ScalarDomain(field)
     ring = scheme.coordinate_ring()
-    r = scheme.root
     names = scheme.coordinates()
-    values: dict[str, SeriesPoly] = {}
-    if r.kind == "Additive":
-        for name, s in zip(names, branch.element.entries):
-            values[name] = SeriesPoly.variable(ring, name, dom) + SeriesPoly.constant(ring, s)
-    else:
-        n = r.n
-        xmat = [[SeriesPoly.variable(ring, f"x{i + 1}{j + 1}", dom) for j in range(n)] for i in range(n)]
-        amat = [[SeriesPoly.constant(ring, s) for s in row] for row in branch.element.entries]
-        moved = mat_mul(xmat, amat)
-        for i in range(n):
-            for j in range(n):
-                values[f"x{i + 1}{j + 1}"] = moved[i][j]
-        if r.kind == "GL":
-            ya = branch.element.y
-            values["y"] = SeriesPoly.variable(ring, "y", dom).scale_series(ya)
+    # the symbolic point X times a(t)
+    x = tuple(SeriesPoly.variable(ring, name, dom) for name in names)
+    a = tuple(SeriesPoly.constant(ring, s) for s in branch.element.flat())
+    values = dict(zip(names, scheme.mul_values(x, a)))
 
     rows: list[SeriesPoly] = []
     gens = list(V.gens) + [g for g in scheme.defining_polys(ring)]

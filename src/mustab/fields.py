@@ -103,14 +103,17 @@ def _fp_divmod(a, b, p):
 
 
 def _fp_powmod(a, e, mod, p):
+    """a^e modulo mod in F_p[x], by pow_by_squaring's loop: the base is not
+    squared again after the last bit of e."""
     result = [1]
     base = _fp_divmod(a, mod, p)[1]
-    while e:
+    while True:
         if e & 1:
             result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
         e >>= 1
-    return result
+        if not e:
+            return result
+        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
 
 
 def _fp_gcd(a, b, p):

@@ -6,11 +6,26 @@ is the vector group, and Subgroup wraps a parent scheme with extra
 equations.  GroupElement holds series entries; KPoint holds residue-field
 entries.  The residue retraction, the infinitesimal kernel test and the
 Iwasawa decomposition live here.
+
+Coordinate layout.  This module alone knows how a point is laid out, and
+the other modules go through GroupScheme.flatten / shape / map_entries and
+the group law on flat tuples (mul_values / inv_values):
+- Additive(n): `entries` is the vector (v1, ..., vn); the coordinates are
+  the first n of x, y, z when n <= 3, else x1, ..., xn;
+- SL(n): `entries` is a tuple of n rows; the coordinates are x11, x12,
+  ..., xnn, row by row;
+- GL(n): the SL layout, plus y = det^-1 stored beside the rows and listed
+  last among the coordinates;
+- Subgroup: the layout of its root scheme.
+A flat tuple holds a point's values in coordinates() order.  The group law
+on it uses only + - *, so one implementation serves points over k, k[x],
+the series field and k[x] with series coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .errors import (
@@ -68,22 +83,78 @@ class GroupScheme:
         coords = matrix_coordinates(r.n)
         return coords + ("y",) if r.kind == "GL" else coords
 
-    def coordinate_ring(self, order: str = "grevlex") -> PolyRing:
-        return PolyRing(self.field, self.coordinates(), order)
+    # -- the coordinate layout and the group law -----------------------------
+    def flatten(self, entries, y=None) -> tuple:
+        """A point's values in coordinates() order: the vector, or the rows
+        one after another, then y when one is given (GL)."""
+        if self.root.kind == "Additive":
+            flat = tuple(entries)
+        else:
+            flat = tuple(e for row in entries for e in row)
+        return flat if y is None else flat + (y,)
+
+    def shape(self, flat) -> tuple:
+        """(entries, y) from a sequence in coordinates() order, the inverse
+        of flatten; y is None off GL and when the sequence stops before it."""
+        r = self.root
+        if r.kind == "Additive":
+            return tuple(flat), None
+        n = r.n
+        rows = tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
+        return rows, (flat[n * n] if len(flat) > n * n else None)
+
+    def map_entries(self, entries, f):
+        """Entries of the same layout holding f of each entry."""
+        return self.shape([f(e) for e in self.flatten(entries)])[0]
+
+    def mul_values(self, u, v) -> tuple:
+        """The product of two points given as flat value tuples.
+
+        Only + and * are used, so the values may be Scalar, Poly,
+        PuiseuxSeries or SeriesPoly; y is carried when both factors carry
+        it."""
+        if self.root.kind == "Additive":
+            return tuple(a + b for a, b in zip(u, v))
+        (a, ya), (b, yb) = self.shape(u), self.shape(v)
+        return self.flatten(mat_mul(a, b), None if ya is None or yb is None else ya * yb)
+
+    def inv_values(self, u) -> tuple:
+        """The inverse of a point given as a flat value tuple, by + - * only:
+        the adjugate on SL (det = 1); on GL the adjugate times y, whose
+        inverse is det."""
+        r = self.root
+        if r.kind == "Additive":
+            return tuple(-a for a in u)
+        a, y = self.shape(u)
+        adj = mat_adjugate(a)
+        if r.kind == "SL":
+            return self.flatten(adj)
+        return self.flatten(tuple(tuple(e * y for e in row) for row in adj), mat_det(a))
+
+    # -- equations, built once per scheme -------------------------------------
+    @cached_property
+    def _ring(self) -> PolyRing:
+        return PolyRing(self.field, self.coordinates())
+
+    @cached_property
+    def _equations(self) -> tuple[Poly, ...]:
+        ring = self._ring
+        if self.kind == "Subgroup":
+            return self.parent._equations + tuple(g.restrict(ring) for g in self.subgroup_ideal.gens)
+        if self.kind == "Additive":
+            return ()
+        det = symbolic_det(ring, self.n)
+        return (det - ring.one(),) if self.kind == "SL" else (det * ring.var("y") - ring.one(),)
+
+    def coordinate_ring(self) -> PolyRing:
+        return self._ring
 
     def defining_polys(self, ring: PolyRing | None = None) -> list[Poly]:
-        ring = ring or self.coordinate_ring()
-        r = self.root
-        polys: list[Poly] = []
-        if r.kind in ("GL", "SL"):
-            det = symbolic_det(ring, r.n)
-            if r.kind == "SL":
-                polys.append(det - ring.one())
-            else:
-                polys.append(det * ring.var("y") - ring.one())
-        if self.kind == "Subgroup":
-            polys = self.parent.defining_polys(ring) + [g.restrict(ring) for g in self.subgroup_ideal.gens]
-        return polys
+        """The scheme equations, in coordinate_ring() unless another ring
+        holding the coordinates is given."""
+        if ring is None or ring == self._ring:
+            return list(self._equations)
+        return [g.restrict(ring) for g in self._equations]
 
     def identity(self) -> KPoint:
         r = self.root
@@ -193,7 +264,42 @@ def with_unit_det(rows) -> list[list[PuiseuxSeries]]:
     return rows
 
 
-class GroupElement:
+class _Point:
+    """What GroupElement and KPoint share: the flat values and the group law."""
+
+    __slots__ = ()
+
+    def flat(self) -> tuple:
+        """Every coordinate value in coordinates() order, y included."""
+        return self.scheme.flatten(self.entries, self.y)
+
+    def entries_flat(self) -> tuple:
+        """The vector or matrix entries in coordinates() order, without y."""
+        return self.scheme.flatten(self.entries)
+
+    def _values(self) -> dict:
+        return dict(zip(self.scheme.coordinates(), self.flat()))
+
+    def mul(self, other):
+        if self.scheme != other.scheme:
+            raise NotOnGroup("elements of different schemes")
+        return self._from_flat(self.scheme.mul_values(self.flat(), other.flat()))
+
+    def inv(self):
+        return self._from_flat(self.scheme.inv_values(self.flat()))
+
+    def map(self, f) -> GroupElement:
+        """The series point whose every coordinate, y included, is f of this
+        point's; not validated."""
+        return GroupElement(self.scheme, *self.scheme.shape([f(v) for v in self.flat()]), check=False)
+
+    def __str__(self):
+        if self.scheme.root.kind == "Additive":
+            return "(" + ", ".join(str(s) for s in self.entries) + ")"
+        return "[" + "; ".join(", ".join(str(s) for s in row) for row in self.entries) + "]"
+
+
+class GroupElement(_Point):
     """A point of the scheme over the series field; entries are validated
     against the defining equations up to their tracked precision."""
 
@@ -201,85 +307,38 @@ class GroupElement:
 
     def __init__(self, scheme: GroupScheme, entries, y: PuiseuxSeries | None = None, check: bool = True):
         self.scheme = scheme
-        r = scheme.root
-        if r.kind == "Additive":
-            self.entries = tuple(entries)
-            self.y = None
+        self.entries, _ = scheme.shape(scheme.flatten(entries))
+        if scheme.root.kind == "GL":
+            self.y = mat_det(self.entries).inv() if y is None else y
         else:
-            self.entries = tuple(tuple(row) for row in entries)
-            if r.kind == "GL":
-                if y is None:
-                    y = mat_det(self.entries).inv()
-                self.y = y
-            else:
-                self.y = None
+            self.y = None
         if check:
             self._validate()
 
-    def _dom(self):
-        r = self.scheme.root
-        first = self.entries[0] if r.kind == "Additive" else self.entries[0][0]
-        return first.dom
+    def _from_flat(self, flat) -> GroupElement:
+        return GroupElement(self.scheme, *self.scheme.shape(flat), check=False)
 
-    def _values(self) -> dict[str, PuiseuxSeries]:
-        r = self.scheme.root
-        names = self.scheme.coordinates()
-        if r.kind == "Additive":
-            vals = dict(zip(names, self.entries))
-        else:
-            flat = [self.entries[i][j] for i in range(r.n) for j in range(r.n)]
-            if r.kind == "GL":
-                flat.append(self.y)
-            vals = dict(zip(names, flat))
-        return vals
+    def _dom(self):
+        return self.entries_flat()[0].dom
 
     def _validate(self):
-        ring = self.scheme.coordinate_ring()
         values = self._values()
         dom = self._dom()
-        for eq in self.scheme.defining_polys(ring):
+        for eq in self.scheme._equations:
             out = eval_poly_series(eq, values, dom)
             if out.terms:
                 e, c = out.terms[0]
                 raise NotOnGroup(f"equation {eq} has residual {c} * t^({e})")
 
-    # -- group operations ------------------------------------------------
-    def mul(self, other: GroupElement) -> GroupElement:
-        if self.scheme != other.scheme:
-            raise NotOnGroup("elements of different schemes")
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return GroupElement(self.scheme, tuple(a + b for a, b in zip(self.entries, other.entries)), check=False)
-        y = self.y * other.y if r.kind == "GL" else None
-        return GroupElement(self.scheme, mat_mul(self.entries, other.entries), y, check=False)
-
-    def inv(self) -> GroupElement:
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return GroupElement(self.scheme, tuple(-a for a in self.entries), check=False)
-        adj = mat_adjugate(self.entries)
-        if r.kind == "SL":
-            return GroupElement(self.scheme, adj, check=False)
-        det = mat_det(self.entries)
-        entries = tuple(tuple(e * self.y for e in row) for row in adj)
-        return GroupElement(self.scheme, entries, det, check=False)
-
-    def _flat(self):
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return list(self.entries)
-        return [self.entries[i][j] for i in range(r.n) for j in range(r.n)]
-
     def is_integral(self) -> bool:
         """All entries have valuation >= 0 and (matrix case) det is a unit."""
-        for s in self._flat():
+        for s in self.entries_flat():
             if s.terms:
                 if s.terms[0][0].sign() < 0:
                     return False
             elif s.precision is not None and s.precision.sign() <= 0:
                 raise PrecisionInsufficient(f"entry {s} has no certified leading term")
-        r = self.scheme.root
-        if r.kind in ("GL", "SL"):
+        if self.scheme.is_matrix:
             det = mat_det(self.entries)
             if not det.terms:
                 if det.precision is not None and det.precision.sign() <= 0:
@@ -290,26 +349,16 @@ class GroupElement:
         return True
 
     def res(self) -> KPoint:
-        """Entrywise residue; a group retraction on integral points."""
+        """Entrywise residue; a group retraction on integral points.  On GL
+        the residue's y is recomputed from its entries."""
         if not self.is_integral():
             raise NotIntegral(f"cannot take residues of {self}")
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return KPoint(self.scheme, tuple(s.res() for s in self.entries))
-        rows = tuple(tuple(s.res() for s in row) for row in self.entries)
-        y = None
-        if r.kind == "GL":
-            det = mat_det(self.entries)
-            y = det.res().inv()
-        return KPoint(self.scheme, rows, y)
+        return KPoint(self.scheme, *self.scheme.shape([s.res() for s in self.entries_flat()]))
 
     def in_mu(self) -> bool:
         """Kernel of the residue retraction: integral with identity residue."""
-        try:
-            if not self.is_integral():
-                return False
-        except PrecisionInsufficient:
-            raise
+        if not self.is_integral():
+            return False
         return self.res() == self.scheme.identity()
 
     def __eq__(self, other):
@@ -319,18 +368,12 @@ class GroupElement:
             and self.entries == other.entries
         )
 
-    def __str__(self):
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return "(" + ", ".join(str(s) for s in self.entries) + ")"
-        return "[" + "; ".join(", ".join(str(s) for s in row) for row in self.entries) + "]"
-
     def __repr__(self):
         return f"GroupElement({self})"
 
 
 @dataclass(frozen=True)
-class KPoint:
+class KPoint(_Point):
     """A point over the residue field k."""
 
     scheme: GroupScheme
@@ -340,39 +383,14 @@ class KPoint:
     def __post_init__(self):
         if self.scheme.root.kind == "GL" and self.y is None:
             object.__setattr__(self, "y", mat_det(self.entries).inv())
-        ring = self.scheme.coordinate_ring()
         values = self._values()
-        for eq in self.scheme.defining_polys(ring):
+        for eq in self.scheme._equations:
             v = eq.eval_scalars(values)
             if not v.is_zero():
                 raise NotOnGroup(f"k-point fails {eq} (value {v})")
 
-    def _values(self) -> dict[str, Scalar]:
-        r = self.scheme.root
-        names = self.scheme.coordinates()
-        if r.kind == "Additive":
-            return dict(zip(names, self.entries))
-        flat = [self.entries[i][j] for i in range(r.n) for j in range(r.n)]
-        if r.kind == "GL":
-            flat.append(self.y)
-        return dict(zip(names, flat))
-
-    def mul(self, other: KPoint) -> KPoint:
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return KPoint(self.scheme, tuple(a + b for a, b in zip(self.entries, other.entries)))
-        y = self.y * other.y if r.kind == "GL" else None
-        return KPoint(self.scheme, mat_mul(self.entries, other.entries), y)
-
-    def inv(self) -> KPoint:
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return KPoint(self.scheme, tuple(-a for a in self.entries))
-        det = mat_det(self.entries)
-        adj = mat_adjugate(self.entries)
-        dinv = det.inv()
-        rows = tuple(tuple(e * dinv for e in row) for row in adj)
-        return KPoint(self.scheme, rows, det if r.kind == "GL" else None)
+    def _from_flat(self, flat) -> KPoint:
+        return KPoint(self.scheme, *self.scheme.shape(flat))
 
     def is_identity(self) -> bool:
         return self == self.scheme.identity()
@@ -380,18 +398,7 @@ class KPoint:
     def to_series(self) -> GroupElement:
         """Embed as an exact constant series point."""
         dom = ScalarDomain(self.scheme.field)
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return GroupElement(self.scheme, tuple(PuiseuxSeries.constant(dom, c) for c in self.entries), check=False)
-        rows = tuple(tuple(PuiseuxSeries.constant(dom, c) for c in row) for row in self.entries)
-        y = PuiseuxSeries.constant(dom, self.y) if r.kind == "GL" else None
-        return GroupElement(self.scheme, rows, y, check=False)
-
-    def __str__(self):
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return "(" + ", ".join(str(s) for s in self.entries) + ")"
-        return "[" + "; ".join(", ".join(str(s) for s in row) for row in self.entries) + "]"
+        return self.map(lambda c: PuiseuxSeries.constant(dom, c))
 
 
 # -- Iwasawa decomposition ---------------------------------------------------
@@ -412,7 +419,7 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
     # inversion window wide enough that intermediate entries (valuations
     # bounded by n times the input exponent span) keep visible leading terms
     span = Fraction(0)
-    for entry in a._flat():
+    for entry in a.entries_flat():
         for e, _ in entry.terms:
             bound = abs(e.a) + abs(e.b) * 2
             if bound > span:

@@ -67,14 +67,7 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
 
 
 def parse_branch(data: dict, scheme: GroupScheme, d: int | None) -> Branch:
-    field = scheme.field
-    entries = data["entries"]
-    r = scheme.root
-    if r.kind == "Additive":
-        series = tuple(parse_series(e, field, d) for e in entries)
-    else:
-        series = tuple(tuple(parse_series(e, field, d) for e in row) for row in entries)
-    return validate_branch(scheme, series)
+    return validate_branch(scheme, scheme.map_entries(data["entries"], lambda e: parse_series(e, scheme.field, d)))
 
 
 def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
@@ -82,12 +75,7 @@ def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
 
     ring = PolyRing(scheme.field, ("x", "y"))
     f = ring.parse(data["f"])
-    emb = data["embedding"]
-    r = scheme.root
-    if r.kind == "Additive":
-        embedding = [ring.parse(p) for p in emb]
-    else:
-        embedding = [[ring.parse(p) for p in row] for row in emb]
+    embedding = scheme.map_entries(data["embedding"], ring.parse)
     return PlaneCurveInput(f, embedding, scheme, bool(data.get("trusted_irreducible", False)))
 
 
@@ -174,10 +162,10 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
     if any(v == "fail" for v in report["checks"].values()):
         code = max(code, EXIT_VERIFY)
     report["timing"] = {"seconds": round(time.time() - start, 3)}
+    defaults = Budgets()
     report["budget_usage"] = {
-        "precision": (overrides or {}).get("precision") or (job.get("budgets") or {}).get("precision", 12),
-        "degree_bound": (overrides or {}).get("degree_bound") or (job.get("budgets") or {}).get("degree_bound", 8),
-        "order_budget": (overrides or {}).get("order_budget") or (job.get("budgets") or {}).get("order_budget", 6),
+        name: (overrides or {}).get(name) or (job.get("budgets") or {}).get(name, getattr(defaults, name))
+        for name in ("precision", "degree_bound", "order_budget")
     }
     return report, code
 
@@ -193,14 +181,8 @@ def _input_branches(job: dict, scheme: GroupScheme, d, budgets: Budgets) -> list
 
 
 def _branch_json(b: Branch) -> dict:
-    el = b.element
-    r = b.scheme.root
-    if r.kind == "Additive":
-        entries = [series_to_json(s) for s in el.entries]
-    else:
-        entries = [[series_to_json(s) for s in row] for row in el.entries]
     return {
-        "entries": entries,
+        "entries": _element_json(b.element),
         "ramification": b.ramification,
         "centered_at_infinity": is_centered_at_infinity(b),
         "trusted_irreducible": b.trusted_irreducible,
@@ -208,11 +190,8 @@ def _branch_json(b: Branch) -> dict:
     }
 
 
-def _element_json(el: GroupElement) -> list:
-    r = el.scheme.root
-    if r.kind == "Additive":
-        return [series_to_json(s) for s in el.entries]
-    return [[series_to_json(s) for s in row] for row in el.entries]
+def _element_json(el: GroupElement) -> tuple:
+    return el.scheme.map_entries(el.entries, series_to_json)
 
 
 def _run_json(run: StabilizerRun) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
-from .errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
+from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
 from .factor import uni_factor
 from .fields import FieldSpec, Scalar
@@ -46,25 +46,13 @@ class PlaneCurveInput:
             raise ValueError("plane curves use variables x, y")
         self._check_embedding_lands_in_scheme()
 
-    def _flat_embedding(self) -> list[Poly]:
-        r = self.scheme.root
-        if r.kind == "Additive":
-            return list(self.embedding)
-        return [self.embedding[i][j] for i in range(r.n) for j in range(r.n)]
-
     def _check_embedding_lands_in_scheme(self):
         ring = self.f.ring
-        r = self.scheme.root
-        defs = self.scheme.defining_polys()
-        values = {}
-        names = self.scheme.coordinates()
-        flat = self._flat_embedding()
-        for name, p in zip(names, flat):
-            values[name] = p
+        values = dict(zip(self.scheme.coordinates(), self.scheme.flatten(self.embedding)))
         curve = Ideal(ring, (self.f,))
-        for eq in defs:
-            if "y" in eq.variables_used() and r.kind == "GL":
-                continue  # inverse-determinant coordinate is not polynomial in (x, y)
+        for eq in self.scheme.defining_polys():
+            if not eq.variables_used() <= values.keys():
+                continue  # the embedding gives no y on GL: det^-1 is not polynomial in (x, y)
             pulled = eq.subs_polys(values, ring)
             if not ideal_member(pulled, curve)[0]:
                 raise ValueError(f"embedding does not land in the scheme: {eq} pulls back to {pulled}")
@@ -369,10 +357,7 @@ def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:
     fring = PolyRing(ext, curve.f.ring.variables, curve.f.ring.order_name)
     r = curve.scheme.root
     scheme = GroupScheme(r.kind, r.n, ext)
-    if r.kind == "Additive":
-        emb = [lift_poly(p, fring) for p in curve.embedding]
-    else:
-        emb = [[lift_poly(p, fring) for p in row] for row in curve.embedding]
+    emb = scheme.map_entries(curve.embedding, lambda p: lift_poly(p, fring))
     return PlaneCurveInput(lift_poly(curve.f, fring), emb, scheme, curve.trusted_irreducible)
 
 
@@ -414,28 +399,14 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
             u_series = PuiseuxSeries(dom, w_terms, None if exact else exp(e * prec_z))
             ys = pole
             xs = (u_series * pole).truncate(prec_t) if prec_t is not None else u_series * pole
-        branch = _embed_branch(curve, xs, ys)
-        if branch is None:
-            continue
+        values = {"x": xs, "y": ys}
+        entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, dom))
+        branch = validate_branch(curve.scheme, entries)
         branch.trusted_irreducible = trusted
         if is_centered_at_infinity(branch):
             branches.append(branch)
 
     return _dedup_branches(branches)
-
-
-def _embed_branch(curve: PlaneCurveInput, xs: PuiseuxSeries, ys: PuiseuxSeries) -> Branch | None:
-    field = curve.f.ring.field
-    dom = ScalarDomain(field)
-    values = {"x": xs, "y": ys}
-    r = curve.scheme.root
-    if r.kind == "Additive":
-        entries = tuple(eval_poly_series(p, values, dom) for p in curve.embedding)
-    else:
-        entries = tuple(
-            tuple(eval_poly_series(p, values, dom) for p in row) for row in curve.embedding
-        )
-    return validate_branch(curve.scheme, entries)
 
 
 def _dedup_branches(branches: list[Branch]) -> list[Branch]:
@@ -453,7 +424,7 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
                 break
             try:
                 cert = mu_correct(seen, b, order_budget=4)
-            except Exception:
+            except MustabError:
                 cert = None
             if isinstance(cert, TubeCertificate):
                 dup = True

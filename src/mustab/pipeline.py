@@ -81,7 +81,7 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
 
 
 def _entries_inexact(branch: Branch) -> bool:
-    return any(s.precision is not None for s in branch.element._flat())
+    return any(s.precision is not None for s in branch.element.entries_flat())
 
 
 def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> GroupElement | None:
@@ -95,9 +95,8 @@ def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> Gro
     field = ring.field
     gens = list(param.relations.gens)
     targets = h._values()
-    names = run.reduced.scheme.coordinates()
-    flat = param.entry_list()
-    for name, p in zip(names, flat):
+    scheme = run.reduced.scheme
+    for name, p in zip(scheme.coordinates(), scheme.flatten(param.entries)):
         gens.append(p - ring.from_scalar(targets[name]))
     sol = solve_point(Ideal(ring, tuple(gens)), defaults={"lam": field.one(), "lami": field.one()})
     if sol is None:
@@ -114,15 +113,8 @@ def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> Gro
 
     lead_root = _scalar_lead_root(lam, param.ram_power)
     el = run.reduced.element
-    r = el.scheme.root
     prec = exp(precision)
-    if r.kind == "Additive":
-        moved = GroupElement(el.scheme, tuple(ser_subst(f, s0, prec=prec, lead_root=lead_root) for f in el.entries), check=False)
-    else:
-        rows = tuple(tuple(ser_subst(f, s0, prec=prec, lead_root=lead_root) for f in row) for row in el.entries)
-        y = ser_subst(el.y, s0, prec=prec, lead_root=lead_root) if r.kind == "GL" else None
-        moved = GroupElement(el.scheme, rows, y, check=False)
-    g = moved.mul(el.inv())
+    g = el.map(lambda f: ser_subst(f, s0, prec=prec, lead_root=lead_root)).mul(el.inv())
     if not g.is_integral():
         return None
     if g.res() != h:

@@ -21,7 +21,7 @@ from .errors import (
     NotReduced,
     PrecisionInsufficient,
 )
-from .exponents import EXP_ZERO, Exponent, exp
+from .exponents import EXP_ZERO, exp
 from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import Poly, PolyRing
@@ -72,7 +72,7 @@ class Ansatz:
         # inverse whose poles are bounded by n times the branch's pole order,
         # so that is all the precision the substitution needs
         pole = Fraction(0)
-        for s in branch.element._flat():
+        for s in branch.element.entries_flat():
             if s.terms:
                 lead = s.terms[0][0]
                 if lead.sign() < 0 and lead.is_rational() and -lead.as_fraction() > pole:
@@ -90,33 +90,18 @@ class Ansatz:
         e = int(e)
         return self.ring.var("lam") ** e if e >= 0 else self.ring.var("lami") ** (-e)
 
-    def subst(self, f: PuiseuxSeries, prec: Exponent | None = None) -> PuiseuxSeries:
+    def subst(self, f: PuiseuxSeries) -> PuiseuxSeries:
         return ser_subst(
             self.lift_series(f),
             self.s,
-            prec=prec,
+            prec=self.work_prec,
             lead_root=self._lead_root,
             parts=(exp(1), self.tail),
         )
 
-    def subst_element(self, prec: Exponent | None = None) -> GroupElement:
-        prec = prec or self.work_prec
-        el = self.branch.element
-        r = el.scheme.root
-        if r.kind == "Additive":
-            entries = tuple(self.subst(s, prec) for s in el.entries)
-            return GroupElement(el.scheme, entries, check=False)
-        rows = tuple(tuple(self.subst(s, prec) for s in row) for row in el.entries)
-        y = self.subst(el.y, prec) if r.kind == "GL" else None
-        return GroupElement(el.scheme, rows, y, check=False)
-
-    def lift_element(self, el: GroupElement) -> GroupElement:
-        r = el.scheme.root
-        if r.kind == "Additive":
-            return GroupElement(el.scheme, tuple(self.lift_series(s) for s in el.entries), check=False)
-        rows = tuple(tuple(self.lift_series(s) for s in row) for row in el.entries)
-        y = self.lift_series(el.y) if r.kind == "GL" else None
-        return GroupElement(el.scheme, rows, y, check=False)
+    def quotient(self, b: GroupElement) -> GroupElement:
+        """a(s) * b(t)^-1 over the ansatz ring, for the ansatz's branch a."""
+        return self.branch.element.map(self.subst).mul(b.inv().map(self.lift_series))
 
     def numeric_s(self, assignment: dict) -> PuiseuxSeries:
         """The reparameterization series at a concrete parameter point."""
@@ -133,24 +118,12 @@ class Ansatz:
 
 def _mu_conditions(e: GroupElement, require_identity_residue: bool):
     """Constraint polynomials from 'E is integral (and residues to the
-    identity)'; returns (constraints as (slot, poly), residue matrix)."""
-    scheme = e.scheme
-    r = scheme.root
-    ident = scheme.identity()
-    id_vals = ident._values()
-    names = scheme.coordinates()
-    flat_names = list(names)
-    if r.kind == "Additive":
-        flat = list(e.entries)
-    else:
-        flat = [e.entries[i][j] for i in range(r.n) for j in range(r.n)]
-        if r.kind == "GL":
-            flat.append(e.y)
-        else:
-            flat_names = flat_names[: r.n * r.n]
+    identity)'; returns (constraints as (slot, poly), residues in
+    coordinates() order)."""
+    id_vals = e.scheme.identity()._values()
     constraints = []
     residue = []
-    for name, s in zip(flat_names, flat):
+    for name, s in zip(e.scheme.coordinates(), e.flat()):
         if s.precision is not None and s.precision.sign() <= 0:
             raise PrecisionInsufficient(f"entry {name} known only below t^({s.precision})")
         res_poly = None
@@ -186,13 +159,11 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6, budgets: Budgets | N
             return TubeCertificate(t, eps)
     except PrecisionInsufficient:
         pass
-    if a.element._flat() and any(s.has_irrational_exponent() for s in a.element._flat()):
+    if any(s.has_irrational_exponent() for s in a.element.entries_flat()):
         return Failure("irrational exponents block reparameterization and the direct correction failed")
 
     ansatz = Ansatz(a, order_budget)
-    a_sub = ansatz.subst_element()
-    b_inv = ansatz.lift_element(b.element.inv())
-    e = a_sub.mul(b_inv)
+    e = ansatz.quotient(b.element)
     try:
         constraints, _ = _mu_conditions(e, require_identity_residue=True)
     except PrecisionInsufficient as exc:
@@ -205,8 +176,8 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6, budgets: Budgets | N
         return Failure("reparameterization constraints are unsolvable over k", slot)
     s0 = ansatz.numeric_s(sol)
     lam_val = sol.get("lam", a.field.one())
-    a_at_s = _subst_branch(a, s0, _scalar_lead_root(lam_val, ansatz.r))
-    eps = a_at_s.mul(b.element.inv())
+    lead_root = _scalar_lead_root(lam_val, ansatz.r)
+    eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
     if eps.in_mu():
         return TubeCertificate(s0, eps)
     return Failure("solved constraints failed final mu verification")
@@ -235,16 +206,6 @@ def _scalar_lead_root(lam_val, r: int):
     return root
 
 
-def _subst_branch(branch: Branch, s: PuiseuxSeries, lead_root=None) -> GroupElement:
-    el = branch.element
-    r = el.scheme.root
-    if r.kind == "Additive":
-        return GroupElement(el.scheme, tuple(ser_subst(f, s, lead_root=lead_root) for f in el.entries), check=False)
-    rows = tuple(tuple(ser_subst(f, s, lead_root=lead_root) for f in row) for row in el.entries)
-    y = ser_subst(el.y, s, lead_root=lead_root) if r.kind == "GL" else None
-    return GroupElement(el.scheme, rows, y, check=False)
-
-
 def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     """Best-effort minimal-dimension representative of the tube class.
 
@@ -262,7 +223,7 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
         _identity_eps(branch),
     )
     best = (dim_before, _term_count(branch), branch, ident_cert)
-    irrational = any(s.has_irrational_exponent() for s in branch.element._flat())
+    irrational = any(s.has_irrational_exponent() for s in branch.element.entries_flat())
     for cand in candidates:
         try:
             cert = mu_correct(branch, cand, budgets.order_budget, budgets)
@@ -313,22 +274,15 @@ def _identity_eps(branch: Branch) -> GroupElement:
 
 
 def _term_count(branch: Branch) -> int:
-    return sum(len(s.terms) for s in branch.element._flat())
+    return sum(len(s.terms) for s in branch.element.entries_flat())
 
 
 def _truncation_candidates(branch: Branch) -> list[Branch]:
     el = branch.element
     scheme = el.scheme
     r = scheme.root
-    flat = el._flat()
+    flat = el.entries_flat()
     out: list[Branch] = []
-
-    def rebuild(new_flat):
-        if r.kind == "Additive":
-            return tuple(new_flat)
-        n = r.n
-        return tuple(tuple(new_flat[i * n + j] for j in range(n)) for i in range(n))
-
     seen = set()
     for idx, s in enumerate(flat):
         for cut_at, (e, _) in enumerate(s.terms):
@@ -341,7 +295,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             if key in seen:
                 continue
             seen.add(key)
-            cand = _try_candidate(scheme, rebuild(new_flat), branch)
+            cand = _try_candidate(scheme, new_flat, branch)
             if cand is not None:
                 out.append(cand)
     # all-entries truncation, with determinant repair on SL
@@ -349,20 +303,19 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
     if r.kind != "GL" and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
         if r.kind == "SL":
             try:
-                rows = with_unit_det(rebuild(all_cut))
+                all_cut = scheme.flatten(with_unit_det(scheme.shape(all_cut)[0]))
             except (MustabError, ValueError):
                 return out
-            all_cut = [x for row in rows for x in row]
         if tuple(tuple(x.terms) for x in all_cut) not in seen:
-            cand = _try_candidate(scheme, rebuild(all_cut), branch)
+            cand = _try_candidate(scheme, all_cut, branch)
             if cand is not None:
                 out.append(cand)
     return out
 
 
-def _try_candidate(scheme: GroupScheme, entries, original: Branch) -> Branch | None:
+def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None:
     try:
-        b = validate_branch(scheme, entries)
+        b = validate_branch(scheme, scheme.shape(flat)[0])
     except (MustabError, ValueError):
         return None
     return Branch(b.element, b.ramification, original.trusted_irreducible, original.notes)
@@ -375,13 +328,11 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("stabilizer ansatz requires an unbounded branch")
-    if any(s.has_irrational_exponent() for s in branch.element._flat()):
+    if any(s.has_irrational_exponent() for s in branch.element.entries_flat()):
         raise IrrationalExponentInSubstitution("run mu_reduce first: irrational exponents in the branch")
 
     ansatz = Ansatz(branch, budgets.order_budget)
-    a_sub = ansatz.subst_element()
-    a_inv = ansatz.lift_element(branch.element.inv())
-    e = a_sub.mul(a_inv)
+    e = ansatz.quotient(branch.element)
     constraints, residue = _mu_conditions(e, require_identity_residue=False)
     gens = [p for _, p in constraints] + [ansatz.relation]
     J = groebner_basis(Ideal(ansatz.ring, tuple(gens)), budget=budgets.spoly_budget)
@@ -402,13 +353,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc
     )
     dim = krull_dim(ideal_out) if ideal_out.gens else len(coords)
 
-    r = scheme.root
-    if r.kind == "Additive":
-        entries = tuple(residue)
-    else:
-        n = r.n
-        entries = tuple(tuple(residue[i * n + j] for j in range(n)) for i in range(n))
-    param = ParamFamily(ansatz.ring, entries, J, ansatz.r, ansatz.gammas)
+    param = ParamFamily(ansatz.ring, scheme.shape(residue)[0], J, ansatz.r, ansatz.gammas)
     # soundness: every generator of the ideal must vanish identically on the
     # residue family modulo the constraint relations
     family_values = dict(zip(coords, residue))

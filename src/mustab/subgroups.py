@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import MustabError
 from .fields import Scalar
-from .groups import GroupScheme, KPoint, mat_adjugate, mat_det, mat_mul
+from .groups import GroupScheme, KPoint
 from .ideals import (
     Budgets,
     Ideal,
@@ -35,15 +35,10 @@ class ParamFamily:
     """Residue family M(params) on the constraint variety V(relations)."""
 
     ring: PolyRing
-    entries: tuple                  # matrix (tuple of tuples) or vector of Poly
+    entries: tuple                  # Poly entries in the scheme's layout (groups.py), without y
     relations: Ideal
     ram_power: int
     gammas: tuple                   # ansatz exponents, aligned with c-variables
-
-    def entry_list(self) -> list[Poly]:
-        if self.entries and isinstance(self.entries[0], tuple):
-            return [e for row in self.entries for e in row]
-        return list(self.entries)
 
 
 @dataclass
@@ -73,10 +68,7 @@ class SubgroupDesc:
             target = PolyRing(self.param.ring.field, tuple(names.get(v, v) for v in self.param.ring.variables))
             def rn(p: Poly) -> str:
                 return str(p.rename(names, target))
-            if self.param.entries and isinstance(self.param.entries[0], tuple):
-                out["param"] = [[rn(e) for e in row] for row in self.param.entries]
-            else:
-                out["param"] = [rn(e) for e in self.param.entries]
+            out["param"] = self.scheme.map_entries(self.param.entries, rn)
             out["param_relations"] = [rn(g) for g in self.param.relations.gens]
         return out
 
@@ -146,7 +138,7 @@ def solve_point(
             else:
                 try:
                     roots = scalar_roots(univars[0])
-                except Exception:
+                except (MustabError, ValueError):
                     return None
                 candidates = [
                     r for r in roots
@@ -172,22 +164,24 @@ def _partial_eval(g: Poly, assign: dict[str, Scalar]) -> Poly:
 
 # -- verification -------------------------------------------------------------
 
-def _substituted(f: Poly, matrix, scheme: GroupScheme, ring: PolyRing, y_image: Poly | None = None) -> Poly:
-    """f with scheme coordinates replaced by the entries of `matrix`."""
-    r = scheme.root
-    values: dict[str, Poly] = {}
+def _substituted(f: Poly, scheme: GroupScheme, flat, ring: PolyRing) -> Poly:
+    """f with the scheme coordinates replaced by the values of a flat point."""
+    return f.subs_polys(dict(zip(scheme.coordinates(), flat)), ring)
+
+
+def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
+    """Two independent generic points u, v of V(ideal) as flat tuples of
+    variables, their ring, and a Groebner basis of the relations they obey."""
     names = scheme.coordinates()
-    if r.kind == "Additive":
-        for n_, p in zip(names, matrix):
-            values[n_] = p
-    else:
-        n = r.n
-        for i in range(n):
-            for j in range(n):
-                values[f"x{i + 1}{j + 1}"] = matrix[i][j]
-        if r.kind == "GL":
-            values["y"] = y_image if y_image is not None else ring.var("y")
-    return f.subs_polys(values, ring)
+    big = PolyRing(scheme.field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
+    u = tuple(big.var("u" + n) for n in names)
+    v = tuple(big.var("v" + n) for n in names)
+    rel: list[Poly] = []
+    for f in list(ideal.gens) + scheme.defining_polys(ideal.ring):
+        rel.append(_substituted(f, scheme, u, big))
+        rel.append(_substituted(f, scheme, v, big))
+    gb = groebner_basis(Ideal(big, tuple(rel)), budget=budget).gens
+    return big, u, v, list(gb)
 
 
 def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bool, dict]:
@@ -198,9 +192,7 @@ def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bo
     """
     budgets = budgets or Budgets()
     scheme = H.scheme
-    field = scheme.field
     report: dict = {"identity": False, "product": False, "inverse": False}
-    ring0 = H.ideal.ring
 
     ident = scheme.identity()
     id_values = ident._values()
@@ -211,53 +203,17 @@ def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bo
             return False, report
     report["identity"] = True
 
-    names = scheme.coordinates()
-    big = PolyRing(field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
-    uvals = {n: big.var("u" + n) for n in names}
-    vvals = {n: big.var("v" + n) for n in names}
-    rel_gens: list[Poly] = []
-    for f in list(H.ideal.gens) + scheme.defining_polys(ring0):
-        rel_gens.append(f.subs_polys({n: uvals[n] for n in names}, big))
-        rel_gens.append(f.subs_polys({n: vvals[n] for n in names}, big))
-    relations = Ideal(big, tuple(rel_gens))
-    gb = groebner_basis(relations, budget=budgets.spoly_budget).gens
-
-    r = scheme.root
-    if r.kind == "Additive":
-        prod = [uvals[n] + vvals[n] for n in names]
-        inv_pt = [-uvals[n] for n in names]
-        y_prod = y_inv = None
-    else:
-        n = r.n
-        umat = [[uvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-        vmat = [[vvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-        prod = mat_mul(umat, vmat)
-        adj = mat_adjugate(umat)
-        if r.kind == "GL":
-            y_prod = uvals["y"] * vvals["y"]
-            inv_pt = [[adj[i][j] * uvals["y"] for j in range(len(adj))] for i in range(len(adj))]
-            y_inv = mat_det(umat)
-        else:
-            y_prod = y_inv = None
-            inv_pt = adj
-
+    big, u, v, gb = _generic_pair(H.ideal, scheme, budgets.spoly_budget)
     ok = True
-    for f in H.ideal.gens:
-        fp = _substituted(f, prod, scheme, big, y_prod)
-        if not normal_form(fp, list(gb), big.order).is_zero():
-            report["witness"] = f"product leaves the ideal at {f}"
-            ok = False
-            break
-    if ok:
-        report["product"] = True
+    for axiom, point in (("product", scheme.mul_values(u, v)), ("inverse", scheme.inv_values(u))):
         for f in H.ideal.gens:
-            fi = _substituted(f, inv_pt, scheme, big, y_inv)
-            if not normal_form(fi, list(gb), big.order).is_zero():
-                report["witness"] = f"inverse leaves the ideal at {f}"
+            if not normal_form(_substituted(f, scheme, point, big), gb, big.order).is_zero():
+                report["witness"] = f"{axiom} leaves the ideal at {f}"
                 ok = False
                 break
-        if ok:
-            report["inverse"] = True
+        if not ok:
+            break
+        report[axiom] = True
     H.flags["verified_subgroup"] = ok
     return ok, report
 
@@ -268,28 +224,26 @@ def conjugate_stab(H: SubgroupDesc, g: KPoint) -> SubgroupDesc:
     """Descriptor of g H g^-1: pull the ideal back along x -> g^-1 x g."""
     scheme = H.scheme
     ring = H.ideal.ring
-    r = scheme.root
-    if r.kind == "Additive":
+    if scheme.root.kind == "Additive":
         # conjugation is trivial in an abelian group
         return SubgroupDesc(scheme, H.ideal, H.dim, H.param, dict(H.flags), H.cosets)
-    n = r.n
     ginv = g.inv()
 
-    def lifted(point: KPoint, target: PolyRing):
-        return [[target.from_scalar(c) for c in row] for row in point.entries]
+    def lifted(point: KPoint, target: PolyRing) -> tuple:
+        return tuple(target.from_scalar(c) for c in point.flat())
 
     # g^-1 * X * g, entries linear in the coordinates
-    xmat = [[ring.var(f"x{i + 1}{j + 1}") for j in range(n)] for i in range(n)]
-    moved = mat_mul(mat_mul(lifted(ginv, ring), xmat), lifted(g, ring))
-    new_gens = [_substituted(f, moved, scheme, ring) for f in H.ideal.gens]
+    x = tuple(ring.var(name) for name in scheme.coordinates())
+    moved = scheme.mul_values(scheme.mul_values(lifted(ginv, ring), x), lifted(g, ring))
+    new_gens = [_substituted(f, scheme, moved, ring) for f in H.ideal.gens]
     new_ideal = groebner_basis(Ideal(ring, tuple(new_gens)))
 
     param = None
     if H.param is not None:
         pr = H.param.ring
-        if isinstance(H.param.entries[0], tuple):
-            conj = mat_mul(mat_mul(lifted(g, pr), H.param.entries), lifted(ginv, pr))
-            param = ParamFamily(pr, conj, H.param.relations, H.param.ram_power, H.param.gammas)
+        family = scheme.flatten(H.param.entries)
+        conj, _ = scheme.shape(scheme.mul_values(scheme.mul_values(lifted(g, pr), family), lifted(ginv, pr)))
+        param = ParamFamily(pr, conj, H.param.relations, H.param.ram_power, H.param.gammas)
     return SubgroupDesc(scheme, new_ideal, H.dim, param, dict(H.flags), H.cosets)
 
 
@@ -339,30 +293,11 @@ class SolvabilityResult:
 
 
 def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool:
-    field = scheme.field
-    names = scheme.coordinates()
-    r = scheme.root
-    if r.kind == "Additive":
+    if scheme.root.kind == "Additive":
         return True
-    big = PolyRing(field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
-    uvals = {n: big.var("u" + n) for n in names}
-    vvals = {n: big.var("v" + n) for n in names}
-    rel: list[Poly] = []
-    ring0 = ideal.ring
-    for f in list(ideal.gens) + scheme.defining_polys(ring0):
-        rel.append(f.subs_polys(uvals, big))
-        rel.append(f.subs_polys(vvals, big))
-    gb = groebner_basis(Ideal(big, tuple(rel)), budget=budget).gens
-    n = r.n
-    umat = [[uvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-    vmat = [[vvals[f"x{i + 1}{j + 1}"] for j in range(n)] for i in range(n)]
-    uv = mat_mul(umat, vmat)
-    vu = mat_mul(vmat, umat)
-    for i in range(n):
-        for j in range(n):
-            if not normal_form(uv[i][j] - vu[i][j], list(gb), big.order).is_zero():
-                return False
-    return True
+    big, u, v, gb = _generic_pair(ideal, scheme, budget)
+    uv, vu = scheme.mul_values(u, v), scheme.mul_values(v, u)
+    return all(normal_form(a - b, gb, big.order).is_zero() for a, b in zip(uv, vu))
 
 
 def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int) -> Ideal:
@@ -439,14 +374,8 @@ def _random_field_scalar(field, rng: random.Random) -> Scalar:
 
 
 def _param_point(H: SubgroupDesc, sol: dict[str, Scalar]) -> KPoint | None:
-    scheme = H.scheme
-    r = scheme.root
-    entries = H.param.entries
     try:
-        if isinstance(entries[0], tuple):
-            rows = tuple(tuple(e.eval_scalars(sol) for e in row) for row in entries)
-            return KPoint(scheme, rows)
-        return KPoint(scheme, tuple(e.eval_scalars(sol) for e in entries))
+        return KPoint(H.scheme, H.scheme.map_entries(H.param.entries, lambda p: p.eval_scalars(sol)))
     except MustabError:
         return None
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mustab.cli import main
 from mustab.corpus import corpus_entries, run_corpus
 from mustab.jobs import run_job
@@ -38,6 +40,44 @@ def test_stab_job_roundtrip(tmp_path):
     assert report["checks"]["agreement"] == "pass"
     stab = report["results"]["stabilizers"][0]
     assert stab["subgroup"]["classification"] == "upper unipotent"
+    assert stab["subgroup"]["dim"] == 1
+
+
+GL2_STAB_CASES = {
+    # branch a(t) in GL(2)/Q -> ideal of Stab, in the coordinates x11..x22, y
+    "diag(t^-1,1)": (
+        [[ser(("-1", "1")), {"terms": []}], [{"terms": []}, ser(("0", "1"))]],
+        ["x22 - 1", "x21", "x12", "x11*y - 1"],
+    ),
+    "x1": (
+        [[ser(("-1", "1")), ser(("0", "1"))], [{"terms": []}, ser(("1", "1"))]],
+        ["y - 1", "x22 - 1", "x21", "x11 - 1"],
+    ),
+    "scalar": (
+        [[ser(("-1", "1")), {"terms": []}], [{"terms": []}, ser(("-1", "1"))]],
+        ["x21", "x12", "x11 - x22", "x22^2*y - 1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GL2_STAB_CASES))
+def test_gl2_stab_jobs(name):
+    """GL(2) runs the group law with the inverse-determinant coordinate y,
+    which no corpus fixture covers."""
+    entries, ideal = GL2_STAB_CASES[name]
+    job = dict(X1_JOB, group={"kind": "GL", "n": 2}, input={"branch": {"entries": entries}})
+    report, code = run_job(job)
+    assert code == 0, report["errors"]
+    assert report["checks"] == {
+        "bounded_trivial": "skipped",
+        "dim_equality": "pass",
+        "infinite": "pass",
+        "solvable": "pass",
+        "agreement": "pass",
+        "conjugation": "skipped",
+    }
+    (stab,) = report["results"]["stabilizers"]
+    assert stab["subgroup"]["ideal"] == ideal
     assert stab["subgroup"]["dim"] == 1
 
 

@@ -135,3 +135,25 @@ def test_pow_by_squaring_skips_the_last_square():
         # squarings: bit_length - 1; products: popcount
         assert len(log) == max(e.bit_length() - 1, 0) + bin(e).count("1")
     assert QQ.from_int(2) ** -3 == QQ.from_fraction(Fraction(1, 8))
+
+
+def test_fp_powmod_skips_the_last_square(monkeypatch):
+    """The F_p[x] power behind the F_q irreducibility test squares and
+    multiplies exactly as often as binary powering needs."""
+    from mustab import fields
+
+    calls = []
+    real_mul = fields._fp_mul
+
+    def counted(a, b, p):
+        calls.append(1)
+        return real_mul(a, b, p)
+
+    monkeypatch.setattr(fields, "_fp_mul", counted)
+    mod, p = [1, 0, 1], 3  # x^2 + 1 over F_3
+    expected = [1]
+    for e in range(0, 40):
+        calls.clear()
+        assert fields._fp_powmod([1, 1], e, mod, p) == expected
+        assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+        expected = fields._fp_divmod(real_mul(expected, [1, 1], p), mod, p)[1]

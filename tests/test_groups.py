@@ -313,3 +313,54 @@ def test_generic_matrix_helpers(ring, n):
         scheme = GroupScheme("GL", n, QQ)
         g, h = (GroupElement(scheme, m, check=False) for m in (a, b))
         assert g.mul(h).entries == mat_mul(a, b)
+
+
+def _random_kpoint(scheme, rng):
+    """A k-point of Additive(n), SL(n) or GL(n) from shears and a diagonal unit."""
+    field, n = scheme.field, scheme.n
+
+    def draw():
+        return field.from_int(rng.randrange(-3, 4))
+
+    if scheme.kind == "Additive":
+        return KPoint(scheme, tuple(draw() for _ in range(n)))
+    rows = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
+    for _ in range(4):
+        i, j = rng.sample(range(n), 2)
+        c = draw()
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    if scheme.kind == "GL":
+        unit = field.from_int(rng.choice([2, 3, -1]))
+        rows[0] = [unit * a for a in rows[0]]
+    return KPoint(scheme, tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("kind,n", [("Additive", 2), ("SL", 2), ("GL", 2), ("SL", 3)])
+def test_scheme_layout_and_group_law(kind, n, field):
+    """flatten and shape are inverse; the group law on flat tuples of
+    polynomials, evaluated at two k-points, is the law on the k-points; and
+    a k-point survives the trip through the series field."""
+    scheme = GroupScheme(kind, n, field)
+    rng = random.Random(f"{kind}-{n}-{field}")
+    g, h = _random_kpoint(scheme, rng), _random_kpoint(scheme, rng)
+    for p in (g, h):
+        assert len(p.flat()) == len(scheme.coordinates())
+        assert scheme.shape(scheme.flatten(p.entries, p.y)) == (p.entries, p.y)
+        assert scheme.flatten(*scheme.shape(p.flat())) == p.flat()
+        assert p.to_series().res() == p
+    names = scheme.coordinates()
+    ring = PolyRing(field, tuple("u" + name for name in names) + tuple("v" + name for name in names))
+    u = tuple(ring.var("u" + name) for name in names)
+    v = tuple(ring.var("v" + name) for name in names)
+    at = {"u" + name: c for name, c in zip(names, g.flat())} | {"v" + name: c for name, c in zip(names, h.flat())}
+
+    def evaluated(flat):
+        return tuple(q.eval_scalars(at) for q in flat)
+
+    assert evaluated(scheme.mul_values(u, v)) == g.mul(h).flat()
+    assert evaluated(scheme.inv_values(u)) == g.inv().flat()
+    assert g.mul(g.inv()).is_identity() and g.inv().mul(g).is_identity()
+    if kind != "Additive":
+        assert g.mul(h).entries == mat_mul(g.entries, h.entries)
+    assert g.to_series().mul(h.to_series()).res() == g.mul(h)

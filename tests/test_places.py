@@ -135,3 +135,17 @@ def test_ramified_place_char_zero():
     values = {"x": b.element.entries[0], "y": b.element.entries[1]}
     ring = PolyRing(QQ, ("x", "y"))
     assert eval_poly_series(ring.parse("y^2 - x^5"), values, ScalarDomain(QQ)).is_zero()
+
+
+def test_dedup_lets_unexpected_errors_through(monkeypatch):
+    """Only the library's errors mean "no tube certificate" when duplicate
+    places are dropped; any other exception is a bug and propagates."""
+    from mustab import stabilizer
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in mu_correct")
+
+    monkeypatch.setattr(stabilizer, "mu_correct", broken)
+    scheme = GroupScheme("SL", 2, QQ)
+    with pytest.raises(TypeError):
+        places_at_infinity(_curve("x*y - 1", [["x", "1"], ["0", "y"]], scheme, QQ))

@@ -293,6 +293,28 @@ def test_solvable_borel_two_steps():
     assert out.value is True
 
 
+def test_solve_point_lets_unexpected_errors_through(monkeypatch):
+    """solve_point reads the library's errors and factor.py's ValueError as
+    "no root"; any other exception from the root finder propagates."""
+    from mustab import subgroups
+    from mustab.poly import PolyRing
+
+    ring = PolyRing(QQ, ("c1",))
+    J = Ideal(ring, (ring.parse("c1^2 - 4"),))
+    assert subgroups.solve_point(J)["c1"] ** 2 == QQ.from_int(4)
+
+    def raising(exc):
+        def roots(*args):
+            raise exc("from scalar_roots")
+        return roots
+
+    monkeypatch.setattr(subgroups, "scalar_roots", raising(ValueError))
+    assert subgroups.solve_point(J) is None
+    monkeypatch.setattr(subgroups, "scalar_roots", raising(TypeError))
+    with pytest.raises(TypeError):
+        subgroups.solve_point(J)
+
+
 def test_not_solvable_full_sl2():
     ring = SL2.coordinate_ring()
     full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
