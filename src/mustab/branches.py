@@ -17,7 +17,7 @@ from .errors import PrecisionInsufficient
 from .exponents import Exponent
 from .groups import GroupElement, GroupScheme
 from .ideals import Ideal, _dim_from_leading_monomials, groebner_basis
-from .linalg import nullspace
+from .linalg import echelon, nullspace
 from .poly import PolyRing, monomials_up_to
 from .series import PuiseuxSeries, ScalarDomain
 
@@ -62,13 +62,13 @@ def is_centered_at_infinity(branch: Branch) -> bool:
     return not branch.element.is_integral()
 
 
-def _relation_kernel(branch: Branch, degree_bound: int):
+def _relation_echelon(branch: Branch, degree_bound: int):
     """The monomials of degree <= degree_bound in the coordinates, in
-    ascending deglex order, and a basis of the linear relations among
-    their series a(t)^m, one coefficient vector per relation."""
+    ascending deglex order, and the linear relations among their series
+    a(t)^m in echelon form: one sparse row per known exponent slot, holding
+    each monomial's coefficient there, eliminated by linalg.echelon."""
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    field = branch.field
     series_list = branch.element.flat()
 
     monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
@@ -81,7 +81,7 @@ def _relation_kernel(branch: Branch, degree_bound: int):
             i = max(j for j, e in enumerate(m) if e)
             by_mono[m] = by_mono[m[:i] + (m[i] - 1,) + m[i + 1 :]] * series_list[i]
         else:
-            by_mono[m] = PuiseuxSeries.one(ScalarDomain(field))
+            by_mono[m] = PuiseuxSeries.one(ScalarDomain(branch.field))
     evaluated = [by_mono[m] for m in monos]
 
     hi: Exponent | None = None
@@ -98,25 +98,31 @@ def _relation_kernel(branch: Branch, degree_bound: int):
     if not exact and (hi is None or len(slots) < 2):
         raise PrecisionInsufficient("too few known exponent slots for implicitization")
 
-    def kernel(active_slots):
-        rows = [[s.coefficient(e) for s in evaluated] for e in active_slots]
-        return nullspace(rows, len(monos), field)
+    slot_row = {e: i for i, e in enumerate(slots)}
+    rows: list[dict] = [{} for _ in slots]
+    for col, s in enumerate(evaluated):
+        for e, c in s.terms:
+            i = slot_row.get(e)
+            if i is not None:
+                rows[i][col] = c
 
-    basis = kernel(slots)
-    if not exact:
-        drop = max(1, len(slots) // 5)
-        smaller = kernel(slots[:-drop])
-        if len(smaller) != len(basis):
-            raise PrecisionInsufficient(
-                f"relations unstable under window shrink ({len(smaller)} vs {len(basis)}); raise precision"
-            )
-    return monos, basis
+    # truncated entries: a relation must survive dropping the top fifth of
+    # the slots, i.e. the rank of the shrunken window must be the full rank
+    window = None if exact else len(slots) - max(1, len(slots) // 5)
+    pivots, window_rank = echelon(rows, window)
+    if window_rank != len(pivots):
+        raise PrecisionInsufficient(
+            f"relations unstable under window shrink ({len(monos) - window_rank} vs {len(monos) - len(pivots)}); "
+            "raise precision"
+        )
+    return monos, pivots
 
 
 def implicitize(branch: Branch, degree_bound: int) -> Ideal:
     """Reduced Groebner basis of all polynomial relations of total degree
     <= degree_bound among the coordinates of a(t)."""
-    monos, basis = _relation_kernel(branch, degree_bound)
+    monos, pivots = _relation_echelon(branch, degree_bound)
+    basis = nullspace(list(pivots.values()), len(monos), branch.field)
     ring = PolyRing(branch.field, branch.scheme.coordinates())
     gens = []
     for vec in basis:
@@ -132,10 +138,10 @@ def implicitize(branch: Branch, degree_bound: int) -> Ideal:
 def type_dimension(branch: Branch, degree_bound: int) -> tuple[int, int]:
     """Krull dimension of the degree-bounded closure; an upper bound for the
     true dimension, certified at the stated degree."""
-    monos, basis = _relation_kernel(branch, degree_bound)
-    # the kernel of an ascending-ordered matrix has one basis vector per free
-    # column, led by that column (its last nonzero entry): these leading
-    # monomials are the degree-<=D slice of the leading-term ideal, which is
-    # all the dimension count needs
-    leads = [[m for c, m in zip(vec, monos) if not c.is_zero()][-1] for vec in basis]
+    monos, pivots = _relation_echelon(branch, degree_bound)
+    # the reduced kernel vector of a non-pivot column is nonzero only there
+    # and at pivot columns to its left, so it is led by that column: these
+    # leading monomials are the degree-<=D slice of the leading-term ideal,
+    # which is all the dimension count needs
+    leads = [m for col, m in enumerate(monos) if col not in pivots]
     return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates())), degree_bound

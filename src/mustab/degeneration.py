@@ -17,7 +17,7 @@ from .branches import Branch, is_centered_at_infinity
 from .errors import BudgetExceeded, NotCenteredAtInfinity
 from .factor import uni_factor
 from .fields import Scalar
-from .groups import GroupElement
+from .groups import GroupElement, GroupScheme
 from .ideals import (
     Budgets,
     Ideal,
@@ -64,8 +64,8 @@ class SeriesPoly:
                 out[m] = out[m] + prod if m in out else prod
         return SeriesPoly(self.ring, out)
 
-    def scale_series(self, s: PuiseuxSeries) -> SeriesPoly:
-        return SeriesPoly(self.ring, {m: c * s for m, c in self.terms.items()})
+    def scale(self, c: Scalar) -> SeriesPoly:
+        return SeriesPoly(self.ring, {m: s.scale(c) for m, s in self.terms.items()})
 
     def shift_val(self, e) -> SeriesPoly:
         return SeriesPoly(self.ring, {m: c.shift(e) for m, c in self.terms.items()})
@@ -171,7 +171,6 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     basis: list[SeriesPoly] = []
     basis_res: list[dict[Monomial, Scalar]] = []
     pivots: dict[Monomial, int] = {}   # pivot monomial -> basis index
-    dom = ScalarDomain(field)
 
     def mono_key(m: Monomial):
         return (sum(m), m)
@@ -204,7 +203,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
                 if k is None:
                     break
                 lam = res[m]
-                cur = cur + basis[k].scale_series(PuiseuxSeries.constant(dom, -lam))
+                cur = cur + basis[k].scale(-lam)
                 for bm, bc in basis_res[k].items():
                     nv = res.get(bm, field.zero()) - lam * bc
                     if nv.is_zero():
@@ -214,7 +213,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
             if res:
                 m = min(res, key=mono_key)
                 scale = res[m].inv()
-                cur = cur.scale_series(PuiseuxSeries.constant(dom, scale))
+                cur = cur.scale(scale)
                 res = {bm: bc * scale for bm, bc in res.items()}
                 pivots[m] = len(basis)
                 basis.append(cur)
@@ -230,7 +229,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
             fiber_gens.append(p)
     fiber = groebner_basis(Ideal(ring, tuple(fiber_gens)), budget=budgets.spoly_budget)
 
-    comp, cosets, complete = identity_component(fiber, budgets)
+    comp, cosets, complete = identity_component(fiber, branch.scheme, budgets)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     desc = SubgroupDesc(
         branch.scheme,
@@ -251,11 +250,15 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
 
 # -- component splitting -------------------------------------------------------
 
-def identity_component(fiber: Ideal, budgets: Budgets | None = None) -> tuple[Ideal, list[Ideal], bool]:
-    """Split the fiber through the factorization fragment and return the
-    component containing the identity, the other components, and whether
-    the decomposition is certified complete."""
+def identity_component(
+    fiber: Ideal, scheme: GroupScheme, budgets: Budgets | None = None
+) -> tuple[Ideal, list[Ideal], bool]:
+    """Split the fiber, an ideal in the scheme's coordinates, through the
+    factorization fragment and return the component containing the
+    scheme's identity, the other components, and whether the decomposition
+    is certified complete."""
     budgets = budgets or Budgets()
+    identity = scheme.identity()._values()
     ring = fiber.ring
     complete = True
     leaves: list[Ideal] = []
@@ -300,7 +303,7 @@ def identity_component(fiber: Ideal, budgets: Budgets | None = None) -> tuple[Id
     comp = None
     cosets: list[Ideal] = []
     for I in kept:
-        if _contains_identity(I):
+        if all(g.eval_scalars(identity).is_zero() for g in I.gens):
             if comp is None:
                 comp = I
             else:
@@ -311,27 +314,6 @@ def identity_component(fiber: Ideal, budgets: Budgets | None = None) -> tuple[Id
     if comp is None:
         raise ValueError("identity does not satisfy the fiber ideal")
     return comp, cosets, complete
-
-
-def _identity_values(ring: PolyRing) -> dict[str, Scalar]:
-    """Identity coordinates inferred from the ring: matrix coordinates x_ii
-    get 1, off-diagonal and additive coordinates 0, the inverse-determinant
-    coordinate 1 (only present alongside matrix coordinates)."""
-    is_matrix = any(len(v) == 3 and v.startswith("x") and v[1:].isdigit() for v in ring.variables)
-    values = {}
-    for v in ring.variables:
-        if is_matrix and len(v) == 3 and v.startswith("x") and v[1:].isdigit():
-            values[v] = ring.field.one() if v[1] == v[2] else ring.field.zero()
-        elif is_matrix and v == "y":
-            values[v] = ring.field.one()
-        else:
-            values[v] = ring.field.zero()
-    return values
-
-
-def _contains_identity(I: Ideal) -> bool:
-    values = _identity_values(I.ring)
-    return all(g.eval_scalars(values).is_zero() for g in I.gens)
 
 
 def _splittable_factors(gb: Ideal) -> tuple[list[Poly] | None, bool]:

@@ -86,10 +86,17 @@ class GroupScheme:
     # -- the coordinate layout and the group law -----------------------------
     def flatten(self, entries, y=None) -> tuple:
         """A point's values in coordinates() order: the vector, or the rows
-        one after another, then y when one is given (GL)."""
-        if self.root.kind == "Additive":
+        one after another, then y when one is given (GL).  Raises
+        ValueError when the entries are not n values or n rows of n."""
+        r = self.root
+        if r.kind == "Additive":
             flat = tuple(entries)
+            if len(flat) != r.n:
+                raise ValueError(f"{r.kind}({r.n}) takes {r.n} entries, not {len(flat)}")
         else:
+            if len(entries) != r.n or any(len(row) != r.n for row in entries):
+                lengths = [len(row) for row in entries]
+                raise ValueError(f"{r.kind}({r.n}) takes {r.n} rows of {r.n} entries, not rows of {lengths}")
             flat = tuple(e for row in entries for e in row)
         return flat if y is None else flat + (y,)
 

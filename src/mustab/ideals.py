@@ -61,7 +61,10 @@ def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[
     quots = [ring.zero() for _ in basis]
     rem = ring.zero()
     p = f
-    lead = [(g.leading_monomial(order), g.leading_coefficient(order)) for g in basis]
+    lead = []
+    for g in basis:
+        lm = g.leading_monomial(order)
+        lead.append((lm, g.terms[lm]))
     while not p.is_zero():
         m = p.leading_monomial(order)
         c = p.terms[m]

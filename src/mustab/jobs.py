@@ -66,8 +66,17 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
     return b
 
 
+def _parse_entries(scheme: GroupScheme, entries, parse):
+    """The entries of a job's point, each parsed; a layout that does not fit
+    the scheme is invalid input."""
+    try:
+        return scheme.map_entries(entries, parse)
+    except ValueError as exc:
+        raise JobError(f"invalid entries: {exc}", EXIT_INVALID)
+
+
 def parse_branch(data: dict, scheme: GroupScheme, d: int | None) -> Branch:
-    return validate_branch(scheme, scheme.map_entries(data["entries"], lambda e: parse_series(e, scheme.field, d)))
+    return validate_branch(scheme, _parse_entries(scheme, data["entries"], lambda e: parse_series(e, scheme.field, d)))
 
 
 def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
@@ -75,7 +84,7 @@ def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
 
     ring = PolyRing(scheme.field, ("x", "y"))
     f = ring.parse(data["f"])
-    embedding = scheme.map_entries(data["embedding"], ring.parse)
+    embedding = _parse_entries(scheme, data["embedding"], ring.parse)
     return PlaneCurveInput(f, embedding, scheme, bool(data.get("trusted_irreducible", False)))
 
 

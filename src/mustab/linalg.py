@@ -1,45 +1,100 @@
-"""Dense exact linear algebra over a Scalar field (desk scale)."""
+"""Exact linear algebra over a Scalar field on sparse rows (desk scale).
+
+A row is a dict {column: nonzero Scalar}; a dense list of Scalars is read
+as the row of its nonzero entries.  One forward elimination, `echelon`,
+gives the pivot columns (the column rank profile) and the rank of a
+leading window of rows; `rref` and `nullspace` back-substitute on its
+result.
+"""
 
 from __future__ import annotations
 
+from bisect import insort
+
 from .fields import FieldSpec, Scalar
 
+Row = dict[int, Scalar]
 
-def rref(rows: list[list[Scalar]], field: FieldSpec) -> tuple[list[list[Scalar]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if piv is None:
+
+def _sparse(row) -> Row:
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if not x.is_zero()}
+
+
+def _clear(r: Row, c: int, pivot_row: Row) -> None:
+    """Subtract from r, in place, the multiple of pivot_row (monic at c)
+    that clears column c of r."""
+    f = r.pop(c)
+    for j, x in pivot_row.items():
+        if j == c:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        v = r[j] - f * x if j in r else -(f * x)
+        if v.is_zero():
+            del r[j]
+        else:
+            r[j] = v
 
 
-def nullspace(rows: list[list[Scalar]], ncols: int, field: FieldSpec) -> list[list[Scalar]]:
-    """Basis of the right kernel, in reduced form (free variable = 1)."""
-    red, pivots = rref(rows, field)
-    free = [c for c in range(ncols) if c not in pivots]
+def echelon(rows, window: int | None = None) -> tuple[dict[int, Row], int]:
+    """Forward elimination of the rows in the given order.
+
+    Returns the pivot rows keyed by pivot column, each monic at its pivot,
+    which is its least column, and the rank of rows[:window].  A row is
+    reduced only against the pivots found before it, so the pivot columns
+    are those of the reduced row echelon form, and no finished row is
+    touched again."""
+    pivots: dict[int, Row] = {}
+    cols: list[int] = []  # pivot columns, ascending
+    window_rank = None
+    for i, row in enumerate(rows):
+        if i == window:
+            window_rank = len(pivots)
+        r = _sparse(row)
+        # clearing column c only adds columns above c, so one ascending
+        # pass over the pivots clears them all
+        for c in cols:
+            if c in r:
+                _clear(r, c, pivots[c])
+        if r:
+            c = min(r)
+            lead = r[c]
+            if not lead.is_one():
+                inv = lead.inv()
+                r = {j: x * inv for j, x in r.items()}
+            pivots[c] = r
+            insort(cols, c)
+    return pivots, len(pivots) if window_rank is None else window_rank
+
+
+def rref(rows) -> dict[int, Row]:
+    """Reduced row echelon form: the pivot rows keyed by pivot column, in
+    ascending column order, each zero in every other pivot column."""
+    pivots, _ = echelon(rows)
+    cols = sorted(pivots)
+    # clear each pivot column from the rows above it, last column first, so
+    # the row used has no later pivot column left to bring back
+    for k in range(len(cols) - 1, 0, -1):
+        c = cols[k]
+        below = pivots[c]
+        for upper in cols[:k]:
+            if c in pivots[upper]:
+                _clear(pivots[upper], c, below)
+    return {c: pivots[c] for c in cols}
+
+
+def nullspace(rows, ncols: int, field: FieldSpec) -> list[list[Scalar]]:
+    """Basis of the right kernel, in reduced form (free variable = 1), one
+    vector per non-pivot column in ascending order."""
+    red = rref(rows)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in red:
+            continue
         vec = [field.zero()] * ncols
         vec[fc] = field.one()
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -red[ri][fc]
+        for pc, r in red.items():
+            x = r.get(fc)
+            if x is not None:
+                vec[pc] = -x
         basis.append(vec)
     return basis

@@ -338,16 +338,17 @@ def test_criterion_12_equidimensional_components():
         if len(set(dims)) > 1:
             failures.append(f"{name}: {dims}")
     # synthetic fixtures
-    ring = sl2().coordinate_ring()
+    scheme = sl2()
+    ring = scheme.coordinate_ring()
     fiber = ideal(ring, "x21", "(x11 - 1)*(x11 + 1)", "x11*x22 - 1")
-    comp, cosets, _ = identity_component(fiber, BUDGETS)
+    comp, cosets, _ = identity_component(fiber, scheme, BUDGETS)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     if len(set(dims)) > 1:
         failures.append(f"roots-of-unity fixture: {dims}")
     torus = ideal(ring, "x12", "x21", "x11*x22 - 1")
     w_translate = ideal(ring, "x11", "x22", "x12*x21 + 1")
     union = ideal_intersect(torus, w_translate)
-    comp, cosets, _ = identity_component(union, BUDGETS)
+    comp, cosets, _ = identity_component(union, scheme, BUDGETS)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     if len(set(dims)) > 1:
         failures.append(f"torus-union fixture: {dims}")

@@ -122,6 +122,43 @@ def test_exit_code_invalid():
     assert code == 2
 
 
+WRONG_ENTRY_COUNTS = {
+    # SL(2) entries with rows of 2 and 1, 2 and 3, 3 and 1, and three rows
+    "short_row": [[ser(("-1", "1")), ser(("0", "1"))], [ser(("1", "1"))]],
+    "long_row": [[ser(("-1", "1")), ser(("0", "1"))], [{"terms": []}, ser(("1", "1")), ser(("0", "1"))]],
+    "ragged": [[ser(("-1", "1")), ser(("0", "1")), {"terms": []}], [ser(("1", "1"))]],
+    "extra_row": X1_JOB["input"]["branch"]["entries"] + [[ser(("0", "1")), {"terms": []}]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_ENTRY_COUNTS))
+def test_exit_code_wrong_entry_count(name):
+    job = json.loads(json.dumps(X1_JOB))
+    job["input"]["branch"]["entries"] = WRONG_ENTRY_COUNTS[name]
+    for command in ("stab", "reduce", "iwasawa"):
+        report, code = run_job(dict(job, command=command))
+        assert code == 2
+        assert report["errors"][0]["type"] == "JobError"
+
+
+def test_exit_code_wrong_additive_entry_count():
+    job = {"field": {"kind": "Q"}, "group": {"kind": "Additive", "n": 2}, "command": "stab"}
+    for entries in ([ser(("-1", "1"))], [ser(("-1", "1"))] * 3):
+        report, code = run_job(dict(job, input={"branch": {"entries": entries}}))
+        assert code == 2
+
+
+def test_exit_code_wrong_embedding_count():
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "SL", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": "x*y - 1", "embedding": [["x", "1"], ["y"]]}},
+    }
+    report, code = run_job(job)
+    assert code == 2
+
+
 def test_exit_code_budget():
     job = json.loads(json.dumps(X1_JOB))
     job["budgets"]["spoly_budget"] = 1

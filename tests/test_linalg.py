@@ -1,0 +1,207 @@
+"""Sparse elimination in linalg, and type_dimension against the dense kernel
+computation it replaced (kept here as the reference)."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from mustab.branches import type_dimension, validate_branch
+from mustab.errors import PrecisionInsufficient
+from mustab.exponents import Exponent, exp
+from mustab.fields import QQ, FieldSpec
+from mustab.groups import GroupScheme
+from mustab.ideals import _dim_from_leading_monomials
+from mustab.linalg import echelon, nullspace, rref
+from mustab.poly import monomials_up_to
+from mustab.samples import random_laurent, random_sl_laurent
+from mustab.series import PuiseuxSeries, ScalarDomain
+
+F5 = FieldSpec("Fp", p=5)
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
+FIELDS = (QQ, F5, F9)
+
+
+# -- the dense reference ------------------------------------------------------
+
+def dense_rref(rows):
+    """Gauss-Jordan on dense rows with row swaps: (reduced rows, pivots)."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inv()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def dense_nullspace(rows, ncols, field):
+    red, pivots = dense_rref(rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [field.zero()] * ncols
+        vec[fc] = field.one()
+        for ri, pc in enumerate(pivots):
+            vec[pc] = -red[ri][fc]
+        basis.append(vec)
+    return basis
+
+
+def dense_type_dimension(branch, degree_bound):
+    """The relation kernel as a dense slot x monomial matrix, read through
+    full kernel vectors (the last nonzero entry of each), with the window
+    shrink recomputed from scratch."""
+    field = branch.field
+    series_list = branch.element.flat()
+    monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
+    by_mono = {}
+    for m in monos:
+        if any(m):
+            i = max(j for j, e in enumerate(m) if e)
+            by_mono[m] = by_mono[m[:i] + (m[i] - 1,) + m[i + 1 :]] * series_list[i]
+        else:
+            by_mono[m] = PuiseuxSeries.one(ScalarDomain(field))
+    evaluated = [by_mono[m] for m in monos]
+    precisions = [s.precision for s in evaluated if s.precision is not None]
+    hi = min(precisions) if precisions else None
+    slots = sorted({e for s in evaluated for e, _ in s.terms if hi is None or e < hi})
+    if precisions and len(slots) < 2:
+        raise PrecisionInsufficient("too few slots")
+
+    def kernel(active):
+        return dense_nullspace([[s.coefficient(e) for s in evaluated] for e in active], len(monos), field)
+
+    basis = kernel(slots)
+    if precisions and len(kernel(slots[: -max(1, len(slots) // 5)])) != len(basis):
+        raise PrecisionInsufficient("window shrink")
+    leads = [[m for c, m in zip(vec, monos) if not c.is_zero()][-1] for vec in basis]
+    return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates()))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PrecisionInsufficient:
+        return "PrecisionInsufficient"
+
+
+# -- type_dimension against the reference --------------------------------------
+
+def check_branches(branches, degrees):
+    outcomes = []
+    for b in branches:
+        for D in degrees:
+            got = outcome(lambda: type_dimension(b, D)[0])
+            assert got == outcome(dense_type_dimension, b, D), (str(b), D)
+            outcomes.append(got)
+    return outcomes
+
+
+def test_type_dimension_matches_dense_on_laurent_branches():
+    rng = random.Random(5)
+    for field in FIELDS:
+        add3 = GroupScheme("Additive", 3, field)
+        sl2 = GroupScheme("SL", 2, field)
+        branches = [validate_branch(add3, tuple(random_laurent(field, rng) for _ in range(3))) for _ in range(6)]
+        branches += [validate_branch(sl2, random_sl_laurent(2, field, rng).entries) for _ in range(4)]
+        check_branches(branches, (1, 2, 3))
+
+
+def test_type_dimension_matches_dense_on_sqrt_exponents():
+    rng = random.Random(7)
+    dom = ScalarDomain(QQ)
+    add2 = GroupScheme("Additive", 2, QQ)
+    branches = []
+    for d in (2, 3, 5):
+        for _ in range(4):
+            entries = []
+            for _ in range(2):
+                terms = {}
+                for _ in range(rng.randrange(1, 4)):
+                    e = Exponent(Fraction(rng.randrange(-3, 3)), Fraction(rng.choice([0, 1, -1])), d)
+                    terms[e] = QQ.from_int(rng.choice([1, -1, 2]))
+                entries.append(PuiseuxSeries(dom, list(terms.items()), None))
+            branches.append(validate_branch(add2, tuple(entries)))
+    check_branches(branches, (1, 2, 3, 4))
+
+
+def test_type_dimension_matches_dense_on_truncated_entries():
+    rng = random.Random(11)
+    outcomes = []
+    for field in FIELDS:
+        add2 = GroupScheme("Additive", 2, field)
+        branches = []
+        for _ in range(8):
+            entries = [random_laurent(field, rng, lo=-3, hi=3) for _ in range(2)]
+            i = rng.randrange(2)
+            entries[i] = entries[i].truncate(exp(rng.randrange(1, 6)))
+            branches.append(validate_branch(add2, tuple(entries)))
+        outcomes += check_branches(branches, (1, 2, 3))
+    # both outcomes occur: a stable dimension and a refusal by both paths
+    assert "PrecisionInsufficient" in outcomes
+    assert any(isinstance(o, int) for o in outcomes)
+
+
+# -- echelon, rref and nullspace -------------------------------------------------
+
+@st.composite
+def matrices(draw):
+    """A random sparse matrix of low rank over Q, F_5 or F_9, dense rows."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ncols = rng.randrange(1, 9)
+    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else list(field.elements())
+
+    def scalar():
+        return field.zero() if rng.random() < 0.5 else rng.choice(elements)
+
+    base = [[scalar() for _ in range(ncols)] for _ in range(rng.randrange(0, 5))]
+    rows = []
+    for _ in range(rng.randrange(0, 9)):
+        row = [field.zero()] * ncols
+        for b in base:
+            f = scalar()
+            row = [x + f * y for x, y in zip(row, b)]
+        rows.append(row)
+    return field, ncols, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices())
+def test_echelon_window_rank_is_prefix_rank(m):
+    _field, _ncols, rows = m
+    pivots, rank = echelon(rows)
+    assert sorted(pivots) == dense_rref(rows)[1]
+    assert rank == len(pivots)
+    for w in range(len(rows) + 1):
+        assert echelon(rows, w)[1] == len(dense_rref(rows[:w])[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices())
+def test_rref_and_nullspace_match_dense_on_sparse_rows(m):
+    field, ncols, rows = m
+    sparse = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows]
+    red, pivots = dense_rref(rows)
+    expected = {pc: {c: x for c, x in enumerate(r) if not x.is_zero()} for pc, r in zip(pivots, red)}
+    assert rref(rows) == expected
+    assert rref(sparse) == expected
+    basis = dense_nullspace(rows, ncols, field)
+    assert nullspace(rows, ncols, field) == basis
+    assert nullspace(sparse, ncols, field) == basis
+    # the echelon rows span the same space
+    assert nullspace(list(echelon(sparse)[0].values()), ncols, field) == basis

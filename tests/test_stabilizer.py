@@ -216,7 +216,7 @@ def test_degeneration_translated_ideal_x1():
 def test_identity_component_irreducible():
     ring = SL2.coordinate_ring()
     fiber = ideal(ring, "x11 - 1", "x21", "x22 - 1")
-    comp, cosets, complete = identity_component(fiber, BUDGETS)
+    comp, cosets, complete = identity_component(fiber, SL2, BUDGETS)
     assert ideal_equal(comp, fiber)
     assert not cosets and complete
 
@@ -224,7 +224,7 @@ def test_identity_component_irreducible():
 def test_identity_component_split_roots_of_unity():
     ring = SL2.coordinate_ring()
     fiber = ideal(ring, "x21", "(x11 - 1)*(x11 + 1)", "x11*x22 - 1")
-    comp, cosets, complete = identity_component(fiber, BUDGETS)
+    comp, cosets, complete = identity_component(fiber, SL2, BUDGETS)
     assert ideal_equal(comp, ideal(ring, "x21", "x11 - 1", "x22 - 1"))
     assert len(cosets) == 1 and complete
     assert ideal_equal(cosets[0], ideal(ring, "x21", "x11 + 1", "x22 + 1"))
@@ -238,7 +238,7 @@ def test_identity_component_torus_union_translate():
     torus = ideal(ring, "x12", "x21", "x11*x22 - 1")
     w_translate = ideal(ring, "x11", "x22", "x12*x21 + 1")
     union = ideal_intersect(torus, w_translate)
-    comp, cosets, complete = identity_component(union, BUDGETS)
+    comp, cosets, complete = identity_component(union, SL2, BUDGETS)
     assert ideal_equal(comp, torus)
     assert len(cosets) == 1
     assert ideal_equal(cosets[0], w_translate)
