@@ -1,8 +1,9 @@
 """Command-line driver: JSON jobs in, JSON + human-readable reports out.
 
 Exit codes: 0 success, 2 invalid input, 3 unsupported computation
-(missing roots, wild ramification, irrational-exponent substitution),
-4 budget exhausted, 5 verification failure.
+(missing roots, wild ramification, irrational-exponent substitution, a
+flat limit over exponents of rational rank 2), 4 budget exhausted,
+5 verification failure.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", metavar="NAME", help="restrict --corpus to one entry")
     p.add_argument("--algorithm", choices=["reparam", "degeneration", "both"], help="stabilizer algorithm override")
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
-    p.add_argument("--degree-bound", type=int, metavar="D", help="implicitization / lattice degree bound")
+    p.add_argument("--degree-bound", type=int, metavar="D", help="implicitization degree bound")
     p.add_argument("--order-budget", type=int, metavar="N", help="reparameterization order budget")
     p.add_argument("--strict", action="store_true", help="inconclusive solvability counts as failure")
     p.add_argument("--json-out", metavar="FILE", help="write the structured report here")

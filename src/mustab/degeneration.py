@@ -1,151 +1,124 @@
 """Stabilizer via flat degeneration: the special fiber of V . a(t)^-1.
 
-The translated ideal lives over the series field; a degree-bounded
-O-lattice basis is extracted by valuation-pivoted row reduction (each row
-Gauss-normalized to minimal valuation zero, residues reduced against the
-basis collected so far).  The residues of the lattice basis generate the
-special fiber, which splits as finitely many cosets of the stabilizer;
-the identity component is extracted through the supported factorization
-fragment.
+The closure of the translated variety over k[u], for the uniformizer
+u = t^(gamma/N), is computed exactly by saturation (Eisenbud, Commutative
+Algebra, 15.8; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+4.4).  Each generator g of V is pulled back along X -> X . a(u), written
+with a variable s standing for u^-1; its poles are cleared into k[u][X];
+then s is eliminated from these, the scheme equations and s*u - 1.  The
+result is the flat closure, and setting u = 0 in it gives the special
+fiber with no series precision involved.  gamma = 1 when every exponent of
+a(t) is rational; otherwise gamma is the one positive irrational exponent
+direction all of them are rational multiples of.  A truncated entry
+raises PrecisionInsufficient, exponents of rational rank 2 raise
+IrrationalExponentInSubstitution.
+
+The fiber splits as finitely many cosets of the stabilizer; the identity
+component is extracted through the supported factorization fragment.
+The stabilizer reported is the reduced identity component: a generator
+that is a power of one univariate factor is replaced by that factor.  In
+characteristic 0 every algebraic group is reduced (Cartier); over F_p a
+group scheme can be non-reduced (alpha_p, mu_p), and its reduced subgroup
+is what is computed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity
-from .errors import BudgetExceeded, NotCenteredAtInfinity
+from .errors import IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient
+from .exponents import Exponent, exp
 from .factor import uni_factor
-from .fields import Scalar
-from .groups import GroupElement, GroupScheme
+from .groups import GroupElement, GroupScheme, eval_poly_series
 from .ideals import (
     Budgets,
     Ideal,
+    eliminate,
     groebner_basis,
     ideal_contains,
     ideal_equal,
     krull_dim,
 )
-from .poly import Monomial, Poly, PolyRing, eval_poly, monomials_up_to
+from .poly import Poly, PolyRing
 from .series import PuiseuxSeries, ScalarDomain
 from .subgroups import SubgroupDesc, verify_subgroup
-
-
-class SeriesPoly:
-    """Polynomial in the scheme coordinates with series coefficients."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        self.ring = ring
-        self.terms = {m: s for m, s in terms.items() if not (s.is_zero() and s.is_exact())}
-
-    @staticmethod
-    def constant(ring: PolyRing, s: PuiseuxSeries) -> SeriesPoly:
-        return SeriesPoly(ring, {(0,) * ring.nvars: s})
-
-    @staticmethod
-    def variable(ring: PolyRing, name: str, dom) -> SeriesPoly:
-        mono = tuple(1 if v == name else 0 for v in ring.variables)
-        return SeriesPoly(ring, {mono: PuiseuxSeries.one(dom)})
-
-    def __add__(self, other: SeriesPoly) -> SeriesPoly:
-        out = dict(self.terms)
-        for m, s in other.terms.items():
-            out[m] = out[m] + s if m in out else s
-        return SeriesPoly(self.ring, out)
-
-    def __mul__(self, other: SeriesPoly) -> SeriesPoly:
-        out: dict = {}
-        for m1, s1 in self.terms.items():
-            for m2, s2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = s1 * s2
-                out[m] = out[m] + prod if m in out else prod
-        return SeriesPoly(self.ring, out)
-
-    def scale(self, c: Scalar) -> SeriesPoly:
-        return SeriesPoly(self.ring, {m: s.scale(c) for m, s in self.terms.items()})
-
-    def shift_val(self, e) -> SeriesPoly:
-        return SeriesPoly(self.ring, {m: c.shift(e) for m, c in self.terms.items()})
-
-    def min_val(self):
-        """(minimal known valuation, certified).
-
-        The minimum runs over coefficients with a known leading term; it is
-        certified when no unknown-tail coefficient could hide anything
-        smaller (every such coefficient's precision exceeds the minimum).
-        """
-        v = None
-        floor = None
-        for s in self.terms.values():
-            if s.terms:
-                lv = s.terms[0][0]
-                if v is None or lv < v:
-                    v = lv
-            elif s.precision is not None:
-                p = s.precision
-                if floor is None or p < floor:
-                    floor = p
-        if v is None:
-            return None, floor is None
-        return v, (floor is None or v < floor)
-
-    def residues(self) -> dict[Monomial, Scalar]:
-        out = {}
-        for m, s in self.terms.items():
-            r = s.res()
-            if not r.is_zero():
-                out[m] = r
-        return out
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def is_exact_zero(self) -> bool:
-        return all(s.is_zero() and s.is_exact() for s in self.terms.values())
-
-    def __str__(self):
-        parts = [f"({s}) * {m}" for m, s in self.terms.items()]
-        return " + ".join(parts) if parts else "0"
-
-
-def translated_ideal_rows(branch: Branch, V: Ideal, budgets: Budgets) -> tuple[list[SeriesPoly], PolyRing]:
-    """Generators of the ideal of V . a^-1 over the series field: substitute
-    the symbolic point times a(t) into the generators of V (plus the scheme
-    equations, which are translation invariant)."""
-    scheme = branch.scheme
-    field = scheme.field
-    dom = ScalarDomain(field)
-    ring = scheme.coordinate_ring()
-    names = scheme.coordinates()
-    # the symbolic point X times a(t)
-    x = tuple(SeriesPoly.variable(ring, name, dom) for name in names)
-    a = tuple(SeriesPoly.constant(ring, s) for s in branch.element.flat())
-    values = dict(zip(names, scheme.mul_values(x, a)))
-
-    rows: list[SeriesPoly] = []
-    gens = list(V.gens) + [g for g in scheme.defining_polys(ring)]
-    seen = set()
-    for g in gens:
-        key = frozenset(g.terms.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        row = eval_poly(g, values, lambda c: SeriesPoly.constant(ring, PuiseuxSeries.constant(dom, c)), SeriesPoly(ring, {}))
-        if not row.is_exact_zero():
-            rows.append(row)
-    return rows, ring
 
 
 @dataclass
 class DegenerationResult:
     desc: SubgroupDesc
     fiber: Ideal
-    flat_rows: list            # O-lattice basis of the translated ideal
+    closure: Ideal            # the flat closure in k[u][X], u its first variable
+    u_exponent: Exponent      # u = t^u_exponent
     component_dims: list[int]
     decomposition_complete: bool
+
+
+def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
+    """(gamma/N, each entry as its (k, c) terms c * u^k in u = t^(gamma/N))."""
+    exps = [e for s in entries for e, _ in s.terms]
+    gamma = next((e for e in exps if not e.is_rational()), exp(1))
+    if gamma.sign() < 0:
+        gamma = -gamma
+
+    def ratio(e: Exponent) -> Fraction:
+        if gamma.is_rational():
+            return e.a
+        q = e.b / gamma.b
+        if e.a != q * gamma.a:
+            raise IrrationalExponentInSubstitution(
+                f"exponents {gamma} and {e} have rational rank 2; the flat closure needs one direction"
+            )
+        return q
+
+    ratios = {e: ratio(e) for e in exps}
+    n = math.lcm(1, *(q.denominator for q in ratios.values()))
+    laurent = [[(int(ratios[e] * n), c) for e, c in s.terms] for s in entries]
+    return gamma.scale(Fraction(1, n)), laurent
+
+
+def _clear_poles(p: Poly) -> Poly:
+    """u^M p, with M the largest power of s in p and each s^k u^j rewritten
+    as u^(M - k + j) (terms that meet are summed), divided by the largest
+    power of u that divides it; s comes first among the variables, u second."""
+    top = max(m[0] for m in p.terms)
+    out: dict = {}
+    for (k, j, *rest), c in p.terms.items():
+        key = (0, top - k + j, *rest)
+        out[key] = out[key] + c if key in out else c
+    out = {m: c for m, c in out.items() if not c.is_zero()}
+    low = min(m[1] for m in out)
+    return Poly(p.ring, {(0, j - low, *rest): c for (_, j, *rest), c in out.items()})
+
+
+def flat_closure(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> tuple[Ideal, Exponent]:
+    """The closure of V . a(u)^-1 over k[u] as an ideal of k[u][X], u the
+    first variable, and the exponent e with u = t^e."""
+    budgets = budgets or Budgets()
+    scheme = branch.scheme
+    entries = branch.element.flat()
+    if any(s.precision is not None for s in entries):
+        raise PrecisionInsufficient("the flat closure needs exact entries; mu-reduction left a truncated one")
+    u_exponent, laurent = _uniformizer(entries)
+    coords = scheme.coordinates()
+    ring = PolyRing(scheme.field, ("_s", "_u") + coords)
+    zeros = (0,) * len(coords)
+    a = []
+    for terms in laurent:
+        p = ring.zero()
+        for k, c in terms:
+            p = p + ring.monomial((max(-k, 0), max(k, 0)) + zeros, c)
+        a.append(p)
+    moved = scheme.mul_values(tuple(ring.var(name) for name in coords), tuple(a))
+    values = dict(zip(coords, moved))
+    # X -> X . a(u) is invertible, so no nonzero g pulls back to zero
+    gens = [_clear_poles(g.subs_polys(values, ring)) for g in V.gens]
+    gens += scheme.defining_polys(ring)
+    gens.append(ring.var("_s") * ring.var("_u") - ring.one())
+    return eliminate(Ideal(ring, tuple(gens)), ("_s",), budgets.spoly_budget), u_exponent
 
 
 def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> DegenerationResult:
@@ -154,79 +127,10 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("degeneration requires an unbounded branch")
-    base_rows, ring = translated_ideal_rows(branch, V, budgets)
-    field = ring.field
-    D = budgets.degree_bound
-
-    rows: list[SeriesPoly] = []
-    for q in base_rows:
-        dq = q.total_degree()
-        for mono in monomials_up_to(ring.nvars, max(0, D - dq)):
-            if sum(mono) == 0:
-                rows.append(q)
-            else:
-                shifted = SeriesPoly(ring, {tuple(a + b for a, b in zip(m, mono)): s for m, s in q.terms.items()})
-                rows.append(shifted)
-
-    basis: list[SeriesPoly] = []
-    basis_res: list[dict[Monomial, Scalar]] = []
-    pivots: dict[Monomial, int] = {}   # pivot monomial -> basis index
-
-    def mono_key(m: Monomial):
-        return (sum(m), m)
-
-    dropped_by_precision = 0
-    work = 0
-    work_cap = max(budgets.spoly_budget, 80 * max(1, len(rows)))
-    for row in rows:
-        cur = row
-        while True:
-            work += 1
-            if work > work_cap:
-                raise BudgetExceeded("lattice reduction budget exhausted")
-            if cur.is_exact_zero():
-                break
-            v, certified = cur.min_val()
-            if v is None:
-                if not certified:
-                    dropped_by_precision += 1
-                break
-            if not certified:
-                dropped_by_precision += 1
-                break
-            cur = cur.shift_val(-v)
-            res = cur.residues()
-            # reduce against pivots; each step removes the smallest monomial
-            while res:
-                m = min(res, key=mono_key)
-                k = pivots.get(m)
-                if k is None:
-                    break
-                lam = res[m]
-                cur = cur + basis[k].scale(-lam)
-                for bm, bc in basis_res[k].items():
-                    nv = res.get(bm, field.zero()) - lam * bc
-                    if nv.is_zero():
-                        res.pop(bm, None)
-                    else:
-                        res[bm] = nv
-            if res:
-                m = min(res, key=mono_key)
-                scale = res[m].inv()
-                cur = cur.scale(scale)
-                res = {bm: bc * scale for bm, bc in res.items()}
-                pivots[m] = len(basis)
-                basis.append(cur)
-                basis_res.append(res)
-                break
-
-    fiber_gens = []
-    for res in basis_res:
-        p = ring.zero()
-        for m, c in res.items():
-            p = p + ring.monomial(m, c)
-        if not p.is_zero():
-            fiber_gens.append(p)
+    closure, u_exponent = flat_closure(branch, V, budgets)
+    ring = branch.scheme.coordinate_ring()
+    # the special fiber: every generator at u = 0
+    fiber_gens = [Poly(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in closure.gens]
     fiber = groebner_basis(Ideal(ring, tuple(fiber_gens)), budget=budgets.spoly_budget)
 
     comp, cosets, complete = identity_component(fiber, branch.scheme, budgets)
@@ -240,12 +144,12 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
             "algorithm": "degeneration",
             "decomposition_complete": complete,
             "fiber_components": len(dims),
-            "dropped_rows_precision": dropped_by_precision,
+            "dropped_rows_precision": 0,
         },
         tuple(cosets),
     )
     verify_subgroup(desc, budgets)
-    return DegenerationResult(desc, fiber, basis, dims, complete)
+    return DegenerationResult(desc, fiber, closure, u_exponent, dims, complete)
 
 
 # -- component splitting -------------------------------------------------------
@@ -317,7 +221,8 @@ def identity_component(
 
 
 def _splittable_factors(gb: Ideal) -> tuple[list[Poly] | None, bool]:
-    """A list of proper factors of some generator (None when nothing in the
+    """A list of proper factors of some generator, or the one factor f of a
+    univariate generator c * f^m with m > 1 (None when nothing in the
     fragment splits), plus whether an unfactorable piece was seen."""
     saw_unfactored = False
     for g in gb.gens:
@@ -339,17 +244,17 @@ def _splittable_factors(gb: Ideal) -> tuple[list[Poly] | None, bool]:
                 saw_unfactored = True
                 continue
             distinct = [f for f, _ in fac.factors]
-            if len(distinct) >= 2:
+            if len(distinct) >= 2 or (distinct and fac.factors[0][1] > 1):
+                # a power f^m of one factor is split into f: the reduced fiber
                 return distinct, saw_unfactored
     return None, saw_unfactored
 
 
-def verify_flat_rows_at(rows: list[SeriesPoly], point: GroupElement) -> bool:
-    """Every lattice generator vanishes at the point up to tracked precision."""
-    dom = ScalarDomain(point.scheme.field)
+def verify_flat_closure_at(result: DegenerationResult, point: GroupElement) -> bool:
+    """Every generator of the flat closure vanishes at u = t^(gamma/N) and
+    X = point, up to the point's tracked precision."""
+    field = point.scheme.field
+    dom = ScalarDomain(field)
     values = point._values()
-    for q in rows:
-        out = eval_poly(q, values, lambda s: s, PuiseuxSeries.zero(dom))
-        if out.terms:
-            return False
-    return True
+    values["_u"] = PuiseuxSeries.monomial(dom, result.u_exponent, field.one())
+    return not any(eval_poly_series(g, values, dom).terms for g in result.closure.gens)

@@ -311,14 +311,17 @@ def _split_charp(f: Poly) -> list[Poly]:
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e modulo mod, by pow_by_squaring's loop: the base is not squared
+    again after the last bit of e."""
     result = base.ring.one()
     b = uni_divmod(base, mod)[1]
-    while e:
+    while True:
         if e & 1:
             result = uni_divmod(result * b, mod)[1]
-        b = uni_divmod(b * b, mod)[1]
         e >>= 1
-    return result
+        if not e:
+            return result
+        b = uni_divmod(b * b, mod)[1]
 
 
 def _equal_degree(f: Poly, d: int) -> list[Poly]:

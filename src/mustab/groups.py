@@ -117,9 +117,8 @@ class GroupScheme:
     def mul_values(self, u, v) -> tuple:
         """The product of two points given as flat value tuples.
 
-        Only + and * are used, so the values may be Scalar, Poly,
-        PuiseuxSeries or SeriesPoly; y is carried when both factors carry
-        it."""
+        Only + and * are used, so the values may be Scalar, Poly or
+        PuiseuxSeries; y is carried when both factors carry it."""
         if self.root.kind == "Additive":
             return tuple(a + b for a, b in zip(u, v))
         (a, ya), (b, yb) = self.shape(u), self.shape(v)

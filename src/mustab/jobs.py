@@ -113,36 +113,34 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
         except Exception as exc:
             raise JobError(f"invalid job: {exc}", EXIT_INVALID)
         report["command"] = command
+        try:
+            inp = _read_input(job, command, scheme, d)
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise JobError(f"invalid input: {type(exc).__name__}: {exc}", EXIT_INVALID)
 
         if command == "places":
-            curve = parse_plane_curve(job["input"]["plane_curve"], scheme)
-            branches = places_at_infinity(curve, budgets.precision)
+            branches = places_at_infinity(inp, budgets.precision)
             report["results"]["branches"] = [_branch_json(b) for b in branches]
         elif command == "stab":
-            branches = _input_branches(job, scheme, d, budgets)
+            branches = [inp] if isinstance(inp, Branch) else places_at_infinity(inp, budgets.precision)
             runs = [compute_stabilizer(b, algorithm, budgets) for b in branches]
             report["results"]["stabilizers"] = [_run_json(r) for r in runs]
             _theorem_checks(report, runs, budgets, strict)
         elif command == "reduce":
-            branch = parse_branch(job["input"]["branch"], scheme, d)
-            reduced, cert, dim_before, dim_after = mu_reduce(branch, budgets)
+            reduced, cert, dim_before, dim_after = mu_reduce(inp, budgets)
             report["results"]["reduced"] = _branch_json(reduced)
             report["results"]["dim_before"] = dim_before
             report["results"]["dim_after"] = dim_after
             report["results"]["certificate"] = cert.to_json() if cert else None
         elif command == "iwasawa":
-            branch = parse_branch(job["input"]["branch"], scheme, d)
-            u, b2 = iwasawa(branch.element)
+            u, b2 = iwasawa(inp.element)
             report["results"]["u"] = _element_json(u)
             report["results"]["b"] = _element_json(b2)
             report["results"]["u_integral"] = u.is_integral()
-        elif command == "verify":
-            sub = job["input"]["subgroup"]
-            ring = scheme.coordinate_ring()
-            ideal = Ideal(ring, tuple(ring.parse(s) for s in sub["ideal"]))
+        else:  # verify; _read_input rejected any other command
             from .ideals import krull_dim
 
-            desc = SubgroupDesc(scheme, ideal, krull_dim(ideal))
+            desc = SubgroupDesc(scheme, inp, krull_dim(inp))
             ok, rep = verify_subgroup(desc, budgets)
             solv = is_solvable(desc, budgets) if ok else None
             report["results"]["verified_subgroup"] = ok
@@ -154,8 +152,6 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
                     code = max(code, EXIT_VERIFY)
             if not ok:
                 code = max(code, EXIT_VERIFY)
-        else:
-            raise JobError(f"unknown command {command!r}", EXIT_INVALID)
     except JobError as exc:
         report["errors"].append({"type": "JobError", "message": str(exc)})
         code = exc.code
@@ -179,14 +175,18 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
     return report, code
 
 
-def _input_branches(job: dict, scheme: GroupScheme, d, budgets: Budgets) -> list[Branch]:
+def _read_input(job: dict, command: str, scheme: GroupScheme, d):
+    """The command's parsed input: a plane curve (places), a branch or a
+    plane curve (stab), a branch (reduce, iwasawa) or an ideal (verify)."""
     inp = job["input"]
-    if "branch" in inp:
-        return [parse_branch(inp["branch"], scheme, d)]
-    if "plane_curve" in inp:
-        curve = parse_plane_curve(inp["plane_curve"], scheme)
-        return places_at_infinity(curve, budgets.precision)
-    raise JobError("stab requires a branch or plane_curve input", EXIT_INVALID)
+    if command in ("reduce", "iwasawa") or (command == "stab" and "branch" in inp):
+        return parse_branch(inp["branch"], scheme, d)
+    if command in ("places", "stab"):
+        return parse_plane_curve(inp["plane_curve"], scheme)
+    if command == "verify":
+        ring = scheme.coordinate_ring()
+        return Ideal(ring, tuple(ring.parse(s) for s in inp["subgroup"]["ideal"]))
+    raise JobError(f"unknown command {command!r}", EXIT_INVALID)
 
 
 def _branch_json(b: Branch) -> dict:

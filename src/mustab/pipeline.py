@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .branches import Branch, implicitize, is_centered_at_infinity
-from .degeneration import DegenerationResult, stab_degeneration, verify_flat_rows_at
+from .degeneration import DegenerationResult, stab_degeneration, verify_flat_closure_at
 from .exponents import exp
 from .groups import GroupElement, KPoint
 from .ideals import Budgets, Ideal, ideal_equal
@@ -72,16 +72,11 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
     if algorithm in ("reparam", "both"):
         run.reparam = stab_reparam(reduced, budgets)
     if algorithm in ("degeneration", "both"):
-        D = min(budgets.degree_bound, 3) if _entries_inexact(reduced) else min(budgets.degree_bound, 4)
-        V = implicitize(reduced, max(2, D))
+        V = implicitize(reduced, max(2, min(budgets.degree_bound, 4)))
         run.degeneration = stab_degeneration(reduced, V, budgets)
     if run.reparam is not None and run.degeneration is not None:
         run.agreement = ideal_equal(run.reparam.ideal, run.degeneration.desc.ideal, budgets.spoly_budget)
     return run
-
-
-def _entries_inexact(branch: Branch) -> bool:
-    return any(s.precision is not None for s in branch.element.entries_flat())
 
 
 def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> GroupElement | None:
@@ -123,7 +118,7 @@ def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> Gro
 
 
 def halevi_lift_check(run: StabilizerRun, points: list[KPoint], precision: int = 8) -> dict:
-    """Lift each fiber point and verify it against the flat model rows."""
+    """Lift each fiber point and verify it against the flat closure."""
     lifted = 0
     exact_residues = 0
     flat_ok = 0
@@ -133,7 +128,7 @@ def halevi_lift_check(run: StabilizerRun, points: list[KPoint], precision: int =
             continue
         lifted += 1
         exact_residues += 1  # lift_residue_point already enforced the match
-        if run.degeneration is not None and verify_flat_rows_at(run.degeneration.flat_rows, g):
+        if run.degeneration is not None and verify_flat_closure_at(run.degeneration, g):
             flat_ok += 1
     return {
         "requested": len(points),

@@ -118,9 +118,6 @@ class PolyRing:
     def parse(self, text: str) -> Poly:
         return parse_poly(text, self)
 
-    def extend(self, extra: tuple[str, ...], order_name: str | None = None) -> PolyRing:
-        return PolyRing(self.field, self.variables + tuple(extra), order_name or self.order_name)
-
 
 class Poly:
     """Immutable sparse polynomial; terms maps exponent tuples to nonzero

@@ -278,6 +278,10 @@ def _term_count(branch: Branch) -> int:
 
 
 def _truncation_candidates(branch: Branch) -> list[Branch]:
+    """Exact branches cut from this one: one entry without its tail from a
+    positive exponent on, and every entry without its positive part.  A cut
+    entry, like every entry of the all-cut candidate, is exact: the dropped
+    tail, known or not, is what mu_correct moves into eps."""
     el = branch.element
     scheme = el.scheme
     r = scheme.root
@@ -288,7 +292,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
         for cut_at, (e, _) in enumerate(s.terms):
             if e.sign() <= 0:
                 continue
-            truncated = PuiseuxSeries(s.dom, s.terms[:cut_at], s.precision)
+            truncated = PuiseuxSeries(s.dom, s.terms[:cut_at], None)
             new_flat = list(flat)
             new_flat[idx] = truncated
             key = tuple(tuple(x.terms) for x in new_flat)
@@ -299,7 +303,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             if cand is not None:
                 out.append(cand)
     # all-entries truncation, with determinant repair on SL
-    all_cut = [PuiseuxSeries(s.dom, [(e, c) for e, c in s.terms if e.sign() <= 0], s.precision) for s in flat]
+    all_cut = [PuiseuxSeries(s.dom, [(e, c) for e, c in s.terms if e.sign() <= 0], None) for s in flat]
     if r.kind != "GL" and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
         if r.kind == "SL":
             try:

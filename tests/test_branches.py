@@ -124,7 +124,8 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
     relation kernel; it must not compute a Groebner basis."""
     from mustab import branches
     from mustab.corpus import corpus_entries
-    from mustab.jobs import _input_branches, parse_budgets
+    from mustab.jobs import _read_input, parse_budgets
+    from mustab.newton import places_at_infinity
 
     def refuse(_ideal):
         raise AssertionError("type_dimension computed a Groebner basis")
@@ -137,10 +138,8 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
         job = entry["job"]
         scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
         budgets = parse_budgets(job.get("budgets"))
-        found = [
-            type_dimension(b, D)[0]
-            for b in _input_branches(job, scheme, job.get("exponent_d"), budgets)
-            for D in (2, budgets.degree_bound)
-        ]
+        inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
+        branches = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
+        found = [type_dimension(b, D)[0] for b in branches for D in (2, budgets.degree_bound)]
         assert found == expected.pop(entry["name"])
     assert not expected

@@ -270,3 +270,79 @@ def test_cli_override_algorithm(tmp_path):
     stab = report["results"]["stabilizers"][0]
     assert "degeneration" not in stab
     assert stab["agreement"] is None
+
+
+SL2_FLAT_LIMIT_JOBS = {
+    # x1(-t) translated by [[1, 0], [-1, 1]], a point of the generic cell c*d != 0
+    "generic_cell_translate": [[ser(("-1", "-1")), ser(("0", "1"))], [ser(("-1", "1")), ser(("0", "-1"), ("1", "-1"))]],
+    # a shear whose special fiber is non-reduced: (x21, x11*x22 - 1, x12^2)
+    "shear": [[ser(("2", "-1")), ser(("-1", "-1"))], [{"terms": []}, ser(("-2", "-1"))]],
+    # x2 with a truncated tail that mu-reduction drops into eps
+    "x2_truncated_tail": [[ser(("-1", "1")), {"terms": []}], [ser(*[(k, 1) for k in range(30)], prec=30), ser(("1", "1"))]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SL2_FLAT_LIMIT_JOBS))
+def test_sl2_jobs_through_the_exact_flat_limit(name):
+    job = json.loads(json.dumps(X1_JOB))
+    job["input"]["branch"]["entries"] = SL2_FLAT_LIMIT_JOBS[name]
+    report, code = run_job(job)
+    assert code == 0, report["errors"] or report["witnesses"]
+    checks = report["checks"]
+    assert checks["agreement"] == checks["dim_equality"] == checks["conjugation"] == "pass"
+    assert set(checks.values()) <= {"pass", "skipped"}
+    if name == "shear":
+        stab = report["results"]["stabilizers"][0]
+        assert "x12^2" in stab["degeneration"]["fiber"]
+        assert "x12" in stab["degeneration"]["ideal"]
+
+
+IRRATIONAL_JOB = {
+    "field": {"kind": "Q"},
+    "group": {"kind": "Additive", "n": 2},
+    "exponent_d": 2,
+    "command": "stab",
+    "budgets": {"precision": 12, "degree_bound": 6, "order_budget": 6},
+}
+
+
+def test_degeneration_rank_one_irrational_exponents():
+    # (t^-sqrt2, t^-2sqrt2) is (u^-1, u^-2) in u = t^sqrt2
+    job = dict(IRRATIONAL_JOB, input={"branch": {"entries": [ser(("-sqrt(2)", "1")), ser(("-2*sqrt(2)", "1"))]}})
+    report, code = run_job(job, {"algorithm": "degeneration"})
+    assert code == 0
+    assert report["results"]["stabilizers"][0]["subgroup"]["ideal"] == ["x"]
+
+
+def test_degeneration_rank_two_irrational_exponents_unsupported():
+    job = dict(IRRATIONAL_JOB, input={"branch": {"entries": [ser(("-1", "1")), ser(("-sqrt(2)", "1"))]}})
+    report, code = run_job(job, {"algorithm": "degeneration"})
+    assert code == 3
+    assert report["errors"][0]["type"] == "IrrationalExponentInSubstitution"
+
+
+MALFORMED_INPUTS = {
+    "branch_without_entries": ("stab", {"kind": "Additive", "n": 2}, {"branch": {}}),
+    "bare_string_entries": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": ["t", "t"]}}),
+    "plane_curve_without_embedding": ("stab", {"kind": "Additive", "n": 2}, {"plane_curve": {"f": "x*y - 1"}}),
+    "embedding_off_the_scheme": (
+        "stab",
+        {"kind": "SL", "n": 2},
+        {"plane_curve": {"f": "x*y - 1 - x^2*y^2 + x^3", "embedding": [["x", "0"], ["0", "y"]]}},
+    ),
+    "unparsable_f": ("places", {"kind": "Additive", "n": 2}, {"plane_curve": {"f": "x^^2", "embedding": ["x", "y"]}}),
+    "no_input": ("stab", {"kind": "Additive", "n": 2}, None),
+    "reduce_without_branch": ("reduce", {"kind": "Additive", "n": 2}, {}),
+    "verify_unparsable_ideal": ("verify", {"kind": "SL", "n": 2}, {"subgroup": {"ideal": ["x11 +"]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_invalid(name):
+    command, group, inp = MALFORMED_INPUTS[name]
+    job = {"field": {"kind": "Q"}, "group": group, "command": command}
+    if inp is not None:
+        job["input"] = inp
+    report, code = run_job(job)
+    assert code == 2
+    assert report["errors"][0]["type"] == "JobError"

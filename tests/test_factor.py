@@ -103,3 +103,25 @@ def test_scalar_roots_helper():
     ring = PolyRing(QQ, ("c",))
     roots = scalar_roots(ring.parse("c^2 - 3*c + 2"))
     assert sorted(str(r) for r in roots) == ["1", "2"]
+
+
+def test_powmod_skips_the_last_square(monkeypatch):
+    """The F_q[x] power behind distinct- and equal-degree splitting squares
+    and multiplies exactly as often as binary powering needs: one reduction
+    of the base, then one per product."""
+    from mustab import factor
+
+    ring = PolyRing(FieldSpec("Fp", p=5), ("x",))
+    base, mod = ring.parse("x + 2"), ring.parse("x^3 + x + 1")
+    real_divmod = factor.uni_divmod
+    calls = []
+
+    def counted(f, g):
+        calls.append(1)
+        return real_divmod(f, g)
+
+    monkeypatch.setattr(factor, "uni_divmod", counted)
+    for e in range(1, 40):
+        calls.clear()
+        assert factor._powmod(base, e, mod) == real_divmod(base**e, mod)[1]
+        assert len(calls) == 1 + (e.bit_length() - 1) + bin(e).count("1")

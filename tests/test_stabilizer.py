@@ -198,17 +198,31 @@ def test_degeneration_agrees_with_reparam_on_cusp():
     assert ideal_equal(out.desc.ideal, rp.ideal)
 
 
-def test_degeneration_translated_ideal_x1():
-    # frozen intermediate: substituting the parameterization must kill the
-    # translated generators
-    from mustab.degeneration import translated_ideal_rows, verify_flat_rows_at
+def test_degeneration_closure_vanishes_on_the_translate():
+    # the flat closure is an ideal of k[u][X] that vanishes on V . a(t)^-1
+    # at u = t^(1/N): at the identity, at a lifted point, not off it
+    from mustab.degeneration import verify_flat_closure_at
+    from mustab.pipeline import lift_residue_point
 
-    b = x1_branch()
-    V = implicitize(b, 2)
-    rows, ring = translated_ideal_rows(b, V, BUDGETS)
-    ident = SL2.identity().to_series()
-    moved = b.element  # g = a(t) itself lies in V . a^-1 times a... use identity
-    assert verify_flat_rows_at(rows, ident)
+    run = compute_stabilizer(x1_branch(), "both", BUDGETS)
+    deg = run.degeneration
+    assert deg.closure.ring.variables == ("_u",) + SL2.coordinates()
+    assert deg.u_exponent == exp(1)
+    assert verify_flat_closure_at(deg, SL2.identity().to_series())
+    h = KPoint(SL2, ((QQ.one(), QQ.from_int(3)), (QQ.zero(), QQ.one())))
+    lifted = lift_residue_point(run, h, precision=8)
+    assert lifted is not None and lifted.res() == h
+    assert verify_flat_closure_at(deg, lifted)
+    off = KPoint(SL2, ((QQ.from_int(2), QQ.zero()), (QQ.zero(), QQ.from_fraction(Fraction(1, 2)))))
+    assert not verify_flat_closure_at(deg, off.to_series())
+
+
+def test_degeneration_needs_exact_entries():
+    from mustab.errors import PrecisionInsufficient
+
+    b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1), (1, 1), prec=4)))
+    with pytest.raises(PrecisionInsufficient):
+        stab_degeneration(b, implicitize(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 3), BUDGETS)
 
 
 # -- identity_component ---------------------------------------------------------
