@@ -1,45 +1,86 @@
 """Exponents a + b*sqrt(d) with exact total order.
 
 The order group for series exponents is Q or Q + Q*sqrt(d) for a fixed
-nonsquare d.  Comparison is exact sign analysis on fractions: a + b*sqrt(d)
-is compared to 0 by cases on the signs of a and b, falling back to
-comparing a^2 with d*b^2.  No floating point anywhere.
+nonsquare d.  An exponent is stored as the integers (p, q, n) of
+(p + q*sqrt(d))/n with gcd(p, q, n) = 1 and n > 0, so equal exponents have
+equal fields and addition, negation, scaling, comparison and hashing are
+plain integer arithmetic.  Two rational exponents compare by one
+cross-multiplication; otherwise p + q*sqrt(d) is compared to 0 by cases on
+the signs of p and q, falling back to comparing p^2 with d*q^2.  No
+floating point anywhere.  The Fraction views `a` and `b` are built on
+demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import FieldMismatch
 
+_FRACTION_ZERO = Fraction(0)
 
-@dataclass(frozen=True)
+
+def _sign(p: int, q: int, d: int | None) -> int:
+    """Sign of p + q*sqrt(d)."""
+    if not q:
+        return (p > 0) - (p < 0)
+    if not p:
+        return 1 if q > 0 else -1
+    if p > 0 and q > 0:
+        return 1
+    if p < 0 and q < 0:
+        return -1
+    lhs, rhs = p * p, d * q * q
+    if p > 0:  # q < 0: positive iff p^2 > d q^2
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
 class Exponent:
-    a: Fraction
-    b: Fraction = Fraction(0)
-    d: int | None = None
+    """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b != 0 and self.d is None:
+    __slots__ = ("p", "q", "n", "d")
+
+    def __init__(self, a, b=_FRACTION_ZERO, d: int | None = None):
+        a, b = Fraction(a), Fraction(b)
+        if b and d is None:
             raise ValueError("irrational part requires a declared d")
-        if self.b == 0 and self.d is not None:
-            object.__setattr__(self, "d", None)
+        n = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
+        p, q = a.numerator * (n // a.denominator), b.numerator * (n // b.denominator)
+        _init(self, p, q, n, d if q else None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):
+        return (_make, (self.p, self.q, self.n, self.d))
 
     # -- structure ---------------------------------------------------------
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.n)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.n) if self.q else _FRACTION_ZERO
+
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.q
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational():
+        if self.q:
             raise ValueError(f"{self} is irrational")
-        return self.a
+        return Fraction(self.p, self.n)
 
     @property
     def denominator(self) -> int:
-        return self.a.denominator if self.is_rational() else self.a.denominator * self.b.denominator
+        if not self.q:
+            return self.n
+        return self.a.denominator * self.b.denominator
 
     def _join_d(self, other: Exponent) -> int | None:
         if self.d is None:
@@ -50,48 +91,35 @@ class Exponent:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: Exponent) -> Exponent:
-        if not self.b and not other.b:
-            return _rational(self.a + other.a)
-        d = self._join_d(other)
-        return Exponent(self.a + other.a, self.b + other.b, d if self.b + other.b != 0 else None)
+        d, n1, n2 = self._join_d(other), self.n, other.n
+        if n1 == n2:
+            return _make(self.p + other.p, self.q + other.q, n1, d)
+        return _make(self.p * n2 + other.p * n1, self.q * n2 + other.q * n1, n1 * n2, d)
 
     def __sub__(self, other: Exponent) -> Exponent:
         return self + (-other)
 
     def __neg__(self) -> Exponent:
-        return Exponent(-self.a, -self.b, self.d)
+        return _make(-self.p, -self.q, self.n, self.d)
 
-    def scale(self, q: Fraction | int) -> Exponent:
-        q = Fraction(q)
-        if q == 0:
-            return Exponent(Fraction(0))
-        return Exponent(self.a * q, self.b * q, self.d)
+    def scale(self, r: Fraction | int) -> Exponent:
+        r = Fraction(r)
+        return _make(self.p * r.numerator, self.q * r.numerator, self.n * r.denominator, self.d)
 
     # -- order ---------------------------------------------------------------
     def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, self.d * b * b
-        if a > 0:  # b < 0: positive iff a^2 > d b^2
-            return (lhs > rhs) - (lhs < rhs)
-        return (rhs > lhs) - (rhs < lhs)
+        return _sign(self.p, self.q, self.d)
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return not self.p and not self.q
 
     def _cmp(self, other: Exponent) -> int:
-        if not self.b and not other.b:
-            return (self.a > other.a) - (self.a < other.a)
-        return (self - other).sign()
+        n1, n2 = self.n, other.n
+        return _sign(self.p * n2 - other.p * n1, self.q * n2 - other.q * n1, self._join_d(other))
 
     def __lt__(self, other: Exponent) -> bool:
+        if not self.q and not other.q:
+            return self.p * other.n < other.p * self.n
         return self._cmp(other) < 0
 
     def __le__(self, other: Exponent) -> bool:
@@ -103,12 +131,22 @@ class Exponent:
     def __ge__(self, other: Exponent) -> bool:
         return self._cmp(other) >= 0
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Exponent:
+            return NotImplemented
+        return self.p == other.p and self.n == other.n and self.q == other.q and self.d == other.d
+
+    def __hash__(self) -> int:
+        # integers only: hash(None) is an address on some interpreters
+        return hash((self.p, self.q, self.n))
+
     # -- io --------------------------------------------------------------------
     def __str__(self):
-        if self.b == 0:
+        if not self.q:
             return str(self.a)
-        bs = f"sqrt({self.d})" if self.b == 1 else (f"-sqrt({self.d})" if self.b == -1 else f"{self.b}*sqrt({self.d})")
-        if self.a == 0:
+        b = self.b
+        bs = f"sqrt({self.d})" if b == 1 else (f"-sqrt({self.d})" if b == -1 else f"{b}*sqrt({self.d})")
+        if not self.p:
             return bs
         sign = "" if bs.startswith("-") else "+"
         return f"{self.a}{sign}{bs}"
@@ -143,24 +181,44 @@ class Exponent:
         return Exponent(a, b, dd)
 
 
-def _rational(a: Fraction) -> Exponent:
-    """Exponent(a) for a Fraction a, without re-wrapping it in __post_init__."""
-    e = object.__new__(Exponent)
-    object.__setattr__(e, "a", a)
-    object.__setattr__(e, "b", _FRACTION_ZERO)
-    object.__setattr__(e, "d", None)
+_new = object.__new__
+_setattr = object.__setattr__
+
+
+def _init(e: Exponent, p: int, q: int, n: int, d: int | None) -> None:
+    """Set the fields of e, which must already be in lowest terms."""
+    _setattr(e, "p", p)
+    _setattr(e, "q", q)
+    _setattr(e, "n", n)
+    _setattr(e, "d", d)
+
+
+def _make(p: int, q: int, n: int, d: int | None) -> Exponent:
+    """(p + q*sqrt(d))/n for n > 0, brought to lowest terms; d is dropped
+    when q is 0."""
+    g = gcd(p, q, n)
+    if g != 1:
+        p, q, n = p // g, q // g, n // g
+    e = _new(Exponent)
+    _init(e, p, q, n, d if q else None)
     return e
 
 
-_FRACTION_ZERO = Fraction(0)
-EXP_ZERO = Exponent(Fraction(0))
-EXP_ONE = Exponent(Fraction(1))
+def _rational(a: Fraction) -> Exponent:
+    """Exponent(a) for a Fraction a."""
+    return _make(a.numerator, 0, a.denominator, None)
+
+
+EXP_ZERO = _rational(Fraction(0))
+EXP_ONE = _rational(Fraction(1))
 
 
 def exp(q, d: int | None = None) -> Exponent:
     """Shorthand: exp(3), exp("1/2"), exp((1, 1), d=2) for 1 + sqrt(2)."""
     if isinstance(q, Exponent):
         return q
+    if isinstance(q, (int, Fraction)):
+        return _rational(Fraction(q))
     if isinstance(q, tuple):
         return Exponent(Fraction(q[0]), Fraction(q[1]), d)
     return Exponent(Fraction(q))

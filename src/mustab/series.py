@@ -6,6 +6,15 @@ precision None means the series is exact (all omitted coefficients are
 genuinely zero), which is the common case for Laurent-polynomial branch
 data and keeps implicitization sound.
 
+The public constructor `PuiseuxSeries(dom, terms, precision)` accepts terms
+in any order: it drops zero coefficients, sorts, rejects duplicate
+exponents and drops the terms at or above the precision.  The arithmetic
+here knows its results are already in that form and builds them with the
+private `PuiseuxSeries._ordered`, which checks nothing: `+` is a linear
+merge of the two ordered term lists, `*` collects the products in a dict
+keyed by exponent and sorts once, and negation, `scale`, `shift` and
+`truncate` keep the order of their input.
+
 Coefficients are Scalars by default, but any ring-like objects work
 (multivariate polynomials are used by the stabilizer ansatz); the
 CoeffDomain adapter supplies zero/one, rational images and unit inversion.
@@ -16,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import (
     FieldMismatch,
@@ -117,6 +127,10 @@ class PolyDomain(CoeffDomain):
         return self.ring.field.char
 
 
+_new = object.__new__
+_exponent_of = itemgetter(0)
+
+
 def _min_prec(p: Exponent | None, q: Exponent | None) -> Exponent | None:
     if p is None:
         return q
@@ -138,7 +152,7 @@ class PuiseuxSeries:
 
     def __init__(self, dom: CoeffDomain, terms, precision: Exponent | None):
         clean = [(e, c) for e, c in terms if not c.is_zero()]
-        clean.sort(key=lambda t: t[0])
+        clean.sort(key=_exponent_of)
         for i in range(1, len(clean)):
             if not clean[i - 1][0] < clean[i][0]:
                 raise ValueError("duplicate or unordered exponents")
@@ -147,6 +161,16 @@ class PuiseuxSeries:
         self.dom = dom
         self.terms = tuple(clean)
         self.precision = precision
+
+    @staticmethod
+    def _ordered(dom: CoeffDomain, terms: tuple, precision: Exponent | None) -> PuiseuxSeries:
+        """The series of `terms`, which must already be ascending, nonzero
+        and below `precision`; nothing is sorted or checked."""
+        s = _new(PuiseuxSeries)
+        s.dom = dom
+        s.terms = terms
+        s.precision = precision
+        return s
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -202,17 +226,33 @@ class PuiseuxSeries:
     def __add__(self, other: PuiseuxSeries) -> PuiseuxSeries:
         self._check(other)
         prec = _min_prec(self.precision, other.precision)
-        acc: dict = {}
-        for e, c in self.terms + other.terms:
-            key = (e.a, e.b, e.d)
-            if key in acc:
-                acc[key] = (e, acc[key][1] + c)
+        xs, ys = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(xs) and j < len(ys):
+            ex, cx = xs[i]
+            ey, cy = ys[j]
+            if ex == ey:
+                c = cx + cy
+                if not c.is_zero():
+                    out.append((ex, c))
+                i += 1
+                j += 1
+            elif ex < ey:
+                out.append(xs[i])
+                i += 1
             else:
-                acc[key] = (e, c)
-        return PuiseuxSeries(self.dom, list(acc.values()), prec)
+                out.append(ys[j])
+                j += 1
+        out += xs[i:]
+        out += ys[j:]
+        if prec is not None:
+            while out and not out[-1][0] < prec:
+                out.pop()
+        return PuiseuxSeries._ordered(self.dom, tuple(out), prec)
 
     def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries(self.dom, [(e, -c) for e, c in self.terms], self.precision)
+        return PuiseuxSeries._ordered(self.dom, tuple((e, -c) for e, c in self.terms), self.precision)
 
     def __sub__(self, other: PuiseuxSeries) -> PuiseuxSeries:
         return self + (-other)
@@ -228,31 +268,36 @@ class PuiseuxSeries:
             for e2, c2 in other.terms:
                 e = e1 + e2
                 if prec is not None and not e < prec:
-                    continue
-                key = (e.a, e.b, e.d)
+                    break  # the exponents of other ascend: so do the rest
                 c = c1 * c2
-                if key in acc:
-                    acc[key] = (e, acc[key][1] + c)
-                else:
-                    acc[key] = (e, c)
-        return PuiseuxSeries(self.dom, list(acc.values()), prec)
+                old = acc.get(e)
+                acc[e] = c if old is None else old + c
+        terms = sorted(((e, c) for e, c in acc.items() if not c.is_zero()), key=_exponent_of)
+        return PuiseuxSeries._ordered(self.dom, tuple(terms), prec)
 
     def scale(self, c) -> PuiseuxSeries:
         if c.is_zero():
             return PuiseuxSeries.zero(self.dom, self.precision)
-        return PuiseuxSeries(self.dom, [(e, co * c) for e, co in self.terms], self.precision)
+        terms = ((e, co * c) for e, co in self.terms)
+        return PuiseuxSeries._ordered(self.dom, tuple(t for t in terms if not t[1].is_zero()), self.precision)
 
     def shift(self, e) -> PuiseuxSeries:
         """Multiply by t^e."""
         e = exp(e)
-        return PuiseuxSeries(
+        return PuiseuxSeries._ordered(
             self.dom,
-            [(ee + e, c) for ee, c in self.terms],
+            tuple((ee + e, c) for ee, c in self.terms),
             _add_prec(self.precision, e),
         )
 
     def truncate(self, prec: Exponent) -> PuiseuxSeries:
-        return PuiseuxSeries(self.dom, self.terms, _min_prec(self.precision, prec))
+        prec = _min_prec(self.precision, prec)
+        terms = self.terms
+        k = len(terms)
+        if prec is not None:
+            while k and not terms[k - 1][0] < prec:
+                k -= 1
+        return PuiseuxSeries._ordered(self.dom, terms[:k], prec)
 
     def __pow__(self, k: int) -> PuiseuxSeries:
         if k < 0:

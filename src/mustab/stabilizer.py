@@ -224,7 +224,12 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     )
     best = (dim_before, _term_count(branch), branch, ident_cert)
     irrational = any(s.has_irrational_exponent() for s in branch.element.entries_flat())
+    # an unbounded branch has type dimension >= 1, so a candidate cannot
+    # beat (1, its term count)
+    unbounded = is_centered_at_infinity(branch)
     for cand in candidates:
+        if unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
+            continue
         try:
             cert = mu_correct(branch, cand, budgets.order_budget, budgets)
         except BudgetExceeded:

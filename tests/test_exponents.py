@@ -1,11 +1,18 @@
 """Exact total order on Q + Q*sqrt(d) exponents."""
 
+import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mustab
 from mustab.errors import FieldMismatch
 from mustab.exponents import EXP_ZERO, Exponent, _rational, exp
 
@@ -100,3 +107,98 @@ def test_rational_constructor_matches_exponent(a):
     assert e == Exponent(a) and hash(e) == hash(Exponent(a))
     assert (e.a, e.b, e.d) == (a, Fraction(0), None)
     assert e.is_rational() and str(e) == str(Exponent(a))
+
+
+# -- the integer representation against a Fraction-pair reference ----------
+
+def _ref_sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d) from sqrt(d) to 40 digits; the exponents drawn
+    here are far from 0 unless a = b = 0, so the error cannot flip it."""
+    if a == 0 and b == 0:
+        return 0
+    approx = a + b * Fraction(math.isqrt(d * 10**80), 10**40)
+    return (approx > 0) - (approx < 0)
+
+
+def _model(x: Exponent) -> tuple[Fraction, Fraction]:
+    return x.a, x.b
+
+
+def _from_model(a: Fraction, b: Fraction, d: int) -> Exponent:
+    return Exponent(a, b, d if b else None)
+
+
+def _well_formed(x: Exponent, d: int) -> bool:
+    """Lowest terms, n > 0, d exactly on irrational exponents, Fraction views."""
+    ints = all(type(v) is int for v in (x.p, x.q, x.n))
+    return ints and x.n > 0 and math.gcd(x.p, x.q, x.n) == 1 and x.d == (d if x.q else None) and type(x.a) is type(x.b) is Fraction
+
+
+pairs = st.tuples(fractions, st.one_of(st.just(Fraction(0)), fractions))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from([2, 3, 5]), pairs, pairs, fractions)
+def test_integer_exponent_matches_fraction_model(d, ab, cd, r):
+    x, y = _from_model(*ab, d), _from_model(*cd, d)
+    assert _well_formed(x, d) and _well_formed(y, d)
+    (a, b), (c, e) = ab, cd
+    s = _ref_sign(a - c, b - e, d)
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert x.sign() == _ref_sign(a, b, d) and x.is_zero() == (a == 0 and b == 0)
+    for got, want in ((x + y, (a + c, b + e)), (x - y, (a - c, b - e)), (-x, (-a, -b)), (x.scale(r), (a * r, b * r))):
+        assert _well_formed(got, d)
+        assert _model(got) == want
+        assert got == _from_model(*want, d) and hash(got) == hash(_from_model(*want, d))
+    assert (x == y) == (ab == cd)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x + y) - y == x and hash((x + y) - y) == hash(x)
+    assert Exponent.parse(str(x), d) == x and str(Exponent.parse(str(x), d)) == str(x)
+    assert x.is_rational() == (b == 0)
+    if b == 0:
+        assert x.as_fraction() == a and x.denominator == a.denominator
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 5), (5, 2)]), fractions, fractions)
+def test_mixed_square_roots_raise(ds, a, b):
+    x = Exponent(a, 1, ds[0])
+    y = Exponent(b, -1, ds[1])
+    for op in (
+        lambda: x + y,
+        lambda: x - y,
+        lambda: x < y,
+        lambda: x <= y,
+        lambda: x > y,
+        lambda: x >= y,
+    ):
+        with pytest.raises(FieldMismatch):
+            op()
+    assert x != y
+
+
+def test_exponent_fields_are_read_only():
+    e = exp("1/2")
+    with pytest.raises(AttributeError):
+        e.p = 3
+    assert (e.p, e.q, e.n, e.d) == (1, 0, 2, None)
+    assert pickle.loads(pickle.dumps(e)) == e
+    assert pickle.loads(pickle.dumps(Exponent(1, 2, 3))) == Exponent(1, 2, 3)
+
+
+def test_exponent_hashes_repeat_across_interpreters():
+    """Hashes are built from integers only, so the hash of a rational
+    exponent does not depend on the address of None in one process."""
+    script = (
+        "from mustab.exponents import Exponent, exp\n"
+        "es = [exp(0), exp(3), exp('-5/2'), exp((1, 1), d=2), Exponent.parse('2/3-1/4*sqrt(5)')]\n"
+        "print([hash(e) for e in es])\n"
+    )
+    src = str(Path(mustab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    outs = [
+        subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True).stdout
+        for _ in range(2)
+    ]
+    assert outs[0] == outs[1] and outs[0].startswith("[")

@@ -303,3 +303,80 @@ def test_hypothesis_commutativity(f, g):
 @given(laurent_series(), laurent_series(), laurent_series())
 def test_hypothesis_distributivity(f, g, h):
     assert ((f + g) * h).agrees_with(f * h + g * h)
+
+
+# -- the ordered-term fast paths against the checking constructor ----------
+
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
+EXPONENT_POOL = [exp(Fraction(a, n)) for a in range(-4, 7) for n in (1, 2, 3)] + [
+    Exponent(Fraction(a, 2), b, 2) for a in range(-4, 5) for b in (-1, 1, 2)
+]
+
+
+def _random_series(rng, dom):
+    terms = {rng.choice(EXPONENT_POOL): dom.field.from_int(rng.randrange(-4, 5)) for _ in range(rng.randrange(0, 7))}
+    prec = None if rng.random() < 0.4 else rng.choice(EXPONENT_POOL)
+    return PuiseuxSeries(dom, list(terms.items()), prec)
+
+
+def _ref_min(p, q):
+    return q if p is None else p if q is None or p <= q else q
+
+
+def _ref_add(f, g):
+    acc = {}
+    for e, c in f.terms + g.terms:
+        acc[e] = acc[e] + c if e in acc else c
+    return PuiseuxSeries(f.dom, list(acc.items()), _ref_min(f.precision, g.precision))
+
+
+def _ref_mul(f, g):
+    p1 = None if f.precision is None or g.val_bound() is None else f.precision + g.val_bound()
+    p2 = None if g.precision is None or f.val_bound() is None else g.precision + f.val_bound()
+    prec = _ref_min(p1, p2)
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = e1 + e2
+            if prec is None or e < prec:
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return PuiseuxSeries(f.dom, list(acc.items()), prec)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+def test_ordered_results_match_the_checking_constructor(field):
+    """+, -, *, scale, shift and truncate build their results without
+    sorting or checking; each equals the parent algorithm's series built by
+    the public constructor, and rebuilding it there changes nothing."""
+    dom = ScalarDomain(field)
+    rng = random.Random(7)
+    for _ in range(300):
+        f, g = _random_series(rng, dom), _random_series(rng, dom)
+        c = field.from_int(rng.randrange(0, 3))
+        e, p = rng.choice(EXPONENT_POOL), rng.choice(EXPONENT_POOL)
+        neg_g = PuiseuxSeries(dom, [(x, -y) for x, y in g.terms], g.precision)
+        cases = [
+            (f + g, _ref_add(f, g)),
+            (f - g, _ref_add(f, neg_g)),
+            (-g, neg_g),
+            (f * g, _ref_mul(f, g)),
+            (f.scale(c), PuiseuxSeries(dom, [(x, y * c) for x, y in f.terms], f.precision)),
+            (f.shift(e), PuiseuxSeries(dom, [(x + e, y) for x, y in f.terms], None if f.precision is None else f.precision + e)),
+            (f.truncate(p), PuiseuxSeries(dom, f.terms, _ref_min(f.precision, p))),
+        ]
+        for got, want in cases:
+            rebuilt = PuiseuxSeries(dom, list(reversed(got.terms)), got.precision)
+            assert (rebuilt.terms, rebuilt.precision) == (got.terms, got.precision)
+            assert (got.terms, got.precision) == (want.terms, want.precision)
+            assert type(got.terms) is tuple
+
+
+def test_public_constructor_still_checks():
+    one = QQ.one()
+    with pytest.raises(ValueError, match="duplicate"):
+        PuiseuxSeries(DQ, [(exp(1), one), (exp("2/2"), one)], None)
+    r = Exponent(Fraction(0), Fraction(1), 2)
+    with pytest.raises(ValueError, match="duplicate"):
+        PuiseuxSeries(DQ, [(r, one), (exp(1), QQ.zero()), (Exponent(0, Fraction(2, 2), 2), one)], None)
+    s = PuiseuxSeries(DQ, [(exp(3), one), (exp(1), one), (exp(2), QQ.zero())], exp(3))
+    assert s.terms == ((exp(1), one),)

@@ -15,6 +15,10 @@ from mustab.groups import GroupScheme, KPoint
 from mustab.ideals import Budgets, Ideal, ideal, ideal_equal, ideal_intersect, krull_dim
 from mustab.pipeline import compute_stabilizer
 from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab import stabilizer
+from mustab.corpus import corpus_entries
+from mustab.jobs import parse_budgets, parse_plane_curve
+from mustab.newton import places_at_infinity
 from mustab.stabilizer import mu_correct, mu_reduce, stab_reparam
 from mustab.subgroups import (
     Failure,
@@ -114,6 +118,50 @@ def test_mu_reduce_strips_positive_tail():
     eps = cert.eps
     assert eps.in_mu()
     assert str(eps.entries[0][1]) == "t"  # the correction [[1, t], [0, 1]]
+
+
+def _truncated_tail_branch():
+    """SL(2) [[1/t, 0], [1 + t + ... + t^29 + O(t^30), t]]: 30 candidates."""
+    tail = S(*[(k, 1) for k in range(30)], prec=30)
+    return [(validate_branch(SL2, ((S((-1, 1)), Z()), (tail, S((1, 1))))), Budgets(degree_bound=4))]
+
+
+def _circle_f5_places():
+    job = next(e["job"] for e in corpus_entries() if e["job"]["name"] == "circle_f5")
+    budgets = parse_budgets(job["budgets"])
+    scheme = GroupScheme("Additive", 2, F5)
+    curve = parse_plane_curve(job["input"]["plane_curve"], scheme)
+    return [(b, budgets) for b in places_at_infinity(curve, budgets.precision)]
+
+
+@pytest.mark.parametrize("places", [_truncated_tail_branch, _circle_f5_places], ids=["x2_truncated_tail", "circle_f5"])
+def test_mu_reduce_pruning_keeps_the_result(places, monkeypatch):
+    """Skipping the candidates that cannot beat (1, their term count)
+    changes no output of mu_reduce, only the number of candidates tried."""
+    inputs = places()
+    calls = []
+    original = stabilizer.mu_correct
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(stabilizer, "mu_correct", counted)
+    for branch, budgets in inputs:
+        pruned = mu_reduce(branch, budgets)
+        n_pruned = len(calls)
+        # the bound applies to unbounded branches only: call them bounded
+        with monkeypatch.context() as m:
+            m.setattr(stabilizer, "is_centered_at_infinity", lambda b: False)
+            full = mu_reduce(branch, budgets)
+        n_full = len(calls) - n_pruned
+        calls.clear()
+        (red_p, cert_p, *dims_p), (red_f, cert_f, *dims_f) = pruned, full
+        assert red_p.element == red_f.element and red_p.notes == red_f.notes
+        assert red_p.ramification == red_f.ramification
+        assert (cert_p.s, cert_p.eps) == (cert_f.s, cert_f.eps)
+        assert dims_p == dims_f
+        assert n_pruned < n_full
 
 
 # -- stab_reparam ---------------------------------------------------------------
