@@ -217,8 +217,6 @@ def exp(q, d: int | None = None) -> Exponent:
     """Shorthand: exp(3), exp("1/2"), exp((1, 1), d=2) for 1 + sqrt(2)."""
     if isinstance(q, Exponent):
         return q
-    if isinstance(q, (int, Fraction)):
-        return _rational(Fraction(q))
     if isinstance(q, tuple):
         return Exponent(Fraction(q[0]), Fraction(q[1]), d)
     return Exponent(Fraction(q))
