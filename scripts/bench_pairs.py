@@ -11,7 +11,9 @@ parent first on even i and change first on odd i. A run whose output gate
 fails (`correct` false) stops the script. The file keeps the last JSON line
 of every run and, per workload, each side's total `failed` jobs and, per
 end-to-end metric, each side's median and quartiles and the number of pairs
-the change won.
+the change won. After the pairs, each side runs every workload once more with
+seed 1 and --trace 1, and the file keeps the self times (`*.self_s`) of that
+run, to show in which layer a change in the end-to-end numbers sits.
 """
 
 import argparse
@@ -24,8 +26,8 @@ from pathlib import Path
 PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if not lines:
@@ -70,7 +72,15 @@ def main() -> int:
                 pair[side] = run_once(getattr(args, side), workload, i + 1, seconds)
             pairs.append(pair)
             print(workload, i + 1, {s: pair[s]["metrics"]["jobs_per_s"]["value"] for s in order}, file=sys.stderr)
-        result["workloads"][workload] = {"summary": summarize(pairs, bench["end_to_end"]), "pairs": pairs}
+        traced = {}
+        for side in ("parent", "change"):
+            metrics = run_once(getattr(args, side), workload, 1, seconds, trace=1)["metrics"]
+            traced[side] = {name: m["value"] for name, m in metrics.items() if name.endswith(".self_s")}
+        result["workloads"][workload] = {
+            "summary": summarize(pairs, bench["end_to_end"]),
+            "traced_self_s_seed_1": traced,
+            "pairs": pairs,
+        }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

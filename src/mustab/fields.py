@@ -307,7 +307,7 @@ class Scalar:
     rep: object
 
     def _check(self, other: Scalar):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def is_zero(self) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, le, sub
 
 from .errors import BudgetExceeded, EmptyVariety
 from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, order_by_name
@@ -43,42 +44,60 @@ def ideal(ring: PolyRing, *gens) -> Ideal:
 
 
 def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[Poly], Poly]:
     """Multivariate division: f = sum(q_i g_i) + r with no term of r
-    divisible by any leading monomial; returns (quotients, remainder)."""
+    divisible by any leading monomial; returns (quotients, remainder).
+
+    The largest remaining monomial is reduced by the first divisor, in
+    basis order, whose leading monomial divides it, else moved to r."""
     ring = f.ring
-    quots = [ring.zero() for _ in basis]
-    rem = ring.zero()
-    p = f
-    lead = []
+    divisors = []
     for g in basis:
         lm = g.leading_monomial(order)
-        lead.append((lm, g.terms[lm]))
-    while not p.is_zero():
-        m = p.leading_monomial(order)
-        c = p.terms[m]
-        for i, (lm, lc) in enumerate(lead):
+        tail = [(m, c) for m, c in g.terms.items() if m != lm]
+        divisors.append((lm, g.terms[lm], tail))
+    quots: list[dict] = [{} for _ in basis]
+    rem: dict = {}
+    p = dict(f.terms)
+    keys = {m: order.key(m) for m in p}
+    while p:
+        m = max(p, key=keys.__getitem__)
+        c = p.pop(m)
+        for i, (lm, lc, tail) in enumerate(divisors):
             if _mono_divides(lm, m):
-                factor = ring.monomial(_mono_quot(m, lm), c / lc)
-                quots[i] = quots[i] + factor
-                p = p - factor * basis[i]
+                # p -= q x^qm g; the leading term cancels c exactly.  The
+                # largest monomial strictly decreases, so qm is new to q_i.
+                q = c / lc
+                qm = _mono_quot(m, lm)
+                quots[i][qm] = q
+                q = -q
+                for tm, tc in tail:
+                    mm = tuple(map(add, qm, tm))
+                    if mm in p:
+                        s = p[mm] + q * tc
+                        if s.is_zero():
+                            del p[mm]
+                        else:
+                            p[mm] = s
+                    else:
+                        p[mm] = q * tc
+                        if mm not in keys:
+                            keys[mm] = order.key(mm)
                 break
         else:
-            t = ring.monomial(m, c)
-            rem = rem + t
-            p = p - t
-    return quots, rem
+            rem[m] = c
+    return [Poly._trusted(ring, q) for q in quots], Poly._trusted(ring, rem)
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:

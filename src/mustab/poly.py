@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import add, neg
 
 from .errors import FieldMismatch
 from .fields import FieldSpec, Scalar, pow_by_squaring
@@ -25,10 +26,6 @@ class MonomialOrder:
     def key(self, m: Monomial):
         raise NotImplementedError
 
-    def cmp_leading(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
 
 class Lex(MonomialOrder):
     name = "lex"
@@ -41,7 +38,7 @@ class GrevLex(MonomialOrder):
     name = "grevlex"
 
     def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (sum(m), tuple(map(neg, reversed(m))))
 
 
 class BlockOrder(MonomialOrder):
@@ -61,15 +58,18 @@ class BlockOrder(MonomialOrder):
     def key(self, m: Monomial):
         a = tuple(m[i] for i in self.first)
         b = tuple(m[i] for i in self.second)
-        return (sum(a), tuple(-e for e in reversed(a)), sum(b), tuple(-e for e in reversed(b)))
+        return (sum(a), tuple(map(neg, reversed(a))), sum(b), tuple(map(neg, reversed(b))))
+
+
+# one instance per named order, so a leading monomial cached under a ring's
+# order (Poly._lead, keyed by identity) serves every later ask of that ring
+_NAMED_ORDERS = {"lex": Lex(), "grevlex": GrevLex()}
 
 
 def order_by_name(name: str) -> MonomialOrder:
-    if name == "lex":
-        return Lex()
-    if name == "grevlex":
-        return GrevLex()
-    raise ValueError(f"unknown monomial order {name!r}")
+    if name not in _NAMED_ORDERS:
+        raise ValueError(f"unknown monomial order {name!r}")
+    return _NAMED_ORDERS[name]
 
 
 @dataclass(frozen=True)
@@ -121,14 +121,31 @@ class PolyRing:
 
 class Poly:
     """Immutable sparse polynomial; terms maps exponent tuples to nonzero
-    scalars."""
+    scalars.
 
-    __slots__ = ("ring", "terms", "_hash")
+    The public constructor drops zero coefficients; `_trusted` keeps a dict
+    the caller built without zeros.  `_lead` caches (order, leading
+    monomial) for the last order asked, reused only for that same object.
+    """
+
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
         self._hash = None
+        self._lead = None
+
+    @classmethod
+    def _trusted(cls, ring: PolyRing, terms: dict) -> Poly:
+        """A Poly over `terms`, which has no zero coefficient; the dict is
+        kept, not copied."""
+        p = object.__new__(cls)
+        p.ring = ring
+        p.terms = terms
+        p._hash = None
+        p._lead = None
+        return p
 
     # -- basic structure -------------------------------------------------
     def is_zero(self) -> bool:
@@ -160,7 +177,7 @@ class Poly:
         return self._hash
 
     def _check(self, other: Poly):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise FieldMismatch(f"polynomial rings differ: {self.ring} vs {other.ring}")
 
     # -- arithmetic ------------------------------------------------------
@@ -177,10 +194,10 @@ class Poly:
                     out[m] = s
             else:
                 out[m] = c
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def __neg__(self):
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -191,7 +208,7 @@ class Poly:
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 c = c1 * c2
                 if m in out:
                     s = out[m] + c
@@ -201,7 +218,7 @@ class Poly:
                         out[m] = s
                 elif not c.is_zero():
                     out[m] = c
-        return Poly(self.ring, out)
+        return Poly._trusted(self.ring, out)
 
     def __rmul__(self, other):
         return self * other
@@ -214,7 +231,7 @@ class Poly:
     def scale(self, c: Scalar) -> Poly:
         if c.is_zero():
             return self.ring.zero()
-        return Poly(self.ring, {m: co * c for m, co in self.terms.items()})
+        return Poly._trusted(self.ring, {m: co * c for m, co in self.terms.items()})
 
     def _coerce(self, other) -> Poly:
         if isinstance(other, Poly):
@@ -227,7 +244,12 @@ class Poly:
 
     # -- leading data ----------------------------------------------------
     def leading_monomial(self, order: MonomialOrder) -> Monomial:
-        return max(self.terms, key=order.key)
+        lead = self._lead
+        if lead is not None and lead[0] is order:
+            return lead[1]
+        m = max(self.terms, key=order.key)
+        self._lead = (order, m)
+        return m
 
     def leading_coefficient(self, order: MonomialOrder) -> Scalar:
         return self.terms[self.leading_monomial(order)]

@@ -250,9 +250,9 @@ def test_ideal_intersection():
 
 
 def test_lex_vs_grevlex_orders():
-    assert Lex().cmp_leading((1, 0), (0, 5)) > 0
-    assert GrevLex().cmp_leading((1, 0), (0, 5)) < 0
-    assert GrevLex().cmp_leading((0, 2, 0), (1, 0, 1)) > 0
+    assert Lex().key((1, 0)) > Lex().key((0, 5))
+    assert GrevLex().key((1, 0)) < GrevLex().key((0, 5))
+    assert GrevLex().key((0, 2, 0)) > GrevLex().key((1, 0, 1))
 
 
 from hypothesis import given, settings, strategies as st
