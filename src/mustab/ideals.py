@@ -4,6 +4,12 @@ Krull dimension.
 Buchberger runs with the coprime-lcm and chain criteria under a
 configurable S-pair budget; bases are returned reduced and monic, sorted
 by leading monomial, so re-running is a fixed point.
+
+Division (`reduce_poly`, Cox-Little-O'Shea 2.3) reduces one dict of the
+remaining terms in place.  Each divisor's leading term (cached on the Poly
+per order) and tail are read once per call, order keys are memoized for the
+call, and the quotients and remainder are built as dicts and wrapped by the
+trusted Poly constructor, with no Poly per division step.
 """
 
 from __future__ import annotations

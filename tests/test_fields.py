@@ -1,5 +1,6 @@
 """Scalar arithmetic over Q, Q(sqrt d), F_p, F_q."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from mustab.errors import DivisionByZero, FieldMismatch
 from mustab.fields import QQ, FieldSpec, pow_by_squaring
+from mustab.poly import PolyRing
 
 QS2 = FieldSpec("QSqrt", d=2)
 F5 = FieldSpec("Fp", p=5)
@@ -44,8 +46,26 @@ def test_inv_zero_raises():
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        QQ.one() + F5.one()
+    # Q with F_5 and F_5 with F_7, in Scalar and in Poly arithmetic; the
+    # identity fast path in the checks must not let a mismatch through
+    F7 = FieldSpec("Fp", p=7)
+    for a, b in ((QQ, F5), (F5, F7)):
+        x, y = a.from_int(2), b.from_int(3)
+        px, py = PolyRing(a, ("x",)).var("x"), PolyRing(b, ("x",)).var("x")
+        for left, right in ((x, y), (y, x), (px, py), (py, px)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(FieldMismatch):
+                    op(left, right)
+        with pytest.raises(FieldMismatch):
+            x / y
+    # one field, different variables: only the ring check can see this
+    px, py = PolyRing(F5, ("x",)).var("x"), PolyRing(F5, ("y",)).var("y")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(FieldMismatch):
+            op(px, py)
+    # equal specs built separately still combine
+    assert F5.from_int(2) + FieldSpec("Fp", p=5).from_int(3) == F5.zero()
+    assert PolyRing(F5, ("x",)).var("x") * PolyRing(FieldSpec("Fp", p=5), ("x",)).var("x") == PolyRing(F5, ("x",)).parse("x^2")
 
 
 def test_fq_arithmetic_and_inverse():

@@ -22,9 +22,10 @@ from mustab.ideals import (
     ideal_member,
     krull_dim,
     normal_form,
+    reduce_poly,
     s_poly,
 )
-from mustab.poly import GrevLex, Lex, PolyRing
+from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -285,3 +286,112 @@ def test_hypothesis_gb_idempotent_and_spolys_vanish(I):
             assert normal_form(s_poly(basis[i], basis[j], order), basis, order).is_zero()
     for g in I.gens:
         assert ideal_member(g, gb)[0]
+
+
+QS2 = FieldSpec("QSqrt", d=2)
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))  # F_3[w]/(w^2 + 1)
+
+
+def reference_reduce_poly(f, basis, order):
+    """The division reduce_poly replaced: one Poly per step, the leading
+    monomial taken afresh by max over the terms each time."""
+    ring = f.ring
+    quots = [ring.zero() for _ in basis]
+    rem = ring.zero()
+    p = f
+    lead = []
+    for g in basis:
+        lm = max(g.terms, key=order.key)
+        lead.append((lm, g.terms[lm]))
+    while not p.is_zero():
+        m = max(p.terms, key=order.key)
+        c = p.terms[m]
+        for i, (lm, lc) in enumerate(lead):
+            if all(x <= y for x, y in zip(lm, m)):
+                factor = ring.monomial(tuple(x - y for x, y in zip(m, lm)), c / lc)
+                quots[i] = quots[i] + factor
+                p = p - factor * basis[i]
+                break
+        else:
+            t = ring.monomial(m, c)
+            rem = rem + t
+            p = p - t
+    return quots, rem
+
+
+@st.composite
+def division_case(draw):
+    field = draw(st.sampled_from([QQ, QS2, F5, F9]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    theta = {"QSqrt": field.sqrt_d, "Fq": field.generator}.get(field.kind, field.one)()
+
+    def scalar():
+        # a + b*theta over a denominator c: fractions over Q, sqrt(2) over
+        # Q(sqrt 2), the generator w over F_9
+        a, b = draw(st.integers(-4, 4)), draw(st.integers(-2, 2))
+        c = field.from_int(draw(st.sampled_from([1, 2, 3])))
+        return (field.from_int(a) + field.from_int(b) * theta) / (field.one() if c.is_zero() else c)
+
+    def poly(max_terms, max_exp):
+        mono = st.tuples(*[st.integers(0, max_exp)] * 3)
+        terms = {m: scalar() for m in draw(st.lists(mono, min_size=1, max_size=max_terms, unique=True))}
+        return Poly(ring, terms)
+
+    f = poly(6, 3)
+    divisors = [g for g in (poly(3, 2) for _ in range(draw(st.integers(1, 3)))) if not g.is_zero()]
+    if not divisors:
+        divisors = [ring.var("x")]
+    return f, divisors
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_case(), st.sampled_from([Lex(), GrevLex(), BlockOrder((1,), (0, 2))]))
+def test_reduce_poly_matches_the_allocating_division(case, order):
+    f, divisors = case
+    quots, rem = reduce_poly(f, divisors, order)
+    ref_quots, ref_rem = reference_reduce_poly(f, divisors, order)
+    assert quots == ref_quots and rem == ref_rem
+    acc = rem
+    for q, g in zip(quots, divisors):
+        acc = acc + q * g
+    assert acc == f
+    leads = [g.leading_monomial(order) for g in divisors]
+    assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads for m in rem.terms)
+    for p in (*quots, rem):
+        assert not any(c.is_zero() for c in p.terms.values())
+
+
+def test_leading_monomial_cache_follows_the_order():
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    p = ring.parse("x^2*y + y^4 + x*z^3 + z^5 + x*y*z")
+    orders = [Lex(), GrevLex(), BlockOrder((0,), (1, 2)), BlockOrder((1,), (0, 2))]
+    leads = [max(p.terms, key=order.key) for order in orders]
+    assert len(set(leads)) == 3  # x^2*y, z^5, x^2*y, y^4: neighbours differ
+    for order in orders * 2 + orders[::-1] + [GrevLex(), Lex()]:
+        assert p.leading_monomial(order) == max(p.terms, key=order.key)
+    assert order_by_name("grevlex") is ring.order is PolyRing(QQ, ("a",)).order
+    assert order_by_name("lex") is PolyRing(QQ, ("a",), "lex").order
+
+
+@pytest.mark.parametrize("field", [F5, QS2, QQ], ids=["F5", "QS2", "Q"])
+def test_arithmetic_results_store_no_zero_coefficient(field):
+    ring = PolyRing(field, ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    if field.kind == "Fp":
+        # 1 + 4 and 2 + 3 vanish mod 5
+        a, b = x + y * 2, x * 4 + y * 3
+        prod = (x + y) * (x + y * 4)  # x^2 + 5xy + 4y^2
+    elif field.kind == "QSqrt":
+        s = field.sqrt_d()
+        a, b = x * s + y, -(x * s) + y
+        prod = (x + y * s) * (x - y * s)  # x^2 - 2y^2
+    else:
+        a, b = x, -x
+        prod = (x - y) * (x + y)
+    results = [a + b, a - a, x - x, b + (-b), -(a + b), prod, prod * ring.zero(), (a + b) * (a - b), a.scale(field.from_int(3))]
+    for r in results:
+        assert not any(c.is_zero() for c in r.terms.values())
+        rebuilt = Poly(ring, dict(r.terms))
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+    assert (x - x).is_zero() and (a - a).is_zero()
+    assert set(prod.terms) == {(2, 0), (0, 2)}
