@@ -255,8 +255,8 @@ def _rational_root(f: Poly) -> Scalar | None:
     (returning None) when the divisor enumeration would be unreasonable."""
     field = f.ring.field
     i = _uni_var_index(f)
-    denom = math.lcm(*(c.rep.denominator for c in f.terms.values()))
-    ints = {m[i]: c.rep * denom for m, c in f.terms.items()}
+    denom = math.lcm(*(c.as_fraction().denominator for c in f.terms.values()))
+    ints = {m[i]: c.as_fraction() * denom for m, c in f.terms.items()}
     deg = max(ints)
     a0 = ints.get(0, Fraction(0))
     if a0 == 0:

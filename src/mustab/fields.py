@@ -1,15 +1,20 @@
 """Exact coefficient fields: Q, Q(sqrt d), F_p and F_{p^n}.
 
 A FieldSpec names the field; a Scalar pairs a spec with a canonical
-representation (reduced Fraction, Fraction pair, residue in [0,p), or a
-short coefficient tuple modulo an irreducible polynomial).  All arithmetic
-is exact; nothing here touches floating point.
+representation: a (numerator, denominator) int pair in lowest terms for Q,
+a Fraction pair for Q(sqrt d), a residue in [0, p) for F_p, or a short
+coefficient tuple modulo an irreducible polynomial for F_q.  Scalar is an
+immutable slotted class whose arithmetic results are built by one trusted
+constructor, `_make`, as `exponents._make` builds exponents; Q arithmetic is
+gcd arithmetic on ints, with Fractions built only for `as_fraction`.  All
+arithmetic is exact; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 
@@ -41,27 +46,23 @@ def is_prime(n: int) -> bool:
 
 
 def _is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = int(n**0.5)
-    while r * r > n:
-        r -= 1
-    while (r + 1) * (r + 1) <= n:
-        r += 1
-    return r * r == n
+    return n >= 0 and isqrt(n) ** 2 == n
 
 
 def _int_nth_root(n: int, k: int) -> int | None:
     """Exact k-th root of n >= 0, or None."""
     if n < 0:
         return None
-    if n in (0, 1):
+    if n < 2:
         return n
-    r = int(round(n ** (1.0 / k)))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**k == n:
-            return c
-    return None
+    # integer Newton iteration from 2^ceil(bits/k), above the root: it
+    # decreases to floor(n^(1/k))
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x**k == n else None
+        x = y
 
 
 # dense univariate arithmetic over F_p (coefficient lists, low degree first),
@@ -212,18 +213,18 @@ class FieldSpec:
 
     def from_int(self, n: int) -> Scalar:
         if self.kind == "Q":
-            return Scalar(self, Fraction(n))
+            return _make(self, (n, 1))
         if self.kind == "QSqrt":
-            return Scalar(self, (Fraction(n), Fraction(0)))
+            return _make(self, (Fraction(n), Fraction(0)))
         if self.kind == "Fp":
-            return Scalar(self, n % self.p)
-        return Scalar(self, _fq_canon((n % self.p,)))
+            return _make(self, n % self.p)
+        return _make(self, _fq_canon((n % self.p,)))
 
     def from_fraction(self, q: Fraction) -> Scalar:
         if self.kind == "Q":
-            return Scalar(self, q)
+            return _make(self, (q.numerator, q.denominator))
         if self.kind == "QSqrt":
-            return Scalar(self, (q, Fraction(0)))
+            return _make(self, (q, Fraction(0)))
         num = self.from_int(q.numerator)
         if q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator {q.denominator} vanishes in characteristic {self.p}")
@@ -232,18 +233,18 @@ class FieldSpec:
     def sqrt_d(self) -> Scalar:
         if self.kind != "QSqrt":
             raise ValueError("sqrt generator only exists in QSqrt fields")
-        return Scalar(self, (Fraction(0), Fraction(1)))
+        return _make(self, (Fraction(0), Fraction(1)))
 
     def generator(self) -> Scalar:
         if self.kind != "Fq":
             raise ValueError("generator only exists in Fq fields")
-        return Scalar(self, (0, 1))
+        return _make(self, (0, 1))
 
     def elements(self):
         """Iterate all elements (finite fields only)."""
         if self.kind == "Fp":
             for i in range(self.p):
-                yield Scalar(self, i)
+                yield _make(self, i)
         elif self.kind == "Fq":
             n = self.extension_degree
             total = self.p**n
@@ -252,7 +253,7 @@ class FieldSpec:
                 for _ in range(n):
                     digits.append(c % self.p)
                     c //= self.p
-                yield Scalar(self, _fq_canon(tuple(digits)))
+                yield _make(self, _fq_canon(tuple(digits)))
         else:
             raise ValueError("cannot enumerate an infinite field")
 
@@ -295,92 +296,132 @@ def _fq_canon(coeffs) -> tuple[int, ...]:
     return tuple(c)
 
 
-@dataclass(frozen=True)
 class Scalar:
-    """An element of a FieldSpec in canonical form.
+    """An element of a FieldSpec in canonical form; immutable.
 
-    rep is a Fraction (Q), a (Fraction, Fraction) pair meaning a + b*sqrt(d)
+    rep is a (numerator, denominator) int pair in lowest terms with
+    denominator > 0 (Q), a (Fraction, Fraction) pair meaning a + b*sqrt(d)
     (QSqrt), an int in [0, p) (Fp), or a trimmed coefficient tuple (Fq).
+    Two scalars are equal when their fields are equal and their reps are.
+    The public constructor also accepts a Fraction or an int for Q;
+    arithmetic builds its results with the trusted `_make`.
     """
 
-    field: FieldSpec
-    rep: object
+    __slots__ = ("field", "rep")
+
+    def __init__(self, field: FieldSpec, rep):
+        if field.kind == "Q":
+            q = Fraction(*rep) if isinstance(rep, tuple) else Fraction(rep)
+            rep = (q.numerator, q.denominator)
+        _set_field(self, field)
+        _set_rep(self, rep)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field '{name}'")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field '{name}'")
+
+    def __reduce__(self):
+        return (_make, (self.field, self.rep))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Scalar:
+            return NotImplemented
+        return self.rep == other.rep and (self.field is other.field or self.field == other.field)
+
+    def __hash__(self) -> int:
+        return hash(self.rep)
 
     def _check(self, other: Scalar):
         if self.field is not other.field and self.field != other.field:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
+    def as_fraction(self) -> Fraction:
+        """The value of a Q scalar as a Fraction."""
+        if self.field.kind != "Q":
+            raise ValueError(f"{self} is not in Q")
+        return Fraction(*self.rep)
+
     def is_zero(self) -> bool:
         k = self.field.kind
         if k == "Q":
-            return self.rep == 0
+            return not self.rep[0]
         if k == "QSqrt":
-            return self.rep[0] == 0 and self.rep[1] == 0
-        if k == "Fp":
-            return self.rep == 0
+            return not self.rep[0] and not self.rep[1]
         return not self.rep
 
     def is_one(self) -> bool:
         return self == self.field.one()
 
     def __add__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        k = self.field.kind
+        field = self.field
+        if field is not other.field:
+            self._check(other)
+        k = field.kind
         if k == "Q":
-            return Scalar(self.field, self.rep + other.rep)
+            return _make(field, _q_add(self.rep, other.rep[0], other.rep[1]))
         if k == "QSqrt":
-            return Scalar(self.field, (self.rep[0] + other.rep[0], self.rep[1] + other.rep[1]))
+            return _make(field, (self.rep[0] + other.rep[0], self.rep[1] + other.rep[1]))
         if k == "Fp":
-            return Scalar(self.field, (self.rep + other.rep) % self.field.p)
-        p = self.field.p
+            return _make(field, (self.rep + other.rep) % field.p)
+        p = field.p
         n = max(len(self.rep), len(other.rep))
         a, b = self.rep, other.rep
-        return Scalar(
-            self.field,
-            _fq_canon([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]),
-        )
+        return _make(field, _fq_canon([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]))
 
     def __neg__(self) -> Scalar:
         k = self.field.kind
         if k == "Q":
-            return Scalar(self.field, -self.rep)
+            return _make(self.field, (-self.rep[0], self.rep[1]))
         if k == "QSqrt":
-            return Scalar(self.field, (-self.rep[0], -self.rep[1]))
+            return _make(self.field, (-self.rep[0], -self.rep[1]))
         if k == "Fp":
-            return Scalar(self.field, (-self.rep) % self.field.p)
+            return _make(self.field, (-self.rep) % self.field.p)
         p = self.field.p
-        return Scalar(self.field, _fq_canon([(-c) % p for c in self.rep]))
+        return _make(self.field, _fq_canon([(-c) % p for c in self.rep]))
 
     def __sub__(self, other: Scalar) -> Scalar:
+        if self.field.kind == "Q" and self.field is other.field:
+            return _make(self.field, _q_add(self.rep, -other.rep[0], other.rep[1]))
         return self + (-other)
 
     def __mul__(self, other: Scalar) -> Scalar:
-        self._check(other)
-        k = self.field.kind
+        field = self.field
+        if field is not other.field:
+            self._check(other)
+        k = field.kind
         if k == "Q":
-            return Scalar(self.field, self.rep * other.rep)
+            a, b = self.rep
+            c, d = other.rep
+            if b == 1 and d == 1:
+                return _make(field, (a * c, 1))
+            # cancel the cross gcds: a/d and c/b, both already coprime pairs
+            g1, g2 = gcd(a, d), gcd(c, b)
+            return _make(field, ((a // g1) * (c // g2), (b // g2) * (d // g1)))
         if k == "QSqrt":
             a, b = self.rep
             c, e = other.rep
-            return Scalar(self.field, (a * c + self.field.d * b * e, a * e + b * c))
+            return _make(field, (a * c + field.d * b * e, a * e + b * c))
         if k == "Fp":
-            return Scalar(self.field, (self.rep * other.rep) % self.field.p)
-        p = self.field.p
+            return _make(field, (self.rep * other.rep) % field.p)
+        p = field.p
         prod = _fp_mul(list(self.rep), list(other.rep), p)
-        return Scalar(self.field, _fq_canon(_fp_divmod(prod, list(self.field.modulus), p)[1]))
+        return _make(field, _fq_canon(_fp_divmod(prod, list(field.modulus), p)[1]))
 
     def inv(self) -> Scalar:
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {self.field}")
         k = self.field.kind
         if k == "Q":
-            return Scalar(self.field, 1 / self.rep)
+            a, b = self.rep
+            return _make(self.field, (b, a) if a > 0 else (-b, -a))
         if k == "QSqrt":
             a, b = self.rep
             norm = a * a - self.field.d * b * b
-            return Scalar(self.field, (a / norm, -b / norm))
+            return _make(self.field, (a / norm, -b / norm))
         if k == "Fp":
-            return Scalar(self.field, pow(self.rep, -1, self.field.p))
+            return _make(self.field, pow(self.rep, -1, self.field.p))
         # extended Euclid in F_p[x] against the modulus
         p = self.field.p
         r0, r1 = list(self.field.modulus), list(self.rep)
@@ -391,7 +432,7 @@ class Scalar:
             s0, s1 = s1, _fp_add(s0, [(-c) % p for c in _fp_mul(q, s1, p)], p)
         lead_inv = pow(r0[-1], -1, p)
         s0 = [(c * lead_inv) % p for c in s0]
-        return Scalar(self.field, _fq_canon(_fp_divmod(s0, list(self.field.modulus), p)[1]))
+        return _make(self.field, _fq_canon(_fp_divmod(s0, list(self.field.modulus), p)[1]))
 
     def __truediv__(self, other: Scalar) -> Scalar:
         return self * other.inv()
@@ -407,8 +448,8 @@ class Scalar:
             return self
         k = self.field.kind
         if k == "Q":
-            r = _fraction_sqrt(self.rep)
-            return None if r is None else Scalar(self.field, r)
+            r = _fraction_sqrt(self.as_fraction())
+            return None if r is None else self.field.from_fraction(r)
         if k == "QSqrt":
             return self._qsqrt_sqrt()
         if k == "Fp":
@@ -417,7 +458,7 @@ class Scalar:
                 return self
             if pow(self.rep, (p - 1) // 2, p) != 1:
                 return None
-            return Scalar(self.field, _tonelli_fp(self.rep, p))
+            return _make(self.field, _tonelli_fp(self.rep, p))
         return self._fq_sqrt()
 
     def _qsqrt_sqrt(self) -> Scalar | None:
@@ -426,10 +467,10 @@ class Scalar:
         if b == 0:
             r = _fraction_sqrt(a)
             if r is not None:
-                return Scalar(self.field, (r, Fraction(0)))
+                return _make(self.field, (r, Fraction(0)))
             r = _fraction_sqrt(a / d)
             if r is not None:
-                return Scalar(self.field, (Fraction(0), r))
+                return _make(self.field, (Fraction(0), r))
             return None
         # (x + y sqrt d)^2 = a + b sqrt d: x^2 + d y^2 = a, 2xy = b
         disc = _fraction_sqrt(a * a - d * b * b)
@@ -440,7 +481,7 @@ class Scalar:
             x = _fraction_sqrt(x2)
             if x is not None and x != 0:
                 y = b / (2 * x)
-                return Scalar(self.field, (x, y))
+                return _make(self.field, (x, y))
         return None
 
     def _fq_sqrt(self) -> Scalar | None:
@@ -462,13 +503,14 @@ class Scalar:
             return r
         fk = self.field.kind
         if fk == "Q":
-            num = _int_nth_root(abs(self.rep.numerator), k)
-            den = _int_nth_root(self.rep.denominator, k)
+            q = self.as_fraction()
+            num = _int_nth_root(abs(q.numerator), k)
+            den = _int_nth_root(q.denominator, k)
             if num is not None and den is not None:
-                if self.rep >= 0:
-                    return Scalar(self.field, Fraction(num, den))
+                if q >= 0:
+                    return self.field.from_fraction(Fraction(num, den))
                 if k % 2 == 1:
-                    return Scalar(self.field, Fraction(-num, den))
+                    return self.field.from_fraction(Fraction(-num, den))
             raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in Q")
         if fk in ("Fp", "Fq"):
             q = self.field.order
@@ -483,15 +525,15 @@ class Scalar:
         if target == self.field:
             return self
         if self.field.kind == "Q" and target.kind == "QSqrt":
-            return Scalar(target, (self.rep, Fraction(0)))
+            return _make(target, (self.as_fraction(), Fraction(0)))
         if self.field.kind == "Fp" and target.kind == "Fq" and target.p == self.field.p:
-            return Scalar(target, _fq_canon((self.rep,)))
+            return _make(target, _fq_canon((self.rep,)))
         raise FieldMismatch(f"no embedding {self.field} -> {target}")
 
     def __str__(self):
         k = self.field.kind
         if k == "Q":
-            return str(self.rep)
+            return str(self.as_fraction())
         if k == "QSqrt":
             a, b = self.rep
             if b == 0:
@@ -519,6 +561,35 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+_new = object.__new__
+_set_field = Scalar.field.__set__
+_set_rep = Scalar.rep.__set__
+
+
+def _make(field: FieldSpec, rep) -> Scalar:
+    """The Scalar of field with rep, which must already be canonical."""
+    s = _new(Scalar)
+    _set_field(s, field)
+    _set_rep(s, rep)
+    return s
+
+
+def _q_add(x: tuple[int, int], c: int, d: int) -> tuple[int, int]:
+    """The rep of x + c/d for a Q rep x and c/d in lowest terms, d > 0."""
+    a, b = x
+    # over a unit denominator the sum is already in lowest terms
+    if d == 1:
+        return (a + c * b, b)
+    if b == 1:
+        return (a * d + c, d)
+    if b == d:
+        n = a + c
+    else:
+        n, d = a * d + c * b, b * d
+    g = gcd(n, d)
+    return (n // g, d // g)
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

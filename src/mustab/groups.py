@@ -398,9 +398,6 @@ class KPoint(_Point):
     def _from_flat(self, flat) -> KPoint:
         return KPoint(self.scheme, *self.scheme.shape(flat))
 
-    def is_identity(self) -> bool:
-        return self == self.scheme.identity()
-
     def to_series(self) -> GroupElement:
         """Embed as an exact constant series point."""
         dom = ScalarDomain(self.scheme.field)

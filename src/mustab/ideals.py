@@ -9,7 +9,8 @@ Division (`reduce_poly`, Cox-Little-O'Shea 2.3) reduces one dict of the
 remaining terms in place.  Each divisor's leading term (cached on the Poly
 per order) and tail are read once per call, order keys are memoized for the
 call, and the quotients and remainder are built as dicts and wrapped by the
-trusted Poly constructor, with no Poly per division step.
+trusted Poly constructor, with no Poly per division step; `normal_form`
+runs the same loop without recording quotients.
 """
 
 from __future__ import annotations
@@ -67,13 +68,25 @@ def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[
 
     The largest remaining monomial is reduced by the first divisor, in
     basis order, whose leading monomial divides it, else moved to r."""
-    ring = f.ring
+    quots: list[dict] = [{} for _ in basis]
+    rem = _divide(f, basis, order, quots)
+    return [Poly._trusted(f.ring, q) for q in quots], Poly._trusted(f.ring, rem)
+
+
+def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
+    """The remainder of `reduce_poly`, without building the quotients."""
+    return Poly._trusted(f.ring, _divide(f, basis, order, None))
+
+
+def _divide(f: Poly, basis: list[Poly], order: MonomialOrder, quots: list[dict] | None) -> dict:
+    """The division loop of `reduce_poly`: returns the remainder's terms
+    and, when quots is a list of dicts, one per divisor, stores the
+    quotient terms there."""
     divisors = []
     for g in basis:
         lm = g.leading_monomial(order)
         tail = [(m, c) for m, c in g.terms.items() if m != lm]
         divisors.append((lm, g.terms[lm], tail))
-    quots: list[dict] = [{} for _ in basis]
     rem: dict = {}
     p = dict(f.terms)
     keys = {m: order.key(m) for m in p}
@@ -86,7 +99,8 @@ def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[
                 # largest monomial strictly decreases, so qm is new to q_i.
                 q = c / lc
                 qm = _mono_quot(m, lm)
-                quots[i][qm] = q
+                if quots is not None:
+                    quots[i][qm] = q
                 q = -q
                 for tm, tc in tail:
                     mm = tuple(map(add, qm, tm))
@@ -103,11 +117,7 @@ def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[
                 break
         else:
             rem[m] = c
-    return [Poly._trusted(ring, q) for q in quots], Poly._trusted(ring, rem)
-
-
-def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
-    return reduce_poly(f, basis, order)[1]
+    return rem
 
 
 def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
@@ -261,21 +271,6 @@ def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
             if all(any(e and i not in sset for i, e in enumerate(m)) for m in lead_monos):
                 return size
     return 0
-
-
-def ideal_intersect(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
-    """I cap J via the u-trick: eliminate u from u*I + (1-u)*J."""
-    if I.ring != J.ring:
-        raise ValueError("ideals in different rings")
-    ring = I.ring
-    aux = PolyRing(ring.field, ("_u",) + ring.variables, ring.order_name)
-    u = aux.var("_u")
-    lift = {v: v for v in ring.variables}
-    gens = [u * g.rename(lift, aux) for g in I.gens]
-    gens += [(aux.one() - u) * g.rename(lift, aux) for g in J.gens]
-    elim = eliminate(Ideal(aux, tuple(gens)), ("_u",), budget)
-    back = [g.rename(lift, ring) for g in elim.gens]
-    return Ideal(ring, tuple(back))
 
 
 @dataclass

@@ -97,6 +97,8 @@ class PolyRing:
         return self.from_scalar(self.field.one())
 
     def from_scalar(self, c: Scalar) -> Poly:
+        if c.field is not self.field and c.field != self.field:
+            raise FieldMismatch(f"{c.field} scalar in a ring over {self.field}")
         if c.is_zero():
             return self.zero()
         return Poly(self, {(0,) * self.nvars: c})

@@ -386,14 +386,6 @@ class PuiseuxSeries:
     def __hash__(self):
         return hash((self.dom, self.terms, self.precision))
 
-    def agrees_with(self, other: PuiseuxSeries) -> bool:
-        """Equal on the common known window."""
-        cut = _min_prec(self.precision, other.precision)
-        diff = self - other
-        if cut is None:
-            return diff.is_zero()
-        return all(not e < cut for e, _ in diff.terms)
-
 
 def _rational_lower_bound(e: Exponent) -> Fraction:
     """A rational q <= e, used for conservative precision scaling."""

@@ -1,13 +1,16 @@
 """Scalar arithmetic over Q, Q(sqrt d), F_p, F_q."""
 
+import copy
 import operator
+import pickle
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mustab.errors import DivisionByZero, FieldMismatch
-from mustab.fields import QQ, FieldSpec, pow_by_squaring
+from mustab.fields import QQ, FieldSpec, Scalar, pow_by_squaring
 from mustab.poly import PolyRing
 
 QS2 = FieldSpec("QSqrt", d=2)
@@ -63,6 +66,13 @@ def test_field_mismatch():
     for op in (operator.add, operator.sub, operator.mul):
         with pytest.raises(FieldMismatch):
             op(px, py)
+    # a scalar of another field is not lifted into a ring, zero included
+    px = PolyRing(QQ, ("x",)).var("x")
+    for c in (F5.from_int(3), F5.zero(), QS2.one()):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(FieldMismatch):
+                op(px, c)
+    assert str(px + FieldSpec("Q").from_int(3)) == "x + 3"
     # equal specs built separately still combine
     assert F5.from_int(2) + FieldSpec("Fp", p=5).from_int(3) == F5.zero()
     assert PolyRing(F5, ("x",)).var("x") * PolyRing(FieldSpec("Fp", p=5), ("x",)).var("x") == PolyRing(F5, ("x",)).parse("x^2")
@@ -177,3 +187,64 @@ def test_fp_powmod_skips_the_last_square(monkeypatch):
         assert fields._fp_powmod([1, 1], e, mod, p) == expected
         assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
         expected = fields._fp_divmod(real_mul(expected, [1, 1], p), mod, p)[1]
+
+
+# Q scalars are (numerator, denominator) int pairs; Fraction is the reference
+_ints = st.one_of(st.integers(-6, 6), st.integers(-(10**40), 10**40))
+_dens = st.one_of(st.integers(1, 6), st.integers(1, 10**40))
+_fractions = st.one_of(st.just(Fraction(0)), st.builds(Fraction, _ints, _dens))
+
+
+def _assert_q(s, ref: Fraction):
+    n, d = s.rep
+    assert type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+    assert Fraction(n, d) == ref and s.as_fraction() == ref
+    assert str(s) == str(ref)
+    assert s.is_zero() == (ref == 0) and s.is_one() == (ref == 1)
+
+
+@settings(max_examples=300)
+@given(_fractions, _fractions, st.integers(-4, 4))
+def test_q_arithmetic_matches_fraction(a, b, e):
+    x, y = QQ.from_fraction(a), QQ.from_fraction(b)
+    y2 = FieldSpec("Q").from_fraction(b)  # an equal spec built separately
+    for s, ref in ((x, a), (x + y, a + b), (x - y, a - b), (x - y2, a - b), (x + y2, a + b), (x * y, a * b), (-x, -a)):
+        _assert_q(s, ref)
+    if b:
+        _assert_q(x / y, a / b)
+        _assert_q(y.inv(), 1 / b)
+    else:
+        with pytest.raises(DivisionByZero):
+            x / y
+    if a or e >= 0:
+        _assert_q(x**e, a**e)
+    _assert_q(QQ.from_fraction(a * a).sqrt(), abs(a))
+    _assert_q(QQ.from_fraction(a**3).kth_root(3), a)
+    assert (x == y) == (a == b) and (x == y2) == (a == b)
+    if a == b:
+        assert hash(x) == hash(y) == hash(y2)
+    # the public constructor reduces a Fraction, an int or a pair
+    assert Scalar(QQ, a) == x == Scalar(QQ, (a.numerator * 3, a.denominator * 3))
+    assert Scalar(QQ, 5) == QQ.from_int(5)
+
+
+_SCALARS = {
+    "Q": QQ.from_fraction(Fraction(-7, 3)),
+    "QSqrt": QS2.from_fraction(Fraction(1, 2)) + QS2.sqrt_d(),
+    "Fp": F5.from_int(3),
+    "Fq": F9.generator() + F9.one(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+def test_scalar_pickles_copies_and_is_immutable(kind):
+    s = _SCALARS[kind]
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+        assert type(t) is Scalar and t == s and hash(t) == hash(s) and str(t) == str(s)
+        assert t * s == s * s and t - s == s.field.zero()
+    for name in ("rep", "field", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    with pytest.raises(AttributeError):
+        del s.rep
+    assert s == _SCALARS[kind] and s.field.kind == kind

@@ -18,7 +18,6 @@ from mustab.ideals import (
     groebner_basis,
     ideal,
     ideal_equal,
-    ideal_intersect,
     ideal_member,
     krull_dim,
     normal_form,
@@ -26,6 +25,7 @@ from mustab.ideals import (
     s_poly,
 )
 from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
+from tests_helpers import ideal_intersect
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -359,6 +359,13 @@ def test_reduce_poly_matches_the_allocating_division(case, order):
     assert not any(all(a <= b for a, b in zip(lm, m)) for lm in leads for m in rem.terms)
     for p in (*quots, rem):
         assert not any(c.is_zero() for c in p.terms.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_case(), st.sampled_from([Lex(), GrevLex(), BlockOrder((1,), (0, 2))]))
+def test_normal_form_is_the_division_remainder(case, order):
+    f, divisors = case
+    assert normal_form(f, divisors, order) == reduce_poly(f, divisors, order)[1]
 
 
 def test_leading_monomial_cache_follows_the_order():
