@@ -13,11 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import PrecisionInsufficient
+from .errors import FieldMismatch, PrecisionInsufficient
 from .exponents import Exponent
 from .groups import GroupElement, GroupScheme
-from .ideals import Ideal, _dim_from_leading_monomials, groebner_basis
-from .linalg import echelon, nullspace
+from .ideals import Ideal, _dim_from_leading_monomials, kernel_ideal
+from .linalg import echelon
 from .poly import PolyRing, monomials_up_to
 from .series import PuiseuxSeries, ScalarDomain
 
@@ -51,9 +51,13 @@ class Branch:
 def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
     """Check the entries against the scheme equations and infer ramification.
 
-    Raises NotOnGroup with the offending equation and residual term.
+    Raises NotOnGroup with the offending equation and residual term, and
+    FieldMismatch when the entries' exponents use different sqrt(d).
     """
     element = GroupElement(scheme, entries, y=y, check=True)
+    sqrt_ds = {e.d for s in element.entries_flat() for e, _ in s.terms if e.d is not None}
+    if len(sqrt_ds) > 1:
+        raise FieldMismatch(f"entries mix the exponent groups of {', '.join(f'sqrt({d})' for d in sorted(sqrt_ds))}")
     return Branch(element, math.lcm(*(s.ramification() for s in element.entries_flat())))
 
 
@@ -122,17 +126,7 @@ def implicitize(branch: Branch, degree_bound: int) -> Ideal:
     """Reduced Groebner basis of all polynomial relations of total degree
     <= degree_bound among the coordinates of a(t)."""
     monos, pivots = _relation_echelon(branch, degree_bound)
-    basis = nullspace(list(pivots.values()), len(monos), branch.field)
-    ring = PolyRing(branch.field, branch.scheme.coordinates())
-    gens = []
-    for vec in basis:
-        p = ring.zero()
-        for c, m in zip(vec, monos):
-            if not c.is_zero():
-                p = p + ring.monomial(m, c)
-        if not p.is_zero():
-            gens.append(p)
-    return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
+    return kernel_ideal(list(pivots.values()), monos, PolyRing(branch.field, branch.scheme.coordinates()))
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> tuple[int, int]:

@@ -14,11 +14,19 @@ demand.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import FieldMismatch
 
 _FRACTION_ZERO = Fraction(0)
+
+
+def check_d(d) -> int:
+    """d itself when it is a positive nonsquare int, so that sqrt(d) is
+    irrational and the order on Q + Q*sqrt(d) is total; else ValueError."""
+    if type(d) is not int or d <= 0 or isqrt(d) ** 2 == d:
+        raise ValueError(f"sqrt(d) requires a positive nonsquare integer d, got {d!r}")
+    return d
 
 
 def _sign(p: int, q: int, d: int | None) -> int:
@@ -161,7 +169,7 @@ class Exponent:
         if "sqrt" not in text:
             return Exponent(Fraction(text))
         head, _, tail = text.partition("sqrt(")
-        dd = int(tail.rstrip(")").split(")")[0])
+        dd = check_d(int(tail.rstrip(")").split(")")[0]))
         if d is not None and dd != d:
             raise FieldMismatch(f"expected sqrt({d}), got sqrt({dd})")
         head = head.rstrip("*")

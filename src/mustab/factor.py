@@ -354,10 +354,10 @@ def _equal_degree(f: Poly, d: int) -> list[Poly]:
 
 
 def _random_poly(ring: PolyRing, i: int, deg: int, rng: random.Random) -> Poly:
-    elems = list(ring.field.elements())
+    field = ring.field
     out = ring.zero()
     for e in range(deg + 1):
-        out = out + _uni_mono(ring, i, e, elems[rng.randrange(len(elems))])
+        out = out + _uni_mono(ring, i, e, field.element(rng.randrange(field.order)))
     return out
 
 

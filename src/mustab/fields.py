@@ -8,15 +8,21 @@ immutable slotted class whose arithmetic results are built by one trusted
 constructor, `_make`, as `exponents._make` builds exponents; Q arithmetic is
 gcd arithmetic on ints, with Fractions built only for `as_fraction`.  All
 arithmetic is exact; nothing here touches floating point.
+
+The dense F_p[x] helpers serve F_q multiplication and inversion only: an
+F_q modulus is proved irreducible by the complete finite-field
+factorization `factor.uni_factor`, and F_p and F_q share one
+Tonelli-Shanks square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
+from .exponents import check_d
 
 
 def pow_by_squaring(base, e: int, one):
@@ -45,10 +51,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def _int_nth_root(n: int, k: int) -> int | None:
     """Exact k-th root of n >= 0, or None."""
     if n < 0:
@@ -66,7 +68,7 @@ def _int_nth_root(n: int, k: int) -> int | None:
 
 
 # dense univariate arithmetic over F_p (coefficient lists, low degree first),
-# used for F_q modulus validation and element inversion
+# used for F_q multiplication and inversion
 def _fp_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -103,58 +105,6 @@ def _fp_divmod(a, b, p):
     return _fp_trim(q), a
 
 
-def _fp_powmod(a, e, mod, p):
-    """a^e modulo mod in F_p[x], by pow_by_squaring's loop: the base is not
-    squared again after the last bit of e."""
-    result = [1]
-    base = _fp_divmod(a, mod, p)[1]
-    while True:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), mod, p)[1]
-        e >>= 1
-        if not e:
-            return result
-        base = _fp_divmod(_fp_mul(base, base, p), mod, p)[1]
-
-
-def _fp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_irreducible(mod: list[int], p: int) -> bool:
-    """Rabin's test: x^(p^n) == x mod f, and gcd(x^(p^(n/q)) - x, f) = 1."""
-    n = len(mod) - 1
-    if n < 1:
-        return False
-    x = [0, 1]
-    xq = _fp_powmod(x, p**n, mod, p)
-    if _fp_trim(_fp_add(xq, [0, p - 1], p)):
-        return False
-    q = 2
-    nn = n
-    primes = []
-    while q * q <= nn:
-        if nn % q == 0:
-            primes.append(q)
-            while nn % q == 0:
-                nn //= q
-        q += 1
-    if nn > 1:
-        primes.append(nn)
-    for q in primes:
-        xe = _fp_powmod(x, p ** (n // q), mod, p)
-        g = _fp_gcd(_fp_add(xe, [0, p - 1], p), mod, p)
-        if len(g) != 1:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class FieldSpec:
     """Descriptor of an exact field: Q, QSqrt(d), Fp(p) or Fq(p, modulus).
@@ -172,8 +122,7 @@ class FieldSpec:
         if self.kind == "Q":
             pass
         elif self.kind == "QSqrt":
-            if self.d is None or self.d <= 0 or _is_perfect_square(self.d):
-                raise ValueError(f"QSqrt requires a positive nonsquare d, got {self.d}")
+            check_d(self.d)
         elif self.kind == "Fp":
             if self.p is None or not is_prime(self.p):
                 raise ValueError(f"Fp requires a prime, got {self.p}")
@@ -183,7 +132,12 @@ class FieldSpec:
             m = list(self.modulus or ())
             if len(m) < 3 or m[-1] != 1 or any(c % self.p != c for c in m):
                 raise ValueError("Fq modulus must be monic of degree >= 2 with reduced coefficients")
-            if not _fp_irreducible(m, self.p):
+            from .factor import uni_factor  # lazy: factor imports this module
+            from .poly import Poly, PolyRing
+
+            fp = FieldSpec("Fp", p=self.p)
+            f = Poly(PolyRing(fp, ("x",)), {(i,): fp.from_int(c) for i, c in enumerate(m)})
+            if uni_factor(f).factors != [(f, 1)]:
                 raise ValueError(f"Fq modulus {m} is reducible over F_{self.p}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
@@ -240,22 +194,26 @@ class FieldSpec:
             raise ValueError("generator only exists in Fq fields")
         return _make(self, (0, 1))
 
-    def elements(self):
-        """Iterate all elements (finite fields only)."""
+    def element(self, i: int) -> Scalar:
+        """Element number i, 0 <= i < order, of a finite field: the residue
+        i in F_p; in F_q the polynomial whose coefficients, lowest first,
+        are the base-p digits of i."""
         if self.kind == "Fp":
-            for i in range(self.p):
-                yield _make(self, i)
-        elif self.kind == "Fq":
-            n = self.extension_degree
-            total = self.p**n
-            for code in range(total):
-                c, digits = code, []
-                for _ in range(n):
-                    digits.append(c % self.p)
-                    c //= self.p
-                yield _make(self, _fq_canon(tuple(digits)))
-        else:
+            return _make(self, i)
+        if self.kind == "Fq":
+            digits = []
+            for _ in range(self.extension_degree):
+                i, c = divmod(i, self.p)
+                digits.append(c)
+            return _make(self, _fq_canon(digits))
+        raise ValueError("cannot enumerate an infinite field")
+
+    def elements(self):
+        """Iterate all elements (finite fields only), in element(i) order."""
+        if self.order is None:
             raise ValueError("cannot enumerate an infinite field")
+        for i in range(self.order):
+            yield self.element(i)
 
     def to_json(self) -> dict:
         if self.kind == "Q":
@@ -452,14 +410,7 @@ class Scalar:
             return None if r is None else self.field.from_fraction(r)
         if k == "QSqrt":
             return self._qsqrt_sqrt()
-        if k == "Fp":
-            p = self.field.p
-            if p == 2:
-                return self
-            if pow(self.rep, (p - 1) // 2, p) != 1:
-                return None
-            return _make(self.field, _tonelli_fp(self.rep, p))
-        return self._fq_sqrt()
+        return self._finite_sqrt()
 
     def _qsqrt_sqrt(self) -> Scalar | None:
         a, b = self.rep
@@ -484,11 +435,13 @@ class Scalar:
                 return _make(self.field, (x, y))
         return None
 
-    def _fq_sqrt(self) -> Scalar | None:
+    def _finite_sqrt(self) -> Scalar | None:
+        """Square root in F_p or F_q: the Frobenius inverse in
+        characteristic 2, else Euler's criterion and Tonelli-Shanks."""
         q = self.field.order
         if self.field.p == 2:
             return self ** (q // 2)
-        if (self ** ((q - 1) // 2)).is_one() is False:
+        if not (self ** ((q - 1) // 2)).is_one():
             return None
         return _tonelli_generic(self, q)
 
@@ -600,29 +553,6 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _tonelli_fp(n: int, p: int) -> int:
-    """Square root mod odd prime p; assumes n is a quadratic residue."""
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = (t2 * t2) % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, (b * b) % p
-        t, r = (t * c) % p, (r * b) % p
-    return r
 
 
 def _tonelli_generic(a: Scalar, q: int) -> Scalar | None:

@@ -172,6 +172,13 @@ class GroupScheme:
         y = self.field.one() if r.kind == "GL" else None
         return KPoint(self, rows, y)
 
+    @cached_property
+    def identity_ideal(self) -> Ideal:
+        """The ideal of the identity point in coordinate_ring()."""
+        ring = self._ring
+        ident = self.identity()._values()
+        return Ideal(ring, tuple(ring.var(n) - ring.from_scalar(ident[n]) for n in self.coordinates()))
+
     def to_json(self) -> dict:
         if self.kind == "Subgroup":
             return {

@@ -20,6 +20,7 @@ from itertools import combinations
 from operator import add, le, sub
 
 from .errors import BudgetExceeded, EmptyVariety
+from .linalg import nullspace
 from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, order_by_name
 
 DEFAULT_SPOLY_BUDGET = 10_000
@@ -201,6 +202,17 @@ def groebner_basis(I: Ideal, order: MonomialOrder | str | None = None,
         order = order_by_name(order)
     order = order or I.ring.order
     return Ideal(I.ring, tuple(buchberger(list(I.gens), order, budget)))
+
+
+def kernel_ideal(rows, monos: list[Monomial], ring: PolyRing) -> Ideal:
+    """The ideal of the polynomials whose coefficient vectors over monos
+    span the kernel of rows, as a reduced Groebner basis."""
+    gens = []
+    for vec in nullspace(rows, len(monos), ring.field):
+        p = Poly(ring, {m: c for c, m in zip(vec, monos)})
+        if not p.is_zero():
+            gens.append(p)
+    return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
 
 
 def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,

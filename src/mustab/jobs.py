@@ -13,11 +13,14 @@ from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import (
     BudgetExceeded,
     CoefficientFieldTooSmall,
+    DivisionByZero,
+    FieldMismatch,
     IrrationalExponentInSubstitution,
     MustabError,
     PrecisionInsufficient,
     WildRamification,
 )
+from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, iwasawa
 from .ideals import Budgets, Ideal, ideal_equal
@@ -105,6 +108,8 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             field = FieldSpec.from_json(job["field"])
             scheme = GroupScheme.from_json(job["group"], field)
             d = job.get("exponent_d")
+            if d is not None:
+                check_d(d)
             command = job["command"]
             budgets = parse_budgets(job.get("budgets"), overrides)
             algorithm = (overrides or {}).get("algorithm") or job.get("algorithm", "both")
@@ -115,7 +120,7 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
         report["command"] = command
         try:
             inp = _read_input(job, command, scheme, d)
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch) as exc:
             raise JobError(f"invalid input: {type(exc).__name__}: {exc}", EXIT_INVALID)
 
         if command == "places":

@@ -106,23 +106,6 @@ def _pp_from_poly(g: Poly, wname: str, zname: str) -> dict:
     return out
 
 
-def _pp_shift_w(pp: dict, c: Scalar, field: FieldSpec) -> dict:
-    """w -> c + w."""
-    out: dict = {}
-    for (i, j), a in pp.items():
-        cpow = [field.one()]
-        for _ in range(i):
-            cpow.append(cpow[-1] * c)
-        b = 1
-        for m in range(i + 1):
-            coeff = a * field.from_int(b) * cpow[i - m]
-            key = (m, j)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-            b = b * (i - m) // (m + 1)
-    return {k: v for k, v in out.items() if not v.is_zero()}
-
-
 def _pp_w_content(pp: dict) -> int:
     return min(i for (i, _) in pp)
 
@@ -376,7 +359,7 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
     gx = _localize(f, "X")
     for c0 in roots:
         pp = _pp_from_poly(gx, "w", "z")
-        pp = _pp_shift_w(pp, c0, field)
+        pp = _pp_substitute(pp, Fraction(0), c0, field)  # w -> c0 + w
         for terms, exact in _np_expansions(pp, field, prec_z, budget):
             expansions.append(("X", c0, terms, exact))
     if has_vertical:

@@ -16,8 +16,8 @@ from .degeneration import DegenerationResult, stab_degeneration, verify_flat_clo
 from .exponents import exp
 from .groups import GroupElement, KPoint
 from .ideals import Budgets, Ideal, ideal_equal
-from .series import PuiseuxSeries, ScalarDomain, ser_subst
-from .stabilizer import mu_reduce, stab_reparam
+from .series import ser_subst
+from .stabilizer import mu_reduce, solved_reparam, stab_reparam
 from .subgroups import SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
@@ -44,11 +44,7 @@ class StabilizerRun:
 
 
 def trivial_subgroup(branch: Branch) -> SubgroupDesc:
-    scheme = branch.scheme
-    ring = scheme.coordinate_ring()
-    ident = scheme.identity()._values()
-    gens = tuple(ring.var(n) - ring.from_scalar(ident[n]) for n in scheme.coordinates())
-    desc = SubgroupDesc(scheme, Ideal(ring, gens), 0, None, {"algorithm": "bounded-trivial"})
+    desc = SubgroupDesc(branch.scheme, branch.scheme.identity_ideal, 0, None, {"algorithm": "bounded-trivial"})
     verify_subgroup(desc)
     return desc
 
@@ -96,17 +92,7 @@ def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> Gro
     sol = solve_point(Ideal(ring, tuple(gens)), defaults={"lam": field.one(), "lami": field.one()})
     if sol is None:
         return None
-    dom = ScalarDomain(field)
-    lam = sol.get("lam", field.one())
-    s_terms = [(exp(1), lam**param.ram_power)]
-    for i, g in enumerate(param.gammas):
-        c = sol.get(f"c{i + 1}", field.zero())
-        if not c.is_zero():
-            s_terms.append((exp(1) + exp(g), lam**param.ram_power * c))
-    s0 = PuiseuxSeries(dom, s_terms, None)
-    from .stabilizer import _scalar_lead_root
-
-    lead_root = _scalar_lead_root(lam, param.ram_power)
+    s0, lead_root = solved_reparam(field, param.ram_power, param.gammas, sol)
     el = run.reduced.element
     prec = exp(precision)
     g = el.map(lambda f: ser_subst(f, s0, prec=prec, lead_root=lead_root)).mul(el.inv())

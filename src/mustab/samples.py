@@ -19,7 +19,7 @@ def _random_scalar(field: FieldSpec, rng: random.Random, nonzero=False):
         if field.char == 0:
             c = field.from_int(rng.randrange(-4, 5))
         else:
-            c = list(field.elements())[rng.randrange(field.order)]
+            c = field.element(rng.randrange(field.order))
         if not (nonzero and c.is_zero()):
             return c
 
@@ -122,9 +122,8 @@ def random_mu_element(scheme: GroupScheme, rng: random.Random, prec: int = 8) ->
 
 def random_kpoint_sl2(field: FieldSpec, rng: random.Random) -> KPoint:
     scheme = GroupScheme("SL", 2, field)
-    while True:
-        a = _random_scalar(field, rng, nonzero=True)
-        b = _random_scalar(field, rng)
-        c = _random_scalar(field, rng)
-        d = (field.one() + b * c) / a
-        return KPoint(scheme, ((a, b), (c, d)))
+    a = _random_scalar(field, rng, nonzero=True)
+    b = _random_scalar(field, rng)
+    c = _random_scalar(field, rng)
+    d = (field.one() + b * c) / a
+    return KPoint(scheme, ((a, b), (c, d)))

@@ -305,7 +305,9 @@ class PuiseuxSeries:
         return pow_by_squaring(self, k, PuiseuxSeries.one(self.dom))
 
     def inv(self, prec: Exponent | None = None) -> PuiseuxSeries:
-        """Inverse via geometric series; leading exponent becomes -val."""
+        """Inverse as c^-1 t^-v (1 + w)^-1 by the binomial series, for the
+        leading term c t^v; the expansion runs to prec, else to the
+        precision of w, else to DEFAULT_PRECISION."""
         if not self.terms:
             raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
         v, c = self.terms[0]
@@ -313,20 +315,12 @@ class PuiseuxSeries:
         lead_inv = PuiseuxSeries.monomial(self.dom, -v, cinv)
         # w = self / (c t^v) - 1 has positive valuation
         w = (self.shift(-v)).scale(cinv) - PuiseuxSeries.one(self.dom)
-        if self.precision is not None:
-            tail_prec = self.precision - v  # w known below this
-        else:
-            tail_prec = None
         if w.is_zero() and w.is_exact():
             return lead_inv
         target = prec
         if target is None:
-            target = _add_prec(tail_prec, EXP_ZERO)
-        if target is None:
-            target = DEFAULT_PRECISION
-        geo = _geometric_alternating(w, target)
-        out = lead_inv * geo
-        return out
+            target = w.precision if w.precision is not None else DEFAULT_PRECISION
+        return lead_inv * _binomial_power(w, Fraction(-1), target, self.dom)
 
     # -- valuation data ----------------------------------------------------
     def val(self) -> Exponent:
@@ -395,32 +389,6 @@ def _rational_lower_bound(e: Exponent) -> Fraction:
     while root_ceil * root_ceil < e.d:
         root_ceil += 1
     return e.a + e.b * (root_ceil if e.b < 0 else 0)
-
-
-def _geometric_alternating(w: PuiseuxSeries, target: Exponent) -> PuiseuxSeries:
-    """1 - w + w^2 - ... up to exponent target; w must have positive
-    valuation."""
-    vb = w.val_bound()
-    if vb is None or not EXP_ZERO < vb:
-        if w.terms and not EXP_ZERO < w.terms[0][0]:
-            raise ValueError("geometric expansion requires positive valuation")
-        if vb is None:
-            return PuiseuxSeries.one(w.dom)
-        raise PrecisionInsufficient("tail precision too low for inversion")
-    acc = PuiseuxSeries.one(w.dom).truncate(target)
-    power = PuiseuxSeries.one(w.dom)
-    sign = -1
-    bound = EXP_ZERO
-    while bound < target:
-        power = (power * w).truncate(target)
-        if power.is_zero() and power.is_exact():
-            break
-        term = power if sign > 0 else -power
-        acc = acc + term
-        acc = PuiseuxSeries(acc.dom, acc.terms, target)
-        sign = -sign
-        bound = bound + vb
-    return PuiseuxSeries(acc.dom, acc.terms, _min_prec(acc.precision, target))
 
 
 def ser_subst(

@@ -24,7 +24,7 @@ from .errors import (
 from .exponents import EXP_ZERO, exp
 from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
-from .poly import Poly, PolyRing
+from .poly import PolyRing
 from .series import PolyDomain, PuiseuxSeries, ScalarDomain, ser_subst
 from .subgroups import (
     Failure,
@@ -68,6 +68,7 @@ class Ansatz:
         lam_r = PuiseuxSeries.monomial(self.dom, exp(1), self.ring.var("lam") ** self.r)
         self.s = lam_r * (one + self.tail)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
+        self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
         # constraints live at exponents <= 0; the quotient multiplies by an
         # inverse whose poles are bounded by n times the branch's pole order,
         # so that is all the precision the substitution needs
@@ -84,18 +85,12 @@ class Ansatz:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
         return PuiseuxSeries(self.dom, terms, f.precision)
 
-    def _lead_root(self, gamma: Fraction) -> Poly:
-        e = gamma * self.r
-        assert e.denominator == 1, "ramification mismatch in ansatz"
-        e = int(e)
-        return self.ring.var("lam") ** e if e >= 0 else self.ring.var("lami") ** (-e)
-
     def subst(self, f: PuiseuxSeries) -> PuiseuxSeries:
         return ser_subst(
             self.lift_series(f),
             self.s,
             prec=self.work_prec,
-            lead_root=self._lead_root,
+            lead_root=self.lead_root,
             parts=(exp(1), self.tail),
         )
 
@@ -103,17 +98,32 @@ class Ansatz:
         """a(s) * b(t)^-1 over the ansatz ring, for the ansatz's branch a."""
         return self.branch.element.map(self.subst).mul(b.inv().map(self.lift_series))
 
-    def numeric_s(self, assignment: dict) -> PuiseuxSeries:
-        """The reparameterization series at a concrete parameter point."""
-        field = self.ring.field
-        dom = ScalarDomain(field)
-        lam = assignment.get("lam", field.one())
-        terms = [(exp(1), lam**self.r)]
-        for i, g in enumerate(self.gammas):
-            c = assignment.get(f"c{i + 1}", field.zero())
-            if not c.is_zero():
-                terms.append((exp(1) + exp(g), lam**self.r * c))
-        return PuiseuxSeries(dom, terms, None)
+
+def _lead_root(lam, lami, r: int):
+    """gamma -> lead^gamma for the lead lam^r of a reparameterization, where
+    lami is the inverse of lam: symbols in the ansatz ring, or scalars."""
+
+    def root(gamma: Fraction):
+        e = gamma * r
+        assert e.denominator == 1, "ramification mismatch in ansatz"
+        e = int(e)
+        return lam**e if e >= 0 else lami ** (-e)
+
+    return root
+
+
+def solved_reparam(field, r: int, gammas, assignment: dict):
+    """The reparameterization s0 = lam^r t (1 + sum c_i t^gamma_i) at a
+    solved parameter point (lam defaults to 1, each c_i to 0), with the
+    lead_root of s0 for ser_subst."""
+    dom = ScalarDomain(field)
+    lam = assignment.get("lam", field.one())
+    terms = [(exp(1), lam**r)]
+    for i, g in enumerate(gammas):
+        c = assignment.get(f"c{i + 1}", field.zero())
+        if not c.is_zero():
+            terms.append((exp(1) + exp(g), lam**r * c))
+    return PuiseuxSeries(dom, terms, None), _lead_root(lam, lam.inv(), r)
 
 
 def _mu_conditions(e: GroupElement, require_identity_residue: bool):
@@ -174,9 +184,7 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6, budgets: Budgets | N
     if sol is None:
         slot = _first_unsatisfiable(constraints, ansatz)
         return Failure("reparameterization constraints are unsolvable over k", slot)
-    s0 = ansatz.numeric_s(sol)
-    lam_val = sol.get("lam", a.field.one())
-    lead_root = _scalar_lead_root(lam_val, ansatz.r)
+    s0, lead_root = solved_reparam(a.field, ansatz.r, ansatz.gammas, sol)
     eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
     if eps.in_mu():
         return TubeCertificate(s0, eps)
@@ -192,18 +200,6 @@ def _first_unsatisfiable(constraints, ansatz: Ansatz):
         if any(g.is_constant() and not g.is_zero() for g in gb.gens):
             return slot
     return None
-
-
-def _scalar_lead_root(lam_val, r: int):
-    """lead^gamma for lead = lam^r, evaluated through the known lam."""
-
-    def root(gamma):
-        e = gamma * r
-        assert e.denominator == 1
-        e = int(e)
-        return lam_val**e if e >= 0 else lam_val.inv() ** (-e)
-
-    return root
 
 
 def mu_reduce(branch: Branch, budgets: Budgets | None = None):

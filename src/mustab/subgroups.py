@@ -21,11 +21,11 @@ from .ideals import (
     groebner_basis,
     ideal_equal,
     ideal_member,
+    kernel_ideal,
     krull_dim,
     normal_form,
 )
 from .factor import scalar_roots
-from .linalg import nullspace
 from .poly import Lex, Poly, PolyRing, monomials_up_to
 from .series import PuiseuxSeries
 
@@ -253,13 +253,7 @@ def classify_subgroup(H: SubgroupDesc) -> str:
     scheme = H.scheme
     ring = H.ideal.ring
     r = scheme.root
-    ident = scheme.identity()
-    trivial_gens = []
-    id_values = ident._values()
-    for name in scheme.coordinates():
-        trivial_gens.append(ring.var(name) - ring.from_scalar(id_values[name]))
-    trivial = Ideal(ring, tuple(trivial_gens))
-    if ideal_equal(H.ideal, trivial):
+    if ideal_equal(H.ideal, scheme.identity_ideal):
         return "trivial"
     if r.kind == "Additive":
         if all(g.total_degree() <= 1 for g in H.ideal.gens):
@@ -313,16 +307,7 @@ def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int
                     acc = acc * pt[ring.variables[i]] ** e
             row.append(acc)
         rows.append(row)
-    basis = nullspace(rows, len(monos), ring.field)
-    gens = []
-    for vec in basis:
-        p = ring.zero()
-        for c, m in zip(vec, monos):
-            if not c.is_zero():
-                p = p + ring.monomial(m, c)
-        if not p.is_zero():
-            gens.append(p)
-    return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
+    return kernel_ideal(rows, monos, ring)
 
 
 def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPoint]:
@@ -370,7 +355,7 @@ def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPo
 def _random_field_scalar(field, rng: random.Random) -> Scalar:
     if field.char == 0:
         return field.from_int(rng.randrange(-6, 7))
-    return list(field.elements())[rng.randrange(field.order)]
+    return field.element(rng.randrange(field.order))
 
 
 def _param_point(H: SubgroupDesc, sol: dict[str, Scalar]) -> KPoint | None:
@@ -424,12 +409,10 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
             closed.append(a.mul(b))
         pts = [p._values() for p in closed]
         nxt = ideal_of_points(pts, ring, max(2, min(3, budgets.degree_bound)))
-        ident = scheme.identity()
-        trivial = all(g.eval_scalars(ident._values()).is_zero() for g in nxt.gens)
-        if not trivial:
+        id_values = scheme.identity()._values()
+        if not all(g.eval_scalars(id_values).is_zero() for g in nxt.gens):
             return SolvabilityResult(None, False, steps, "identity escaped the sampled ideal")
-        id_gens = [ring.var(n) - ring.from_scalar(ident._values()[n]) for n in scheme.coordinates()]
-        if ideal_equal(nxt, Ideal(ring, tuple(id_gens))):
+        if ideal_equal(nxt, scheme.identity_ideal):
             H.flags["solvable"] = True
             return SolvabilityResult(True, True, steps, "derived series reached the trivial group")
         if _is_abelian_symbolic(nxt, scheme, budgets.spoly_budget):

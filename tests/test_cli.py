@@ -334,13 +334,41 @@ MALFORMED_INPUTS = {
     "no_input": ("stab", {"kind": "Additive", "n": 2}, None),
     "reduce_without_branch": ("reduce", {"kind": "Additive", "n": 2}, {}),
     "verify_unparsable_ideal": ("verify", {"kind": "SL", "n": 2}, {"subgroup": {"ideal": ["x11 +"]}}),
+    # arithmetic faults in the input; a fourth element holds more job keys
+    "exponent_one_over_zero": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("1/0", "1")), ser((-1, 1))]}}),
+    "prec_one_over_zero": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1), prec="1/0"), ser((-1, 1))]}}),
+    "branch_scalar_one_over_zero": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, "1/0")), ser((-1, 1))]}}),
+    "curve_divided_by_zero": ("places", {"kind": "Additive", "n": 2}, {"plane_curve": {"f": "y^2 - x^3/0", "embedding": ["x", "y"]}}),
+    "verify_ideal_divided_by_zero": ("verify", {"kind": "SL", "n": 2}, {"subgroup": {"ideal": ["x21/0"]}}),
+    "one_fifth_over_f5": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, "1/5")), ser((-1, 1))]}}, {"field": {"kind": "Fp", "p": 5}}
+    ),
+    "sqrt2_under_exponent_d_3": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(2)", 1)), ser((-1, 1))]}}, {"exponent_d": 3}
+    ),
+    "sqrt2_and_sqrt3_in_one_entry": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(2)", 1), ("-sqrt(3)", 1)), ser((-1, 1))]}}
+    ),
+    "sqrt2_and_sqrt3_across_entries": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(2)", 1)), ser(("-sqrt(3)", 1))]}}
+    ),
+    "sqrt2_and_sqrt3_across_sl2_entries": (
+        "stab", {"kind": "SL", "n": 2}, {"branch": {"entries": [[ser(("-sqrt(2)", 1)), ser()], [ser(), ser(("sqrt(3)", 1))]]}}
+    ),
+    # an exponent group Q + Q*sqrt(d) needs d a positive nonsquare
+    "exponent_sqrt_4": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(4)", 1)), ser((-1, 1))]}}),
+    "exponent_sqrt_0": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-1+sqrt(0)", 1)), ser((-1, 1))]}}),
+    "exponent_sqrt_minus_1": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-1-sqrt(-1)", 1)), ser((-1, 1))]}}),
+    "exponent_d_4": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": 4}),
+    "exponent_d_0": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": 0}),
+    "exponent_d_minus_1": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": -1}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_INPUTS))
 def test_malformed_input_exits_invalid(name):
-    command, group, inp = MALFORMED_INPUTS[name]
-    job = {"field": {"kind": "Q"}, "group": group, "command": command}
+    command, group, inp, *more = MALFORMED_INPUTS[name]
+    job = {"field": {"kind": "Q"}, "group": group, "command": command, **(more[0] if more else {})}
     if inp is not None:
         job["input"] = inp
     report, code = run_job(job)

@@ -38,6 +38,14 @@ def test_mixed_d_rejected():
         Exponent(Fraction(0), Fraction(1), 2) + Exponent(Fraction(0), Fraction(1), 3)
 
 
+@pytest.mark.parametrize("text", ["sqrt(4)", "1+sqrt(0)", "2-sqrt(-1)", "1/2*sqrt(9)"])
+def test_parse_rejects_d_that_is_not_a_positive_nonsquare(text):
+    # over sqrt(4) = 2 the order would not be total: sqrt(4) and exp(2)
+    # would be neither <, > nor ==
+    with pytest.raises(ValueError, match="positive nonsquare"):
+        Exponent.parse(text)
+
+
 def test_rational_interop():
     assert (exp("1/2") + exp("1/3")) == exp("5/6")
     s = Exponent(Fraction(0), Fraction(1), 2)

@@ -1,8 +1,10 @@
 """Scalar arithmetic over Q, Q(sqrt d), F_p, F_q."""
 
 import copy
+import itertools
 import operator
 import pickle
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -108,6 +110,78 @@ def test_sqrt_in_each_field():
         assert r is not None and r * r == sq
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 41])
+def test_fp_sqrt_matches_brute_force(p):
+    field = FieldSpec("Fp", p=p)
+    elems = [field.from_int(i) for i in range(p)]
+    squares = {x * x for x in elems}
+    for a in elems:
+        r = a.sqrt()
+        if a in squares:
+            assert r is not None and r * r == a
+        else:
+            assert r is None
+
+
+def _has_monic_factor(m, p):
+    """Brute force: a monic g of degree 1..deg(m)/2 divides the monic m
+    (coefficients mod p, lowest first), by long division."""
+    n = len(m) - 1
+    for k in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=k):
+            g = low + (1,)
+            r = list(m)
+            for s in range(n - k, -1, -1):
+                c = r[s + k]
+                for i in range(k + 1):
+                    r[s + i] = (r[s + i] - c * g[i]) % p
+            if not any(r[:k]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4)), (3, (2, 3, 4)), (5, (2, 3))])
+def test_fq_modulus_is_accepted_exactly_when_irreducible(p, degrees):
+    for n in degrees:
+        for low in itertools.product(range(p), repeat=n):
+            m = low + (1,)
+            if _has_monic_factor(m, p):
+                with pytest.raises(ValueError, match="reducible"):
+                    FieldSpec("Fq", p=p, modulus=m)
+            else:
+                assert FieldSpec("Fq", p=p, modulus=m).order == p**n
+
+
+@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+def test_element_i_is_the_ith_of_elements(field):
+    from mustab import samples, subgroups
+
+    listed = list(field.elements())
+    assert [field.element(i) for i in range(field.order)] == listed
+    # a draw takes the element at the drawn index, as listing did
+    for seed in range(5):
+        i = random.Random(seed).randrange(field.order)
+        assert samples._random_scalar(field, random.Random(seed)) == listed[i]
+        assert subgroups._random_field_scalar(field, random.Random(seed)) == listed[i]
+
+
+def test_big_fields_are_sampled_without_listing(monkeypatch):
+    from mustab import factor, samples, subgroups
+
+    p = 1000003  # 3 mod 4: -1 is a nonsquare, so x^2 + 1 is irreducible
+    big = [FieldSpec("Fp", p=p), FieldSpec("Fq", p=p, modulus=(1, 0, 1))]
+
+    def refuse(self):
+        raise AssertionError("a draw listed the whole field")
+
+    monkeypatch.setattr(FieldSpec, "elements", refuse)
+    for field in big:
+        rng = random.Random(3)
+        assert samples._random_scalar(field, rng, nonzero=True).field == field
+        assert subgroups._random_field_scalar(field, rng).field == field
+        assert factor._random_poly(PolyRing(field, ("x",)), 0, 2, rng).ring.field == field
+
+
 def test_kth_root():
     assert QQ.from_int(8).kth_root(3) == QQ.from_int(2)
     assert F5.from_int(2).kth_root(3) == F5.from_int(3)  # 3^3 = 27 = 2 mod 5
@@ -165,28 +239,6 @@ def test_pow_by_squaring_skips_the_last_square():
         # squarings: bit_length - 1; products: popcount
         assert len(log) == max(e.bit_length() - 1, 0) + bin(e).count("1")
     assert QQ.from_int(2) ** -3 == QQ.from_fraction(Fraction(1, 8))
-
-
-def test_fp_powmod_skips_the_last_square(monkeypatch):
-    """The F_p[x] power behind the F_q irreducibility test squares and
-    multiplies exactly as often as binary powering needs."""
-    from mustab import fields
-
-    calls = []
-    real_mul = fields._fp_mul
-
-    def counted(a, b, p):
-        calls.append(1)
-        return real_mul(a, b, p)
-
-    monkeypatch.setattr(fields, "_fp_mul", counted)
-    mod, p = [1, 0, 1], 3  # x^2 + 1 over F_3
-    expected = [1]
-    for e in range(0, 40):
-        calls.clear()
-        assert fields._fp_powmod([1, 1], e, mod, p) == expected
-        assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
-        expected = fields._fp_divmod(real_mul(expected, [1, 1], p), mod, p)[1]
 
 
 # Q scalars are (numerator, denominator) int pairs; Fraction is the reference

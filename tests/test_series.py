@@ -381,3 +381,46 @@ def test_public_constructor_still_checks():
         PuiseuxSeries(DQ, [(r, one), (exp(1), QQ.zero()), (Exponent(0, Fraction(2, 2), 2), one)], None)
     s = PuiseuxSeries(DQ, [(exp(3), one), (exp(1), one), (exp(2), QQ.zero())], exp(3))
     assert s.terms == ((exp(1), one),)
+
+
+INV_STEPS = [exp("1/2"), exp(1), exp("3/2"), exp(2), exp("5/2")]
+INV_SQRT2_STEPS = INV_STEPS + [Exponent(0, 1, 2), Exponent(1, 1, 2), Exponent(Fraction(-1, 2), 1, 2)]
+
+
+@pytest.mark.parametrize("irrational", [False, True], ids=["rational", "sqrt2"])
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+def test_inverse_times_the_series_is_one(field, irrational):
+    """For f = c t^v (1 + w), f.inv(prec) expands to the target prec, else
+    to the precision of w, else to DEFAULT_PRECISION, and has precision
+    target - v; f * f.inv(prec) is 1 below target and below the precision
+    of w."""
+    from mustab.series import DEFAULT_PRECISION
+
+    dom = ScalarDomain(field)
+    one = PuiseuxSeries.one(dom)
+    steps = INV_SQRT2_STEPS if irrational else INV_STEPS
+    leads = [exp(-1), exp(0), exp("1/3"), exp(2)] + ([Exponent(-1, 1, 2)] if irrational else [])
+    rng = random.Random(5)
+
+    def coeff():
+        c = field.from_int(rng.randrange(1, field.char or 7))
+        return c + field.generator() if field.kind == "Fq" and rng.random() < 0.5 else c
+
+    for _ in range(30):
+        v = rng.choice(leads)
+        terms = {v: coeff()}
+        for _ in range(rng.randrange(0, 4)):
+            terms[v + rng.choice(steps)] = coeff()
+        precision = None if rng.random() < 0.5 else v + rng.choice(steps) + exp(1)
+        f = PuiseuxSeries(dom, list(terms.items()), precision)
+        for prec in (None, exp(3), exp("7/2")):
+            inv = f.inv(prec)
+            if len(f.terms) == 1 and f.is_exact():
+                assert inv.is_exact() and (f * inv) == one
+                continue
+            w_prec = None if precision is None else precision - v
+            target = prec if prec is not None else w_prec if w_prec is not None else DEFAULT_PRECISION
+            assert inv.precision == target - v
+            prod = f * inv
+            assert prod.precision == (target if w_prec is None or target <= w_prec else w_prec)
+            assert not (prod - one).terms
