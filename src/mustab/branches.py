@@ -55,7 +55,8 @@ def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
     FieldMismatch when the entries' exponents use different sqrt(d).
     """
     element = GroupElement(scheme, entries, y=y, check=True)
-    sqrt_ds = {e.d for s in element.entries_flat() for e, _ in s.terms if e.d is not None}
+    exponents = [e for s in element.entries_flat() for e in (s.precision, *(t[0] for t in s.terms)) if e is not None]
+    sqrt_ds = {e.d for e in exponents} - {None}
     if len(sqrt_ds) > 1:
         raise FieldMismatch(f"entries mix the exponent groups of {', '.join(f'sqrt({d})' for d in sorted(sqrt_ds))}")
     return Branch(element, math.lcm(*(s.ramification() for s in element.entries_flat())))

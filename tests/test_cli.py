@@ -355,6 +355,9 @@ MALFORMED_INPUTS = {
     "sqrt2_and_sqrt3_across_sl2_entries": (
         "stab", {"kind": "SL", "n": 2}, {"branch": {"entries": [[ser(("-sqrt(2)", 1)), ser()], [ser(), ser(("sqrt(3)", 1))]]}}
     ),
+    "sqrt3_precision_beside_sqrt2_exponents": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(2)", 1)), ser((-1, 1), prec="sqrt(3)")]}}
+    ),
     # an exponent group Q + Q*sqrt(d) needs d a positive nonsquare
     "exponent_sqrt_4": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-sqrt(4)", 1)), ser((-1, 1))]}}),
     "exponent_sqrt_0": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser(("-1+sqrt(0)", 1)), ser((-1, 1))]}}),
