@@ -22,7 +22,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
-from .exponents import check_d
 
 
 def pow_by_squaring(base, e: int, one):
@@ -122,7 +121,8 @@ class FieldSpec:
         if self.kind == "Q":
             pass
         elif self.kind == "QSqrt":
-            check_d(self.d)
+            if type(self.d) is not int or _int_nth_root(self.d, 2) is not None:
+                raise ValueError(f"QSqrt requires a nonsquare integer d, got {self.d!r}")
         elif self.kind == "Fp":
             if self.p is None or not is_prime(self.p):
                 raise ValueError(f"Fp requires a prime, got {self.p}")

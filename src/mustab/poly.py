@@ -464,7 +464,8 @@ def _parse_atom(toks: _Tokens, ring: PolyRing) -> Poly:
         return inner
     if tok == "sqrt":
         toks.expect("(")
-        d = int(toks.next())
+        tok = toks.next()
+        d = -int(toks.next()) if tok == "-" else int(tok)
         toks.expect(")")
         if ring.field.kind != "QSqrt" or ring.field.d != d:
             raise ValueError(f"sqrt({d}) does not live in {ring.field}")

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import operator
 import pickle
 import random
@@ -13,16 +14,31 @@ from hypothesis import given, settings, strategies as st
 
 from mustab.errors import DivisionByZero, FieldMismatch
 from mustab.fields import QQ, FieldSpec, Scalar, pow_by_squaring
-from mustab.poly import PolyRing
+from mustab.poly import PolyRing, parse_scalar
 
 QS2 = FieldSpec("QSqrt", d=2)
+QS5 = FieldSpec("QSqrt", d=5)
+QI = FieldSpec("QSqrt", d=-1)  # Q(i)
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))  # x^2 + 1 over F_3
+F8 = FieldSpec("Fq", p=2, modulus=(1, 1, 0, 1))  # w^3 + w + 1 over F_2
+F16 = FieldSpec("Fq", p=2, modulus=(1, 1, 0, 0, 1))  # w^4 + w + 1 over F_2
+F27 = FieldSpec("Fq", p=3, modulus=(1, 2, 0, 1))  # w^3 + 2w + 1 over F_3
+FINITE_EXTENSIONS = [F8, F9, F16, F27]
+QUADRATIC_EXTENSIONS = [QS2, QS5, QI]
+
+
+def _gen(field):
+    """The generator w of an extension field, read from its spelling."""
+    return parse_scalar("w" if field.kind == "Fq" else f"sqrt({field.d})", field)
 
 
 def test_construction_guards():
     with pytest.raises(ValueError):
         FieldSpec("QSqrt", d=4)  # perfect square
+    for d in (0, 1, 9, "2", None):
+        with pytest.raises(ValueError):
+            FieldSpec("QSqrt", d=d)
     with pytest.raises(ValueError):
         FieldSpec("Fp", p=6)
     with pytest.raises(ValueError):
@@ -108,6 +124,24 @@ def test_sqrt_in_each_field():
         sq = a * a
         r = sq.sqrt()
         assert r is not None and r * r == sq
+    # brute force over F_8, F_16 and F_27: a root exactly for the squares
+    for field in (F8, F16, F27):
+        elems = list(field.elements())
+        squares = {x * x for x in elems}
+        for a in elems:
+            r = a.sqrt()
+            assert (r is not None and r * r == a) if a in squares else r is None
+    # squares in Q(sqrt 5) and Q(i) have roots that square back; sqrt(d)
+    # itself and a rational non-square have none
+    for field in (QS5, QI):
+        w = _gen(field)
+        for a, b in itertools.product((-3, 0, Fraction(1, 2), 2), repeat=2):
+            x = field.from_fraction(Fraction(a)) + field.from_fraction(Fraction(b)) * w
+            r = (x * x).sqrt()
+            assert r is not None and r * r == x * x
+        assert w.sqrt() is None and field.from_int(3).sqrt() is None
+    assert QI.from_int(-1).sqrt() in (_gen(QI), -_gen(QI))
+    assert QS5.from_int(5).sqrt() in (_gen(QS5), -_gen(QS5))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 17, 41])
@@ -152,7 +186,7 @@ def test_fq_modulus_is_accepted_exactly_when_irreducible(p, degrees):
                 assert FieldSpec("Fq", p=p, modulus=m).order == p**n
 
 
-@pytest.mark.parametrize("field", [F5, F9], ids=["F5", "F9"])
+@pytest.mark.parametrize("field", [F5, F9, F8, F16, F27], ids=["F5", "F9", "F8", "F16", "F27"])
 def test_element_i_is_the_ith_of_elements(field):
     from mustab import samples, subgroups
 
@@ -187,23 +221,32 @@ def test_kth_root():
     assert F5.from_int(2).kth_root(3) == F5.from_int(3)  # 3^3 = 27 = 2 mod 5
 
 
-@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
-def test_field_axioms_qsqrt(a, b, c):
-    x = QS2.from_int(a) + QS2.sqrt_d() * QS2.from_int(b)
-    y = QS2.from_int(c) - QS2.sqrt_d()
+@given(st.sampled_from(QUADRATIC_EXTENSIONS), st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12))
+def test_field_axioms_qsqrt(field, a, b, c, n):
+    w = _gen(field)
+    x = field.from_int(a) + w * field.from_int(b)
+    y = field.from_int(c) - w
+    z = field.from_fraction(Fraction(a, n)) + w * field.from_fraction(Fraction(c, n))
     assert x * y == y * x
     assert (x + y) * y == x * y + y * y
-    if not x.is_zero():
-        assert (x * x.inv()).is_one()
+    assert (x * y) * z == x * (y * z) and (x + y) + z == x + (y + z)
+    assert x - x == field.zero() and x + (-x) == field.zero()
+    for u in (x, z):
+        if not u.is_zero():
+            assert (u * u.inv()).is_one() and (y / u) * u == y
 
 
-@given(st.integers(0, 8), st.integers(0, 8))
-def test_field_axioms_f9(i, j):
-    xs = list(F9.elements())
-    x, y = xs[i], xs[j]
+@given(st.sampled_from(FINITE_EXTENSIONS), st.integers(0, 26), st.integers(0, 26), st.integers(0, 26))
+def test_field_axioms_f9(field, i, j, k):
+    x, y, z = (field.element(n % field.order) for n in (i, j, k))
     assert x * y == y * x
     assert x + y == y + x
     assert (x + y) * x == x * x + y * x
+    assert (x * y) * z == x * (y * z) and (x + y) + z == x + (y + z)
+    assert x - x == field.zero() and x + (-x) == field.zero()
+    if not x.is_zero():
+        assert (x * x.inv()).is_one() and (y / x) * x == y
+        assert x ** (field.order - 1) == field.one()
 
 
 def test_scalar_str_roundtrip():
@@ -216,6 +259,11 @@ def test_scalar_str_roundtrip():
         (QS2, "-1/2*sqrt(2)"),
         (F5, "3"),
         (F9, "2*w+1"),
+        (QS5, "1/2+3/2*sqrt(5)"),
+        (QI, "1-sqrt(-1)"),
+        (QI, "-2/3*sqrt(-1)"),
+        (F8, "w^2+1"),
+        (F27, "2*w^2+w+2"),
     ]:
         s = parse_scalar(text, field)
         assert parse_scalar(str(s), field) == s
@@ -282,9 +330,14 @@ def test_q_arithmetic_matches_fraction(a, b, e):
 
 _SCALARS = {
     "Q": QQ.from_fraction(Fraction(-7, 3)),
-    "QSqrt": QS2.from_fraction(Fraction(1, 2)) + QS2.sqrt_d(),
+    "QSqrt": QS2.from_fraction(Fraction(1, 2)) + _gen(QS2),
+    "QSqrt_5": QS5.from_fraction(Fraction(-3, 4)) * _gen(QS5) + QS5.one(),
+    "QSqrt_-1": QI.from_fraction(Fraction(2, 5)) - _gen(QI),
     "Fp": F5.from_int(3),
-    "Fq": F9.generator() + F9.one(),
+    "Fq": _gen(F9) + F9.one(),
+    "Fq_8": _gen(F8) ** 2 + F8.one(),
+    "Fq_16": _gen(F16) ** 3 + _gen(F16),
+    "Fq_27": _gen(F27) * F27.from_int(2) + F27.one(),
 }
 
 
@@ -299,4 +352,64 @@ def test_scalar_pickles_copies_and_is_immutable(kind):
             setattr(s, name, 1)
     with pytest.raises(AttributeError):
         del s.rep
-    assert s == _SCALARS[kind] and s.field.kind == kind
+    assert s == _SCALARS[kind] and s.field.kind == kind.split("_")[0]
+
+
+# each extension: its str, its JSON, element(i) by base-p digits, and a few
+# values computed by hand
+_EXTENSION_PINS = {
+    "F8": (F8, "F_2^3", ["0", "1", "w", "w+1", "w^2", "w^2+1", "w^2+w", "w^2+w+1"], [("w^3", "w+1"), ("w^-1", "w^2+1"), ("w^7", "1")]),
+    "F16": (F16, "F_2^4", ["0", "1", "w", "w+1", "w^2"], [("w^4", "w+1"), ("(w^2+w)^-1", "w^2+w+1"), ("w^15", "1")]),
+    "F27": (F27, "F_3^3", ["0", "1", "2", "w", "w+1", "w+2", "2*w"], [("w^3", "w+2"), ("w^-1", "2*w^2+1"), ("w^26", "1")]),
+    "Q(sqrt5)": (QS5, "Q(sqrt(5))", None, [("(1/2+1/2*sqrt(5))^2", "3/2+1/2*sqrt(5)"), ("(1/2+1/2*sqrt(5))^-1", "-1/2+1/2*sqrt(5)"), ("sqrt(5)^3", "5*sqrt(5)")]),
+    "Q(i)": (QI, "Q(sqrt(-1))", None, [("sqrt(-1)^2", "-1"), ("(1+sqrt(-1))^-1", "1/2-1/2*sqrt(-1)"), ("(2-3*sqrt(-1))*(2+3*sqrt(-1))", "13")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXTENSION_PINS))
+def test_extension_str_json_and_element_order(name):
+    field, text, first, values = _EXTENSION_PINS[name]
+    assert str(field) == text
+    data = json.loads(json.dumps(field.to_json()))
+    assert FieldSpec.from_json(data) == field and data["kind"] == field.kind
+    if first is not None:
+        assert [str(field.element(i)) for i in range(len(first))] == first
+        elements = list(field.elements())
+        assert len(set(elements)) == field.order == field.p ** (len(field.modulus) - 1)
+    else:
+        w = _gen(field)
+        elements = [field.from_fraction(Fraction(a, 3)) + field.from_fraction(Fraction(b, 2)) * w for a in range(-3, 4) for b in range(-2, 3)]
+    for s in elements:
+        assert parse_scalar(str(s), field) == s
+    for expr, value in values:
+        assert str(parse_scalar(expr, field) if "^-" not in expr else _power(expr, field)) == value
+
+
+def _power(expr, field):
+    """base^-k, which the scalar parser does not read: the inverse of base^k."""
+    base, k = expr.rsplit("^-", 1)
+    return parse_scalar(base, field).inv() ** int(k)
+
+
+@pytest.mark.parametrize("name", ["F8", "F16", "F27", "Q(sqrt5)", "Q(i)"])
+def test_embed_from_the_base_field(name):
+    field = _EXTENSION_PINS[name][0]
+    if field.p:
+        base = FieldSpec("Fp", p=field.p)
+        values = list(base.elements())
+        assert [c.embed(field) for c in values] == [field.element(i) for i in range(field.p)]
+        other = FieldSpec("Fp", p=5 if field.p != 5 else 7)
+    else:
+        base = QQ
+        values = [QQ.from_fraction(Fraction(a, b)) for a in range(-4, 5) for b in (1, 2, 7)]
+        assert [c.embed(field) for c in values] == [field.from_fraction(c.as_fraction()) for c in values]
+        other = QS2
+    for a, b in itertools.product(values[:6], repeat=2):
+        assert (a + b).embed(field) == a.embed(field) + b.embed(field)
+        assert (a * b).embed(field) == a.embed(field) * b.embed(field)
+    assert field.one().embed(field) == field.one()
+    for wrong in (other.one(), _gen(field)):
+        with pytest.raises(FieldMismatch):
+            wrong.embed(base)
+    with pytest.raises(FieldMismatch):
+        other.one().embed(field)
