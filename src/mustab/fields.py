@@ -1,24 +1,23 @@
-"""Exact coefficient fields: Q, Q(sqrt d), F_p and F_{p^n}.
+"""Exact coefficient fields: a prime field k (Q or F_p) and one simple
+extension k[w]/(m) of it, spelled Q(sqrt d) = Q[w]/(w^2 - d) or F_q.
 
-A FieldSpec names the field; a Scalar pairs a spec with a canonical
-representation: a (numerator, denominator) int pair in lowest terms for Q,
-a Fraction pair for Q(sqrt d), a residue in [0, p) for F_p, or a short
-coefficient tuple modulo an irreducible polynomial for F_q.  Scalar is an
-immutable slotted class whose arithmetic results are built by one trusted
-constructor, `_make`, as `exponents._make` builds exponents; Q arithmetic is
-gcd arithmetic on ints, with Fractions built only for `as_fraction`.  All
-arithmetic is exact; nothing here touches floating point.
-
-The dense F_p[x] helpers serve F_q multiplication and inversion only: an
-F_q modulus is proved irreducible by the complete finite-field
-factorization `factor.uni_factor`, and F_p and F_q share one
-Tonelli-Shanks square root.
+A FieldSpec names the field; a Scalar pairs a spec with a canonical rep (see
+Scalar) and is built by one trusted constructor, `_make`, as
+`exponents._make` builds exponents.  An extension element is a trimmed int
+coefficient tuple over one shared denominator, and every extension has one
+multiply-and-reduce (an integer convolution reduced by the monic integer
+modulus), one inverse (the extended Euclidean algorithm over k) and one
+canonicalisation, `_lowest`, the only step that differs by base field.  All
+arithmetic is exact.  An F_q modulus is proved irreducible by
+`factor.uni_factor`; square roots are Tonelli-Shanks over a finite field and
+the norm closed form over Q(sqrt d).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
@@ -37,16 +36,31 @@ def pow_by_squaring(base, e: int, one):
         base = base * base
 
 
+# Miller-Rabin to these bases decides primality below PRIME_BOUND, the least
+# strong pseudoprime to all of them (Sorenson and Webster, 2015)
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Deterministic Miller-Rabin; ValueError for n >= PRIME_BOUND."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is too large to be proved prime (the bound is {PRIME_BOUND})")
+    if n < 2 or any(n % b == 0 for b in _BASES):
+        return n in _BASES
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -66,50 +80,18 @@ def _int_nth_root(n: int, k: int) -> int | None:
         x = y
 
 
-# dense univariate arithmetic over F_p (coefficient lists, low degree first),
-# used for F_q multiplication and inversion
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_add(a, b, p):
-    n = max(len(a), len(b))
-    return _fp_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(a, b, p):
-    a = list(a)
-    binv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and a:
-        c = (a[-1] * binv) % p
-        d = len(a) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] = (a[d + i] - c * b[i]) % p
-        _fp_trim(a)
-    return _fp_trim(q), a
+# the JSON keys of each field kind besides "kind"
+_KEYS = {"Q": (), "QSqrt": ("d",), "Fp": ("p",), "Fq": ("p", "modulus")}
 
 
 @dataclass(frozen=True)
 class FieldSpec:
     """Descriptor of an exact field: Q, QSqrt(d), Fp(p) or Fq(p, modulus).
 
-    modulus is a monic irreducible polynomial over F_p, coefficients listed
-    from degree 0 upward.
+    p is the characteristic of a finite field and None over Q.  An extension
+    k[w]/(m) holds its monic modulus m, coefficients from degree 0 upward:
+    given for Fq, irreducible over F_p with reduced coefficients; set to
+    w^2 - d for QSqrt, where d is a nonsquare integer.
     """
 
     kind: str
@@ -118,17 +100,15 @@ class FieldSpec:
     modulus: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind == "Q":
-            pass
-        elif self.kind == "QSqrt":
+        if self.kind not in _KEYS:
+            raise ValueError(f"unknown field kind {self.kind!r}")
+        if self.kind == "QSqrt":
             if type(self.d) is not int or _int_nth_root(self.d, 2) is not None:
                 raise ValueError(f"QSqrt requires a nonsquare integer d, got {self.d!r}")
-        elif self.kind == "Fp":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"Fp requires a prime, got {self.p}")
-        elif self.kind == "Fq":
-            if self.p is None or not is_prime(self.p):
-                raise ValueError(f"Fq requires a prime, got {self.p}")
+            object.__setattr__(self, "modulus", (-self.d, 0, 1))
+        elif self.kind != "Q" and (self.p is None or not is_prime(self.p)):
+            raise ValueError(f"{self.kind} requires a prime, got {self.p}")
+        if self.kind == "Fq":
             m = list(self.modulus or ())
             if len(m) < 3 or m[-1] != 1 or any(c % self.p != c for c in m):
                 raise ValueError("Fq modulus must be monic of degree >= 2 with reduced coefficients")
@@ -139,25 +119,19 @@ class FieldSpec:
             f = Poly(PolyRing(fp, ("x",)), {(i,): fp.from_int(c) for i, c in enumerate(m)})
             if uni_factor(f).factors != [(f, 1)]:
                 raise ValueError(f"Fq modulus {m} is reducible over F_{self.p}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
 
     @property
     def char(self) -> int:
-        return 0 if self.kind in ("Q", "QSqrt") else self.p
+        return self.p or 0
 
     @property
     def extension_degree(self) -> int:
-        return len(self.modulus) - 1 if self.kind == "Fq" else 1
+        return len(self.modulus) - 1 if self.modulus else 1
 
     @property
     def order(self) -> int | None:
         """Number of elements, None for infinite fields."""
-        if self.kind == "Fp":
-            return self.p
-        if self.kind == "Fq":
-            return self.p**self.extension_degree
-        return None
+        return self.p**self.extension_degree if self.p else None
 
     def zero(self) -> Scalar:
         return self.from_int(0)
@@ -168,45 +142,35 @@ class FieldSpec:
     def from_int(self, n: int) -> Scalar:
         if self.kind == "Q":
             return _make(self, (n, 1))
-        if self.kind == "QSqrt":
-            return _make(self, (Fraction(n), Fraction(0)))
         if self.kind == "Fp":
             return _make(self, n % self.p)
-        return _make(self, _fq_canon((n % self.p,)))
+        return _make(self, _canon(self.p, [n], 1))
 
     def from_fraction(self, q: Fraction) -> Scalar:
         if self.kind == "Q":
             return _make(self, (q.numerator, q.denominator))
-        if self.kind == "QSqrt":
-            return _make(self, (q, Fraction(0)))
-        num = self.from_int(q.numerator)
-        if q.denominator % self.p == 0:
+        if self.p and q.denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator {q.denominator} vanishes in characteristic {self.p}")
-        return num / self.from_int(q.denominator)
-
-    def sqrt_d(self) -> Scalar:
-        if self.kind != "QSqrt":
-            raise ValueError("sqrt generator only exists in QSqrt fields")
-        return _make(self, (Fraction(0), Fraction(1)))
+        if self.kind == "Fp":
+            return _make(self, q.numerator * pow(q.denominator, -1, self.p) % self.p)
+        return _make(self, _canon(self.p, [q.numerator], q.denominator))
 
     def generator(self) -> Scalar:
-        if self.kind != "Fq":
-            raise ValueError("generator only exists in Fq fields")
-        return _make(self, (0, 1))
+        """The class of w in an extension k[w]/(m); sqrt(d) in Q(sqrt d)."""
+        if self.modulus is None:
+            raise ValueError(f"{self} is not an extension field")
+        return _make(self, ((0, 1), 1))
 
     def element(self, i: int) -> Scalar:
         """Element number i, 0 <= i < order, of a finite field: the residue
         i in F_p; in F_q the polynomial whose coefficients, lowest first,
         are the base-p digits of i."""
+        if not self.p:
+            raise ValueError("cannot enumerate an infinite field")
         if self.kind == "Fp":
             return _make(self, i)
-        if self.kind == "Fq":
-            digits = []
-            for _ in range(self.extension_degree):
-                i, c = divmod(i, self.p)
-                digits.append(c)
-            return _make(self, _fq_canon(digits))
-        raise ValueError("cannot enumerate an infinite field")
+        digits = [i // self.p**k % self.p for k in range(self.extension_degree)]
+        return _make(self, _canon(self.p, digits, 1))
 
     def elements(self):
         """Iterate all elements (finite fields only), in element(i) order."""
@@ -216,26 +180,19 @@ class FieldSpec:
             yield self.element(i)
 
     def to_json(self) -> dict:
-        if self.kind == "Q":
-            return {"kind": "Q"}
-        if self.kind == "QSqrt":
-            return {"kind": "QSqrt", "d": self.d}
-        if self.kind == "Fp":
-            return {"kind": "Fp", "p": self.p}
-        return {"kind": "Fq", "p": self.p, "modulus": list(self.modulus)}
+        out = {"kind": self.kind}
+        for key in _KEYS[self.kind]:
+            value = getattr(self, key)
+            out[key] = list(value) if key == "modulus" else value
+        return out
 
     @staticmethod
     def from_json(data: dict) -> FieldSpec:
         kind = data["kind"]
         if kind == "Q":
             return QQ
-        if kind == "QSqrt":
-            return FieldSpec("QSqrt", d=int(data["d"]))
-        if kind == "Fp":
-            return FieldSpec("Fp", p=int(data["p"]))
-        if kind == "Fq":
-            return FieldSpec("Fq", p=int(data["p"]), modulus=tuple(int(c) for c in data["modulus"]))
-        raise ValueError(f"unknown field kind {kind!r}")
+        args = {key: tuple(int(c) for c in data[key]) if key == "modulus" else int(data[key]) for key in _KEYS.get(kind, ())}
+        return FieldSpec(kind, **args)  # ValueError for an unknown kind
 
     def __str__(self):
         if self.kind == "Q":
@@ -247,22 +204,17 @@ class FieldSpec:
         return f"F_{self.p}^{self.extension_degree}"
 
 
-def _fq_canon(coeffs) -> tuple[int, ...]:
-    c = list(coeffs)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
 class Scalar:
     """An element of a FieldSpec in canonical form; immutable.
 
     rep is a (numerator, denominator) int pair in lowest terms with
-    denominator > 0 (Q), a (Fraction, Fraction) pair meaning a + b*sqrt(d)
-    (QSqrt), an int in [0, p) (Fp), or a trimmed coefficient tuple (Fq).
-    Two scalars are equal when their fields are equal and their reps are.
-    The public constructor also accepts a Fraction or an int for Q;
-    arithmetic builds its results with the trusted `_make`.
+    denominator > 0 (Q), an int in [0, p) (Fp), or, in an extension
+    k[w]/(m) (QSqrt, Fq), a pair (coefficients, denominator): a trimmed int
+    tuple of the coefficients of w^0, w^1, ... over one positive
+    denominator, in lowest terms over Q and always 1 over F_p.  Two scalars
+    are equal when their fields are equal and their reps are.  The public
+    constructor also accepts a Fraction or an int for Q; arithmetic builds
+    its results with the trusted `_make`.
     """
 
     __slots__ = ("field", "rep")
@@ -302,12 +254,8 @@ class Scalar:
         return Fraction(*self.rep)
 
     def is_zero(self) -> bool:
-        k = self.field.kind
-        if k == "Q":
-            return not self.rep[0]
-        if k == "QSqrt":
-            return not self.rep[0] and not self.rep[1]
-        return not self.rep
+        # the numerator of Q, the coefficient tuple of an extension
+        return not self.rep if self.field.kind == "Fp" else not self.rep[0]
 
     def is_one(self) -> bool:
         return self == self.field.one()
@@ -319,25 +267,21 @@ class Scalar:
         k = field.kind
         if k == "Q":
             return _make(field, _q_add(self.rep, other.rep[0], other.rep[1]))
-        if k == "QSqrt":
-            return _make(field, (self.rep[0] + other.rep[0], self.rep[1] + other.rep[1]))
         if k == "Fp":
             return _make(field, (self.rep + other.rep) % field.p)
-        p = field.p
-        n = max(len(self.rep), len(other.rep))
-        a, b = self.rep, other.rep
-        return _make(field, _fq_canon([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]))
+        (a, da), (b, db) = self.rep, other.rep
+        out = [x * db + y * da for x, y in zip_longest(a, b, fillvalue=0)]
+        return _make(field, _canon(field.p, out, da * db))
 
     def __neg__(self) -> Scalar:
-        k = self.field.kind
+        field = self.field
+        k = field.kind
         if k == "Q":
-            return _make(self.field, (-self.rep[0], self.rep[1]))
-        if k == "QSqrt":
-            return _make(self.field, (-self.rep[0], -self.rep[1]))
+            return _make(field, (-self.rep[0], self.rep[1]))
         if k == "Fp":
-            return _make(self.field, (-self.rep) % self.field.p)
-        p = self.field.p
-        return _make(self.field, _fq_canon([(-c) % p for c in self.rep]))
+            return _make(field, (-self.rep) % field.p)
+        a, da = self.rep
+        return _make(field, _canon(field.p, [-c for c in a], da))
 
     def __sub__(self, other: Scalar) -> Scalar:
         if self.field.kind == "Q" and self.field is other.field:
@@ -357,40 +301,57 @@ class Scalar:
             # cancel the cross gcds: a/d and c/b, both already coprime pairs
             g1, g2 = gcd(a, d), gcd(c, b)
             return _make(field, ((a // g1) * (c // g2), (b // g2) * (d // g1)))
-        if k == "QSqrt":
-            a, b = self.rep
-            c, e = other.rep
-            return _make(field, (a * c + field.d * b * e, a * e + b * c))
         if k == "Fp":
             return _make(field, (self.rep * other.rep) % field.p)
-        p = field.p
-        prod = _fp_mul(list(self.rep), list(other.rep), p)
-        return _make(field, _fq_canon(_fp_divmod(prod, list(field.modulus), p)[1]))
+        (a, da), (b, db) = self.rep, other.rep
+        if not a or not b:
+            return _make(field, ((), 1))
+        # the integer convolution, then w^k -> w^k - w^(k-n) m from the top
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    out[i + j] += ai * bj
+        m = field.modulus
+        n = len(m) - 1
+        for top in range(len(out) - 1, n - 1, -1):
+            c = out[top]
+            if c:
+                for i in range(n):
+                    out[top - n + i] -= c * m[i]
+        del out[n:]
+        return _make(field, _canon(field.p, out, da * db))
 
     def inv(self) -> Scalar:
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {self.field}")
-        k = self.field.kind
+        field = self.field
+        k = field.kind
         if k == "Q":
             a, b = self.rep
-            return _make(self.field, (b, a) if a > 0 else (-b, -a))
-        if k == "QSqrt":
-            a, b = self.rep
-            norm = a * a - self.field.d * b * b
-            return _make(self.field, (a / norm, -b / norm))
+            return _make(field, (b, a) if a > 0 else (-b, -a))
         if k == "Fp":
-            return _make(self.field, pow(self.rep, -1, self.field.p))
-        # extended Euclid in F_p[x] against the modulus
-        p = self.field.p
-        r0, r1 = list(self.field.modulus), list(self.rep)
+            return _make(field, pow(self.rep, -1, field.p))
+        # extended Euclid against m by pseudo-division, so that every
+        # remainder stays an integer polynomial: each step keeps
+        # s*a = r (mod m), and the last remainder is a constant c, so that
+        # (a/den)^-1 = den*s/c
+        a, den = self.rep
+        p = field.p
+        r0, r1 = list(field.modulus), list(a)
         s0, s1 = [], [1]
-        while r1:
-            q, r = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _fp_add(s0, [(-c) % p for c in _fp_mul(q, s1, p)], p)
-        lead_inv = pow(r0[-1], -1, p)
-        s0 = [(c * lead_inv) % p for c in s0]
-        return _make(self.field, _fq_canon(_fp_divmod(s0, list(self.field.modulus), p)[1]))
+        while len(r1) > 1:
+            lead, size = r1[-1], len(r1)
+            r, s = r0, s0
+            for j in range(len(r0) - size, -1, -1):
+                c = r[j + size - 1]
+                r, s = _scale_sub(lead, r, c, j, r1), _scale_sub(lead, s, c, j, s1)
+            rs = _lowest(p, r + s, 0)[0]
+            r, s = rs[: len(r)], rs[len(r) :]
+            while not r[-1]:
+                r.pop()
+            r0, r1, s0, s1 = r1, r, s1, s
+        return _make(field, _canon(p, [den * c for c in s1], r1[0]))
 
     def __truediv__(self, other: Scalar) -> Scalar:
         return self * other.inv()
@@ -404,46 +365,35 @@ class Scalar:
         """A square root in the same field, or None."""
         if self.is_zero():
             return self
-        k = self.field.kind
-        if k == "Q":
+        field = self.field
+        if field.p:
+            # the Frobenius inverse in characteristic 2, else Euler's
+            # criterion and Tonelli-Shanks
+            q = field.order
+            if field.p == 2:
+                return self ** (q // 2)
+            return _tonelli(self, q) if (self ** ((q - 1) // 2)).is_one() else None
+        if field.kind == "Q":
             r = _fraction_sqrt(self.as_fraction())
-            return None if r is None else self.field.from_fraction(r)
-        if k == "QSqrt":
-            return self._qsqrt_sqrt()
-        return self._finite_sqrt()
-
-    def _qsqrt_sqrt(self) -> Scalar | None:
-        a, b = self.rep
-        d = self.field.d
+            return None if r is None else field.from_fraction(r)
+        # Q(sqrt d) by the norm: (x + y sqrt d)^2 = a + b sqrt d means
+        # x^2 + d y^2 = a and 2xy = b
+        a, b = _q_pair(self.rep)
+        d = field.d
         if b == 0:
             r = _fraction_sqrt(a)
             if r is not None:
-                return _make(self.field, (r, Fraction(0)))
+                return field.from_fraction(r)
             r = _fraction_sqrt(a / d)
-            if r is not None:
-                return _make(self.field, (Fraction(0), r))
-            return None
-        # (x + y sqrt d)^2 = a + b sqrt d: x^2 + d y^2 = a, 2xy = b
+            return None if r is None else field.from_fraction(r) * field.generator()
         disc = _fraction_sqrt(a * a - d * b * b)
         if disc is None:
             return None
         for sign in (1, -1):
-            x2 = (a + sign * disc) / 2
-            x = _fraction_sqrt(x2)
+            x = _fraction_sqrt((a + sign * disc) / 2)
             if x is not None and x != 0:
-                y = b / (2 * x)
-                return _make(self.field, (x, y))
+                return field.from_fraction(x) + field.from_fraction(b / (2 * x)) * field.generator()
         return None
-
-    def _finite_sqrt(self) -> Scalar | None:
-        """Square root in F_p or F_q: the Frobenius inverse in
-        characteristic 2, else Euler's criterion and Tonelli-Shanks."""
-        q = self.field.order
-        if self.field.p == 2:
-            return self ** (q // 2)
-        if not (self ** ((q - 1) // 2)).is_one():
-            return None
-        return _tonelli_generic(self, q)
 
     def kth_root(self, k: int) -> Scalar:
         """Exact k-th root; raises CoefficientFieldTooSmall if absent."""
@@ -454,8 +404,7 @@ class Scalar:
             if r is None:
                 raise CoefficientFieldTooSmall(f"{self} has no square root in {self.field}")
             return r
-        fk = self.field.kind
-        if fk == "Q":
+        if self.field.kind == "Q":
             q = self.as_fraction()
             num = _int_nth_root(abs(q.numerator), k)
             den = _int_nth_root(q.denominator, k)
@@ -465,43 +414,45 @@ class Scalar:
                 if k % 2 == 1:
                     return self.field.from_fraction(Fraction(-num, den))
             raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in Q")
-        if fk in ("Fp", "Fq"):
-            q = self.field.order
+        if self.field.p:
             for cand in self.field.elements():
                 if (cand**k) == self:
                     return cand
-            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in F_{q}")
+            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in F_{self.field.order}")
         raise CoefficientFieldTooSmall(f"{k}-th roots only implemented for Q and finite fields")
 
     def embed(self, target: FieldSpec) -> Scalar:
-        """Embed into a compatible bigger field (Q -> QSqrt, Fp -> Fq)."""
-        if target == self.field:
+        """Embed a prime-field scalar into an extension of its field
+        (Q -> QSqrt, Fp -> Fq)."""
+        field = self.field
+        if target == field:
             return self
-        if self.field.kind == "Q" and target.kind == "QSqrt":
-            return _make(target, (self.as_fraction(), Fraction(0)))
-        if self.field.kind == "Fp" and target.kind == "Fq" and target.p == self.field.p:
-            return _make(target, _fq_canon((self.rep,)))
-        raise FieldMismatch(f"no embedding {self.field} -> {target}")
+        if target.modulus is not None and field.modulus is None and field.p == target.p:
+            num, den = self.rep if field.kind == "Q" else (self.rep, 1)
+            return _make(target, _canon(target.p, [num], den))
+        raise FieldMismatch(f"no embedding {field} -> {target}")
 
     def __str__(self):
         k = self.field.kind
         if k == "Q":
             return str(self.as_fraction())
+        if k == "Fp":
+            return str(self.rep)
         if k == "QSqrt":
-            a, b = self.rep
+            a, b = _q_pair(self.rep)
             if b == 0:
                 return str(a)
-            bs = f"sqrt({self.field.d})" if b == 1 else (f"-sqrt({self.field.d})" if b == -1 else f"{b}*sqrt({self.field.d})")
+            d = self.field.d
+            bs = f"sqrt({d})" if b == 1 else (f"-sqrt({d})" if b == -1 else f"{b}*sqrt({d})")
             if a == 0:
                 return bs
             return f"{a}+{bs}" if not bs.startswith("-") else f"{a}{bs}"
-        if k == "Fp":
-            return str(self.rep)
-        if not self.rep:
+        coeffs = self.rep[0]
+        if not coeffs:
             return "0"
         parts = []
-        for i in reversed(range(len(self.rep))):
-            c = self.rep[i]
+        for i in reversed(range(len(coeffs))):
+            c = coeffs[i]
             if c == 0:
                 continue
             if i == 0:
@@ -545,6 +496,49 @@ def _q_add(x: tuple[int, int], c: int, d: int) -> tuple[int, int]:
     return (n // g, d // g)
 
 
+def _lowest(p: int | None, xs: list[int], den: int) -> tuple[list[int], int]:
+    """xs / den in lowest terms over the prime field, as (list, den): over
+    F_p the residues of xs times den^-1 over 1; over Q xs and den divided by
+    their gcd, den > 0.  den = 0 asks for xs up to a nonzero factor: its
+    residues over F_p, xs over their gcd over Q.  This is the one step of
+    extension arithmetic that depends on the base field."""
+    if p:
+        if den == 1 or not den:
+            return [x % p for x in xs], 1
+        inv = pow(den, -1, p)
+        return [x * inv % p for x in xs], 1
+    g = gcd(den, *xs)
+    if den < 0:
+        g = -g
+    if g == 1 or not g:
+        return xs, den
+    return [x // g for x in xs], den // g
+
+
+def _canon(p: int | None, xs: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The extension rep of (sum xs[i] w^i) / den, den != 0, with deg < deg m."""
+    xs, den = _lowest(p, xs, den)
+    while xs and not xs[-1]:
+        xs.pop()
+    return tuple(xs), den
+
+
+def _scale_sub(lead: int, r: list[int], c: int, j: int, b: list[int]) -> list[int]:
+    """lead * r - c * w^j * b on integer coefficient lists."""
+    out = [lead * x for x in r]
+    out += [0] * (j + len(b) - len(out))
+    for i, y in enumerate(b):
+        out[i + j] -= c * y
+    return out
+
+
+def _q_pair(rep) -> tuple[Fraction, Fraction]:
+    """(a, b) with value a + b*w for the rep of a Q(sqrt d) scalar."""
+    coeffs, den = rep
+    coeffs += (0,) * (2 - len(coeffs))
+    return Fraction(coeffs[0], den), Fraction(coeffs[1], den)
+
+
 def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if q < 0:
         return None
@@ -555,7 +549,7 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     return Fraction(num, den)
 
 
-def _tonelli_generic(a: Scalar, q: int) -> Scalar | None:
+def _tonelli(a: Scalar, q: int) -> Scalar | None:
     """Tonelli-Shanks in the unit group of a finite field of odd order q."""
     field = a.field
     s, m = q - 1, 0

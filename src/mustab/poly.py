@@ -469,7 +469,7 @@ def _parse_atom(toks: _Tokens, ring: PolyRing) -> Poly:
         toks.expect(")")
         if ring.field.kind != "QSqrt" or ring.field.d != d:
             raise ValueError(f"sqrt({d}) does not live in {ring.field}")
-        return ring.from_scalar(ring.field.sqrt_d())
+        return ring.from_scalar(ring.field.generator())
     if tok == "w" and ring.field.kind == "Fq" and "w" not in ring.variables:
         return ring.from_scalar(ring.field.generator())
     if tok.isdigit():

@@ -306,8 +306,9 @@ class PuiseuxSeries:
 
     def inv(self, prec: Exponent | None = None) -> PuiseuxSeries:
         """Inverse as c^-1 t^-v (1 + w)^-1 by the binomial series, for the
-        leading term c t^v; the expansion runs to prec, else to the
-        precision of w, else to DEFAULT_PRECISION."""
+        leading term c t^v; the expansion runs to the lower of prec and the
+        precision of w, to either one that is known, else to
+        DEFAULT_PRECISION."""
         if not self.terms:
             raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
         v, c = self.terms[0]
@@ -317,9 +318,9 @@ class PuiseuxSeries:
         w = (self.shift(-v)).scale(cinv) - PuiseuxSeries.one(self.dom)
         if w.is_zero() and w.is_exact():
             return lead_inv
-        target = prec
+        target = _min_prec(prec, w.precision)
         if target is None:
-            target = w.precision if w.precision is not None else DEFAULT_PRECISION
+            target = DEFAULT_PRECISION
         return lead_inv * _binomial_power(w, Fraction(-1), target, self.dom)
 
     # -- valuation data ----------------------------------------------------

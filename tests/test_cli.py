@@ -1,6 +1,7 @@
 """CLI driver: jobs, exit codes, determinism, corpus plumbing."""
 
 import json
+import time
 
 import pytest
 
@@ -122,6 +123,25 @@ def test_exit_code_invalid():
     assert code == 2
 
 
+def test_field_prime_is_decided_quickly():
+    """A job over F_p for a 17-digit prime p still exits 2 (it has no
+    input), in well under a second; a composite p and a p beyond the proven
+    primality bound are invalid input."""
+    job = {"field": {"kind": "Fp", "p": 10**16 + 61}, "command": "stab"}
+    start = time.perf_counter()
+    report, code = run_job(job)
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "Fp requires a prime" not in report["errors"][0]["message"]
+    # a strong pseudoprime to every prime base up to 37 (399165290221 *
+    # 798330580441), a product of two 9-digit primes, and 2^89 - 1, a prime
+    # above the bound
+    for p in (318665857834031151167461, (10**8 + 7) * (10**8 + 37), 2**89 - 1):
+        for kind in ("Fp", "Fq"):
+            job = {"field": {"kind": kind, "p": p, "modulus": [1, 0, 1]}, "command": "stab"}
+            report, code = run_job(job)
+            assert code == 2 and "prime" in report["errors"][0]["message"]
+
+
 WRONG_ENTRY_COUNTS = {
     # SL(2) entries with rows of 2 and 1, 2 and 3, 3 and 1, and three rows
     "short_row": [[ser(("-1", "1")), ser(("0", "1"))], [ser(("1", "1"))]],
@@ -205,6 +225,23 @@ def test_iwasawa_job():
     report, code = run_job(job)
     assert code == 0
     assert report["results"]["u_integral"] is True
+
+
+def test_iwasawa_job_claims_no_unknown_terms():
+    """[[t^-1 + O(t^2), 0], [1, t + O(t^4)]]: u21 = t*(1 + O(t^3)) is known
+    only below t^4, however far the inverse of the pivot is expanded."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "SL", "n": 2},
+        "command": "iwasawa",
+        "input": {"branch": {"entries": [
+            [ser(("-1", "1"), prec=2), {"terms": []}],
+            [ser(("0", "1")), ser(("1", "1"), prec=4)],
+        ]}},
+    }
+    report, code = run_job(job)
+    assert code == 0
+    assert report["results"]["u"][1][0] == ser(("1", "1"), prec=4)
 
 
 def test_verify_job_pass_and_fail():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mustab.errors import DivisionByZero, FieldMismatch
-from mustab.fields import QQ, FieldSpec, Scalar, pow_by_squaring
+from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.poly import PolyRing, parse_scalar
 
 QS2 = FieldSpec("QSqrt", d=2)
@@ -45,9 +45,20 @@ def test_construction_guards():
         FieldSpec("Fq", p=5, modulus=(1, 0, 1))  # x^2+1 = (x-2)(x-3) over F_5
 
 
+def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(PRIME_BOUND)
+    assert [n for n in range(-2, 3000) if is_prime(n)] == [n for n in range(2, 3000) if all(n % f for f in range(2, n))]
+    # strong pseudoprimes to the prime bases up to 2, 11, 23 and 37
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461, 561 * 1105):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 10**16 + 61, 10**24 + 7, PRIME_BOUND - 168):
+        assert is_prime(n)
+
+
 def test_difference_of_squares_in_qsqrt2():
     one = QS2.one()
-    s = QS2.sqrt_d()
+    s = QS2.generator()
     assert (one + s) * (one - s) == -one
 
 
@@ -114,7 +125,7 @@ def test_sqrt_in_each_field():
     assert QQ.from_fraction(Fraction(9, 4)).sqrt() == QQ.from_fraction(Fraction(3, 2))
     assert QQ.from_int(2).sqrt() is None
     # (1 + sqrt2)^2 = 3 + 2 sqrt2
-    x = QS2.one() + QS2.sqrt_d()
+    x = QS2.one() + QS2.generator()
     sq = x * x
     r = sq.sqrt()
     assert r is not None and r * r == sq

@@ -323,7 +323,7 @@ def reference_reduce_poly(f, basis, order):
 def division_case(draw):
     field = draw(st.sampled_from([QQ, QS2, F5, F9]))
     ring = PolyRing(field, ("x", "y", "z"))
-    theta = {"QSqrt": field.sqrt_d, "Fq": field.generator}.get(field.kind, field.one)()
+    theta = field.generator() if field.modulus else field.one()
 
     def scalar():
         # a + b*theta over a denominator c: fractions over Q, sqrt(2) over
@@ -389,7 +389,7 @@ def test_arithmetic_results_store_no_zero_coefficient(field):
         a, b = x + y * 2, x * 4 + y * 3
         prod = (x + y) * (x + y * 4)  # x^2 + 5xy + 4y^2
     elif field.kind == "QSqrt":
-        s = field.sqrt_d()
+        s = field.generator()
         a, b = x * s + y, -(x * s) + y
         prod = (x + y * s) * (x - y * s)  # x^2 - 2y^2
     else:

@@ -85,6 +85,14 @@ def test_inv_geometric():
     assert agrees(f * out, PuiseuxSeries.one(DQ))
 
 
+def test_inv_stops_at_the_precision_of_the_series():
+    # 1 + t + O(t^2) fixes its inverse only below t^2, whatever prec asks
+    f = S((0, 1), (1, 1), prec=2)
+    for prec, known in ((exp(4), 2), (exp(2), 2), (None, 2), (exp(1), 1)):
+        out = f.inv(prec)
+        assert out.precision == exp(known) and agrees(out, S((0, 1), (1, -1), prec=2))
+
+
 def test_inv_monomials():
     assert S((-1, 1)).inv() == S((1, 1))
     got = S((2, 2)).inv()
@@ -390,10 +398,10 @@ INV_SQRT2_STEPS = INV_STEPS + [Exponent(0, 1, 2), Exponent(1, 1, 2), Exponent(Fr
 @pytest.mark.parametrize("irrational", [False, True], ids=["rational", "sqrt2"])
 @pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
 def test_inverse_times_the_series_is_one(field, irrational):
-    """For f = c t^v (1 + w), f.inv(prec) expands to the target prec, else
-    to the precision of w, else to DEFAULT_PRECISION; where f determines
-    the inverse that far, its precision is target - v.  f * f.inv(prec) is
-    1 below target and below the precision of w."""
+    """For f = c t^v (1 + w), f.inv(prec) expands to the target: the lower
+    of prec and the precision of w, either one that is known, else
+    DEFAULT_PRECISION; its precision is target - v, and f * f.inv(prec) is
+    1 below target."""
     from mustab.series import DEFAULT_PRECISION
 
     dom = ScalarDomain(field)
@@ -419,9 +427,9 @@ def test_inverse_times_the_series_is_one(field, irrational):
                 assert inv.is_exact() and (f * inv) == one
                 continue
             w_prec = None if precision is None else precision - v
-            target = prec if prec is not None else w_prec if w_prec is not None else DEFAULT_PRECISION
-            if w_prec is None or target <= w_prec:
-                assert inv.precision == target - v
+            known = [q for q in (prec, w_prec) if q is not None]
+            target = min(known) if known else DEFAULT_PRECISION
+            assert inv.precision == target - v
             prod = f * inv
-            assert prod.precision == (target if w_prec is None or target <= w_prec else w_prec)
+            assert prod.precision == target
             assert not (prod - one).terms
