@@ -503,14 +503,14 @@ def _lowest(p: int | None, xs: list[int], den: int) -> tuple[list[int], int]:
     residues over F_p, xs over their gcd over Q.  This is the one step of
     extension arithmetic that depends on the base field."""
     if p:
-        if den == 1 or not den:
+        if den in (0, 1):
             return [x % p for x in xs], 1
         inv = pow(den, -1, p)
         return [x * inv % p for x in xs], 1
     g = gcd(den, *xs)
     if den < 0:
         g = -g
-    if g == 1 or not g:
+    if g in (0, 1):
         return xs, den
     return [x // g for x in xs], den // g
 
