@@ -49,7 +49,7 @@ def test_is_prime_matches_trial_division_and_rejects_strong_pseudoprimes():
     with pytest.raises(ValueError, match="too large"):
         is_prime(PRIME_BOUND)
     assert [n for n in range(-2, 3000) if is_prime(n)] == [n for n in range(2, 3000) if all(n % f for f in range(2, n))]
-    # strong pseudoprimes to the prime bases up to 2, 11, 23 and 37
+    # the least strong pseudoprimes to all prime bases up to 2, 7, 23 and 37
     for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461, 561 * 1105):
         assert not is_prime(n)
     for n in (2**31 - 1, 2**61 - 1, 10**16 + 61, 10**24 + 7, PRIME_BOUND - 168):
