@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity
-from .errors import IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient
+from .errors import IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient, SelfCheckFailed
 from .exponents import Exponent, exp
 from .factor import uni_factor
 from .groups import GroupElement, GroupScheme, eval_poly_series
@@ -216,7 +216,7 @@ def identity_component(
         else:
             cosets.append(I)
     if comp is None:
-        raise ValueError("identity does not satisfy the fiber ideal")
+        raise SelfCheckFailed("identity does not satisfy the fiber ideal")
     return comp, cosets, complete
 
 

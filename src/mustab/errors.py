@@ -68,3 +68,9 @@ class NotCenteredAtInfinity(MustabError):
 
 class NotReduced(MustabError):
     """Stabilizer computation detected a non-minimal-dimension branch."""
+
+
+class SelfCheckFailed(MustabError):
+    """A computed result failed the consistency check run on it before it
+    is returned, such as a stabilizer generator that does not vanish on
+    its own family."""

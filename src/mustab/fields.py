@@ -10,7 +10,9 @@ modulus), one inverse (the extended Euclidean algorithm over k) and one
 canonicalisation, `_lowest`, the only step that differs by base field.  All
 arithmetic is exact.  An F_q modulus is proved irreducible by
 `factor.uni_factor`; square roots are Tonelli-Shanks over a finite field and
-the norm closed form over Q(sqrt d).
+the norm closed form over Q(sqrt d); a higher root over a finite field is
+decided by a power test and taken from the roots of x^k - a
+(`factor.scalar_roots`), without listing the field.
 """
 
 from __future__ import annotations
@@ -415,10 +417,17 @@ class Scalar:
                     return self.field.from_fraction(Fraction(-num, den))
             raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in Q")
         if self.field.p:
-            for cand in self.field.elements():
-                if (cand**k) == self:
-                    return cand
-            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in F_{self.field.order}")
+            # the k-th powers in the cyclic group F_q^* are its g-th powers,
+            # g = gcd(k, q - 1); the roots are those of x^k - self in F_q
+            q = self.field.order
+            if (self ** ((q - 1) // gcd(k, q - 1))).is_one():
+                from .factor import scalar_roots  # lazy: factor imports this module
+                from .poly import PolyRing
+
+                ring = PolyRing(self.field, ("x",))
+                roots = scalar_roots(ring.monomial((k,), self.field.one()) - ring.monomial((0,), self))
+                return min(roots, key=_element_index)
+            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in F_{q}")
         raise CoefficientFieldTooSmall(f"{k}-th roots only implemented for Q and finite fields")
 
     def embed(self, target: FieldSpec) -> Scalar:
@@ -577,6 +586,13 @@ def _tonelli(a: Scalar, q: int) -> Scalar | None:
         m, c = i, b * b
         t, r = t * c, r * b
     return r
+
+
+def _element_index(x: Scalar) -> int:
+    """The i with x == x.field.element(i)."""
+    if x.field.kind == "Fp":
+        return x.rep
+    return sum(c * x.field.p**i for i, c in enumerate(x.rep[0]))
 
 
 QQ = FieldSpec("Q")

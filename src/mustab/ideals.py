@@ -1,9 +1,16 @@
 """Ideals and Groebner machinery: Buchberger, elimination, membership,
 Krull dimension.
 
-Buchberger runs with the coprime-lcm and chain criteria under a
-configurable S-pair budget; bases are returned reduced and monic, sorted
-by leading monomial, so re-running is a fixed point.
+Buchberger selects work by the normal strategy (smallest lcm first) with
+the input generators entering through the same queue as the S-pairs
+(Giovini-Mora-Niesi-Robbiano-Traverso, "One sugar cube, please", 1991):
+each generator waits keyed by its leading monomial and, when its turn
+comes, is reduced against the basis built so far and joins it only if it
+does not reduce to zero, so generators that are redundant cost one
+division each and no pairs.  S-pairs are skipped by the coprime-lcm and
+chain criteria; the configurable budget counts the S-polynomials formed,
+never the generator reductions.  Bases are returned reduced and monic,
+sorted by leading monomial, so re-running is a fixed point.
 
 Division (`reduce_poly`, Cox-Little-O'Shea 2.3) reduces one dict of the
 remaining terms in place.  Each divisor's leading term (cached on the Poly
@@ -133,22 +140,31 @@ def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPOLY_BUDGET) -> list[Poly]:
     import heapq
 
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    lms = [g.leading_monomial(order) for g in basis]
-    heap: list = []
+    gens = [g for g in gens if not g.is_zero()]
+    basis: list[Poly] = []
+    lms: list[Monomial] = []
+    # an input generator g waits as the pseudo-pair (-1, index), keyed by its
+    # leading monomial; S-pairs (i, j) have i >= 0
+    heap: list = [(order.key(g.leading_monomial(order)), -1, n, None) for n, g in enumerate(gens)]
+    heapq.heapify(heap)
 
-    def push(i: int, j: int):
-        lcm = _mono_lcm(lms[i], lms[j])
-        heapq.heappush(heap, (order.key(lcm), i, j, lcm))
+    def insert(r: Poly):
+        if r.is_zero():
+            return
+        basis.append(r.monic(order))
+        lms.append(basis[-1].leading_monomial(order))
+        new = len(basis) - 1
+        for k in range(new):
+            lcm = _mono_lcm(lms[k], lms[new])
+            heapq.heappush(heap, (order.key(lcm), k, new, lcm))
 
-    for i, j in combinations(range(len(basis)), 2):
-        push(i, j)
     processed = 0
     handled: set[tuple[int, int]] = set()
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
+        if i < 0:
+            insert(normal_form(gens[j], basis, order))
+            continue
         handled.add((i, j))
         if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
             continue  # coprime leading monomials
@@ -167,13 +183,7 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPO
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-polynomial budget {budget} exceeded")
-        r = normal_form(s_poly(basis[i], basis[j], order), basis, order)
-        if not r.is_zero():
-            basis.append(r.monic(order))
-            lms.append(basis[-1].leading_monomial(order))
-            new = len(basis) - 1
-            for k in range(new):
-                push(k, new)
+        insert(normal_form(s_poly(basis[i], basis[j], order), basis, order))
     return _interreduce(basis, order)
 
 

@@ -20,6 +20,7 @@ from .errors import (
     NotCenteredAtInfinity,
     NotReduced,
     PrecisionInsufficient,
+    SelfCheckFailed,
 )
 from .exponents import EXP_ZERO, exp
 from .groups import GroupElement, GroupScheme, with_unit_det
@@ -365,7 +366,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc
     for g in ideal_out.gens:
         composed = g.subs_polys({v: family_values[v] for v in coords}, ansatz.ring)
         if not normal_form(composed, list(J.gens), ansatz.ring.order).is_zero():
-            raise RuntimeError(f"stabilizer generator {g} does not vanish on its own family")
+            raise SelfCheckFailed(f"stabilizer generator {g} does not vanish on its own family")
     desc = SubgroupDesc(scheme, ideal_out, dim, param, {"algorithm": "reparam"})
     verify_subgroup(desc, budgets)
 

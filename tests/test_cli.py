@@ -187,6 +187,45 @@ def test_exit_code_budget():
     assert report["errors"][0]["type"] == "BudgetExceeded"
 
 
+def test_reparam_self_check_failure_exits_verify(monkeypatch):
+    # spoil the stabilizer ideal with x12 - 1, which does not vanish on the
+    # family x12 = s of the x1 branch
+    from mustab import stabilizer
+    from mustab.ideals import Ideal
+
+    real = stabilizer.groebner_basis
+
+    def spoiled(I, *args, **kwargs):
+        out = real(I, *args, **kwargs)
+        if out.ring.variables != ("x11", "x12", "x21", "x22"):
+            return out
+        return Ideal(out.ring, out.gens + (out.ring.parse("x12 - 1"),))
+
+    monkeypatch.setattr(stabilizer, "groebner_basis", spoiled)
+    report, code = run_job(dict(X1_JOB, algorithm="reparam"))
+    assert code == 5
+    assert report["errors"] == [
+        {"type": "SelfCheckFailed", "message": "stabilizer generator x12 - 1 does not vanish on its own family"}
+    ]
+
+
+def test_degeneration_self_check_failure_exits_verify(monkeypatch):
+    # hand the component split the fiber of the point diag(2, 1/2), which
+    # misses the identity
+    from mustab import degeneration
+    from mustab.ideals import ideal
+
+    real = degeneration.identity_component
+
+    def off_identity(fiber, scheme, budgets=None):
+        return real(ideal(fiber.ring, "x11 - 2", "x12", "x21", "2*x22 - 1"), scheme, budgets)
+
+    monkeypatch.setattr(degeneration, "identity_component", off_identity)
+    report, code = run_job(dict(X1_JOB, algorithm="degeneration"))
+    assert code == 5
+    assert report["errors"] == [{"type": "SelfCheckFailed", "message": "identity does not satisfy the fiber ideal"}]
+
+
 def test_exit_code_precision_budget():
     # circle_f5 at precision 1 or 2 has too few exponent slots for a stable
     # implicitization: a budget outcome, not a failed theorem

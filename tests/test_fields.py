@@ -6,13 +6,14 @@ import json
 import operator
 import pickle
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mustab.errors import DivisionByZero, FieldMismatch
+from mustab.errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.poly import PolyRing, parse_scalar
 
@@ -230,6 +231,27 @@ def test_big_fields_are_sampled_without_listing(monkeypatch):
 def test_kth_root():
     assert QQ.from_int(8).kth_root(3) == QQ.from_int(2)
     assert F5.from_int(2).kth_root(3) == F5.from_int(3)  # 3^3 = 27 = 2 mod 5
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec("Fp", p=7), F9, F27], ids=str)
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_finite_kth_root_is_the_first_root_in_element_order(field, k):
+    for a in field.elements():
+        first = next((c for c in field.elements() if c**k == a), None)
+        if first is None:
+            with pytest.raises(CoefficientFieldTooSmall):
+                a.kth_root(k)
+        else:
+            assert a.kth_root(k) == first
+
+
+def test_kth_root_over_a_large_prime_field_is_decided_quickly():
+    F = FieldSpec("Fp", p=1000003)  # 3 divides p - 1, so 2 is no cube
+    start = time.perf_counter()
+    with pytest.raises(CoefficientFieldTooSmall):
+        F.from_int(2).kth_root(3)
+    assert time.perf_counter() - start < 0.1
+    assert F.from_int(8).kth_root(3) == F.from_int(2)
 
 
 @given(st.sampled_from(QUADRATIC_EXTENSIONS), st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 12))

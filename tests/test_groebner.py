@@ -6,7 +6,7 @@ by substituting explicit parameterizations.
 """
 
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -14,6 +14,7 @@ from mustab.errors import BudgetExceeded, EmptyVariety
 from mustab.fields import QQ, FieldSpec
 from mustab.ideals import (
     Ideal,
+    buchberger,
     eliminate,
     groebner_basis,
     ideal,
@@ -242,6 +243,26 @@ def test_budget_exceeded_is_raised():
         groebner_basis(I, budget=1)
 
 
+def test_generators_enter_through_the_pair_queue(monkeypatch):
+    # the degree-4 relations of the x1 corpus branch number in the dozens but
+    # reduce to a basis of three elements one at a time; pairing them all up
+    # front made 58 S-polynomials
+    from mustab import ideals
+    from mustab.branches import implicitize
+    from mustab.corpus import corpus_entries
+    from mustab.groups import GroupScheme
+    from mustab.jobs import parse_branch
+
+    job = next(e["job"] for e in corpus_entries() if e["name"] == "x1")
+    branch = parse_branch(job["input"]["branch"], GroupScheme.from_json(job["group"], QQ), None)
+    calls = []
+    real = ideals.s_poly
+    monkeypatch.setattr(ideals, "s_poly", lambda f, g, order: calls.append(1) or real(f, g, order))
+    out = implicitize(branch, 4)
+    assert calls == []
+    assert [str(g) for g in out.gens] == ["x21", "x12 - 1", "x11*x22 - 1"]
+
+
 def test_ideal_intersection():
     ring = PolyRing(QQ, ("x", "y"))
     I = ideal(ring, "x")
@@ -402,3 +423,30 @@ def test_arithmetic_results_store_no_zero_coefficient(field):
         assert r == rebuilt and hash(r) == hash(rebuilt)
     assert (x - x).is_zero() and (a - a).is_zero()
     assert set(prod.terms) == {(2, 0), (0, 2)}
+
+
+@st.composite
+def generator_list(draw):
+    field = draw(st.sampled_from([QQ, F5]))
+    ring = PolyRing(field, ("x", "y", "z"))
+    monos = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (2, 0, 0), (0, 0, 2)]
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        gens.append(Poly(ring, {m: field.from_int(draw(st.integers(1, 4))) for m in terms}))
+    return ring, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_list(), st.sampled_from([GrevLex(), Lex(), BlockOrder((1,), (0, 2))]), st.randoms(use_true_random=False))
+def test_reduced_basis_ignores_generator_order_and_redundant_generators(case, order, rnd):
+    ring, gens = case
+    expected = buchberger(gens, order)
+    shuffled = list(gens)
+    rnd.shuffle(shuffled)
+    assert buchberger(shuffled, order) == expected
+    products = [ring.var(v) * g for v in ring.variables for g in gens]
+    sums = [g + h for g, h in combinations(gens, 2)]
+    padded = shuffled + products + sums
+    rnd.shuffle(padded)
+    assert buchberger(padded, order) == expected
