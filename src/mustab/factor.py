@@ -5,6 +5,12 @@ distinct-degree, then equal-degree splitting).  Over Q and Q(sqrt d) we do
 square-free decomposition, rational-root extraction (Q), and exact
 handling of factors of degree <= 2; anything beyond that is returned
 unfactored and flagged, which is a legitimate partial result.
+
+Inside this module a polynomial is dense: a list of Scalars, lowest degree
+first, whose last entry is nonzero ([] is zero), so its degree is its
+length minus one.  Polys are read and written only at the public entry
+points `uni_factor`, `scalar_roots` and `uni_divmod`, and factors come
+back as Polys in the caller's ring and variable.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CoefficientFieldTooSmall
+from .errors import CoefficientFieldTooSmall, DivisionByZero
 from .fields import Scalar
 from .poly import Poly, PolyRing
 
@@ -22,8 +28,8 @@ from .poly import Poly, PolyRing
 @dataclass
 class Factorization:
     unit: Scalar
-    factors: list[tuple[Poly, int]]      # irreducible over the field
-    unfactored: list[tuple[Poly, int]]   # square-free, degree certified > 2, not split
+    factors: list[tuple[Poly, int]]      # monic, irreducible over the field
+    unfactored: list[tuple[Poly, int]]   # monic, square-free, degree certified > 2, not split
 
     @property
     def complete(self) -> bool:
@@ -39,236 +45,224 @@ class Factorization:
         return acc
 
     def roots(self) -> list[tuple[Scalar, int]]:
-        """Roots in the base field from the linear factors."""
-        out = []
-        for f, m in self.factors:
-            if f.total_degree() == 1:
-                a = _uni_coeff(f, 1)
-                b = _uni_coeff(f, 0)
-                out.append((-b / a, m))
-        return out
+        """Roots in the base field from the linear factors x - r."""
+        return [(-f.constant_coefficient(), m) for f, m in self.factors if f.total_degree() == 1]
 
 
-def _uni_var_index(f: Poly) -> int:
-    used = [i for i in range(f.ring.nvars) if any(m[i] for m in f.terms)]
+def _dense(f: Poly) -> tuple[list[Scalar], int]:
+    """The dense coefficients of a univariate f and the index of its
+    variable (0 for a constant)."""
+    used = {i for m in f.terms for i, e in enumerate(m) if e}
     if len(used) > 1:
         raise ValueError(f"{f} is not univariate")
-    return used[0] if used else 0
-
-
-def _uni_coeff(f: Poly, e: int) -> Scalar:
-    i = _uni_var_index(f)
+    i = used.pop() if used else 0
+    out = [f.ring.field.zero()] * (max((m[i] for m in f.terms), default=-1) + 1)
     for m, c in f.terms.items():
-        if m[i] == e:
-            return c
-    return f.ring.field.zero()
+        out[m[i]] = c
+    return out, i
 
 
-def _uni_deg(f: Poly) -> int:
-    i = _uni_var_index(f)
-    return max((m[i] for m in f.terms), default=0)
-
-
-def _uni_mono(ring: PolyRing, i: int, e: int, c: Scalar) -> Poly:
-    mono = tuple(e if j == i else 0 for j in range(ring.nvars))
-    return ring.monomial(mono, c)
+def _poly(a: list[Scalar], ring: PolyRing, i: int) -> Poly:
+    zeros = (0,) * ring.nvars
+    return Poly._trusted(ring, {zeros[:i] + (e,) + zeros[i + 1 :]: c for e, c in enumerate(a) if not c.is_zero()})
 
 
 def uni_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    i = _uni_var_index(g if not g.is_constant() else f)
-    ring = f.ring
-    q = ring.zero()
-    r = f
-    dg = _uni_deg(g)
-    lg = _uni_coeff(g, dg)
-    while not r.is_zero() and _uni_deg(r) >= dg and not (r.is_constant() and dg > 0):
-        dr = _uni_deg(r)
-        lr = _uni_coeff(r, dr)
-        t = _uni_mono(ring, i, dr - dg, lr / lg)
-        q = q + t
-        r = r - t * g
-        if not r.is_zero() and _uni_deg(r) == dr and _uni_coeff(r, dr) == lr:
-            raise RuntimeError("division stalled")
-    return q, r
+    """Quotient and remainder of f by a nonzero g, both univariate in one
+    variable."""
+    if g.is_zero():
+        raise DivisionByZero(f"division of {f} by zero")
+    a, i = _dense(f)
+    b, j = _dense(g)
+    if len(a) > 1 and len(b) > 1 and i != j:
+        raise ValueError(f"{f} and {g} are not in one variable")
+    k = j if len(b) > 1 else i
+    return tuple(_poly(h, f.ring, k) for h in _divmod(a, b))
 
 
-def uni_gcd(f: Poly, g: Poly) -> Poly:
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, uni_divmod(a, b)[1]
-    if a.is_zero():
+# -- dense arithmetic ---------------------------------------------------------
+
+def _trim(a: list[Scalar]) -> list[Scalar]:
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _add(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([x + y for x, y in zip(a, b)] + a[len(b) :])
+
+
+def _sub(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    return _add(a, [-c for c in b])
+
+
+def _mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    if not a or not b:
+        return []
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if not x.is_zero():
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+    return out  # the top entry is a product of two nonzero leads
+
+
+def _divmod(a: list[Scalar], b: list[Scalar]) -> tuple[list[Scalar], list[Scalar]]:
+    """Quotient and remainder of a by a nonzero b; each step clears the top
+    entry of the remainder."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], a
+    inv = b[-1].inv()
+    r = list(a)
+    q = [None] * (len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + db] * inv
+        if not c.is_zero():
+            for j in range(db):
+                r[k + j] = r[k + j] - c * b[j]
+    return q, _trim(r[:db])
+
+
+def _monic(a: list[Scalar]) -> list[Scalar]:
+    if a[-1].is_one():
         return a
-    return a.scale(_uni_coeff(a, _uni_deg(a)).inv())
+    inv = a[-1].inv()
+    return [c * inv for c in a]
 
 
-def uni_derivative(f: Poly) -> Poly:
-    i = _uni_var_index(f)
-    ring = f.ring
-    out = ring.zero()
-    for m, c in f.terms.items():
-        e = m[i]
-        if e:
-            out = out + _uni_mono(ring, i, e - 1, c * ring.field.from_int(e))
-    return out
+def _gcd(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
+    """The monic gcd; [] when both are zero."""
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return _monic(a) if a else a
 
+
+def _derivative(a: list[Scalar]) -> list[Scalar]:
+    return _trim([a[e] * a[e].field.from_int(e) for e in range(1, len(a))])
+
+
+def _powmod(base: list[Scalar], e: int, mod: list[Scalar]) -> list[Scalar]:
+    """base^e modulo mod, by pow_by_squaring's loop: the base is not squared
+    again after the last bit of e."""
+    result = [mod[-1].field.one()]
+    b = _divmod(base, mod)[1]
+    while True:
+        if e & 1:
+            result = _divmod(_mul(result, b), mod)[1]
+        e >>= 1
+        if not e:
+            return result
+        b = _divmod(_mul(b, b), mod)[1]
+
+
+# -- factorization ------------------------------------------------------------
 
 def uni_factor(f: Poly) -> Factorization:
     """Factor a nonzero univariate polynomial; see module docstring for the
     supported fragment."""
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    field = f.ring.field
     if f.is_constant():
         return Factorization(f.constant_coefficient(), [], [])
-    lead = _uni_coeff(f, _uni_deg(f))
-    monic = f.scale(lead.inv())
-    if field.char == 0:
-        sq = _squarefree_char0(monic)
-    else:
-        sq = _squarefree_charp(monic)
+    a, i = _dense(f)
+    char0 = f.ring.field.char == 0
     factors: list[tuple[Poly, int]] = []
     unfactored: list[tuple[Poly, int]] = []
-    for part, mult in sq:
-        if field.char == 0:
-            fs, un = _split_char0(part)
-        else:
-            fs, un = _split_charp(part), []
-        factors += [(h, mult) for h in fs]
-        unfactored += [(h, mult) for h in un]
+    for part, mult in _squarefree(_monic(a)):
+        fs, un = _split_char0(part) if char0 else (_split_charp(part), [])
+        factors += [(_poly(h, f.ring, i), mult) for h in fs]
+        unfactored += [(_poly(h, f.ring, i), mult) for h in un]
     factors.sort(key=lambda t: (t[0].total_degree(), str(t[0])))
-    return Factorization(lead, factors, unfactored)
+    return Factorization(a[-1], factors, unfactored)
 
 
-def _squarefree_char0(f: Poly) -> list[tuple[Poly, int]]:
-    """Yun's algorithm; input monic."""
-    out: list[tuple[Poly, int]] = []
-    df = uni_derivative(f)
-    a = uni_gcd(f, df)
-    b = uni_divmod(f, a)[0]
-    c = uni_divmod(df, a)[0]
-    d = c - uni_derivative(b)
-    i = 1
-    while _uni_deg(b) > 0:
-        a = uni_gcd(b, d)
-        if _uni_deg(a) > 0:
-            out.append((a, i))
-        b2 = uni_divmod(b, a)[0]
-        c = uni_divmod(d, a)[0]
-        d = c - uni_derivative(b2)
-        b = b2
-        i += 1
-    return out
-
-
-def _squarefree_charp(f: Poly) -> list[tuple[Poly, int]]:
-    p = f.ring.field.char
-    out: list[tuple[Poly, int]] = []
-
-    def rec(g: Poly, mult: int):
-        if g.is_constant():
-            return
-        dg = uni_derivative(g)
-        if dg.is_zero():
-            rec(_pth_root(g), mult * p)
-            return
-        c = uni_gcd(g, dg)
-        w = uni_divmod(g, c)[0]
+def _squarefree(f: list[Scalar]) -> list[tuple[list[Scalar], int]]:
+    """(part, multiplicity) for a monic nonconstant f: pairwise coprime
+    monic square-free parts, in increasing multiplicity within each p-th
+    root level.  What gcd(f, f') leaves over is a p-th power in
+    characteristic p, and 1 in characteristic 0."""
+    p = f[-1].field.char
+    out: list[tuple[list[Scalar], int]] = []
+    mult = 1
+    while True:
+        c = _gcd(f, _derivative(f))
+        w = _divmod(f, c)[0]
         i = 1
-        while _uni_deg(w) > 0:
-            y = uni_gcd(w, c)
-            z = uni_divmod(w, y)[0]
-            if _uni_deg(z) > 0:
+        while len(w) > 1:
+            y = _gcd(w, c)
+            z = _divmod(w, y)[0]
+            if len(z) > 1:
                 out.append((z, i * mult))
-            w = y
-            c = uni_divmod(c, y)[0]
+            w, c = y, _divmod(c, y)[0]
             i += 1
-        if _uni_deg(c) > 0:
-            rec(_pth_root(c), mult * p)
-
-    rec(f, 1)
-    return out
+        if len(c) == 1:
+            return out
+        f, mult = _pth_root(c), mult * p
 
 
-def _pth_root(f: Poly) -> Poly:
-    """Write f = g(x^p) and return g with p-th roots of coefficients."""
-    field = f.ring.field
-    p = field.char
-    i = _uni_var_index(f)
-    out = f.ring.zero()
-    n = field.extension_degree
-    for m, c in f.terms.items():
-        assert m[i] % p == 0
-        root = c ** (p ** (n - 1)) if n > 1 else c
-        out = out + _uni_mono(f.ring, i, m[i] // p, root)
-    return out
+def _pth_root(f: list[Scalar]) -> list[Scalar]:
+    """g with f = g^p, for f = sum a_i x^(p i) over a finite field F_(p^n):
+    the coefficients a_i^(p^(n-1)) at x^i."""
+    field = f[-1].field
+    p, n = field.char, field.extension_degree
+    return [c ** (p ** (n - 1)) for c in f[::p]] if n > 1 else f[::p]
 
 
-def _split_char0(f: Poly) -> tuple[list[Poly], list[Poly]]:
+def _split_char0(f: list[Scalar]) -> tuple[list[list[Scalar]], list[list[Scalar]]]:
     """Split a monic square-free polynomial over Q or Q(sqrt d)."""
-    field = f.ring.field
-    factors: list[Poly] = []
+    field = f[-1].field
+    factors: list[list[Scalar]] = []
     rest = f
     if field.kind == "Q":
-        while _uni_deg(rest) > 0:
+        while len(rest) > 1:
             root = _rational_root(rest)
             if root is None:
                 break
-            i = _uni_var_index(f)
-            lin = _uni_mono(f.ring, i, 1, field.one()) - f.ring.from_scalar(root)
+            lin = [-root, field.one()]
             factors.append(lin)
-            rest = uni_divmod(rest, lin)[0]
-    deg = _uni_deg(rest)
-    if deg == 0:
-        return factors, []
-    if deg == 1:
-        return factors + [rest], []
-    if deg == 2:
-        split = _quadratic_split(rest)
-        if split is None:
-            return factors + [rest], []  # irreducibility certified by discriminant
-        return factors + split, []
-    return factors, [rest]
+            rest = _divmod(rest, lin)[0]
+    if len(rest) > 3:
+        return factors, [rest]
+    if len(rest) == 3:
+        factors += _quadratic_split(rest)  # irreducibility certified by the discriminant
+    elif len(rest) == 2:
+        factors.append(rest)
+    return factors, []
 
 
-def _quadratic_split(f: Poly) -> list[Poly] | None:
-    """Roots of a monic quadratic via the discriminant; None if irreducible."""
-    field = f.ring.field
-    if field.char == 2:
-        return None
-    i = _uni_var_index(f)
-    a = _uni_coeff(f, 2)
-    b = _uni_coeff(f, 1)
-    c = _uni_coeff(f, 0)
-    disc = b * b - field.from_int(4) * a * c
-    r = disc.sqrt()
+def _quadratic_split(f: list[Scalar]) -> list[list[Scalar]]:
+    """The two linear factors of a monic quadratic, or [f] if it has no
+    root in the field."""
+    c, b, _ = f
+    r = (b * b - c * c.field.from_int(4)).sqrt()
     if r is None:
-        return None
-    two_a = (a + a).inv()
-    x = _uni_mono(f.ring, i, 1, field.one())
-    r1 = (-b + r) * two_a
-    r2 = (-b - r) * two_a
-    return [x - f.ring.from_scalar(r1), x - f.ring.from_scalar(r2)]
+        return [f]
+    half = c.field.from_int(2).inv()
+    return [[(b - r) * half, c.field.one()], [(b + r) * half, c.field.one()]]
 
 
-def _rational_root(f: Poly) -> Scalar | None:
+def _rational_root(f: list[Scalar]) -> Scalar | None:
     """Rational-root theorem on the denominator-cleared polynomial; gives up
     (returning None) when the divisor enumeration would be unreasonable."""
-    field = f.ring.field
-    i = _uni_var_index(f)
-    denom = math.lcm(*(c.as_fraction().denominator for c in f.terms.values()))
-    ints = {m[i]: c.as_fraction() * denom for m, c in f.terms.items()}
-    deg = max(ints)
-    a0 = ints.get(0, Fraction(0))
+    field = f[-1].field
+    ints = [c.as_fraction() for c in f]
+    denom = math.lcm(*(c.denominator for c in ints))
+    a0, an = ints[0] * denom, ints[-1] * denom
     if a0 == 0:
         return field.zero()
-    an = ints[deg]
     if abs(int(a0)) > 10**12 or abs(int(an)) > 10**12:
         return None
     for pnum in _divisors(abs(int(a0))):
         for pden in _divisors(abs(int(an))):
             for sign in (1, -1):
                 cand = field.from_fraction(Fraction(sign * pnum, pden))
-                if f.eval_scalars({f.ring.variables[i]: cand}).is_zero():
+                value = field.zero()
+                for c in reversed(f):
+                    value = value * cand + c
+                if value.is_zero():
                     return cand
     return None
 
@@ -286,79 +280,54 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def _split_charp(f: Poly) -> list[Poly]:
+def _split_charp(f: list[Scalar]) -> list[list[Scalar]]:
     """Complete factorization of a monic square-free f over a finite field."""
-    q = f.ring.field.order
-    i = _uni_var_index(f)
-    ring = f.ring
-    x = _uni_mono(ring, i, 1, ring.field.one())
-    out: list[Poly] = []
+    field = f[-1].field
+    x = [field.zero(), field.one()]
+    out: list[list[Scalar]] = []
     rest = f
     d = 1
     # distinct-degree: gcd with x^(q^d) - x
     h = x
-    while _uni_deg(rest) >= 2 * d:
-        h = _powmod(h, q, rest)
-        g = uni_gcd(h - x, rest)
-        if _uni_deg(g) > 0:
+    while len(rest) > 2 * d:
+        h = _powmod(h, field.order, rest)
+        g = _gcd(_sub(h, x), rest)
+        if len(g) > 1:
             out += _equal_degree(g, d)
-            rest = uni_divmod(rest, g)[0]
-            h = uni_divmod(h, rest)[1] if _uni_deg(rest) > 0 else ring.zero()
+            rest = _divmod(rest, g)[0]
+            h = _divmod(h, rest)[1]
         d += 1
-    if _uni_deg(rest) > 0:
+    if len(rest) > 1:
         out.append(rest)
     return out
 
 
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod, by pow_by_squaring's loop: the base is not squared
-    again after the last bit of e."""
-    result = base.ring.one()
-    b = uni_divmod(base, mod)[1]
-    while True:
-        if e & 1:
-            result = uni_divmod(result * b, mod)[1]
-        e >>= 1
-        if not e:
-            return result
-        b = uni_divmod(b * b, mod)[1]
-
-
-def _equal_degree(f: Poly, d: int) -> list[Poly]:
-    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles."""
-    if _uni_deg(f) == d:
+def _equal_degree(f: list[Scalar], d: int) -> list[list[Scalar]]:
+    """Cantor-Zassenhaus splitting of a product of degree-d irreducibles.
+    The draws are seeded by the coefficients and d, so they do not depend
+    on string hashing."""
+    if len(f) == d + 1:
         return [f]
-    field = f.ring.field
+    field = f[-1].field
     q = field.order
-    i = _uni_var_index(f)
-    rng = random.Random(hash((frozenset((m[i], str(c)) for m, c in f.terms.items()), d)) & 0xFFFFFFFF)
-    one = f.ring.one()
+    rng = random.Random(str(([str(c) for c in f], d)))
     while True:
-        r = _random_poly(f.ring, i, _uni_deg(f) - 1, rng)
-        if r.is_constant():
+        r = _trim([field.element(rng.randrange(q)) for _ in range(len(f) - 1)])
+        if len(r) < 2:
             continue
-        g = uni_gcd(r, f)
-        if 0 < _uni_deg(g) < _uni_deg(f):
-            return _equal_degree(g, d) + _equal_degree(uni_divmod(f, g)[0], d)
+        g = _gcd(r, f)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d) + _equal_degree(_divmod(f, g)[0], d)
         if q % 2 == 1:
-            s = _powmod(r, (q**d - 1) // 2, f) - one
+            s = _sub(_powmod(r, (q**d - 1) // 2, f), [field.one()])
         else:
-            s = f.ring.zero()
-            t = r
+            s, t = [], r
             for _ in range(d * field.extension_degree):
-                s = s + t
-                t = uni_divmod(t * t, f)[1]
-        g = uni_gcd(s, f)
-        if 0 < _uni_deg(g) < _uni_deg(f):
-            return _equal_degree(g, d) + _equal_degree(uni_divmod(f, g)[0], d)
-
-
-def _random_poly(ring: PolyRing, i: int, deg: int, rng: random.Random) -> Poly:
-    field = ring.field
-    out = ring.zero()
-    for e in range(deg + 1):
-        out = out + _uni_mono(ring, i, e, field.element(rng.randrange(field.order)))
-    return out
+                s = _add(s, t)
+                t = _divmod(_mul(t, t), f)[1]
+        g = _gcd(s, f)
+        if 1 < len(g) < len(f):
+            return _equal_degree(g, d) + _equal_degree(_divmod(f, g)[0], d)
 
 
 def scalar_roots(f: Poly) -> list[Scalar]:
@@ -371,6 +340,6 @@ def scalar_roots(f: Poly) -> list[Scalar]:
     roots = [r for r, _ in fac.roots()]
     if fac.unfactored:
         raise CoefficientFieldTooSmall(
-            f"cannot certify roots of degree-{max(_uni_deg(g) for g, _ in fac.unfactored)} remainder over {f.ring.field}"
+            f"cannot certify roots of degree-{max(g.total_degree() for g, _ in fac.unfactored)} remainder over {f.ring.field}"
         )
     return roots

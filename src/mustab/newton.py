@@ -19,7 +19,7 @@ from fractions import Fraction
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
-from .factor import uni_factor
+from .factor import uni_divmod, uni_factor
 from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
@@ -166,61 +166,33 @@ class _ExtensionNeeded(Exception):
         self.factor = factor
 
 
-def _complete_roots(phi: Poly):
-    """All roots of phi over the algebraic closure must lie in k; nonlinear
-    factors mean some are missing, which is fatal here (or triggers an
-    extension over F_p)."""
-    field = phi.ring.field
-    if phi.is_constant():
-        return []
-    fac = uni_factor(phi)
-    nonlinear = [g for g, _ in fac.factors + fac.unfactored if g.total_degree() >= 2]
-    if nonlinear:
-        if field.kind == "Fp":
-            raise _ExtensionNeeded(nonlinear[0])
-        raise CoefficientFieldTooSmall(
-            f"Newton-polygon roots of {phi} are not all in {field}"
-        )
-    return fac.roots()
+def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Scalar, int]]:
+    """Roots in k of phi = sum a c^i over coeffs (i, a): the degree form
+    (q = 1) or the polynomial of an edge with ramification q.
 
-
-def _edge_roots(pp_edge_terms, field: FieldSpec, gamma: Fraction):
-    """Nonzero k-roots of the edge polynomial.
-
-    Roots conjugate to a k-rational root under c -> zeta_q^p c (q the
-    ramification of the edge) parameterize the same place via t -> zeta t,
-    so irreducible factors dividing c^q - r^q for a found root r are
-    redundant rather than missing.
+    Roots conjugate to a k-rational root r under c -> zeta_q^p c
+    parameterize the same place via t -> zeta t, so an irreducible factor
+    dividing c^q - r^q is redundant rather than missing (never when q = 1).
+    Any other nonlinear factor means roots outside k, which is fatal here
+    (or triggers an extension over F_p).
     """
     ring = PolyRing(field, ("c",))
-    phi = ring.zero()
-    for (i, _), a in pp_edge_terms:
-        phi = phi + ring.monomial((i,), a)
+    phi = Poly(ring, {(i,): a for i, a in coeffs})
     if phi.is_constant():
         return []
     fac = uni_factor(phi)
-    roots = [(r, m) for r, m in fac.roots() if not r.is_zero()]
-    nonlinear = [g for g, _ in fac.factors + fac.unfactored if g.total_degree() >= 2]
-    q = gamma.denominator
-    missing = []
-    for h in nonlinear:
-        covered = False
-        if q > 1:
-            from .factor import uni_divmod
-
-            for r, _ in roots:
-                orbit = ring.parse("c") ** q - ring.from_scalar(r**q)
-                if uni_divmod(orbit, h)[1].is_zero():
-                    covered = True
-                    break
-        if not covered:
-            missing.append(h)
+    roots = fac.roots()
+    c = ring.var("c")
+    missing = [
+        h
+        for h, _ in fac.factors + fac.unfactored
+        if h.total_degree() >= 2
+        and not any(uni_divmod(c**q - ring.from_scalar(r**q), h)[1].is_zero() for r, _ in roots)
+    ]
     if missing:
         if field.kind == "Fp":
             raise _ExtensionNeeded(missing[0])
-        raise CoefficientFieldTooSmall(
-            f"Newton-polygon edge roots of {phi} are not all in {field}"
-        )
+        raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
     return roots
 
 
@@ -243,8 +215,9 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int)
             raise WildRamification(
                 f"edge exponent {gamma} is wildly ramified in characteristic {field.char}"
             )
-        terms_on_edge = [((i, j), pp[(i, j)]) for (i, j) in edge_terms]
-        for root, _mult in _edge_roots(terms_on_edge, field, gamma):
+        for root, _mult in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, gamma.denominator, "edge "):
+            if root.is_zero():
+                continue
             sub = _pp_substitute(pp, gamma, root, field)
             if gamma >= prec_left:
                 out.append(([(gamma, root)], False))
@@ -270,16 +243,9 @@ def _degree_form_roots(f: Poly):
     field = ring.field
     d, parts = _homogeneous_parts(f)
     top = parts[d]
-    cring = PolyRing(field, ("c",))
-    phi = cring.zero()
     yi = ring.variables.index("y")
-    y_top_coeff = field.zero()
-    for m, c in top.items():
-        phi = phi + cring.monomial((m[yi],), c)
-        if m[yi] == d:
-            y_top_coeff = c
-    roots = _complete_roots(phi)
-    has_vertical = y_top_coeff.is_zero()
+    roots = _newton_roots([(m[yi], c) for m, c in top.items()], field, 1, "")
+    has_vertical = all(m[yi] != d for m in top)  # no y^d: [0:1:0] lies on the curve
     return [r for r, _ in roots], has_vertical
 
 
@@ -322,15 +288,11 @@ def places_at_infinity(curve: PlaneCurveInput, precision: int = 12, budget: int 
 
 
 def _monic_int_coeffs(g: Poly) -> tuple[int, ...]:
-    deg = g.total_degree()
-    lead = None
-    coeffs = [0] * (deg + 1)
-    vi = next(i for i in range(g.ring.nvars) if any(m[i] for m in g.terms))
-    for m, c in g.terms.items():
-        coeffs[m[vi]] = c.rep
-    lead = coeffs[deg]
-    inv = pow(lead, -1, g.ring.field.p)
-    return tuple((c * inv) % g.ring.field.p for c in coeffs)
+    """The F_p residues of a monic factor in c, lowest degree first."""
+    coeffs = [0] * (g.total_degree() + 1)
+    for (e,), c in g.terms.items():
+        coeffs[e] = c.rep
+    return tuple(coeffs)
 
 
 def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:

@@ -106,7 +106,8 @@ def _lead_root(lam, lami, r: int):
 
     def root(gamma: Fraction):
         e = gamma * r
-        assert e.denominator == 1, "ramification mismatch in ansatz"
+        if e.denominator != 1:
+            raise SelfCheckFailed(f"exponent {gamma} times the ansatz ramification {r} is not an integer")
         e = int(e)
         return lam**e if e >= 0 else lami ** (-e)
 
@@ -154,11 +155,10 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
     return constraints, residue
 
 
-def mu_correct(a: Branch, b: Branch, order_budget: int = 6, budgets: Budgets | None = None):
+def mu_correct(a: Branch, b: Branch, order_budget: int = 6):
     """Certificate that mu . a = mu . b (a reparameterization s and a
     correction eps in mu with a(s) = eps * b), or a Failure recording the
     first unsatisfiable constraint."""
-    budgets = budgets or Budgets()
     if a.scheme != b.scheme:
         return Failure("branches on different schemes")
     # direct attempt without reparameterization
@@ -228,7 +228,7 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
         if unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
             continue
         try:
-            cert = mu_correct(branch, cand, budgets.order_budget, budgets)
+            cert = mu_correct(branch, cand, budgets.order_budget)
         except BudgetExceeded:
             cert = None
         if not isinstance(cert, TubeCertificate):
@@ -237,7 +237,7 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
                 # the original cannot go through substitution; certify from
                 # the rational-exponent side instead
                 try:
-                    back = mu_correct(cand, branch, budgets.order_budget, budgets)
+                    back = mu_correct(cand, branch, budgets.order_budget)
                 except BudgetExceeded:
                     back = None
                 if isinstance(back, TubeCertificate):

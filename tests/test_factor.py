@@ -1,6 +1,12 @@
 """Univariate factorization fragment."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from mustab.fields import QQ, FieldSpec
 from mustab.factor import scalar_roots, uni_factor
@@ -113,15 +119,100 @@ def test_powmod_skips_the_last_square(monkeypatch):
 
     ring = PolyRing(FieldSpec("Fp", p=5), ("x",))
     base, mod = ring.parse("x + 2"), ring.parse("x^3 + x + 1")
-    real_divmod = factor.uni_divmod
+    dense_base, dense_mod = factor._dense(base)[0], factor._dense(mod)[0]
+    real_divmod = factor._divmod
     calls = []
 
     def counted(f, g):
         calls.append(1)
         return real_divmod(f, g)
 
-    monkeypatch.setattr(factor, "uni_divmod", counted)
+    monkeypatch.setattr(factor, "_divmod", counted)
     for e in range(1, 40):
         calls.clear()
-        assert factor._powmod(base, e, mod) == real_divmod(base**e, mod)[1]
+        got = factor._powmod(dense_base, e, dense_mod)
         assert len(calls) == 1 + (e.bit_length() - 1) + bin(e).count("1")
+        assert got == factor._dense(factor.uni_divmod(base**e, mod)[1])[0]
+
+
+F2 = FieldSpec("Fp", p=2)
+F3 = FieldSpec("Fp", p=3)
+F8 = FieldSpec("Fq", p=2, modulus=(1, 1, 0, 1))
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
+
+
+def _random_coefficient(field, rng):
+    if field.order:
+        return field.element(rng.randrange(field.order))
+    c = field.from_int(rng.randrange(-3, 4))
+    if field.modulus:
+        c = c + field.generator() * field.from_int(rng.randrange(-2, 3))
+    return c
+
+
+@pytest.mark.parametrize("field", [QQ, QS2, F2, F3, F5, F8, F9], ids=str)
+def test_uni_factor_of_random_products(field):
+    """Products of small factors with repeats, in the second variable of a
+    two-variable ring: the factorization multiplies back to f, its factors
+    are monic and pairwise distinct, and each linear factor gives a root."""
+    rng = random.Random(7)
+    ring = PolyRing(field, ("x", "y"))
+    y = ring.var("y")
+    for _ in range(25):
+        lead = _random_coefficient(field, rng)
+        f = ring.from_scalar(field.one() if lead.is_zero() else lead)
+        for _ in range(rng.randrange(1, 4)):
+            g = y ** rng.randrange(1, 4)
+            for e in range(g.total_degree()):
+                g = g + ring.monomial((0, e), _random_coefficient(field, rng))
+            f = f * g ** rng.randrange(1, 5)
+        fac = uni_factor(f)
+        assert fac.product() == f
+        parts = [g for g, _ in fac.factors + fac.unfactored]
+        assert len(set(parts)) == len(parts)
+        for g in parts:
+            assert g.variables_used() == {"y"}
+            assert g.terms[(0, g.total_degree())].is_one()
+        for r, _ in fac.roots():
+            assert f.eval_scalars({"y": r}).is_zero()
+
+
+def test_char0_square_of_an_unsplit_cubic_stays_one_part():
+    ring = PolyRing(QQ, ("x", "y"))
+    cubic = ring.parse("y^3 + y + 1")
+    fac = uni_factor(cubic**2)
+    assert fac.factors == [] and fac.unfactored == [(cubic, 2)]
+
+
+def test_equal_degree_draws_do_not_depend_on_string_hashing():
+    """The Cantor-Zassenhaus draws are seeded from the coefficients, so a
+    split takes the same draws under every PYTHONHASHSEED."""
+    script = """
+import random
+from mustab.factor import uni_factor
+from mustab.fields import FieldSpec
+from mustab.poly import PolyRing
+
+draws = 0
+real = random.Random.randrange
+
+def counted(self, *args):
+    global draws
+    draws += 1
+    return real(self, *args)
+
+random.Random.randrange = counted
+ring = PolyRing(FieldSpec("Fp", p=101), ("x",))
+f = ring.one()
+for a in range(1, 9):
+    f = f * (ring.var("x") - ring.from_int(a * a + 3))
+assert len(uni_factor(f).factors) == 8
+print(draws)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = set()
+    for seed in ("1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        counts.add(int(done.stdout))
+    assert len(counts) == 1

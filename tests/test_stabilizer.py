@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from mustab.branches import implicitize, validate_branch
+from mustab.branches import Branch, implicitize, validate_branch
 from mustab.degeneration import identity_component, stab_degeneration
-from mustab.errors import NotCenteredAtInfinity
+from mustab.errors import NotCenteredAtInfinity, SelfCheckFailed
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
@@ -431,8 +431,17 @@ def test_sampled_stabilizer_points_stabilize_the_tube():
         assert len(pts) >= 3
         for h in pts:
             moved = run.reduced.translate(h)
-            cert = mu_correct(moved, run.reduced, 6, BUDGETS)
+            cert = mu_correct(moved, run.reduced, 6)
             assert isinstance(cert, TubeCertificate), f"{h} does not stabilize the tube"
+
+
+def test_ramification_mismatch_is_a_self_check_failure():
+    """An ansatz built for ramification 1 on a branch with a t^(-1/2) entry
+    cannot take that root of its lead: the job fails its self-check rather
+    than an assert."""
+    el = validate_branch(ADD2, (S((-1, 1)), S((Fraction(-1, 2), 1)))).element
+    with pytest.raises(SelfCheckFailed, match="-1/2"):
+        stab_reparam(Branch(el, 1))
 
 
 def test_dim_bound_and_equality():
