@@ -9,11 +9,16 @@ length, the workloads and the end-to-end metrics come from the change's
 BENCHMARK.json. Pair i of PAIRS runs both sides with seed i + 1 and --trace 0,
 parent first on even i and change first on odd i. A run whose output gate
 fails (`correct` false) stops the script. The file keeps the last JSON line
-of every run and, per workload, each side's total `failed` jobs and, per
-end-to-end metric, each side's median and quartiles and the number of pairs
-the change won. After the pairs, each side runs every workload once more with
-seed 1 and --trace 1, and the file keeps the self times (`*.self_s`) of that
-run, to show in which layer a change in the end-to-end numbers sits.
+of every run and, per pair, the index and both outcomes of every job whose
+report digest or outcome differs between the sides, read from the run's
+per-job records in perfbench/out/. Per workload it keeps each side's total
+`failed` jobs, the count of each differing outcome pair over all pairs
+("5 -> 0" is a job that exits 5 at the parent and 0 with the change) and,
+per end-to-end metric, each side's median and quartiles and the number of
+pairs the change won. After the pairs, each side runs every workload once
+more with seed 1 and --trace 1, and the file keeps the self times
+(`*.self_s`) and call counts (`*.calls`) of that run, to show in which layer
+a change in the end-to-end numbers sits.
 """
 
 import argparse
@@ -21,12 +26,14 @@ import json
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 PAIRS = 10
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, list]:
+    """The run's last JSON line and its (outcome, digest) per job."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
@@ -35,7 +42,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     run = json.loads(lines[-1])
     if not run["correct"]:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} failed its output gate (exit {out.returncode})\n{out.stdout[-2000:]}")
-    return run
+    record = json.loads((checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
+    return run, [(job["outcome"], job["digest"]) for job in record["jobs"]]
+
+
+def differing_jobs(parent: list, change: list) -> list[dict]:
+    """Each job whose outcome or report digest differs between the sides."""
+    return [{"index": i, "parent": p[0], "change": c[0]} for i, (p, c) in enumerate(zip(parent, change)) if p != c]
 
 
 def spread(values: list[float]) -> dict:
@@ -45,6 +58,8 @@ def spread(values: list[float]) -> dict:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     out = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}}
+    moves = Counter(f"{d['parent']} -> {d['change']}" for p in pairs for d in p["differing_jobs"])
+    out["differing_jobs"] = dict(sorted(moves.items()))
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -68,17 +83,21 @@ def main() -> int:
         for i in range(PAIRS):
             order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
             pair = {"seed": i + 1, "first": order[0]}
+            jobs = {}
             for side in order:
-                pair[side] = run_once(getattr(args, side), workload, i + 1, seconds)
+                pair[side], jobs[side] = run_once(getattr(args, side), workload, i + 1, seconds)
+            pair["differing_jobs"] = differing_jobs(jobs["parent"], jobs["change"])
             pairs.append(pair)
             print(workload, i + 1, {s: pair[s]["metrics"]["jobs_per_s"]["value"] for s in order}, file=sys.stderr)
-        traced = {}
+        traced, calls = {}, {}
         for side in ("parent", "change"):
-            metrics = run_once(getattr(args, side), workload, 1, seconds, trace=1)["metrics"]
+            metrics = run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"]
             traced[side] = {name: m["value"] for name, m in metrics.items() if name.endswith(".self_s")}
+            calls[side] = {name: m["value"] for name, m in metrics.items() if name.endswith(".calls")}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,
+            "traced_calls_seed_1": calls,
             "pairs": pairs,
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")

@@ -32,8 +32,7 @@ def main():
     budgets = Budgets(degree_bound=4)
     for i, branch in enumerate(branches):
         print(f"\n-- branch {i}: a(t) = {branch.element}")
-        dim, at = type_dimension(branch, 4)
-        print(f"   type dimension {dim} (degree bound {at})")
+        print(f"   type dimension {type_dimension(branch, 4)} (degree bound 4)")
         closure = implicitize(branch, 2)
         print(f"   Zariski closure: <{', '.join(str(g) for g in closure.gens)}>")
         run = compute_stabilizer(branch, "both", budgets)

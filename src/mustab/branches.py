@@ -130,13 +130,13 @@ def implicitize(branch: Branch, degree_bound: int) -> Ideal:
     return kernel_ideal(list(pivots.values()), monos, PolyRing(branch.field, branch.scheme.coordinates()))
 
 
-def type_dimension(branch: Branch, degree_bound: int) -> tuple[int, int]:
+def type_dimension(branch: Branch, degree_bound: int) -> int:
     """Krull dimension of the degree-bounded closure; an upper bound for the
-    true dimension, certified at the stated degree."""
+    true dimension, certified at that degree."""
     monos, pivots = _relation_echelon(branch, degree_bound)
     # the reduced kernel vector of a non-pivot column is nonzero only there
     # and at pivot columns to its left, so it is led by that column: these
     # leading monomials are the degree-<=D slice of the leading-term ideal,
     # which is all the dimension count needs
     leads = [m for col, m in enumerate(monos) if col not in pivots]
-    return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates())), degree_bound
+    return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates()))

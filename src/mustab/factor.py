@@ -27,6 +27,7 @@ from .poly import Poly, PolyRing
 
 @dataclass
 class Factorization:
+    ring: PolyRing                       # the factored polynomial's ring
     unit: Scalar
     factors: list[tuple[Poly, int]]      # monic, irreducible over the field
     unfactored: list[tuple[Poly, int]]   # monic, square-free, degree certified > 2, not split
@@ -36,10 +37,7 @@ class Factorization:
         return not self.unfactored
 
     def product(self) -> Poly:
-        ring = (self.factors + self.unfactored)[0][0].ring if (self.factors or self.unfactored) else None
-        if ring is None:
-            raise ValueError("empty factorization")
-        acc = ring.from_scalar(self.unit)
+        acc = self.ring.from_scalar(self.unit)
         for f, m in self.factors + self.unfactored:
             acc = acc * f**m
         return acc
@@ -166,7 +164,7 @@ def uni_factor(f: Poly) -> Factorization:
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if f.is_constant():
-        return Factorization(f.constant_coefficient(), [], [])
+        return Factorization(f.ring, f.constant_coefficient(), [], [])
     a, i = _dense(f)
     char0 = f.ring.field.char == 0
     factors: list[tuple[Poly, int]] = []
@@ -176,7 +174,7 @@ def uni_factor(f: Poly) -> Factorization:
         factors += [(_poly(h, f.ring, i), mult) for h in fs]
         unfactored += [(_poly(h, f.ring, i), mult) for h in un]
     factors.sort(key=lambda t: (t[0].total_degree(), str(t[0])))
-    return Factorization(a[-1], factors, unfactored)
+    return Factorization(f.ring, a[-1], factors, unfactored)
 
 
 def _squarefree(f: list[Scalar]) -> list[tuple[list[Scalar], int]]:

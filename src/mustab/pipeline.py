@@ -66,9 +66,9 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
         run.notes.append(f"mu-reduction lowered the type dimension {dim_before} -> {dim_after}")
 
     if algorithm in ("reparam", "both"):
-        run.reparam = stab_reparam(reduced, budgets)
+        run.reparam = stab_reparam(reduced, budgets, type_dim=dim_after)
     if algorithm in ("degeneration", "both"):
-        V = implicitize(reduced, max(2, min(budgets.degree_bound, 4)))
+        V = implicitize(reduced, budgets.closure_degree)
         run.degeneration = stab_degeneration(reduced, V, budgets)
     if run.reparam is not None and run.degeneration is not None:
         run.agreement = ideal_equal(run.reparam.ideal, run.degeneration.desc.ideal, budgets.spoly_budget)

@@ -211,8 +211,16 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     by mu_correct, and returns one minimizing the budgeted type dimension.
     """
     budgets = budgets or Budgets()
-    D = max(2, min(budgets.degree_bound, 6))
-    dim_before, D = _type_dim_best_effort(branch, D)
+    # the type dimension at the largest degree the branch's precision supports
+    D = budgets.closure_degree
+    while True:
+        try:
+            dim_before = type_dimension(branch, D)
+            break
+        except PrecisionInsufficient:
+            if D == 2:
+                raise
+            D -= 1
     candidates = _truncation_candidates(branch)
     dom = ScalarDomain(branch.field)
     ident_cert = TubeCertificate(
@@ -245,7 +253,7 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
         if cert is None:
             continue
         try:
-            dim_cand, _ = type_dimension(cand, D)
+            dim_cand = type_dimension(cand, D)
         except PrecisionInsufficient:
             continue  # cannot certify this candidate's dimension
         key = (dim_cand, _term_count(cand))
@@ -257,18 +265,6 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
         notes.add("reduction_certified_minimal")
     reduced = Branch(reduced.element, reduced.ramification, reduced.trusted_irreducible, tuple(sorted(notes)))
     return reduced, cert, dim_before, dim_after
-
-
-def _type_dim_best_effort(branch: Branch, D: int) -> tuple[int, int]:
-    """Type dimension at the largest degree <= D the precision supports."""
-    while D > 2:
-        try:
-            dim, _ = type_dimension(branch, D)
-            return dim, D
-        except PrecisionInsufficient:
-            D -= 1
-    dim, _ = type_dimension(branch, 2)
-    return dim, 2
 
 
 def _identity_eps(branch: Branch) -> GroupElement:
@@ -327,10 +323,11 @@ def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None
     return Branch(b.element, b.ramification, original.trusted_irreducible, original.notes)
 
 
-def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc:
+def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: int) -> SubgroupDesc:
     """Stabilizer via the reparameterization ansatz: integrality of
     a(s) a(t)^-1 carves the parameter variety; its residue family
-    implicitizes to the subgroup ideal."""
+    implicitizes to the subgroup ideal.  type_dim is the branch's type
+    dimension as mu_reduce certified it; the stabilizer must reach it."""
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("stabilizer ansatz requires an unbounded branch")
@@ -370,10 +367,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc
     desc = SubgroupDesc(scheme, ideal_out, dim, param, {"algorithm": "reparam"})
     verify_subgroup(desc, budgets)
 
-    type_dim, D = _type_dim_best_effort(branch, max(2, min(budgets.degree_bound, 6)))
     if dim < type_dim:
-        raise NotReduced(
-            f"stabilizer dimension {dim} below type dimension {type_dim} at degree {D}; run mu_reduce first"
-        )
+        raise NotReduced(f"stabilizer dimension {dim} below type dimension {type_dim}; run mu_reduce first")
     desc.flags["type_dimension"] = type_dim
     return desc

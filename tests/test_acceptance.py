@@ -112,7 +112,7 @@ def test_criterion_03_irrational_pair_reduction():
     r = Exponent(Fraction(0), Fraction(1), 2)
     second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     branch = validate_branch(add2(), (S((-1, 1)), second))
-    dim_p, _ = type_dimension(branch, 6)
+    dim_p = type_dimension(branch, 6)
     reduced, cert, dim_before, dim_after = mu_reduce(branch, Budgets(degree_bound=6))
     run = compute_stabilizer(branch, "both", Budgets(degree_bound=6))
     elapsed = time.monotonic() - t0

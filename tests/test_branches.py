@@ -103,18 +103,17 @@ def test_type_dimension_irrational_pair():
     first = S((-1, 1))
     second = PuiseuxSeries(dom, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     b = validate_branch(ADD2, (first, second))
-    dim, certified = type_dimension(b, 6)
-    assert dim == 2 and certified == 6
+    assert type_dimension(b, 6) == 2
 
 
 def test_type_dimension_diagonal_and_cusp():
-    assert type_dimension(validate_branch(ADD2, (S((-1, 1)), S((-1, 1)))), 6)[0] == 1
-    assert type_dimension(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 6)[0] == 1
+    assert type_dimension(validate_branch(ADD2, (S((-1, 1)), S((-1, 1)))), 6) == 1
+    assert type_dimension(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 6) == 1
 
 
 def test_type_dimension_monotone_nonincreasing():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    dims = [type_dimension(b, D)[0] for D in (2, 3, 4, 5)]
+    dims = [type_dimension(b, D) for D in (2, 3, 4, 5)]
     assert dims == sorted(dims, reverse=True)
     assert dims[0] == 2 and dims[-1] == 1  # no relation exists at degree 2
 
@@ -141,6 +140,6 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
         budgets = parse_budgets(job.get("budgets"))
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
         branches = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
-        found = [type_dimension(b, D)[0] for b in branches for D in (2, budgets.degree_bound)]
+        found = [type_dimension(b, D) for b in branches for D in (2, budgets.degree_bound)]
         assert found == expected.pop(entry["name"])
     assert not expected

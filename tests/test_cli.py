@@ -82,6 +82,36 @@ def test_gl2_stab_jobs(name):
     assert stab["subgroup"]["dim"] == 1
 
 
+@pytest.mark.parametrize(
+    "curve, field, budgets",
+    [
+        ("y^2 - x^5", {"kind": "Q"}, (12, 6, 6)),
+        ("y^3 - x^5", {"kind": "Q"}, (12, 6, 6)),
+        ("y^2 - x^5", {"kind": "Fp", "p": 7}, (12, 6, 6)),
+        ("y^3 - x^5", {"kind": "Fp", "p": 7}, (12, 6, 6)),
+        ("y^2 - x^7", {"kind": "Q"}, (16, 8, 8)),
+        ("y^3 - x^7", {"kind": "Q"}, (16, 8, 8)),
+    ],
+    ids=["y2x5-Q", "y3x5-Q", "y2x5-F7", "y3x5-F7", "y2x7-Q", "y3x7-Q"],
+)
+def test_cusp_jobs_use_the_whole_degree_bound(curve, field, budgets):
+    """Their degenerations need closures of degree above 4 and their type
+    dimensions degree above 6: both algorithms must work at the job's own
+    degree_bound for the stabilizers to agree."""
+    precision, degree, order = budgets
+    job = {
+        "field": field,
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "algorithm": "both",
+        "input": {"plane_curve": {"f": curve, "embedding": ["x", "y"]}},
+        "budgets": {"precision": precision, "degree_bound": degree, "order_budget": order},
+    }
+    report, code = run_job(job)
+    assert code == 0, (report["errors"], report["checks"])
+    assert report["checks"]["agreement"] == "pass"
+
+
 def test_report_deterministic_modulo_timing(tmp_path):
     report1, code1 = run_job(X1_JOB)
     report2, code2 = run_job(X1_JOB)

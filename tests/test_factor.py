@@ -48,6 +48,16 @@ def test_multiplicities_and_unit():
     assert fac.product() == f
 
 
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_constant_factorization_multiplies_back(field):
+    """A nonzero constant factors as its unit alone; the product is built in
+    the constant's own ring."""
+    ring = PolyRing(field, ("x",))
+    fac = uni_factor(ring.from_int(3))
+    assert fac.complete and not fac.factors
+    assert fac.product() == ring.from_int(3)
+
+
 def test_quadratic_over_qsqrt2():
     ring = PolyRing(QS2, ("x",))
     # x^2 - 2 = (x - sqrt2)(x + sqrt2) inside Q(sqrt2)

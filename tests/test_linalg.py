@@ -105,7 +105,7 @@ def check_branches(branches, degrees):
     outcomes = []
     for b in branches:
         for D in degrees:
-            got = outcome(lambda: type_dimension(b, D)[0])
+            got = outcome(type_dimension, b, D)
             assert got == outcome(dense_type_dimension, b, D), (str(b), D)
             outcomes.append(got)
     return outcomes

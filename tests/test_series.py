@@ -433,3 +433,125 @@ def test_inverse_times_the_series_is_one(field, irrational):
             prod = f * inv
             assert prod.precision == target
             assert not (prod - one).terms
+
+
+# -- precision soundness ----------------------------------------------------
+# A series known below its precision P stands for every completion: the same
+# terms plus any terms at or above P.  An operation on it claims its result
+# below the result's precision, so applying it to a completion must give the
+# same terms there.
+
+SOUND_HI = exp(16)  # the completions' expansions run this far
+
+
+@st.composite
+def truncated_series(draw, field, lead=None, low=-4):
+    """(f, F): f inexact, with terms in half steps from the exponent low
+    (or led by lead = (exponent, coefficient)), and F a completion of f:
+    exact, with random extra terms at or above f's precision."""
+
+    def scalar():
+        if field.order is None:
+            return field.from_int(draw(st.integers(-4, 4)))
+        return field.element(draw(st.integers(0, field.order - 1)))
+
+    half = Fraction(1, 2)
+    start = low if lead is None else lead[0] + half
+    terms = {} if lead is None else {lead[0]: lead[1]}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[start + half * draw(st.integers(0, 10))] = scalar()
+    precision = start + half * draw(st.integers(0, 12))
+    tail = {precision + half * draw(st.integers(0, 6)): scalar() for _ in range(draw(st.integers(0, 3)))}
+    dom = ScalarDomain(field)
+    known = [(exp(e), c) for e, c in terms.items() if e < precision and not c.is_zero()]
+    extra = [(exp(e), c) for e, c in tail.items() if not c.is_zero()]
+    return PuiseuxSeries(dom, known, exp(precision)), PuiseuxSeries(dom, known + extra, None)
+
+
+def unit_series(field, low=-4):
+    """A truncated series with a known nonzero leading term."""
+    exponents = st.integers(2 * low, 8).map(lambda k: Fraction(k, 2))
+    leads = st.tuples(exponents, st.sampled_from([1, 2, 4]).map(field.from_int))
+    return leads.flatmap(lambda lead: truncated_series(field, lead=lead))
+
+
+def assert_sound(approx, truth):
+    """approx, computed from f, agrees with truth, computed from a completion
+    of f, everywhere below approx's precision (everywhere if approx is exact)."""
+    if approx.precision is None:
+        assert approx == truth
+        return
+    assert truth.precision is None or not truth.precision < approx.precision
+    assert approx.terms == truth.truncate(approx.precision).terms, (approx, truth)
+
+
+SOUND_FIELDS = pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+
+
+@SOUND_FIELDS
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_ring_operations_claim_only_known_terms(field, data):
+    f, F = data.draw(truncated_series(field))
+    g, G = data.draw(truncated_series(field))
+    assert_sound(f + g, F + G)
+    assert_sound(f * g, F * G)
+    k = data.draw(st.integers(2, 3))
+    assert_sound(f**k, F**k)
+
+
+@SOUND_FIELDS
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_inverse_claims_only_known_terms(field, data):
+    f, F = data.draw(unit_series(field))
+    truth = F.inv(SOUND_HI)
+    assert_sound(f.inv(), truth)
+    assert_sound(f.inv(exp(Fraction(data.draw(st.integers(1, 16)), 2))), truth)
+    assert_sound(f**-2, truth**2)
+
+
+@SOUND_FIELDS
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_substitution_claims_only_known_terms(field, data):
+    """f(s) for s = t^v (1 + ...) with v > 0 and lead coefficient 1, so the
+    half-integer powers of the lead need no square root."""
+    f, F = data.draw(truncated_series(field))
+    v = Fraction(data.draw(st.integers(1, 4)), 2)
+    s, S_ = data.draw(truncated_series(field, lead=(v, field.one())))
+    truth = ser_subst(F, S_, prec=SOUND_HI)
+    assert_sound(ser_subst(f, s), truth)
+    assert_sound(ser_subst(f, s, prec=exp(Fraction(data.draw(st.integers(1, 16)), 2))), truth)
+
+
+@SOUND_FIELDS
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_group_law_claims_only_known_terms(field, data):
+    """SL(2) points [[u, f], [g, (1 + f g) / u]] with u = c t^a exact: det 1
+    for every f and g, so completing f and g completes the point."""
+    from mustab.groups import GroupElement, GroupScheme
+
+    scheme = GroupScheme("SL", 2, field)
+    dom = ScalarDomain(field)
+
+    def point():
+        c = field.from_int(data.draw(st.sampled_from([1, 2, 4])))
+        u = PuiseuxSeries.monomial(dom, exp(data.draw(st.integers(-2, 2))), c)
+        f, F = data.draw(truncated_series(field, low=-2))
+        g, G = data.draw(truncated_series(field, low=-2))
+
+        def entries(a, b):
+            return ((u, a), (b, (PuiseuxSeries.one(dom) + a * b) * u.inv()))
+
+        return GroupElement(scheme, entries(f, g), check=False), GroupElement(scheme, entries(F, G))
+
+    a, A = point()
+    b, B = point()
+    for approx, truth in zip(a.entries_flat(), A.entries_flat()):
+        assert_sound(approx, truth)
+    for approx, truth in zip(a.mul(b).entries_flat(), A.mul(B).entries_flat()):
+        assert_sound(approx, truth)
+    for approx, truth in zip(a.inv().entries_flat(), A.inv().entries_flat()):
+        assert_sound(approx, truth)

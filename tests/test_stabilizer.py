@@ -2,13 +2,14 @@
 verification, solvability, conjugation, component splitting."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from mustab.branches import Branch, implicitize, validate_branch
 from mustab.degeneration import identity_component, stab_degeneration
-from mustab.errors import NotCenteredAtInfinity, SelfCheckFailed
+from mustab.errors import NotCenteredAtInfinity, NotReduced, SelfCheckFailed
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
@@ -168,7 +169,7 @@ def test_mu_reduce_pruning_keeps_the_result(places, monkeypatch):
 # -- stab_reparam ---------------------------------------------------------------
 
 def test_stab_reparam_x1_unipotent():
-    desc = stab_reparam(x1_branch(), BUDGETS)
+    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x11 - 1", "x21", "x22 - 1"))
     assert desc.dim == 1
     assert desc.flags["verified_subgroup"]
@@ -176,7 +177,7 @@ def test_stab_reparam_x1_unipotent():
 
 
 def test_stab_reparam_x2_torus():
-    desc = stab_reparam(x2_branch(), BUDGETS)
+    desc = stab_reparam(x2_branch(), BUDGETS, type_dim=1)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x12", "x21", "x11*x22 - 1"))
     assert desc.dim == 1
     assert desc.classification() == "diagonal torus"
@@ -184,7 +185,7 @@ def test_stab_reparam_x2_torus():
 
 def test_stab_reparam_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    desc = stab_reparam(b, BUDGETS)
+    desc = stab_reparam(b, BUDGETS, type_dim=1)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x"))
     assert desc.dim == 1
 
@@ -215,7 +216,33 @@ def test_stab_reparam_requires_centered():
     one_plus_t = S((0, 1), (1, 1))
     bounded = validate_branch(SL2, ((one_plus_t, Z()), (Z(), one_plus_t.inv(prec=exp(10)))))
     with pytest.raises(NotCenteredAtInfinity):
-        stab_reparam(bounded, BUDGETS)
+        stab_reparam(bounded, BUDGETS, type_dim=1)
+
+
+def test_stab_reparam_raises_not_reduced_above_its_dimension():
+    """The type dimension comes from mu_reduce; a stabilizer of lower
+    dimension than it means the branch was not reduced."""
+    with pytest.raises(NotReduced, match="stabilizer dimension 1 below type dimension 2"):
+        stab_reparam(x1_branch(), BUDGETS, type_dim=2)
+
+
+def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
+    """mu-reduction's type dimension and the degeneration's closure are both
+    taken at the job's degree_bound, with no lower cap."""
+    from mustab import branches
+
+    calls = []
+    relation_echelon = branches._relation_echelon
+
+    def spy(branch, degree_bound):
+        calls.append((sys._getframe(1).f_code.co_name, degree_bound))
+        return relation_echelon(branch, degree_bound)
+
+    monkeypatch.setattr(branches, "_relation_echelon", spy)
+    run = compute_stabilizer(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), "both", Budgets(degree_bound=8))
+    assert run.agreement is True
+    assert {name for name, _ in calls} == {"type_dimension", "implicitize"}
+    assert {degree for _, degree in calls} == {8}
 
 
 # -- stab_degeneration ------------------------------------------------------------
@@ -243,7 +270,7 @@ def test_degeneration_agrees_with_reparam_on_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
     V = implicitize(b, 3)
     out = stab_degeneration(b, V, BUDGETS)
-    rp = stab_reparam(b, BUDGETS)
+    rp = stab_reparam(b, BUDGETS, type_dim=1)
     assert ideal_equal(out.desc.ideal, rp.ideal)
 
 
@@ -397,13 +424,13 @@ def test_not_solvable_full_sl2_f5():
 # -- conjugate_stab ---------------------------------------------------------------
 
 def test_conjugate_identity_fixes():
-    desc = stab_reparam(x1_branch(), BUDGETS)
+    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
     out = conjugate_stab(desc, SL2.identity())
     assert ideal_equal(out.ideal, desc.ideal)
 
 
 def test_conjugate_by_weyl_element():
-    desc = stab_reparam(x1_branch(), BUDGETS)
+    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
     w = KPoint(SL2, ((QQ.zero(), QQ.one()), (-QQ.one(), QQ.zero())))
     out = conjugate_stab(desc, w)
     assert ideal_equal(out.ideal, ideal(out.ideal.ring, "x11 - 1", "x12", "x22 - 1"))
@@ -412,7 +439,7 @@ def test_conjugate_by_weyl_element():
 def test_conjugation_coherence_with_translation():
     g = KPoint(SL2, ((QQ.one(), QQ.one()), (QQ.zero(), QQ.one())))
     base = x1_branch()
-    desc = stab_reparam(base, BUDGETS)
+    desc = stab_reparam(base, BUDGETS, type_dim=1)
     moved = base.translate(g)
     moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
     conj = conjugate_stab(desc, g)
@@ -441,7 +468,7 @@ def test_ramification_mismatch_is_a_self_check_failure():
     than an assert."""
     el = validate_branch(ADD2, (S((-1, 1)), S((Fraction(-1, 2), 1)))).element
     with pytest.raises(SelfCheckFailed, match="-1/2"):
-        stab_reparam(Branch(el, 1))
+        stab_reparam(Branch(el, 1), type_dim=1)
 
 
 def test_dim_bound_and_equality():
@@ -455,7 +482,7 @@ def test_gl1_full_torus_stabilizer():
     # so the stabilizer is all of GL(1)
     gl1 = GroupScheme("GL", 1, QQ)
     b = validate_branch(gl1, ((S((-1, 1)),),))
-    desc = stab_reparam(b, BUDGETS)
+    desc = stab_reparam(b, BUDGETS, type_dim=1)
     scheme_ideal = Ideal(desc.ideal.ring, tuple(gl1.defining_polys(desc.ideal.ring)))
     assert ideal_equal(desc.ideal, scheme_ideal)
     assert desc.dim == 1
@@ -471,7 +498,7 @@ def test_stabilizer_over_f9():
     tpos = PuiseuxSeries.monomial(dom, exp(1), F9.one())
     zero = PuiseuxSeries.zero(dom)
     b = validate_branch(scheme, ((tneg, one), (zero, tpos)))
-    desc = stab_reparam(b, BUDGETS)
+    desc = stab_reparam(b, BUDGETS, type_dim=1)
     want = ideal(desc.ideal.ring, "x11 - 1", "x21", "x22 - 1")
     assert ideal_equal(desc.ideal, want)
     assert desc.dim == 1 and desc.flags["verified_subgroup"]
@@ -483,7 +510,7 @@ def test_parabola_branch_in_additive3():
     # family (second-order reparameterization coefficients)
     add3 = GroupScheme("Additive", 3, QQ)
     b = validate_branch(add3, (S((-1, 1)), S((-1, 1)), S((-2, 1))))
-    desc = stab_reparam(b, BUDGETS)
+    desc = stab_reparam(b, BUDGETS, type_dim=1)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x", "y"))
     assert desc.dim == 1
     run = compute_stabilizer(b, "both", Budgets(degree_bound=3))
@@ -499,5 +526,5 @@ def test_parabola_with_irrational_tail_reduces():
     reduced, cert, dim_before, dim_after = mu_reduce(b, Budgets(degree_bound=4))
     assert (dim_before, dim_after) == (2, 1)
     assert isinstance(cert, TubeCertificate)
-    desc = stab_reparam(reduced, BUDGETS)
+    desc = stab_reparam(reduced, BUDGETS, type_dim=1)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x", "y"))
