@@ -438,18 +438,20 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
 
     for j in range(n):
         piv, piv_val = None, None
+        unknown = []  # (precision, row) of the entries with no known term
         for i in range(j, n):
             s = rows[i][j]
             if s.terms:
                 v = s.val()
                 if piv_val is None or v < piv_val:
                     piv, piv_val = i, v
-            elif s.precision is not None and s.precision.sign() <= 0:
-                raise SingularAtPrecision(f"entry ({i},{j}) has no certified leading term")
-        if piv is None:
-            all_zero = all(not rows[i][j].terms for i in range(j, n))
-            if all_zero and all(rows[i][j].is_exact() for i in range(j, n)):
-                raise SingularAtPrecision(f"column {j} has no usable pivot")
+            elif s.precision is not None:
+                unknown.append((s.precision, i))
+        if piv is None and not unknown:
+            raise SingularAtPrecision(f"column {j} has no usable pivot")
+        # an entry known only to lie at or above its precision may still
+        # have the least valuation, or tie with it from a lower row
+        if piv is None or any(p < piv_val or (p == piv_val and i < piv) for p, i in unknown):
             raise SingularAtPrecision(f"column {j} pivot unknown at current precision")
         if piv != j:
             # rotation swap: row_j <- row_piv, row_piv <- -row_j (det 1)
@@ -457,7 +459,7 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
             u_rows[j], u_rows[piv] = u_rows[piv], [-s for s in u_rows[j]]
         for i in range(j + 1, n):
             s = rows[i][j]
-            if not s.terms:
+            if s.is_zero() and s.is_exact():
                 continue
             m = s * rows[j][j].inv(prec=inv_prec)
             rows[i] = [x - m * yv for x, yv in zip(rows[i], rows[j])]

@@ -217,11 +217,10 @@ def groebner_basis(I: Ideal, order: MonomialOrder | str | None = None,
 def kernel_ideal(rows, monos: list[Monomial], ring: PolyRing) -> Ideal:
     """The ideal of the polynomials whose coefficient vectors over monos
     span the kernel of rows, as a reduced Groebner basis."""
-    gens = []
-    for vec in nullspace(rows, len(monos), ring.field):
-        p = Poly(ring, {m: c for c, m in zip(vec, monos)})
-        if not p.is_zero():
-            gens.append(p)
+    gens = [
+        Poly._trusted(ring, {monos[c]: x for c, x in vec.items()})
+        for vec in nullspace(rows, len(monos), ring.field)
+    ]
     return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
 
 

@@ -209,16 +209,17 @@ def _element_json(el: GroupElement) -> tuple:
 
 
 def _run_json(run: StabilizerRun) -> dict:
+    subgroup = run.subgroup.to_json()
     out = {
         "bounded": run.bounded,
         "dim_before_reduction": run.dim_before,
         "dim_after_reduction": run.dim_after,
         "agreement": run.agreement,
         "notes": list(run.notes),
-        "subgroup": run.subgroup.to_json(),
+        "subgroup": subgroup,
     }
     if run.reparam is not None:
-        out["reparam"] = run.reparam.to_json()
+        out["reparam"] = subgroup  # run.subgroup is run.reparam
     if run.degeneration is not None:
         out["degeneration"] = run.degeneration.desc.to_json()
         out["degeneration"]["fiber"] = [str(g) for g in run.degeneration.fiber.gens]

@@ -82,19 +82,17 @@ def rref(rows) -> dict[int, Row]:
     return {c: pivots[c] for c in cols}
 
 
-def nullspace(rows, ncols: int, field: FieldSpec) -> list[list[Scalar]]:
+def nullspace(rows, ncols: int, field: FieldSpec) -> list[Row]:
     """Basis of the right kernel, in reduced form (free variable = 1), one
-    vector per non-pivot column in ascending order."""
+    sparse vector per non-pivot column in ascending order: the free column
+    and the pivot columns whose row holds it, in ascending column order."""
     red = rref(rows)
+    one = field.one()
     basis = []
     for fc in range(ncols):
         if fc in red:
             continue
-        vec = [field.zero()] * ncols
-        vec[fc] = field.one()
-        for pc, r in red.items():
-            x = r.get(fc)
-            if x is not None:
-                vec[pc] = -x
+        vec = {pc: -r[fc] for pc, r in red.items() if fc in r}
+        vec[fc] = one
         basis.append(vec)
     return basis

@@ -290,7 +290,7 @@ class PuiseuxSeries:
             _add_prec(self.precision, e),
         )
 
-    def truncate(self, prec: Exponent) -> PuiseuxSeries:
+    def truncate(self, prec: Exponent | None) -> PuiseuxSeries:
         prec = _min_prec(self.precision, prec)
         terms = self.terms
         k = len(terms)
@@ -321,7 +321,7 @@ class PuiseuxSeries:
         target = _min_prec(prec, w.precision)
         if target is None:
             target = DEFAULT_PRECISION
-        return lead_inv * _binomial_power(w, Fraction(-1), target, self.dom)
+        return lead_inv * _binomial_power(PowerList(w, target), Fraction(-1), target)
 
     # -- valuation data ----------------------------------------------------
     def val(self) -> Exponent:
@@ -405,9 +405,10 @@ def ser_subst(
     denominators (and every binomial denominator met along the way) must be
     coprime to p.  `lead_root` optionally supplies c^gamma for the leading
     coefficient c of s when fractional powers of it are needed.  `parts`
-    optionally supplies the decomposition (val, tail) with
-    s = lead * t^val * (1 + tail), for coefficient rings where the lead is
-    only invertible modulo relations; it requires lead_root.
+    optionally supplies (val, PowerList of tail) for s = lead * t^val *
+    (1 + tail), where the lead is only invertible modulo relations; it
+    requires lead_root, and the list must reach target - val * e for the
+    lowest exponent e of f.  Otherwise one PowerList serves every term.
     """
     if f.has_irrational_exponent():
         raise IrrationalExponentInSubstitution(f"cannot substitute into {f}")
@@ -419,22 +420,18 @@ def ser_subst(
     if parts is not None:
         if lead_root is None:
             raise ValueError("parts requires lead_root")
-        v, w = parts
-        if not EXP_ZERO < v:
-            raise ValueError(f"substitution requires positive valuation, got val = {v}")
-        c_lead = None
-        cinv = None
-        w_prec = w.precision
+        v, powers = parts
+        w = powers.w
+        c_lead = cinv = None
     else:
         if not s.terms:
             raise ZeroLeadingTerm("substitution by a series with no known term")
-        v = s.val()
-        if not EXP_ZERO < v:
-            raise ValueError(f"substitution requires positive valuation, got val = {v}")
-        c_lead = s.terms[0][1]
+        v, c_lead = s.terms[0]
         cinv = f.dom.inv(c_lead)
-        w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)
-        w_prec = None if s.precision is None else s.precision - v
+        w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)  # known below s.precision - v
+        powers = None
+    if not EXP_ZERO < v:
+        raise ValueError(f"substitution requires positive valuation, got val = {v}")
 
     def lead_pow(gamma: Fraction):
         if lead_root is not None:
@@ -447,70 +444,65 @@ def ser_subst(
             return root**num if num >= 0 else f.dom.inv(root) ** (-num)
         raise ValueError("fractional power of a non-scalar leading coefficient needs lead_root")
 
-    needs_truncation = False
-    for e, _ in f.terms:
-        g = e.as_fraction()
-        if (g.denominator != 1 or g < 0) and not (w.is_zero() and w.is_exact()):
-            needs_truncation = True
     # precision budget
-    bounds: list[Exponent | None] = []
+    target = prec
     if f.precision is not None:
-        bounds.append(v.scale(_rational_lower_bound(f.precision)))
-    if w_prec is not None and f.terms:
-        bounds.append(v.scale(f.terms[0][0].as_fraction()) + w_prec)
-    target: Exponent | None = prec
-    for b in bounds:
-        target = _min_prec(target, b)
-    if needs_truncation and target is None:
+        target = _min_prec(target, v.scale(_rational_lower_bound(f.precision)))
+    if w.precision is not None and f.terms:
+        target = _min_prec(target, v.scale(f.terms[0][0].as_fraction()) + w.precision)
+    infinite = any(e.as_fraction().denominator != 1 or e.sign() < 0 for e, _ in f.terms)
+    if target is None and infinite and not (w.is_zero() and w.is_exact()):
         target = DEFAULT_PRECISION
+    if powers is None and f.terms:
+        powers = PowerList(w, None if target is None else target - v.scale(f.terms[0][0].as_fraction()))
     out = PuiseuxSeries.zero(f.dom, target)
     for e, coeff in f.terms:
         gamma = e.as_fraction()
         lead = coeff * lead_pow(gamma)
         local = None if target is None else target - v.scale(gamma)
-        body = _binomial_power(w, gamma, local, f.dom)
-        term = body.shift(v.scale(gamma)).scale(lead)
-        out = out + term
+        out = out + _binomial_power(powers, gamma, local).shift(v.scale(gamma)).scale(lead)
     return out if target is None else out.truncate(target)
 
 
-def _binomial_power(w: PuiseuxSeries, gamma: Fraction, local_prec: Exponent | None, dom: CoeffDomain) -> PuiseuxSeries:
-    """(1 + w)^gamma as a series; finite for integer gamma >= 0."""
-    if w.is_zero() and w.is_exact():
-        return PuiseuxSeries.one(dom)
-    vb = w.val_bound()
-    if vb is None or (w.terms and not EXP_ZERO < w.terms[0][0]):
-        if w.terms:
-            raise ValueError("binomial expansion requires positive valuation")
-        raise PrecisionInsufficient("tail precision too low for binomial expansion")
-    if gamma.denominator == 1 and gamma >= 0:
-        base = PuiseuxSeries.one(dom) + w
-        if local_prec is None:
-            return base ** int(gamma)
-        if not EXP_ZERO < local_prec:
-            return PuiseuxSeries.zero(dom, local_prec)
-        # Truncating before powering is exact: every exponent of 1 + w is
-        # >= 0, so a term at or above local_prec only feeds product terms at
-        # or above local_prec, and each product keeps the precision
-        # min(w.precision, local_prec) because its valuation bound is 0.
-        return (base.truncate(local_prec) ** int(gamma)).truncate(local_prec)
-    if local_prec is None:
+class PowerList:
+    """The powers w^0, w^1, ... of one series w of positive valuation (val
+    None: w is exactly 0), truncated at prec (None: exact) and built on
+    demand, so every (1 + w)^gamma read from the list shares its products."""
+
+    def __init__(self, w: PuiseuxSeries, prec: Exponent | None):
+        self.w, self.prec, self.val = w, prec, w.val_bound()
+        if self.val is not None and not EXP_ZERO < self.val:
+            if w.terms:
+                raise ValueError("binomial expansion requires positive valuation")
+            raise PrecisionInsufficient("tail precision too low for binomial expansion")
+        self._powers = [PuiseuxSeries.one(w.dom)]
+
+    def __getitem__(self, k: int) -> PuiseuxSeries:
+        while len(self._powers) <= k:
+            self._powers.append((self._powers[-1] * self.w).truncate(self.prec))
+        return self._powers[k]
+
+
+def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | None) -> PuiseuxSeries:
+    """(1 + w)^gamma = sum_k binom(gamma, k) w^k from the powers of w, known
+    below local_prec.  The sum stops where binom(gamma, k) = 0, so integer
+    gamma >= 0 allows local_prec None (exact), or where k * val(w) reaches
+    local_prec."""
+    if powers.val is None:
+        return powers[0]
+    if local_prec is None and (gamma.denominator != 1 or gamma < 0):
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
-    acc = PuiseuxSeries.one(dom).truncate(local_prec)
-    power = PuiseuxSeries.one(dom)
+    out = powers[0].truncate(local_prec)
     bc = Fraction(1)
     k = 0
     bound = EXP_ZERO
-    while bound < local_prec:
+    while True:
         bc = bc * (gamma - k) / (k + 1)
         k += 1
-        power = (power * w).truncate(local_prec)
-        if bc == 0 or (power.is_zero() and power.is_exact()):
-            break
-        acc = acc + power.scale(dom.from_fraction(bc))
-        acc = PuiseuxSeries(acc.dom, acc.terms, local_prec)
-        bound = bound + vb
-    return acc
+        bound = bound + powers.val
+        if bc == 0 or (local_prec is not None and not bound < local_prec):
+            return out
+        out = out + powers[k].truncate(local_prec).scale(powers.w.dom.from_fraction(bc))
 
 
 def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> PuiseuxSeries:

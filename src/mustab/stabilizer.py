@@ -26,7 +26,7 @@ from .exponents import EXP_ZERO, exp
 from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import PolyRing
-from .series import PolyDomain, PuiseuxSeries, ScalarDomain, ser_subst
+from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subst
 from .subgroups import (
     Failure,
     ParamFamily,
@@ -65,9 +65,9 @@ class Ansatz:
         self.dom = PolyDomain(self.ring, (("lam", "lami"),))
         tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
         one = PuiseuxSeries.one(self.dom)
-        self.tail = PuiseuxSeries(self.dom, tail_terms, None)
+        tail = PuiseuxSeries(self.dom, tail_terms, None)
         lam_r = PuiseuxSeries.monomial(self.dom, exp(1), self.ring.var("lam") ** self.r)
-        self.s = lam_r * (one + self.tail)
+        self.s = lam_r * (one + tail)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
         self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
         # constraints live at exponents <= 0; the quotient multiplies by an
@@ -81,6 +81,11 @@ class Ansatz:
                     pole = -lead.as_fraction()
         n = branch.scheme.root.n
         self.work_prec = exp(pole * n + 2)
+        # one list of tail powers serves every coordinate substituted: it
+        # reaches work_prec - e for the lowest exponent e of all, y included
+        # (on GL, y = det^-1 can lie below every entry)
+        low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
+        self.tail_powers = PowerList(tail, self.work_prec - low)
 
     def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
@@ -92,7 +97,7 @@ class Ansatz:
             self.s,
             prec=self.work_prec,
             lead_root=self.lead_root,
-            parts=(exp(1), self.tail),
+            parts=(exp(1), self.tail_powers),
         )
 
     def quotient(self, b: GroupElement) -> GroupElement:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mustab.errors import NotIntegral, NotOnGroup
+from mustab.errors import NotIntegral, NotOnGroup, SingularAtPrecision
 from mustab.exponents import exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupElement, GroupScheme, KPoint, iwasawa, mat_adjugate, mat_det, mat_mul
@@ -160,6 +160,16 @@ def test_iwasawa_already_triangular():
     u, b = iwasawa(a)
     assert is_identity(u.res())
     assert b.entries == a.entries
+
+
+def test_iwasawa_reads_unknown_entries_below_the_pivot():
+    """An entry known only below its precision is eliminated, not taken for
+    an exact 0; one that may have the least valuation of its column leaves
+    the pivot unknown."""
+    u, _ = iwasawa(GroupElement(SL2, ((S((0, 1)), Z()), (S(prec="5/2"), S((0, 1)))), check=False))
+    assert not u.entries[1][0].terms and u.entries[1][0].precision == exp("5/2")
+    with pytest.raises(SingularAtPrecision):
+        iwasawa(GroupElement(SL2, ((S((1, 1)), Z()), (S(prec="1/2"), S((-1, 1)))), check=False))
 
 
 def _check_iwasawa(a):

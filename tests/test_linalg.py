@@ -201,7 +201,13 @@ def test_rref_and_nullspace_match_dense_on_sparse_rows(m):
     assert rref(rows) == expected
     assert rref(sparse) == expected
     basis = dense_nullspace(rows, ncols, field)
-    assert nullspace(rows, ncols, field) == basis
-    assert nullspace(sparse, ncols, field) == basis
+
+    def dense(vectors):
+        return [[v.get(c, field.zero()) for c in range(ncols)] for v in vectors]
+
+    assert dense(nullspace(rows, ncols, field)) == basis
+    assert dense(nullspace(sparse, ncols, field)) == basis
     # the echelon rows span the same space
-    assert nullspace(list(echelon(sparse)[0].values()), ncols, field) == basis
+    assert dense(nullspace(list(echelon(sparse)[0].values()), ncols, field)) == basis
+    for v in nullspace(sparse, ncols, field):
+        assert list(v) == sorted(v) and not any(x.is_zero() for x in v.values())

@@ -17,6 +17,7 @@ from mustab.fields import QQ, FieldSpec
 from mustab.poly import PolyRing
 from mustab.series import (
     PolyDomain,
+    PowerList,
     PuiseuxSeries,
     ScalarDomain,
     _binomial_power,
@@ -197,10 +198,16 @@ def _random_tail(rng, dom):
     return PuiseuxSeries(dom, [(exp(e), c) for e, c in terms.items()], prec)
 
 
-@pytest.mark.parametrize("dom", [DQ, ScalarDomain(F5), PolyDomain(RING_AB)], ids=["Q", "F5", "Poly"])
+BINOMIAL_DOMAINS = pytest.mark.parametrize(
+    "dom", [DQ, ScalarDomain(F5), PolyDomain(RING_AB)], ids=["Q", "F5", "Poly"]
+)
+GAMMAS = [Fraction(g) for g in (0, 1, 2, 5)] + [Fraction(-1), Fraction(-3)] + [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 2)]
+
+
+@BINOMIAL_DOMAINS
 def test_binomial_power_truncated_matches_exact(dom):
-    """(1 + w)^gamma for integer gamma >= 0 is raised after truncating to
-    local_prec; it must equal the exact power truncated afterwards, also for
+    """(1 + w)^gamma for integer gamma >= 0 is a finite sum; truncated at
+    local_prec it must equal the exact power truncated afterwards, also for
     local_prec <= 0, where nothing is known."""
     rng = random.Random(23)
     one = PuiseuxSeries.one(dom)
@@ -209,8 +216,83 @@ def test_binomial_power_truncated_matches_exact(dom):
         gamma = rng.randrange(0, 7)
         local = exp(Fraction(rng.randrange(-3, 10), rng.choice([1, 2])))
         exact = ((one + w) ** gamma).truncate(local)
-        assert _binomial_power(w, Fraction(gamma), local, dom) == exact
-    assert _binomial_power(w, Fraction(3), None, dom) == (one + w) ** 3
+        assert _binomial_power(PowerList(w, local), Fraction(gamma), local) == exact
+    assert _binomial_power(PowerList(w, None), Fraction(3), None) == (one + w) ** 3
+
+
+def reference_binomial_power(w, gamma, local_prec, dom):
+    """The two-path expansion the power list replaced, kept as an oracle:
+    integer gamma >= 0 truncates 1 + w and raises it with **, every other
+    gamma runs the binomial loop on powers of its own."""
+    if w.is_zero() and w.is_exact():
+        return PuiseuxSeries.one(dom)
+    vb = w.val_bound()
+    if gamma.denominator == 1 and gamma >= 0:
+        base = PuiseuxSeries.one(dom) + w
+        if local_prec is None:
+            return base ** int(gamma)
+        if not EXP_ZERO < local_prec:
+            return PuiseuxSeries.zero(dom, local_prec)
+        return (base.truncate(local_prec) ** int(gamma)).truncate(local_prec)
+    acc = PuiseuxSeries.one(dom).truncate(local_prec)
+    power = PuiseuxSeries.one(dom)
+    bc = Fraction(1)
+    k = 0
+    bound = EXP_ZERO
+    while bound < local_prec:
+        bc = bc * (gamma - k) / (k + 1)
+        k += 1
+        power = (power * w).truncate(local_prec)
+        if bc == 0 or (power.is_zero() and power.is_exact()):
+            break
+        acc = acc + power.scale(dom.from_fraction(bc))
+        acc = PuiseuxSeries(acc.dom, acc.terms, local_prec)
+        bound = bound + vb
+    return acc
+
+
+@BINOMIAL_DOMAINS
+def test_binomial_power_matches_the_two_path_reference(dom):
+    """Every kind of gamma (integer >= 0, negative integer, fractional) at
+    every kind of local_prec (None for integer gamma >= 0, <= 0, positive).
+    The reference's binomial loop claimed local_prec even above the
+    precision of w, where its terms are unknown, so its result is cut at
+    the precision of w there."""
+    rng = random.Random(37)
+    for gamma in GAMMAS:
+        finite = gamma.denominator == 1 and gamma >= 0
+        for _ in range(4):
+            w = _random_tail(rng, dom)
+            locals_ = [exp(Fraction(rng.randrange(-4, 1), 2)), exp(Fraction(rng.randrange(1, 16), 2))]
+            for local in locals_ + ([None] if finite else []):
+                want = reference_binomial_power(w, gamma, local, dom)
+                if not finite:
+                    want = want.truncate(w.precision)
+                assert _binomial_power(PowerList(w, local), gamma, local) == want, (w, gamma, local)
+
+
+@BINOMIAL_DOMAINS
+def test_one_power_list_serves_every_gamma(dom):
+    """A list built to the highest precision asked, read for several gamma
+    at several lower targets, gives what a fresh list for each does."""
+    rng = random.Random(41)
+    for _ in range(6):
+        w = _random_tail(rng, dom)
+        top = exp(rng.randrange(4, 10))
+        shared = PowerList(w, top)
+        for gamma in GAMMAS:
+            for local in (top, top - exp(Fraction(3, 2)), top - exp(4)):
+                assert _binomial_power(shared, gamma, local) == _binomial_power(PowerList(w, local), gamma, local)
+
+
+def test_power_list_checks_its_series():
+    assert _binomial_power(PowerList(PuiseuxSeries.zero(DQ), None), Fraction(-1, 2), None) == PuiseuxSeries.one(DQ)
+    with pytest.raises(ValueError):
+        PowerList(S((0, 1), (1, 1)), exp(4))
+    with pytest.raises(PrecisionInsufficient):
+        PowerList(PuiseuxSeries.zero(DQ, EXP_ZERO), exp(4))
+    with pytest.raises(PrecisionInsufficient):
+        _binomial_power(PowerList(S((1, 1)), None), Fraction(-1), None)
 
 
 def random_series(rng, dom=DQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
@@ -555,3 +637,39 @@ def test_group_law_claims_only_known_terms(field, data):
         assert_sound(approx, truth)
     for approx, truth in zip(a.inv().entries_flat(), A.inv().entries_flat()):
         assert_sound(approx, truth)
+
+
+@pytest.mark.parametrize("kind", ["SL", "GL"])
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_iwasawa_claims_only_known_terms(kind, field, data):
+    """a = u b from inexact SL(2) and GL(2) entries, against the
+    decomposition of a completion; each pivot is inverted through the
+    binomial expansion.  SL(2) points are built as in the group law test,
+    GL(2) points from any four series whose determinant has a known term."""
+    from mustab.errors import SingularAtPrecision, ZeroLeadingTerm
+    from mustab.groups import GroupElement, GroupScheme, iwasawa
+
+    scheme = GroupScheme(kind, 2, field)
+    dom = ScalarDomain(field)
+    if kind == "SL":
+        c = field.from_int(data.draw(st.sampled_from([1, 2, 4])))
+        u = PuiseuxSeries.monomial(dom, exp(data.draw(st.integers(-2, 2))), c)
+        (f, F), (g, G) = data.draw(truncated_series(field, low=-2)), data.draw(truncated_series(field, low=-2))
+
+        def entries(x, y):
+            return ((u, x), (y, (PuiseuxSeries.one(dom) + x * y) * u.inv()))
+
+        approx, truth = entries(f, g), entries(F, G)
+    else:
+        pairs = [data.draw(truncated_series(field, low=-2)) for _ in range(4)]
+        approx = ((pairs[0][0], pairs[1][0]), (pairs[2][0], pairs[3][0]))
+        truth = ((pairs[0][1], pairs[1][1]), (pairs[2][1], pairs[3][1]))
+    try:
+        u, b = iwasawa(GroupElement(scheme, approx, check=False))
+    except (SingularAtPrecision, ZeroLeadingTerm):
+        return  # no certified pivot, or no known determinant on GL
+    U, B = iwasawa(GroupElement(scheme, truth, check=False))
+    for x, X in zip(u.entries_flat() + b.entries_flat(), U.entries_flat() + B.entries_flat()):
+        assert_sound(x, X)

@@ -15,7 +15,7 @@ from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
 from mustab.ideals import Budgets, Ideal, ideal, ideal_equal, krull_dim
 from mustab.pipeline import compute_stabilizer
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PowerList, PuiseuxSeries, ScalarDomain, ser_subst
 from mustab import stabilizer
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
@@ -59,6 +59,37 @@ def irrational_pair_branch():
     r = Exponent(Fraction(0), Fraction(1), 2)
     second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     return validate_branch(ADD2, (S((-1, 1)), second))
+
+
+# -- the ansatz's power list ----------------------------------------------------
+
+def _gl2_y_below_entries():
+    """GL(2) [[t^-1, 1], [0, t^3]], where y = det^-1 = t^-2 lies below every entry."""
+    return validate_branch(GroupScheme("GL", 2, QQ), ((S((-1, 1)), S((0, 1))), (Z(), S((3, 1)))))
+
+
+def _parabola_branch():
+    return validate_branch(GroupScheme("Additive", 3, QQ), (S((-1, 1)), S((-1, 1)), S((-2, 1))))
+
+
+@pytest.mark.parametrize("make", [_gl2_y_below_entries, x1_branch, _parabola_branch], ids=["GL2", "SL2", "additive"])
+def test_ansatz_power_list_covers_every_coordinate(make):
+    """The ansatz's one list of tail powers gives every coordinate, y
+    included, the substitution a fresh list reaching that coordinate's
+    lowest exponent gives: the same terms and the same precision."""
+    branch = make()
+    ansatz = stabilizer.Ansatz(branch, 6)
+    for v in branch.element.flat():
+        f = ansatz.lift_series(v)
+        fresh = PowerList(ansatz.tail_powers.w, ansatz.work_prec - f.terms[0][0] if f.terms else None)
+        want = ser_subst(f, ansatz.s, prec=ansatz.work_prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
+        got = ansatz.subst(v)
+        assert (got.terms, got.precision) == (want.terms, want.precision)
+
+
+def test_gl2_y_lies_below_every_entry():
+    element = _gl2_y_below_entries().element
+    assert element.y.val() < min(v.val() for v in element.entries_flat() if v.terms)
 
 
 # -- mu_correct ---------------------------------------------------------------
