@@ -54,6 +54,16 @@ class SingularAtPrecision(MustabError):
     """Matrix not invertible (or no pivot found) at the tracked precision."""
 
 
+class LeadingTermUnknown(ZeroLeadingTerm, PrecisionInsufficient):
+    """Series inversion where no term is known below a finite precision:
+    more input precision could decide it."""
+
+
+class PivotUnknown(SingularAtPrecision, PrecisionInsufficient):
+    """No pivot is certain at the tracked precision: an entry known only
+    below its precision may have the least valuation of its column."""
+
+
 class NotIntegral(MustabError):
     """Residue of a point with entries of negative valuation."""
 

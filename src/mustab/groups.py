@@ -31,6 +31,7 @@ from fractions import Fraction
 from .errors import (
     NotIntegral,
     NotOnGroup,
+    PivotUnknown,
     PrecisionInsufficient,
     SingularAtPrecision,
 )
@@ -452,7 +453,7 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
         # an entry known only to lie at or above its precision may still
         # have the least valuation, or tie with it from a lower row
         if piv is None or any(p < piv_val or (p == piv_val and i < piv) for p, i in unknown):
-            raise SingularAtPrecision(f"column {j} pivot unknown at current precision")
+            raise PivotUnknown(f"column {j} pivot unknown at current precision")
         if piv != j:
             # rotation swap: row_j <- row_piv, row_piv <- -row_j (det 1)
             rows[j], rows[piv] = rows[piv], [-s for s in rows[j]]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
-from .factor import uni_divmod, uni_factor
+from .factor import scalar_roots, uni_divmod, uni_factor
 from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
@@ -173,8 +173,10 @@ def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Sca
     Roots conjugate to a k-rational root r under c -> zeta_q^p c
     parameterize the same place via t -> zeta t, so an irreducible factor
     dividing c^q - r^q is redundant rather than missing (never when q = 1).
-    Any other nonlinear factor means roots outside k, which is fatal here
-    (or triggers an extension over F_p).
+    The conjugates that lie in k are all returned; their expansions differ
+    by t -> zeta t, and _dedup_branches keeps the first of them by its
+    rescaling test.  Any other nonlinear factor means roots outside k, which
+    is fatal here (or triggers an extension over F_p).
     """
     ring = PolyRing(field, ("c",))
     phi = Poly(ring, {(i,): a for i, a in coeffs})
@@ -355,8 +357,11 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
 
 
 def _dedup_branches(branches: list[Branch]) -> list[Branch]:
-    """Drop duplicates: identical parameterizations first, then anything
-    tube-equivalent to an earlier branch."""
+    """Drop duplicates, keeping the first branch of each class: identical
+    parameterizations first, then rescalings b(t) = a(lam t) of an earlier
+    branch a, which is how the conjugate expansions of one place arrive
+    (s = lam t with eps = 1 is the tube certificate), then anything else
+    mu_correct finds tube-equivalent to an earlier branch."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
     from .subgroups import TubeCertificate
 
@@ -364,7 +369,7 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
     for b in branches:
         dup = False
         for seen in out:
-            if b.element.entries == seen.element.entries:
+            if b.element.entries == seen.element.entries or _is_rescaling(seen, b):
                 dup = True
                 break
             try:
@@ -377,3 +382,28 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
         if not dup:
             out.append(b)
     return out
+
+
+def _is_rescaling(a: Branch, b: Branch) -> bool:
+    """Whether b(t) = a(lam t) for some lam in k^*: every coordinate (y
+    included) has the same integral exponents and the same precision in a
+    and b, and c_b = lam^m c_a at each exponent m.  The candidates for lam
+    are the roots of lam^m = c_b/c_a at the first term with m != 0."""
+    pairs = []
+    for sa, sb in zip(a.element.flat(), b.element.flat()):
+        if sa.precision != sb.precision or len(sa.terms) != len(sb.terms):
+            return False
+        for (ea, ca), (eb, cb) in zip(sa.terms, sb.terms):
+            if ea != eb or not ea.is_rational() or ea.denominator != 1:
+                return False
+            pairs.append((ea.as_fraction().numerator, ca, cb))
+    lead = next(((m, cb / ca) for m, ca, cb in pairs if m), None)
+    if lead is None:
+        return False
+    m, ratio = lead  # lam^m = ratio
+    lam = PolyRing(a.field, ("lam",)).var("lam")
+    try:
+        roots = scalar_roots(lam ** abs(m) - lam.ring.from_scalar(ratio if m > 0 else ratio.inv()))
+    except CoefficientFieldTooSmall:
+        return False
+    return any(all(cb == r**e * ca for e, ca, cb in pairs) for r in roots)

@@ -30,6 +30,7 @@ from operator import itemgetter
 from .errors import (
     FieldMismatch,
     IrrationalExponentInSubstitution,
+    LeadingTermUnknown,
     NegativeValuation,
     PrecisionInsufficient,
     WildRamification,
@@ -258,10 +259,18 @@ class PuiseuxSeries:
         return self + (-other)
 
     def __mul__(self, other: PuiseuxSeries) -> PuiseuxSeries:
+        return self.mul_below(other, None)
+
+    def mul_below(self, other: PuiseuxSeries, bound: Exponent | None) -> PuiseuxSeries:
+        """(self * other).truncate(bound), without forming the pairs of
+        terms at or above bound (None: no bound)."""
         self._check(other)
         prec = _min_prec(
-            _add_prec(self.precision, other.val_bound()),
-            _add_prec(other.precision, self.val_bound()),
+            _min_prec(
+                _add_prec(self.precision, other.val_bound()),
+                _add_prec(other.precision, self.val_bound()),
+            ),
+            bound,
         )
         acc: dict = {}
         for e1, c1 in self.terms:
@@ -310,6 +319,8 @@ class PuiseuxSeries:
         precision of w, to either one that is known, else to
         DEFAULT_PRECISION."""
         if not self.terms:
+            if self.precision is not None:
+                raise LeadingTermUnknown(f"no term of the series is known below t^({self.precision})")
             raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
         v, c = self.terms[0]
         cinv = self.dom.inv(c)
@@ -479,7 +490,7 @@ class PowerList:
 
     def __getitem__(self, k: int) -> PuiseuxSeries:
         while len(self._powers) <= k:
-            self._powers.append((self._powers[-1] * self.w).truncate(self.prec))
+            self._powers.append(self._powers[-1].mul_below(self.w, self.prec))
         return self._powers[k]
 
 

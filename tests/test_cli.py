@@ -313,6 +313,29 @@ def test_iwasawa_job_claims_no_unknown_terms():
     assert report["results"]["u"][1][0] == ser(("1", "1"), prec=4)
 
 
+@pytest.mark.parametrize(
+    "kind, entries, code, error",
+    [
+        ("SL", [[ser(("1", "1")), ser()], [ser(prec="1/2"), ser(("-1", "1"))]], 4, "PivotUnknown"),
+        ("GL", [[ser(prec=1), ser(prec=1)], [ser(prec=1), ser(prec=1)]], 4, "LeadingTermUnknown"),
+        ("GL", [[ser(), ser(("0", "1"))], [ser(), ser(("0", "1"))]], 5, "ZeroLeadingTerm"),
+    ],
+    ids=["SL2_pivot_unknown", "GL2_determinant_unknown", "GL2_exactly_singular"],
+)
+def test_iwasawa_precision_limits_exit_4(kind, entries, code, error):
+    """A pivot or a determinant that more input precision would decide is a
+    precision result; the exact determinant 0 of a singular point is not."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": kind, "n": 2},
+        "command": "iwasawa",
+        "input": {"branch": {"entries": entries}},
+    }
+    report, got = run_job(job)
+    assert got == code
+    assert report["errors"][0]["type"] == error
+
+
 def test_verify_job_pass_and_fail():
     base = {
         "field": {"kind": "Q"},

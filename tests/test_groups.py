@@ -172,6 +172,15 @@ def test_iwasawa_reads_unknown_entries_below_the_pivot():
         iwasawa(GroupElement(SL2, ((S((1, 1)), Z()), (S(prec="1/2"), S((-1, 1)))), check=False))
 
 
+def test_iwasawa_exactly_singular_column_is_no_precision_limit():
+    """A column of exact zeros has no pivot at any precision."""
+    from mustab.errors import PrecisionInsufficient
+
+    with pytest.raises(SingularAtPrecision) as info:
+        iwasawa(GroupElement(SL2, ((Z(), S((0, 1))), (Z(), S((0, 1)))), check=False))
+    assert not isinstance(info.value, PrecisionInsufficient)
+
+
 def _check_iwasawa(a):
     u, b = iwasawa(a)
     assert u.is_integral()

@@ -2,13 +2,13 @@
 
 import pytest
 
-from mustab.branches import is_centered_at_infinity
+from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import CoefficientFieldTooSmall
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, eval_poly_series
-from mustab.newton import PlaneCurveInput, check_irreducible_fragment, places_at_infinity
+from mustab.newton import PlaneCurveInput, _dedup_branches, _is_rescaling, check_irreducible_fragment, places_at_infinity
 from mustab.poly import PolyRing
-from mustab.series import ScalarDomain
+from mustab.series import ScalarDomain, parse_series
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -149,3 +149,89 @@ def test_dedup_lets_unexpected_errors_through(monkeypatch):
     scheme = GroupScheme("SL", 2, QQ)
     with pytest.raises(TypeError):
         places_at_infinity(_curve("x*y - 1", [["x", "1"], ["0", "y"]], scheme, QQ))
+
+
+def _count_mu_correct(monkeypatch):
+    """A counter of the mu_correct calls made from here on."""
+    from mustab import stabilizer
+
+    calls = []
+    original = stabilizer.mu_correct
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(stabilizer, "mu_correct", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "f_text, field, expansions",
+    [("y^4 - x", F5, 4), ("y^3 - x^2", FieldSpec("Fp", p=7), 3), ("y^2 - x", QQ, 2)],
+    ids=["y4_x_F5", "y3_x2_F7", "y2_x_Q"],
+)
+def test_conjugate_expansions_merge_without_the_ansatz(monkeypatch, f_text, field, expansions):
+    """Every k-rational root of the edge polynomial gives one expansion of
+    the single place; they differ by t -> zeta t, and the rescaling test
+    merges them without one mu_correct call."""
+    from mustab import newton
+
+    seen = []
+    dedup = newton._dedup_branches
+
+    def recording(branches):
+        seen.extend(branches)
+        return dedup(branches)
+
+    monkeypatch.setattr(newton, "_dedup_branches", recording)
+    calls = _count_mu_correct(monkeypatch)
+    scheme = GroupScheme("Additive", 2, field)
+    branches = places_at_infinity(_curve(f_text, ["x", "y"], scheme, field))
+    assert len(seen) == expansions
+    assert len(branches) == 1 and branches[0] is seen[0]
+    assert calls == []
+
+
+def test_rescaling_keeps_the_two_circle_places():
+    """The two places of the circle over F_5 share x = 1/t, which forces
+    lam = 1, but their y-leads are 2 and 3."""
+    scheme = GroupScheme("Additive", 2, F5)
+    a, b = places_at_infinity(_curve("x^2 + y^2 - 1", ["x", "y"], scheme, F5), precision=20)
+    assert not _is_rescaling(a, b) and not _is_rescaling(b, a)
+
+
+def _additive_branch(field, entries):
+    return validate_branch(GroupScheme("Additive", 2, field), tuple(parse_series(e, field) for e in entries))
+
+
+def test_rescaling_by_a_non_root_of_unity_is_merged(monkeypatch):
+    """b(t) = a(2t) over Q: lam = 2, found from lam^-2 = 1/4 and checked on
+    every term, here with negative, zero and positive exponents."""
+    a = _additive_branch(QQ, [[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]])
+    b = _additive_branch(QQ, [[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]])
+    calls = _count_mu_correct(monkeypatch)
+    assert _is_rescaling(a, b) and _is_rescaling(b, a)
+    assert _dedup_branches([a, b]) == [a]
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "5"], ["1", "2"]], "prec": "3"}],
+        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "5"], ["1", "4"]], "prec": "4"}],
+        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "6"], ["1", "2"]], "prec": "4"}],
+    ],
+    ids=["one_precision", "linear_coefficient", "constant_coefficient"],
+)
+def test_rescaling_needs_every_term_and_precision(entries):
+    """a(2t) with one precision or one coefficient changed is not a
+    rescaling of a, whatever lam is tried; the unchanged a(2t) is."""
+
+    def inexact(parts):
+        return [{"terms": p, "prec": "4"} for p in parts]
+
+    a = _additive_branch(QQ, inexact([[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]]))
+    assert _is_rescaling(a, _additive_branch(QQ, inexact([[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]])))
+    assert not _is_rescaling(a, _additive_branch(QQ, entries))

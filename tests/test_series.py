@@ -220,6 +220,24 @@ def test_binomial_power_truncated_matches_exact(dom):
     assert _binomial_power(PowerList(w, None), Fraction(3), None) == (one + w) ** 3
 
 
+def _random_laurent(rng, dom):
+    """Terms in half steps from t^(-5/2), exact or truncated."""
+    w = _random_tail(rng, dom)
+    return PuiseuxSeries(w.dom, [(e - exp(3), c) for e, c in w.terms], None if w.precision is None else w.precision - exp(3))
+
+
+@BINOMIAL_DOMAINS
+def test_bounded_product_is_the_truncated_product(dom):
+    """a.mul_below(b, bound) equals (a * b).truncate(bound) in terms and
+    precision, for bounds below, inside and above the known terms and for
+    no bound."""
+    rng = random.Random(29)
+    for _ in range(60):
+        a, b = _random_laurent(rng, dom), _random_laurent(rng, dom)
+        bound = rng.choice([None, exp(Fraction(rng.randrange(-6, 12), rng.choice([1, 2])))])
+        assert a.mul_below(b, bound) == (a * b).truncate(bound)
+
+
 def reference_binomial_power(w, gamma, local_prec, dom):
     """The two-path expansion the power list replaced, kept as an oracle:
     integer gamma >= 0 truncates 1 + w and raises it with **, every other
