@@ -11,6 +11,7 @@ from mustab import (
     PlaneCurveInput,
     PolyRing,
     QQ,
+    certified_dim,
     compute_stabilizer,
     implicitize,
     places_at_infinity,
@@ -32,7 +33,10 @@ def main():
     budgets = Budgets(degree_bound=4)
     for i, branch in enumerate(branches):
         print(f"\n-- branch {i}: a(t) = {branch.element}")
-        print(f"   type dimension {type_dimension(branch, 4)} (degree bound 4)")
+        dim, route = certified_dim(branch), "closed form"
+        if dim is None:
+            dim, route = type_dimension(branch, 4), "degree 4 count"
+        print(f"   type dimension {dim} ({route})")
         closure = implicitize(branch, 2)
         print(f"   Zariski closure: <{', '.join(str(g) for g in closure.gens)}>")
         run = compute_stabilizer(branch, "both", budgets)

@@ -1,11 +1,14 @@
-"""Curve branches: validated parameterizations, boundedness, and the
-degree-bounded Zariski closure (implicitization) with its Krull dimension.
+"""Curve branches: validated parameterizations, boundedness, the type
+dimension dim p, and the degree-bounded Zariski closure (implicitization)
+with its Krull dimension.
 
-Implicitization is exact linear algebra on the series expansions of all
-coordinate monomials up to a degree bound.  For exact (Laurent-polynomial)
-entries the computed relations are certain; for truncated entries a
-window-stability check guards against spurious relations and raises
-PrecisionInsufficient instead of guessing.
+For exact entries, certified_dim gives dim p in closed form where an upper
+and a lower rank bound meet; otherwise the degree-D closure bounds it from
+above.  Implicitization is exact linear algebra on the series expansions
+of all coordinate monomials up to a degree bound.  For exact
+(Laurent-polynomial) entries the computed relations are certain; for
+truncated entries a window-stability check guards against spurious
+relations and raises PrecisionInsufficient instead of guessing.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import FieldMismatch, PrecisionInsufficient
-from .exponents import Exponent
+from .exponents import EXP_ZERO, Exponent
 from .groups import GroupElement, GroupScheme
 from .ideals import Ideal, _dim_from_leading_monomials, kernel_ideal
 from .linalg import echelon
@@ -65,6 +68,38 @@ def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
 def is_centered_at_infinity(branch: Branch) -> bool:
     """Unbounded exactly when some coordinate has negative valuation."""
     return not branch.element.is_integral()
+
+
+def _rational_rank(exponents) -> int:
+    """Rank over Q of exponents (p + q*sqrt(d))/n, read as the vectors
+    (p, q): 2 when two of them have a nonzero cross product, else 1, or 0
+    when all are zero."""
+    vecs = [(e.p, e.q) for e in exponents if not e.is_zero()]
+    if not vecs:
+        return 0
+    p0, q0 = vecs[0]
+    return 2 if any(p0 * q != q0 * p for p, q in vecs) else 1
+
+
+def certified_dim(branch: Branch) -> int | None:
+    """dim p, the transcendence degree of k(a) over k, when two bounds that
+    need no relations meet; None when an entry is truncated or they differ.
+
+    The entries lie in k[t^G] for the group G their exponents generate, so
+    dim p <= rank_Q G.  Eliminating the rows 1, a_1, ..., a_n over the
+    exponent slots in ascending order leads each pivot row with the
+    valuation of a k-combination of them, so by Abhyankar's inequality
+    dim p >= the rank of those pivot exponents.  y = det^-1 lies in k(a)
+    and is skipped."""
+    entries = branch.element.entries_flat()
+    if any(s.precision is not None for s in entries):
+        return None
+    slots = sorted({e for s in entries for e, _ in s.terms} | {EXP_ZERO})
+    col = {e: i for i, e in enumerate(slots)}
+    rows = [{col[EXP_ZERO]: branch.field.one()}] + [{col[e]: c for e, c in s.terms} for s in entries]
+    pivots, _ = echelon(rows)
+    upper = _rational_rank(slots)
+    return upper if _rational_rank(slots[c] for c in pivots) == upper else None
 
 
 def _relation_echelon(branch: Branch, degree_bound: int):
@@ -131,8 +166,8 @@ def implicitize(branch: Branch, degree_bound: int) -> Ideal:
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> int:
-    """Krull dimension of the degree-bounded closure; an upper bound for the
-    true dimension, certified at that degree."""
+    """Krull dimension of the degree-bounded closure: an upper bound for
+    dim p, which certified_dim gives exactly where its bounds meet."""
     monos, pivots = _relation_echelon(branch, degree_bound)
     # the reduced kernel vector of a non-pivot column is nonzero only there
     # and at pivot columns to its left, so it is led by that column: these

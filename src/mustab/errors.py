@@ -80,6 +80,13 @@ class NotReduced(MustabError):
     """Stabilizer computation detected a non-minimal-dimension branch."""
 
 
+class OrderBudgetTooSmall(NotReduced, BudgetExceeded):
+    """The reparameterization's stabilizer has lower dimension than a
+    certified type dimension.  That dimension is exact, not a degree-bounded
+    count, so a larger ansatz order budget may reach it; a branch that is
+    not reduced is the other cause."""
+
+
 class SelfCheckFailed(MustabError):
     """A computed result failed the consistency check run on it before it
     is returned, such as a stabilizer generator that does not vanish on

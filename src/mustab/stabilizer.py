@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .branches import Branch, is_centered_at_infinity, type_dimension, validate_branch
+from .branches import Branch, certified_dim, is_centered_at_infinity, type_dimension, validate_branch
 from .errors import (
     BudgetExceeded,
     IrrationalExponentInSubstitution,
     MustabError,
     NotCenteredAtInfinity,
     NotReduced,
+    OrderBudgetTooSmall,
     PrecisionInsufficient,
     SelfCheckFailed,
 )
@@ -213,15 +214,17 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
 
     Enumerates truncations of positive-exponent tails (with a determinant
     repair for matrix schemes), keeps candidates certified tube-equivalent
-    by mu_correct, and returns one minimizing the budgeted type dimension.
+    by mu_correct, and returns one minimizing the type dimension: certified
+    where certified_dim decides it, else counted at the degree bound.
     """
     budgets = budgets or Budgets()
-    # the type dimension at the largest degree the branch's precision supports
+    # the certified type dimension, else the count at the largest degree the
+    # branch's precision supports
     D = budgets.closure_degree
-    while True:
+    dim_before = certified_dim(branch)
+    while dim_before is None:
         try:
             dim_before = type_dimension(branch, D)
-            break
         except PrecisionInsufficient:
             if D == 2:
                 raise
@@ -257,10 +260,12 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
                     cert = back
         if cert is None:
             continue
-        try:
-            dim_cand = type_dimension(cand, D)
-        except PrecisionInsufficient:
-            continue  # cannot certify this candidate's dimension
+        dim_cand = certified_dim(cand)
+        if dim_cand is None:
+            try:
+                dim_cand = type_dimension(cand, D)
+            except PrecisionInsufficient:
+                continue  # cannot certify this candidate's dimension
         key = (dim_cand, _term_count(cand))
         if key < (best[0], best[1]):
             best = (dim_cand, key[1], cand, cert)
@@ -332,7 +337,9 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     """Stabilizer via the reparameterization ansatz: integrality of
     a(s) a(t)^-1 carves the parameter variety; its residue family
     implicitizes to the subgroup ideal.  type_dim is the branch's type
-    dimension as mu_reduce certified it; the stabilizer must reach it."""
+    dimension from mu_reduce; the stabilizer must reach it.  Falling short
+    of a dimension certified_dim confirms is an order budget limit
+    (OrderBudgetTooSmall), short of a degree-bounded count NotReduced."""
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("stabilizer ansatz requires an unbounded branch")
@@ -373,6 +380,11 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     verify_subgroup(desc, budgets)
 
     if dim < type_dim:
+        if certified_dim(branch) == type_dim:
+            raise OrderBudgetTooSmall(
+                f"stabilizer dimension {dim} below certified type dimension {type_dim}; "
+                f"raise order_budget (now {budgets.order_budget})"
+            )
         raise NotReduced(f"stabilizer dimension {dim} below type dimension {type_dim}; run mu_reduce first")
     desc.flags["type_dimension"] = type_dim
     return desc

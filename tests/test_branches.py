@@ -1,10 +1,11 @@
-"""Branch validation, boundedness, implicitization, type dimension."""
+"""Branch validation, boundedness, implicitization, type dimension and its
+closed-form certification."""
 
 from fractions import Fraction
 
 import pytest
 
-from mustab.branches import implicitize, is_centered_at_infinity, type_dimension, validate_branch
+from mustab.branches import certified_dim, implicitize, is_centered_at_infinity, type_dimension, validate_branch
 from mustab.errors import NotOnGroup
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
@@ -116,6 +117,30 @@ def test_type_dimension_monotone_nonincreasing():
     dims = [type_dimension(b, D) for D in (2, 3, 4, 5)]
     assert dims == sorted(dims, reverse=True)
     assert dims[0] == 2 and dims[-1] == 1  # no relation exists at degree 2
+
+
+def test_certified_dim_where_the_bounds_meet():
+    """(t^-2, t^-3) is certified 1, though no relation has degree 2; in
+    reduced_a2 the valuations -1 and sqrt(2) certify 2, and so do -1 and
+    the valuation sqrt(2) of y - 1 for y = 1 + t^sqrt(2)."""
+    cusp = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
+    assert certified_dim(cusp) == 1 and type_dimension(cusp, 2) == 2
+    r = Exponent(Fraction(0), Fraction(1), 2)
+    second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    assert certified_dim(validate_branch(ADD2, (S((-1, 1)), second))) == 2
+    shifted = PuiseuxSeries(DQ, [(exp(0), QQ.one()), (r, QQ.one())], None)
+    assert certified_dim(validate_branch(ADD2, (S((-1, 1)), shifted))) == 2
+    assert certified_dim(validate_branch(ADD2, (S((0, 3)), S((0, -1))))) == 0
+
+
+def test_certified_dim_leaves_open_bounds_that_differ():
+    """x = t^-1 + t^sqrt(2) and y = x^2 have exponents of rank 2, but every
+    k-combination of 1, x, y has a rational valuation; and a truncated entry
+    bounds nothing."""
+    x = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
+    square = validate_branch(ADD2, (x, x * x))
+    assert certified_dim(square) is None and type_dimension(square, 2) == 1
+    assert certified_dim(validate_branch(ADD2, (S((-2, 1)), S((-3, 1), prec=4)))) is None
 
 
 def test_type_dimension_needs_no_groebner_basis(monkeypatch):

@@ -95,9 +95,8 @@ def test_gl2_stab_jobs(name):
     ids=["y2x5-Q", "y3x5-Q", "y2x5-F7", "y3x5-F7", "y2x7-Q", "y3x7-Q"],
 )
 def test_cusp_jobs_use_the_whole_degree_bound(curve, field, budgets):
-    """Their degenerations need closures of degree above 4 and their type
-    dimensions degree above 6: both algorithms must work at the job's own
-    degree_bound for the stabilizers to agree."""
+    """Their degenerations need closures of degree above 4: the degeneration
+    must work at the job's own degree_bound for the stabilizers to agree."""
     precision, degree, order = budgets
     job = {
         "field": field,
@@ -334,6 +333,73 @@ def test_iwasawa_precision_limits_exit_4(kind, entries, code, error):
     report, got = run_job(job)
     assert got == code
     assert report["errors"][0]["type"] == error
+
+
+ZERO = {"terms": []}
+# SL(3) branches written row by row
+SL3_SHORT_ORDER = [
+    [ser(("0", "1")), ZERO, ser(("5", "1"))],
+    [ZERO, ser(("-5", "1")), ser(("-3", "2"), ("0", "1"))],
+    [ZERO, ZERO, ser(("5", "1"))],
+]
+SL3_DIM_ONE = [
+    [ser(("-5", "1")), ser(("2", "2")), ZERO],
+    [ZERO, ser(("5", "1")), ZERO],
+    [ser(("-4", "1")), ser(("5", "-1")), ser(("0", "1"))],
+]
+
+
+@pytest.mark.parametrize(
+    "group, inp, budgets",
+    [
+        ({"kind": "Additive", "n": 2}, {"plane_curve": {"f": "y^2 - x^7", "embedding": ["x", "y"]}}, (12, 6, 6)),
+        ({"kind": "SL", "n": 3}, {"branch": {"entries": SL3_SHORT_ORDER}}, (12, 4, 6)),
+    ],
+    ids=["y2_x7", "SL3"],
+)
+def test_stabilizer_below_certified_dimension_exits_4(group, inp, budgets):
+    """dim p is certified 1 on both, and order_budget 6 is too small to
+    reach a stabilizer of dimension 1: a budget result, not a failed
+    theorem."""
+    precision, degree, order = budgets
+    job = {
+        "field": {"kind": "Q"},
+        "group": group,
+        "command": "stab",
+        "algorithm": "reparam",
+        "input": inp,
+        "budgets": {"precision": precision, "degree_bound": degree, "order_budget": order},
+    }
+    report, code = run_job(job)
+    assert code == 4
+    assert report["errors"][0]["type"] == "OrderBudgetTooSmall"
+    assert "order_budget" in report["errors"][0]["message"]
+
+
+def test_sl3_type_dimension_is_not_the_degree_4_count():
+    """The closure at degree 4 has dimension 2, but the entries' exponents
+    have rank 1, so dim p = 1, and the reparameterization's stabilizer of
+    dimension 1 passes every check."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "SL", "n": 3},
+        "command": "reduce",
+        "input": {"branch": {"entries": SL3_DIM_ONE}},
+        "budgets": {"precision": 12, "degree_bound": 4, "order_budget": 6},
+    }
+    report, code = run_job(job)
+    assert code == 0
+    assert (report["results"]["dim_before"], report["results"]["dim_after"]) == (1, 1)
+    report, code = run_job(dict(job, command="stab", algorithm="reparam"))
+    assert code == 0
+    # the branch is unbounded, and the conjugation check runs on SL(2) only
+    assert report["checks"] == {
+        "bounded_trivial": "skipped",
+        "dim_equality": "pass",
+        "infinite": "pass",
+        "solvable": "pass",
+        "conjugation": "skipped",
+    }
 
 
 def test_verify_job_pass_and_fail():

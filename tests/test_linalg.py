@@ -1,12 +1,13 @@
-"""Sparse elimination in linalg, and type_dimension against the dense kernel
-computation it replaced (kept here as the reference)."""
+"""Sparse elimination in linalg, type_dimension against the dense kernel
+computation it replaced (kept here as the reference), and certified_dim
+against type_dimension."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mustab.branches import type_dimension, validate_branch
+from mustab.branches import certified_dim, type_dimension, validate_branch
 from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
@@ -111,18 +112,19 @@ def check_branches(branches, degrees):
     return outcomes
 
 
-def test_type_dimension_matches_dense_on_laurent_branches():
-    rng = random.Random(5)
+def laurent_branches(rng):
+    """Exact branches over Q, F_5 and F_9 on the additive 3-space and SL2."""
+    branches = []
     for field in FIELDS:
         add3 = GroupScheme("Additive", 3, field)
         sl2 = GroupScheme("SL", 2, field)
-        branches = [validate_branch(add3, tuple(random_laurent(field, rng) for _ in range(3))) for _ in range(6)]
+        branches += [validate_branch(add3, tuple(random_laurent(field, rng) for _ in range(3))) for _ in range(6)]
         branches += [validate_branch(sl2, random_sl_laurent(2, field, rng).entries) for _ in range(4)]
-        check_branches(branches, (1, 2, 3))
+    return branches
 
 
-def test_type_dimension_matches_dense_on_sqrt_exponents():
-    rng = random.Random(7)
+def sqrt_branches(rng):
+    """Exact plane branches over Q with exponents in Q + Q*sqrt(d)."""
     dom = ScalarDomain(QQ)
     add2 = GroupScheme("Additive", 2, QQ)
     branches = []
@@ -136,7 +138,33 @@ def test_type_dimension_matches_dense_on_sqrt_exponents():
                     terms[e] = QQ.from_int(rng.choice([1, -1, 2]))
                 entries.append(PuiseuxSeries(dom, list(terms.items()), None))
             branches.append(validate_branch(add2, tuple(entries)))
-    check_branches(branches, (1, 2, 3, 4))
+    return branches
+
+
+def test_type_dimension_matches_dense_on_laurent_branches():
+    check_branches(laurent_branches(random.Random(5)), (1, 2, 3))
+
+
+def test_type_dimension_matches_dense_on_sqrt_exponents():
+    check_branches(sqrt_branches(random.Random(7)), (1, 2, 3, 4))
+
+
+def test_certified_dim_is_below_every_degree_bounded_count():
+    """Where the rank bounds meet, their value is dim p, which the closure
+    at any degree bound can only overcount."""
+    rng = random.Random(13)
+    cases = [(b, (2, 3)) for b in laurent_branches(rng) + laurent_branches(rng)]
+    cases += [(b, (2, 3, 4)) for b in sqrt_branches(rng) + sqrt_branches(rng)]
+    for field in FIELDS:
+        add2 = GroupScheme("Additive", 2, field)
+        cases += [(validate_branch(add2, (random_laurent(field, rng), random_laurent(field, rng))), (2, 3, 4)) for _ in range(8)]
+    certified = set()
+    for b, degrees in cases:
+        dim = certified_dim(b)
+        if dim is not None:
+            assert all(dim <= type_dimension(b, D) for D in degrees), (str(b), dim)
+        certified.add(dim)
+    assert {0, 1, 2} <= certified
 
 
 def test_type_dimension_matches_dense_on_truncated_entries():

@@ -9,7 +9,7 @@ import pytest
 
 from mustab.branches import Branch, implicitize, validate_branch
 from mustab.degeneration import identity_component, stab_degeneration
-from mustab.errors import NotCenteredAtInfinity, NotReduced, SelfCheckFailed
+from mustab.errors import BudgetExceeded, NotCenteredAtInfinity, NotReduced, OrderBudgetTooSmall, SelfCheckFailed
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
@@ -258,8 +258,10 @@ def test_stab_reparam_raises_not_reduced_above_its_dimension():
 
 
 def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
-    """mu-reduction's type dimension and the degeneration's closure are both
-    taken at the job's degree_bound, with no lower cap."""
+    """The type dimension of a branch the rank bounds leave open (a circle
+    place over F_5, known to t^20) and the degeneration's closure are both
+    taken at the job's degree_bound, with no lower cap.  An exact branch
+    the bounds decide builds relations for the closure only."""
     from mustab import branches
 
     calls = []
@@ -270,10 +272,30 @@ def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
         return relation_echelon(branch, degree_bound)
 
     monkeypatch.setattr(branches, "_relation_echelon", spy)
+    circle = parse_plane_curve({"f": "x^2 + y^2 - 1", "embedding": ["x", "y"]}, GroupScheme("Additive", 2, F5))
+    place = places_at_infinity(circle, 20)[0]
+    assert branches.certified_dim(place) is None
+    run = compute_stabilizer(place, "both", Budgets(degree_bound=8))
+    assert run.agreement is True
+    assert sorted(calls) == [("implicitize", 8), ("type_dimension", 8)]
+
+    calls.clear()
     run = compute_stabilizer(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), "both", Budgets(degree_bound=8))
     assert run.agreement is True
-    assert {name for name, _ in calls} == {"type_dimension", "implicitize"}
-    assert {degree for _, degree in calls} == {8}
+    assert calls == [("implicitize", 8)]
+
+
+def test_shortfall_below_a_certified_dimension_is_a_budget_limit():
+    """y^2 = x^7: dim p is certified 1, and order_budget 6 finds no
+    stabilizer of that dimension; below an uncertified count the same
+    shortfall stays a plain NotReduced."""
+    curve = parse_plane_curve({"f": "y^2 - x^7", "embedding": ["x", "y"]}, ADD2)
+    (place,) = places_at_infinity(curve, 12)
+    with pytest.raises(OrderBudgetTooSmall, match="below certified type dimension 1; raise order_budget"):
+        stab_reparam(place, Budgets(precision=12, degree_bound=6, order_budget=6), type_dim=1)
+    with pytest.raises(NotReduced) as info:
+        stab_reparam(x1_branch(), BUDGETS, type_dim=2)
+    assert not isinstance(info.value, BudgetExceeded)
 
 
 # -- stab_degeneration ------------------------------------------------------------
