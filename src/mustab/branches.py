@@ -166,8 +166,12 @@ def implicitize(branch: Branch, degree_bound: int) -> Ideal:
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> int:
-    """Krull dimension of the degree-bounded closure: an upper bound for
-    dim p, which certified_dim gives exactly where its bounds meet."""
+    """The dimension read off the leading monomials of degree <= D of the
+    relation kernel: an upper bound for dim p, which certified_dim gives
+    exactly where its bounds meet.  It can exceed the Krull dimension of
+    the closure those relations generate, krull_dim(implicitize(b, D)):
+    for the reduced SL(3) branch [t^-5, 2t^2, 0; 0, t^5, 0; t^-4, -t^5, 1]
+    at D = 4 it is 2, against 1."""
     monos, pivots = _relation_echelon(branch, degree_bound)
     # the reduced kernel vector of a non-pivot column is nonzero only there
     # and at pivot columns to its left, so it is led by that column: these

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity
-from .errors import IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient, SelfCheckFailed
+from .errors import (
+    FiberNotSplit, IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient, SelfCheckFailed,
+)
 from .exponents import Exponent, exp
 from .factor import uni_factor
 from .groups import GroupElement, GroupScheme, eval_poly_series
@@ -148,7 +150,9 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
         },
         tuple(cosets),
     )
-    verify_subgroup(desc, budgets)
+    ok, report = verify_subgroup(desc, budgets)
+    if not ok:
+        raise FiberNotSplit(f"the fiber's identity component is not a subgroup: {report['witness']}")
     return DegenerationResult(desc, fiber, closure, u_exponent, dims, complete)
 
 

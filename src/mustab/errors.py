@@ -87,6 +87,13 @@ class OrderBudgetTooSmall(NotReduced, BudgetExceeded):
     not reduced is the other cause."""
 
 
+class FiberNotSplit(MustabError):
+    """The degeneration's identity component fails `verify_subgroup`: the
+    supported factorization fragment did not split the special fiber into
+    its reduced components (a non-radical fiber, say), so the component is
+    not the stabilizer."""
+
+
 class SelfCheckFailed(MustabError):
     """A computed result failed the consistency check run on it before it
     is returned, such as a stabilizer generator that does not vanish on

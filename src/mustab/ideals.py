@@ -18,11 +18,24 @@ per order) and tail are read once per call, order keys are memoized for the
 call, and the quotients and remainder are built as dicts and wrapped by the
 trusted Poly constructor, with no Poly per division step; `normal_form`
 runs the same loop without recording quotients.
+
+Each basis is computed once.  An `Ideal` whose generators already are its
+reduced basis under some order records that order in `basis_order`:
+`groebner_basis` sets it (and returns such an ideal unchanged), and so do
+`eliminate` (grevlex, see there) and with it `kernel_ideal`.
+`ideal_member`, `ideal_contains`, `ideal_equal` and `krull_dim` read the
+stored basis instead of running Buchberger again.  `extend_basis` reuses it
+when the added polynomials reduce to 0.  The generic pair of
+`subgroups.verify_subgroup` obeys two copies of ideal + scheme equations in
+disjoint variables u and v; S-pairs across the copies have coprime leading
+monomials (Buchberger's first criterion) and grevlex on (u, v) restricted to
+one copy is grevlex on the coordinates, so its basis is one basis in the
+coordinates copied onto u and onto v.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, le, sub
 
@@ -35,8 +48,14 @@ DEFAULT_SPOLY_BUDGET = 10_000
 
 @dataclass(frozen=True)
 class Ideal:
+    """An ideal of `ring` given by generators.  `basis_order`, set only in
+    this module, names the order under which `gens` already is the reduced
+    Groebner basis, sorted by leading monomial; it takes no part in
+    equality or hashing."""
+
     ring: PolyRing
     gens: tuple[Poly, ...]
+    basis_order: MonomialOrder | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for g in self.gens:
@@ -206,12 +225,35 @@ def _interreduce(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
     return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
 
 
+def _resolve(order: MonomialOrder | str | None, ring: PolyRing) -> MonomialOrder:
+    if isinstance(order, str):
+        return order_by_name(order)
+    return order or ring.order
+
+
+def _basis(I: Ideal, order: MonomialOrder, budget: int) -> list[Poly]:
+    """The reduced basis of I under order: its own generators when they
+    are marked as that basis, else a Buchberger run."""
+    if I.basis_order is order:
+        return list(I.gens)
+    return buchberger(list(I.gens), order, budget)
+
+
 def groebner_basis(I: Ideal, order: MonomialOrder | str | None = None,
                    budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
-    if isinstance(order, str):
-        order = order_by_name(order)
-    order = order or I.ring.order
-    return Ideal(I.ring, tuple(buchberger(list(I.gens), order, budget)))
+    order = _resolve(order, I.ring)
+    if I.basis_order is order:
+        return I
+    return Ideal(I.ring, tuple(buchberger(list(I.gens), order, budget)), order)
+
+
+def extend_basis(I: Ideal, extra: list[Poly], budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+    """The reduced basis of I + <extra> under the ring's order; I itself
+    when it is marked as that basis and every extra reduces to 0 by it."""
+    order = I.ring.order
+    if I.basis_order is order and all(normal_form(f, list(I.gens), order).is_zero() for f in extra):
+        return I
+    return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)), order, budget)
 
 
 def kernel_ideal(rows, monos: list[Monomial], ring: PolyRing) -> Ideal:
@@ -227,10 +269,8 @@ def kernel_ideal(rows, monos: list[Monomial], ring: PolyRing) -> Ideal:
 def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
                  budget: int = DEFAULT_SPOLY_BUDGET) -> tuple[bool, list[Poly]]:
     """Membership with a division certificate against the reduced basis."""
-    if isinstance(order, str):
-        order = order_by_name(order)
-    order = order or I.ring.order
-    gb = buchberger(list(I.gens), order, budget)
+    order = _resolve(order, I.ring)
+    gb = _basis(I, order, budget)
     if not gb:
         return f.is_zero(), []
     quots, rem = reduce_poly(f, gb, order)
@@ -240,7 +280,7 @@ def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
 def ideal_contains(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
     """True when every generator of J lies in I."""
     order = I.ring.order
-    gb = buchberger(list(I.gens), order, budget)
+    gb = _basis(I, order, budget)
     return all(normal_form(g, gb, order).is_zero() if gb else g.is_zero() for g in J.gens)
 
 
@@ -252,8 +292,9 @@ def eliminate(I: Ideal, drop: tuple[str, ...] | list[str],
               budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
     """Generators of I intersected with the subring omitting `drop`.
 
-    Returns an ideal over the restricted ring.  Dropping nothing returns
-    the Groebner basis of I over the original ring.
+    Returns an ideal over the restricted ring, as its reduced grevlex
+    basis.  Dropping nothing returns the reduced basis of I under its
+    ring's order.
     """
     drop = tuple(drop)
     for v in drop:
@@ -268,14 +309,16 @@ def eliminate(I: Ideal, drop: tuple[str, ...] | list[str],
     gb = buchberger(list(I.gens), order, budget)
     target = PolyRing(I.ring.field, keep, I.ring.order_name)
     kept = [g.restrict(target) for g in gb if not (g.variables_used() & set(drop))]
-    return Ideal(target, tuple(kept))
+    # the second block compares by grevlex, so the kept elements are the
+    # reduced grevlex basis of the elimination ideal, in the same order
+    return Ideal(target, tuple(kept), order_by_name("grevlex"))
 
 
 def krull_dim(I: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> int:
     """Krull dimension of V(I) from independent variable sets modulo the
     leading-term ideal."""
     order = I.ring.order
-    gb = buchberger(list(I.gens), order, budget)
+    gb = _basis(I, order, budget)
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise EmptyVariety("ideal contains a unit")
     return _dim_from_leading_monomials([g.leading_monomial(order) for g in gb], I.ring.nvars)

@@ -14,6 +14,7 @@ from .errors import (
     BudgetExceeded,
     CoefficientFieldTooSmall,
     DivisionByZero,
+    FiberNotSplit,
     FieldMismatch,
     IrrationalExponentInSubstitution,
     MustabError,
@@ -37,7 +38,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
-UNSUPPORTED = (CoefficientFieldTooSmall, WildRamification, IrrationalExponentInSubstitution)
+UNSUPPORTED = (CoefficientFieldTooSmall, WildRamification, IrrationalExponentInSubstitution, FiberNotSplit)
 
 
 class JobError(Exception):

@@ -286,10 +286,12 @@ def _term_count(branch: Branch) -> int:
 
 
 def _truncation_candidates(branch: Branch) -> list[Branch]:
-    """Exact branches cut from this one: one entry without its tail from a
+    """Branches cut from this one: one entry without its tail from a
     positive exponent on, and every entry without its positive part.  A cut
     entry, like every entry of the all-cut candidate, is exact: the dropped
-    tail, known or not, is what mu_correct moves into eps."""
+    tail, known or not, is what mu_correct moves into eps.  The entries a
+    candidate does not cut are kept as they were, truncated ones included,
+    so a candidate can be inexact."""
     el = branch.element
     scheme = el.scheme
     r = scheme.root
@@ -361,11 +363,9 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     big_gens = [g.rename(lift, big) for g in J.gens]
     for name, rp in zip(coords, residue):
         big_gens.append(big.var(name) - rp.rename(lift, big))
-    image = eliminate(Ideal(big, tuple(big_gens)), ansatz.ring.variables, budgets.spoly_budget)
-    ring_out = scheme.coordinate_ring()
-    ideal_out = groebner_basis(
-        Ideal(ring_out, tuple(g.restrict(ring_out) for g in image.gens)), budget=budgets.spoly_budget
-    )
+    # the elimination ideal lives in scheme.coordinate_ring(), as its
+    # reduced grevlex basis
+    ideal_out = eliminate(Ideal(big, tuple(big_gens)), ansatz.ring.variables, budgets.spoly_budget)
     dim = krull_dim(ideal_out) if ideal_out.gens else len(coords)
 
     param = ParamFamily(ansatz.ring, scheme.shape(residue)[0], J, ansatz.r, ansatz.gammas)

@@ -18,6 +18,7 @@ from .groups import GroupScheme, KPoint
 from .ideals import (
     Budgets,
     Ideal,
+    extend_basis,
     groebner_basis,
     ideal_equal,
     ideal_member,
@@ -26,7 +27,7 @@ from .ideals import (
     normal_form,
 )
 from .factor import scalar_roots
-from .poly import Lex, Poly, PolyRing, monomials_up_to
+from .poly import Poly, PolyRing, monomials_up_to
 from .series import PuiseuxSeries
 
 
@@ -108,7 +109,7 @@ def solve_point(
     variables take their default value (0, overridable per name).
     """
     ring = J.ring
-    gb = groebner_basis(J, Lex(), budget).gens
+    gb = groebner_basis(J, "lex", budget).gens
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return None
     presets = dict(presets or {})
@@ -171,17 +172,22 @@ def _substituted(f: Poly, scheme: GroupScheme, flat, ring: PolyRing) -> Poly:
 
 def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
     """Two independent generic points u, v of V(ideal) as flat tuples of
-    variables, their ring, and a Groebner basis of the relations they obey."""
+    variables, their ring, and a Groebner basis of the relations they obey.
+
+    The relations are two copies of ideal + the scheme equations in
+    disjoint variables, so their reduced basis is one basis in the
+    coordinates renamed onto u and onto v: S-pairs across the copies have
+    coprime leading monomials, and grevlex on (u, v) restricted to either
+    copy is grevlex on the coordinates."""
     names = scheme.coordinates()
+    ring = scheme.coordinate_ring()
     big = PolyRing(scheme.field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
     u = tuple(big.var("u" + n) for n in names)
     v = tuple(big.var("v" + n) for n in names)
-    rel: list[Poly] = []
-    for f in list(ideal.gens) + scheme.defining_polys(ideal.ring):
-        rel.append(_substituted(f, scheme, u, big))
-        rel.append(_substituted(f, scheme, v, big))
-    gb = groebner_basis(Ideal(big, tuple(rel)), budget=budget).gens
-    return big, u, v, list(gb)
+    own = ideal if ideal.ring == ring else Ideal(ring, tuple(g.restrict(ring) for g in ideal.gens))
+    gb = extend_basis(own, scheme.defining_polys(ring), budget).gens
+    gb = [g.rename({n: side + n for n in names}, big) for side in "uv" for g in gb]
+    return big, u, v, gb
 
 
 def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bool, dict]:

@@ -222,7 +222,7 @@ def test_reparam_self_check_failure_exits_verify(monkeypatch):
     from mustab import stabilizer
     from mustab.ideals import Ideal
 
-    real = stabilizer.groebner_basis
+    real = stabilizer.eliminate
 
     def spoiled(I, *args, **kwargs):
         out = real(I, *args, **kwargs)
@@ -230,7 +230,7 @@ def test_reparam_self_check_failure_exits_verify(monkeypatch):
             return out
         return Ideal(out.ring, out.gens + (out.ring.parse("x12 - 1"),))
 
-    monkeypatch.setattr(stabilizer, "groebner_basis", spoiled)
+    monkeypatch.setattr(stabilizer, "eliminate", spoiled)
     report, code = run_job(dict(X1_JOB, algorithm="reparam"))
     assert code == 5
     assert report["errors"] == [
@@ -400,6 +400,54 @@ def test_sl3_type_dimension_is_not_the_degree_4_count():
         "solvable": "pass",
         "conjugation": "skipped",
     }
+
+
+# the factorization fragment leaves each fiber in one piece, and that piece
+# fails verify_subgroup
+SL2_UNSPLIT_FIBER = [
+    [ser(("-2", "1")), ZERO],
+    [ser(("-2", "2"), ("-1", "2")), ser(("2", "1"))],
+]
+# the fiber holds (x11 - x33)^2 but not x11 - x33: it is not radical
+SL3_NON_RADICAL_FIBER = [
+    [ser(("-2", "1")), ZERO, ZERO],
+    [ser(("-4", "2"), ("-3", "-1")), ser(("0", "1")), ZERO],
+    [ZERO, ser(("5", "2")), ser(("2", "1"))],
+]
+
+
+def _unsplit_fiber_job(n, entries, algorithm):
+    return {
+        "field": {"kind": "Q"},
+        "group": {"kind": "SL", "n": n},
+        "command": "stab",
+        "algorithm": algorithm,
+        "input": {"branch": {"entries": entries}},
+        "budgets": {"precision": 12, "degree_bound": 4, "order_budget": 6},
+    }
+
+
+@pytest.mark.parametrize("algorithm", ["degeneration", "both"])
+def test_sl2_fiber_that_is_no_subgroup_exits_3(algorithm):
+    report, code = run_job(_unsplit_fiber_job(2, SL2_UNSPLIT_FIBER, algorithm))
+    assert code == 3
+    assert report["errors"] == [{
+        "type": "FiberNotSplit",
+        "message": "the fiber's identity component is not a subgroup: "
+                   "product leaves the ideal at x11^2 - x11*x21 + 1/4*x21^2 + x21*x22 + x22^2 - 2",
+    }]
+
+
+def test_sl3_non_radical_fiber_exits_3():
+    """The unsplit fiber fails verify_subgroup; reporting it as the
+    stabilizer (exit 0, verified_subgroup false) would be a wrong answer."""
+    report, code = run_job(_unsplit_fiber_job(3, SL3_NON_RADICAL_FIBER, "degeneration"))
+    assert code == 3
+    assert report["errors"] == [{
+        "type": "FiberNotSplit",
+        "message": "the fiber's identity component is not a subgroup: product leaves the ideal at x11^2 + x33^2 - 2",
+    }]
+    assert "stabilizers" not in report["results"]
 
 
 def test_verify_job_pass_and_fail():
