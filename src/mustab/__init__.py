@@ -29,14 +29,7 @@ from .pipeline import StabilizerRun, compute_stabilizer, halevi_lift_check, lift
 from .poly import Poly, PolyRing
 from .series import PuiseuxSeries, ScalarDomain, parse_series, ser_subst
 from .stabilizer import mu_correct, mu_reduce, stab_reparam
-from .subgroups import (
-    Failure,
-    SubgroupDesc,
-    TubeCertificate,
-    conjugate_stab,
-    is_solvable,
-    verify_subgroup,
-)
+from .subgroups import SubgroupDesc, TubeCertificate, conjugate_stab, is_solvable, verify_subgroup
 
 __version__ = "0.1.0"
 
@@ -44,7 +37,6 @@ __all__ = [
     "Branch",
     "Budgets",
     "Exponent",
-    "Failure",
     "FieldSpec",
     "GroupElement",
     "GroupScheme",

@@ -1,9 +1,8 @@
 """Command-line driver: JSON jobs in, JSON + human-readable reports out.
 
-Exit codes: 0 success, 2 invalid input, 3 unsupported computation
-(missing roots, wild ramification, irrational-exponent substitution, a
-flat limit over exponents of rational rank 2), 4 budget exhausted,
-5 verification failure.
+Exit codes: 0 success, 2 invalid input, and the code of the error class
+otherwise (3 unsupported, 4 budget exhausted, 5 verification failure);
+README lists which error gives which.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import sys
 
 from .corpus import run_corpus
 from .jobs import EXIT_INVALID, run_job
+from .pipeline import ALGORITHMS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--job", metavar="FILE", help="JobSpec JSON file to run")
     p.add_argument("--corpus", action="store_true", help="run the bundled corpus")
     p.add_argument("--only", metavar="NAME", help="restrict --corpus to one entry")
-    p.add_argument("--algorithm", choices=["reparam", "degeneration", "both"], help="stabilizer algorithm override")
+    p.add_argument("--algorithm", choices=ALGORITHMS, help="stabilizer algorithm override")
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
     p.add_argument("--degree-bound", type=int, metavar="D", help="implicitization degree bound")
     p.add_argument("--order-budget", type=int, metavar="N", help="reparameterization order budget")

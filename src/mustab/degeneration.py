@@ -41,7 +41,6 @@ from .ideals import (
     eliminate,
     groebner_basis,
     ideal_contains,
-    ideal_equal,
     krull_dim,
 )
 from .poly import Poly, PolyRing
@@ -56,7 +55,6 @@ class DegenerationResult:
     closure: Ideal            # the flat closure in k[u][X], u its first variable
     u_exponent: Exponent      # u = t^u_exponent
     component_dims: list[int]
-    decomposition_complete: bool
 
 
 def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
@@ -153,7 +151,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     ok, report = verify_subgroup(desc, budgets)
     if not ok:
         raise FiberNotSplit(f"the fiber's identity component is not a subgroup: {report['witness']}")
-    return DegenerationResult(desc, fiber, closure, u_exponent, dims, complete)
+    return DegenerationResult(desc, fiber, closure, u_exponent, dims)
 
 
 # -- component splitting -------------------------------------------------------
@@ -192,21 +190,15 @@ def identity_component(
             rec(gbJ, depth + 1)
 
     rec(fiber, 0)
-    # drop components contained in others, then deduplicate
-    kept: list[Ideal] = []
-    for i, I in enumerate(leaves):
-        redundant = False
-        for j, J in enumerate(leaves):
-            if i == j:
-                continue
-            if ideal_contains(I, J) and not ideal_contains(J, I):
-                redundant = True  # V(I) strictly inside V(J)
-                break
-            if ideal_equal(I, J) and j < i:
-                redundant = True
-                break
-        if not redundant:
-            kept.append(I)
+    # drop a piece V(I) inside another piece V(J): strictly inside, or
+    # equal to it with J earlier, so that equal pieces are kept once
+    kept = [
+        I for i, I in enumerate(leaves)
+        if not any(
+            ideal_contains(I, J) and (j < i or not ideal_contains(J, I))
+            for j, J in enumerate(leaves) if j != i
+        )
+    ]
 
     comp = None
     cosets: list[Ideal] = []

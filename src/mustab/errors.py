@@ -1,12 +1,16 @@
 """Exception types shared across the library.
 
 Every failure mode that callers are expected to branch on gets its own
-class; anything else is a plain ValueError.
+class; anything else is a plain ValueError.  Each class carries the exit
+code a job that raises it ends with (README lists them): 3 unsupported,
+4 budget, and 5 verification failure for every class that sets none.
 """
 
 
 class MustabError(Exception):
     """Base class for all library-specific errors."""
+
+    exit_code = 5
 
 
 class FieldMismatch(MustabError):
@@ -20,9 +24,13 @@ class DivisionByZero(MustabError):
 class CoefficientFieldTooSmall(MustabError):
     """A required root does not exist in the configured exact field."""
 
+    exit_code = 3
+
 
 class BudgetExceeded(MustabError):
     """A configured work cap (S-pairs, ansatz order, samples) was hit."""
+
+    exit_code = 4
 
 
 class EmptyVariety(MustabError):
@@ -36,6 +44,8 @@ class ZeroLeadingTerm(MustabError):
 class PrecisionInsufficient(MustabError):
     """The tracked precision cannot support the requested answer."""
 
+    exit_code = 4
+
 
 class NegativeValuation(MustabError):
     """Residue requested for a series of negative valuation."""
@@ -44,10 +54,14 @@ class NegativeValuation(MustabError):
 class IrrationalExponentInSubstitution(MustabError):
     """Substitution into a series with non-rational exponents."""
 
+    exit_code = 3
+
 
 class WildRamification(MustabError):
     """Characteristic-p obstruction: p divides a ramification or binomial
     denominator."""
+
+    exit_code = 3
 
 
 class SingularAtPrecision(MustabError):
@@ -92,6 +106,8 @@ class FiberNotSplit(MustabError):
     supported factorization fragment did not split the special fiber into
     its reduced components (a non-radical fiber, say), so the component is
     not the stabilizer."""
+
+    exit_code = 3
 
 
 class SelfCheckFailed(MustabError):

@@ -10,23 +10,13 @@ from __future__ import annotations
 import time
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
-from .errors import (
-    BudgetExceeded,
-    CoefficientFieldTooSmall,
-    DivisionByZero,
-    FiberNotSplit,
-    FieldMismatch,
-    IrrationalExponentInSubstitution,
-    MustabError,
-    PrecisionInsufficient,
-    WildRamification,
-)
+from .errors import DivisionByZero, FieldMismatch, MustabError
 from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, iwasawa
 from .ideals import Budgets, Ideal, ideal_equal
 from .newton import PlaneCurveInput, places_at_infinity
-from .pipeline import StabilizerRun, compute_stabilizer
+from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
 from .samples import random_kpoint_sl2
 from .series import parse_series, series_to_json
 from .stabilizer import mu_reduce
@@ -34,11 +24,7 @@ from .subgroups import SubgroupDesc, conjugate_stab, is_solvable, verify_subgrou
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_UNSUPPORTED = 3
-EXIT_BUDGET = 4
 EXIT_VERIFY = 5
-
-UNSUPPORTED = (CoefficientFieldTooSmall, WildRamification, IrrationalExponentInSubstitution, FiberNotSplit)
 
 
 class JobError(Exception):
@@ -114,6 +100,8 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             command = job["command"]
             budgets = parse_budgets(job.get("budgets"), overrides)
             algorithm = (overrides or {}).get("algorithm") or job.get("algorithm", "both")
+            if algorithm not in ALGORITHMS:
+                raise JobError(f"unknown algorithm {algorithm!r}; expected {'|'.join(ALGORITHMS)}", EXIT_INVALID)
         except JobError:
             raise
         except Exception as exc:
@@ -161,15 +149,9 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
     except JobError as exc:
         report["errors"].append({"type": "JobError", "message": str(exc)})
         code = exc.code
-    except UNSUPPORTED as exc:
-        report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
-        code = EXIT_UNSUPPORTED
-    except (BudgetExceeded, PrecisionInsufficient) as exc:
-        report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
-        code = EXIT_BUDGET
     except MustabError as exc:
         report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
-        code = EXIT_VERIFY
+        code = exc.exit_code
     if any(v == "fail" for v in report["checks"].values()):
         code = max(code, EXIT_VERIFY)
     report["timing"] = {"seconds": round(time.time() - start, 3)}

@@ -363,23 +363,18 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
     (s = lam t with eps = 1 is the tube certificate), then anything else
     mu_correct finds tube-equivalent to an earlier branch."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
-    from .subgroups import TubeCertificate
+
+    def equivalent(a: Branch, b: Branch) -> bool:
+        if b.element.entries == a.element.entries or _is_rescaling(a, b):
+            return True
+        try:
+            return mu_correct(a, b, order_budget=4) is not None
+        except MustabError:
+            return False
 
     out: list[Branch] = []
     for b in branches:
-        dup = False
-        for seen in out:
-            if b.element.entries == seen.element.entries or _is_rescaling(seen, b):
-                dup = True
-                break
-            try:
-                cert = mu_correct(seen, b, order_budget=4)
-            except MustabError:
-                cert = None
-            if isinstance(cert, TubeCertificate):
-                dup = True
-                break
-        if not dup:
+        if not any(equivalent(seen, b) for seen in out):
             out.append(b)
     return out
 

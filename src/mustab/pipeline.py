@@ -21,9 +21,11 @@ from .stabilizer import mu_reduce, solved_reparam, stab_reparam
 from .subgroups import SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
+ALGORITHMS = ("reparam", "degeneration", "both")
+
+
 @dataclass
 class StabilizerRun:
-    branch: Branch
     reduced: Branch
     certificate: TubeCertificate | None
     dim_before: int
@@ -56,12 +58,12 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
         residue = branch.element.res()
         desc = trivial_subgroup(branch)
         desc.flags["bounded_residue"] = str(residue)
-        run = StabilizerRun(branch, branch, None, 0, 0, True, reparam=desc)
+        run = StabilizerRun(branch, None, 0, 0, True, reparam=desc)
         run.notes.append("bounded branch: stabilizer is trivial by the residue-point argument")
         return run
 
     reduced, cert, dim_before, dim_after = mu_reduce(branch, budgets)
-    run = StabilizerRun(branch, reduced, cert, dim_before, dim_after, False)
+    run = StabilizerRun(reduced, cert, dim_before, dim_after, False)
     if dim_after < dim_before:
         run.notes.append(f"mu-reduction lowered the type dimension {dim_before} -> {dim_after}")
 

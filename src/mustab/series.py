@@ -405,7 +405,7 @@ def _rational_lower_bound(e: Exponent) -> Fraction:
 
 def ser_subst(
     f: PuiseuxSeries,
-    s: PuiseuxSeries,
+    s: PuiseuxSeries | None,
     prec: Exponent | None = None,
     lead_root=None,
     parts: tuple | None = None,
@@ -418,8 +418,9 @@ def ser_subst(
     coefficient c of s when fractional powers of it are needed.  `parts`
     optionally supplies (val, PowerList of tail) for s = lead * t^val *
     (1 + tail), where the lead is only invertible modulo relations; it
-    requires lead_root, and the list must reach target - val * e for the
-    lowest exponent e of f.  Otherwise one PowerList serves every term.
+    requires lead_root, the list must reach target - val * e for the
+    lowest exponent e of f, and s is unused.  Otherwise one PowerList
+    serves every term.
     """
     if f.has_irrational_exponent():
         raise IrrationalExponentInSubstitution(f"cannot substitute into {f}")

@@ -28,14 +28,7 @@ from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import PolyRing
 from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subst
-from .subgroups import (
-    Failure,
-    ParamFamily,
-    SubgroupDesc,
-    TubeCertificate,
-    solve_point,
-    verify_subgroup,
-)
+from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
 def ansatz_exponents(branch: Branch, order_budget: int) -> list[Fraction]:
@@ -65,10 +58,7 @@ class Ansatz:
         self.ring = PolyRing(field, names)
         self.dom = PolyDomain(self.ring, (("lam", "lami"),))
         tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
-        one = PuiseuxSeries.one(self.dom)
         tail = PuiseuxSeries(self.dom, tail_terms, None)
-        lam_r = PuiseuxSeries.monomial(self.dom, exp(1), self.ring.var("lam") ** self.r)
-        self.s = lam_r * (one + tail)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
         self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
         # constraints live at exponents <= 0; the quotient multiplies by an
@@ -95,7 +85,7 @@ class Ansatz:
     def subst(self, f: PuiseuxSeries) -> PuiseuxSeries:
         return ser_subst(
             self.lift_series(f),
-            self.s,
+            None,
             prec=self.work_prec,
             lead_root=self.lead_root,
             parts=(exp(1), self.tail_powers),
@@ -136,8 +126,7 @@ def solved_reparam(field, r: int, gammas, assignment: dict):
 
 def _mu_conditions(e: GroupElement, require_identity_residue: bool):
     """Constraint polynomials from 'E is integral (and residues to the
-    identity)'; returns (constraints as (slot, poly), residues in
-    coordinates() order)."""
+    identity)'; returns (constraints, residues in coordinates() order)."""
     id_vals = e.scheme.identity()._values()
     constraints = []
     residue = []
@@ -148,7 +137,7 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
         for ee, c in s.terms:
             sign = ee.sign()
             if sign < 0:
-                constraints.append((ee, c))
+                constraints.append(c)
             elif sign == 0:
                 res_poly = c
         if res_poly is None:
@@ -156,17 +145,16 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
         if require_identity_residue:
             idc = id_vals.get(name)
             if idc is not None:
-                constraints.append((EXP_ZERO, res_poly - s.dom.ring.from_scalar(idc)))
+                constraints.append(res_poly - s.dom.ring.from_scalar(idc))
         residue.append(res_poly)
     return constraints, residue
 
 
-def mu_correct(a: Branch, b: Branch, order_budget: int = 6):
+def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate | None:
     """Certificate that mu . a = mu . b (a reparameterization s and a
-    correction eps in mu with a(s) = eps * b), or a Failure recording the
-    first unsatisfiable constraint."""
+    correction eps in mu with a(s) = eps * b), or None when none is found."""
     if a.scheme != b.scheme:
-        return Failure("branches on different schemes")
+        return None
     # direct attempt without reparameterization
     try:
         eps = a.element.mul(b.element.inv())
@@ -177,7 +165,7 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6):
     except PrecisionInsufficient:
         pass
     if any(s.has_irrational_exponent() for s in a.element.entries_flat()):
-        return Failure("irrational exponents block reparameterization and the direct correction failed")
+        return None  # a cannot go through substitution
 
     ansatz = Ansatz(a, order_budget)
     e = ansatz.quotient(b.element)
@@ -185,28 +173,21 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6):
         constraints, _ = _mu_conditions(e, require_identity_residue=True)
     except PrecisionInsufficient as exc:
         raise BudgetExceeded(f"precision too low to decide equivalence: {exc}")
-    gens = [p for _, p in constraints] + [ansatz.relation]
-    J = Ideal(ansatz.ring, tuple(gens))
+    J = Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,))
     sol = solve_point(J, defaults={"lam": a.field.one(), "lami": a.field.one()})
     if sol is None:
-        slot = _first_unsatisfiable(constraints, ansatz)
-        return Failure("reparameterization constraints are unsolvable over k", slot)
+        return None
     s0, lead_root = solved_reparam(a.field, ansatz.r, ansatz.gammas, sol)
     eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
-    if eps.in_mu():
-        return TubeCertificate(s0, eps)
-    return Failure("solved constraints failed final mu verification")
+    return TubeCertificate(s0, eps) if eps.in_mu() else None
 
 
-def _first_unsatisfiable(constraints, ansatz: Ansatz):
-    ordered = sorted(constraints, key=lambda t: t[0])
-    acc = [ansatz.relation]
-    for slot, p in ordered:
-        acc.append(p)
-        gb = groebner_basis(Ideal(ansatz.ring, tuple(acc)))
-        if any(g.is_constant() and not g.is_zero() for g in gb.gens):
-            return slot
-    return None
+def _certify(a: Branch, b: Branch, order_budget: int) -> TubeCertificate | None:
+    """mu_correct(a, b), with a budget limit read as no certificate."""
+    try:
+        return mu_correct(a, b, order_budget)
+    except BudgetExceeded:
+        return None
 
 
 def mu_reduce(branch: Branch, budgets: Budgets | None = None):
@@ -243,21 +224,11 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     for cand in candidates:
         if unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
             continue
-        try:
-            cert = mu_correct(branch, cand, budgets.order_budget)
-        except BudgetExceeded:
-            cert = None
-        if not isinstance(cert, TubeCertificate):
-            cert = None
-            if irrational:
-                # the original cannot go through substitution; certify from
-                # the rational-exponent side instead
-                try:
-                    back = mu_correct(cand, branch, budgets.order_budget)
-                except BudgetExceeded:
-                    back = None
-                if isinstance(back, TubeCertificate):
-                    cert = back
+        cert = _certify(branch, cand, budgets.order_budget)
+        if cert is None and irrational:
+            # the original cannot go through substitution; certify from the
+            # rational-exponent side instead
+            cert = _certify(cand, branch, budgets.order_budget)
         if cert is None:
             continue
         dim_cand = certified_dim(cand)
@@ -351,8 +322,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     ansatz = Ansatz(branch, budgets.order_budget)
     e = ansatz.quotient(branch.element)
     constraints, residue = _mu_conditions(e, require_identity_residue=False)
-    gens = [p for _, p in constraints] + [ansatz.relation]
-    J = groebner_basis(Ideal(ansatz.ring, tuple(gens)), budget=budgets.spoly_budget)
+    J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)), budget=budgets.spoly_budget)
 
     residue = [normal_form(p, list(J.gens), ansatz.ring.order) for p in residue]
 

@@ -9,6 +9,7 @@ conjugate_stab pulls the ideal back along an inner automorphism.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
@@ -83,15 +84,6 @@ class TubeCertificate:
         from .series import series_to_json
 
         return {"s": series_to_json(self.s), "eps": str(self.eps)}
-
-
-@dataclass
-class Failure:
-    reason: str
-    order: object | None = None    # first unsatisfiable constraint exponent
-
-    def to_json(self) -> dict:
-        return {"reason": self.reason, "order": None if self.order is None else str(self.order)}
 
 
 # -- point solving on small constraint varieties -----------------------------
@@ -255,6 +247,17 @@ def conjugate_stab(H: SubgroupDesc, g: KPoint) -> SubgroupDesc:
 
 # -- classification -------------------------------------------------------------
 
+@functools.cache
+def _sl2_templates(ring: PolyRing) -> dict[str, Ideal]:
+    """The named subgroups of SL(2) in ring, each as its reduced basis."""
+    templates = {
+        "upper unipotent": ("x11 - 1", "x21", "x22 - 1"),
+        "lower unipotent": ("x11 - 1", "x12", "x22 - 1"),
+        "diagonal torus": ("x12", "x21", "x11*x22 - 1"),
+    }
+    return {name: groebner_basis(Ideal(ring, tuple(ring.parse(g) for g in gens))) for name, gens in templates.items()}
+
+
 def classify_subgroup(H: SubgroupDesc) -> str:
     scheme = H.scheme
     ring = H.ideal.ring
@@ -266,13 +269,7 @@ def classify_subgroup(H: SubgroupDesc) -> str:
             return f"linear subspace of dimension {H.dim}"
         return f"additive subgroup of dimension {H.dim}"
     if r.kind == "SL" and r.n == 2:
-        templates = {
-            "upper unipotent": ("x11 - 1", "x21", "x22 - 1"),
-            "lower unipotent": ("x11 - 1", "x12", "x22 - 1"),
-            "diagonal torus": ("x12", "x21", "x11*x22 - 1"),
-        }
-        for name, gens in templates.items():
-            tid = Ideal(ring, tuple(ring.parse(s) for s in gens))
+        for name, tid in _sl2_templates(ring).items():
             if ideal_equal(H.ideal, tid):
                 return name
         if ideal_member(ring.parse("x21"), H.ideal)[0]:
@@ -288,13 +285,10 @@ def classify_subgroup(H: SubgroupDesc) -> str:
 class SolvabilityResult:
     value: bool | None          # None = inconclusive
     certified: bool
-    steps: int
     note: str = ""
 
 
 def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool:
-    if scheme.root.kind == "Additive":
-        return True
     big, u, v, gb = _generic_pair(ideal, scheme, budget)
     uv, vu = scheme.mul_values(u, v), scheme.mul_values(v, u)
     return all(normal_form(a - b, gb, big.order).is_zero() for a, b in zip(uv, vu))
@@ -382,26 +376,21 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
     if not H.flags.get("verified_subgroup"):
         verify_subgroup(H, budgets)
         if not H.flags.get("verified_subgroup"):
-            return SolvabilityResult(None, False, 0, "not a verified subgroup")
+            return SolvabilityResult(None, False, "not a verified subgroup")
     scheme = H.scheme
     r = scheme.root
     if r.kind == "Additive":
-        H.flags["solvable"] = True
-        return SolvabilityResult(True, True, 0, "additive groups are abelian")
+        return SolvabilityResult(True, True, "additive groups are abelian")
     if _is_abelian_symbolic(H.ideal, scheme, budgets.spoly_budget):
-        H.flags["solvable"] = True
-        return SolvabilityResult(True, True, 0, "abelian")
+        return SolvabilityResult(True, True, "abelian")
 
     rng = random.Random(rng_seed)
     current = H.ideal
-    steps = 0
-    max_steps = max(1, H.dim) + 1
     samples = _sample_kpoints(H, rng, budgets.sample_budget)
     if len(samples) < 4:
-        return SolvabilityResult(None, False, 0, "cannot sample enough points")
+        return SolvabilityResult(None, False, "cannot sample enough points")
     ring = H.ideal.ring
-    while steps < max_steps:
-        steps += 1
+    for _ in range(max(1, H.dim) + 1):
         commutators = []
         for _ in range(budgets.sample_budget):
             a = samples[rng.randrange(len(samples))]
@@ -417,20 +406,17 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
         nxt = ideal_of_points(pts, ring, max(2, min(3, budgets.degree_bound)))
         id_values = scheme.identity()._values()
         if not all(g.eval_scalars(id_values).is_zero() for g in nxt.gens):
-            return SolvabilityResult(None, False, steps, "identity escaped the sampled ideal")
+            return SolvabilityResult(None, False, "identity escaped the sampled ideal")
         if ideal_equal(nxt, scheme.identity_ideal):
-            H.flags["solvable"] = True
-            return SolvabilityResult(True, True, steps, "derived series reached the trivial group")
+            return SolvabilityResult(True, True, "derived series reached the trivial group")
         if _is_abelian_symbolic(nxt, scheme, budgets.spoly_budget):
-            H.flags["solvable"] = True
-            return SolvabilityResult(True, True, steps, "derived series reached an abelian group")
+            return SolvabilityResult(True, True, "derived series reached an abelian group")
         if ideal_equal(nxt, current):
             sub = SubgroupDesc(scheme, nxt, krull_dim(nxt))
             ok, _ = verify_subgroup(sub, budgets)
             if ok:
-                H.flags["solvable"] = False
-                return SolvabilityResult(False, True, steps, "derived series stabilized at a nonabelian subgroup")
-            return SolvabilityResult(None, False, steps, "stabilized at an uncertified set")
+                return SolvabilityResult(False, True, "derived series stabilized at a nonabelian subgroup")
+            return SolvabilityResult(None, False, "stabilized at an uncertified set")
         current = nxt
         samples = closed
-    return SolvabilityResult(None, False, steps, "derived series did not settle within the step budget")
+    return SolvabilityResult(None, False, "derived series did not settle within the step budget")

@@ -1,13 +1,18 @@
 """CLI driver: jobs, exit codes, determinism, corpus plumbing."""
 
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
+from mustab import errors, jobs
 from mustab.cli import main
 from mustab.corpus import corpus_entries, run_corpus
 from mustab.jobs import run_job
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def ser(*terms, prec=None):
@@ -253,6 +258,45 @@ def test_degeneration_self_check_failure_exits_verify(monkeypatch):
     report, code = run_job(dict(X1_JOB, algorithm="degeneration"))
     assert code == 5
     assert report["errors"] == [{"type": "SelfCheckFailed", "message": "identity does not satisfy the fiber ideal"}]
+
+
+@pytest.mark.parametrize("algorithm", ["foo", "", None])
+def test_unknown_algorithm_exits_invalid(algorithm):
+    report, code = run_job(dict(X1_JOB, algorithm=algorithm))
+    assert code == 2
+    assert [e["type"] for e in report["errors"]] == ["JobError"]
+    assert repr(algorithm) in report["errors"][0]["message"]
+
+
+def _readme_exit_codes() -> dict[str, int]:
+    """Error class name -> exit code, from the classes README's exit-code
+    list names under each code."""
+    text = (ROOT / "README.md").read_text()
+    listing = text.split("\nExit codes.", 1)[1].split("\n\n")[1]
+    codes = {}
+    for item in listing.split("\n- "):
+        code, _, body = item.lstrip("- ").partition(" ")
+        for name in re.findall(r"`(\w+)`", body):
+            codes[name] = int(code)
+    return codes
+
+
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.MustabError)]
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_error_exits_with_the_readme_code(monkeypatch, cls):
+    codes = _readme_exit_codes()
+    assert set(codes.values()) == {2, 3, 4, 5}
+    want = codes.get(cls.__name__, codes["MustabError"])
+
+    def raising(*args, **kwargs):
+        raise cls("raised on purpose")
+
+    monkeypatch.setattr(jobs, "compute_stabilizer", raising)
+    report, code = run_job(X1_JOB)
+    assert report["errors"] == [{"type": cls.__name__, "message": "raised on purpose"}]
+    assert code == want
 
 
 def test_exit_code_precision_budget():

@@ -1,7 +1,9 @@
-"""Every function, class and method of the package is used somewhere.
+"""Every function, class, method and field of the package is used somewhere.
 
 A definition counts as used when a name, attribute or import alias in
 src/mustab, scripts/ or tests/ mentions it outside the definition itself.
+A field (a dataclass field, or an attribute a method assigns on self)
+counts as read when an attribute load or a string constant names it.
 """
 
 import ast
@@ -31,9 +33,13 @@ def _mentions(tree):
             yield node.name.rsplit(".", 1)[-1], node.lineno
 
 
-def test_every_definition_is_mentioned_elsewhere():
+def _trees():
     files = [*PACKAGE.glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    trees = {f: ast.parse(f.read_text()) for f in files}
+    return {f: ast.parse(f.read_text()) for f in files}
+
+
+def test_every_definition_is_mentioned_elsewhere():
+    trees = _trees()
     mentions: dict[str, list] = {}
     for f, tree in trees.items():
         for name, line in _mentions(tree):
@@ -45,3 +51,39 @@ def test_every_definition_is_mentioned_elsewhere():
             if all(g == f and node.lineno <= line <= node.end_lineno for g, line in places):
                 unused.append(f"{f.name}:{node.lineno} {node.name}")
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _fields(node: ast.ClassDef):
+    """(name, line) of each dataclass field and each attribute set on self."""
+    if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item.target.id, item.lineno
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.ctx, ast.Store)
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "self"
+        ):
+            yield sub.attr, sub.lineno
+
+
+def _reads(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_field_is_read():
+    trees = _trees()
+    reads = {name for tree in trees.values() for name in _reads(tree)}
+    unread = [
+        f"{f.name}:{line} {node.name}.{name}"
+        for f in sorted(PACKAGE.glob("*.py"))
+        for node in trees[f].body if isinstance(node, ast.ClassDef)
+        for name, line in _fields(node) if name not in reads
+    ]
+    assert not unread, "set but never read: " + ", ".join(unread)

@@ -22,7 +22,6 @@ from mustab.jobs import parse_budgets, parse_plane_curve
 from mustab.newton import places_at_infinity
 from mustab.stabilizer import mu_correct, mu_reduce, stab_reparam
 from mustab.subgroups import (
-    Failure,
     SubgroupDesc,
     TubeCertificate,
     conjugate_stab,
@@ -82,7 +81,7 @@ def test_ansatz_power_list_covers_every_coordinate(make):
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
         fresh = PowerList(ansatz.tail_powers.w, ansatz.work_prec - f.terms[0][0] if f.terms else None)
-        want = ser_subst(f, ansatz.s, prec=ansatz.work_prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
+        want = ser_subst(f, None, prec=ansatz.work_prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
         got = ansatz.subst(v)
         assert (got.terms, got.precision) == (want.terms, want.precision)
 
@@ -114,9 +113,7 @@ def test_mu_correct_irrational_correction():
 
 
 def test_mu_correct_distinct_tubes_fail():
-    out = mu_correct(x1_branch(), x2_branch())
-    assert isinstance(out, Failure)
-    assert out.order is not None
+    assert mu_correct(x1_branch(), x2_branch()) is None
 
 
 def test_mu_correct_with_unit_reparameterization():
@@ -306,7 +303,7 @@ def test_degeneration_x1():
     out = stab_degeneration(b, V, BUDGETS)
     assert ideal_equal(out.desc.ideal, ideal(out.desc.ideal.ring, "x11 - 1", "x21", "x22 - 1"))
     assert not out.desc.cosets
-    assert out.decomposition_complete
+    assert out.desc.flags["decomposition_complete"]
     # fiber ideal contains the translated-relation residues seen by hand
     fiber = out.fiber
     assert ideal_equal(fiber, ideal(fiber.ring, "x11 - 1", "x21", "x22 - 1"))
@@ -386,6 +383,25 @@ def test_identity_component_torus_union_translate():
     assert len(cosets) == 1
     assert ideal_equal(cosets[0], w_translate)
     assert krull_dim(comp) == krull_dim(cosets[0])
+
+
+@pytest.mark.parametrize("gens, pieces", [
+    # the torus is split off inside the Borel subgroup
+    (("x12*x21", "x21*(x11 - 1)"), [("x21", "x11*x22 - 1"), ("x12", "x11 - 1", "x22 - 1")]),
+    # the torus is split off twice, once beside each unipotent subgroup
+    (
+        ("x12*x21", "x12*(x22 - 1)", "x21*(x22 - 1)"),
+        [("x12", "x21", "x11*x22 - 1"), ("x21", "x11 - 1", "x22 - 1"), ("x12", "x11 - 1", "x22 - 1")],
+    ),
+])
+def test_identity_component_drops_contained_and_repeated_pieces(gens, pieces):
+    ring = SL2.coordinate_ring()
+    fiber = ideal(ring, *gens, "x11*x22 - x12*x21 - 1")
+    comp, cosets, _ = identity_component(fiber, SL2, BUDGETS)
+    kept = [comp, *cosets]
+    assert len(kept) == len(pieces)
+    for want in pieces:
+        assert sum(ideal_equal(I, ideal(ring, *want)) for I in kept) == 1
 
 
 # -- verify_subgroup ---------------------------------------------------------------

@@ -30,7 +30,7 @@ from mustab.ideals import (
     krull_dim,
 )
 from mustab.poly import Poly, PolyRing, order_by_name
-from mustab.subgroups import _generic_pair, _substituted, ideal_of_points
+from mustab.subgroups import SubgroupDesc, _generic_pair, _substituted, classify_subgroup, ideal_of_points
 
 ROOT = Path(__file__).resolve().parent.parent
 F5 = FieldSpec("Fp", p=5)
@@ -107,6 +107,29 @@ def test_a_marked_basis_is_computed_once(monkeypatch):
     I = ideal(ring, "x^2 - y*z", "y^2 - x*z", "z^2 - x*y")
     krull_dim(groebner_basis(I))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("gens, name", [
+    (("x11 - 1", "x21", "x22 - 1"), "upper unipotent"),
+    (("x12", "x21", "x11*x22 - 1"), "diagonal torus"),
+    (("x21", "x11 - x22"), "Borel-contained subgroup of dimension 1"),
+])
+def test_classifying_again_runs_no_buchberger(monkeypatch, gens, name):
+    """The SL(2) templates are reduced bases built once per ring, so a
+    stabilizer that carries its basis is classified without Buchberger."""
+    sl2 = GroupScheme("SL", 2, QQ)
+    H = SubgroupDesc(sl2, groebner_basis(ideal(sl2.coordinate_ring(), *gens)), 1)
+    assert classify_subgroup(H) == name
+    calls = []
+    real = ideals.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    assert classify_subgroup(H) == name
+    assert not calls
 
 
 def _substituted_pair_basis(I: Ideal, scheme: GroupScheme) -> set:
