@@ -23,7 +23,7 @@ from .errors import (
     PrecisionInsufficient,
     SelfCheckFailed,
 )
-from .exponents import EXP_ZERO, exp
+from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_unit_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import PolyRing
@@ -47,7 +47,17 @@ def ansatz_exponents(branch: Branch, order_budget: int) -> list[Fraction]:
 
 
 class Ansatz:
-    """Symbolic reparameterization with polynomial coefficients."""
+    """Symbolic reparameterization with polynomial coefficients.
+
+    `quotient(b)` expands a(s) only as far as `_mu_conditions` reads the
+    quotient a(s) * b^-1: its terms at exponents <= 0 and the sign of each
+    entry's precision.  With a(s) known below P, each product term
+    a(s)_ik * b^-1_kj is known below P + val(b^-1_kj), so P = 1 + max(0,
+    -v) for the least valuation bound v over every coordinate of b^-1, y
+    included, leaves every such product known beyond exponent 0; on the
+    additive scheme the law is a sum and P = 1.  Any larger P gives the
+    same terms at exponents <= 0 and the same precision signs, so the
+    conditions are exact."""
 
     def __init__(self, branch: Branch, order_budget: int):
         self.branch = branch
@@ -58,42 +68,38 @@ class Ansatz:
         self.ring = PolyRing(field, names)
         self.dom = PolyDomain(self.ring, (("lam", "lami"),))
         tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
-        tail = PuiseuxSeries(self.dom, tail_terms, None)
+        self.tail = PuiseuxSeries(self.dom, tail_terms, None)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
         self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
-        # constraints live at exponents <= 0; the quotient multiplies by an
-        # inverse whose poles are bounded by n times the branch's pole order,
-        # so that is all the precision the substitution needs
-        pole = Fraction(0)
-        for s in branch.element.entries_flat():
-            if s.terms:
-                lead = s.terms[0][0]
-                if lead.sign() < 0 and lead.is_rational() and -lead.as_fraction() > pole:
-                    pole = -lead.as_fraction()
-        n = branch.scheme.root.n
-        self.work_prec = exp(pole * n + 2)
-        # one list of tail powers serves every coordinate substituted: it
-        # reaches work_prec - e for the lowest exponent e of all, y included
+        # one list of tail powers serves every coordinate substituted if it
+        # reaches prec - low for the lowest exponent low of all, y included
         # (on GL, y = det^-1 can lie below every entry)
-        low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
-        self.tail_powers = PowerList(tail, self.work_prec - low)
+        self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
+
+    def precision(self, b_inv: GroupElement) -> Exponent:
+        """The precision quotient expands a(s) to against b^-1: 1 beyond
+        the deepest pole of b^-1, y included, or 1 on the additive scheme."""
+        if b_inv.scheme.root.kind == "Additive":
+            return EXP_ONE
+        bounds = [v for v in map(PuiseuxSeries.val_bound, b_inv.flat()) if v is not None]
+        return EXP_ONE + max([EXP_ZERO] + [-v for v in bounds])
+
+    def tail_powers(self, prec: Exponent) -> PowerList:
+        return PowerList(self.tail, prec - self.low)
 
     def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
         return PuiseuxSeries(self.dom, terms, f.precision)
 
-    def subst(self, f: PuiseuxSeries) -> PuiseuxSeries:
-        return ser_subst(
-            self.lift_series(f),
-            None,
-            prec=self.work_prec,
-            lead_root=self.lead_root,
-            parts=(exp(1), self.tail_powers),
-        )
+    def subst(self, f: PuiseuxSeries, prec: Exponent, powers: PowerList) -> PuiseuxSeries:
+        return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, powers))
 
     def quotient(self, b: GroupElement) -> GroupElement:
         """a(s) * b(t)^-1 over the ansatz ring, for the ansatz's branch a."""
-        return self.branch.element.map(self.subst).mul(b.inv().map(self.lift_series))
+        b_inv = b.inv()
+        prec = self.precision(b_inv)
+        powers = self.tail_powers(prec)
+        return self.branch.element.map(lambda f: self.subst(f, prec, powers)).mul(b_inv.map(self.lift_series))
 
 
 def _lead_root(lam, lami, r: int):

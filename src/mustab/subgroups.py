@@ -21,6 +21,7 @@ from .ideals import (
     Ideal,
     extend_basis,
     groebner_basis,
+    ideal_contains,
     ideal_equal,
     ideal_member,
     kernel_ideal,
@@ -258,11 +259,25 @@ def _sl2_templates(ring: PolyRing) -> dict[str, Ideal]:
     return {name: groebner_basis(Ideal(ring, tuple(ring.parse(g) for g in gens))) for name, gens in templates.items()}
 
 
+@functools.cache
+def _identity_basis(scheme: GroupScheme) -> Ideal:
+    """The scheme's identity ideal as its reduced basis."""
+    return groebner_basis(scheme.identity_ideal)
+
+
+def _is_trivial(ideal: Ideal, scheme: GroupScheme) -> bool:
+    """Whether ideal is the identity ideal: the same generators, or both
+    containments, the identity's basis built once the first one holds."""
+    if ideal == scheme.identity_ideal:
+        return True
+    return ideal_contains(ideal, scheme.identity_ideal) and ideal_contains(_identity_basis(scheme), ideal)
+
+
 def classify_subgroup(H: SubgroupDesc) -> str:
     scheme = H.scheme
     ring = H.ideal.ring
     r = scheme.root
-    if ideal_equal(H.ideal, scheme.identity_ideal):
+    if _is_trivial(H.ideal, scheme):
         return "trivial"
     if r.kind == "Additive":
         if all(g.total_degree() <= 1 for g in H.ideal.gens):
@@ -407,7 +422,7 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
         id_values = scheme.identity()._values()
         if not all(g.eval_scalars(id_values).is_zero() for g in nxt.gens):
             return SolvabilityResult(None, False, "identity escaped the sampled ideal")
-        if ideal_equal(nxt, scheme.identity_ideal):
+        if _is_trivial(nxt, scheme):
             return SolvabilityResult(True, True, "derived series reached the trivial group")
         if _is_abelian_symbolic(nxt, scheme, budgets.spoly_budget):
             return SolvabilityResult(True, True, "derived series reached an abelian group")

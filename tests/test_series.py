@@ -1,5 +1,6 @@
 """Puiseux series arithmetic, inversion, valuation/residue, substitution."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -544,6 +545,12 @@ def test_inverse_times_the_series_is_one(field, irrational):
 SOUND_HI = exp(16)  # the completions' expansions run this far
 
 
+def draw_scalar(draw, field):
+    if field.order is None:
+        return field.from_int(draw(st.integers(-4, 4)))
+    return field.element(draw(st.integers(0, field.order - 1)))
+
+
 @st.composite
 def truncated_series(draw, field, lead=None, low=-4):
     """(f, F): f inexact, with terms in half steps from the exponent low
@@ -551,9 +558,7 @@ def truncated_series(draw, field, lead=None, low=-4):
     exact, with random extra terms at or above f's precision."""
 
     def scalar():
-        if field.order is None:
-            return field.from_int(draw(st.integers(-4, 4)))
-        return field.element(draw(st.integers(0, field.order - 1)))
+        return draw_scalar(draw, field)
 
     half = Fraction(1, 2)
     start = low if lead is None else lead[0] + half
@@ -691,3 +696,70 @@ def test_iwasawa_claims_only_known_terms(kind, field, data):
     U, B = iwasawa(GroupElement(scheme, truth, check=False))
     for x, X in zip(u.entries_flat() + b.entries_flat(), U.entries_flat() + B.entries_flat()):
         assert_sound(x, X)
+
+
+@st.composite
+def another_completion(draw, f):
+    """f completed with other random terms at or above its precision."""
+    half = Fraction(1, 2)
+    base = f.precision.as_fraction()
+    tail = {base + half * draw(st.integers(0, 6)): draw_scalar(draw, f.dom.field) for _ in range(draw(st.integers(0, 3)))}
+    extra = [(exp(e), c) for e, c in tail.items() if not c.is_zero()]
+    return PuiseuxSeries(f.dom, list(f.terms) + extra, None)
+
+
+@SOUND_FIELDS
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_mu_correct_certifies_every_completion(field, data):
+    """mu_correct(a, b) for an inexact SL(2) point a, built as in the group
+    law test, and b a second completion of a at lam * t: the certificate's
+    reparameterization s0 gives A(s0) * b^-1 in mu for every completion A
+    of a.  s0 fixes lam^r for the ramification r; the r-th root of it the
+    certificate used is the one that reproduces its eps from a."""
+    from mustab.branches import validate_branch
+    from mustab.errors import BudgetExceeded
+    from mustab.factor import scalar_roots
+    from mustab.groups import GroupElement, GroupScheme
+    from mustab.stabilizer import _lead_root, mu_correct
+
+    scheme = GroupScheme("SL", 2, field)
+    dom = ScalarDomain(field)
+    one = PuiseuxSeries.one(dom)
+    c = field.from_int(data.draw(st.sampled_from([1, 2])))
+    u = PuiseuxSeries.monomial(dom, exp(-data.draw(st.integers(1, 2))), c)
+    (f, F), (g, G) = data.draw(truncated_series(field, low=-1)), data.draw(truncated_series(field, low=-1))
+    F2, G2 = data.draw(another_completion(f)), data.draw(another_completion(g))
+
+    def entries(x, y):
+        return ((u, x), (y, (one + x * y) * u.inv()))
+
+    a = validate_branch(scheme, entries(f, g))
+    mu = draw_scalar(data.draw, field)
+    lam_t = PuiseuxSeries.monomial(dom, exp(1), field.one() if mu.is_zero() else mu * mu)
+    b = validate_branch(scheme, scheme.map_entries(entries(F2, G2), lambda h: ser_subst(h, lam_t)))
+    try:
+        cert = mu_correct(a, b)
+    except BudgetExceeded:
+        return  # a is known too coarsely to decide
+    if cert is None:
+        return
+    s0, r, b_inv = cert.s, a.ramification, b.element.inv()
+    x = PolyRing(field, ("x",)).var("x")
+
+    def roots_of(c, k):
+        return scalar_roots(x**k - x.ring.from_scalar(c))
+
+    lams = [
+        lam for lam in roots_of(s0.terms[0][1], r)
+        if a.element.map(lambda h: ser_subst(h, s0, lead_root=_lead_root(lam, lam.inv(), r))).mul(b_inv) == cert.eps
+    ]
+    assert lams
+    for A in (GroupElement(scheme, entries(F, G)), GroupElement(scheme, entries(F2, G2))):
+        # a completion can need a finer root of the lead: any m with
+        # m^(R/r) = lam serves, where the field has one
+        R = math.lcm(r, *(h.ramification() for h in A.entries_flat()))
+        for lam in lams:
+            for m in roots_of(lam, R // r):
+                root = _lead_root(m, m.inv(), R)
+                assert A.map(lambda h: ser_subst(h, s0, prec=SOUND_HI, lead_root=root)).mul(b_inv).in_mu()

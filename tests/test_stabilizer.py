@@ -6,10 +6,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mustab.branches import Branch, implicitize, validate_branch
 from mustab.degeneration import identity_component, stab_degeneration
-from mustab.errors import BudgetExceeded, NotCenteredAtInfinity, NotReduced, OrderBudgetTooSmall, SelfCheckFailed
+from mustab.errors import (
+    BudgetExceeded,
+    NotCenteredAtInfinity,
+    NotReduced,
+    OrderBudgetTooSmall,
+    PrecisionInsufficient,
+    SelfCheckFailed,
+)
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
@@ -31,6 +39,7 @@ from mustab.subgroups import (
 from tests_helpers import ideal_intersect, is_identity
 
 F5 = FieldSpec("Fp", p=5)
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
 DQ = ScalarDomain(QQ)
 SL2 = GroupScheme("SL", 2, QQ)
 ADD2 = GroupScheme("Additive", 2, QQ)
@@ -73,22 +82,152 @@ def _parabola_branch():
 
 @pytest.mark.parametrize("make", [_gl2_y_below_entries, x1_branch, _parabola_branch], ids=["GL2", "SL2", "additive"])
 def test_ansatz_power_list_covers_every_coordinate(make):
-    """The ansatz's one list of tail powers gives every coordinate, y
-    included, the substitution a fresh list reaching that coordinate's
-    lowest exponent gives: the same terms and the same precision."""
+    """At the precision quotient picks, the ansatz's one list of tail
+    powers gives every coordinate, y included, the substitution a fresh
+    list reaching that coordinate's lowest exponent gives: the same terms
+    and the same precision."""
     branch = make()
     ansatz = stabilizer.Ansatz(branch, 6)
+    prec = ansatz.precision(branch.element.inv())
+    shared = ansatz.tail_powers(prec)
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
-        fresh = PowerList(ansatz.tail_powers.w, ansatz.work_prec - f.terms[0][0] if f.terms else None)
-        want = ser_subst(f, None, prec=ansatz.work_prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
-        got = ansatz.subst(v)
+        fresh = PowerList(ansatz.tail, prec - f.terms[0][0] if f.terms else None)
+        want = ser_subst(f, None, prec=prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
+        got = ansatz.subst(v, prec, shared)
         assert (got.terms, got.precision) == (want.terms, want.precision)
 
 
 def test_gl2_y_lies_below_every_entry():
     element = _gl2_y_below_entries().element
     assert element.y.val() < min(v.val() for v in element.entries_flat() if v.terms)
+
+
+# -- the precision of the quotient ----------------------------------------------
+
+def _reference_quotient(ansatz, b):
+    """a(s) * b^-1 with a(s) expanded to pole * n + 2, for the largest pole
+    of a's entries: a fixed precision that does not read b."""
+    a = ansatz.branch
+    leads = [s.terms[0][0] for s in a.element.entries_flat() if s.terms]
+    pole = max([Fraction(0)] + [-e.as_fraction() for e in leads if e.sign() < 0 and e.is_rational()])
+    prec = exp(pole * a.scheme.root.n + 2)
+    powers = ansatz.tail_powers(prec)
+    return a.element.map(lambda f: ansatz.subst(f, prec, powers)).mul(b.inv().map(ansatz.lift_series))
+
+
+def _conditions(quotient):
+    """The constraints and residues of quotient() read both ways, or the
+    precision error they stop at."""
+    try:
+        e = quotient()
+        return [stabilizer._mu_conditions(e, flag) for flag in (False, True)]
+    except PrecisionInsufficient:
+        return PrecisionInsufficient
+
+
+def _assert_quotient_keeps_the_conditions(a, bs):
+    ansatz = stabilizer.Ansatz(a, 6)
+    for b in bs:
+        got = _conditions(lambda: ansatz.quotient(b.element))
+        assert got == _conditions(lambda: _reference_quotient(ansatz, b.element)), (a.element, b.element)
+
+
+def _scalar(data, field):
+    if field.order is None:
+        return field.from_int(data.draw(st.integers(-3, 3)))
+    return field.element(data.draw(st.integers(0, field.order - 1)))
+
+
+def _series(data, field, low=-2, high=2):
+    """Up to three terms at integer exponents in [low, high], exact or
+    known below a precision in (low, high + 1]."""
+    prec = data.draw(st.one_of(st.none(), st.integers(low + 1, high + 1)))
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        e = data.draw(st.integers(low, high))
+        if prec is None or e < prec:
+            terms[e] = _scalar(data, field)
+    known = [(exp(e), c) for e, c in sorted(terms.items()) if not c.is_zero()]
+    return PuiseuxSeries(ScalarDomain(field), known, None if prec is None else exp(prec))
+
+
+def _lead(data, field, k):
+    c = field.from_int(data.draw(st.sampled_from([1, 2])))
+    return PuiseuxSeries.monomial(ScalarDomain(field), exp(-k), c)
+
+
+def _sl2_point(data, field):
+    u = _lead(data, field, data.draw(st.integers(1, 2)))
+    f, g = _series(data, field), _series(data, field)
+    one = PuiseuxSeries.one(f.dom)
+    return validate_branch(GroupScheme("SL", 2, field), ((u, f), (g, (one + f * g) * u.inv())))
+
+
+def _gl2_point(data, field):
+    """[[c t^-1, f], [0, d t^3]] with val f >= -1: y = t^-2 / (c d)."""
+    u = _lead(data, field, 1)
+    v = _lead(data, field, -3)
+    return validate_branch(GroupScheme("GL", 2, field), ((u, _series(data, field, low=-1)), (Z(u.dom), v)))
+
+
+def _additive_point(data, field):
+    first = _lead(data, field, data.draw(st.integers(1, 3))) + _series(data, field, low=-1)
+    return validate_branch(GroupScheme("Additive", 2, field), (first, _series(data, field, low=-3)))
+
+
+def _sl3_point(data, field):
+    """[t^-2, f, g; 0, t^-1, 0; 0, h, t^3]: determinant 1 for every f, g, h."""
+    dom = ScalarDomain(field)
+    z = Z(dom)
+    rows = (
+        (PuiseuxSeries.monomial(dom, exp(-2), field.one()), _series(data, field), _series(data, field)),
+        (z, PuiseuxSeries.monomial(dom, exp(-1), field.one()), z),
+        (z, _series(data, field), PuiseuxSeries.monomial(dom, exp(3), field.one())),
+    )
+    return validate_branch(GroupScheme("SL", 3, field), rows)
+
+
+QUOTIENT_SHAPES = {"SL2": _sl2_point, "GL2": _gl2_point, "additive": _additive_point, "SL3": _sl3_point}
+
+
+@pytest.mark.parametrize("shape", QUOTIENT_SHAPES)
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
+    """Expanding a(s) only to the precision read off b^-1 gives the same
+    constraints and residues as a fixed larger precision, for a against
+    itself and against each of its truncation candidates, and the same
+    precision error where there is one."""
+    a = QUOTIENT_SHAPES[shape](data, field)
+    _assert_quotient_keeps_the_conditions(a, [a] + stabilizer._truncation_candidates(a))
+
+
+def _sl2_irrational_tail():
+    r = Exponent(Fraction(0), Fraction(1), 2)
+    return validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(exp(0), QQ.one()), (r, QQ.one())], None)), (Z(), S((1, 1)))))
+
+
+@pytest.mark.parametrize("make", [_sl2_irrational_tail, irrational_pair_branch], ids=["SL2", "additive"])
+def test_quotient_precision_against_an_irrational_branch(make):
+    """mu_reduce certifies a rational candidate a against a branch b with
+    irrational exponents as mu_correct(a, b): the quotient by that b keeps
+    the conditions too."""
+    b = make()
+    candidates = [a for a in stabilizer._truncation_candidates(b) if not any(s.has_irrational_exponent() for s in a.element.entries_flat())]
+    assert candidates
+    for a in candidates:
+        _assert_quotient_keeps_the_conditions(a, [b])
+
+
+def test_quotient_precision_below_an_irrational_pole():
+    """b^-1 with a pole at t^(-sqrt 2) sets an irrational precision."""
+    r = Exponent(Fraction(0), Fraction(-1), 2)
+    b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
+    a = x1_branch()
+    assert not stabilizer.Ansatz(a, 6).precision(b.element.inv()).is_rational()
+    _assert_quotient_keeps_the_conditions(a, [b])
 
 
 # -- mu_correct ---------------------------------------------------------------

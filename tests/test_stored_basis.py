@@ -132,6 +132,27 @@ def test_classifying_again_runs_no_buchberger(monkeypatch, gens, name):
     assert not calls
 
 
+@pytest.mark.parametrize("kind", ["SL", "GL"])
+def test_classifying_the_trivial_group_again_runs_no_buchberger(monkeypatch, kind):
+    """The identity ideal is compared as a reduced basis built once per
+    scheme, so a trivial stabilizer that carries its basis is classified
+    again without Buchberger."""
+    scheme = GroupScheme(kind, 2, QQ)
+    H = SubgroupDesc(scheme, groebner_basis(scheme.identity_ideal), 0)
+    assert classify_subgroup(H) == "trivial"
+    calls = []
+    real = ideals.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    for _ in range(3):
+        assert classify_subgroup(H) == "trivial"
+    assert not calls
+
+
 def _substituted_pair_basis(I: Ideal, scheme: GroupScheme) -> set:
     """The reduced basis of the substituted relations over 2n variables."""
     names = scheme.coordinates()
