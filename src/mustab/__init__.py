@@ -12,7 +12,7 @@ from .branches import Branch, certified_dim, implicitize, is_centered_at_infinit
 from .degeneration import identity_component, stab_degeneration
 from .exponents import Exponent, exp
 from .fields import QQ, FieldSpec, Scalar
-from .groups import GroupElement, GroupScheme, KPoint, iwasawa, unipotent_embedding
+from .groups import GroupElement, GroupScheme, KPoint, iwasawa
 from .ideals import (
     Budgets,
     Ideal,
@@ -78,7 +78,6 @@ __all__ = [
     "stab_reparam",
     "type_dimension",
     "uni_factor",
-    "unipotent_embedding",
     "validate_branch",
     "verify_subgroup",
 ]

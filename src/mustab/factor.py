@@ -36,12 +36,6 @@ class Factorization:
     def complete(self) -> bool:
         return not self.unfactored
 
-    def product(self) -> Poly:
-        acc = self.ring.from_scalar(self.unit)
-        for f, m in self.factors + self.unfactored:
-            acc = acc * f**m
-        return acc
-
     def roots(self) -> list[tuple[Scalar, int]]:
         """Roots in the base field from the linear factors x - r."""
         return [(-f.constant_coefficient(), m) for f, m in self.factors if f.total_degree() == 1]

@@ -4,8 +4,9 @@ GL(n) carries an explicit inverse-determinant coordinate y (so all
 defining data stays polynomial), SL(n) is cut out by det = 1, Additive(n)
 is the vector group, and Subgroup wraps a parent scheme with extra
 equations.  GroupElement holds series entries; KPoint holds residue-field
-entries.  The residue retraction, the infinitesimal kernel test and the
-Iwasawa decomposition live here.
+entries.  The residue retraction, the infinitesimal kernel test, the
+Iwasawa decomposition and the one builder of random points (bordering
+leading blocks, random_entries) live here.
 
 Coordinate layout.  This module alone knows how a point is laid out, and
 the other modules go through GroupScheme.flatten / shape / map_entries and
@@ -24,6 +25,7 @@ the series field and k[x] with series coefficients.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -265,16 +267,21 @@ def mat_adjugate(rows):
     return tuple(out)
 
 
-def with_unit_det(rows) -> list[list[PuiseuxSeries]]:
-    """A copy of the series matrix rows with its last diagonal entry solved from det = 1."""
+def with_det(rows, target=None) -> list[list]:
+    """A copy of the square matrix rows with its last diagonal entry solved
+    so that the determinant is target, the entries' one when omitted.  The
+    entries lie in a field (Scalar or series); the leading minor must be
+    invertible."""
     n = len(rows)
-    one = PuiseuxSeries.one(rows[0][0].dom)
+    # x ** 0 is the one of x's ring
+    one = rows[0][0] ** 0
+    target = one if target is None else target
     rows = [list(row) for row in rows]
     rows[n - 1][n - 1] = one
     cof = mat_det([row[: n - 1] for row in rows[: n - 1]]) if n > 1 else one
     full = mat_det(rows)
     # det is affine in the entry: det = full - cof + cof * x
-    rows[n - 1][n - 1] = (one - (full - cof)) * cof.inv()
+    rows[n - 1][n - 1] = (target - (full - cof)) * cof.inv()
     return rows
 
 
@@ -412,6 +419,54 @@ class KPoint(_Point):
         return self.map(lambda c: PuiseuxSeries.constant(dom, c))
 
 
+# -- random points -------------------------------------------------------------
+
+def random_scalar(field: FieldSpec, rng: random.Random, nonzero: bool = False) -> Scalar:
+    """A random element of field: an integer in [-4, 4] in characteristic
+    0, else the element at a uniform index, so no draw lists the field."""
+    while True:
+        if field.char == 0:
+            c = field.from_int(rng.randrange(-4, 5))
+        else:
+            c = field.element(rng.randrange(field.order))
+        if not (nonzero and c.is_zero()):
+            return c
+
+
+def random_entries(scheme: GroupScheme, draw, unit) -> tuple:
+    """(entries, y) of a random point of Additive(n), SL(n) (n >= 2) or
+    GL(n), from draw() for a free entry and unit() for an invertible one.
+
+    Additive(n) takes n draws.  A matrix grows from [[unit()]]: each leading
+    block is bordered by a column and then a row of draws, and its corner is
+    solved so that the block's determinant is a fresh unit(), 1 for the
+    whole matrix on SL.  Every leading minor is a unit, so the point lies
+    in the big cell; y is the inverse of the last unit on GL."""
+    n = scheme.n
+    if scheme.kind == "Additive":
+        return tuple(draw() for _ in range(n)), None
+    if scheme.kind not in ("SL", "GL") or (scheme.kind == "SL" and n < 2):
+        raise ValueError(f"no random points on {scheme}")
+    det = unit()
+    rows = [[det]]
+    for k in range(1, n):
+        for row in rows:
+            row.append(draw())
+        rows.append([draw() for _ in range(k)] + [None])  # the corner, solved next
+        det = det ** 0 if scheme.kind == "SL" and k == n - 1 else unit()
+        rows = with_det(rows, det)
+    return tuple(tuple(row) for row in rows), (det.inv() if scheme.kind == "GL" else None)
+
+
+def random_kpoint(scheme: GroupScheme, rng: random.Random) -> KPoint:
+    """A random k-point of Additive(n), SL(n) or GL(n) (random_entries over
+    random_scalar).  On SL(2) it draws a, b, c and sets d = (1 + bc)/a."""
+    field = scheme.field
+    return KPoint(scheme, *random_entries(
+        scheme, lambda: random_scalar(field, rng), lambda: random_scalar(field, rng, nonzero=True)
+    ))
+
+
 # -- Iwasawa decomposition ---------------------------------------------------
 
 def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
@@ -478,20 +533,3 @@ def _const_like(a: GroupElement, value: int) -> PuiseuxSeries:
         return PuiseuxSeries.zero(dom)
     return PuiseuxSeries.constant(dom, a.scheme.field.from_int(value))
 
-
-def unipotent_embedding(a: GroupElement) -> GroupElement:
-    """Adapter from Additive(n) to the [[1, v], [0, I]] block in SL(n+1),
-    for algorithms that want matrices."""
-    r = a.scheme.root
-    if r.kind != "Additive":
-        raise ValueError("unipotent embedding applies to additive elements")
-    n = r.n
-    scheme = GroupScheme("SL", n + 1, a.scheme.field)
-    dom = a._dom()
-    one = PuiseuxSeries.constant(dom, a.scheme.field.one())
-    zero = PuiseuxSeries.zero(dom)
-    rows = []
-    rows.append(tuple([one] + list(a.entries)))
-    for i in range(n):
-        rows.append(tuple([zero] * (i + 1) + [one] + [zero] * (n - 1 - i)))
-    return GroupElement(scheme, tuple(rows), check=False)

@@ -13,11 +13,10 @@ from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import DivisionByZero, FieldMismatch, MustabError
 from .exponents import check_d
 from .fields import FieldSpec
-from .groups import GroupElement, GroupScheme, iwasawa
+from .groups import GroupElement, GroupScheme, iwasawa, random_kpoint
 from .ideals import Budgets, Ideal, ideal_equal
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
-from .samples import random_kpoint_sl2
 from .series import parse_series, series_to_json
 from .stabilizer import mu_reduce
 from .subgroups import SubgroupDesc, conjugate_stab, is_solvable, verify_subgroup
@@ -34,25 +33,24 @@ class JobError(Exception):
 
 
 def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
+    """The job's budgets, each a JSON integer in its range; the overrides
+    (command-line flags) win over the job's values."""
     b = Budgets()
     merged = dict(data or {})
     for k, v in (overrides or {}).items():
         if v is not None:
             merged[k] = v
-    if "precision" in merged:
-        b.precision = int(merged["precision"])
-    if "degree_bound" in merged:
-        b.degree_bound = int(merged["degree_bound"])
-    if "order_budget" in merged:
-        b.order_budget = int(merged["order_budget"])
-    if "spoly_budget" in merged:
-        b.spoly_budget = int(merged["spoly_budget"])
-    if b.precision < 1 or b.precision > 64:
-        raise JobError("precision out of range [1, 64]", EXIT_INVALID)
-    if b.degree_bound < 1 or b.degree_bound > 12:
-        raise JobError("degree bound out of range [1, 12]", EXIT_INVALID)
-    if b.order_budget < 1 or b.order_budget > 24:
-        raise JobError("order budget out of range [1, 24]", EXIT_INVALID)
+    limits = {"precision": (1, 64), "degree_bound": (1, 12), "order_budget": (1, 24), "spoly_budget": (1, None)}
+    for name, (lo, hi) in limits.items():
+        if name not in merged:
+            continue
+        value = merged[name]
+        if type(value) is not int:
+            raise JobError(f"{name} must be an integer, not {value!r}", EXIT_INVALID)
+        if value < lo or (hi is not None and value > hi):
+            wanted = f"in [{lo}, {hi}]" if hi is not None else f"at least {lo}"
+            raise JobError(f"{name} must be {wanted}, not {value}", EXIT_INVALID)
+        setattr(b, name, value)
     return b
 
 
@@ -252,7 +250,7 @@ def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets, s
             set_check("solvable", solv.value is True, solv.note)
         if run.agreement is not None:
             set_check("agreement", run.agreement, _agreement_witness(run, i))
-        if not run.bounded and desc.scheme.root.kind == "SL" and desc.scheme.root.n == 2:
+        if not run.bounded and desc.scheme.kind == "SL" and desc.scheme.n == 2:
             set_check("conjugation", _conjugation_check(run, budgets), f"branch {i}")
         else:
             set_check("conjugation", None)
@@ -286,9 +284,8 @@ def _conjugation_check(run: StabilizerRun, budgets: Budgets, samples: int = 2, s
     import random
 
     rng = random.Random(seed)
-    field = run.reduced.field
     for _ in range(samples):
-        g = random_kpoint_sl2(field, rng)
+        g = random_kpoint(run.reduced.scheme, rng)
         moved = run.reduced.translate(g)
         moved_run = compute_stabilizer(moved, "reparam", budgets)
         conj = conjugate_stab(run.subgroup, g)

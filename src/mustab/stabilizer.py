@@ -24,7 +24,7 @@ from .errors import (
     SelfCheckFailed,
 )
 from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
-from .groups import GroupElement, GroupScheme, with_unit_det
+from .groups import GroupElement, GroupScheme, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
 from .poly import PolyRing
 from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subst
@@ -294,7 +294,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
     if r.kind != "GL" and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
         if r.kind == "SL":
             try:
-                all_cut = scheme.flatten(with_unit_det(scheme.shape(all_cut)[0]))
+                all_cut = scheme.flatten(with_det(scheme.shape(all_cut)[0]))
             except (MustabError, ValueError):
                 return out
         if tuple(tuple(x.terms) for x in all_cut) not in seen:

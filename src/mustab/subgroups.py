@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import MustabError
 from .fields import Scalar
-from .groups import GroupScheme, KPoint
+from .groups import GroupScheme, KPoint, random_kpoint, random_scalar
 from .ideals import (
     Budgets,
     Ideal,
@@ -326,8 +326,8 @@ def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int
 
 
 def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPoint]:
-    """k-points of H: from the parameterized family when present, else from
-    ambient samplers when the ideal cuts out the whole scheme."""
+    """k-points of H: from the parameterized family when present, else
+    random points when H is the whole of SL(2) itself; none otherwise."""
     scheme = H.scheme
     field = scheme.field
     out: list[KPoint] = []
@@ -340,37 +340,22 @@ def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPo
             for v in pr.variables:
                 if v in ("lam", "lami"):
                     continue
-                presets[v] = _random_field_scalar(field, rng)
+                presets[v] = random_scalar(field, rng)
             sol = solve_point(H.param.relations, presets=presets, defaults={"lam": field.one(), "lami": field.one()})
             if sol is None:
                 # retry with unconstrained c's only
-                sol = solve_point(H.param.relations, defaults={"lam": field.one(), "lami": field.one(), **{v: _random_field_scalar(field, rng) for v in pr.variables if v.startswith("c")}})
+                sol = solve_point(H.param.relations, defaults={"lam": field.one(), "lami": field.one(), **{v: random_scalar(field, rng) for v in pr.variables if v.startswith("c")}})
             if sol is None:
                 continue
             pt = _param_point(H, sol)
             if pt is not None:
                 out.append(pt)
         return out
-    scheme_ideal = Ideal(H.ideal.ring, tuple(scheme.defining_polys(H.ideal.ring)))
-    if ideal_equal(H.ideal, scheme_ideal):
-        r = scheme.root
-        if r.kind == "SL":
-            from .samples import random_kpoint_sl2
-
-            if r.n == 2:
-                return [random_kpoint_sl2(field, rng) for _ in range(count)]
-        if r.kind == "Additive":
-            return [
-                KPoint(scheme, tuple(_random_field_scalar(field, rng) for _ in range(r.n)))
-                for _ in range(count)
-            ]
+    if scheme.kind == "SL" and scheme.n == 2:
+        whole = Ideal(H.ideal.ring, tuple(scheme.defining_polys(H.ideal.ring)))
+        if ideal_equal(H.ideal, whole):
+            return [random_kpoint(scheme, rng) for _ in range(count)]
     return out
-
-
-def _random_field_scalar(field, rng: random.Random) -> Scalar:
-    if field.char == 0:
-        return field.from_int(rng.randrange(-6, 7))
-    return field.element(rng.randrange(field.order))
 
 
 def _param_point(H: SubgroupDesc, sol: dict[str, Scalar]) -> KPoint | None:

@@ -13,16 +13,22 @@ from mustab.branches import implicitize, type_dimension, validate_branch
 from mustab.degeneration import identity_component
 from mustab.exponents import EXP_ZERO, Exponent, exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupScheme, KPoint, iwasawa
+from mustab.groups import GroupScheme, KPoint, iwasawa, random_kpoint
 from mustab.ideals import Budgets, Ideal, eliminate, ideal, ideal_equal, krull_dim
 from mustab.newton import PlaneCurveInput, places_at_infinity
 from mustab.pipeline import compute_stabilizer, halevi_lift_check
 from mustab.poly import PolyRing
-from mustab.samples import random_gl_laurent, random_kpoint_sl2, random_mu_element, random_sl_laurent
 from mustab.series import PuiseuxSeries, ScalarDomain
 from mustab.stabilizer import mu_correct, mu_reduce
 from mustab.subgroups import SubgroupDesc, TubeCertificate, conjugate_stab, is_solvable
-from tests_helpers import agrees, ideal_intersect, random_series
+from tests_helpers import (
+    agrees,
+    ideal_intersect,
+    random_integral_point,
+    random_laurent_point,
+    random_mu_point,
+    random_series,
+)
 
 F5 = FieldSpec("Fp", p=5)
 DQ = ScalarDomain(QQ)
@@ -195,7 +201,7 @@ def test_criterion_07_conjugation_coherence():
         base = maker(F5)
         run = compute_stabilizer(base, "reparam", BUDGETS)
         for _ in range(5):
-            g = random_kpoint_sl2(F5, rng)
+            g = random_kpoint(sl2(F5), rng)
             moved = base.translate(g)
             moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
             conj = conjugate_stab(run.subgroup, g)
@@ -220,10 +226,10 @@ def test_criterion_09_iwasawa_roundtrip():
     count = 0
     for field in (QQ, F5):
         for _ in range(25):
-            _check_iwasawa(random_sl_laurent(2, field, rng))
+            _check_iwasawa(random_laurent_point(sl2(field), rng))
             count += 1
         for _ in range(25):
-            _check_iwasawa(random_gl_laurent(3, field, rng))
+            _check_iwasawa(random_laurent_point(GroupScheme("GL", 3, field), rng))
             count += 1
     elapsed = time.monotonic() - t0
     ok = count == 100 and elapsed < 30.0
@@ -296,8 +302,8 @@ def test_criterion_11_property_suites():
     for field in (QQ, F5):
         scheme = sl2(field)
         for _ in range(50):
-            g = random_sl_laurent(2, field, rng, integral=True)
-            epsln = random_mu_element(scheme, rng)
+            g = random_integral_point(scheme, rng)
+            epsln = random_mu_point(scheme, rng)
             if not g.mul(epsln).mul(g.inv()).in_mu():
                 failures.append("mu normality")
                 break

@@ -221,6 +221,51 @@ def test_exit_code_budget():
     assert report["errors"][0]["type"] == "BudgetExceeded"
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("spoly_budget", 0), ("spoly_budget", -3)]
+    + [(name, value) for name in ("precision", "degree_bound", "order_budget", "spoly_budget") for value in (1.5, True)],
+)
+def test_budget_that_is_no_integer_in_range_is_invalid(name, value):
+    """A budget is a JSON integer (not a bool) in its range, spoly_budget at
+    least 1; anything else is invalid input, not a budget outcome."""
+    job = json.loads(json.dumps(X1_JOB))
+    job["budgets"][name] = value
+    report, code = run_job(job)
+    assert code == 2
+    assert report["errors"][0]["type"] == "JobError" and name in report["errors"][0]["message"]
+
+
+SL2_BOREL_SUBGROUP = {"kind": "Subgroup", "parent": {"kind": "SL", "n": 2}, "ideal": ["x21"]}
+
+
+def test_stab_on_a_subgroup_scheme_skips_conjugation():
+    """The x1 branch in the Borel of SL(2), given as a Subgroup scheme, has
+    the stabilizer it has in SL(2); the conjugation check translates by
+    points of SL(2) and so runs on SL(2) itself only."""
+    job = json.loads(json.dumps(X1_JOB))
+    job["group"] = SL2_BOREL_SUBGROUP
+    report, code = run_job(job)
+    assert code == 0 and not report["errors"]
+    assert report["results"]["stabilizers"][0]["subgroup"]["ideal"] == ["x22 - 1", "x21", "x11 - 1"]
+    assert report["checks"]["conjugation"] == "skipped"
+
+
+def test_verify_on_a_subgroup_scheme_samples_no_ambient_points():
+    """The Borel as the whole of a Subgroup scheme: the derived series may
+    not run on random points of SL(2), which lie outside it."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": SL2_BOREL_SUBGROUP,
+        "command": "verify",
+        "input": {"subgroup": {"ideal": ["x21", "x11*x22 - 1"]}},
+    }
+    report, code = run_job(job)
+    assert code == 0 and report["results"]["verified_subgroup"] is True
+    assert report["results"]["solvable"] is None
+    assert report["results"]["solvable_note"] == "cannot sample enough points"
+
+
 def test_reparam_self_check_failure_exits_verify(monkeypatch):
     # spoil the stabilizer ideal with x12 - 1, which does not vanish on the
     # family x12 = s of the x1 branch

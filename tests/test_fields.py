@@ -200,19 +200,19 @@ def test_fq_modulus_is_accepted_exactly_when_irreducible(p, degrees):
 
 @pytest.mark.parametrize("field", [F5, F9, F8, F16, F27], ids=["F5", "F9", "F8", "F16", "F27"])
 def test_element_i_is_the_ith_of_elements(field):
-    from mustab import samples, subgroups
+    from mustab.groups import random_scalar
 
     listed = list(field.elements())
     assert [field.element(i) for i in range(field.order)] == listed
     # a draw takes the element at the drawn index, as listing did
     for seed in range(5):
         i = random.Random(seed).randrange(field.order)
-        assert samples._random_scalar(field, random.Random(seed)) == listed[i]
-        assert subgroups._random_field_scalar(field, random.Random(seed)) == listed[i]
+        assert random_scalar(field, random.Random(seed)) == listed[i]
 
 
 def test_big_fields_are_sampled_without_listing(monkeypatch):
-    from mustab import factor, samples, subgroups
+    from mustab import factor
+    from mustab.groups import random_scalar
 
     p = 1000003  # 3 mod 4: -1 is a nonsquare, so x^2 + 1 is irreducible
     big = [FieldSpec("Fp", p=p), FieldSpec("Fq", p=p, modulus=(1, 0, 1))]
@@ -223,8 +223,8 @@ def test_big_fields_are_sampled_without_listing(monkeypatch):
     monkeypatch.setattr(FieldSpec, "elements", refuse)
     for field in big:
         rng = random.Random(3)
-        assert samples._random_scalar(field, rng, nonzero=True).field == field
-        assert subgroups._random_field_scalar(field, rng).field == field
+        assert random_scalar(field, rng, nonzero=True).field == field
+        assert random_scalar(field, rng).field == field
         # Cantor-Zassenhaus draws its random polynomials element by element
         x = PolyRing(field, ("x",)).var("x")
         f = factor._dense((x - field.from_int(1)) * (x - field.from_int(2)))[0]

@@ -8,19 +8,30 @@ import pytest
 from mustab.errors import NotIntegral, NotOnGroup, SingularAtPrecision
 from mustab.exponents import exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupElement, GroupScheme, KPoint, iwasawa, mat_adjugate, mat_det, mat_mul
-from mustab.poly import PolyRing
-from mustab.samples import (
-    random_gl_laurent,
-    random_kpoint_sl2,
-    random_laurent,
-    random_mu_element,
-    random_sl_laurent,
+from mustab.groups import (
+    GroupElement,
+    GroupScheme,
+    KPoint,
+    iwasawa,
+    mat_adjugate,
+    mat_det,
+    mat_mul,
+    random_kpoint,
+    random_scalar,
 )
+from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries, ScalarDomain
-from tests_helpers import agrees, is_identity
+from tests_helpers import (
+    agrees,
+    is_identity,
+    random_integral_point,
+    random_laurent,
+    random_laurent_point,
+    random_mu_point,
+)
 
 F5 = FieldSpec("Fp", p=5)
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
 QS2 = FieldSpec("QSqrt", d=2)
 DQ = ScalarDomain(QQ)
 SL2 = GroupScheme("SL", 2, QQ)
@@ -120,8 +131,8 @@ def test_in_mu():
 def test_res_is_homomorphism_on_integral_points():
     rng = random.Random(5)
     for _ in range(40):
-        a = random_sl_laurent(2, QQ, rng, integral=True)
-        b = random_sl_laurent(2, QQ, rng, integral=True)
+        a = random_integral_point(SL2, rng)
+        b = random_integral_point(SL2, rng)
         assert a.is_integral() and b.is_integral()
         assert a.mul(b).res() == a.res().mul(b.res())
 
@@ -131,8 +142,8 @@ def test_mu_is_normal_in_integral_points():
     for field in (QQ, F5):
         scheme = GroupScheme("SL", 2, field)
         for _ in range(50):
-            g = random_sl_laurent(2, field, rng, integral=True)
-            eps = random_mu_element(scheme, rng)
+            g = random_integral_point(scheme, rng)
+            eps = random_mu_point(scheme, rng)
             conj = g.mul(eps).mul(g.inv())
             assert conj.in_mu()
 
@@ -197,18 +208,18 @@ def _check_iwasawa(a):
 def test_iwasawa_roundtrip_random():
     rng = random.Random(9)
     for _ in range(50):
-        _check_iwasawa(random_sl_laurent(2, QQ, rng))
+        _check_iwasawa(random_laurent_point(SL2, rng))
     for _ in range(25):
-        _check_iwasawa(random_gl_laurent(3, QQ, rng))
+        _check_iwasawa(random_laurent_point(GroupScheme("GL", 3, QQ), rng))
     for _ in range(25):
-        _check_iwasawa(random_sl_laurent(2, F5, rng))
+        _check_iwasawa(random_laurent_point(GroupScheme("SL", 2, F5), rng))
 
 
 def test_inv_involution_and_det_multiplicative():
     rng = random.Random(10)
     for _ in range(25):
-        a = random_sl_laurent(2, QQ, rng)
-        b = random_sl_laurent(2, QQ, rng)
+        a = random_laurent_point(SL2, rng)
+        b = random_laurent_point(SL2, rng)
         back = a.inv().inv()
         for i in range(2):
             for j in range(2):
@@ -222,7 +233,7 @@ def test_kpoint_ops():
     assert is_identity(w.mul(w.inv()))
     rng = random.Random(12)
     for _ in range(10):
-        g = random_kpoint_sl2(F5, rng)
+        g = random_kpoint(GroupScheme("SL", 2, F5), rng)
         assert is_identity(g.mul(g.inv()))
 
 
@@ -276,19 +287,6 @@ def test_field_json_roundtrip():
         assert FieldSpec.from_json(field.to_json()) == field
 
 
-def test_unipotent_embedding_adapter():
-    from mustab.groups import unipotent_embedding
-
-    v = GroupElement(ADD2, (S((-1, 1)), S((2, 3))))
-    m = unipotent_embedding(v)
-    assert m.scheme.kind == "SL" and m.scheme.n == 3
-    w = GroupElement(ADD2, (S((1, 1)), Z()))
-    mw = unipotent_embedding(w)
-    prod = m.mul(mw)
-    direct = unipotent_embedding(v.mul(w))
-    assert prod.entries == direct.entries
-
-
 PXY = PolyRing(QQ, ("x", "y"))
 # one random-entry sampler and the ring's one per coefficient ring
 MATRIX_RINGS = {
@@ -335,26 +333,6 @@ def test_generic_matrix_helpers(ring, n):
         assert g.mul(h).entries == mat_mul(a, b)
 
 
-def _random_kpoint(scheme, rng):
-    """A k-point of Additive(n), SL(n) or GL(n) from shears and a diagonal unit."""
-    field, n = scheme.field, scheme.n
-
-    def draw():
-        return field.from_int(rng.randrange(-3, 4))
-
-    if scheme.kind == "Additive":
-        return KPoint(scheme, tuple(draw() for _ in range(n)))
-    rows = [[field.one() if i == j else field.zero() for j in range(n)] for i in range(n)]
-    for _ in range(4):
-        i, j = rng.sample(range(n), 2)
-        c = draw()
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    if scheme.kind == "GL":
-        unit = field.from_int(rng.choice([2, 3, -1]))
-        rows[0] = [unit * a for a in rows[0]]
-    return KPoint(scheme, tuple(tuple(row) for row in rows))
-
-
 @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
 @pytest.mark.parametrize("kind,n", [("Additive", 2), ("SL", 2), ("GL", 2), ("SL", 3)])
 def test_scheme_layout_and_group_law(kind, n, field):
@@ -363,7 +341,7 @@ def test_scheme_layout_and_group_law(kind, n, field):
     a k-point survives the trip through the series field."""
     scheme = GroupScheme(kind, n, field)
     rng = random.Random(f"{kind}-{n}-{field}")
-    g, h = _random_kpoint(scheme, rng), _random_kpoint(scheme, rng)
+    g, h = random_kpoint(scheme, rng), random_kpoint(scheme, rng)
     for p in (g, h):
         assert len(p.flat()) == len(scheme.coordinates())
         assert scheme.shape(scheme.flatten(p.entries, p.y)) == (p.entries, p.y)
@@ -384,3 +362,45 @@ def test_scheme_layout_and_group_law(kind, n, field):
     if kind != "Additive":
         assert g.mul(h).entries == mat_mul(g.entries, h.entries)
     assert g.to_series().mul(h.to_series()).res() == g.mul(h)
+
+
+def _leading_minors(rows):
+    return [mat_det([row[:k] for row in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@pytest.mark.parametrize("kind,n", [("Additive", 2), ("SL", 2), ("SL", 3), ("GL", 2), ("GL", 3)])
+def test_random_points_land_on_their_scheme(kind, n, field):
+    """Every k-point, G(K), G(O) and mu draw satisfies the scheme equations;
+    G(K) draws are exact, G(O) draws integral, and some G(O) draw has a
+    residue outside the big cell; mu draws lie in mu."""
+    scheme = GroupScheme(kind, n, field)
+    rng = random.Random(f"points-{kind}-{n}-{field}")
+    outside_big_cell = False
+    for _ in range(12):
+        assert random_kpoint(scheme, rng).scheme == scheme  # KPoint checks the equations
+        g = random_laurent_point(scheme, rng)
+        GroupElement(scheme, g.entries, g.y)
+        assert all(s.is_exact() for s in g.flat())
+        g = random_integral_point(scheme, rng)
+        GroupElement(scheme, g.entries, g.y)
+        assert g.is_integral()
+        if kind != "Additive":
+            outside_big_cell |= any(m.is_zero() for m in _leading_minors(g.res().entries))
+        g = random_mu_point(scheme, rng)
+        GroupElement(scheme, g.entries, g.y)
+        assert g.in_mu()
+    assert outside_big_cell or kind == "Additive"
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+def test_sl2_kpoint_stream(field):
+    """A random k-point of SL(2) is [a, b; c, (1 + bc)/a] for the draws a
+    (nonzero), b and c, in that order."""
+    scheme = GroupScheme("SL", 2, field)
+    rng, twin = random.Random(17), random.Random(17)
+    for _ in range(200):
+        a = random_scalar(field, twin, nonzero=True)
+        b = random_scalar(field, twin)
+        c = random_scalar(field, twin)
+        assert random_kpoint(scheme, rng).entries == ((a, b), (c, (field.one() + b * c) / a))

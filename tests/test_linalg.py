@@ -15,8 +15,8 @@ from mustab.groups import GroupScheme
 from mustab.ideals import _dim_from_leading_monomials
 from mustab.linalg import echelon, nullspace, rref
 from mustab.poly import monomials_up_to
-from mustab.samples import random_laurent, random_sl_laurent
 from mustab.series import PuiseuxSeries, ScalarDomain
+from tests_helpers import random_laurent, random_laurent_point
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -118,8 +118,8 @@ def laurent_branches(rng):
     for field in FIELDS:
         add3 = GroupScheme("Additive", 3, field)
         sl2 = GroupScheme("SL", 2, field)
-        branches += [validate_branch(add3, tuple(random_laurent(field, rng) for _ in range(3))) for _ in range(6)]
-        branches += [validate_branch(sl2, random_sl_laurent(2, field, rng).entries) for _ in range(4)]
+        branches += [validate_branch(add3, random_laurent_point(add3, rng).entries) for _ in range(6)]
+        branches += [validate_branch(sl2, random_laurent_point(sl2, rng).entries) for _ in range(4)]
     return branches
 
 
@@ -157,7 +157,7 @@ def test_certified_dim_is_below_every_degree_bounded_count():
     cases += [(b, (2, 3, 4)) for b in sqrt_branches(rng) + sqrt_branches(rng)]
     for field in FIELDS:
         add2 = GroupScheme("Additive", 2, field)
-        cases += [(validate_branch(add2, (random_laurent(field, rng), random_laurent(field, rng))), (2, 3, 4)) for _ in range(8)]
+        cases += [(validate_branch(add2, random_laurent_point(add2, rng).entries), (2, 3, 4)) for _ in range(8)]
     certified = set()
     for b, degrees in cases:
         dim = certified_dim(b)

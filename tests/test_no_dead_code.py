@@ -1,9 +1,11 @@
 """Every function, class, method and field of the package is used somewhere.
 
 A definition counts as used when a name, attribute or import alias in
-src/mustab, scripts/ or tests/ mentions it outside the definition itself.
-A field (a dataclass field, or an attribute a method assigns on self)
-counts as read when an attribute load or a string constant names it.
+src/mustab or scripts/ mentions it outside the definition itself; one that
+only tests/ mention counts as used only when it is exported in
+mustab.__all__, since test-only helpers belong in tests/.  A field (a
+dataclass field, or an attribute a method assigns on self) counts as read
+when an attribute load or a string constant names it.
 """
 
 import ast
@@ -38,8 +40,17 @@ def _trees():
     return {f: ast.parse(f.read_text()) for f in files}
 
 
+def _exported(trees) -> set[str]:
+    """The names listed in mustab.__all__."""
+    for node in trees[PACKAGE / "__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
 def test_every_definition_is_mentioned_elsewhere():
     trees = _trees()
+    exported = _exported(trees)
     mentions: dict[str, list] = {}
     for f, tree in trees.items():
         for name, line in _mentions(tree):
@@ -47,10 +58,13 @@ def test_every_definition_is_mentioned_elsewhere():
     unused = []
     for f in sorted(PACKAGE.glob("*.py")):
         for node in _definitions(trees[f]):
-            places = mentions.get(node.name, [])
-            if all(g == f and node.lineno <= line <= node.end_lineno for g, line in places):
+            outside = [
+                g for g, line in mentions.get(node.name, [])
+                if not (g == f and node.lineno <= line <= node.end_lineno)
+            ]
+            if all(g.parent == ROOT / "tests" for g in outside) and not (outside and node.name in exported):
                 unused.append(f"{f.name}:{node.lineno} {node.name}")
-    assert not unused, "defined but never used: " + ", ".join(unused)
+    assert not unused, "defined but never used outside tests/: " + ", ".join(unused)
 
 
 def _fields(node: ast.ClassDef):

@@ -1,11 +1,13 @@
-"""Shared test helpers: a random-series generator for property suites,
-series agreement on a common window, the identity test for group points
-and the intersection of two ideals."""
+"""Shared test helpers: random series and random points of G(K), G(O)
+and mu for property suites, series agreement on a common window, the
+identity test for group points, the intersection of two ideals and the
+product of a factorization."""
 
 from fractions import Fraction
 
 from mustab.exponents import exp
 from mustab.fields import QQ
+from mustab.groups import GroupElement, KPoint, mat_det, random_entries, random_scalar
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries, ScalarDomain
@@ -51,3 +53,76 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> I
     elim = eliminate(Ideal(aux, tuple(gens)), ("_u",), budget)
     back = [g.rename(lift, ring) for g in elim.gens]
     return Ideal(ring, tuple(back))
+
+
+def factorization_product(fac):
+    """The product unit * prod f^m over the factors and unfactored parts of
+    a Factorization: the oracle that it factors its input."""
+    acc = fac.ring.from_scalar(fac.unit)
+    for f, m in fac.factors + fac.unfactored:
+        acc = acc * f**m
+    return acc
+
+
+# -- random points of G(K), G(O) and mu, all through groups.random_entries --
+
+def random_laurent(field, rng, lo=-3, hi=4, terms=3) -> PuiseuxSeries:
+    """An exact Laurent polynomial: up to `terms` monomials with exponents
+    in [lo, hi)."""
+    dom = ScalarDomain(field)
+    out = PuiseuxSeries.zero(dom)
+    for _ in range(rng.randrange(0, terms + 1)):
+        out = out + PuiseuxSeries.monomial(dom, exp(rng.randrange(lo, hi)), random_scalar(field, rng))
+    return out
+
+
+def random_positive_val(field, rng, prec=8) -> PuiseuxSeries:
+    """A series of positive valuation, truncated at t^prec."""
+    dom = ScalarDomain(field)
+    out = PuiseuxSeries.zero(dom)
+    for _ in range(rng.randrange(1, 3)):
+        out = out + PuiseuxSeries.monomial(dom, exp(rng.randrange(1, prec // 2 + 1)), random_scalar(field, rng))
+    return out.truncate(exp(prec))
+
+
+def random_laurent_point(scheme, rng) -> GroupElement:
+    """A point of G(K) with exact Laurent entries: Laurent draws, and units
+    c * t^k, so every corner is divided by a monomial."""
+    field = scheme.field
+    dom = ScalarDomain(field)
+
+    def unit():
+        return PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 3)), random_scalar(field, rng, nonzero=True))
+
+    return GroupElement(scheme, *random_entries(scheme, lambda: random_laurent(field, rng), unit))
+
+
+def random_integral_point(scheme, rng) -> GroupElement:
+    """A point of G(O): integral Laurent draws and constant units, then, on
+    a matrix group, a random signed permutation on the left (determinant 1),
+    so the residue need not lie in the big cell."""
+    field = scheme.field
+    dom = ScalarDomain(field)
+    g = GroupElement(scheme, *random_entries(
+        scheme,
+        lambda: random_laurent(field, rng, lo=0),
+        lambda: PuiseuxSeries.constant(dom, random_scalar(field, rng, nonzero=True)),
+    ))
+    if scheme.kind == "Additive":
+        return g
+    n = scheme.n
+    perm = rng.sample(range(n), n)
+    rows = [[field.from_int(rng.choice((1, -1))) if j == perm[i] else field.zero() for j in range(n)] for i in range(n)]
+    if mat_det(rows) != field.one():
+        rows[0] = [-c for c in rows[0]]
+    return KPoint(scheme, tuple(tuple(row) for row in rows)).to_series().mul(g)
+
+
+def random_mu_point(scheme, rng, prec=8) -> GroupElement:
+    """A point of mu: draws of positive valuation and units 1 + (positive
+    valuation), truncated at t^prec."""
+    field = scheme.field
+    one = PuiseuxSeries.one(ScalarDomain(field))
+    return GroupElement(scheme, *random_entries(
+        scheme, lambda: random_positive_val(field, rng, prec), lambda: one + random_positive_val(field, rng, prec)
+    ))
