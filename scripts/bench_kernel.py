@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Time Groebner basis runs alone on three fixed inputs.
+
+Usage:
+    python scripts/bench_kernel.py [--runs N]
+
+The inputs:
+  * twisted_cubic: `eliminate` of x from <y - x^2, z - x^3>;
+  * sl2_shear_flat_closure: the `eliminate` of `_s` that `flat_closure`
+    runs for the SL2(Q) shear [[t^-1, t^-1 - t^2], [0, t]] (an `sl2_q` job);
+  * sl2_shear_kernel_ideal: the `groebner_basis` of the 61 generators that
+    `kernel_ideal` builds for the degree-4 closure of that same branch.
+Each is one Buchberger run, and the little work around it is the same on
+every run.  The last two inputs are captured by running the job once
+through `run_job` with `eliminate` and `groebner_basis` wrapped.  Each run
+gets fresh copies of the generators, so no leading monomial cached by an
+earlier run is reused.  Prints one JSON line: per input the generator
+count, the size of the resulting basis and the median, min and max milliseconds of N runs.
+The package is imported from the src/ next to this script.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mustab import degeneration, ideals  # noqa: E402
+from mustab.fields import QQ  # noqa: E402
+from mustab.ideals import Ideal, eliminate, groebner_basis, ideal  # noqa: E402
+from mustab.jobs import run_job  # noqa: E402
+from mustab.poly import Poly, PolyRing  # noqa: E402
+
+
+def _series(*terms) -> dict:
+    return {"terms": [[str(e), str(c)] for e, c in terms]}
+
+
+SHEAR_JOB = {
+    "field": {"kind": "Q"},
+    "group": {"kind": "SL", "n": 2},
+    "command": "stab",
+    "algorithm": "both",
+    "input": {"branch": {"entries": [
+        [_series((-1, 1)), _series((-1, 1), (2, -1))],
+        [_series(), _series((1, 1))],
+    ]}},
+    "budgets": {"precision": 12, "degree_bound": 4, "order_budget": 6},
+}
+
+
+def capture(job: dict) -> dict:
+    """The first ideal `flat_closure` eliminates from and the first one
+    `kernel_ideal` hands to `groebner_basis` while job runs."""
+    found: dict = {}
+    real_eliminate, real_groebner_basis = degeneration.eliminate, ideals.groebner_basis
+
+    def spy_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
+        found.setdefault("flat_closure", (I, tuple(drop)))
+        return real_eliminate(I, drop, budget)
+
+    def spy_groebner_basis(I, order=None, budget=ideals.DEFAULT_SPOLY_BUDGET):
+        if sys._getframe(1).f_code.co_name == "kernel_ideal":
+            found.setdefault("kernel_ideal", (I, None))
+        return real_groebner_basis(I, order, budget)
+
+    degeneration.eliminate, ideals.groebner_basis = spy_eliminate, spy_groebner_basis
+    try:
+        _, code = run_job(job)
+    finally:
+        degeneration.eliminate, ideals.groebner_basis = real_eliminate, real_groebner_basis
+    if code != 0 or len(found) != 2:
+        raise RuntimeError(f"the shear job exited {code} and reached {sorted(found)}")
+    return found
+
+
+def inputs() -> dict:
+    """name -> (ideal, the variables to eliminate, or None for a plain
+    basis under the ring's order)."""
+    ring = PolyRing(QQ, ("x", "y", "z"), "lex")
+    shear = capture(SHEAR_JOB)
+    return {
+        "twisted_cubic": (ideal(ring, "y - x^2", "z - x^3"), ("x",)),
+        "sl2_shear_flat_closure": shear["flat_closure"],
+        "sl2_shear_kernel_ideal": shear["kernel_ideal"],
+    }
+
+
+def time_basis(I: Ideal, drop, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        fresh = Ideal(I.ring, tuple(Poly(I.ring, dict(g.terms)) for g in I.gens))
+        start = time.perf_counter()
+        basis = groebner_basis(fresh) if drop is None else eliminate(fresh, drop)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {
+        "gens": len(I.gens),
+        "basis": len(basis.gens),
+        "median_ms": round(statistics.median(times), 3),
+        "min_ms": round(min(times), 3),
+        "max_ms": round(max(times), 3),
+    }
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--runs", type=int, default=50)
+    args = ap.parse_args()
+    out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs().items()}
+    print(json.dumps({"runs": args.runs, "inputs": out}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,11 +13,17 @@ never the generator reductions.  Bases are returned reduced and monic,
 sorted by leading monomial, so re-running is a fixed point.
 
 Division (`reduce_poly`, Cox-Little-O'Shea 2.3) reduces one dict of the
-remaining terms in place.  Each divisor's leading term (cached on the Poly
-per order) and tail are read once per call, order keys are memoized for the
-call, and the quotients and remainder are built as dicts and wrapped by the
-trusted Poly constructor, with no Poly per division step; `normal_form`
-runs the same loop without recording quotients.
+remaining terms in place against a divisor table, one (leading monomial,
+leading coefficient, tail) entry per basis element, with the order keys in
+a memo; the quotients and remainder are built as dicts and wrapped by the
+trusted Poly constructor, with no Poly per division step.  Whoever divides
+repeatedly against one basis owns the table and the memo for as long as it
+does: a Buchberger run adds one entry per basis element and keeps one memo
+through `_interreduce`, and `reducer(basis, order)` builds both once for a
+caller taking many normal forms (`normal_form` is one use of it).  Terms
+leave the division largest first, so a remainder's first term is its
+leading monomial, cached on the Poly as it is built.  No memo outlives the
+call that made it.
 
 Each basis is computed once.  An `Ideal` whose generators already are its
 reduced basis under some order records that order in `basis_order`:
@@ -35,6 +41,8 @@ coordinates copied onto u and onto v.
 
 from __future__ import annotations
 
+import heapq
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, le, sub
@@ -89,6 +97,35 @@ def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(sub, a, b))
 
 
+class _KeyMemo(dict):
+    """Order keys by monomial, each computed on its first lookup; one memo
+    serves one Buchberger run or one reducer, and goes with it."""
+
+    def __init__(self, order: MonomialOrder):
+        super().__init__()
+        self.order_key = order.key
+
+    def __missing__(self, m: Monomial):
+        k = self[m] = self.order_key(m)
+        return k
+
+
+def _divisor(g: Poly, order: MonomialOrder) -> tuple:
+    """The divisor table entry of g: (leading monomial, the inverse of the
+    leading coefficient, the other terms negated, as a list)."""
+    lm = g.leading_monomial(order)
+    return lm, g.terms[lm].inv(), [(m, -c) for m, c in g.terms.items() if m != lm]
+
+
+def _remainder(ring: PolyRing, rem: dict, order: MonomialOrder) -> Poly:
+    """The Poly over a remainder of `_divide`, whose first term is its
+    leading monomial: the terms leave the division in descending order."""
+    r = Poly._trusted(ring, rem)
+    if rem:
+        r._lead = (order, next(iter(rem)))
+    return r
+
+
 def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[Poly], Poly]:
     """Multivariate division: f = sum(q_i g_i) + r with no term of r
     divisible by any leading monomial; returns (quotients, remainder).
@@ -96,39 +133,43 @@ def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[
     The largest remaining monomial is reduced by the first divisor, in
     basis order, whose leading monomial divides it, else moved to r."""
     quots: list[dict] = [{} for _ in basis]
-    rem = _divide(f, basis, order, quots)
-    return [Poly._trusted(f.ring, q) for q in quots], Poly._trusted(f.ring, rem)
+    table = [_divisor(g, order) for g in basis]
+    rem = _divide(f, table, _KeyMemo(order), quots)
+    return [Poly._trusted(f.ring, q) for q in quots], _remainder(f.ring, rem, order)
+
+
+def reducer(basis: list[Poly], order: MonomialOrder) -> Callable[[Poly], Poly]:
+    """The normal form against basis, as a function of f: the division of
+    `reduce_poly` without the quotients.  The divisor table and the order
+    keys are built once and serve every call."""
+    table = [_divisor(g, order) for g in basis]
+    keys = _KeyMemo(order)
+    return lambda f: _remainder(f.ring, _divide(f, table, keys, None), order)
 
 
 def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
-    """The remainder of `reduce_poly`, without building the quotients."""
-    return Poly._trusted(f.ring, _divide(f, basis, order, None))
+    """The remainder of `reduce_poly`: one use of `reducer`."""
+    return reducer(basis, order)(f)
 
 
-def _divide(f: Poly, basis: list[Poly], order: MonomialOrder, quots: list[dict] | None) -> dict:
-    """The division loop of `reduce_poly`: returns the remainder's terms
-    and, when quots is a list of dicts, one per divisor, stores the
-    quotient terms there."""
-    divisors = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        tail = [(m, c) for m, c in g.terms.items() if m != lm]
-        divisors.append((lm, g.terms[lm], tail))
+def _divide(f: Poly, table: list[tuple], keys: _KeyMemo, quots: list[dict] | None) -> dict:
+    """The division loop of `reduce_poly` against a table of `_divisor`
+    entries: returns the remainder's terms, largest first, and, when quots
+    is a list of dicts, one per divisor, stores the quotient terms there."""
     rem: dict = {}
     p = dict(f.terms)
-    keys = {m: order.key(m) for m in p}
+    key = keys.__getitem__
     while p:
-        m = max(p, key=keys.__getitem__)
+        m = max(p, key=key)
         c = p.pop(m)
-        for i, (lm, lc, tail) in enumerate(divisors):
-            if _mono_divides(lm, m):
+        for i, (lm, inv, tail) in enumerate(table):
+            if all(map(le, lm, m)):  # _mono_divides, inlined in the hot loop
                 # p -= q x^qm g; the leading term cancels c exactly.  The
                 # largest monomial strictly decreases, so qm is new to q_i.
-                q = c / lc
+                q = c * inv
                 qm = _mono_quot(m, lm)
                 if quots is not None:
                     quots[i][qm] = q
-                q = -q
                 for tm, tc in tail:
                     mm = tuple(map(add, qm, tm))
                     if mm in p:
@@ -139,8 +180,6 @@ def _divide(f: Poly, basis: list[Poly], order: MonomialOrder, quots: list[dict] 
                             p[mm] = s
                     else:
                         p[mm] = q * tc
-                        if mm not in keys:
-                            keys[mm] = order.key(mm)
                 break
         else:
             rem[m] = c
@@ -148,50 +187,64 @@ def _divide(f: Poly, basis: list[Poly], order: MonomialOrder, quots: list[dict] 
 
 
 def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    ring = f.ring
+    """lcm/lt(f) f - lcm/lt(g) g, built as one dict from the two shifted
+    tails: the leading terms cancel exactly."""
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = _mono_lcm(lf, lg)
-    mf = ring.monomial(_mono_quot(lcm, lf), f.leading_coefficient(order).inv())
-    mg = ring.monomial(_mono_quot(lcm, lg), g.leading_coefficient(order).inv())
-    return mf * f - mg * g
+    out: dict = {}
+    for h, lh, scale in ((f, lf, f.terms[lf].inv()), (g, lg, -g.terms[lg].inv())):
+        shift = _mono_quot(lcm, lh)
+        for m, c in h.terms.items():
+            if m == lh:
+                continue
+            mm = tuple(map(add, shift, m))
+            c = c * scale
+            if mm in out:
+                c = out[mm] + c
+                if c.is_zero():
+                    del out[mm]
+                    continue
+            out[mm] = c
+    return Poly._trusted(f.ring, out)
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPOLY_BUDGET) -> list[Poly]:
-    import heapq
-
     gens = [g for g in gens if not g.is_zero()]
+    keys = _KeyMemo(order)
     basis: list[Poly] = []
-    lms: list[Monomial] = []
+    table: list[tuple] = []  # the divisor entry of each basis element
     # an input generator g waits as the pseudo-pair (-1, index), keyed by its
     # leading monomial; S-pairs (i, j) have i >= 0
-    heap: list = [(order.key(g.leading_monomial(order)), -1, n, None) for n, g in enumerate(gens)]
+    heap: list = [(keys[g.leading_monomial(order)], -1, n, None) for n, g in enumerate(gens)]
     heapq.heapify(heap)
 
-    def insert(r: Poly):
+    def insert(f: Poly):
+        r = _remainder(f.ring, _divide(f, table, keys, None), order)
         if r.is_zero():
             return
         basis.append(r.monic(order))
-        lms.append(basis[-1].leading_monomial(order))
+        table.append(_divisor(basis[-1], order))
         new = len(basis) - 1
+        lm_new = table[new][0]
         for k in range(new):
-            lcm = _mono_lcm(lms[k], lms[new])
-            heapq.heappush(heap, (order.key(lcm), k, new, lcm))
+            lcm = _mono_lcm(table[k][0], lm_new)
+            heapq.heappush(heap, (keys[lcm], k, new, lcm))
 
     processed = 0
     handled: set[tuple[int, int]] = set()
     while heap:
         _, i, j, lcm = heapq.heappop(heap)
         if i < 0:
-            insert(normal_form(gens[j], basis, order))
+            insert(gens[j])
             continue
         handled.add((i, j))
-        if lcm == tuple(a + b for a, b in zip(lms[i], lms[j])):
+        if lcm == tuple(map(add, table[i][0], table[j][0])):
             continue  # coprime leading monomials
         chain = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _mono_divides(lms[k], lcm):
+            if _mono_divides(table[k][0], lcm):
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in handled and p2 in handled:
@@ -202,27 +255,29 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPO
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-polynomial budget {budget} exceeded")
-        insert(normal_form(s_poly(basis[i], basis[j], order), basis, order))
-    return _interreduce(basis, order)
+        insert(s_poly(basis[i], basis[j], order))
+    return _interreduce(basis, order, keys)
 
 
-def _interreduce(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
+def _interreduce(basis: list[Poly], order: MonomialOrder, keys: _KeyMemo) -> list[Poly]:
     # minimal basis: smaller leading monomials can only divide larger ones,
     # so one ascending pass suffices
-    basis = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    kept: list[Poly] = []
+    basis = sorted(basis, key=lambda g: keys[g.leading_monomial(order)])
+    kept: list[tuple] = []  # divisor entries of the minimal basis
+    polys: list[Poly] = []
     for g in basis:
         lm = g.leading_monomial(order)
-        if any(_mono_divides(h.leading_monomial(order), lm) for h in kept):
+        if any(_mono_divides(h[0], lm) for h in kept):
             continue
-        kept.append(g)
+        kept.append(_divisor(g, order))
+        polys.append(g)
     reduced = []
-    for i, g in enumerate(kept):
+    for i, g in enumerate(polys):
         others = kept[:i] + kept[i + 1:]
-        r = normal_form(g, others, order) if others else g
+        r = _remainder(g.ring, _divide(g, others, keys, None), order) if others else g
         if not r.is_zero():
             reduced.append(r.monic(order))
-    return sorted(reduced, key=lambda g: order.key(g.leading_monomial(order)))
+    return sorted(reduced, key=lambda g: keys[g.leading_monomial(order)])
 
 
 def _resolve(order: MonomialOrder | str | None, ring: PolyRing) -> MonomialOrder:
@@ -251,8 +306,10 @@ def extend_basis(I: Ideal, extra: list[Poly], budget: int = DEFAULT_SPOLY_BUDGET
     """The reduced basis of I + <extra> under the ring's order; I itself
     when it is marked as that basis and every extra reduces to 0 by it."""
     order = I.ring.order
-    if I.basis_order is order and all(normal_form(f, list(I.gens), order).is_zero() for f in extra):
-        return I
+    if I.basis_order is order:
+        nf = reducer(list(I.gens), order)
+        if all(nf(f).is_zero() for f in extra):
+            return I
     return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)), order, budget)
 
 
@@ -270,18 +327,15 @@ def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
                  budget: int = DEFAULT_SPOLY_BUDGET) -> tuple[bool, list[Poly]]:
     """Membership with a division certificate against the reduced basis."""
     order = _resolve(order, I.ring)
-    gb = _basis(I, order, budget)
-    if not gb:
-        return f.is_zero(), []
-    quots, rem = reduce_poly(f, gb, order)
+    quots, rem = reduce_poly(f, _basis(I, order, budget), order)
     return rem.is_zero(), quots
 
 
 def ideal_contains(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
     """True when every generator of J lies in I."""
     order = I.ring.order
-    gb = _basis(I, order, budget)
-    return all(normal_form(g, gb, order).is_zero() if gb else g.is_zero() for g in J.gens)
+    nf = reducer(_basis(I, order, budget), order)
+    return all(nf(g).is_zero() for g in J.gens)
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:

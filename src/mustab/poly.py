@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from operator import add, neg
+from operator import add, itemgetter
 
 from .errors import FieldMismatch
 from .fields import FieldSpec, Scalar, pow_by_squaring
@@ -19,7 +19,10 @@ Monomial = tuple[int, ...]
 
 
 class MonomialOrder:
-    """Total order on monomials, exposed as a sort key (bigger = leading)."""
+    """Total order on monomials, exposed as a sort key (bigger = leading).
+
+    Keys are flat int tuples (Lex returns the monomial itself), compared
+    only between monomials of one ring."""
 
     name = "?"
 
@@ -35,14 +38,28 @@ class Lex(MonomialOrder):
 
 
 class GrevLex(MonomialOrder):
+    """Total degree, then the smaller exponent of the last variable wins:
+    the key is (degree, -m[n-1], ..., -m[0])."""
+
     name = "grevlex"
 
     def key(self, m: Monomial):
-        return (sum(m), tuple(map(neg, reversed(m))))
+        return (sum(m), *[-e for e in reversed(m)])
+
+
+def _reversed_picker(indices: tuple[int, ...]):
+    """m -> the tuple of m's exponents at indices, last index first.  An
+    itemgetter of one index returns a scalar, so blocks of at most one
+    index take a slice instead."""
+    if len(indices) > 1:
+        return itemgetter(*reversed(indices))
+    i = indices[0] if indices else 0
+    return itemgetter(slice(i, i + len(indices)))
 
 
 class BlockOrder(MonomialOrder):
-    """Block order: compare on `first` indices (grevlex), then the rest.
+    """Block order: grevlex on the `first` indices, then grevlex on the
+    `second`; the key is the two grevlex keys concatenated.
 
     Standard elimination order: monomials touching the first block dominate,
     so a Groebner basis element free of the first block is first-block free
@@ -54,11 +71,13 @@ class BlockOrder(MonomialOrder):
     def __init__(self, first: tuple[int, ...], second: tuple[int, ...]):
         self.first = first
         self.second = second
+        self._first = _reversed_picker(first)
+        self._second = _reversed_picker(second)
 
     def key(self, m: Monomial):
-        a = tuple(m[i] for i in self.first)
-        b = tuple(m[i] for i in self.second)
-        return (sum(a), tuple(map(neg, reversed(a))), sum(b), tuple(map(neg, reversed(b))))
+        a = self._first(m)
+        b = self._second(m)
+        return (sum(a), *[-e for e in a], sum(b), *[-e for e in b])
 
 
 # one instance per named order, so a leading monomial cached under a ring's
@@ -127,7 +146,9 @@ class Poly:
 
     The public constructor drops zero coefficients; `_trusted` keeps a dict
     the caller built without zeros.  `_lead` caches (order, leading
-    monomial) for the last order asked, reused only for that same object.
+    monomial) for the last order asked, reused only for that same object;
+    `monic` and the division remainders of ideals.py set it when they build
+    the Poly, since they already know it.
     """
 
     __slots__ = ("ring", "terms", "_hash", "_lead")
@@ -259,7 +280,9 @@ class Poly:
     def monic(self, order: MonomialOrder) -> Poly:
         if self.is_zero():
             return self
-        return self.scale(self.leading_coefficient(order).inv())
+        out = self.scale(self.leading_coefficient(order).inv())
+        out._lead = self._lead  # scaling keeps the leading monomial
+        return out
 
     def sorted_terms(self, order: MonomialOrder | None = None):
         order = order or self.ring.order

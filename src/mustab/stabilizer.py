@@ -25,7 +25,7 @@ from .errors import (
 )
 from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_det
-from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, normal_form
+from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
 from .poly import PolyRing
 from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subst
 from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
@@ -330,7 +330,8 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     constraints, residue = _mu_conditions(e, require_identity_residue=False)
     J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)), budget=budgets.spoly_budget)
 
-    residue = [normal_form(p, list(J.gens), ansatz.ring.order) for p in residue]
+    nf = reducer(list(J.gens), ansatz.ring.order)
+    residue = [nf(p) for p in residue]
 
     scheme = branch.scheme
     coords = scheme.coordinates()
@@ -350,7 +351,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     family_values = dict(zip(coords, residue))
     for g in ideal_out.gens:
         composed = g.subs_polys({v: family_values[v] for v in coords}, ansatz.ring)
-        if not normal_form(composed, list(J.gens), ansatz.ring.order).is_zero():
+        if not nf(composed).is_zero():
             raise SelfCheckFailed(f"stabilizer generator {g} does not vanish on its own family")
     desc = SubgroupDesc(scheme, ideal_out, dim, param, {"algorithm": "reparam"})
     verify_subgroup(desc, budgets)

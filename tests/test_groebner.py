@@ -21,8 +21,11 @@ from mustab.ideals import (
     ideal_equal,
     ideal_member,
     krull_dim,
+    _interreduce,
+    _KeyMemo,
     normal_form,
     reduce_poly,
+    reducer,
     s_poly,
 )
 from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
@@ -341,7 +344,8 @@ def reference_reduce_poly(f, basis, order):
 
 
 @st.composite
-def division_case(draw):
+def division_cases(draw, count):
+    """count dividends and a list of divisors, all over one drawn ring."""
     field = draw(st.sampled_from([QQ, QS2, F5, F9]))
     ring = PolyRing(field, ("x", "y", "z"))
     theta = field.generator() if field.modulus else field.one()
@@ -358,11 +362,15 @@ def division_case(draw):
         terms = {m: scalar() for m in draw(st.lists(mono, min_size=1, max_size=max_terms, unique=True))}
         return Poly(ring, terms)
 
-    f = poly(6, 3)
+    fs = [poly(6, 3) for _ in range(count)]
     divisors = [g for g in (poly(3, 2) for _ in range(draw(st.integers(1, 3)))) if not g.is_zero()]
     if not divisors:
         divisors = [ring.var("x")]
-    return f, divisors
+    return fs, divisors
+
+
+def division_case():
+    return division_cases(1).map(lambda case: (case[0][0], case[1]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -382,11 +390,82 @@ def test_reduce_poly_matches_the_allocating_division(case, order):
         assert not any(c.is_zero() for c in p.terms.values())
 
 
+ORDERS = [Lex(), GrevLex(), BlockOrder((1,), (0, 2)), BlockOrder((0, 1), (2,))]
+
+
+def assert_lead_cached(p, order):
+    assert p._lead is not None and p._lead[0] is order
+    assert p._lead[1] == max(p.terms, key=order.key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(division_cases), st.sampled_from(ORDERS), st.booleans())
+def test_normal_form_is_the_division_remainder(case, order, reducer_first):
+    # one reducer serves many normal forms: its divisor table and key memo
+    # outlive each call, and fresh divisions before or after it must see
+    # the same remainders, each with its leading monomial cached
+    fs, divisors = case
+    nf = reducer(divisors, order)
+    if reducer_first:
+        reused = [nf(f) for f in fs]
+    fresh = [(normal_form(f, divisors, order), reduce_poly(f, divisors, order)[1]) for f in fs]
+    if not reducer_first:
+        reused = [nf(f) for f in fs]
+    for r, (a, b) in zip(reused, fresh):
+        assert r == a == b
+        for rem in (r, a, b):
+            if not rem.is_zero():
+                assert_lead_cached(rem, order)
+
+
+def nested_grevlex(m):
+    """Reference grevlex key: (degree, the exponents reversed and negated)."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+def nested_block(order, m):
+    a = tuple(m[i] for i in order.first)
+    b = tuple(m[i] for i in order.second)
+    return nested_grevlex(a) + nested_grevlex(b)
+
+
+def _cmp(x, y):
+    return (x > y) - (x < y)
+
+
+@st.composite
+def monomial_pair_and_blocks(draw):
+    n = draw(st.integers(1, 5))
+    mono = st.tuples(*[st.integers(0, 4)] * n)
+    perm = draw(st.permutations(range(n)))
+    # splits at 0, 1, n - 1 and n give empty and single-index blocks
+    k = draw(st.integers(0, n))
+    return draw(mono), draw(mono), BlockOrder(tuple(perm[:k]), tuple(perm[k:]))
+
+
 @settings(max_examples=200, deadline=None)
-@given(division_case(), st.sampled_from([Lex(), GrevLex(), BlockOrder((1,), (0, 2))]))
-def test_normal_form_is_the_division_remainder(case, order):
-    f, divisors = case
-    assert normal_form(f, divisors, order) == reduce_poly(f, divisors, order)[1]
+@given(monomial_pair_and_blocks())
+def test_flat_order_keys_compare_as_the_nested_ones(case):
+    a, b, block = case
+    grevlex = GrevLex()
+    assert _cmp(grevlex.key(a), grevlex.key(b)) == _cmp(nested_grevlex(a), nested_grevlex(b))
+    assert _cmp(block.key(a), block.key(b)) == _cmp(nested_block(block, a), nested_block(block, b))
+    for key in (grevlex.key(a), block.key(a)):
+        assert type(key) is tuple and all(type(e) is int for e in key)
+
+
+def test_twisted_cubic_elimination_forms_four_s_polynomials(monkeypatch):
+    # pins the pair selection: the coprime and chain criteria leave four
+    # of the basis's S-pairs
+    from mustab import ideals
+
+    calls = []
+    real = ideals.s_poly
+    monkeypatch.setattr(ideals, "s_poly", lambda f, g, order: calls.append(1) or real(f, g, order))
+    ring = PolyRing(QQ, ("x", "y", "z"), "lex")
+    out = eliminate(ideal(ring, "y - x^2", "z - x^3"), ("x",))
+    assert [str(g) for g in out.gens] == ["y^3 - z^2"]
+    assert len(calls) == 4
 
 
 def test_leading_monomial_cache_follows_the_order():
@@ -450,3 +529,16 @@ def test_reduced_basis_ignores_generator_order_and_redundant_generators(case, or
     padded = shuffled + products + sums
     rnd.shuffle(padded)
     assert buchberger(padded, order) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_list(), st.sampled_from(ORDERS))
+def test_results_carry_their_leading_monomial(case, order):
+    ring, gens = case
+    for g in buchberger(gens, order):
+        assert_lead_cached(g, order)
+    fresh = [Poly(ring, dict(g.terms)) for g in gens]
+    for g in _interreduce(fresh, order, _KeyMemo(order)):
+        assert_lead_cached(g, order)
+    for g in (Poly(ring, dict(g.terms)) for g in gens):
+        assert_lead_cached(g.monic(order), order)
