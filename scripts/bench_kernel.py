@@ -1,22 +1,30 @@
 #!/usr/bin/env python3
-"""Time Groebner basis runs alone on three fixed inputs.
+"""Time Groebner basis runs and closures alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
 
-The inputs:
+The Groebner inputs:
   * twisted_cubic: `eliminate` of x from <y - x^2, z - x^3>;
   * sl2_shear_flat_closure: the `eliminate` of `_s` that `flat_closure`
     runs for the SL2(Q) shear [[t^-1, t^-1 - t^2], [0, t]] (an `sl2_q` job);
-  * sl2_shear_kernel_ideal: the `groebner_basis` of the 61 generators that
-    `kernel_ideal` builds for the degree-4 closure of that same branch.
+  * sl2_shear_relations: the `groebner_basis` of the relations that
+    `relation_ideal` hands over for the degree-4 closure of that job's
+    reduced branch.
 Each is one Buchberger run, and the little work around it is the same on
 every run.  The last two inputs are captured by running the job once
 through `run_job` with `eliminate` and `groebner_basis` wrapped.  Each run
 gets fresh copies of the generators, so no leading monomial cached by an
-earlier run is reused.  Prints one JSON line: per input the generator
-count, the size of the resulting basis and the median, min and max milliseconds of N runs.
-The package is imported from the src/ next to this script.
+earlier run is reused.
+
+The closures: `implicitize` of that shear at degree 4, and of the place
+(t^-3, t^-5) of y^3 = x^5 on the additive plane at degree 6, from the
+branch, each run on fresh series.
+
+Prints one JSON line: per input the generator count (per closure the
+degree) and the size of the resulting basis, and the median, min and max
+milliseconds of N runs.  The package is imported from the src/ next to this
+script.
 """
 
 import argparse
@@ -29,9 +37,11 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mustab import degeneration, ideals  # noqa: E402
+from mustab.branches import implicitize  # noqa: E402
 from mustab.fields import QQ  # noqa: E402
+from mustab.groups import GroupScheme  # noqa: E402
 from mustab.ideals import Ideal, eliminate, groebner_basis, ideal  # noqa: E402
-from mustab.jobs import run_job  # noqa: E402
+from mustab.jobs import parse_branch, run_job  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
 
 
@@ -54,7 +64,7 @@ SHEAR_JOB = {
 
 def capture(job: dict) -> dict:
     """The first ideal `flat_closure` eliminates from and the first one
-    `kernel_ideal` hands to `groebner_basis` while job runs."""
+    `relation_ideal` hands to `groebner_basis` while job runs."""
     found: dict = {}
     real_eliminate, real_groebner_basis = degeneration.eliminate, ideals.groebner_basis
 
@@ -63,8 +73,8 @@ def capture(job: dict) -> dict:
         return real_eliminate(I, drop, budget)
 
     def spy_groebner_basis(I, order=None, budget=ideals.DEFAULT_SPOLY_BUDGET):
-        if sys._getframe(1).f_code.co_name == "kernel_ideal":
-            found.setdefault("kernel_ideal", (I, None))
+        if sys._getframe(1).f_code.co_name == "relation_ideal":
+            found.setdefault("relations", (I, None))
         return real_groebner_basis(I, order, budget)
 
     degeneration.eliminate, ideals.groebner_basis = spy_eliminate, spy_groebner_basis
@@ -85,7 +95,24 @@ def inputs() -> dict:
     return {
         "twisted_cubic": (ideal(ring, "y - x^2", "z - x^3"), ("x",)),
         "sl2_shear_flat_closure": shear["flat_closure"],
-        "sl2_shear_kernel_ideal": shear["kernel_ideal"],
+        "sl2_shear_relations": shear["relations"],
+    }
+
+
+def closures() -> dict:
+    """name -> (branch entries as parse_branch reads them, its scheme, the
+    degree of the closure)."""
+    return {
+        "sl2_shear_d4": (SHEAR_JOB["input"]["branch"], GroupScheme("SL", 2, QQ), 4),
+        "y3_x5_d6": ({"entries": [_series((-3, 1)), _series((-5, 1))]}, GroupScheme("Additive", 2, QQ), 6),
+    }
+
+
+def _stats(times: list[float]) -> dict:
+    return {
+        "median_ms": round(statistics.median(times), 3),
+        "min_ms": round(min(times), 3),
+        "max_ms": round(max(times), 3),
     }
 
 
@@ -96,13 +123,17 @@ def time_basis(I: Ideal, drop, runs: int) -> dict:
         start = time.perf_counter()
         basis = groebner_basis(fresh) if drop is None else eliminate(fresh, drop)
         times.append((time.perf_counter() - start) * 1e3)
-    return {
-        "gens": len(I.gens),
-        "basis": len(basis.gens),
-        "median_ms": round(statistics.median(times), 3),
-        "min_ms": round(min(times), 3),
-        "max_ms": round(max(times), 3),
-    }
+    return {"gens": len(I.gens), "basis": len(basis.gens), **_stats(times)}
+
+
+def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        fresh = parse_branch(branch, scheme, None)
+        start = time.perf_counter()
+        V = implicitize(fresh, degree)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"degree": degree, "basis": len(V.gens), **_stats(times)}
 
 
 def main() -> int:
@@ -110,7 +141,8 @@ def main() -> int:
     ap.add_argument("--runs", type=int, default=50)
     args = ap.parse_args()
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs().items()}
-    print(json.dumps({"runs": args.runs, "inputs": out}))
+    closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
+    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed}))
     return 0
 
 

@@ -5,9 +5,11 @@ with its Krull dimension.
 For exact entries, certified_dim gives dim p in closed form where an upper
 and a lower rank bound meet; otherwise the degree-D closure bounds it from
 above.  Implicitization is exact linear algebra on the series expansions
-of all coordinate monomials up to a degree bound.  For exact
-(Laurent-polynomial) entries the computed relations are certain; for
-truncated entries a window-stability check guards against spurious
+a(t)^m of the coordinate monomials up to a degree bound, one monomial at a
+time (`ideals.monomial_relations`).  For exact (Laurent-polynomial)
+entries the computed relations are certain, and no multiple of a
+relation's leading monomial is expanded; for truncated entries every
+monomial is, and a window-stability check guards against spurious
 relations and raises PrecisionInsufficient instead of guessing.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from .errors import FieldMismatch, PrecisionInsufficient
 from .exponents import EXP_ZERO, Exponent
 from .groups import GroupElement, GroupScheme
-from .ideals import Ideal, _dim_from_leading_monomials, kernel_ideal
+from .ideals import Ideal, MonomialValues, _dim_from_leading_monomials, monomial_relations, relation_ideal
 from .linalg import echelon
 from .poly import PolyRing, monomials_up_to
 from .series import PuiseuxSeries, ScalarDomain
@@ -97,85 +99,68 @@ def certified_dim(branch: Branch) -> int | None:
     slots = sorted({e for s in entries for e, _ in s.terms} | {EXP_ZERO})
     col = {e: i for i, e in enumerate(slots)}
     rows = [{col[EXP_ZERO]: branch.field.one()}] + [{col[e]: c for e, c in s.terms} for s in entries]
-    pivots, _ = echelon(rows)
+    pivots = echelon(rows)
     upper = _rational_rank(slots)
     return upper if _rational_rank(slots[c] for c in pivots) == upper else None
 
 
-def _relation_echelon(branch: Branch, degree_bound: int):
-    """The monomials of degree <= degree_bound in the coordinates, in
-    ascending deglex order, and the linear relations among their series
-    a(t)^m in echelon form: one sparse row per known exponent slot, holding
-    each monomial's coefficient there, eliminated by linalg.echelon."""
+def _closure_relations(branch: Branch, degree_bound: int) -> list:
+    """The relations of degree <= degree_bound among the coordinates of
+    a(t), as `monomial_relations` returns them: a monomial's vector holds
+    the coefficients of its series a(t)^m by exponent slot.
+
+    Exact entries skip the multiples of every leading monomial found.
+    Truncated entries skip nothing: a relation that holds below the least
+    precision hi need not hold for its multiples there.  Every monomial is
+    evaluated, its vector keeps only the slots below hi, and a relation
+    must survive dropping the top fifth of those slots: the standard
+    monomials' vectors keep their rank on the lowest ones.  That rank is
+    the rank of every monomial's vector there, since the others are
+    combinations of the standard ones."""
     if degree_bound < 1:
         raise ValueError("degree bound must be >= 1")
-    series_list = branch.element.flat()
+    point = branch.element.flat()
+    n = len(point)
+    values = MonomialValues(point, PuiseuxSeries.one(ScalarDomain(branch.field)))
+    if all(s.is_exact() for s in point):
+        slot: dict[Exponent, int] = {}
+        return monomial_relations(
+            n, degree_bound, lambda m: {slot.setdefault(e, len(slot)): c for e, c in values[m].terms}, True
+        )[0]
 
-    monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
-
-    # a(t)^m = a(t)^(m - e_i) * a_i(t) for the last variable i of m; the
-    # parent has lower degree, so it comes earlier in monos
-    by_mono = {}
-    for m in monos:
-        if any(m):
-            i = max(j for j, e in enumerate(m) if e)
-            by_mono[m] = by_mono[m[:i] + (m[i] - 1,) + m[i + 1 :]] * series_list[i]
-        else:
-            by_mono[m] = PuiseuxSeries.one(ScalarDomain(branch.field))
-    evaluated = [by_mono[m] for m in monos]
-
-    hi: Exponent | None = None
-    exact = True
-    for s in evaluated:
-        if s.precision is not None:
-            exact = False
-            if hi is None or s.precision < hi:
-                hi = s.precision
-    slots = sorted(
-        {e for s in evaluated for e, _ in s.terms if hi is None or e < hi},
-        key=lambda e: e,
-    )
-    if not exact and (hi is None or len(slots) < 2):
+    evaluated = [values[m] for m in monomials_up_to(n, degree_bound)]
+    hi = min(s.precision for s in evaluated if s.precision is not None)
+    slots = sorted({e for s in evaluated for e, _ in s.terms if e < hi})
+    if len(slots) < 2:
         raise PrecisionInsufficient("too few known exponent slots for implicitization")
-
-    slot_row = {e: i for i, e in enumerate(slots)}
-    rows: list[dict] = [{} for _ in slots]
-    for col, s in enumerate(evaluated):
-        for e, c in s.terms:
-            i = slot_row.get(e)
-            if i is not None:
-                rows[i][col] = c
-
-    # truncated entries: a relation must survive dropping the top fifth of
-    # the slots, i.e. the rank of the shrunken window must be the full rank
-    window = None if exact else len(slots) - max(1, len(slots) // 5)
-    pivots, window_rank = echelon(rows, window)
-    if window_rank != len(pivots):
+    col = {e: i for i, e in enumerate(slots)}
+    rows = {m: {col[e]: c for e, c in s.terms if e < hi} for m, s in values.items()}
+    relations, standard = monomial_relations(n, degree_bound, rows.__getitem__, False)
+    window = len(slots) - max(1, len(slots) // 5)
+    window_rank = len(echelon({c: x for c, x in rows[m].items() if c < window} for m in standard))
+    if window_rank != len(standard):
         raise PrecisionInsufficient(
-            f"relations unstable under window shrink ({len(monos) - window_rank} vs {len(monos) - len(pivots)}); "
+            f"relations unstable under window shrink ({len(rows) - window_rank} vs {len(rows) - len(standard)}); "
             "raise precision"
         )
-    return monos, pivots
+    return relations
 
 
 def implicitize(branch: Branch, degree_bound: int) -> Ideal:
     """Reduced Groebner basis of all polynomial relations of total degree
     <= degree_bound among the coordinates of a(t)."""
-    monos, pivots = _relation_echelon(branch, degree_bound)
-    return kernel_ideal(list(pivots.values()), monos, PolyRing(branch.field, branch.scheme.coordinates()))
+    ring = PolyRing(branch.field, branch.scheme.coordinates())
+    return relation_ideal(ring, _closure_relations(branch, degree_bound))
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> int:
-    """The dimension read off the leading monomials of degree <= D of the
-    relation kernel: an upper bound for dim p, which certified_dim gives
+    """The dimension read off the leading monomials of the relations of
+    degree <= D: an upper bound for dim p, which certified_dim gives
     exactly where its bounds meet.  It can exceed the Krull dimension of
     the closure those relations generate, krull_dim(implicitize(b, D)):
     for the reduced SL(3) branch [t^-5, 2t^2, 0; 0, t^5, 0; t^-4, -t^5, 1]
     at D = 4 it is 2, against 1."""
-    monos, pivots = _relation_echelon(branch, degree_bound)
-    # the reduced kernel vector of a non-pivot column is nonzero only there
-    # and at pivot columns to its left, so it is led by that column: these
-    # leading monomials are the degree-<=D slice of the leading-term ideal,
-    # which is all the dimension count needs
-    leads = [m for col, m in enumerate(monos) if col not in pivots]
+    # the leading monomials generate the deglex leading-term ideal of the
+    # degree-<=D relations, which is all the dimension count needs
+    leads = [m for m, _ in _closure_relations(branch, degree_bound)]
     return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates()))

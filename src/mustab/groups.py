@@ -351,36 +351,41 @@ class GroupElement(_Point):
                 e, c = out.terms[0]
                 raise NotOnGroup(f"equation {eq} has residual {c} * t^({e})")
 
-    def is_integral(self) -> bool:
-        """All entries have valuation >= 0 and (matrix case) det is a unit."""
+    def _residues(self) -> list | None:
+        """The entries' residues, in entries_flat order, when the point is
+        integral: every entry has valuation >= 0 and (matrix case) det is a
+        unit; else None.  Every entry is then known at t^0, so the residue
+        of det is the det of the residues, a unit exactly when nonzero."""
+        out = []
         for s in self.entries_flat():
             if s.terms:
                 if s.terms[0][0].sign() < 0:
-                    return False
+                    return None
             elif s.precision is not None and s.precision.sign() <= 0:
                 raise PrecisionInsufficient(f"entry {s} has no certified leading term")
-        if self.scheme.is_matrix:
-            det = mat_det(self.entries)
-            if not det.terms:
-                if det.precision is not None and det.precision.sign() <= 0:
-                    raise PrecisionInsufficient("determinant has no certified leading term")
-                return False
-            if det.val().sign() != 0:
-                return False
-        return True
+            out.append(s.res())
+        if self.scheme.is_matrix and mat_det(self.scheme.shape(out)[0]).is_zero():
+            return None
+        return out
+
+    def is_integral(self) -> bool:
+        """All entries have valuation >= 0 and (matrix case) det is a unit."""
+        return self._residues() is not None
 
     def res(self) -> KPoint:
         """Entrywise residue; a group retraction on integral points.  On GL
         the residue's y is recomputed from its entries."""
-        if not self.is_integral():
+        out = self._residues()
+        if out is None:
             raise NotIntegral(f"cannot take residues of {self}")
-        return KPoint(self.scheme, *self.scheme.shape([s.res() for s in self.entries_flat()]))
+        return KPoint(self.scheme, *self.scheme.shape(out))
 
     def in_mu(self) -> bool:
         """Kernel of the residue retraction: integral with identity residue."""
-        if not self.is_integral():
+        try:
+            return self.res() == self.scheme.identity()
+        except NotIntegral:
             return False
-        return self.res() == self.scheme.identity()
 
     def __eq__(self, other):
         return (

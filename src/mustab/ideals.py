@@ -28,7 +28,7 @@ call that made it.
 Each basis is computed once.  An `Ideal` whose generators already are its
 reduced basis under some order records that order in `basis_order`:
 `groebner_basis` sets it (and returns such an ideal unchanged), and so do
-`eliminate` (grevlex, see there) and with it `kernel_ideal`.
+`eliminate` (grevlex, see there) and `relation_ideal`.
 `ideal_member`, `ideal_contains`, `ideal_equal` and `krull_dim` read the
 stored basis instead of running Buchberger again.  `extend_basis` reuses it
 when the added polynomials reduce to 0.  The generic pair of
@@ -37,6 +37,12 @@ disjoint variables u and v; S-pairs across the copies have coprime leading
 monomials (Buchberger's first criterion) and grevlex on (u, v) restricted to
 one copy is grevlex on the coordinates, so its basis is one basis in the
 coordinates copied onto u and onto v.
+
+The ideals of a point cloud and of a branch's degree-D closure come from
+one walk over the monomials, `monomial_relations`: on exact values it
+evaluates only the standard monomials and the leading monomials of the
+relations (the border), never a multiple of a leading monomial, and
+Buchberger gets one relation per leading monomial.
 """
 
 from __future__ import annotations
@@ -45,11 +51,11 @@ import heapq
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 from .errors import BudgetExceeded, EmptyVariety
-from .linalg import nullspace
-from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, order_by_name
+from .linalg import Echelon
+from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, monomials_up_to, order_by_name
 
 DEFAULT_SPOLY_BUDGET = 10_000
 
@@ -313,14 +319,68 @@ def extend_basis(I: Ideal, extra: list[Poly], budget: int = DEFAULT_SPOLY_BUDGET
     return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)), order, budget)
 
 
-def kernel_ideal(rows, monos: list[Monomial], ring: PolyRing) -> Ideal:
-    """The ideal of the polynomials whose coefficient vectors over monos
-    span the kernel of rows, as a reduced Groebner basis."""
-    gens = [
-        Poly._trusted(ring, {monos[c]: x for c, x in vec.items()})
-        for vec in nullspace(rows, len(monos), ring.field)
-    ]
-    return groebner_basis(Ideal(ring, tuple(gens))) if gens else Ideal(ring, ())
+class MonomialValues(dict):
+    """x^m by monomial m at one point x, given as one value per variable:
+    each is computed on its first lookup as x^(m - e_i) * x_i for the last
+    variable i of m, one product (none in degree 1) when that parent is
+    already known, as it is for every monomial the walk of
+    `monomial_relations` evaluates."""
+
+    def __init__(self, point, one, times: Callable = mul):
+        super().__init__()
+        self.point, self.one, self.times = point, one, times
+
+    def __missing__(self, m: Monomial):
+        if not any(m):
+            v = self.one
+        else:
+            i = max(j for j, e in enumerate(m) if e)
+            x = self.point[i]
+            v = x if sum(m) == 1 else self.times(self[m[:i] + (m[i] - 1,) + m[i + 1 :]], x)
+        self[m] = v
+        return v
+
+
+def monomial_relations(nvars: int, degree: int, vector: Callable[[Monomial], dict],
+                       skip_multiples: bool) -> tuple[list[tuple[Monomial, dict]], list[Monomial]]:
+    """The linear relations among the vectors of the monomials of degree
+    <= degree, found one monomial at a time (Buchberger-Moeller; Marinari-
+    Moeller-Mora, "Groebner bases of ideals defined by functionals", 1993).
+
+    The walk goes up `monomials_up_to` (deglex) and keeps the vectors of
+    the standard monomials, those independent of every earlier one, in
+    echelon form.  A monomial m whose vector(m), a sparse row, depends on
+    theirs gives the relation m + sum(c * s) over earlier standard s, led
+    by m in deglex; it is returned as (m, {s: c}).  Returns the relations
+    and the standard monomials.
+
+    With skip_multiples, every multiple x^a m of a relation's leading
+    monomial is skipped unevaluated.  That is sound when the relations
+    hold as functions, so that x^a times a relation is one too, led by
+    x^a m: on exact values, not on values known only below a precision.
+    The relations then generate the same ideal as the relations of all
+    the dependent monomials, and their leading monomials the same monomial
+    ideal; and every monomial evaluated has a standard parent in
+    `MonomialValues`."""
+    ech = Echelon()
+    relations: list[tuple[Monomial, dict]] = []
+    standard: list[Monomial] = []
+    for m in monomials_up_to(nvars, degree):
+        if skip_multiples and any(_mono_divides(lead, m) for lead, _ in relations):
+            continue
+        comb = ech.add(vector(m), m)
+        if comb is None:
+            standard.append(m)
+        else:
+            relations.append((m, comb))
+    return relations, standard
+
+
+def relation_ideal(ring: PolyRing, relations: list[tuple[Monomial, dict]]) -> Ideal:
+    """The ideal the relations of `monomial_relations` generate, as its
+    reduced basis under the ring's order."""
+    one = ring.field.one()
+    return groebner_basis(Ideal(ring, tuple(Poly._trusted(ring, {m: one, **comb}) for m, comb in relations)))
 
 
 def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,

@@ -367,10 +367,11 @@ def eval_poly(p, values: dict, lift, acc):
 
 
 def monomials_up_to(nvars: int, degree: int):
-    """Exponent tuples of total degree <= degree, by ascending degree and,
-    within a degree, in itertools.combinations_with_replacement order."""
+    """Exponent tuples of total degree <= degree, ascending by degree and,
+    within a degree, by tuple (deglex).  combinations_with_replacement
+    gives each degree in descending tuple order."""
     for d in range(degree + 1):
-        for combo in combinations_with_replacement(range(nvars), d):
+        for combo in reversed(list(combinations_with_replacement(range(nvars), d))):
             m = [0] * nvars
             for i in combo:
                 m[i] += 1

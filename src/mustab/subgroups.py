@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field as dc_field
+from operator import mul
 
 from .errors import MustabError
 from .fields import Scalar
@@ -19,17 +20,19 @@ from .groups import GroupScheme, KPoint, random_kpoint, random_scalar
 from .ideals import (
     Budgets,
     Ideal,
+    MonomialValues,
     extend_basis,
     groebner_basis,
     ideal_contains,
     ideal_equal,
     ideal_member,
-    kernel_ideal,
     krull_dim,
+    monomial_relations,
     reducer,
+    relation_ideal,
 )
 from .factor import scalar_roots
-from .poly import Poly, PolyRing, monomials_up_to
+from .poly import Poly, PolyRing
 from .series import PuiseuxSeries
 
 
@@ -312,19 +315,15 @@ def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool
 
 
 def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int) -> Ideal:
-    """Vanishing ideal of a finite point cloud, up to a degree bound."""
-    monos = sorted(monomials_up_to(ring.nvars, degree), key=lambda m: (sum(m), m))
-    rows = []
-    for pt in points:
-        row = []
-        for m in monos:
-            acc = ring.field.one()
-            for i, e in enumerate(m):
-                if e:
-                    acc = acc * pt[ring.variables[i]] ** e
-            row.append(acc)
-        rows.append(row)
-    return kernel_ideal(rows, monos, ring)
+    """Vanishing ideal of a finite point cloud, up to a degree bound: the
+    relations among the monomials' vectors of values at the points."""
+    values = MonomialValues(
+        [tuple(pt[v] for pt in points) for v in ring.variables],
+        (ring.field.one(),) * len(points),
+        lambda a, b: tuple(map(mul, a, b)),
+    )
+    relations, _ = monomial_relations(ring.nvars, degree, values.__getitem__, True)
+    return relation_ideal(ring, relations)
 
 
 def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPoint]:

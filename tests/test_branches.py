@@ -146,7 +146,7 @@ def test_certified_dim_leaves_open_bounds_that_differ():
 def test_type_dimension_needs_no_groebner_basis(monkeypatch):
     """type_dimension reads the dimension off the leading monomials of the
     relation kernel; it must not compute a Groebner basis."""
-    from mustab import branches
+    from mustab import branches, ideals
     from mustab.corpus import corpus_entries
     from mustab.jobs import _read_input, parse_budgets
     from mustab.newton import places_at_infinity
@@ -154,9 +154,8 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
     def refuse(*_args):
         raise AssertionError("type_dimension computed a Groebner basis")
 
-    # kernel_ideal is the one way from branches.py to a Groebner basis
-    monkeypatch.setattr(branches, "kernel_ideal", refuse)
     expected = {"x1": [1, 1], "cusp": [2, 1], "circle_f5": [1, 1, 1, 1]}
+    cases = {}
     for entry in corpus_entries():
         if entry["name"] not in expected:
             continue
@@ -165,6 +164,39 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
         budgets = parse_budgets(job.get("budgets"))
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
         branches = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
-        found = [type_dimension(b, D) for b in branches for D in (2, budgets.degree_bound)]
-        assert found == expected.pop(entry["name"])
-    assert not expected
+        cases[entry["name"]] = [(b, D) for b in branches for D in (2, budgets.degree_bound)]
+    # every path from branches.py to a Groebner basis goes through these
+    monkeypatch.setattr(ideals, "groebner_basis", refuse)
+    monkeypatch.setattr(ideals, "buchberger", refuse)
+    assert {name: [type_dimension(b, D) for b, D in found] for name, found in cases.items()} == expected
+
+
+def test_implicitize_skips_the_multiples_of_found_relations(monkeypatch):
+    """The shear [[t^-1, t^-1 - t^2], [0, t]] at D = 4: x21, x12 - x11 +
+    x22^2 and x11*x22 - 1 lead early, so the walk expands only the standard
+    monomials and the leading monomials (12 series products, none for the
+    coordinates themselves) and hands Buchberger one relation per leading
+    monomial, not the 60-odd vectors of the whole kernel."""
+    from mustab import ideals
+
+    products = []
+    real_mul = PuiseuxSeries.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return real_mul(a, b)
+
+    handed = []
+    real_groebner_basis = ideals.groebner_basis
+
+    def spy(I, *args, **kwargs):
+        handed.append(len(I.gens))
+        return real_groebner_basis(I, *args, **kwargs)
+
+    shear = validate_branch(SL2, ((S((-1, 1)), S((-1, 1), (2, -1))), (Z(), S((1, 1)))))
+    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(ideals, "groebner_basis", spy)
+    V = implicitize(shear, 4)
+    assert len(products) <= 16
+    assert handed == [4]
+    assert [str(g) for g in V.gens] == ["x21", "x22^2 - x11 + x12", "x11*x22 - 1", "x11^2 - x11*x12 - x22"]

@@ -465,6 +465,31 @@ def test_stabilizer_below_certified_dimension_exits_4(group, inp, budgets):
     assert "order_budget" in report["errors"][0]["message"]
 
 
+@pytest.mark.parametrize("algorithm", ["degeneration", "both"])
+@pytest.mark.parametrize("degree, code", [(6, 4), (7, 0)])
+def test_closure_below_its_relations_degree_exits_4(algorithm, degree, code):
+    """(t^-1, t^-7) lies on y = x^7, of degree 7: the degree-6 closure is
+    the whole plane, of dimension 2 against the certified dim p = 1.  That
+    is a budget result naming degree_bound, not a failed dim_equality or
+    agreement; at degree 7 both algorithms find the line."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "algorithm": algorithm,
+        "input": {"branch": {"entries": [ser(("-1", "1")), ser(("-7", "1"))]}},
+        "budgets": {"precision": 12, "degree_bound": degree, "order_budget": 8},
+    }
+    report, code_found = run_job(job)
+    assert code_found == code, (report["errors"], report["checks"])
+    if code:
+        assert report["errors"][0]["type"] == "DegreeBoundTooSmall"
+        assert "degree_bound" in report["errors"][0]["message"]
+    else:
+        assert set(report["checks"].values()) <= {"pass", "skipped"}
+        assert report["results"]["stabilizers"][0]["subgroup"]["ideal"] == ["x"]
+
+
 def test_sl3_type_dimension_is_not_the_degree_4_count():
     """The closure at degree 4 has dimension 2, but the entries' exponents
     have rank 1, so dim p = 1, and the reparameterization's stabilizer of

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mustab.errors import NotIntegral, NotOnGroup, SingularAtPrecision
+from mustab.errors import NotIntegral, NotOnGroup, PrecisionInsufficient, SingularAtPrecision
 from mustab.exponents import exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import (
@@ -88,6 +88,79 @@ def test_is_integral():
     # unimodular entries but determinant of positive valuation fails for GL
     gl1 = GroupScheme("GL", 1, QQ)
     assert not GroupElement(gl1, ((S((1, 1)),),)).is_integral()
+
+
+def series_det_is_integral(g) -> bool:
+    """The integrality test that expands the series determinant, kept as
+    the reference for the test on residues."""
+    for s in g.entries_flat():
+        if s.terms:
+            if s.terms[0][0].sign() < 0:
+                return False
+        elif s.precision is not None and s.precision.sign() <= 0:
+            raise PrecisionInsufficient(f"entry {s} has no certified leading term")
+    if g.scheme.is_matrix:
+        det = mat_det(g.entries)
+        if not det.terms:
+            if det.precision is not None and det.precision.sign() <= 0:
+                raise PrecisionInsufficient("determinant has no certified leading term")
+            return False
+        if det.val().sign() != 0:
+            return False
+    return True
+
+
+def series_det_in_mu(g) -> bool:
+    identity = g.scheme.identity().entries_flat()
+    return series_det_is_integral(g) and all(s.res() == c for s, c in zip(g.entries_flat(), identity))
+
+
+def integrality_outcome(test, g):
+    try:
+        return test(g)
+    except PrecisionInsufficient:
+        return "PrecisionInsufficient"
+
+
+@pytest.mark.parametrize("kind, n", [("SL", 2), ("GL", 2), ("SL", 3)])
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+def test_integrality_from_residues_matches_the_series_determinant(kind, n, field):
+    """is_integral reads the determinant's unit test off the residues; it
+    and in_mu agree with the series determinant on points of G(K), G(O), mu
+    and G(O) * mu, and on GL with integral entries whose det is no unit."""
+    scheme = GroupScheme(kind, n, field)
+    dom = ScalarDomain(field)
+    one, zero, t = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom), PuiseuxSeries.monomial(dom, exp(1), field.one())
+    rng = random.Random(f"integrality-{kind}-{n}-{field}")
+    points = []
+    for _ in range(8):
+        points += [random_laurent_point(scheme, rng), random_integral_point(scheme, rng), random_mu_point(scheme, rng)]
+        points.append(random_integral_point(scheme, rng).mul(random_mu_point(scheme, rng)))
+    if kind == "GL":
+        diag = GroupElement(scheme, ((t, zero), (zero, one)))
+        points += [diag] + [random_integral_point(scheme, rng).mul(diag) for _ in range(4)]
+    outcomes = set()
+    for g in points:
+        integral = integrality_outcome(GroupElement.is_integral, g)
+        assert integral == integrality_outcome(series_det_is_integral, g), str(g)
+        assert integrality_outcome(GroupElement.in_mu, g) == integrality_outcome(series_det_in_mu, g), str(g)
+        outcomes.add((integral, g.in_mu()))
+    assert {(True, True), (True, False), (False, False)} <= outcomes
+
+
+def test_integrality_of_an_entry_with_no_known_term():
+    """An entry known only below t^0, with no term there, may have any
+    valuation: neither test can decide, and both raise."""
+    dom = ScalarDomain(QQ)
+    for prec in (0, -1):
+        unknown = PuiseuxSeries(dom, [], exp(prec))
+        g = GroupElement(SL2, ((S((0, 1)), unknown), (Z(), S((0, 1)))), check=False)
+        for test in (GroupElement.is_integral, GroupElement.in_mu, series_det_is_integral):
+            with pytest.raises(PrecisionInsufficient):
+                test(g)
+    # a negative valuation before it decides first, on both paths
+    g = GroupElement(SL2, ((S((-1, 1)), PuiseuxSeries(dom, [], exp(0))), (Z(), S((1, 1)))), check=False)
+    assert not g.is_integral() and not g.in_mu() and not series_det_is_integral(g)
 
 
 def test_residue_identity():

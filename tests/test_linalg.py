@@ -1,21 +1,23 @@
-"""Sparse elimination in linalg, type_dimension against the dense kernel
-computation it replaced (kept here as the reference), and certified_dim
-against type_dimension."""
+"""Sparse elimination in linalg; the relation walk behind implicitize,
+type_dimension and ideal_of_points against the dense kernel computation
+it replaced (kept here as the reference); and certified_dim against
+type_dimension."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mustab.branches import certified_dim, type_dimension, validate_branch
+from mustab.branches import certified_dim, implicitize, type_dimension, validate_branch
 from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupScheme
-from mustab.ideals import _dim_from_leading_monomials
-from mustab.linalg import echelon, nullspace, rref
-from mustab.poly import monomials_up_to
+from mustab.groups import GroupElement, GroupScheme, mat_mul
+from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis
+from mustab.linalg import Echelon, echelon
+from mustab.poly import Poly, PolyRing, monomials_up_to
 from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.subgroups import ideal_of_points
 from tests_helpers import random_laurent, random_laurent_point
 
 F5 = FieldSpec("Fp", p=5)
@@ -62,10 +64,10 @@ def dense_nullspace(rows, ncols, field):
     return basis
 
 
-def dense_type_dimension(branch, degree_bound):
-    """The relation kernel as a dense slot x monomial matrix, read through
-    full kernel vectors (the last nonzero entry of each), with the window
-    shrink recomputed from scratch."""
+def dense_kernel(branch, degree_bound):
+    """The relation kernel as a dense slot x monomial matrix: the monomials
+    in deglex order and the full kernel vectors, with the window shrink
+    recomputed from scratch."""
     field = branch.field
     series_list = branch.element.flat()
     monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
@@ -89,8 +91,27 @@ def dense_type_dimension(branch, degree_bound):
     basis = kernel(slots)
     if precisions and len(kernel(slots[: -max(1, len(slots) // 5)])) != len(basis):
         raise PrecisionInsufficient("window shrink")
+    return monos, basis
+
+
+def dense_type_dimension(branch, degree_bound):
+    """The dimension read through full kernel vectors (the last nonzero
+    entry of each)."""
+    monos, basis = dense_kernel(branch, degree_bound)
     leads = [[m for c, m in zip(vec, monos) if not c.is_zero()][-1] for vec in basis]
     return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates()))
+
+
+def kernel_basis(ring, monos, basis):
+    """The reduced basis of the ideal the kernel vectors' polynomials
+    generate: the whole kernel handed to Buchberger."""
+    gens = [Poly(ring, {m: c for m, c in zip(monos, vec) if not c.is_zero()}) for vec in basis]
+    return groebner_basis(Ideal(ring, tuple(gens))).gens
+
+
+def dense_implicitize(branch, degree_bound):
+    ring = PolyRing(branch.field, branch.scheme.coordinates())
+    return kernel_basis(ring, *dense_kernel(branch, degree_bound))
 
 
 def outcome(fn, *args):
@@ -212,30 +233,97 @@ def matrices(draw):
 @given(matrices())
 def test_echelon_window_rank_is_prefix_rank(m):
     _field, _ncols, rows = m
-    pivots, rank = echelon(rows)
-    assert sorted(pivots) == dense_rref(rows)[1]
-    assert rank == len(pivots)
+    pivots = echelon(rows)
+    assert pivots == dense_rref(rows)[1]
     for w in range(len(rows) + 1):
-        assert echelon(rows, w)[1] == len(dense_rref(rows[:w])[1])
+        assert len(echelon(rows[:w])) == len(dense_rref(rows[:w])[1])
 
 
 @settings(max_examples=120, deadline=None)
 @given(matrices())
-def test_rref_and_nullspace_match_dense_on_sparse_rows(m):
+def test_echelon_combinations_are_relations(m):
+    """A row that reduces to zero returns the combination of the earlier
+    rows that cancels it; the others are independent of the rows before."""
     field, ncols, rows = m
-    sparse = [{c: x for c, x in enumerate(r) if not x.is_zero()} for r in rows]
-    red, pivots = dense_rref(rows)
-    expected = {pc: {c: x for c, x in enumerate(r) if not x.is_zero()} for pc, r in zip(pivots, red)}
-    assert rref(rows) == expected
-    assert rref(sparse) == expected
-    basis = dense_nullspace(rows, ncols, field)
+    ech = Echelon()
+    for k, row in enumerate(rows):
+        comb = ech.add(row, k)
+        independent = len(dense_rref(rows[: k + 1])[1]) > len(dense_rref(rows[:k])[1])
+        assert (comb is None) == independent
+        if comb is not None:
+            assert all(j < k and not c.is_zero() for j, c in comb.items())
+            total = list(row)
+            for j, c in comb.items():
+                total = [x + c * y for x, y in zip(total, rows[j])]
+            assert all(x.is_zero() for x in total)
 
-    def dense(vectors):
-        return [[v.get(c, field.zero()) for c in range(ncols)] for v in vectors]
 
-    assert dense(nullspace(rows, ncols, field)) == basis
-    assert dense(nullspace(sparse, ncols, field)) == basis
-    # the echelon rows span the same space
-    assert dense(nullspace(list(echelon(sparse)[0].values()), ncols, field)) == basis
-    for v in nullspace(sparse, ncols, field):
-        assert list(v) == sorted(v) and not any(x.is_zero() for x in v.values())
+# -- the relation walk against the dense kernel -----------------------------------
+
+def sl3_shear_product(field, rng):
+    """A product of elementary shears I + c t^e E_ij on SL(3)."""
+    dom = ScalarDomain(field)
+    scheme = GroupScheme("SL", 3, field)
+    one, zero = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom)
+    acc = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    for _ in range(rng.randrange(1, 4)):
+        i, j = rng.sample(range(3), 2)
+        shear = [[one if r == c else zero for c in range(3)] for r in range(3)]
+        shear[i][j] = PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 2)), field.from_int(rng.choice([1, -1, 2])))
+        acc = mat_mul(acc, shear)
+    return validate_branch(scheme, acc)
+
+
+def truncated_plane_branch(field, rng):
+    add2 = GroupScheme("Additive", 2, field)
+    entries = [random_laurent(field, rng, lo=-3, hi=3) for _ in range(2)]
+    i = rng.randrange(2)
+    entries[i] = entries[i].truncate(exp(rng.randrange(1, 6)))
+    return validate_branch(add2, tuple(entries))
+
+
+BRANCH_FAMILIES = {
+    # name -> (branch from (field, rng), the degree bounds tried)
+    "additive3": (lambda f, rng: validate_branch(
+        GroupScheme("Additive", 3, f), random_laurent_point(GroupScheme("Additive", 3, f), rng).entries), (1, 2, 3)),
+    "sl2": (lambda f, rng: validate_branch(
+        GroupScheme("SL", 2, f), random_laurent_point(GroupScheme("SL", 2, f), rng).entries), (1, 2, 3)),
+    "gl2": (lambda f, rng: (lambda g: validate_branch(g.scheme, g.entries, g.y))(
+        random_laurent_point(GroupScheme("GL", 2, f), rng)), (1, 2, 3)),
+    "sl3_shears": (sl3_shear_product, (1, 2)),
+    "truncated": (truncated_plane_branch, (1, 2, 3)),
+    "sqrt": (lambda f, rng: sqrt_branches(rng)[rng.randrange(12)], (1, 2, 3, 4)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(BRANCH_FAMILIES)), st.sampled_from(FIELDS), st.integers(0, 2**32))
+def test_implicitize_matches_the_dense_kernel(family, field, seed):
+    """The walk's relations generate the ideal of the whole kernel: the
+    same reduced basis, or PrecisionInsufficient on both paths."""
+    build, degrees = BRANCH_FAMILIES[family]
+    rng = random.Random(seed)
+    branch = build(QQ if family == "sqrt" else field, rng)
+    for D in degrees:
+        got = outcome(lambda: implicitize(branch, D).gens)
+        assert got == outcome(dense_implicitize, branch, D), (str(branch), D)
+
+
+@st.composite
+def point_clouds(draw):
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ring = PolyRing(field, ("a", "b", "c")[: rng.randrange(1, 4)])
+    small = [field.from_int(k) for k in range(-2, 3)] if field.char == 0 else list(field.elements())
+    points = [{v: rng.choice(small) for v in ring.variables} for _ in range(rng.randrange(0, 7))]
+    return ring, points, rng.randrange(1, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_clouds())
+def test_ideal_of_points_matches_the_dense_kernel(cloud):
+    ring, points, degree = cloud
+    monos = sorted(monomials_up_to(ring.nvars, degree), key=lambda m: (sum(m), m))
+    rows = [[Poly(ring, {m: ring.field.one()}).eval_scalars(pt) for m in monos] for pt in points]
+    expected = kernel_basis(ring, monos, dense_nullspace(rows, len(monos), ring.field))
+    assert ideal_of_points(points, ring, degree).gens == expected

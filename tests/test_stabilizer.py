@@ -401,13 +401,13 @@ def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
     from mustab import branches
 
     calls = []
-    relation_echelon = branches._relation_echelon
+    closure_relations = branches._closure_relations
 
     def spy(branch, degree_bound):
         calls.append((sys._getframe(1).f_code.co_name, degree_bound))
-        return relation_echelon(branch, degree_bound)
+        return closure_relations(branch, degree_bound)
 
-    monkeypatch.setattr(branches, "_relation_echelon", spy)
+    monkeypatch.setattr(branches, "_closure_relations", spy)
     circle = parse_plane_curve({"f": "x^2 + y^2 - 1", "embedding": ["x", "y"]}, GroupScheme("Additive", 2, F5))
     place = places_at_infinity(circle, 20)[0]
     assert branches.certified_dim(place) is None
