@@ -146,7 +146,7 @@ def test_certified_dim_leaves_open_bounds_that_differ():
 def test_type_dimension_needs_no_groebner_basis(monkeypatch):
     """type_dimension reads the dimension off the leading monomials of the
     relation kernel; it must not compute a Groebner basis."""
-    from mustab import branches, ideals
+    from mustab import ideals
     from mustab.corpus import corpus_entries
     from mustab.jobs import _read_input, parse_budgets
     from mustab.newton import places_at_infinity
@@ -176,7 +176,7 @@ def test_implicitize_skips_the_multiples_of_found_relations(monkeypatch):
     x22^2 and x11*x22 - 1 lead early, so the walk expands only the standard
     monomials and the leading monomials (12 series products, none for the
     coordinates themselves) and hands Buchberger one relation per leading
-    monomial, not the 60-odd vectors of the whole kernel."""
+    monomial, not the 57 vectors of the whole kernel."""
     from mustab import ideals
 
     products = []

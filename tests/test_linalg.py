@@ -12,7 +12,7 @@ from mustab.branches import certified_dim, implicitize, type_dimension, validate
 from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupElement, GroupScheme, mat_mul
+from mustab.groups import GroupScheme, mat_mul
 from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis
 from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
@@ -282,17 +282,22 @@ def truncated_plane_branch(field, rng):
     return validate_branch(add2, tuple(entries))
 
 
+def laurent_point_branch(kind, n):
+    """A branch at a random Laurent point of G(K), y included on GL."""
+    def build(field, rng):
+        g = random_laurent_point(GroupScheme(kind, n, field), rng)
+        return validate_branch(g.scheme, g.entries, g.y)
+    return build
+
+
 BRANCH_FAMILIES = {
     # name -> (branch from (field, rng), the degree bounds tried)
-    "additive3": (lambda f, rng: validate_branch(
-        GroupScheme("Additive", 3, f), random_laurent_point(GroupScheme("Additive", 3, f), rng).entries), (1, 2, 3)),
-    "sl2": (lambda f, rng: validate_branch(
-        GroupScheme("SL", 2, f), random_laurent_point(GroupScheme("SL", 2, f), rng).entries), (1, 2, 3)),
-    "gl2": (lambda f, rng: (lambda g: validate_branch(g.scheme, g.entries, g.y))(
-        random_laurent_point(GroupScheme("GL", 2, f), rng)), (1, 2, 3)),
+    "additive3": (laurent_point_branch("Additive", 3), (1, 2, 3)),
+    "sl2": (laurent_point_branch("SL", 2), (1, 2, 3)),
+    "gl2": (laurent_point_branch("GL", 2), (1, 2, 3)),
     "sl3_shears": (sl3_shear_product, (1, 2)),
     "truncated": (truncated_plane_branch, (1, 2, 3)),
-    "sqrt": (lambda f, rng: sqrt_branches(rng)[rng.randrange(12)], (1, 2, 3, 4)),
+    "sqrt": (lambda _field, rng: rng.choice(sqrt_branches(rng)), (1, 2, 3, 4)),
 }
 
 
@@ -303,7 +308,7 @@ def test_implicitize_matches_the_dense_kernel(family, field, seed):
     same reduced basis, or PrecisionInsufficient on both paths."""
     build, degrees = BRANCH_FAMILIES[family]
     rng = random.Random(seed)
-    branch = build(QQ if family == "sqrt" else field, rng)
+    branch = build(field, rng)
     for D in degrees:
         got = outcome(lambda: implicitize(branch, D).gens)
         assert got == outcome(dense_implicitize, branch, D), (str(branch), D)
