@@ -21,8 +21,15 @@ The closures: `implicitize` of that shear at degree 4, and of the place
 (t^-3, t^-5) of y^3 = x^5 on the additive plane at degree 6, from the
 branch, each run on fresh series.
 
+The flat closures: `flat_closure` end to end (pullback, saturation and
+renaming) on the reduced branch and the degree-4 closure V that `stab`
+hands it, captured the same way, for that shear and for the `sl2_q`
+closure [[4t^-2 + 1, -2t^-1], [-2t^-1, 1]], the heaviest of seed 1; each
+run gets fresh copies of the generators of V.
+
 Prints one JSON line: per input the generator count (per closure the
-degree) and the size of the resulting basis, and the median, min and max
+degree, per flat closure the generators of V and the S-polynomials one run
+forms) and the size of the resulting basis, and the median, min and max
 milliseconds of N runs.  The package is imported from the src/ next to this
 script.
 """
@@ -40,7 +47,7 @@ from mustab import degeneration, ideals  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
 from mustab.fields import QQ  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
-from mustab.ideals import Ideal, eliminate, groebner_basis, ideal  # noqa: E402
+from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
 from mustab.jobs import parse_branch, run_job  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
 
@@ -62,36 +69,47 @@ SHEAR_JOB = {
 }
 
 
+HEAVY_JOB = dict(SHEAR_JOB, input={"branch": {"entries": [
+    [_series((-2, 4), (0, 1)), _series((-1, -2))],
+    [_series((-1, -2)), _series((0, 1))],
+]}})
+
+
 def capture(job: dict) -> dict:
-    """The first ideal `flat_closure` eliminates from and the first one
-    `relation_ideal` hands to `groebner_basis` while job runs."""
+    """The first ideal `flat_closure` eliminates from, the first one
+    `relation_ideal` hands to `groebner_basis`, and the first (branch, V)
+    `flat_closure` gets while job runs."""
     found: dict = {}
-    real_eliminate, real_groebner_basis = degeneration.eliminate, ideals.groebner_basis
+    real = degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure
 
     def spy_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
         found.setdefault("flat_closure", (I, tuple(drop)))
-        return real_eliminate(I, drop, budget)
+        return real[0](I, drop, budget)
 
     def spy_groebner_basis(I, order=None, budget=ideals.DEFAULT_SPOLY_BUDGET):
         if sys._getframe(1).f_code.co_name == "relation_ideal":
             found.setdefault("relations", (I, None))
-        return real_groebner_basis(I, order, budget)
+        return real[1](I, order, budget)
 
-    degeneration.eliminate, ideals.groebner_basis = spy_eliminate, spy_groebner_basis
+    def spy_flat_closure(branch, V, budgets=None):
+        found.setdefault("closure_input", (branch, V))
+        return real[2](branch, V, budgets)
+
+    degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure = (
+        spy_eliminate, spy_groebner_basis, spy_flat_closure)
     try:
         _, code = run_job(job)
     finally:
-        degeneration.eliminate, ideals.groebner_basis = real_eliminate, real_groebner_basis
-    if code != 0 or len(found) != 2:
-        raise RuntimeError(f"the shear job exited {code} and reached {sorted(found)}")
+        degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure = real
+    if code != 0 or len(found) != 3:
+        raise RuntimeError(f"the job exited {code} and reached {sorted(found)}")
     return found
 
 
-def inputs() -> dict:
+def inputs(shear: dict) -> dict:
     """name -> (ideal, the variables to eliminate, or None for a plain
     basis under the ring's order)."""
     ring = PolyRing(QQ, ("x", "y", "z"), "lex")
-    shear = capture(SHEAR_JOB)
     return {
         "twisted_cubic": (ideal(ring, "y - x^2", "z - x^3"), ("x",)),
         "sl2_shear_flat_closure": shear["flat_closure"],
@@ -119,11 +137,38 @@ def _stats(times: list[float]) -> dict:
 def time_basis(I: Ideal, drop, runs: int) -> dict:
     times = []
     for _ in range(runs):
-        fresh = Ideal(I.ring, tuple(Poly(I.ring, dict(g.terms)) for g in I.gens))
+        fresh = _fresh(I)
         start = time.perf_counter()
         basis = groebner_basis(fresh) if drop is None else eliminate(fresh, drop)
         times.append((time.perf_counter() - start) * 1e3)
     return {"gens": len(I.gens), "basis": len(basis.gens), **_stats(times)}
+
+
+def _fresh(I: Ideal) -> Ideal:
+    return Ideal(I.ring, tuple(Poly(I.ring, dict(g.terms)) for g in I.gens))
+
+
+def time_flat_closure(branch, V: Ideal, runs: int) -> dict:
+    calls = 0
+    real_s_poly = ideals.s_poly
+
+    def counting_s_poly(f, g, order):
+        nonlocal calls
+        calls += 1
+        return real_s_poly(f, g, order)
+
+    ideals.s_poly = counting_s_poly
+    try:
+        closure, _ = degeneration.flat_closure(branch, _fresh(V), Budgets())
+    finally:
+        ideals.s_poly = real_s_poly
+    times = []
+    for _ in range(runs):
+        fresh = _fresh(V)
+        start = time.perf_counter()
+        degeneration.flat_closure(branch, fresh, Budgets())
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"V_gens": len(V.gens), "s_polys": calls, "basis": len(closure.gens), **_stats(times)}
 
 
 def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> dict:
@@ -140,9 +185,14 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=50)
     args = ap.parse_args()
-    out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs().items()}
+    shear, heavy = capture(SHEAR_JOB), capture(HEAVY_JOB)
+    out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
     closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
-    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed}))
+    flat = {
+        name: time_flat_closure(*found["closure_input"], args.runs)
+        for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
+    }
+    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat}))
     return 0
 
 

@@ -4,10 +4,15 @@ The closure of the translated variety over k[u], for the uniformizer
 u = t^(gamma/N), is computed exactly by saturation (Eisenbud, Commutative
 Algebra, 15.8; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
 4.4).  Each generator g of V is pulled back along X -> X . a(u), written
-with a variable s standing for u^-1; its poles are cleared into k[u][X];
-then s is eliminated from these, the scheme equations and s*u - 1.  The
-result is the flat closure, and setting u = 0 in it gives the special
-fiber with no series precision involved.  gamma = 1 when every exponent of
+with a variable s standing for u^-1; its poles are cleared into k[u][X]
+and its u-content divided out; then s is eliminated from these, the
+scheme equations and s*u - 1, in k[s, X, u] with u the last grevlex
+variable, the order of Bayer's saturation (Bayer-Stillman, Invent. Math.
+1987).  When the pulled-back generators and the scheme equations are one
+polynomial g (a plane curve on the additive plane), <g> is already
+saturated: u is prime in k[u][X] and does not divide g.  The result is
+the flat closure, and setting u = 0 in any generating set of it gives the
+special fiber with no series precision involved.  gamma = 1 when every exponent of
 a(t) is rational; otherwise gamma is the one positive irrational exponent
 direction all of them are rational multiples of.  A truncated entry
 raises PrecisionInsufficient, exponents of rational rank 2 raise
@@ -83,20 +88,27 @@ def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
 def _clear_poles(p: Poly) -> Poly:
     """u^M p, with M the largest power of s in p and each s^k u^j rewritten
     as u^(M - k + j) (terms that meet are summed), divided by the largest
-    power of u that divides it; s comes first among the variables, u second."""
+    power of u that divides it; s is the first variable, u the last."""
     top = max(m[0] for m in p.terms)
     out: dict = {}
-    for (k, j, *rest), c in p.terms.items():
-        key = (0, top - k + j, *rest)
+    for (k, *rest, j), c in p.terms.items():
+        key = (0, *rest, top - k + j)
         out[key] = out[key] + c if key in out else c
     out = {m: c for m, c in out.items() if not c.is_zero()}
-    low = min(m[1] for m in out)
-    return Poly(p.ring, {(0, j - low, *rest): c for (_, j, *rest), c in out.items()})
+    low = min(m[-1] for m in out)
+    return Poly(p.ring, {(*m[:-1], m[-1] - low): c for m, c in out.items()})
 
 
 def flat_closure(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> tuple[Ideal, Exponent]:
     """The closure of V . a(u)^-1 over k[u] as an ideal of k[u][X], u the
-    first variable, and the exponent e with u = t^e."""
+    first variable, and the exponent e with u = t^e.
+
+    The saturation runs in k[s, X, u], s eliminated with u the last grevlex
+    variable (Bayer's choice for saturating by u); its basis is renamed
+    into k[u][X] and left unmarked, since it is a grevlex basis for the
+    order with u last.  A principal ideal needs no elimination: u is prime
+    in k[u][X] and the generator's u-content is divided out, so <g> : u^oo
+    is <g>, returned as its reduced basis."""
     budgets = budgets or Budgets()
     scheme = branch.scheme
     entries = branch.element.flat()
@@ -104,21 +116,40 @@ def flat_closure(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> tu
         raise PrecisionInsufficient("the flat closure needs exact entries; mu-reduction left a truncated one")
     u_exponent, laurent = _uniformizer(entries)
     coords = scheme.coordinates()
-    ring = PolyRing(scheme.field, ("_s", "_u") + coords)
+    ring = PolyRing(scheme.field, ("_s",) + coords + ("_u",))
     zeros = (0,) * len(coords)
     a = []
     for terms in laurent:
         p = ring.zero()
         for k, c in terms:
-            p = p + ring.monomial((max(-k, 0), max(k, 0)) + zeros, c)
+            p = p + ring.monomial((max(-k, 0),) + zeros + (max(k, 0),), c)
         a.append(p)
     moved = scheme.mul_values(tuple(ring.var(name) for name in coords), tuple(a))
     values = dict(zip(coords, moved))
     # X -> X . a(u) is invertible, so no nonzero g pulls back to zero
     gens = [_clear_poles(g.subs_polys(values, ring)) for g in V.gens]
     gens += scheme.defining_polys(ring)
+    closure_ring = PolyRing(scheme.field, ("_u",) + coords)
+    n = len(coords)
+
+    def to_closure_ring(g: Poly) -> Poly:
+        """g, free of s, in k[u][X]: its monomials end in (X, u)."""
+        return Poly._trusted(closure_ring, {(m[-1], *m[-1 - n:-1]): c for m, c in g.terms.items()})
+
+    if len(gens) == 1:
+        return groebner_basis(Ideal(closure_ring, (to_closure_ring(gens[0]),))), u_exponent
     gens.append(ring.var("_s") * ring.var("_u") - ring.one())
-    return eliminate(Ideal(ring, tuple(gens)), ("_s",), budgets.spoly_budget), u_exponent
+    saturated = eliminate(Ideal(ring, tuple(gens)), ("_s",), budgets.spoly_budget)
+    return Ideal(closure_ring, tuple(to_closure_ring(g) for g in saturated.gens)), u_exponent
+
+
+def special_fiber(closure: Ideal, scheme: GroupScheme, budgets: Budgets) -> Ideal:
+    """The fiber of the flat closure at u = 0, as its reduced basis in the
+    scheme's coordinates: every generator at u = 0.  Any generating set of
+    the closure gives the same fiber ideal."""
+    ring = scheme.coordinate_ring()
+    gens = [Poly(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in closure.gens]
+    return groebner_basis(Ideal(ring, tuple(gens)), budget=budgets.spoly_budget)
 
 
 def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> DegenerationResult:
@@ -128,10 +159,7 @@ def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) 
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("degeneration requires an unbounded branch")
     closure, u_exponent = flat_closure(branch, V, budgets)
-    ring = branch.scheme.coordinate_ring()
-    # the special fiber: every generator at u = 0
-    fiber_gens = [Poly(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in closure.gens]
-    fiber = groebner_basis(Ideal(ring, tuple(fiber_gens)), budget=budgets.spoly_budget)
+    fiber = special_fiber(closure, branch.scheme, budgets)
 
     comp, cosets, complete = identity_component(fiber, branch.scheme, budgets)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]

@@ -216,6 +216,8 @@ def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 
 def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPOLY_BUDGET) -> list[Poly]:
     gens = [g for g in gens if not g.is_zero()]
+    if len(gens) == 1:
+        return [gens[0].monic(order)]  # the reduced basis of a principal ideal
     keys = _KeyMemo(order)
     basis: list[Poly] = []
     table: list[tuple] = []  # the divisor entry of each basis element

@@ -352,16 +352,22 @@ def _scalar_is_atomic(s: str) -> bool:
 
 def eval_poly(p, values: dict, lift, acc):
     """acc + p(values) with coefficients lift(c), by + and * only: Poly and truncated series have no exact division."""
-    # p is a Poly or anything with `terms` and `ring`; powers are repeated
-    # products, no more work than square-and-multiply at these small degrees
+    # p is a Poly or anything with `terms` and `ring`.  Each power v^e is
+    # built once, as v^(e-1) * v, and every term multiplies lift(c) by the
+    # powers it needs.  A product of truncated series has the precision and
+    # the known terms of the same product in any grouping.
     names = p.ring.variables
+    powers: dict[int, list] = {}  # variable index -> [v, v^2, ...], grown on demand
     for m, c in p.terms.items():
         term = lift(c)
         for i, e in enumerate(m):
-            if e:
-                v = values[names[i]]
-                for _ in range(e):
-                    term = term * v
+            if e == 1:
+                term = term * values[names[i]]
+            elif e:
+                pw = powers.get(i) or powers.setdefault(i, [values[names[i]]])
+                while len(pw) < e:
+                    pw.append(pw[-1] * pw[0])
+                term = term * pw[e - 1]
         acc = acc + term
     return acc
 

@@ -328,7 +328,9 @@ def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int
 
 def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPoint]:
     """k-points of H: from the parameterized family when present, else
-    random points when H is the whole of SL(2) itself; none otherwise."""
+    random points when H is the whole of SL(2) or GL(2), its own scheme
+    (equal ideals); none otherwise.  SL(3) and GL(3) are left out: the
+    derived series of the whole of SL(3) ran past 120 s."""
     scheme = H.scheme
     field = scheme.field
     out: list[KPoint] = []
@@ -352,7 +354,7 @@ def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPo
             if pt is not None:
                 out.append(pt)
         return out
-    if scheme.kind == "SL" and scheme.n == 2:
+    if scheme.kind in ("SL", "GL") and scheme.n == 2:
         whole = Ideal(H.ideal.ring, tuple(scheme.defining_polys(H.ideal.ring)))
         if ideal_equal(H.ideal, whole):
             return [random_kpoint(scheme, rng) for _ in range(count)]

@@ -266,6 +266,22 @@ def test_verify_on_a_subgroup_scheme_samples_no_ambient_points():
     assert report["results"]["solvable_note"] == "cannot sample enough points"
 
 
+def test_verify_whole_gl2_is_not_solvable():
+    """The GL(2) counterpart of criterion 6: the derived series of the
+    whole group, run on random points of GL(2), settles at a nonabelian
+    subgroup."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "GL", "n": 2},
+        "command": "verify",
+        "input": {"subgroup": {"ideal": ["x11*x22*y - x12*x21*y - 1"]}},
+    }
+    report, code = run_job(job)
+    assert code == 0 and report["results"]["verified_subgroup"] is True
+    assert report["results"]["solvable"] is False
+    assert report["results"]["solvable_note"] == "derived series stabilized at a nonabelian subgroup"
+
+
 def test_reparam_self_check_failure_exits_verify(monkeypatch):
     # spoil the stabilizer ideal with x12 - 1, which does not vanish on the
     # family x12 = s of the x1 branch

@@ -1,4 +1,5 @@
-"""Groebner bases, elimination, membership, Krull dimension.
+"""Groebner bases, elimination, membership, Krull dimension, and the
+polynomial evaluation behind substitutions.
 
 Membership is cross-checked against an independent brute-force
 bounded-degree linear-algebra oracle, and elimination examples are checked
@@ -28,8 +29,10 @@ from mustab.ideals import (
     reducer,
     s_poly,
 )
+from mustab.groups import eval_poly_series, random_scalar
 from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
-from tests_helpers import ideal_intersect
+from mustab.series import PuiseuxSeries, ScalarDomain
+from tests_helpers import ideal_intersect, random_laurent, random_series
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -542,3 +545,57 @@ def test_results_carry_their_leading_monomial(case, order):
         assert_lead_cached(g, order)
     for g in (Poly(ring, dict(g.terms)) for g in gens):
         assert_lead_cached(g.monic(order), order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_list(), st.sampled_from(ORDERS))
+def test_the_basis_of_one_generator_is_that_generator_made_monic(case, order):
+    ring, gens = case
+    g = gens[0]
+    assert buchberger([g], order) == buchberger([g, ring.var("x") * g], order) == [g.monic(order)]
+
+
+def termwise_eval(p, values, lift, acc):
+    """The evaluation eval_poly replaced: each term multiplies lift(c) by
+    the value of each variable, once per unit of its exponent."""
+    names = p.ring.variables
+    for m, c in p.terms.items():
+        term = lift(c)
+        for i, e in enumerate(m):
+            for _ in range(e):
+                term = term * values[names[i]]
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([QQ, F5]), st.integers(0, 2**32))
+def test_eval_poly_equals_termwise_evaluation(field, seed):
+    """Shared powers change no value: on Scalars and Polys the values are
+    equal, on truncated series the terms and the precision are."""
+    rng = random.Random(seed)
+    ring = PolyRing(field, ("x", "y", "z"))
+    p = ring.zero()
+    for _ in range(rng.randrange(1, 7)):
+        m = tuple(rng.randrange(0, 4) for _ in range(3))
+        p = p + ring.monomial(m, random_scalar(field, rng))
+    names = ring.variables
+
+    at = {v: random_scalar(field, rng) for v in names}
+    assert p.eval_scalars(at) == termwise_eval(p, at, lambda c: c, field.zero())
+
+    target = PolyRing(field, ("a", "b"))
+    polys = {}
+    for v in names:
+        q = target.zero()
+        for _ in range(rng.randrange(0, 4)):
+            q = q + target.monomial((rng.randrange(0, 3), rng.randrange(0, 3)), random_scalar(field, rng))
+        polys[v] = q
+    assert p.subs_polys(polys, target) == termwise_eval(p, polys, target.from_scalar, target.zero())
+
+    dom = ScalarDomain(field)
+    series = {v: random_series(rng, dom, max_terms=3) for v in names}
+    series[rng.choice(names)] = random_laurent(field, rng)  # an exact one too
+    got = eval_poly_series(p, series, dom)
+    want = termwise_eval(p, series, lambda c: PuiseuxSeries.constant(dom, c), PuiseuxSeries.zero(dom))
+    assert got.terms == want.terms and got.precision == want.precision

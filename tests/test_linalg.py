@@ -12,13 +12,13 @@ from mustab.branches import certified_dim, implicitize, type_dimension, validate
 from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
-from mustab.groups import GroupScheme, mat_mul
+from mustab.groups import GroupScheme
 from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis
 from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
 from mustab.series import PuiseuxSeries, ScalarDomain
 from mustab.subgroups import ideal_of_points
-from tests_helpers import random_laurent, random_laurent_point
+from tests_helpers import EagerEchelon, random_laurent, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -258,21 +258,52 @@ def test_echelon_combinations_are_relations(m):
             assert all(x.is_zero() for x in total)
 
 
+@st.composite
+def sparse_rows(draw):
+    """Random sparse rows (dicts) over Q, F_5 or F_9, many of them sums of
+    earlier rows, so that long chains of pivots feed each relation."""
+    field = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    ncols = rng.randrange(1, 16)
+    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else list(field.elements())
+    nonzero = [x for x in elements if not x.is_zero()]
+    rows: list[dict] = []
+    for _ in range(rng.randrange(0, 24)):
+        if rows and rng.random() < 0.4:
+            row: dict = {}
+            for src in rng.sample(rows, rng.randrange(1, min(3, len(rows)) + 1)):
+                f = rng.choice(nonzero)
+                for c, x in src.items():
+                    row[c] = row[c] + f * x if c in row else f * x
+            row = {c: x for c, x in row.items() if not x.is_zero()}
+        else:
+            row = {c: rng.choice(nonzero) for c in rng.sample(range(ncols), rng.randrange(0, min(4, ncols) + 1))}
+        rows.append(row)
+    return field, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+def test_echelon_combinations_on_demand_equal_the_eager_ones(case):
+    """Combinations built on demand cancel their row exactly and equal the
+    combinations the eager reference kept for every pivot; the pivot
+    columns are the same."""
+    field, rows = case
+    ech, eager = Echelon(), EagerEchelon()
+    for k, row in enumerate(rows):
+        comb = ech.add(row, k)
+        assert comb == eager.add(row, k)
+        if comb is not None:
+            total = dict(row)
+            for j, c in comb.items():
+                for col, x in rows[j].items():
+                    total[col] = total[col] + c * x if col in total else c * x
+            assert all(x.is_zero() for x in total.values())
+    assert ech._cols == eager._cols
+    assert echelon(rows) == eager._cols
+
+
 # -- the relation walk against the dense kernel -----------------------------------
-
-def sl3_shear_product(field, rng):
-    """A product of elementary shears I + c t^e E_ij on SL(3)."""
-    dom = ScalarDomain(field)
-    scheme = GroupScheme("SL", 3, field)
-    one, zero = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom)
-    acc = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
-    for _ in range(rng.randrange(1, 4)):
-        i, j = rng.sample(range(3), 2)
-        shear = [[one if r == c else zero for c in range(3)] for r in range(3)]
-        shear[i][j] = PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 2)), field.from_int(rng.choice([1, -1, 2])))
-        acc = mat_mul(acc, shear)
-    return validate_branch(scheme, acc)
-
 
 def truncated_plane_branch(field, rng):
     add2 = GroupScheme("Additive", 2, field)
@@ -295,7 +326,7 @@ BRANCH_FAMILIES = {
     "additive3": (laurent_point_branch("Additive", 3), (1, 2, 3)),
     "sl2": (laurent_point_branch("SL", 2), (1, 2, 3)),
     "gl2": (laurent_point_branch("GL", 2), (1, 2, 3)),
-    "sl3_shears": (sl3_shear_product, (1, 2)),
+    "sl3_shears": (lambda field, rng: shear_product(GroupScheme("SL", 3, field), rng), (1, 2)),
     "truncated": (truncated_plane_branch, (1, 2, 3)),
     "sqrt": (lambda _field, rng: rng.choice(sqrt_branches(rng)), (1, 2, 3, 4)),
 }

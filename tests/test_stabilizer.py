@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mustab.branches import Branch, implicitize, validate_branch
-from mustab.degeneration import identity_component, stab_degeneration
+from mustab.degeneration import _uniformizer, flat_closure, identity_component, special_fiber, stab_degeneration
 from mustab.errors import (
     BudgetExceeded,
     NotCenteredAtInfinity,
@@ -21,10 +21,11 @@ from mustab.errors import (
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
-from mustab.ideals import Budgets, Ideal, ideal, ideal_equal, krull_dim
+from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim
+from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
 from mustab.series import PowerList, PuiseuxSeries, ScalarDomain, ser_subst
-from mustab import stabilizer
+from mustab import degeneration, stabilizer
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
 from mustab.newton import places_at_infinity
@@ -36,7 +37,7 @@ from mustab.subgroups import (
     is_solvable,
     verify_subgroup,
 )
-from tests_helpers import ideal_intersect, is_identity
+from tests_helpers import ideal_intersect, is_identity, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -488,6 +489,87 @@ def test_degeneration_needs_exact_entries():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1), (1, 1), prec=4)))
     with pytest.raises(PrecisionInsufficient):
         stab_degeneration(b, implicitize(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 3), BUDGETS)
+
+
+def su_first_closure(branch: Branch, V: Ideal) -> Ideal:
+    """The flat closure as the saturation with s and u the first two
+    variables, ("_s", "_u") + coords: s eliminated from the pulled-back
+    generators with their poles cleared and u-content divided out, the
+    scheme equations and s*u - 1.  The result lies in ("_u",) + coords."""
+    scheme = branch.scheme
+    _, laurent = _uniformizer(branch.element.flat())
+    coords = scheme.coordinates()
+    ring = PolyRing(scheme.field, ("_s", "_u") + coords)
+    zeros = (0,) * len(coords)
+    a = []
+    for terms in laurent:
+        p = ring.zero()
+        for k, c in terms:
+            p = p + ring.monomial((max(-k, 0), max(k, 0)) + zeros, c)
+        a.append(p)
+    values = dict(zip(coords, scheme.mul_values(tuple(ring.var(x) for x in coords), tuple(a))))
+    gens = []
+    for g in V.gens:
+        p = g.subs_polys(values, ring)
+        top = max(m[0] for m in p.terms)
+        cleared = ring.zero()
+        for (k, j, *rest), c in p.terms.items():
+            cleared = cleared + ring.monomial((0, top - k + j, *rest), c)
+        low = min(m[1] for m in cleared.terms)
+        gens.append(Poly(ring, {(0, j - low, *rest): c for (_, j, *rest), c in cleared.terms.items()}))
+    gens += scheme.defining_polys(ring)
+    gens.append(ring.var("_s") * ring.var("_u") - ring.one())
+    return eliminate(Ideal(ring, tuple(gens)), ("_s",))
+
+
+def u_zero_fiber(closure: Ideal, scheme: GroupScheme) -> Ideal:
+    """The reduced basis of the closure's generators at u, the first
+    variable, = 0."""
+    ring = scheme.coordinate_ring()
+    gens = [Poly(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in closure.gens]
+    return groebner_basis(Ideal(ring, tuple(gens)))
+
+
+def _additive_plane_branch(field, rng):
+    g = random_laurent_point(GroupScheme("Additive", 2, field), rng)
+    return validate_branch(g.scheme, g.entries)
+
+
+CLOSURE_FAMILIES = {
+    # name -> (branch from (field, rng), the degree of V)
+    "sl2": (lambda field, rng: shear_product(GroupScheme("SL", 2, field), rng, 2), 2),
+    "gl2": (lambda field, rng: shear_product(GroupScheme("GL", 2, field), rng, 2), 2),
+    "additive_plane": (_additive_plane_branch, 4),
+    "sl3": (lambda field, rng: shear_product(GroupScheme("SL", 3, field), rng, 2), 2),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CLOSURE_FAMILIES)), st.sampled_from([QQ, F5]), st.integers(0, 2**32))
+def test_flat_closure_with_u_last_has_the_fiber_of_the_su_first_saturation(family, field, seed):
+    """The saturation with u the last grevlex variable, and the principal
+    closures that skip it, give the fiber the saturation in
+    ("_s", "_u") + coords gives; a principal closure is that saturation's
+    very basis.  The u-content of the pulled-back generators changes no
+    saturation, and on the additive plane it is always 1, so it is checked
+    on the generators themselves (on GL(2) most branches have some)."""
+    make, degree = CLOSURE_FAMILIES[family]
+    branch = make(field, random.Random(seed))
+    V = implicitize(branch, degree)
+    cleared = []
+    real = degeneration._clear_poles
+    degeneration._clear_poles = lambda p: cleared.append(real(p)) or cleared[-1]
+    try:
+        closure, _ = flat_closure(branch, V, BUDGETS)
+    finally:
+        degeneration._clear_poles = real
+    # every pulled-back generator is free of s, with its u-content divided out
+    assert all(not any(m[0] for m in g.terms) and min(m[-1] for m in g.terms) == 0 for g in cleared)
+    reference = su_first_closure(branch, V)
+    assert closure.ring == reference.ring
+    assert special_fiber(closure, branch.scheme, BUDGETS).gens == u_zero_fiber(reference, branch.scheme).gens
+    if len(V.gens) == 1 and family == "additive_plane":
+        assert closure.gens == reference.gens
 
 
 # -- identity_component ---------------------------------------------------------

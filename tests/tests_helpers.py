@@ -1,14 +1,18 @@
 """Shared test helpers: random series and random points of G(K), G(O)
-and mu for property suites, series agreement on a common window, the
-identity test for group points, the intersection of two ideals and the
-product of a factorization."""
+and mu for property suites, branches at shear products, series agreement
+on a common window, the identity test for group points, the intersection
+of two ideals, the product of a factorization, and the eager `Echelon`
+that built every pivot's combination as it went (the reference for the
+one that builds them on demand)."""
 
 from fractions import Fraction
 
 from mustab.exponents import exp
 from mustab.fields import QQ
-from mustab.groups import GroupElement, KPoint, mat_det, random_entries, random_scalar
+from mustab.groups import GroupElement, GroupScheme, KPoint, mat_det, mat_mul, random_entries, random_scalar
+from mustab.branches import validate_branch
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
+from mustab.linalg import _sparse, _subtract
 from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries, ScalarDomain
 
@@ -126,3 +130,58 @@ def random_mu_point(scheme, rng, prec=8) -> GroupElement:
     return GroupElement(scheme, *random_entries(
         scheme, lambda: random_positive_val(field, rng, prec), lambda: one + random_positive_val(field, rng, prec)
     ))
+
+
+def shear_product(scheme, rng, most=3):
+    """A branch at a product of one to `most` elementary shears
+    I + c t^e E_ij (e in [-2, 1], c in {1, -1, 2}) on SL(n) or GL(n); on
+    GL(n) its first row is then scaled by a unit c t^e, and y is that
+    unit's inverse."""
+    field = scheme.field
+    dom = ScalarDomain(field)
+    n = scheme.n
+    one, zero = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom)
+
+    def monomial():
+        return PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 2)), field.from_int(rng.choice([1, -1, 2])))
+
+    acc = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    for _ in range(rng.randrange(1, most + 1)):
+        i, j = rng.sample(range(n), 2)
+        shear = [[one if r == c else zero for c in range(n)] for r in range(n)]
+        shear[i][j] = monomial()
+        acc = mat_mul(acc, shear)
+    if scheme.kind == "SL":
+        return validate_branch(scheme, acc)
+    unit = monomial()
+    return validate_branch(scheme, ((tuple(x * unit for x in acc[0]),) + acc[1:]), unit.inv())
+
+
+class EagerEchelon:
+    """linalg.Echelon as it was before combinations were built on demand:
+    every pivot carries its combination, updated at each reduction step."""
+
+    def __init__(self):
+        self._pivots: dict = {}  # pivot column -> (row without its leading 1, combination)
+        self._cols: list[int] = []
+
+    def add(self, row, key=None):
+        r = _sparse(row)
+        comb: dict = {}
+        for c in self._cols:
+            if c in r:
+                tail, pcomb = self._pivots[c]
+                f = r.pop(c)
+                _subtract(r, f, tail)
+                if key is not None:
+                    _subtract(comb, f, pcomb)
+        if not r:
+            return comb
+        c = min(r)
+        inv = r.pop(c).inv()
+        if key is not None:
+            comb = {k: x * inv for k, x in comb.items()}
+            comb[key] = inv
+        self._pivots[c] = ({j: x * inv for j, x in r.items()}, comb)
+        self._cols = sorted(self._cols + [c])
+        return None
