@@ -15,10 +15,11 @@ per-job records in perfbench/out/. Per workload it keeps each side's total
 `failed` jobs, the count of each differing outcome pair over all pairs
 ("5 -> 0" is a job that exits 5 at the parent and 0 with the change) and,
 per end-to-end metric, each side's median and quartiles and the number of
-pairs the change won. After the pairs, each side runs every workload once
-more with seed 1 and --trace 1, and the file keeps the self times
-(`*.self_s`) and call counts (`*.calls`) of that run, to show in which layer
-a change in the end-to-end numbers sits.
+pairs the change won. After the pairs, each side runs every workload
+TRACED_RUNS more times with seed 1 and --trace 1, alternating which side
+runs first, and the file keeps the median self times (`*.self_s`) and call
+counts (`*.calls`) of those runs, to show in which layer a change in the
+end-to-end numbers sits.
 """
 
 import argparse
@@ -30,6 +31,7 @@ from collections import Counter
 from pathlib import Path
 
 PAIRS = 10
+TRACED_RUNS = 3
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, list]:
@@ -54,6 +56,12 @@ def differing_jobs(parent: list, change: list) -> list[dict]:
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def layer_medians(runs: list[dict], suffix: str) -> dict:
+    """Per metric named *suffix, the median of its values over runs."""
+    names = [name for name in runs[0] if name.endswith(suffix)]
+    return {name: statistics.median(run[name]["value"] for run in runs) for name in names}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -89,11 +97,12 @@ def main() -> int:
             pair["differing_jobs"] = differing_jobs(jobs["parent"], jobs["change"])
             pairs.append(pair)
             print(workload, i + 1, {s: pair[s]["metrics"]["jobs_per_s"]["value"] for s in order}, file=sys.stderr)
-        traced, calls = {}, {}
-        for side in ("parent", "change"):
-            metrics = run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"]
-            traced[side] = {name: m["value"] for name, m in metrics.items() if name.endswith(".self_s")}
-            calls[side] = {name: m["value"] for name, m in metrics.items() if name.endswith(".calls")}
+        runs = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                runs[side].append(run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"])
+        traced = {side: layer_medians(runs[side], ".self_s") for side in runs}
+        calls = {side: layer_medians(runs[side], ".calls") for side in runs}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,

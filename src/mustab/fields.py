@@ -9,10 +9,11 @@ multiply-and-reduce (an integer convolution reduced by the monic integer
 modulus), one inverse (the extended Euclidean algorithm over k) and one
 canonicalisation, `_lowest`, the only step that differs by base field.  All
 arithmetic is exact.  An F_q modulus is proved irreducible by
-`factor.uni_factor`; square roots are Tonelli-Shanks over a finite field and
-the norm closed form over Q(sqrt d); a higher root over a finite field is
-decided by a power test and taken from the roots of x^k - a
-(`factor.scalar_roots`), without listing the field.
+`factor.uni_factor`.  A k-th root over a finite field, k = 2 included, is
+decided by a power test and is the first root of x^k - a in element(i)
+order (`factor.scalar_roots`), found without listing the field; over Q it
+is the exact root of numerator and denominator, and a square root over
+Q(sqrt d) has the norm closed form.
 """
 
 from __future__ import annotations
@@ -173,13 +174,6 @@ class FieldSpec:
             return _make(self, i)
         digits = [i // self.p**k % self.p for k in range(self.extension_degree)]
         return _make(self, _canon(self.p, digits, 1))
-
-    def elements(self):
-        """Iterate all elements (finite fields only), in element(i) order."""
-        if self.order is None:
-            raise ValueError("cannot enumerate an infinite field")
-        for i in range(self.order):
-            yield self.element(i)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -364,20 +358,44 @@ class Scalar:
         return pow_by_squaring(self, e, self.field.one())
 
     def sqrt(self) -> Scalar | None:
-        """A square root in the same field, or None."""
-        if self.is_zero():
+        """A square root in the same field, or None: kth_root(2)."""
+        return self._root(2)
+
+    def kth_root(self, k: int) -> Scalar:
+        """Exact k-th root; raises CoefficientFieldTooSmall if absent."""
+        r = self._root(k)
+        if r is None:
+            name = "square" if k == 2 else f"{k}-th"
+            raise CoefficientFieldTooSmall(f"{self} has no {name} root in {self.field}")
+        return r
+
+    def _root(self, k: int) -> Scalar | None:
+        """A k-th root, or None: over a finite field the first root of
+        x^k - self in element(i) order; over Q the exact root of numerator
+        and denominator; over Q(sqrt d) only k = 2, by the norm."""
+        if k == 1 or self.is_zero() or self.is_one():
             return self
         field = self.field
         if field.p:
-            # the Frobenius inverse in characteristic 2, else Euler's
-            # criterion and Tonelli-Shanks
+            # the k-th powers in the cyclic group F_q^* are its g-th powers,
+            # g = gcd(k, q - 1); the roots are those of x^k - self in F_q
             q = field.order
-            if field.p == 2:
-                return self ** (q // 2)
-            return _tonelli(self, q) if (self ** ((q - 1) // 2)).is_one() else None
+            if not (self ** ((q - 1) // gcd(k, q - 1))).is_one():
+                return None
+            from .factor import scalar_roots  # lazy: factor imports this module
+            from .poly import PolyRing
+
+            ring = PolyRing(field, ("x",))
+            return min(scalar_roots(ring.monomial((k,), field.one()) - ring.monomial((0,), self)), key=_element_index)
         if field.kind == "Q":
-            r = _fraction_sqrt(self.as_fraction())
-            return None if r is None else field.from_fraction(r)
+            q = self.as_fraction()
+            num = _int_nth_root(abs(q.numerator), k)
+            den = _int_nth_root(q.denominator, k)
+            if num is None or den is None or (q < 0 and k % 2 == 0):
+                return None
+            return field.from_fraction(Fraction(num if q > 0 else -num, den))
+        if k != 2:
+            raise CoefficientFieldTooSmall(f"{k}-th roots only implemented for Q and finite fields")
         # Q(sqrt d) by the norm: (x + y sqrt d)^2 = a + b sqrt d means
         # x^2 + d y^2 = a and 2xy = b
         a, b = _q_pair(self.rep)
@@ -396,39 +414,6 @@ class Scalar:
             if x is not None and x != 0:
                 return field.from_fraction(x) + field.from_fraction(b / (2 * x)) * field.generator()
         return None
-
-    def kth_root(self, k: int) -> Scalar:
-        """Exact k-th root; raises CoefficientFieldTooSmall if absent."""
-        if k == 1 or self.is_zero() or self.is_one():
-            return self
-        if k == 2:
-            r = self.sqrt()
-            if r is None:
-                raise CoefficientFieldTooSmall(f"{self} has no square root in {self.field}")
-            return r
-        if self.field.kind == "Q":
-            q = self.as_fraction()
-            num = _int_nth_root(abs(q.numerator), k)
-            den = _int_nth_root(q.denominator, k)
-            if num is not None and den is not None:
-                if q >= 0:
-                    return self.field.from_fraction(Fraction(num, den))
-                if k % 2 == 1:
-                    return self.field.from_fraction(Fraction(-num, den))
-            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in Q")
-        if self.field.p:
-            # the k-th powers in the cyclic group F_q^* are its g-th powers,
-            # g = gcd(k, q - 1); the roots are those of x^k - self in F_q
-            q = self.field.order
-            if (self ** ((q - 1) // gcd(k, q - 1))).is_one():
-                from .factor import scalar_roots  # lazy: factor imports this module
-                from .poly import PolyRing
-
-                ring = PolyRing(self.field, ("x",))
-                roots = scalar_roots(ring.monomial((k,), self.field.one()) - ring.monomial((0,), self))
-                return min(roots, key=_element_index)
-            raise CoefficientFieldTooSmall(f"{self} has no {k}-th root in F_{q}")
-        raise CoefficientFieldTooSmall(f"{k}-th roots only implemented for Q and finite fields")
 
     def embed(self, target: FieldSpec) -> Scalar:
         """Embed a prime-field scalar into an extension of its field
@@ -556,36 +541,6 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
-
-
-def _tonelli(a: Scalar, q: int) -> Scalar | None:
-    """Tonelli-Shanks in the unit group of a finite field of odd order q."""
-    field = a.field
-    s, m = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        m += 1
-    z = None
-    for cand in field.elements():
-        if not cand.is_zero() and not (cand ** ((q - 1) // 2)).is_one():
-            z = cand
-            break
-    if z is None:
-        return None
-    c = z**s
-    t = a**s
-    r = a ** ((s + 1) // 2)
-    while not t.is_one():
-        i, t2 = 0, t
-        while not t2.is_one():
-            t2 = t2 * t2
-            i += 1
-        if i >= m:
-            return None
-        b = c ** (1 << (m - i - 1))
-        m, c = i, b * b
-        t, r = t * c, r * b
-    return r
 
 
 def _element_index(x: Scalar) -> int:

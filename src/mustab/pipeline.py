@@ -18,12 +18,10 @@ from dataclasses import dataclass, field as dc_field
 from .branches import Branch, certified_dim, implicitize, is_centered_at_infinity
 from .degeneration import DegenerationResult, stab_degeneration, verify_flat_closure_at
 from .errors import DegreeBoundTooSmall
-from .exponents import exp
 from .groups import GroupElement, KPoint
-from .ideals import Budgets, Ideal, ideal_equal, krull_dim
-from .series import ser_subst
-from .stabilizer import mu_reduce, solved_reparam, stab_reparam
-from .subgroups import SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
+from .ideals import Budgets, ideal_equal, krull_dim
+from .stabilizer import mu_correct, mu_reduce, stab_reparam
+from .subgroups import SubgroupDesc, TubeCertificate, verify_subgroup
 
 
 ALGORITHMS = ("reparam", "degeneration", "both")
@@ -88,45 +86,26 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
     return run
 
 
-def lift_residue_point(run: StabilizerRun, h: KPoint, precision: int = 8) -> GroupElement | None:
-    """An O-point of the translated variety with residue h, found by solving
-    the reparameterization family at h and forming a(s0) a(t)^-1."""
-    desc = run.reparam
-    if desc is None or desc.param is None:
-        return None
-    param = desc.param
-    ring = param.ring
-    field = ring.field
-    gens = list(param.relations.gens)
-    targets = h._values()
-    scheme = run.reduced.scheme
-    for name, p in zip(scheme.coordinates(), scheme.flatten(param.entries)):
-        gens.append(p - ring.from_scalar(targets[name]))
-    sol = solve_point(Ideal(ring, tuple(gens)), defaults={"lam": field.one(), "lami": field.one()})
-    if sol is None:
-        return None
-    s0, lead_root = solved_reparam(field, param.ram_power, param.gammas, sol)
-    el = run.reduced.element
-    prec = exp(precision)
-    g = el.map(lambda f: ser_subst(f, s0, prec=prec, lead_root=lead_root)).mul(el.inv())
-    if not g.is_integral():
-        return None
-    if g.res() != h:
-        return None
-    return g
+def lift_residue_point(run: StabilizerRun, h: KPoint) -> GroupElement | None:
+    """An O-point of the translated variety with residue h, or None: with a
+    the reduced branch, mu_correct(a, h . a) finds s and eps in mu with
+    a(s) = eps h a(t), so a(s) a(t)^-1 = eps h, whose residue is h."""
+    cert = mu_correct(run.reduced, run.reduced.translate(h))
+    return None if cert is None else cert.eps.mul(h.to_series())
 
 
-def halevi_lift_check(run: StabilizerRun, points: list[KPoint], precision: int = 8) -> dict:
+def halevi_lift_check(run: StabilizerRun, points: list[KPoint]) -> dict:
     """Lift each fiber point and verify it against the flat closure."""
     lifted = 0
     exact_residues = 0
     flat_ok = 0
     for h in points:
-        g = lift_residue_point(run, h, precision)
+        g = lift_residue_point(run, h)
         if g is None:
             continue
         lifted += 1
-        exact_residues += 1  # lift_residue_point already enforced the match
+        if g.res() == h:
+            exact_residues += 1
         if run.degeneration is not None and verify_flat_closure_at(run.degeneration, g):
             flat_ok += 1
     return {

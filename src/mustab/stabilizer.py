@@ -116,20 +116,6 @@ def _lead_root(lam, lami, r: int):
     return root
 
 
-def solved_reparam(field, r: int, gammas, assignment: dict):
-    """The reparameterization s0 = lam^r t (1 + sum c_i t^gamma_i) at a
-    solved parameter point (lam defaults to 1, each c_i to 0), with the
-    lead_root of s0 for ser_subst."""
-    dom = ScalarDomain(field)
-    lam = assignment.get("lam", field.one())
-    terms = [(exp(1), lam**r)]
-    for i, g in enumerate(gammas):
-        c = assignment.get(f"c{i + 1}", field.zero())
-        if not c.is_zero():
-            terms.append((exp(1) + exp(g), lam**r * c))
-    return PuiseuxSeries(dom, terms, None), _lead_root(lam, lam.inv(), r)
-
-
 def _mu_conditions(e: GroupElement, require_identity_residue: bool):
     """Constraint polynomials from 'E is integral (and residues to the
     identity)'; returns (constraints, residues in coordinates() order)."""
@@ -183,7 +169,12 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     sol = solve_point(J, defaults={"lam": a.field.one(), "lami": a.field.one()})
     if sol is None:
         return None
-    s0, lead_root = solved_reparam(a.field, ansatz.r, ansatz.gammas, sol)
+    # s0 = lam^r t (1 + sum c_i t^gamma_i) at the solved point
+    lead = sol["lam"] ** ansatz.r
+    tail = [(g, sol[f"c{i + 1}"]) for i, g in enumerate(ansatz.gammas)]
+    terms = [(EXP_ONE, lead)] + [(EXP_ONE + exp(g), lead * c) for g, c in tail if not c.is_zero()]
+    s0 = PuiseuxSeries(ScalarDomain(a.field), terms, None)
+    lead_root = _lead_root(sol["lam"], sol["lami"], ansatz.r)
     eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
     return TubeCertificate(s0, eps) if eps.in_mu() else None
 
@@ -345,7 +336,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     ideal_out = eliminate(Ideal(big, tuple(big_gens)), ansatz.ring.variables, budgets.spoly_budget)
     dim = krull_dim(ideal_out) if ideal_out.gens else len(coords)
 
-    param = ParamFamily(ansatz.ring, scheme.shape(residue)[0], J, ansatz.r, ansatz.gammas)
+    param = ParamFamily(ansatz.ring, scheme.shape(residue)[0], J)
     # soundness: every generator of the ideal must vanish identically on the
     # residue family modulo the constraint relations
     family_values = dict(zip(coords, residue))
@@ -354,7 +345,9 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
         if not nf(composed).is_zero():
             raise SelfCheckFailed(f"stabilizer generator {g} does not vanish on its own family")
     desc = SubgroupDesc(scheme, ideal_out, dim, param, {"algorithm": "reparam"})
-    verify_subgroup(desc, budgets)
+    ok, report = verify_subgroup(desc, budgets)
+    if not ok:
+        raise SelfCheckFailed(f"the reparameterization ideal is not a subgroup: {report['witness']}")
 
     if dim < type_dim:
         if certified_dim(branch) == type_dim:

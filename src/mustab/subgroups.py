@@ -43,8 +43,6 @@ class ParamFamily:
     ring: PolyRing
     entries: tuple                  # Poly entries in the scheme's layout (groups.py), without y
     relations: Ideal
-    ram_power: int
-    gammas: tuple                   # ansatz exponents, aligned with c-variables
 
 
 @dataclass
@@ -68,10 +66,9 @@ class SubgroupDesc:
             "cosets": [[str(g) for g in c.gens] for c in self.cosets],
         }
         if self.param is not None:
-            names = {"lam": "c1", "lami": "c2"}
-            for i in range(len(self.param.gammas)):
-                names[f"c{i + 1}"] = f"c{i + 3}"
-            target = PolyRing(self.param.ring.field, tuple(names.get(v, v) for v in self.param.ring.variables))
+            # each parameter is named c1, c2, ... by its position in the ring
+            names = {v: f"c{i + 1}" for i, v in enumerate(self.param.ring.variables)}
+            target = PolyRing(self.param.ring.field, tuple(names.values()))
             def rn(p: Poly) -> str:
                 return str(p.rename(names, target))
             out["param"] = self.scheme.map_entries(self.param.entries, rn)
@@ -246,7 +243,7 @@ def conjugate_stab(H: SubgroupDesc, g: KPoint) -> SubgroupDesc:
         pr = H.param.ring
         family = scheme.flatten(H.param.entries)
         conj, _ = scheme.shape(scheme.mul_values(scheme.mul_values(lifted(g, pr), family), lifted(ginv, pr)))
-        param = ParamFamily(pr, conj, H.param.relations, H.param.ram_power, H.param.gammas)
+        param = ParamFamily(pr, conj, H.param.relations)
     return SubgroupDesc(scheme, new_ideal, H.dim, param, dict(H.flags), H.cosets)
 
 
@@ -303,7 +300,6 @@ def classify_subgroup(H: SubgroupDesc) -> str:
 @dataclass
 class SolvabilityResult:
     value: bool | None          # None = inconclusive
-    certified: bool
     note: str = ""
 
 
@@ -379,19 +375,19 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
     if not H.flags.get("verified_subgroup"):
         verify_subgroup(H, budgets)
         if not H.flags.get("verified_subgroup"):
-            return SolvabilityResult(None, False, "not a verified subgroup")
+            return SolvabilityResult(None, "not a verified subgroup")
     scheme = H.scheme
     r = scheme.root
     if r.kind == "Additive":
-        return SolvabilityResult(True, True, "additive groups are abelian")
+        return SolvabilityResult(True, "additive groups are abelian")
     if _is_abelian_symbolic(H.ideal, scheme, budgets.spoly_budget):
-        return SolvabilityResult(True, True, "abelian")
+        return SolvabilityResult(True, "abelian")
 
     rng = random.Random(rng_seed)
     current = H.ideal
     samples = _sample_kpoints(H, rng, budgets.sample_budget)
     if len(samples) < 4:
-        return SolvabilityResult(None, False, "cannot sample enough points")
+        return SolvabilityResult(None, "cannot sample enough points")
     ring = H.ideal.ring
     for _ in range(max(1, H.dim) + 1):
         commutators = []
@@ -409,17 +405,17 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None, rng_seed: int =
         nxt = ideal_of_points(pts, ring, max(2, min(3, budgets.degree_bound)))
         id_values = scheme.identity()._values()
         if not all(g.eval_scalars(id_values).is_zero() for g in nxt.gens):
-            return SolvabilityResult(None, False, "identity escaped the sampled ideal")
+            return SolvabilityResult(None, "identity escaped the sampled ideal")
         if _is_trivial(nxt, scheme):
-            return SolvabilityResult(True, True, "derived series reached the trivial group")
+            return SolvabilityResult(True, "derived series reached the trivial group")
         if _is_abelian_symbolic(nxt, scheme, budgets.spoly_budget):
-            return SolvabilityResult(True, True, "derived series reached an abelian group")
+            return SolvabilityResult(True, "derived series reached an abelian group")
         if ideal_equal(nxt, current):
             sub = SubgroupDesc(scheme, nxt, krull_dim(nxt))
             ok, _ = verify_subgroup(sub, budgets)
             if ok:
-                return SolvabilityResult(False, True, "derived series stabilized at a nonabelian subgroup")
-            return SolvabilityResult(None, False, "stabilized at an uncertified set")
+                return SolvabilityResult(False, "derived series stabilized at a nonabelian subgroup")
+            return SolvabilityResult(None, "stabilized at an uncertified set")
         current = nxt
         samples = closed
-    return SolvabilityResult(None, False, "derived series did not settle within the step budget")
+    return SolvabilityResult(None, "derived series did not settle within the step budget")

@@ -304,6 +304,23 @@ def test_reparam_self_check_failure_exits_verify(monkeypatch):
     ]
 
 
+def test_reparam_subgroup_failure_exits_verify(monkeypatch):
+    # a reparameterization ideal that fails the subgroup axioms is a failed
+    # verification, not a stabilizer
+    from mustab import stabilizer
+
+    def failing(desc, budgets=None):
+        desc.flags["verified_subgroup"] = False
+        return False, {"identity": True, "product": False, "inverse": False, "witness": "product leaves the ideal at x21"}
+
+    monkeypatch.setattr(stabilizer, "verify_subgroup", failing)
+    report, code = run_job(X1_JOB)
+    assert code == 5
+    assert report["errors"] == [
+        {"type": "SelfCheckFailed", "message": "the reparameterization ideal is not a subgroup: product leaves the ideal at x21"}
+    ]
+
+
 def test_degeneration_self_check_failure_exits_verify(monkeypatch):
     # hand the component split the fiber of the point diag(2, 1/2), which
     # misses the identity

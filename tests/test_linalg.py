@@ -18,7 +18,7 @@ from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
 from mustab.series import PuiseuxSeries, ScalarDomain
 from mustab.subgroups import ideal_of_points
-from tests_helpers import EagerEchelon, random_laurent, random_laurent_point, shear_product
+from tests_helpers import EagerEchelon, field_elements, random_laurent, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -213,7 +213,7 @@ def matrices(draw):
     field = draw(st.sampled_from(FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     ncols = rng.randrange(1, 9)
-    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else list(field.elements())
+    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else field_elements(field)
 
     def scalar():
         return field.zero() if rng.random() < 0.5 else rng.choice(elements)
@@ -265,7 +265,7 @@ def sparse_rows(draw):
     field = draw(st.sampled_from(FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     ncols = rng.randrange(1, 16)
-    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else list(field.elements())
+    elements = [field.from_int(k) for k in range(-3, 4)] if field.char == 0 else field_elements(field)
     nonzero = [x for x in elements if not x.is_zero()]
     rows: list[dict] = []
     for _ in range(rng.randrange(0, 24)):
@@ -350,7 +350,7 @@ def point_clouds(draw):
     field = draw(st.sampled_from(FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     ring = PolyRing(field, ("a", "b", "c")[: rng.randrange(1, 4)])
-    small = [field.from_int(k) for k in range(-2, 3)] if field.char == 0 else list(field.elements())
+    small = [field.from_int(k) for k in range(-2, 3)] if field.char == 0 else field_elements(field)
     points = [{v: rng.choice(small) for v in ring.variables} for _ in range(rng.randrange(0, 7))]
     return ring, points, rng.randrange(1, 4)
 

@@ -476,11 +476,17 @@ def test_degeneration_closure_vanishes_on_the_translate():
     assert deg.u_exponent == exp(1)
     assert verify_flat_closure_at(deg, SL2.identity().to_series())
     h = KPoint(SL2, ((QQ.one(), QQ.from_int(3)), (QQ.zero(), QQ.one())))
-    lifted = lift_residue_point(run, h, precision=8)
+    lifted = lift_residue_point(run, h)
     assert lifted is not None and lifted.res() == h
     assert verify_flat_closure_at(deg, lifted)
     off = KPoint(SL2, ((QQ.from_int(2), QQ.zero()), (QQ.zero(), QQ.from_fraction(Fraction(1, 2)))))
     assert not verify_flat_closure_at(deg, off.to_series())
+    # the lift reads only the reduced branch, so a degeneration-only run
+    # lifts h as well
+    alone = compute_stabilizer(x1_branch(), "degeneration", BUDGETS)
+    lifted = lift_residue_point(alone, h)
+    assert lifted is not None and lifted.res() == h
+    assert verify_flat_closure_at(alone.degeneration, lifted)
 
 
 def test_degeneration_needs_exact_entries():
@@ -668,7 +674,7 @@ def test_solvable_borel_two_steps():
         (pring.zero(), pring.var("lami")),
     )
     rel = Ideal(pring, (pring.parse("lam*lami - 1"),))
-    borel.param = ParamFamily(pring, entries, rel, 1, (Fraction(1),))
+    borel.param = ParamFamily(pring, entries, rel)
     out = is_solvable(borel, BUDGETS)
     assert out.value is True
 
@@ -700,7 +706,6 @@ def test_not_solvable_full_sl2():
     full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
     out = is_solvable(full, Budgets(degree_bound=4, sample_budget=30))
     assert out.value is False
-    assert out.certified
 
 
 def test_not_solvable_full_sl2_f5():

@@ -3,7 +3,8 @@ and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
 of two ideals, the product of a factorization, and the eager `Echelon`
 that built every pivot's combination as it went (the reference for the
-one that builds them on demand)."""
+one that builds them on demand), and the list of a finite field's
+elements."""
 
 from fractions import Fraction
 
@@ -17,6 +18,11 @@ from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries, ScalarDomain
 
 DQ = ScalarDomain(QQ)
+
+
+def field_elements(field) -> list:
+    """Every element of a finite field, in element(i) order."""
+    return [field.element(i) for i in range(field.order)]
 
 
 def random_series(rng, dom=DQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
