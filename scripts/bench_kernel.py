@@ -27,6 +27,12 @@ hands it, captured the same way, for that shear and for the `sl2_q`
 closure [[4t^-2 + 1, -2t^-1], [-2t^-1, 1]], the heaviest of seed 1; each
 run gets fresh copies of the generators of V.
 
+The subgroup checks: `verify_subgroup` on the stabilizer ideal that
+`stab_reparam` certifies for that shear and for that heaviest closure,
+captured the same way.  A process certifies each ideal once and answers
+repeats from a memo, so the memo is cleared before each run, which times
+the check itself.
+
 Prints one JSON line: per input the generator count (per closure the
 degree, per flat closure the generators of V and the S-polynomials one run
 forms) and the size of the resulting basis, and the median, min and max
@@ -43,13 +49,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mustab import degeneration, ideals  # noqa: E402
+from mustab import degeneration, ideals, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
 from mustab.fields import QQ  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
 from mustab.jobs import parse_branch, run_job  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
+from mustab.subgroups import SubgroupDesc, verify_subgroup  # noqa: E402
 
 
 def _series(*terms) -> dict:
@@ -77,10 +84,11 @@ HEAVY_JOB = dict(SHEAR_JOB, input={"branch": {"entries": [
 
 def capture(job: dict) -> dict:
     """The first ideal `flat_closure` eliminates from, the first one
-    `relation_ideal` hands to `groebner_basis`, and the first (branch, V)
-    `flat_closure` gets while job runs."""
+    `relation_ideal` hands to `groebner_basis`, the first (branch, V)
+    `flat_closure` gets and the first subgroup `stab_reparam` verifies
+    while job runs."""
     found: dict = {}
-    real = degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure
+    real = degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup
 
     def spy_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
         found.setdefault("flat_closure", (I, tuple(drop)))
@@ -95,13 +103,17 @@ def capture(job: dict) -> dict:
         found.setdefault("closure_input", (branch, V))
         return real[2](branch, V, budgets)
 
-    degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure = (
-        spy_eliminate, spy_groebner_basis, spy_flat_closure)
+    def spy_verify_subgroup(H, budgets=None):
+        found.setdefault("subgroup", H)
+        return real[3](H, budgets)
+
+    degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup = (
+        spy_eliminate, spy_groebner_basis, spy_flat_closure, spy_verify_subgroup)
     try:
         _, code = run_job(job)
     finally:
-        degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure = real
-    if code != 0 or len(found) != 3:
+        degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup = real
+    if code != 0 or len(found) != 4:
         raise RuntimeError(f"the job exited {code} and reached {sorted(found)}")
     return found
 
@@ -171,6 +183,17 @@ def time_flat_closure(branch, V: Ideal, runs: int) -> dict:
     return {"V_gens": len(V.gens), "s_polys": calls, "basis": len(closure.gens), **_stats(times)}
 
 
+def time_verify(H: SubgroupDesc, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        fresh = SubgroupDesc(H.scheme, _fresh(H.ideal), H.dim)
+        subgroups._verified.cache_clear()
+        start = time.perf_counter()
+        ok, _ = verify_subgroup(fresh)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"gens": len(H.ideal.gens), "verified": ok, **_stats(times)}
+
+
 def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> dict:
     times = []
     for _ in range(runs):
@@ -192,7 +215,11 @@ def main() -> int:
         name: time_flat_closure(*found["closure_input"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
-    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat}))
+    checked = {
+        name: time_verify(found["subgroup"], args.runs)
+        for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
+    }
+    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat, "verify_subgroup": checked}))
     return 0
 
 

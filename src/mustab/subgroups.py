@@ -3,8 +3,15 @@
 A SubgroupDesc is an ideal in the ambient scheme's matrix coordinates,
 optionally with a polynomial parameterization.  verify_subgroup certifies
 the group axioms symbolically (generic points, ideal membership);
-is_solvable runs the derived series on parameterized/sampled points;
-conjugate_stab pulls the ideal back along an inner automorphism.
+classify_subgroup names the subgroup; is_solvable runs the derived series
+on parameterized/sampled points; conjugate_stab pulls the ideal back along
+an inner automorphism.
+
+The two certificates read only values (the scheme, the ideal and the
+S-polynomial budget or the dimension), and a job meets the same few
+stabilizer ideals again and again: each is computed once per process and
+kept in a bounded memo, as the SL(2) templates and identity bases are.  A
+budget error is raised again, never kept.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from .ideals import (
 from .factor import scalar_roots
 from .poly import Poly, PolyRing
 from .series import PuiseuxSeries
+
+# entries kept by the process-wide memo of each certificate function
+_MEMO_SIZE = 256
 
 
 @dataclass
@@ -187,35 +197,36 @@ def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bo
     """Certify identity membership and closure under product and inverse.
 
     Closure is checked on two independent generic points via ideal
-    membership; the report carries any failing generator.
+    membership; the report carries any failing generator.  The answer
+    depends only on the scheme, the ideal and the S-polynomial budget, and
+    is certified once per process for each of them; H's flag is set and a
+    fresh report returned on every call.
     """
     budgets = budgets or Budgets()
-    scheme = H.scheme
-    report: dict = {"identity": False, "product": False, "inverse": False}
+    ok, report = _verified(H.scheme, H.ideal, budgets.spoly_budget)
+    H.flags["verified_subgroup"] = ok
+    return ok, dict(report)
 
-    ident = scheme.identity()
-    id_values = ident._values()
-    for g in H.ideal.gens:
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _verified(scheme: GroupScheme, ideal: Ideal, spoly_budget: int) -> tuple[bool, dict]:
+    report: dict = {"identity": False, "product": False, "inverse": False}
+    id_values = scheme.identity()._values()
+    for g in ideal.gens:
         if not g.eval_scalars(id_values).is_zero():
             report["witness"] = f"identity fails {g}"
-            H.flags["verified_subgroup"] = False
             return False, report
     report["identity"] = True
 
-    big, u, v, gb = _generic_pair(H.ideal, scheme, budgets.spoly_budget)
+    big, u, v, gb = _generic_pair(ideal, scheme, spoly_budget)
     nf = reducer(gb, big.order)
-    ok = True
     for axiom, point in (("product", scheme.mul_values(u, v)), ("inverse", scheme.inv_values(u))):
-        for f in H.ideal.gens:
+        for f in ideal.gens:
             if not nf(_substituted(f, scheme, point, big)).is_zero():
                 report["witness"] = f"{axiom} leaves the ideal at {f}"
-                ok = False
-                break
-        if not ok:
-            break
+                return False, report
         report[axiom] = True
-    H.flags["verified_subgroup"] = ok
-    return ok, report
+    return True, report
 
 
 # -- conjugation ---------------------------------------------------------------
@@ -275,24 +286,31 @@ def _is_trivial(ideal: Ideal, scheme: GroupScheme) -> bool:
 
 
 def classify_subgroup(H: SubgroupDesc) -> str:
-    scheme = H.scheme
-    ring = H.ideal.ring
+    """H's name: trivial, a named subgroup of SL(2), or the kind of
+    subgroup with H.dim; named once per process for each scheme, ideal and
+    dim."""
+    return _classified(H.scheme, H.ideal, H.dim)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _classified(scheme: GroupScheme, ideal: Ideal, dim: int) -> str:
+    ring = ideal.ring
     r = scheme.root
-    if _is_trivial(H.ideal, scheme):
+    if _is_trivial(ideal, scheme):
         return "trivial"
     if r.kind == "Additive":
-        if all(g.total_degree() <= 1 for g in H.ideal.gens):
-            return f"linear subspace of dimension {H.dim}"
-        return f"additive subgroup of dimension {H.dim}"
+        if all(g.total_degree() <= 1 for g in ideal.gens):
+            return f"linear subspace of dimension {dim}"
+        return f"additive subgroup of dimension {dim}"
     if r.kind == "SL" and r.n == 2:
         for name, tid in _sl2_templates(ring).items():
-            if ideal_equal(H.ideal, tid):
+            if ideal_equal(ideal, tid):
                 return name
-        if ideal_member(ring.parse("x21"), H.ideal)[0]:
-            return f"Borel-contained subgroup of dimension {H.dim}"
-        if ideal_member(ring.parse("x12"), H.ideal)[0]:
-            return f"opposite-Borel-contained subgroup of dimension {H.dim}"
-    return f"subgroup of dimension {H.dim}"
+        if ideal_member(ring.parse("x21"), ideal)[0]:
+            return f"Borel-contained subgroup of dimension {dim}"
+        if ideal_member(ring.parse("x12"), ideal)[0]:
+            return f"opposite-Borel-contained subgroup of dimension {dim}"
+    return f"subgroup of dimension {dim}"
 
 
 # -- solvability ----------------------------------------------------------------

@@ -4,6 +4,7 @@ verification, solvability, conjugation, component splitting."""
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +26,7 @@ from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, idea
 from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
 from mustab.series import PowerList, PuiseuxSeries, ScalarDomain, ser_subst
-from mustab import degeneration, stabilizer
+from mustab import degeneration, ideals, stabilizer, subgroups
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
 from mustab.newton import places_at_infinity
@@ -33,6 +34,7 @@ from mustab.stabilizer import mu_correct, mu_reduce, stab_reparam
 from mustab.subgroups import (
     SubgroupDesc,
     TubeCertificate,
+    classify_subgroup,
     conjugate_stab,
     is_solvable,
     verify_subgroup,
@@ -88,8 +90,8 @@ def test_ansatz_power_list_covers_every_coordinate(make):
     list reaching that coordinate's lowest exponent gives: the same terms
     and the same precision."""
     branch = make()
-    ansatz = stabilizer.Ansatz(branch, 6)
-    prec = ansatz.precision(branch.element.inv())
+    ansatz = stabilizer.Ansatz(branch, branch.element, 6)
+    prec = ansatz.prec
     shared = ansatz.tail_powers(prec)
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
@@ -128,9 +130,9 @@ def _conditions(quotient):
 
 
 def _assert_quotient_keeps_the_conditions(a, bs):
-    ansatz = stabilizer.Ansatz(a, 6)
     for b in bs:
-        got = _conditions(lambda: ansatz.quotient(b.element))
+        ansatz = stabilizer.Ansatz(a, b.element, 6)
+        got = _conditions(ansatz.quotient)
         assert got == _conditions(lambda: _reference_quotient(ansatz, b.element)), (a.element, b.element)
 
 
@@ -205,6 +207,79 @@ def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
     _assert_quotient_keeps_the_conditions(a, [a] + stabilizer._truncation_candidates(a))
 
 
+def _full_ring():
+    """A patch under which every Ansatz keeps all exponents up to the order
+    budget, the ring before the cut."""
+    real = stabilizer.ansatz_exponents
+    return mock.patch.object(stabilizer, "ansatz_exponents", lambda branch, budget, below: real(branch, budget, exp(budget + 1)))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BudgetExceeded, PrecisionInsufficient) as exc:
+        return type(exc)
+
+
+def _into(ring, conditions):
+    """The constraints and residues of _conditions renamed into ring."""
+    if conditions is PrecisionInsufficient:
+        return conditions
+    return [tuple([p.rename({}, ring) for p in polys] for polys in pair) for pair in conditions]
+
+
+@pytest.mark.parametrize("shape", QUOTIENT_SHAPES)
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_ring_cut_keeps_the_conditions_and_certificates(shape, field, data):
+    """The ansatz ring without the parameters at gamma >= prec - low gives
+    the constraints and residues of the full ring, renamed into it, and
+    mu_correct the same certificate, for a against itself and against each
+    of its truncation candidates."""
+    a = QUOTIENT_SHAPES[shape](data, field)
+    for b in [a] + stabilizer._truncation_candidates(a):
+        cut = stabilizer.Ansatz(a, b.element, 6)
+        with _full_ring():
+            full = stabilizer.Ansatz(a, b.element, 6)
+            want = _outcome(lambda: mu_correct(a, b, 6))
+        assert full.gammas[:len(cut.gammas)] == cut.gammas
+        assert all(exp(g) >= cut.prec - cut.low for g in full.gammas[len(cut.gammas):])
+        assert _into(full.ring, _conditions(cut.quotient)) == _conditions(full.quotient), (a.element, b.element)
+        assert _outcome(lambda: mu_correct(a, b, 6)) == want, (a.element, b.element)
+
+
+def test_ring_cut_of_x1_against_itself():
+    """x1 against itself: b^-1 has a pole t^-1 and a starts at t^-1, so the
+    conditions read only c1 and c2 of the six parameters."""
+    a = x1_branch()
+    cut = stabilizer.Ansatz(a, a.element, 6)
+    assert cut.ring.variables == ("lam", "lami", "c1", "c2")
+    with _full_ring():
+        assert len(stabilizer.Ansatz(a, a.element, 6).gammas) == 6
+
+
+def _ram5_branch():
+    """(t^-5, t^(-1/5)) on the additive plane, ramification 5."""
+    second = PuiseuxSeries(DQ, [(exp(Fraction(-1, 5)), QQ.one())], None)
+    return validate_branch(ADD2, (S((-5, 1)), second))
+
+
+def test_ansatz_exponents_reach_the_order_budget_at_any_ramification():
+    """A ram-5 branch at order budget 6 gets every k/5 up to 6, all thirty
+    of them."""
+    assert stabilizer.ansatz_exponents(_ram5_branch(), 6, exp(7)) == [Fraction(k, 5) for k in range(1, 31)]
+
+
+def test_ansatz_of_a_ram5_branch_reaches_gamma_5():
+    """Against itself, (t^-5, t^(-1/5)) reads parameters up to gamma < 1 +
+    5: the one at gamma = 5 included."""
+    a = _ram5_branch()
+    ansatz = stabilizer.Ansatz(a, a.element, 6)
+    assert Fraction(5) in ansatz.gammas
+    assert ansatz.gammas[-1] == Fraction(29, 5)
+
+
 def _sl2_irrational_tail():
     r = Exponent(Fraction(0), Fraction(1), 2)
     return validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(exp(0), QQ.one()), (r, QQ.one())], None)), (Z(), S((1, 1)))))
@@ -227,7 +302,7 @@ def test_quotient_precision_below_an_irrational_pole():
     r = Exponent(Fraction(0), Fraction(-1), 2)
     b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
     a = x1_branch()
-    assert not stabilizer.Ansatz(a, 6).precision(b.element.inv()).is_rational()
+    assert not stabilizer.Ansatz(a, b.element, 6).prec.is_rational()
     _assert_quotient_keeps_the_conditions(a, [b])
 
 
@@ -648,6 +723,79 @@ def test_verify_subgroup_borel():
     ring = SL2.coordinate_ring()
     borel = SubgroupDesc(SL2, ideal(ring, "x21"), 2)
     assert verify_subgroup(borel)[0]
+
+
+def _counting(monkeypatch, module, name):
+    """The list that collects the calls of module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_verifying_an_equal_ideal_again_runs_no_buchberger(monkeypatch):
+    """An ideal equal to one verified before, from a fresh scheme, is
+    answered from the memo: no generic pair, no Buchberger, and the flag is
+    still set on the new descriptor."""
+    gens = ("x11 - x22", "x12 + x21")
+    assert verify_subgroup(SubgroupDesc(SL2, ideal(SL2.coordinate_ring(), *gens), 1))[0]
+    pairs = _counting(monkeypatch, subgroups, "_generic_pair")
+    runs = _counting(monkeypatch, ideals, "buchberger")
+    scheme = GroupScheme("SL", 2, QQ)
+    H = SubgroupDesc(scheme, ideal(scheme.coordinate_ring(), *gens), 1)
+    assert verify_subgroup(H) == (True, {"identity": True, "product": True, "inverse": True})
+    assert H.flags["verified_subgroup"] is True
+    assert not pairs and not runs
+
+
+def test_changing_a_report_leaves_the_next_answer():
+    ring = SL2.coordinate_ring()
+    H = SubgroupDesc(SL2, ideal(ring, "x11 - 1", "x21", "x22 - 1"), 1)
+    ok, report = verify_subgroup(H)
+    want = dict(report)
+    report["product"] = False
+    report["witness"] = "changed by the caller"
+    assert verify_subgroup(H) == (ok, want)
+
+
+def test_a_failing_ideal_fails_again_with_its_witness():
+    """Symmetric matrices of SL(2) are closed under inverse, not product."""
+    ring = SL2.coordinate_ring()
+    answers = []
+    for _ in range(2):
+        H = SubgroupDesc(SL2, ideal(ring, "x12 - x21"), 2)
+        answers.append(verify_subgroup(H))
+        assert H.flags["verified_subgroup"] is False
+    assert answers[0] == answers[1]
+    assert answers[0] == (False, {"identity": True, "product": False, "inverse": False, "witness": "product leaves the ideal at x12 - x21"})
+
+
+def test_a_budget_error_is_raised_again(monkeypatch):
+    """A verification over its S-polynomial budget is not kept: the second
+    call builds the generic pair again and raises again."""
+    pairs = _counting(monkeypatch, subgroups, "_generic_pair")
+    H = SubgroupDesc(SL2, ideal(SL2.coordinate_ring(), "x12*x21", "x11^2 - x22^2"), 1)
+    for n in (1, 2):
+        with pytest.raises(BudgetExceeded):
+            verify_subgroup(H, Budgets(spoly_budget=1))
+        assert len(pairs) == n
+    assert "verified_subgroup" not in H.flags
+
+
+def test_classification_reads_the_dimension():
+    ring = SL2.coordinate_ring()
+    I = ideal(ring, "x21", "x11 - x22")
+    names = [classify_subgroup(SubgroupDesc(SL2, I, dim)) for dim in (1, 2, 1)]
+    assert names == [
+        "Borel-contained subgroup of dimension 1",
+        "Borel-contained subgroup of dimension 2",
+        "Borel-contained subgroup of dimension 1",
+    ]
 
 
 # -- is_solvable -------------------------------------------------------------------
