@@ -31,35 +31,24 @@ from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subs
 from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
-def ansatz_exponents(branch: Branch, order_budget: int, below: Exponent) -> list[Fraction]:
+def ansatz_exponents(branch: Branch, order_budget: int) -> list[Fraction]:
     """Reparameterization exponents: the branch's exponent lattice steps
-    k/ram in (0, order_budget], which contains the closure under addition
-    of all exponent differences present in the entries, that lie below
-    `below`: all ram * order_budget of them when `below` lies beyond the
-    budget."""
+    (1/ram)Z in (0, order_budget], all ram * order_budget of them, which
+    contains the closure under addition of all exponent differences
+    present in the entries."""
     r = branch.ramification
     out = []
     k = 1
-    while Fraction(k, r) <= order_budget and exp(Fraction(k, r)) < below:
+    while Fraction(k, r) <= order_budget:
         out.append(Fraction(k, r))
         k += 1
     return out
 
 
-def _quotient_precision(b_inv: GroupElement) -> Exponent:
-    """The precision an ansatz expands a(s) to against b^-1: 1 beyond the
-    deepest pole of b^-1, y included, or 1 on the additive scheme."""
-    if b_inv.scheme.root.kind == "Additive":
-        return EXP_ONE
-    bounds = [v for v in map(PuiseuxSeries.val_bound, b_inv.flat()) if v is not None]
-    return EXP_ONE + max([EXP_ZERO] + [-v for v in bounds])
-
-
 class Ansatz:
-    """Symbolic reparameterization of a branch a with polynomial
-    coefficients, built for the b it divides by.
+    """Symbolic reparameterization with polynomial coefficients.
 
-    `quotient()` expands a(s) only as far as `_mu_conditions` reads the
+    `quotient(b)` expands a(s) only as far as `_mu_conditions` reads the
     quotient a(s) * b^-1: its terms at exponents <= 0 and the sign of each
     entry's precision.  With a(s) known below P, each product term
     a(s)_ik * b^-1_kj is known below P + val(b^-1_kj), so P = 1 + max(0,
@@ -67,25 +56,13 @@ class Ansatz:
     included, leaves every such product known beyond exponent 0; on the
     additive scheme the law is a sum and P = 1.  Any larger P gives the
     same terms at exponents <= 0 and the same precision signs, so the
-    conditions are exact.
+    conditions are exact."""
 
-    The ring keeps only the parameters c_i with gamma_i < P - low, for the
-    lowest exponent low of a's coordinates: a larger gamma_i first enters
-    a(s) at exponent low + gamma_i >= P, beyond what is expanded, so no
-    condition reads it.  Only trailing parameters go, so c1, c2, ... keep
-    their names."""
-
-    def __init__(self, branch: Branch, b: GroupElement, order_budget: int):
+    def __init__(self, branch: Branch, order_budget: int):
         self.branch = branch
         field = branch.field
         self.r = branch.ramification
-        self.b_inv = b.inv()
-        self.prec = _quotient_precision(self.b_inv)
-        # one list of tail powers serves every coordinate substituted if it
-        # reaches prec - low for the lowest exponent low of all, y included
-        # (on GL, y = det^-1 can lie below every entry)
-        self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
-        self.gammas = tuple(ansatz_exponents(branch, order_budget, self.prec - self.low))
+        self.gammas = tuple(ansatz_exponents(branch, order_budget))
         names = ("lam", "lami") + tuple(f"c{i + 1}" for i in range(len(self.gammas)))
         self.ring = PolyRing(field, names)
         self.dom = PolyDomain(self.ring, (("lam", "lami"),))
@@ -93,6 +70,18 @@ class Ansatz:
         self.tail = PuiseuxSeries(self.dom, tail_terms, None)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
         self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
+        # one list of tail powers serves every coordinate substituted if it
+        # reaches prec - low for the lowest exponent low of all, y included
+        # (on GL, y = det^-1 can lie below every entry)
+        self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
+
+    def precision(self, b_inv: GroupElement) -> Exponent:
+        """The precision quotient expands a(s) to against b^-1: 1 beyond
+        the deepest pole of b^-1, y included, or 1 on the additive scheme."""
+        if b_inv.scheme.root.kind == "Additive":
+            return EXP_ONE
+        bounds = [v for v in map(PuiseuxSeries.val_bound, b_inv.flat()) if v is not None]
+        return EXP_ONE + max([EXP_ZERO] + [-v for v in bounds])
 
     def tail_powers(self, prec: Exponent) -> PowerList:
         return PowerList(self.tail, prec - self.low)
@@ -104,10 +93,12 @@ class Ansatz:
     def subst(self, f: PuiseuxSeries, prec: Exponent, powers: PowerList) -> PuiseuxSeries:
         return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, powers))
 
-    def quotient(self) -> GroupElement:
-        """a(s) * b(t)^-1 over the ansatz ring."""
-        powers = self.tail_powers(self.prec)
-        return self.branch.element.map(lambda f: self.subst(f, self.prec, powers)).mul(self.b_inv.map(self.lift_series))
+    def quotient(self, b: GroupElement) -> GroupElement:
+        """a(s) * b(t)^-1 over the ansatz ring, for the ansatz's branch a."""
+        b_inv = b.inv()
+        prec = self.precision(b_inv)
+        powers = self.tail_powers(prec)
+        return self.branch.element.map(lambda f: self.subst(f, prec, powers)).mul(b_inv.map(self.lift_series))
 
 
 def _lead_root(lam, lami, r: int):
@@ -167,8 +158,8 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     if any(s.has_irrational_exponent() for s in a.element.entries_flat()):
         return None  # a cannot go through substitution
 
-    ansatz = Ansatz(a, b.element, order_budget)
-    e = ansatz.quotient()
+    ansatz = Ansatz(a, order_budget)
+    e = ansatz.quotient(b.element)
     try:
         constraints, _ = _mu_conditions(e, require_identity_residue=True)
     except PrecisionInsufficient as exc:
@@ -324,8 +315,8 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     if any(s.has_irrational_exponent() for s in branch.element.entries_flat()):
         raise IrrationalExponentInSubstitution("run mu_reduce first: irrational exponents in the branch")
 
-    ansatz = Ansatz(branch, branch.element, budgets.order_budget)
-    e = ansatz.quotient()
+    ansatz = Ansatz(branch, budgets.order_budget)
+    e = ansatz.quotient(branch.element)
     constraints, residue = _mu_conditions(e, require_identity_residue=False)
     J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)), budget=budgets.spoly_budget)
 

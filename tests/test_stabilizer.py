@@ -4,7 +4,6 @@ verification, solvability, conjugation, component splitting."""
 import random
 import sys
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,8 +89,8 @@ def test_ansatz_power_list_covers_every_coordinate(make):
     list reaching that coordinate's lowest exponent gives: the same terms
     and the same precision."""
     branch = make()
-    ansatz = stabilizer.Ansatz(branch, branch.element, 6)
-    prec = ansatz.prec
+    ansatz = stabilizer.Ansatz(branch, 6)
+    prec = ansatz.precision(branch.element.inv())
     shared = ansatz.tail_powers(prec)
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
@@ -130,9 +129,9 @@ def _conditions(quotient):
 
 
 def _assert_quotient_keeps_the_conditions(a, bs):
+    ansatz = stabilizer.Ansatz(a, 6)
     for b in bs:
-        ansatz = stabilizer.Ansatz(a, b.element, 6)
-        got = _conditions(ansatz.quotient)
+        got = _conditions(lambda: ansatz.quotient(b.element))
         assert got == _conditions(lambda: _reference_quotient(ansatz, b.element)), (a.element, b.element)
 
 
@@ -207,58 +206,6 @@ def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
     _assert_quotient_keeps_the_conditions(a, [a] + stabilizer._truncation_candidates(a))
 
 
-def _full_ring():
-    """A patch under which every Ansatz keeps all exponents up to the order
-    budget, the ring before the cut."""
-    real = stabilizer.ansatz_exponents
-    return mock.patch.object(stabilizer, "ansatz_exponents", lambda branch, budget, below: real(branch, budget, exp(budget + 1)))
-
-
-def _outcome(call):
-    try:
-        return call()
-    except (BudgetExceeded, PrecisionInsufficient) as exc:
-        return type(exc)
-
-
-def _into(ring, conditions):
-    """The constraints and residues of _conditions renamed into ring."""
-    if conditions is PrecisionInsufficient:
-        return conditions
-    return [tuple([p.rename({}, ring) for p in polys] for polys in pair) for pair in conditions]
-
-
-@pytest.mark.parametrize("shape", QUOTIENT_SHAPES)
-@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
-@settings(max_examples=4, deadline=None)
-@given(data=st.data())
-def test_ring_cut_keeps_the_conditions_and_certificates(shape, field, data):
-    """The ansatz ring without the parameters at gamma >= prec - low gives
-    the constraints and residues of the full ring, renamed into it, and
-    mu_correct the same certificate, for a against itself and against each
-    of its truncation candidates."""
-    a = QUOTIENT_SHAPES[shape](data, field)
-    for b in [a] + stabilizer._truncation_candidates(a):
-        cut = stabilizer.Ansatz(a, b.element, 6)
-        with _full_ring():
-            full = stabilizer.Ansatz(a, b.element, 6)
-            want = _outcome(lambda: mu_correct(a, b, 6))
-        assert full.gammas[:len(cut.gammas)] == cut.gammas
-        assert all(exp(g) >= cut.prec - cut.low for g in full.gammas[len(cut.gammas):])
-        assert _into(full.ring, _conditions(cut.quotient)) == _conditions(full.quotient), (a.element, b.element)
-        assert _outcome(lambda: mu_correct(a, b, 6)) == want, (a.element, b.element)
-
-
-def test_ring_cut_of_x1_against_itself():
-    """x1 against itself: b^-1 has a pole t^-1 and a starts at t^-1, so the
-    conditions read only c1 and c2 of the six parameters."""
-    a = x1_branch()
-    cut = stabilizer.Ansatz(a, a.element, 6)
-    assert cut.ring.variables == ("lam", "lami", "c1", "c2")
-    with _full_ring():
-        assert len(stabilizer.Ansatz(a, a.element, 6).gammas) == 6
-
-
 def _ram5_branch():
     """(t^-5, t^(-1/5)) on the additive plane, ramification 5."""
     second = PuiseuxSeries(DQ, [(exp(Fraction(-1, 5)), QQ.one())], None)
@@ -268,16 +215,18 @@ def _ram5_branch():
 def test_ansatz_exponents_reach_the_order_budget_at_any_ramification():
     """A ram-5 branch at order budget 6 gets every k/5 up to 6, all thirty
     of them."""
-    assert stabilizer.ansatz_exponents(_ram5_branch(), 6, exp(7)) == [Fraction(k, 5) for k in range(1, 31)]
+    assert stabilizer.ansatz_exponents(_ram5_branch(), 6) == [Fraction(k, 5) for k in range(1, 31)]
 
 
 def test_ansatz_of_a_ram5_branch_reaches_gamma_5():
-    """Against itself, (t^-5, t^(-1/5)) reads parameters up to gamma < 1 +
-    5: the one at gamma = 5 included."""
+    """Against itself, (t^-5, t^(-1/5)) takes the t^0 term of s^-5 from
+    gamma = 5: the ansatz carries that parameter, c25, and the residue of
+    the first coordinate reads it."""
     a = _ram5_branch()
-    ansatz = stabilizer.Ansatz(a, a.element, 6)
-    assert Fraction(5) in ansatz.gammas
-    assert ansatz.gammas[-1] == Fraction(29, 5)
+    ansatz = stabilizer.Ansatz(a, 6)
+    assert ansatz.gammas[24] == Fraction(5)
+    _, residue = stabilizer._mu_conditions(ansatz.quotient(a.element), require_identity_residue=False)
+    assert "c25" in residue[0].variables_used()
 
 
 def _sl2_irrational_tail():
@@ -302,7 +251,7 @@ def test_quotient_precision_below_an_irrational_pole():
     r = Exponent(Fraction(0), Fraction(-1), 2)
     b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
     a = x1_branch()
-    assert not stabilizer.Ansatz(a, b.element, 6).prec.is_rational()
+    assert not stabilizer.Ansatz(a, 6).precision(b.element.inv()).is_rational()
     _assert_quotient_keeps_the_conditions(a, [b])
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from mustab import ideals
+from mustab import ideals, subgroups
 from mustab.errors import EmptyVariety
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
@@ -116,10 +116,13 @@ def test_a_marked_basis_is_computed_once(monkeypatch):
 ])
 def test_classifying_again_runs_no_buchberger(monkeypatch, gens, name):
     """The SL(2) templates are reduced bases built once per ring, so a
-    stabilizer that carries its basis is classified without Buchberger."""
+    stabilizer that carries its basis is classified without Buchberger.
+    The memo of names is cleared first, so the second call classifies H
+    itself."""
     sl2 = GroupScheme("SL", 2, QQ)
     H = SubgroupDesc(sl2, groebner_basis(ideal(sl2.coordinate_ring(), *gens)), 1)
     assert classify_subgroup(H) == name
+    subgroups._classified.cache_clear()
     calls = []
     real = ideals.buchberger
 
@@ -136,7 +139,7 @@ def test_classifying_again_runs_no_buchberger(monkeypatch, gens, name):
 def test_classifying_the_trivial_group_again_runs_no_buchberger(monkeypatch, kind):
     """The identity ideal is compared as a reduced basis built once per
     scheme, so a trivial stabilizer that carries its basis is classified
-    again without Buchberger."""
+    again without Buchberger, the memo of names cleared before each call."""
     scheme = GroupScheme(kind, 2, QQ)
     H = SubgroupDesc(scheme, groebner_basis(scheme.identity_ideal), 0)
     assert classify_subgroup(H) == "trivial"
@@ -149,6 +152,7 @@ def test_classifying_the_trivial_group_again_runs_no_buchberger(monkeypatch, kin
 
     monkeypatch.setattr(ideals, "buchberger", counting)
     for _ in range(3):
+        subgroups._classified.cache_clear()
         assert classify_subgroup(H) == "trivial"
     assert not calls
 
