@@ -27,6 +27,12 @@ hands it, captured the same way, for that shear and for the `sl2_q`
 closure [[4t^-2 + 1, -2t^-1], [-2t^-1, 1]], the heaviest of seed 1; each
 run gets fresh copies of the generators of V.
 
+The division kernel: the normal forms, through one `ideals.reducer`, of
+the S-polynomials of every pair of the reduced basis (under its ring's
+order) of that heaviest flat closure, against that basis (all reduce to
+0).  Each run builds the
+reducer from fresh copies of the basis.
+
 The subgroup checks: `verify_subgroup` on the stabilizer ideal that
 `stab_reparam` certifies for that shear and for that heaviest closure,
 captured the same way.  A process certifies each ideal once and answers
@@ -35,7 +41,8 @@ the check itself.
 
 Prints one JSON line: per input the generator count (per closure the
 degree, per flat closure the generators of V and the S-polynomials one run
-forms) and the size of the resulting basis, and the median, min and max
+forms, for the division kernel the basis size and the S-polynomials
+reduced) and the size of the resulting basis, and the median, min and max
 milliseconds of N runs.  The package is imported from the src/ next to this
 script.
 """
@@ -45,6 +52,7 @@ import json
 import statistics
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -183,6 +191,20 @@ def time_flat_closure(branch, V: Ideal, runs: int) -> dict:
     return {"V_gens": len(V.gens), "s_polys": calls, "basis": len(closure.gens), **_stats(times)}
 
 
+def time_division(branch, V: Ideal, runs: int) -> dict:
+    closure = groebner_basis(degeneration.flat_closure(branch, _fresh(V), Budgets())[0])
+    order = closure.basis_order
+    spolys = [ideals.s_poly(f, g, order) for f, g in combinations(closure.gens, 2)]
+    times = []
+    for _ in range(runs):
+        basis = _fresh(closure).gens
+        start = time.perf_counter()
+        nf = ideals.reducer(basis, order)
+        nonzero = sum(not nf(f).is_zero() for f in spolys)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"basis": len(closure.gens), "s_polys": len(spolys), "nonzero": nonzero, **_stats(times)}
+
+
 def time_verify(H: SubgroupDesc, runs: int) -> dict:
     times = []
     for _ in range(runs):
@@ -215,11 +237,13 @@ def main() -> int:
         name: time_flat_closure(*found["closure_input"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
+    division = time_division(*heavy["closure_input"], args.runs)
     checked = {
         name: time_verify(found["subgroup"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
-    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat, "verify_subgroup": checked}))
+    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat,
+                      "division": division, "verify_subgroup": checked}))
     return 0
 
 

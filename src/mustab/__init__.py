@@ -22,7 +22,6 @@ from .ideals import (
     ideal_equal,
     ideal_member,
     krull_dim,
-    normal_form,
 )
 from .factor import uni_factor
 from .newton import PlaneCurveInput, places_at_infinity
@@ -72,7 +71,6 @@ __all__ = [
     "lift_residue_point",
     "mu_correct",
     "mu_reduce",
-    "normal_form",
     "parse_series",
     "places_at_infinity",
     "ser_subst",

@@ -53,13 +53,13 @@ class Branch:
         return f"branch {self.element} (ram {self.ramification})"
 
 
-def validate_branch(scheme: GroupScheme, entries, y=None) -> Branch:
+def validate_branch(scheme: GroupScheme, entries) -> Branch:
     """Check the entries against the scheme equations and infer ramification.
 
     Raises NotOnGroup with the offending equation and residual term, and
     FieldMismatch when the entries' exponents use different sqrt(d).
     """
-    element = GroupElement(scheme, entries, y=y, check=True)
+    element = GroupElement(scheme, entries, check=True)
     exponents = [e for s in element.entries_flat() for e in (s.precision, *(t[0] for t in s.terms)) if e is not None]
     sqrt_ds = {e.d for e in exponents} - {None}
     if len(sqrt_ds) > 1:

@@ -54,8 +54,10 @@ def explain(report: dict) -> str:
             lines.append(f"  branch {i}: ramification {b['ramification']}")
     for i, stab in enumerate(results.get("stabilizers", [])):
         sub = stab["subgroup"]
+        # most classifications already end in their dimension
+        name, dim = sub["classification"], f"of dimension {sub['dim']}"
         lines.append(
-            f"branch {i}: Stab = {sub['classification']} of dimension {sub['dim']};"
+            f"branch {i}: Stab = {name if name.endswith(dim) else f'{name} {dim}'};"
             f" ideal <{', '.join(sub['ideal'])}>"
         )
         if stab.get("bounded"):

@@ -18,13 +18,22 @@ direction all of them are rational multiples of.  A truncated entry
 raises PrecisionInsufficient, exponents of rational rank 2 raise
 IrrationalExponentInSubstitution.
 
-The fiber splits as finitely many cosets of the stabilizer; the identity
-component is extracted through the supported factorization fragment.
-The stabilizer reported is the reduced identity component: a generator
-that is a power of one univariate factor is replaced by that factor.  In
-characteristic 0 every algebraic group is reduced (Cartier); over F_p a
-group scheme can be non-reduced (alpha_p, mu_p), and its reduced subgroup
-is what is computed.
+The fiber splits as finitely many cosets of the stabilizer; the component
+through the identity is extracted through the supported factorization
+fragment, which examines only two kinds of basis generator: one with
+monomial content (x^alpha * h splits into the x_i and h) and a univariate
+one (split into its distinct factors, a power of one factor replaced by
+that factor).  The stabilizer reported is the identity's piece of that
+split.  In characteristic 0 every algebraic group is reduced (Cartier);
+over F_p a group scheme can be non-reduced (alpha_p, mu_p), and its
+reduced subgroup is what is sought.  The flag `decomposition_complete`
+means only that no examined generator was left unfactored, the identity
+lay in one piece and the depth cap was not hit; it does not mean every
+component of the fiber was found.  A generator that is neither kind is
+never split: [[t^-1, -t^-4], [0, t]] over Q (precision 16, degree bound
+6) has the fiber basis <x21, x22^2 - x11, x11*x22 - 1, x11^2 - x22>, so
+x22^3 - 1 lies in the ideal and has two factors over Q, and the flag
+reads true with one component.
 """
 
 from __future__ import annotations
@@ -188,9 +197,15 @@ def identity_component(
     fiber: Ideal, scheme: GroupScheme, budgets: Budgets | None = None
 ) -> tuple[Ideal, list[Ideal], bool]:
     """Split the fiber, an ideal in the scheme's coordinates, through the
-    factorization fragment and return the component containing the
-    scheme's identity, the other components, and whether the decomposition
-    is certified complete."""
+    factorization fragment and return the piece containing the scheme's
+    identity, the other pieces, and a completeness flag.
+
+    The splitter (`_splittable_factors`) examines only generators with
+    monomial content and univariate generators of each basis.  The flag is
+    true when none of those was left unfactored, the identity lies in one
+    piece and the depth cap of 8 splits was not hit; it does not certify
+    that every component was found, since a generator of neither kind is
+    never split (see the module docstring)."""
     budgets = budgets or Budgets()
     identity = scheme.identity()._values()
     ring = fiber.ring

@@ -12,15 +12,15 @@ chain criteria; the configurable budget counts the S-polynomials formed,
 never the generator reductions.  Bases are returned reduced and monic,
 sorted by leading monomial, so re-running is a fixed point.
 
-Division (`reduce_poly`, Cox-Little-O'Shea 2.3) reduces one dict of the
-remaining terms in place against a divisor table, one (leading monomial,
-leading coefficient, tail) entry per basis element, with the order keys in
-a memo; the quotients and remainder are built as dicts and wrapped by the
-trusted Poly constructor, with no Poly per division step.  Whoever divides
-repeatedly against one basis owns the table and the memo for as long as it
-does: a Buchberger run adds one entry per basis element and keeps one memo
-through `_interreduce`, and `reducer(basis, order)` builds both once for a
-caller taking many normal forms (`normal_form` is one use of it).  Terms
+Division (Cox-Little-O'Shea 2.3) yields only the remainder, the normal
+form: no caller reads the quotients.  It reduces one dict of the remaining
+terms in place against a divisor table, one (leading monomial, leading
+coefficient, tail) entry per basis element, with the order keys in a memo,
+and wraps the remainder by the trusted Poly constructor, with no Poly per
+division step.  Whoever divides repeatedly against one basis owns the
+table and the memo for as long as it does: a Buchberger run adds one entry
+per basis element and keeps one memo through `_interreduce`, and
+`reducer(basis, order)` builds both once for every other caller.  Terms
 leave the division largest first, so a remainder's first term is its
 leading monomial, cached on the Poly as it is built.  No memo outlives the
 call that made it.
@@ -48,7 +48,7 @@ Buchberger gets one relation per leading monomial.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, le, mul, sub
@@ -132,50 +132,32 @@ def _remainder(ring: PolyRing, rem: dict, order: MonomialOrder) -> Poly:
     return r
 
 
-def reduce_poly(f: Poly, basis: list[Poly], order: MonomialOrder) -> tuple[list[Poly], Poly]:
-    """Multivariate division: f = sum(q_i g_i) + r with no term of r
-    divisible by any leading monomial; returns (quotients, remainder).
-
-    The largest remaining monomial is reduced by the first divisor, in
-    basis order, whose leading monomial divides it, else moved to r."""
-    quots: list[dict] = [{} for _ in basis]
-    table = [_divisor(g, order) for g in basis]
-    rem = _divide(f, table, _KeyMemo(order), quots)
-    return [Poly._trusted(f.ring, q) for q in quots], _remainder(f.ring, rem, order)
-
-
-def reducer(basis: list[Poly], order: MonomialOrder) -> Callable[[Poly], Poly]:
-    """The normal form against basis, as a function of f: the division of
-    `reduce_poly` without the quotients.  The divisor table and the order
-    keys are built once and serve every call."""
+def reducer(basis: Iterable[Poly], order: MonomialOrder) -> Callable[[Poly], Poly]:
+    """The normal form against basis, as a function of f: the remainder of
+    the division of f by basis (Cox-Little-O'Shea 2.3), no term of which
+    any leading monomial divides.  The largest remaining monomial is
+    reduced by the first divisor, in basis order, whose leading monomial
+    divides it, else moved to the remainder.  The divisor table and the
+    order keys are built once and serve every call."""
     table = [_divisor(g, order) for g in basis]
     keys = _KeyMemo(order)
-    return lambda f: _remainder(f.ring, _divide(f, table, keys, None), order)
+    return lambda f: _remainder(f.ring, _divide(f, table, keys), order)
 
 
-def normal_form(f: Poly, basis: list[Poly], order: MonomialOrder) -> Poly:
-    """The remainder of `reduce_poly`: one use of `reducer`."""
-    return reducer(basis, order)(f)
-
-
-def _divide(f: Poly, table: list[tuple], keys: _KeyMemo, quots: list[dict] | None) -> dict:
-    """The division loop of `reduce_poly` against a table of `_divisor`
-    entries: returns the remainder's terms, largest first, and, when quots
-    is a list of dicts, one per divisor, stores the quotient terms there."""
+def _divide(f: Poly, table: list[tuple], keys: _KeyMemo) -> dict:
+    """The division loop of `reducer` against a table of `_divisor`
+    entries: returns the remainder's terms, largest first."""
     rem: dict = {}
     p = dict(f.terms)
     key = keys.__getitem__
     while p:
         m = max(p, key=key)
         c = p.pop(m)
-        for i, (lm, inv, tail) in enumerate(table):
+        for lm, inv, tail in table:
             if all(map(le, lm, m)):  # _mono_divides, inlined in the hot loop
-                # p -= q x^qm g; the leading term cancels c exactly.  The
-                # largest monomial strictly decreases, so qm is new to q_i.
+                # p -= q x^qm g; the leading term cancels c exactly
                 q = c * inv
                 qm = _mono_quot(m, lm)
-                if quots is not None:
-                    quots[i][qm] = q
                 for tm, tc in tail:
                     mm = tuple(map(add, qm, tm))
                     if mm in p:
@@ -227,7 +209,7 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPO
     heapq.heapify(heap)
 
     def insert(f: Poly):
-        r = _remainder(f.ring, _divide(f, table, keys, None), order)
+        r = _remainder(f.ring, _divide(f, table, keys), order)
         if r.is_zero():
             return
         basis.append(r.monic(order))
@@ -282,7 +264,7 @@ def _interreduce(basis: list[Poly], order: MonomialOrder, keys: _KeyMemo) -> lis
     reduced = []
     for i, g in enumerate(polys):
         others = kept[:i] + kept[i + 1:]
-        r = _remainder(g.ring, _divide(g, others, keys, None), order) if others else g
+        r = _remainder(g.ring, _divide(g, others, keys), order) if others else g
         if not r.is_zero():
             reduced.append(r.monic(order))
     return sorted(reduced, key=lambda g: keys[g.leading_monomial(order)])
@@ -292,14 +274,6 @@ def _resolve(order: MonomialOrder | str | None, ring: PolyRing) -> MonomialOrder
     if isinstance(order, str):
         return order_by_name(order)
     return order or ring.order
-
-
-def _basis(I: Ideal, order: MonomialOrder, budget: int) -> list[Poly]:
-    """The reduced basis of I under order: its own generators when they
-    are marked as that basis, else a Buchberger run."""
-    if I.basis_order is order:
-        return list(I.gens)
-    return buchberger(list(I.gens), order, budget)
 
 
 def groebner_basis(I: Ideal, order: MonomialOrder | str | None = None,
@@ -386,17 +360,16 @@ def relation_ideal(ring: PolyRing, relations: list[tuple[Monomial, dict]]) -> Id
 
 
 def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
-                 budget: int = DEFAULT_SPOLY_BUDGET) -> tuple[bool, list[Poly]]:
-    """Membership with a division certificate against the reduced basis."""
+                 budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
+    """Whether f lies in I: its normal form against the reduced basis is 0."""
     order = _resolve(order, I.ring)
-    quots, rem = reduce_poly(f, _basis(I, order, budget), order)
-    return rem.is_zero(), quots
+    return reducer(groebner_basis(I, order, budget).gens, order)(f).is_zero()
 
 
 def ideal_contains(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
     """True when every generator of J lies in I."""
     order = I.ring.order
-    nf = reducer(_basis(I, order, budget), order)
+    nf = reducer(groebner_basis(I, order, budget).gens, order)
     return all(nf(g).is_zero() for g in J.gens)
 
 
@@ -434,7 +407,7 @@ def krull_dim(I: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> int:
     """Krull dimension of V(I) from independent variable sets modulo the
     leading-term ideal."""
     order = I.ring.order
-    gb = _basis(I, order, budget)
+    gb = groebner_basis(I, order, budget).gens
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise EmptyVariety("ideal contains a unit")
     return _dim_from_leading_monomials([g.leading_monomial(order) for g in gb], I.ring.nvars)

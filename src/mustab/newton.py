@@ -54,7 +54,7 @@ class PlaneCurveInput:
             if not eq.variables_used() <= values.keys():
                 continue  # the embedding gives no y on GL: det^-1 is not polynomial in (x, y)
             pulled = eq.subs_polys(values, ring)
-            if not ideal_member(pulled, curve)[0]:
+            if not ideal_member(pulled, curve):
                 raise ValueError(f"embedding does not land in the scheme: {eq} pulls back to {pulled}")
 
 

@@ -205,7 +205,7 @@ def test_criterion_07_conjugation_coherence():
             moved = base.translate(g)
             moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
             conj = conjugate_stab(run.subgroup, g)
-            if not ideal_equal(moved_run.subgroup.ideal, conj.ideal):
+            if not ideal_equal(moved_run.subgroup.ideal, conj):
                 failures.append(str(g))
     report("criterion 7: stab(g.a) equals g stab(a) g^-1 for 10 random SL2(F5) points",
            not failures, str(failures))

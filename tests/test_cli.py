@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mustab import errors, jobs
-from mustab.cli import main
+from mustab.cli import explain, main
 from mustab.corpus import corpus_entries, run_corpus
 from mustab.jobs import run_job
 
@@ -385,6 +385,18 @@ def test_exit_code_precision_budget():
         report, code = run_job(job, {"precision": precision})
         assert code == 4
         assert report["errors"][0]["type"] == "PrecisionInsufficient"
+
+
+@pytest.mark.parametrize("name", ["x1", "reduced_a2"])
+def test_explain_names_the_dimension_once(name):
+    job = next(e["job"] for e in corpus_entries() if e["name"] == name)
+    report, code = run_job(job)
+    assert code == 0
+    sub = report["results"]["stabilizers"][0]["subgroup"]
+    text = explain(report)
+    assert sub["classification"] in text
+    assert f"of dimension {sub['dim']}" in text
+    assert not re.search(r"of dimension \d+ of dimension", text)
 
 
 def test_reduce_job():

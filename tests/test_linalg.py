@@ -317,7 +317,7 @@ def laurent_point_branch(kind, n):
     """A branch at a random Laurent point of G(K), y included on GL."""
     def build(field, rng):
         g = random_laurent_point(GroupScheme(kind, n, field), rng)
-        return validate_branch(g.scheme, g.entries, g.y)
+        return validate_branch(g.scheme, g.entries)
     return build
 
 

@@ -818,14 +818,14 @@ def test_not_solvable_full_sl2_f5():
 def test_conjugate_identity_fixes():
     desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
     out = conjugate_stab(desc, SL2.identity())
-    assert ideal_equal(out.ideal, desc.ideal)
+    assert ideal_equal(out, desc.ideal)
 
 
 def test_conjugate_by_weyl_element():
     desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
     w = KPoint(SL2, ((QQ.zero(), QQ.one()), (-QQ.one(), QQ.zero())))
     out = conjugate_stab(desc, w)
-    assert ideal_equal(out.ideal, ideal(out.ideal.ring, "x11 - 1", "x12", "x22 - 1"))
+    assert ideal_equal(out, ideal(out.ring, "x11 - 1", "x12", "x22 - 1"))
 
 
 def test_conjugation_coherence_with_translation():
@@ -835,7 +835,27 @@ def test_conjugation_coherence_with_translation():
     moved = base.translate(g)
     moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
     conj = conjugate_stab(desc, g)
-    assert ideal_equal(moved_run.subgroup.ideal, conj.ideal)
+    assert ideal_equal(moved_run.subgroup.ideal, conj)
+
+
+def test_conjugating_an_additive_subgroup_is_the_identity():
+    """Additive(2) is abelian: g H g^-1 = H, so the pull-back gives H's
+    own line back, as its reduced basis."""
+    ring = ADD2.coordinate_ring()
+    H = SubgroupDesc(ADD2, ideal(ring, "x - 2*y"), 1)
+    g = KPoint(ADD2, (QQ.from_int(3), QQ.from_int(5)))
+    assert conjugate_stab(H, g) == groebner_basis(ideal(ring, "x - 2*y"))
+
+
+def test_conjugating_the_gl2_torus_moves_y_with_it():
+    """g diag(a, d) g^-1 = [[a, d - a], [0, d]] for g = [[1, 1], [0, 1]],
+    and y = 1/(ad) is unchanged: the torus <x12, x21, x11*x22*y - 1>
+    goes to <x21, x12 + x11 - x22, x11*x22*y - 1>."""
+    gl2 = GroupScheme("GL", 2, QQ)
+    ring = gl2.coordinate_ring()
+    H = SubgroupDesc(gl2, ideal(ring, "x12", "x21", "x11*x22*y - 1"), 2)
+    g = KPoint(gl2, ((QQ.one(), QQ.one()), (QQ.zero(), QQ.one())))
+    assert conjugate_stab(H, g) == groebner_basis(ideal(ring, "x21", "x12 + x11 - x22", "x11*x22*y - 1"))
 
 
 # -- soundness ---------------------------------------------------------------------
@@ -852,6 +872,26 @@ def test_sampled_stabilizer_points_stabilize_the_tube():
             moved = run.reduced.translate(h)
             cert = mu_correct(moved, run.reduced, 6)
             assert isinstance(cert, TubeCertificate), f"{h} does not stabilize the tube"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))),
+    lambda: _gl2_y_below_entries(),
+], ids=["cusp", "GL2"])
+def test_sampling_solves_the_relations_on_the_c_parameters(make):
+    """When the family's relations pin some c_i (here c1 = c2 = 0), one
+    solve with random defaults for the c_i still gives every requested
+    point, each in the stabilizer."""
+    H = compute_stabilizer(make(), "reparam", BUDGETS).subgroup
+    pinned = {v for g in H.param.relations.gens for v in g.variables_used() if v.startswith("c")}
+    assert pinned == {"c1", "c2"}
+    from mustab.subgroups import _sample_kpoints
+
+    pts = _sample_kpoints(H, random.Random(5), 6)
+    assert len(pts) == 6
+    for h in pts:
+        values = h._values()
+        assert all(g.eval_scalars(values).is_zero() for g in H.ideal.gens)
 
 
 def test_ramification_mismatch_is_a_self_check_failure():

@@ -142,7 +142,7 @@ def shear_product(scheme, rng, most=3):
     """A branch at a product of one to `most` elementary shears
     I + c t^e E_ij (e in [-2, 1], c in {1, -1, 2}) on SL(n) or GL(n); on
     GL(n) its first row is then scaled by a unit c t^e, and y is that
-    unit's inverse."""
+    unit's inverse, which GroupElement computes from the determinant."""
     field = scheme.field
     dom = ScalarDomain(field)
     n = scheme.n
@@ -160,7 +160,7 @@ def shear_product(scheme, rng, most=3):
     if scheme.kind == "SL":
         return validate_branch(scheme, acc)
     unit = monomial()
-    return validate_branch(scheme, ((tuple(x * unit for x in acc[0]),) + acc[1:]), unit.inv())
+    return validate_branch(scheme, ((tuple(x * unit for x in acc[0]),) + acc[1:]))
 
 
 class EagerEchelon:
