@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time Groebner basis runs and closures alone on fixed inputs.
+"""Time Groebner basis runs, closures and the ansatz alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -39,10 +39,16 @@ captured the same way.  A process certifies each ideal once and answers
 repeats from a memo, so the memo is cleared before each run, which times
 the check itself.
 
+The ansatz quotient: `stabilizer.Ansatz(b, 6).quotient(b.element)` for the
+reduced branch b of that shear (the branch `flat_closure` gets, captured
+the same way), the series arithmetic over the polynomial coefficient ring
+k[lam, lami, c_i] that `stab_reparam` runs before its Groebner basis; each
+run builds its own Ansatz.
+
 Prints one JSON line: per input the generator count (per closure the
 degree, per flat closure the generators of V and the S-polynomials one run
 forms, for the division kernel the basis size and the S-polynomials
-reduced) and the size of the resulting basis, and the median, min and max
+reduced, for the ansatz quotient its parameter count) and the size of the resulting basis, and the median, min and max
 milliseconds of N runs.  The package is imported from the src/ next to this
 script.
 """
@@ -216,6 +222,16 @@ def time_verify(H: SubgroupDesc, runs: int) -> dict:
     return {"gens": len(H.ideal.gens), "verified": ok, **_stats(times)}
 
 
+def time_ansatz_quotient(branch, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        ansatz = stabilizer.Ansatz(branch, 6)
+        ansatz.quotient(branch.element)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"params": ansatz.ring.nvars, **_stats(times)}
+
+
 def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> dict:
     times = []
     for _ in range(runs):
@@ -242,8 +258,9 @@ def main() -> int:
         name: time_verify(found["subgroup"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
+    quotient = time_ansatz_quotient(shear["closure_input"][0], args.runs)
     print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat,
-                      "division": division, "verify_subgroup": checked}))
+                      "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient}))
     return 0
 
 

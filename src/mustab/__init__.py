@@ -27,7 +27,7 @@ from .factor import uni_factor
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import StabilizerRun, compute_stabilizer, halevi_lift_check, lift_residue_point
 from .poly import Poly, PolyRing
-from .series import PuiseuxSeries, ScalarDomain, parse_series, ser_subst
+from .series import PuiseuxSeries, parse_series, ser_subst
 from .stabilizer import mu_correct, mu_reduce, stab_reparam
 from .subgroups import SubgroupDesc, TubeCertificate, conjugate_stab, is_solvable, verify_subgroup
 
@@ -48,7 +48,6 @@ __all__ = [
     "PuiseuxSeries",
     "QQ",
     "Scalar",
-    "ScalarDomain",
     "StabilizerRun",
     "SubgroupDesc",
     "TubeCertificate",

@@ -24,7 +24,7 @@ from .groups import GroupElement, GroupScheme
 from .ideals import Ideal, MonomialValues, _dim_from_leading_monomials, monomial_relations, relation_ideal
 from .linalg import echelon
 from .poly import PolyRing, monomials_up_to
-from .series import PuiseuxSeries, ScalarDomain
+from .series import PuiseuxSeries
 
 
 @dataclass
@@ -121,7 +121,7 @@ def _closure_relations(branch: Branch, degree_bound: int) -> list:
         raise ValueError("degree bound must be >= 1")
     point = branch.element.flat()
     n = len(point)
-    values = MonomialValues(point, PuiseuxSeries.one(ScalarDomain(branch.field)))
+    values = MonomialValues(point, PuiseuxSeries.one(branch.field))
     if all(s.is_exact() for s in point):
         slot: dict[Exponent, int] = {}
         return monomial_relations(

@@ -58,7 +58,7 @@ from .ideals import (
     krull_dim,
 )
 from .poly import Poly, PolyRing
-from .series import PuiseuxSeries, ScalarDomain
+from .series import PuiseuxSeries
 from .subgroups import SubgroupDesc, verify_subgroup
 
 
@@ -293,7 +293,6 @@ def verify_flat_closure_at(result: DegenerationResult, point: GroupElement) -> b
     """Every generator of the flat closure vanishes at u = t^(gamma/N) and
     X = point, up to the point's tracked precision."""
     field = point.scheme.field
-    dom = ScalarDomain(field)
     values = point._values()
-    values["_u"] = PuiseuxSeries.monomial(dom, result.u_exponent, field.one())
-    return not any(eval_poly_series(g, values, dom).terms for g in result.closure.gens)
+    values["_u"] = PuiseuxSeries.monomial(field, result.u_exponent, field.one())
+    return not any(eval_poly_series(g, values, field).terms for g in result.closure.gens)

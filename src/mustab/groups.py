@@ -41,7 +41,7 @@ from .exponents import exp
 from .fields import FieldSpec, Scalar
 from .ideals import Ideal
 from .poly import Poly, PolyRing, eval_poly
-from .series import PuiseuxSeries, ScalarDomain
+from .series import PuiseuxSeries
 
 
 def additive_coordinates(n: int) -> tuple[str, ...]:
@@ -420,8 +420,8 @@ class KPoint(_Point):
 
     def to_series(self) -> GroupElement:
         """Embed as an exact constant series point."""
-        dom = ScalarDomain(self.scheme.field)
-        return self.map(lambda c: PuiseuxSeries.constant(dom, c))
+        field = self.scheme.field
+        return self.map(lambda c: PuiseuxSeries.constant(field, c))
 
 
 # -- random points -------------------------------------------------------------

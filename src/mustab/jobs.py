@@ -36,6 +36,8 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
     """The job's budgets, each a JSON integer in its range; the overrides
     (command-line flags) win over the job's values."""
     b = Budgets()
+    if data is not None and not isinstance(data, dict):
+        raise JobError(f"budgets must be a JSON object, not {data!r}", EXIT_INVALID)
     merged = dict(data or {})
     for k, v in (overrides or {}).items():
         if v is not None:
@@ -154,8 +156,10 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
         code = max(code, EXIT_VERIFY)
     report["timing"] = {"seconds": round(time.time() - start, 3)}
     defaults = Budgets()
+    given = job.get("budgets") if isinstance(job, dict) else None
+    given = given if isinstance(given, dict) else {}
     report["budget_usage"] = {
-        name: (overrides or {}).get(name) or (job.get("budgets") or {}).get(name, getattr(defaults, name))
+        name: (overrides or {}).get(name) or given.get(name, getattr(defaults, name))
         for name in ("precision", "degree_bound", "order_budget")
     }
     return report, code

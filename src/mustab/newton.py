@@ -24,7 +24,10 @@ from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
 from .poly import Poly, PolyRing
-from .series import PuiseuxSeries, ScalarDomain
+from .series import PuiseuxSeries
+
+# depth of the Newton-polygon recursion before BudgetExceeded
+_NEWTON_BUDGET = 200
 
 
 @dataclass
@@ -198,7 +201,7 @@ def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Sca
     return roots
 
 
-def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int):
+def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int = _NEWTON_BUDGET):
     """All Puiseux expansions w(z) with positive valuation solving pp = 0,
     as (terms, exact) pairs; terms are ascending (Fraction, Scalar)."""
     if budget <= 0:
@@ -269,11 +272,11 @@ def _localize(f: Poly, chart: str) -> Poly:
     return out
 
 
-def places_at_infinity(curve: PlaneCurveInput, precision: int = 12, budget: int = 200) -> list[Branch]:
+def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Branch]:
     """One validated Branch per place of the curve at infinity whose image
     under the embedding is centered at infinity."""
     try:
-        return _places(curve, precision, budget)
+        return _places(curve, precision)
     except _ExtensionNeeded as need:
         field = curve.f.ring.field
         if field.kind != "Fp":
@@ -282,7 +285,7 @@ def places_at_infinity(curve: PlaneCurveInput, precision: int = 12, budget: int 
         ext = FieldSpec("Fq", p=field.p, modulus=mod)
         lifted = _lift_curve(curve, ext)
         try:
-            return _places(lifted, precision, budget)
+            return _places(lifted, precision)
         except _ExtensionNeeded:
             raise CoefficientFieldTooSmall(
                 f"roots escape one extension level over F_{field.p}"
@@ -308,14 +311,13 @@ def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:
     return PlaneCurveInput(lift_poly(curve.f, fring), emb, scheme, curve.trusted_irreducible)
 
 
-def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]:
+def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
     f = curve.f
     field = f.ring.field
     checked, irreducible = check_irreducible_fragment(f)
     if checked and not irreducible:
         raise ValueError(f"{f} is reducible; places are per irreducible curve")
     trusted = curve.trusted_irreducible or not checked
-    dom = ScalarDomain(field)
     prec_z = Fraction(precision + 1)
     expansions: list[tuple[str, Scalar | None, list, bool]] = []
 
@@ -324,30 +326,30 @@ def _places(curve: PlaneCurveInput, precision: int, budget: int) -> list[Branch]
     for c0 in roots:
         pp = _pp_from_poly(gx, "w", "z")
         pp = _pp_substitute(pp, Fraction(0), c0, field)  # w -> c0 + w
-        for terms, exact in _np_expansions(pp, field, prec_z, budget):
+        for terms, exact in _np_expansions(pp, field, prec_z):
             expansions.append(("X", c0, terms, exact))
     if has_vertical:
         gy = _localize(f, "Y")
         pp = _pp_from_poly(gy, "w", "z")
-        for terms, exact in _np_expansions(pp, field, prec_z, budget):
+        for terms, exact in _np_expansions(pp, field, prec_z):
             expansions.append(("Y", None, terms, exact))
 
     branches: list[Branch] = []
     for chart, c0, terms, exact in expansions:
         e = math.lcm(*(g.denominator for g, _ in terms))
         prec_t = None if exact else exp(e * (prec_z - 1))
-        pole = PuiseuxSeries.monomial(dom, exp(-e), field.one())
+        pole = PuiseuxSeries.monomial(field, exp(-e), field.one())
         w_terms = [(exp(Fraction(g) * e), c) for g, c in terms]
         if chart == "X":
-            w_series = PuiseuxSeries(dom, [(exp(0), c0)] + w_terms, None if exact else exp(e * prec_z))
+            w_series = PuiseuxSeries(field, [(exp(0), c0)] + w_terms, None if exact else exp(e * prec_z))
             xs = pole
             ys = (w_series * pole).truncate(prec_t) if prec_t is not None else w_series * pole
         else:
-            u_series = PuiseuxSeries(dom, w_terms, None if exact else exp(e * prec_z))
+            u_series = PuiseuxSeries(field, w_terms, None if exact else exp(e * prec_z))
             ys = pole
             xs = (u_series * pole).truncate(prec_t) if prec_t is not None else u_series * pole
         values = {"x": xs, "y": ys}
-        entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, dom))
+        entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, field))
         branch = validate_branch(curve.scheme, entries)
         branch.trusted_irreducible = trusted
         if is_centered_at_infinity(branch):

@@ -9,6 +9,7 @@ by `+`/`-` and scalars written `a/b`, `a+b*sqrt(d)` or integers mod p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, itemgetter
 
@@ -124,6 +125,13 @@ class PolyRing:
 
     def from_int(self, n: int) -> Poly:
         return self.from_scalar(self.field.from_int(n))
+
+    def from_fraction(self, q: Fraction) -> Poly:
+        return self.from_scalar(self.field.from_fraction(q))
+
+    @property
+    def char(self) -> int:
+        return self.field.char
 
     def var(self, name: str) -> Poly:
         i = self.variables.index(name)

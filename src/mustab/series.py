@@ -15,15 +15,18 @@ merge of the two ordered term lists, `*` collects the products in a dict
 keyed by exponent and sorts once, and negation, `scale`, `shift` and
 `truncate` keep the order of their input.
 
-Coefficients are Scalars by default, but any ring-like objects work
-(multivariate polynomials are used by the stabilizer ansatz); the
-CoeffDomain adapter supplies zero/one, rational images and unit inversion.
+A series' `dom` is its coefficient ring: a FieldSpec for Scalar
+coefficients, or a PolyRing for the polynomial coefficients of the
+stabilizer ansatz.  The ring gives `zero()`, `one()`, `from_fraction(q)`
+for the binomial coefficients and `char`; coefficients give `+`, `-`, `*`
+and `is_zero()`.  Only Scalar coefficients are inverted (`c.inv()`): the
+leading coefficient in `PuiseuxSeries.inv` and of the substituted series
+in `ser_subst`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
@@ -38,94 +41,9 @@ from .errors import (
 )
 from .exponents import EXP_ZERO, Exponent, exp
 from .fields import FieldSpec, Scalar, pow_by_squaring
-from .poly import Poly, PolyRing
+from .poly import PolyRing
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
-
-
-class CoeffDomain:
-    """Adapter for the coefficient ring of a series."""
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def from_fraction(self, q: Fraction):
-        raise NotImplementedError
-
-    def inv(self, c):
-        raise NotImplementedError
-
-    @property
-    def char(self) -> int:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ScalarDomain(CoeffDomain):
-    field: FieldSpec
-
-    def zero(self):
-        return self.field.zero()
-
-    def one(self):
-        return self.field.one()
-
-    def from_fraction(self, q: Fraction):
-        if self.field.char and q.denominator % self.field.char == 0:
-            raise WildRamification(f"denominator {q.denominator} vanishes in characteristic {self.field.char}")
-        return self.field.from_fraction(q)
-
-    def inv(self, c: Scalar):
-        return c.inv()
-
-    @property
-    def char(self) -> int:
-        return self.field.char
-
-
-@dataclass(frozen=True)
-class PolyDomain(CoeffDomain):
-    """Polynomial coefficients; units are constants or monomials in
-    declared reciprocal-variable pairs (e.g. lam * lami = 1)."""
-
-    ring: PolyRing
-    unit_pairs: tuple[tuple[str, str], ...] = ()
-
-    def zero(self):
-        return self.ring.zero()
-
-    def one(self):
-        return self.ring.one()
-
-    def from_fraction(self, q: Fraction):
-        if self.ring.field.char and q.denominator % self.ring.field.char == 0:
-            raise WildRamification(f"denominator {q.denominator} vanishes in characteristic {self.ring.field.char}")
-        return self.ring.from_scalar(self.ring.field.from_fraction(q))
-
-    def inv(self, c: Poly):
-        if c.is_constant():
-            return self.ring.from_scalar(c.constant_coefficient().inv())
-        if len(c.terms) == 1:
-            swap = {}
-            for u, v in self.unit_pairs:
-                swap[u], swap[v] = v, u
-            (mono, coeff), = c.terms.items()
-            out_mono = [0] * self.ring.nvars
-            for i, e in enumerate(mono):
-                if e:
-                    name = self.ring.variables[i]
-                    if name not in swap:
-                        raise ValueError(f"cannot invert non-unit variable {name}")
-                    out_mono[self.ring.variables.index(swap[name])] = e
-            return self.ring.monomial(tuple(out_mono), coeff.inv())
-        raise ValueError(f"cannot invert non-monomial coefficient {c}")
-
-    @property
-    def char(self) -> int:
-        return self.ring.field.char
 
 
 _new = object.__new__
@@ -147,11 +65,11 @@ def _add_prec(p: Exponent | None, e: Exponent | None) -> Exponent | None:
 
 
 class PuiseuxSeries:
-    """Immutable truncated series over a coefficient domain."""
+    """Immutable truncated series over a coefficient ring (FieldSpec or PolyRing)."""
 
     __slots__ = ("dom", "terms", "precision")
 
-    def __init__(self, dom: CoeffDomain, terms, precision: Exponent | None):
+    def __init__(self, dom: FieldSpec | PolyRing, terms, precision: Exponent | None):
         clean = [(e, c) for e, c in terms if not c.is_zero()]
         clean.sort(key=_exponent_of)
         for i in range(1, len(clean)):
@@ -164,7 +82,7 @@ class PuiseuxSeries:
         self.precision = precision
 
     @staticmethod
-    def _ordered(dom: CoeffDomain, terms: tuple, precision: Exponent | None) -> PuiseuxSeries:
+    def _ordered(dom: FieldSpec | PolyRing, terms: tuple, precision: Exponent | None) -> PuiseuxSeries:
         """The series of `terms`, which must already be ascending, nonzero
         and below `precision`; nothing is sorted or checked."""
         s = _new(PuiseuxSeries)
@@ -175,25 +93,25 @@ class PuiseuxSeries:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def zero(dom: CoeffDomain, precision: Exponent | None = None) -> PuiseuxSeries:
+    def zero(dom: FieldSpec | PolyRing, precision: Exponent | None = None) -> PuiseuxSeries:
         return PuiseuxSeries(dom, (), precision)
 
     @staticmethod
-    def one(dom: CoeffDomain) -> PuiseuxSeries:
+    def one(dom: FieldSpec | PolyRing) -> PuiseuxSeries:
         return PuiseuxSeries(dom, ((EXP_ZERO, dom.one()),), None)
 
     @staticmethod
-    def monomial(dom: CoeffDomain, e, coeff=None, precision: Exponent | None = None) -> PuiseuxSeries:
+    def monomial(dom: FieldSpec | PolyRing, e, coeff=None, precision: Exponent | None = None) -> PuiseuxSeries:
         c = coeff if coeff is not None else dom.one()
         return PuiseuxSeries(dom, ((exp(e), c),), precision)
 
     @staticmethod
-    def constant(dom: CoeffDomain, c) -> PuiseuxSeries:
+    def constant(dom: FieldSpec | PolyRing, c) -> PuiseuxSeries:
         return PuiseuxSeries(dom, ((EXP_ZERO, c),), None)
 
     def _check(self, other: PuiseuxSeries):
-        if self.dom != other.dom:
-            raise FieldMismatch(f"series domains differ: {self.dom} vs {other.dom}")
+        if self.dom is not other.dom and self.dom != other.dom:
+            raise FieldMismatch(f"series rings differ: {self.dom} vs {other.dom}")
 
     # -- inspection ------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -323,7 +241,7 @@ class PuiseuxSeries:
                 raise LeadingTermUnknown(f"no term of the series is known below t^({self.precision})")
             raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
         v, c = self.terms[0]
-        cinv = self.dom.inv(c)
+        cinv = c.inv()
         lead_inv = PuiseuxSeries.monomial(self.dom, -v, cinv)
         # w = self / (c t^v) - 1 has positive valuation
         w = (self.shift(-v)).scale(cinv) - PuiseuxSeries.one(self.dom)
@@ -439,7 +357,7 @@ def ser_subst(
         if not s.terms:
             raise ZeroLeadingTerm("substitution by a series with no known term")
         v, c_lead = s.terms[0]
-        cinv = f.dom.inv(c_lead)
+        cinv = c_lead.inv()
         w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)  # known below s.precision - v
         powers = None
     if not EXP_ZERO < v:
@@ -453,7 +371,7 @@ def ser_subst(
             return c_lead**num if num >= 0 else cinv ** (-num)
         if isinstance(c_lead, Scalar):
             root = c_lead.kth_root(den)
-            return root**num if num >= 0 else f.dom.inv(root) ** (-num)
+            return root**num if num >= 0 else root.inv() ** (-num)
         raise ValueError("fractional power of a non-scalar leading coefficient needs lead_root")
 
     # precision budget
@@ -499,11 +417,14 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
     """(1 + w)^gamma = sum_k binom(gamma, k) w^k from the powers of w, known
     below local_prec.  The sum stops where binom(gamma, k) = 0, so integer
     gamma >= 0 allows local_prec None (exact), or where k * val(w) reaches
-    local_prec."""
+    local_prec.  A binomial coefficient whose denominator vanishes in the
+    characteristic raises WildRamification."""
     if powers.val is None:
         return powers[0]
     if local_prec is None and (gamma.denominator != 1 or gamma < 0):
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
+    dom = powers.w.dom
+    char = dom.char
     out = powers[0].truncate(local_prec)
     bc = Fraction(1)
     k = 0
@@ -514,7 +435,9 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
         bound = bound + powers.val
         if bc == 0 or (local_prec is not None and not bound < local_prec):
             return out
-        out = out + powers[k].truncate(local_prec).scale(powers.w.dom.from_fraction(bc))
+        if char and bc.denominator % char == 0:
+            raise WildRamification(f"denominator {bc.denominator} vanishes in characteristic {char}")
+        out = out + powers[k].truncate(local_prec).scale(dom.from_fraction(bc))
 
 
 def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> PuiseuxSeries:
@@ -523,7 +446,6 @@ def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> P
     strings; a bare list is shorthand for exact terms."""
     from .poly import parse_scalar
 
-    dom = ScalarDomain(field)
     if isinstance(data, list):
         items, prec = data, None
     else:
@@ -535,7 +457,7 @@ def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> P
         c = parse_scalar(str(c_str), field)
         terms.append((e, c))
     precision = None if prec is None else Exponent.parse(str(prec), d)
-    return PuiseuxSeries(dom, terms, precision)
+    return PuiseuxSeries(field, terms, precision)
 
 
 def series_to_json(s: PuiseuxSeries) -> dict:

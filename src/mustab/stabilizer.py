@@ -27,7 +27,7 @@ from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
 from .poly import PolyRing
-from .series import PolyDomain, PowerList, PuiseuxSeries, ScalarDomain, ser_subst
+from .series import PowerList, PuiseuxSeries, ser_subst
 from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
@@ -65,9 +65,8 @@ class Ansatz:
         self.gammas = tuple(ansatz_exponents(branch, order_budget))
         names = ("lam", "lami") + tuple(f"c{i + 1}" for i in range(len(self.gammas)))
         self.ring = PolyRing(field, names)
-        self.dom = PolyDomain(self.ring, (("lam", "lami"),))
         tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
-        self.tail = PuiseuxSeries(self.dom, tail_terms, None)
+        self.tail = PuiseuxSeries(self.ring, tail_terms, None)
         self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
         self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
         # one list of tail powers serves every coordinate substituted if it
@@ -88,7 +87,7 @@ class Ansatz:
 
     def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
-        return PuiseuxSeries(self.dom, terms, f.precision)
+        return PuiseuxSeries(self.ring, terms, f.precision)
 
     def subst(self, f: PuiseuxSeries, prec: Exponent, powers: PowerList) -> PuiseuxSeries:
         return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, powers))
@@ -136,7 +135,7 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
         if require_identity_residue:
             idc = id_vals.get(name)
             if idc is not None:
-                constraints.append(res_poly - s.dom.ring.from_scalar(idc))
+                constraints.append(res_poly - s.dom.from_scalar(idc))
         residue.append(res_poly)
     return constraints, residue
 
@@ -150,8 +149,7 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     try:
         eps = a.element.mul(b.element.inv())
         if eps.in_mu():
-            dom = ScalarDomain(a.field)
-            t = PuiseuxSeries.monomial(dom, exp(1), a.field.one())
+            t = PuiseuxSeries.monomial(a.field, exp(1), a.field.one())
             return TubeCertificate(t, eps)
     except PrecisionInsufficient:
         pass
@@ -172,7 +170,7 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     lead = sol["lam"] ** ansatz.r
     tail = [(g, sol[f"c{i + 1}"]) for i, g in enumerate(ansatz.gammas)]
     terms = [(EXP_ONE, lead)] + [(EXP_ONE + exp(g), lead * c) for g, c in tail if not c.is_zero()]
-    s0 = PuiseuxSeries(ScalarDomain(a.field), terms, None)
+    s0 = PuiseuxSeries(a.field, terms, None)
     lead_root = _lead_root(sol["lam"], sol["lami"], ansatz.r)
     eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
     return TubeCertificate(s0, eps) if eps.in_mu() else None
@@ -207,9 +205,8 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
                 raise
             D -= 1
     candidates = _truncation_candidates(branch)
-    dom = ScalarDomain(branch.field)
     ident_cert = TubeCertificate(
-        PuiseuxSeries.monomial(dom, exp(1), branch.field.one()),
+        PuiseuxSeries.monomial(branch.field, exp(1), branch.field.one()),
         _identity_eps(branch),
     )
     best = (dim_before, _term_count(branch), branch, ident_cert)

@@ -18,7 +18,7 @@ from mustab.ideals import Budgets, Ideal, eliminate, ideal, ideal_equal, krull_d
 from mustab.newton import PlaneCurveInput, places_at_infinity
 from mustab.pipeline import compute_stabilizer, halevi_lift_check
 from mustab.poly import PolyRing
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 from mustab.stabilizer import mu_correct, mu_reduce
 from mustab.subgroups import SubgroupDesc, TubeCertificate, conjugate_stab, is_solvable
 from tests_helpers import (
@@ -31,17 +31,14 @@ from tests_helpers import (
 )
 
 F5 = FieldSpec("Fp", p=5)
-DQ = ScalarDomain(QQ)
-D5 = ScalarDomain(F5)
 BUDGETS = Budgets(degree_bound=4)
 
 
-def S(*terms, prec=None, dom=DQ):
-    f = dom.field
-    return PuiseuxSeries(dom, [(exp(e), f.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
+def S(*terms, prec=None, dom=QQ):
+    return PuiseuxSeries(dom, [(exp(e), dom.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
 
 
-def Z(dom=DQ):
+def Z(dom=QQ):
     return PuiseuxSeries.zero(dom)
 
 
@@ -54,18 +51,16 @@ def add2(field=QQ):
 
 
 def x1_branch(field=QQ):
-    dom = ScalarDomain(field)
     return validate_branch(
         sl2(field),
-        ((S((-1, 1), dom=dom), S((0, 1), dom=dom)), (Z(dom), S((1, 1), dom=dom))),
+        ((S((-1, 1), dom=field), S((0, 1), dom=field)), (Z(field), S((1, 1), dom=field))),
     )
 
 
 def x2_branch(field=QQ):
-    dom = ScalarDomain(field)
     return validate_branch(
         sl2(field),
-        ((S((-1, 1), dom=dom), Z(dom)), (S((0, 1), dom=dom), S((1, 1), dom=dom))),
+        ((S((-1, 1), dom=field), Z(field)), (S((0, 1), dom=field), S((1, 1), dom=field))),
     )
 
 
@@ -116,7 +111,7 @@ def test_criterion_02_x2_torus_both_algorithms():
 def test_criterion_03_irrational_pair_reduction():
     t0 = time.monotonic()
     r = Exponent(Fraction(0), Fraction(1), 2)
-    second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     branch = validate_branch(add2(), (S((-1, 1)), second))
     dim_p = type_dimension(branch, 6)
     reduced, cert, dim_before, dim_after = mu_reduce(branch, Budgets(degree_bound=6))
@@ -289,7 +284,7 @@ def test_criterion_11_property_suites():
             break
 
     # residue multiplicativity on valuation-0 series
-    one = PuiseuxSeries.constant(DQ, QQ.one())
+    one = PuiseuxSeries.constant(QQ, QQ.one())
     for _ in range(200):
         f = one.scale(QQ.from_int(rng.randrange(1, 9))) + random_series(rng, allow_neg=False).truncate(exp(4))
         g = one.scale(QQ.from_int(rng.randrange(1, 9))) + random_series(rng, allow_neg=False).truncate(exp(4))
@@ -322,7 +317,7 @@ def test_criterion_11_property_suites():
             failures.append(f"agreement {name}")
     reduced_run = compute_stabilizer(
         validate_branch(add2(), (S((-1, 1)),
-                                 PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None))),
+                                 PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None))),
         "both",
         Budgets(degree_bound=6),
     )

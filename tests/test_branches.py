@@ -12,20 +12,18 @@ from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
 from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim
 from mustab.poly import PolyRing
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 
 QS2 = FieldSpec("QSqrt", d=2)
-DQ = ScalarDomain(QQ)
 SL2 = GroupScheme("SL", 2, QQ)
 ADD2 = GroupScheme("Additive", 2, QQ)
 
 
-def S(*terms, prec=None, dom=DQ):
-    f = dom.field
-    return PuiseuxSeries(dom, [(exp(e), f.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
+def S(*terms, prec=None, dom=QQ):
+    return PuiseuxSeries(dom, [(exp(e), dom.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
 
 
-def Z(dom=DQ):
+def Z(dom=QQ):
     return PuiseuxSeries.zero(dom)
 
 
@@ -44,7 +42,7 @@ def test_validate_additive_and_ramification():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
     assert b.ramification == 1
     assert is_centered_at_infinity(b)
-    half = PuiseuxSeries(DQ, [(exp("1/2"), QQ.one())], None)
+    half = PuiseuxSeries(QQ, [(exp("1/2"), QQ.one())], None)
     b2 = validate_branch(ADD2, (half, Z()))
     assert b2.ramification == 2
     assert not is_centered_at_infinity(b2)
@@ -95,14 +93,13 @@ def test_implicitize_substitution_vanishes():
 
     values = {"x": b.element.entries[0], "y": b.element.entries[1]}
     for g in out.gens:
-        assert eval_poly_series(g, values, DQ).is_zero()
+        assert eval_poly_series(g, values, QQ).is_zero()
 
 
 def test_type_dimension_irrational_pair():
-    dom = ScalarDomain(QQ)
     r = Exponent(Fraction(0), Fraction(1), 2)
     first = S((-1, 1))
-    second = PuiseuxSeries(dom, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     b = validate_branch(ADD2, (first, second))
     assert type_dimension(b, 6) == 2
 
@@ -126,9 +123,9 @@ def test_certified_dim_where_the_bounds_meet():
     cusp = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
     assert certified_dim(cusp) == 1 and type_dimension(cusp, 2) == 2
     r = Exponent(Fraction(0), Fraction(1), 2)
-    second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     assert certified_dim(validate_branch(ADD2, (S((-1, 1)), second))) == 2
-    shifted = PuiseuxSeries(DQ, [(exp(0), QQ.one()), (r, QQ.one())], None)
+    shifted = PuiseuxSeries(QQ, [(exp(0), QQ.one()), (r, QQ.one())], None)
     assert certified_dim(validate_branch(ADD2, (S((-1, 1)), shifted))) == 2
     assert certified_dim(validate_branch(ADD2, (S((0, 3)), S((0, -1))))) == 0
 
@@ -137,7 +134,7 @@ def test_certified_dim_leaves_open_bounds_that_differ():
     """x = t^-1 + t^sqrt(2) and y = x^2 have exponents of rank 2, but every
     k-combination of 1, x, y has a rational valuation; and a truncated entry
     bounds nothing."""
-    x = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
+    x = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
     square = validate_branch(ADD2, (x, x * x))
     assert certified_dim(square) is None and type_dimension(square, 2) == 1
     assert certified_dim(validate_branch(ADD2, (S((-2, 1)), S((-3, 1), prec=4)))) is None

@@ -233,7 +233,29 @@ def test_budget_that_is_no_integer_in_range_is_invalid(name, value):
     job["budgets"][name] = value
     report, code = run_job(job)
     assert code == 2
-    assert report["errors"][0]["type"] == "JobError" and name in report["errors"][0]["message"]
+    assert report["errors"][0]["type"] == "JobError"
+
+
+def test_job_that_is_not_an_object_exits_invalid():
+    report, code = run_job(["not", "a", "dict"])
+    assert code == 2
+    assert report["errors"][0]["type"] == "JobError"
+    assert report["budget_usage"] == {"precision": 12, "degree_bound": 8, "order_budget": 6}
+
+
+def test_budget_usage_reports_the_job_budgets():
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "input": {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}},
+    }
+    report, code = run_job(dict(job, budgets={"precision": 10, "order_budget": 4}))
+    assert code == 0
+    assert report["budget_usage"] == {"precision": 10, "degree_bound": 8, "order_budget": 4}
+    report, code = run_job(dict(job, budgets={"precision": "x"}))
+    assert code == 2
+    assert report["budget_usage"]["precision"] == "x" and name in report["errors"][0]["message"]
 
 
 SL2_BOREL_SUBGROUP = {"kind": "Subgroup", "parent": {"kind": "SL", "n": 2}, "ideal": ["x21"]}
@@ -767,6 +789,12 @@ MALFORMED_INPUTS = {
     "exponent_d_4": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": 4}),
     "exponent_d_0": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": 0}),
     "exponent_d_minus_1": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-1, 1))]}}, {"exponent_d": -1}),
+    # budgets must be a JSON object
+    "budgets_a_list": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}, {"budgets": [1, 2]}),
+    "budgets_a_string": ("stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}, {"budgets": "abc"}),
+    "budgets_a_list_of_pairs": (
+        "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}, {"budgets": [["precision", 12]]}
+    ),
 }
 
 
@@ -779,3 +807,25 @@ def test_malformed_input_exits_invalid(name):
     report, code = run_job(job)
     assert code == 2
     assert report["errors"][0]["type"] == "JobError"
+
+
+def test_job_that_is_not_an_object_exits_invalid():
+    report, code = run_job(["not", "a", "dict"])
+    assert code == 2
+    assert report["errors"][0]["type"] == "JobError"
+    assert report["budget_usage"] == {"precision": 12, "degree_bound": 8, "order_budget": 6}
+
+
+def test_budget_usage_reports_the_job_budgets():
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "input": {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}},
+    }
+    report, code = run_job(dict(job, budgets={"precision": 10, "order_budget": 4}))
+    assert code == 0
+    assert report["budget_usage"] == {"precision": 10, "degree_bound": 8, "order_budget": 4}
+    report, code = run_job(dict(job, budgets={"precision": "x"}))
+    assert code == 2
+    assert report["budget_usage"]["precision"] == "x"

@@ -29,7 +29,7 @@ from mustab.ideals import (
 )
 from mustab.groups import eval_poly_series, random_scalar
 from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 from tests_helpers import ideal_intersect, random_laurent, random_series
 
 F5 = FieldSpec("Fp", p=5)
@@ -578,9 +578,8 @@ def test_eval_poly_equals_termwise_evaluation(field, seed):
         polys[v] = q
     assert p.subs_polys(polys, target) == termwise_eval(p, polys, target.from_scalar, target.zero())
 
-    dom = ScalarDomain(field)
-    series = {v: random_series(rng, dom, max_terms=3) for v in names}
+    series = {v: random_series(rng, field, max_terms=3) for v in names}
     series[rng.choice(names)] = random_laurent(field, rng)  # an exact one too
-    got = eval_poly_series(p, series, dom)
-    want = termwise_eval(p, series, lambda c: PuiseuxSeries.constant(dom, c), PuiseuxSeries.zero(dom))
+    got = eval_poly_series(p, series, field)
+    want = termwise_eval(p, series, lambda c: PuiseuxSeries.constant(field, c), PuiseuxSeries.zero(field))
     assert got.terms == want.terms and got.precision == want.precision

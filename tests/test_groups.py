@@ -20,7 +20,7 @@ from mustab.groups import (
     random_scalar,
 )
 from mustab.poly import PolyRing
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 from tests_helpers import (
     agrees,
     is_identity,
@@ -33,18 +33,16 @@ from tests_helpers import (
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
 QS2 = FieldSpec("QSqrt", d=2)
-DQ = ScalarDomain(QQ)
 SL2 = GroupScheme("SL", 2, QQ)
 ADD2 = GroupScheme("Additive", 2, QQ)
 
 
-def S(*terms, prec=None, dom=DQ):
-    field = dom.field
-    return PuiseuxSeries(dom, [(exp(e), field.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
+def S(*terms, prec=None, dom=QQ):
+    return PuiseuxSeries(dom, [(exp(e), dom.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
 
 
 def Z():
-    return PuiseuxSeries.zero(DQ)
+    return PuiseuxSeries.zero(QQ)
 
 
 X1_BRANCH = ((S((-1, 1)), S((0, 1))), (Z(), S((1, 1))))  # [[t^-1, 1], [0, t]]
@@ -129,8 +127,7 @@ def test_integrality_from_residues_matches_the_series_determinant(kind, n, field
     and in_mu agree with the series determinant on points of G(K), G(O), mu
     and G(O) * mu, and on GL with integral entries whose det is no unit."""
     scheme = GroupScheme(kind, n, field)
-    dom = ScalarDomain(field)
-    one, zero, t = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom), PuiseuxSeries.monomial(dom, exp(1), field.one())
+    one, zero, t = PuiseuxSeries.one(field), PuiseuxSeries.zero(field), PuiseuxSeries.monomial(field, exp(1), field.one())
     rng = random.Random(f"integrality-{kind}-{n}-{field}")
     points = []
     for _ in range(8):
@@ -151,15 +148,14 @@ def test_integrality_from_residues_matches_the_series_determinant(kind, n, field
 def test_integrality_of_an_entry_with_no_known_term():
     """An entry known only below t^0, with no term there, may have any
     valuation: neither test can decide, and both raise."""
-    dom = ScalarDomain(QQ)
     for prec in (0, -1):
-        unknown = PuiseuxSeries(dom, [], exp(prec))
+        unknown = PuiseuxSeries(QQ, [], exp(prec))
         g = GroupElement(SL2, ((S((0, 1)), unknown), (Z(), S((0, 1)))), check=False)
         for test in (GroupElement.is_integral, GroupElement.in_mu, series_det_is_integral):
             with pytest.raises(PrecisionInsufficient):
                 test(g)
     # a negative valuation before it decides first, on both paths
-    g = GroupElement(SL2, ((S((-1, 1)), PuiseuxSeries(dom, [], exp(0))), (Z(), S((1, 1)))), check=False)
+    g = GroupElement(SL2, ((S((-1, 1)), PuiseuxSeries(QQ, [], exp(0))), (Z(), S((1, 1)))), check=False)
     assert not g.is_integral() and not g.in_mu() and not series_det_is_integral(g)
 
 
@@ -189,13 +185,12 @@ def test_in_mu():
     one_plus_t = S((0, 1), (1, 1))
     d = GroupElement(SL2, ((one_plus_t, Z()), (Z(), one_plus_t.inv(prec=exp(8)))))
     assert d.in_mu()
-    dom2 = ScalarDomain(QS2)
     add2 = GroupScheme("Additive", 2, QS2)
     from mustab.exponents import Exponent
     from fractions import Fraction
 
-    tr = PuiseuxSeries(dom2, [(Exponent(Fraction(0), Fraction(1), 2), QS2.one())], None)
-    v = GroupElement(add2, (PuiseuxSeries.zero(dom2), tr))
+    tr = PuiseuxSeries(QS2, [(Exponent(Fraction(0), Fraction(1), 2), QS2.one())], None)
+    v = GroupElement(add2, (PuiseuxSeries.zero(QS2), tr))
     assert v.in_mu()
     u = GroupElement(SL2, ((S((0, 1)), S((0, 1))), (Z(), S((0, 1)))))
     assert not u.in_mu()
@@ -370,7 +365,7 @@ MATRIX_RINGS = {
         + PXY.from_int(rng.randrange(-2, 3)),
         PXY.one(),
     ),
-    "series": (lambda rng: random_laurent(QQ, rng, terms=2), PuiseuxSeries.one(DQ)),
+    "series": (lambda rng: random_laurent(QQ, rng, terms=2), PuiseuxSeries.one(QQ)),
 }
 
 

@@ -16,7 +16,7 @@ from mustab.groups import GroupScheme
 from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis
 from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 from mustab.subgroups import ideal_of_points
 from tests_helpers import EagerEchelon, field_elements, random_laurent, random_laurent_point, shear_product
 
@@ -77,7 +77,7 @@ def dense_kernel(branch, degree_bound):
             i = max(j for j, e in enumerate(m) if e)
             by_mono[m] = by_mono[m[:i] + (m[i] - 1,) + m[i + 1 :]] * series_list[i]
         else:
-            by_mono[m] = PuiseuxSeries.one(ScalarDomain(field))
+            by_mono[m] = PuiseuxSeries.one(field)
     evaluated = [by_mono[m] for m in monos]
     precisions = [s.precision for s in evaluated if s.precision is not None]
     hi = min(precisions) if precisions else None
@@ -146,7 +146,6 @@ def laurent_branches(rng):
 
 def sqrt_branches(rng):
     """Exact plane branches over Q with exponents in Q + Q*sqrt(d)."""
-    dom = ScalarDomain(QQ)
     add2 = GroupScheme("Additive", 2, QQ)
     branches = []
     for d in (2, 3, 5):
@@ -157,7 +156,7 @@ def sqrt_branches(rng):
                 for _ in range(rng.randrange(1, 4)):
                     e = Exponent(Fraction(rng.randrange(-3, 3)), Fraction(rng.choice([0, 1, -1])), d)
                     terms[e] = QQ.from_int(rng.choice([1, -1, 2]))
-                entries.append(PuiseuxSeries(dom, list(terms.items()), None))
+                entries.append(PuiseuxSeries(QQ, list(terms.items()), None))
             branches.append(validate_branch(add2, tuple(entries)))
     return branches
 

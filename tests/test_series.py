@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mustab.errors import (
+    FieldMismatch,
     IrrationalExponentInSubstitution,
     NegativeValuation,
     PrecisionInsufficient,
@@ -17,10 +18,8 @@ from mustab.exponents import EXP_ZERO, Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.poly import PolyRing
 from mustab.series import (
-    PolyDomain,
     PowerList,
     PuiseuxSeries,
-    ScalarDomain,
     _binomial_power,
     parse_series,
     ser_subst,
@@ -30,15 +29,13 @@ from tests_helpers import agrees
 
 QS2 = FieldSpec("QSqrt", d=2)
 F5 = FieldSpec("Fp", p=5)
-DQ = ScalarDomain(QQ)
 
 
-def S(*terms, prec=None, dom=DQ):
+def S(*terms, prec=None, dom=QQ):
     """Series from (exponent, int-coefficient) pairs."""
-    field = dom.field
     return PuiseuxSeries(
         dom,
-        [(exp(e) if not isinstance(e, Exponent) else e, field.from_int(c)) for e, c in terms],
+        [(exp(e) if not isinstance(e, Exponent) else e, dom.from_int(c)) for e, c in terms],
         None if prec is None else exp(prec),
     )
 
@@ -52,17 +49,17 @@ def test_mul_example():
 def test_reduced_example_correction():
     # second coordinate of the irrational-exponent pair minus the mu-element
     r = Exponent(Fraction(0), Fraction(1), 2)
-    f = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
-    g = PuiseuxSeries(DQ, [(r, -QQ.one())], None)
+    f = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    g = PuiseuxSeries(QQ, [(r, -QQ.one())], None)
     assert f + g == S((-1, 1))
 
 
 def test_zero_absorbs_with_capped_precision():
-    z = PuiseuxSeries.zero(DQ)          # exact zero
+    z = PuiseuxSeries.zero(QQ)          # exact zero
     f = S((1, 3), prec=5)
     out = z * f
     assert out.is_zero() and out.is_exact()
-    zp = PuiseuxSeries.zero(DQ, exp(2))  # zero known only below t^2
+    zp = PuiseuxSeries.zero(QQ, exp(2))  # zero known only below t^2
     out2 = zp * f
     assert out2.is_zero() and out2.precision == exp(3)  # prec(z) + val(f)
 
@@ -84,7 +81,7 @@ def test_inv_geometric():
     f = S((0, 1), (1, 1))  # 1 + t
     out = f.inv(prec=exp(4))
     assert agrees(out, S((0, 1), (1, -1), (2, 1), (3, -1), prec=4))
-    assert agrees(f * out, PuiseuxSeries.one(DQ))
+    assert agrees(f * out, PuiseuxSeries.one(QQ))
 
 
 def test_inv_stops_at_the_precision_of_the_series():
@@ -105,7 +102,7 @@ def test_inv_monomials():
 
 def test_inv_no_leading_term():
     with pytest.raises(ZeroLeadingTerm):
-        PuiseuxSeries.zero(DQ, exp(3)).inv()
+        PuiseuxSeries.zero(QQ, exp(3)).inv()
 
 
 def test_inv_precision_contract():
@@ -115,13 +112,13 @@ def test_inv_precision_contract():
     assert out.precision == exp(4)
     prod = f * out
     assert prod.coefficient(EXP_ZERO).is_one()
-    assert all(not e < exp(4) for e, _ in (prod - PuiseuxSeries.one(DQ)).terms)
+    assert all(not e < exp(4) for e, _ in (prod - PuiseuxSeries.one(QQ)).terms)
 
 
 def test_val_res_examples():
     f = S((0, 1), (1, 3))
     assert f.val() == EXP_ZERO and f.res() == QQ.one()
-    g = PuiseuxSeries(ScalarDomain(QQ), [(Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
+    g = PuiseuxSeries(QQ, [(Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
     assert g.val() == Exponent(Fraction(0), Fraction(1), 2)
     assert g.res() == QQ.zero()
     h = S((-1, 1), (0, 1))
@@ -129,7 +126,7 @@ def test_val_res_examples():
     with pytest.raises(NegativeValuation):
         h.res()
     with pytest.raises(PrecisionInsufficient):
-        PuiseuxSeries.zero(DQ, exp(3)).val()
+        PuiseuxSeries.zero(QQ, exp(3)).val()
 
 
 def test_subst_geometric():
@@ -143,7 +140,7 @@ def test_subst_geometric():
 
 def test_subst_square_root_oracle():
     # f = t^(1/2), s = t(1+t): squaring the result must give back s
-    f = PuiseuxSeries(DQ, [(exp("1/2"), QQ.one())], None)
+    f = PuiseuxSeries(QQ, [(exp("1/2"), QQ.one())], None)
     s = S((1, 1), (2, 1))
     out = ser_subst(f, s, prec=exp("9/2"))
     sq = out * out
@@ -155,18 +152,44 @@ def test_subst_square_root_oracle():
 
 
 def test_subst_irrational_exponent_rejected():
-    f = PuiseuxSeries(DQ, [(Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
+    f = PuiseuxSeries(QQ, [(Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
     s = S((1, 1), (2, 1))
     with pytest.raises(IrrationalExponentInSubstitution):
         ser_subst(f, s)
 
 
 def test_subst_wild_ramification():
-    dom5 = ScalarDomain(F5)
-    f = PuiseuxSeries(dom5, [(exp("1/5"), F5.one())], None)
-    s = PuiseuxSeries(dom5, [(exp(1), F5.one()), (exp(2), F5.one())], None)
+    f = PuiseuxSeries(F5, [(exp("1/5"), F5.one())], None)
+    s = PuiseuxSeries(F5, [(exp(1), F5.one()), (exp(2), F5.one())], None)
     with pytest.raises(WildRamification):
         ser_subst(f, s, prec=exp(3))
+
+
+def test_series_over_different_rings_do_not_mix():
+    """Sums and products need one coefficient ring: Q against F_5 or
+    against a polynomial ring over Q raises; two equal FieldSpecs built
+    separately are the same ring."""
+    q = S((1, 1))
+    ring = PolyRing(QQ, ("a",))
+    for other in (S((1, 1), dom=F5), PuiseuxSeries.monomial(ring, exp(1), ring.var("a"))):
+        with pytest.raises(FieldMismatch):
+            q + other
+        with pytest.raises(FieldMismatch):
+            q * other
+    x, y = S((1, 1), dom=FieldSpec("Fp", p=5)), S((2, 3), dom=FieldSpec("Fp", p=5))
+    assert x + y == S((1, 1), (2, 3), dom=F5)
+    assert x * y == S((3, 3), dom=F5)
+
+
+F3 = FieldSpec("Fp", p=3)
+
+
+@pytest.mark.parametrize("ring", [F3, PolyRing(F3, ("a",))], ids=["F3", "Poly"])
+def test_binomial_power_rejects_a_wild_binomial_coefficient(ring):
+    """binom(1/3, 1) = 1/3 has no image in characteristic 3."""
+    w = PuiseuxSeries.monomial(ring, exp(1), ring.one())
+    with pytest.raises(WildRamification):
+        _binomial_power(PowerList(w, exp(4)), Fraction(1, 3), exp(4))
 
 
 def test_subst_identity():
@@ -189,18 +212,18 @@ RING_AB = PolyRing(QQ, ("a", "b"))
 
 def _random_tail(rng, dom):
     """w with positive valuation; coefficients in dom, exact or truncated."""
-    if isinstance(dom, PolyDomain):
+    if isinstance(dom, PolyRing):
         pool = [RING_AB.var("a"), RING_AB.var("b"), RING_AB.var("a") * RING_AB.var("b") - RING_AB.from_int(2)]
         coeff = lambda: rng.choice(pool).scale(QQ.from_int(rng.randrange(1, 4)))
     else:
-        coeff = lambda: dom.field.from_int(rng.randrange(1, 5))
+        coeff = lambda: dom.from_int(rng.randrange(1, 5))
     terms = {Fraction(rng.randrange(1, 7), rng.choice([1, 2])): coeff() for _ in range(rng.randrange(1, 4))}
     prec = rng.choice([None, exp(rng.randrange(4, 9))])
     return PuiseuxSeries(dom, [(exp(e), c) for e, c in terms.items()], prec)
 
 
 BINOMIAL_DOMAINS = pytest.mark.parametrize(
-    "dom", [DQ, ScalarDomain(F5), PolyDomain(RING_AB)], ids=["Q", "F5", "Poly"]
+    "dom", [QQ, F5, RING_AB], ids=["Q", "F5", "Poly"]
 )
 GAMMAS = [Fraction(g) for g in (0, 1, 2, 5)] + [Fraction(-1), Fraction(-3)] + [Fraction(1, 2), Fraction(-2, 3), Fraction(7, 2)]
 
@@ -305,23 +328,23 @@ def test_one_power_list_serves_every_gamma(dom):
 
 
 def test_power_list_checks_its_series():
-    assert _binomial_power(PowerList(PuiseuxSeries.zero(DQ), None), Fraction(-1, 2), None) == PuiseuxSeries.one(DQ)
+    assert _binomial_power(PowerList(PuiseuxSeries.zero(QQ), None), Fraction(-1, 2), None) == PuiseuxSeries.one(QQ)
     with pytest.raises(ValueError):
         PowerList(S((0, 1), (1, 1)), exp(4))
     with pytest.raises(PrecisionInsufficient):
-        PowerList(PuiseuxSeries.zero(DQ, EXP_ZERO), exp(4))
+        PowerList(PuiseuxSeries.zero(QQ, EXP_ZERO), exp(4))
     with pytest.raises(PrecisionInsufficient):
         _binomial_power(PowerList(S((1, 1)), None), Fraction(-1), None)
 
 
-def random_series(rng, dom=DQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
+def random_series(rng, dom=QQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):
         num = rng.randrange(-4 if allow_neg else 0, 7)
         den = rng.choice([1, 1, 2])
         coeff = rng.randrange(-5, 6)
         if coeff:
-            terms[Fraction(num, den)] = dom.field.from_int(coeff)
+            terms[Fraction(num, den)] = dom.from_int(coeff)
     prec = exp(rng.randrange(*prec_range))
     return PuiseuxSeries(dom, [(exp(e), c) for e, c in terms.items()], prec)
 
@@ -367,7 +390,7 @@ def test_valuation_rules_randomized():
 
 def test_res_multiplicative_on_units():
     rng = random.Random(17)
-    one = PuiseuxSeries.constant(DQ, QQ.from_int(1))
+    one = PuiseuxSeries.constant(QQ, QQ.from_int(1))
     for _ in range(200):
         f = one.scale(QQ.from_int(rng.randrange(1, 9))) + random_series(rng, allow_neg=False).truncate(exp(4))
         g = one.scale(QQ.from_int(rng.randrange(1, 9))) + random_series(rng, allow_neg=False).truncate(exp(4))
@@ -377,7 +400,7 @@ def test_res_multiplicative_on_units():
 
 def test_json_roundtrip():
     s = PuiseuxSeries(
-        ScalarDomain(QS2),
+        QS2,
         [(exp(-1), QS2.one()), (Exponent(Fraction(0), Fraction(1), 2), QS2.one())],
         exp(12),
     )
@@ -399,7 +422,7 @@ def laurent_series(draw):
         if c:
             terms[e] = QQ.from_int(c)
     prec = draw(st.integers(4, 8))
-    return PuiseuxSeries(DQ, [(exp(e), c) for e, c in terms.items()], exp(prec))
+    return PuiseuxSeries(QQ, [(exp(e), c) for e, c in terms.items()], exp(prec))
 
 
 @settings(max_examples=150, deadline=None)
@@ -424,7 +447,7 @@ EXPONENT_POOL = [exp(Fraction(a, n)) for a in range(-4, 7) for n in (1, 2, 3)] +
 
 
 def _random_series(rng, dom):
-    terms = {rng.choice(EXPONENT_POOL): dom.field.from_int(rng.randrange(-4, 5)) for _ in range(rng.randrange(0, 7))}
+    terms = {rng.choice(EXPONENT_POOL): dom.from_int(rng.randrange(-4, 5)) for _ in range(rng.randrange(0, 7))}
     prec = None if rng.random() < 0.4 else rng.choice(EXPONENT_POOL)
     return PuiseuxSeries(dom, list(terms.items()), prec)
 
@@ -458,24 +481,23 @@ def test_ordered_results_match_the_checking_constructor(field):
     """+, -, *, scale, shift and truncate build their results without
     sorting or checking; each equals the parent algorithm's series built by
     the public constructor, and rebuilding it there changes nothing."""
-    dom = ScalarDomain(field)
     rng = random.Random(7)
     for _ in range(300):
-        f, g = _random_series(rng, dom), _random_series(rng, dom)
+        f, g = _random_series(rng, field), _random_series(rng, field)
         c = field.from_int(rng.randrange(0, 3))
         e, p = rng.choice(EXPONENT_POOL), rng.choice(EXPONENT_POOL)
-        neg_g = PuiseuxSeries(dom, [(x, -y) for x, y in g.terms], g.precision)
+        neg_g = PuiseuxSeries(field, [(x, -y) for x, y in g.terms], g.precision)
         cases = [
             (f + g, _ref_add(f, g)),
             (f - g, _ref_add(f, neg_g)),
             (-g, neg_g),
             (f * g, _ref_mul(f, g)),
-            (f.scale(c), PuiseuxSeries(dom, [(x, y * c) for x, y in f.terms], f.precision)),
-            (f.shift(e), PuiseuxSeries(dom, [(x + e, y) for x, y in f.terms], None if f.precision is None else f.precision + e)),
-            (f.truncate(p), PuiseuxSeries(dom, f.terms, _ref_min(f.precision, p))),
+            (f.scale(c), PuiseuxSeries(field, [(x, y * c) for x, y in f.terms], f.precision)),
+            (f.shift(e), PuiseuxSeries(field, [(x + e, y) for x, y in f.terms], None if f.precision is None else f.precision + e)),
+            (f.truncate(p), PuiseuxSeries(field, f.terms, _ref_min(f.precision, p))),
         ]
         for got, want in cases:
-            rebuilt = PuiseuxSeries(dom, list(reversed(got.terms)), got.precision)
+            rebuilt = PuiseuxSeries(field, list(reversed(got.terms)), got.precision)
             assert (rebuilt.terms, rebuilt.precision) == (got.terms, got.precision)
             assert (got.terms, got.precision) == (want.terms, want.precision)
             assert type(got.terms) is tuple
@@ -484,11 +506,11 @@ def test_ordered_results_match_the_checking_constructor(field):
 def test_public_constructor_still_checks():
     one = QQ.one()
     with pytest.raises(ValueError, match="duplicate"):
-        PuiseuxSeries(DQ, [(exp(1), one), (exp("2/2"), one)], None)
+        PuiseuxSeries(QQ, [(exp(1), one), (exp("2/2"), one)], None)
     r = Exponent(Fraction(0), Fraction(1), 2)
     with pytest.raises(ValueError, match="duplicate"):
-        PuiseuxSeries(DQ, [(r, one), (exp(1), QQ.zero()), (Exponent(0, Fraction(2, 2), 2), one)], None)
-    s = PuiseuxSeries(DQ, [(exp(3), one), (exp(1), one), (exp(2), QQ.zero())], exp(3))
+        PuiseuxSeries(QQ, [(r, one), (exp(1), QQ.zero()), (Exponent(0, Fraction(2, 2), 2), one)], None)
+    s = PuiseuxSeries(QQ, [(exp(3), one), (exp(1), one), (exp(2), QQ.zero())], exp(3))
     assert s.terms == ((exp(1), one),)
 
 
@@ -505,8 +527,7 @@ def test_inverse_times_the_series_is_one(field, irrational):
     1 below target."""
     from mustab.series import DEFAULT_PRECISION
 
-    dom = ScalarDomain(field)
-    one = PuiseuxSeries.one(dom)
+    one = PuiseuxSeries.one(field)
     steps = INV_SQRT2_STEPS if irrational else INV_STEPS
     leads = [exp(-1), exp(0), exp("1/3"), exp(2)] + ([Exponent(-1, 1, 2)] if irrational else [])
     rng = random.Random(5)
@@ -521,7 +542,7 @@ def test_inverse_times_the_series_is_one(field, irrational):
         for _ in range(rng.randrange(0, 4)):
             terms[v + rng.choice(steps)] = coeff()
         precision = None if rng.random() < 0.5 else v + rng.choice(steps) + exp(1)
-        f = PuiseuxSeries(dom, list(terms.items()), precision)
+        f = PuiseuxSeries(field, list(terms.items()), precision)
         for prec in (None, exp(3), exp("7/2")):
             inv = f.inv(prec)
             if len(f.terms) == 1 and f.is_exact():
@@ -567,10 +588,9 @@ def truncated_series(draw, field, lead=None, low=-4):
         terms[start + half * draw(st.integers(0, 10))] = scalar()
     precision = start + half * draw(st.integers(0, 12))
     tail = {precision + half * draw(st.integers(0, 6)): scalar() for _ in range(draw(st.integers(0, 3)))}
-    dom = ScalarDomain(field)
     known = [(exp(e), c) for e, c in terms.items() if e < precision and not c.is_zero()]
     extra = [(exp(e), c) for e, c in tail.items() if not c.is_zero()]
-    return PuiseuxSeries(dom, known, exp(precision)), PuiseuxSeries(dom, known + extra, None)
+    return PuiseuxSeries(field, known, exp(precision)), PuiseuxSeries(field, known + extra, None)
 
 
 def unit_series(field, low=-4):
@@ -639,16 +659,15 @@ def test_group_law_claims_only_known_terms(field, data):
     from mustab.groups import GroupElement, GroupScheme
 
     scheme = GroupScheme("SL", 2, field)
-    dom = ScalarDomain(field)
 
     def point():
         c = field.from_int(data.draw(st.sampled_from([1, 2, 4])))
-        u = PuiseuxSeries.monomial(dom, exp(data.draw(st.integers(-2, 2))), c)
+        u = PuiseuxSeries.monomial(field, exp(data.draw(st.integers(-2, 2))), c)
         f, F = data.draw(truncated_series(field, low=-2))
         g, G = data.draw(truncated_series(field, low=-2))
 
         def entries(a, b):
-            return ((u, a), (b, (PuiseuxSeries.one(dom) + a * b) * u.inv()))
+            return ((u, a), (b, (PuiseuxSeries.one(field) + a * b) * u.inv()))
 
         return GroupElement(scheme, entries(f, g), check=False), GroupElement(scheme, entries(F, G))
 
@@ -675,14 +694,13 @@ def test_iwasawa_claims_only_known_terms(kind, field, data):
     from mustab.groups import GroupElement, GroupScheme, iwasawa
 
     scheme = GroupScheme(kind, 2, field)
-    dom = ScalarDomain(field)
     if kind == "SL":
         c = field.from_int(data.draw(st.sampled_from([1, 2, 4])))
-        u = PuiseuxSeries.monomial(dom, exp(data.draw(st.integers(-2, 2))), c)
+        u = PuiseuxSeries.monomial(field, exp(data.draw(st.integers(-2, 2))), c)
         (f, F), (g, G) = data.draw(truncated_series(field, low=-2)), data.draw(truncated_series(field, low=-2))
 
         def entries(x, y):
-            return ((u, x), (y, (PuiseuxSeries.one(dom) + x * y) * u.inv()))
+            return ((u, x), (y, (PuiseuxSeries.one(field) + x * y) * u.inv()))
 
         approx, truth = entries(f, g), entries(F, G)
     else:
@@ -703,7 +721,7 @@ def another_completion(draw, f):
     """f completed with other random terms at or above its precision."""
     half = Fraction(1, 2)
     base = f.precision.as_fraction()
-    tail = {base + half * draw(st.integers(0, 6)): draw_scalar(draw, f.dom.field) for _ in range(draw(st.integers(0, 3)))}
+    tail = {base + half * draw(st.integers(0, 6)): draw_scalar(draw, f.dom) for _ in range(draw(st.integers(0, 3)))}
     extra = [(exp(e), c) for e, c in tail.items() if not c.is_zero()]
     return PuiseuxSeries(f.dom, list(f.terms) + extra, None)
 
@@ -724,10 +742,9 @@ def test_mu_correct_certifies_every_completion(field, data):
     from mustab.stabilizer import _lead_root, mu_correct
 
     scheme = GroupScheme("SL", 2, field)
-    dom = ScalarDomain(field)
-    one = PuiseuxSeries.one(dom)
+    one = PuiseuxSeries.one(field)
     c = field.from_int(data.draw(st.sampled_from([1, 2])))
-    u = PuiseuxSeries.monomial(dom, exp(-data.draw(st.integers(1, 2))), c)
+    u = PuiseuxSeries.monomial(field, exp(-data.draw(st.integers(1, 2))), c)
     (f, F), (g, G) = data.draw(truncated_series(field, low=-1)), data.draw(truncated_series(field, low=-1))
     F2, G2 = data.draw(another_completion(f)), data.draw(another_completion(g))
 
@@ -736,7 +753,7 @@ def test_mu_correct_certifies_every_completion(field, data):
 
     a = validate_branch(scheme, entries(f, g))
     mu = draw_scalar(data.draw, field)
-    lam_t = PuiseuxSeries.monomial(dom, exp(1), field.one() if mu.is_zero() else mu * mu)
+    lam_t = PuiseuxSeries.monomial(field, exp(1), field.one() if mu.is_zero() else mu * mu)
     b = validate_branch(scheme, scheme.map_entries(entries(F2, G2), lambda h: ser_subst(h, lam_t)))
     try:
         cert = mu_correct(a, b)

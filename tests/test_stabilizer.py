@@ -24,7 +24,7 @@ from mustab.groups import GroupScheme, KPoint
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim
 from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
-from mustab.series import PowerList, PuiseuxSeries, ScalarDomain, ser_subst
+from mustab.series import PowerList, PuiseuxSeries, ser_subst
 from mustab import degeneration, ideals, stabilizer, subgroups
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
@@ -42,18 +42,16 @@ from tests_helpers import ideal_intersect, is_identity, random_laurent_point, sh
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
-DQ = ScalarDomain(QQ)
 SL2 = GroupScheme("SL", 2, QQ)
 ADD2 = GroupScheme("Additive", 2, QQ)
 BUDGETS = Budgets(degree_bound=4)
 
 
-def S(*terms, prec=None, dom=DQ):
-    f = dom.field
-    return PuiseuxSeries(dom, [(exp(e), f.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
+def S(*terms, prec=None, dom=QQ):
+    return PuiseuxSeries(dom, [(exp(e), dom.from_int(c)) for e, c in terms], None if prec is None else exp(prec))
 
 
-def Z(dom=DQ):
+def Z(dom=QQ):
     return PuiseuxSeries.zero(dom)
 
 
@@ -67,7 +65,7 @@ def x2_branch():
 
 def irrational_pair_branch():
     r = Exponent(Fraction(0), Fraction(1), 2)
-    second = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     return validate_branch(ADD2, (S((-1, 1)), second))
 
 
@@ -151,12 +149,12 @@ def _series(data, field, low=-2, high=2):
         if prec is None or e < prec:
             terms[e] = _scalar(data, field)
     known = [(exp(e), c) for e, c in sorted(terms.items()) if not c.is_zero()]
-    return PuiseuxSeries(ScalarDomain(field), known, None if prec is None else exp(prec))
+    return PuiseuxSeries(field, known, None if prec is None else exp(prec))
 
 
 def _lead(data, field, k):
     c = field.from_int(data.draw(st.sampled_from([1, 2])))
-    return PuiseuxSeries.monomial(ScalarDomain(field), exp(-k), c)
+    return PuiseuxSeries.monomial(field, exp(-k), c)
 
 
 def _sl2_point(data, field):
@@ -180,12 +178,11 @@ def _additive_point(data, field):
 
 def _sl3_point(data, field):
     """[t^-2, f, g; 0, t^-1, 0; 0, h, t^3]: determinant 1 for every f, g, h."""
-    dom = ScalarDomain(field)
-    z = Z(dom)
+    z = Z(field)
     rows = (
-        (PuiseuxSeries.monomial(dom, exp(-2), field.one()), _series(data, field), _series(data, field)),
-        (z, PuiseuxSeries.monomial(dom, exp(-1), field.one()), z),
-        (z, _series(data, field), PuiseuxSeries.monomial(dom, exp(3), field.one())),
+        (PuiseuxSeries.monomial(field, exp(-2), field.one()), _series(data, field), _series(data, field)),
+        (z, PuiseuxSeries.monomial(field, exp(-1), field.one()), z),
+        (z, _series(data, field), PuiseuxSeries.monomial(field, exp(3), field.one())),
     )
     return validate_branch(GroupScheme("SL", 3, field), rows)
 
@@ -208,7 +205,7 @@ def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
 
 def _ram5_branch():
     """(t^-5, t^(-1/5)) on the additive plane, ramification 5."""
-    second = PuiseuxSeries(DQ, [(exp(Fraction(-1, 5)), QQ.one())], None)
+    second = PuiseuxSeries(QQ, [(exp(Fraction(-1, 5)), QQ.one())], None)
     return validate_branch(ADD2, (S((-5, 1)), second))
 
 
@@ -231,7 +228,7 @@ def test_ansatz_of_a_ram5_branch_reaches_gamma_5():
 
 def _sl2_irrational_tail():
     r = Exponent(Fraction(0), Fraction(1), 2)
-    return validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(exp(0), QQ.one()), (r, QQ.one())], None)), (Z(), S((1, 1)))))
+    return validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(QQ, [(exp(0), QQ.one()), (r, QQ.one())], None)), (Z(), S((1, 1)))))
 
 
 @pytest.mark.parametrize("make", [_sl2_irrational_tail, irrational_pair_branch], ids=["SL2", "additive"])
@@ -249,7 +246,7 @@ def test_quotient_precision_against_an_irrational_branch(make):
 def test_quotient_precision_below_an_irrational_pole():
     """b^-1 with a pole at t^(-sqrt 2) sets an irrational precision."""
     r = Exponent(Fraction(0), Fraction(-1), 2)
-    b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(DQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
+    b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(QQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
     a = x1_branch()
     assert not stabilizer.Ansatz(a, 6).precision(b.element.inv()).is_rational()
     _assert_quotient_keeps_the_conditions(a, [b])
@@ -384,19 +381,17 @@ def test_stab_reparam_cusp():
 
 def test_stab_reparam_cusp_order_by_order_oracle():
     # oracle: s = t(1 + c3 t^3) by hand forces the residue family (0, -3 c3)
-    ring = __import__("mustab.poly", fromlist=["PolyRing"]).PolyRing(QQ, ("c3",))
-    from mustab.series import PolyDomain
-
-    dom = PolyDomain(ring)
+    # s enters as its parts, the way the ansatz substitutes: lead 1 * t^1
+    # and the powers of the tail w = c3 t^3, reaching 2 + 3 for x^-3
+    ring = PolyRing(QQ, ("c3",))
     c3 = ring.var("c3")
-    one = PuiseuxSeries.one(dom)
-    s = PuiseuxSeries.monomial(dom, exp(1), ring.one()) * (one + PuiseuxSeries.monomial(dom, exp(3), c3))
-    from mustab.series import ser_subst
+    parts = (exp(1), PowerList(PuiseuxSeries.monomial(ring, exp(3), c3), exp(5)))
+    lead_root = lambda gamma: ring.one()
 
-    x_of_s = ser_subst(PuiseuxSeries.monomial(dom, exp(-2), ring.one()), s, prec=exp(2))
-    y_of_s = ser_subst(PuiseuxSeries.monomial(dom, exp(-3), ring.one()), s, prec=exp(2))
-    ex = x_of_s - PuiseuxSeries.monomial(dom, exp(-2), ring.one())
-    ey = y_of_s - PuiseuxSeries.monomial(dom, exp(-3), ring.one())
+    x_of_s = ser_subst(PuiseuxSeries.monomial(ring, exp(-2), ring.one()), None, prec=exp(2), lead_root=lead_root, parts=parts)
+    y_of_s = ser_subst(PuiseuxSeries.monomial(ring, exp(-3), ring.one()), None, prec=exp(2), lead_root=lead_root, parts=parts)
+    ex = x_of_s - PuiseuxSeries.monomial(ring, exp(-2), ring.one())
+    ey = y_of_s - PuiseuxSeries.monomial(ring, exp(-3), ring.one())
     for e, c in list(ex.terms) + list(ey.terms):
         if e.sign() < 0:
             assert c.is_zero() or c == ring.zero() or str(c) in ("0",) or c.total_degree() > 0
@@ -923,12 +918,11 @@ def test_gl1_full_torus_stabilizer():
 
 def test_stabilizer_over_f9():
     F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
-    dom = ScalarDomain(F9)
     scheme = GroupScheme("SL", 2, F9)
-    one = PuiseuxSeries.constant(dom, F9.one())
-    tneg = PuiseuxSeries.monomial(dom, exp(-1), F9.one())
-    tpos = PuiseuxSeries.monomial(dom, exp(1), F9.one())
-    zero = PuiseuxSeries.zero(dom)
+    one = PuiseuxSeries.constant(F9, F9.one())
+    tneg = PuiseuxSeries.monomial(F9, exp(-1), F9.one())
+    tpos = PuiseuxSeries.monomial(F9, exp(1), F9.one())
+    zero = PuiseuxSeries.zero(F9)
     b = validate_branch(scheme, ((tneg, one), (zero, tpos)))
     desc = stab_reparam(b, BUDGETS, type_dim=1)
     want = ideal(desc.ideal.ring, "x11 - 1", "x21", "x22 - 1")
@@ -953,7 +947,7 @@ def test_parabola_branch_in_additive3():
 def test_parabola_with_irrational_tail_reduces():
     add3 = GroupScheme("Additive", 3, QQ)
     r = Exponent(Fraction(0), Fraction(1), 2)
-    middle = PuiseuxSeries(DQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
+    middle = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     b = validate_branch(add3, (S((-1, 1)), middle, S((-2, 1))))
     reduced, cert, dim_before, dim_after = mu_reduce(b, Budgets(degree_bound=4))
     assert (dim_before, dim_after) == (2, 1)

@@ -15,9 +15,8 @@ from mustab.branches import validate_branch
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.linalg import _sparse, _subtract
 from mustab.poly import PolyRing
-from mustab.series import PuiseuxSeries, ScalarDomain
+from mustab.series import PuiseuxSeries
 
-DQ = ScalarDomain(QQ)
 
 
 def field_elements(field) -> list:
@@ -25,14 +24,14 @@ def field_elements(field) -> list:
     return [field.element(i) for i in range(field.order)]
 
 
-def random_series(rng, dom=DQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
+def random_series(rng, dom=QQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
     terms = {}
     for _ in range(rng.randrange(0, max_terms + 1)):
         num = rng.randrange(-4 if allow_neg else 0, 7)
         den = rng.choice([1, 1, 2])
         coeff = rng.randrange(-5, 6)
         if coeff:
-            terms[Fraction(num, den)] = dom.field.from_int(coeff)
+            terms[Fraction(num, den)] = dom.from_int(coeff)
     prec = exp(rng.randrange(*prec_range))
     return PuiseuxSeries(dom, [(exp(e), c) for e, c in terms.items()], prec)
 
@@ -79,19 +78,17 @@ def factorization_product(fac):
 def random_laurent(field, rng, lo=-3, hi=4, terms=3) -> PuiseuxSeries:
     """An exact Laurent polynomial: up to `terms` monomials with exponents
     in [lo, hi)."""
-    dom = ScalarDomain(field)
-    out = PuiseuxSeries.zero(dom)
+    out = PuiseuxSeries.zero(field)
     for _ in range(rng.randrange(0, terms + 1)):
-        out = out + PuiseuxSeries.monomial(dom, exp(rng.randrange(lo, hi)), random_scalar(field, rng))
+        out = out + PuiseuxSeries.monomial(field, exp(rng.randrange(lo, hi)), random_scalar(field, rng))
     return out
 
 
 def random_positive_val(field, rng, prec=8) -> PuiseuxSeries:
     """A series of positive valuation, truncated at t^prec."""
-    dom = ScalarDomain(field)
-    out = PuiseuxSeries.zero(dom)
+    out = PuiseuxSeries.zero(field)
     for _ in range(rng.randrange(1, 3)):
-        out = out + PuiseuxSeries.monomial(dom, exp(rng.randrange(1, prec // 2 + 1)), random_scalar(field, rng))
+        out = out + PuiseuxSeries.monomial(field, exp(rng.randrange(1, prec // 2 + 1)), random_scalar(field, rng))
     return out.truncate(exp(prec))
 
 
@@ -99,10 +96,9 @@ def random_laurent_point(scheme, rng) -> GroupElement:
     """A point of G(K) with exact Laurent entries: Laurent draws, and units
     c * t^k, so every corner is divided by a monomial."""
     field = scheme.field
-    dom = ScalarDomain(field)
 
     def unit():
-        return PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 3)), random_scalar(field, rng, nonzero=True))
+        return PuiseuxSeries.monomial(field, exp(rng.randrange(-2, 3)), random_scalar(field, rng, nonzero=True))
 
     return GroupElement(scheme, *random_entries(scheme, lambda: random_laurent(field, rng), unit))
 
@@ -112,11 +108,10 @@ def random_integral_point(scheme, rng) -> GroupElement:
     a matrix group, a random signed permutation on the left (determinant 1),
     so the residue need not lie in the big cell."""
     field = scheme.field
-    dom = ScalarDomain(field)
     g = GroupElement(scheme, *random_entries(
         scheme,
         lambda: random_laurent(field, rng, lo=0),
-        lambda: PuiseuxSeries.constant(dom, random_scalar(field, rng, nonzero=True)),
+        lambda: PuiseuxSeries.constant(field, random_scalar(field, rng, nonzero=True)),
     ))
     if scheme.kind == "Additive":
         return g
@@ -132,7 +127,7 @@ def random_mu_point(scheme, rng, prec=8) -> GroupElement:
     """A point of mu: draws of positive valuation and units 1 + (positive
     valuation), truncated at t^prec."""
     field = scheme.field
-    one = PuiseuxSeries.one(ScalarDomain(field))
+    one = PuiseuxSeries.one(field)
     return GroupElement(scheme, *random_entries(
         scheme, lambda: random_positive_val(field, rng, prec), lambda: one + random_positive_val(field, rng, prec)
     ))
@@ -144,12 +139,11 @@ def shear_product(scheme, rng, most=3):
     GL(n) its first row is then scaled by a unit c t^e, and y is that
     unit's inverse, which GroupElement computes from the determinant."""
     field = scheme.field
-    dom = ScalarDomain(field)
     n = scheme.n
-    one, zero = PuiseuxSeries.one(dom), PuiseuxSeries.zero(dom)
+    one, zero = PuiseuxSeries.one(field), PuiseuxSeries.zero(field)
 
     def monomial():
-        return PuiseuxSeries.monomial(dom, exp(rng.randrange(-2, 2)), field.from_int(rng.choice([1, -1, 2])))
+        return PuiseuxSeries.monomial(field, exp(rng.randrange(-2, 2)), field.from_int(rng.choice([1, -1, 2])))
 
     acc = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     for _ in range(rng.randrange(1, most + 1)):
