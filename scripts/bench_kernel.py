@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time Groebner basis runs, closures and the ansatz alone on fixed inputs.
+"""Time Groebner basis runs, closures, the ansatz and places alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -45,11 +45,17 @@ the same way), the series arithmetic over the polynomial coefficient ring
 k[lam, lami, c_i] that `stab_reparam` runs before its Groebner basis; each
 run builds its own Ansatz.
 
+The places at infinity: `places_at_infinity` on the additive plane for
+the circle x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus
+input), and at precision 12 for y^2 = x^3 over Q and for the circle over
+F_7, whose places need F_49; each run parses its own curve and scheme.
+
 Prints one JSON line: per input the generator count (per closure the
 degree, per flat closure the generators of V and the S-polynomials one run
 forms, for the division kernel the basis size and the S-polynomials
-reduced, for the ansatz quotient its parameter count) and the size of the resulting basis, and the median, min and max
-milliseconds of N runs.  The package is imported from the src/ next to this
+reduced, for the ansatz quotient its parameter count, per curve the
+precision and the number of places) and the size of the resulting basis,
+and the median, min and max milliseconds of N runs.  The package is imported from the src/ next to this
 script.
 """
 
@@ -65,10 +71,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mustab import degeneration, ideals, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
-from mustab.fields import QQ  # noqa: E402
+from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
-from mustab.jobs import parse_branch, run_job  # noqa: E402
+from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
+from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
 from mustab.subgroups import SubgroupDesc, verify_subgroup  # noqa: E402
 
@@ -150,6 +157,13 @@ def closures() -> dict:
         "sl2_shear_d4": (SHEAR_JOB["input"]["branch"], GroupScheme("SL", 2, QQ), 4),
         "y3_x5_d6": ({"entries": [_series((-3, 1)), _series((-5, 1))]}, GroupScheme("Additive", 2, QQ), 6),
     }
+
+
+PLACES = {
+    "circle_f5": (FieldSpec("Fp", p=5), "x^2 + y^2 - 1", 20),
+    "cusp_q": (QQ, "y^2 - x^3", 12),
+    "circle_f7": (FieldSpec("Fp", p=7), "x^2 + y^2 - 1", 12),
+}
 
 
 def _stats(times: list[float]) -> dict:
@@ -242,6 +256,16 @@ def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> d
     return {"degree": degree, "basis": len(V.gens), **_stats(times)}
 
 
+def time_places(field: FieldSpec, f_text: str, precision: int, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        curve = parse_plane_curve({"f": f_text, "embedding": ["x", "y"]}, GroupScheme("Additive", 2, field))
+        start = time.perf_counter()
+        branches = places_at_infinity(curve, precision)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"precision": precision, "places": len(branches), **_stats(times)}
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=50)
@@ -259,8 +283,10 @@ def main() -> int:
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
     quotient = time_ansatz_quotient(shear["closure_input"][0], args.runs)
+    places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat,
-                      "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient}))
+                      "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
+                      "places": places}))
     return 0
 
 

@@ -29,6 +29,17 @@ def check_d(d) -> int:
     return d
 
 
+def sqrt_str(a: Fraction, b: Fraction, d: int) -> str:
+    """a + b*sqrt(d) as exponents and Q(sqrt d) scalars print it: a alone
+    when b = 0, the sqrt(d) part alone when a = 0."""
+    if not b:
+        return str(a)
+    bs = f"sqrt({d})" if b == 1 else (f"-sqrt({d})" if b == -1 else f"{b}*sqrt({d})")
+    if not a:
+        return bs
+    return f"{a}{bs}" if bs.startswith("-") else f"{a}+{bs}"
+
+
 def _sign(p: int, q: int, d: int | None) -> int:
     """Sign of p + q*sqrt(d)."""
     if not q:
@@ -150,14 +161,7 @@ class Exponent:
 
     # -- io --------------------------------------------------------------------
     def __str__(self):
-        if not self.q:
-            return str(self.a)
-        b = self.b
-        bs = f"sqrt({self.d})" if b == 1 else (f"-sqrt({self.d})" if b == -1 else f"{b}*sqrt({self.d})")
-        if not self.p:
-            return bs
-        sign = "" if bs.startswith("-") else "+"
-        return f"{self.a}{sign}{bs}"
+        return sqrt_str(self.a, self.b, self.d)
 
     def __repr__(self):
         return f"Exponent({self})"

@@ -24,6 +24,7 @@ from itertools import zip_longest
 from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
+from .exponents import sqrt_str
 
 
 def pow_by_squaring(base, e: int, one):
@@ -433,14 +434,7 @@ class Scalar:
         if k == "Fp":
             return str(self.rep)
         if k == "QSqrt":
-            a, b = _q_pair(self.rep)
-            if b == 0:
-                return str(a)
-            d = self.field.d
-            bs = f"sqrt({d})" if b == 1 else (f"-sqrt({d})" if b == -1 else f"{b}*sqrt({d})")
-            if a == 0:
-                return bs
-            return f"{a}+{bs}" if not bs.startswith("-") else f"{a}{bs}"
+            return sqrt_str(*_q_pair(self.rep), self.field.d)
         coeffs = self.rep[0]
         if not coeffs:
             return "0"

@@ -27,9 +27,9 @@ EXIT_VERIFY = 5
 
 
 class JobError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A job that cannot be run as given: invalid input."""
+
+    exit_code = EXIT_INVALID
 
 
 def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
@@ -37,7 +37,7 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
     (command-line flags) win over the job's values."""
     b = Budgets()
     if data is not None and not isinstance(data, dict):
-        raise JobError(f"budgets must be a JSON object, not {data!r}", EXIT_INVALID)
+        raise JobError(f"budgets must be a JSON object, not {data!r}")
     merged = dict(data or {})
     for k, v in (overrides or {}).items():
         if v is not None:
@@ -48,10 +48,10 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
             continue
         value = merged[name]
         if type(value) is not int:
-            raise JobError(f"{name} must be an integer, not {value!r}", EXIT_INVALID)
+            raise JobError(f"{name} must be an integer, not {value!r}")
         if value < lo or (hi is not None and value > hi):
             wanted = f"in [{lo}, {hi}]" if hi is not None else f"at least {lo}"
-            raise JobError(f"{name} must be {wanted}, not {value}", EXIT_INVALID)
+            raise JobError(f"{name} must be {wanted}, not {value}")
         setattr(b, name, value)
     return b
 
@@ -62,7 +62,7 @@ def _parse_entries(scheme: GroupScheme, entries, parse):
     try:
         return scheme.map_entries(entries, parse)
     except ValueError as exc:
-        raise JobError(f"invalid entries: {exc}", EXIT_INVALID)
+        raise JobError(f"invalid entries: {exc}")
 
 
 def parse_branch(data: dict, scheme: GroupScheme, d: int | None) -> Branch:
@@ -101,16 +101,16 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             budgets = parse_budgets(job.get("budgets"), overrides)
             algorithm = (overrides or {}).get("algorithm") or job.get("algorithm", "both")
             if algorithm not in ALGORITHMS:
-                raise JobError(f"unknown algorithm {algorithm!r}; expected {'|'.join(ALGORITHMS)}", EXIT_INVALID)
+                raise JobError(f"unknown algorithm {algorithm!r}; expected {'|'.join(ALGORITHMS)}")
         except JobError:
             raise
         except Exception as exc:
-            raise JobError(f"invalid job: {exc}", EXIT_INVALID)
+            raise JobError(f"invalid job: {exc}")
         report["command"] = command
         try:
             inp = _read_input(job, command, scheme, d)
         except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch) as exc:
-            raise JobError(f"invalid input: {type(exc).__name__}: {exc}", EXIT_INVALID)
+            raise JobError(f"invalid input: {type(exc).__name__}: {exc}")
 
         if command == "places":
             branches = places_at_infinity(inp, budgets.precision)
@@ -146,10 +146,7 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
                     code = max(code, EXIT_VERIFY)
             if not ok:
                 code = max(code, EXIT_VERIFY)
-    except JobError as exc:
-        report["errors"].append({"type": "JobError", "message": str(exc)})
-        code = exc.code
-    except MustabError as exc:
+    except (JobError, MustabError) as exc:
         report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
         code = exc.exit_code
     if any(v == "fail" for v in report["checks"].values()):
@@ -176,7 +173,7 @@ def _read_input(job: dict, command: str, scheme: GroupScheme, d):
     if command == "verify":
         ring = scheme.coordinate_ring()
         return Ideal(ring, tuple(ring.parse(s) for s in inp["subgroup"]["ideal"]))
-    raise JobError(f"unknown command {command!r}", EXIT_INVALID)
+    raise JobError(f"unknown command {command!r}")
 
 
 def _branch_json(b: Branch) -> dict:

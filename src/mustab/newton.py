@@ -1,10 +1,11 @@
 """Places at infinity of plane curves, by Newton polygon iteration.
 
-The projective closure of V(f) meets the line at infinity in the roots of
-the degree form; around each such point we expand the local branches as
-Puiseux series chart by chart ([1:c:0] with y/x expanded in z = 1/x, and
-[0:1:0] with x/y expanded in z = 1/y), then push the parameterizations
-through the embedding into the group scheme.
+The projective closure of V(f) meets the line at infinity in the points
+[1:c:0], c a root of the degree form, and in [0:1:0] when f has no y^d
+term.  One chart serves them all: around [1:c:0] the local branches are
+Puiseux series for y/x in z = 1/x, and [0:1:0] is the c = 0 point of the
+same chart for f with x and y exchanged.  The parameterizations are then
+pushed through the embedding into the group scheme.
 
 Over F_p a missing Newton-polygon root triggers one automatic extension to
 F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
@@ -45,7 +46,7 @@ class PlaneCurveInput:
 
     def __post_init__(self):
         ring = self.f.ring
-        if set(ring.variables) != {"x", "y"} and tuple(ring.variables) != ("x", "y"):
+        if set(ring.variables) != {"x", "y"}:
             raise ValueError("plane curves use variables x, y")
         self._check_embedding_lands_in_scheme()
 
@@ -78,12 +79,10 @@ def check_irreducible_fragment(f: Poly) -> tuple[bool, bool]:
     if deg == 2 and f.ring.field.char != 2:
         field = f.ring.field
         half = field.from_int(2).inv()
+        y_first = f.ring.variables[0] == "y"
 
         def coeff(ex, ey):
-            for m, c in f.terms.items():
-                if m[f.ring.variables.index("x")] == ex and m[f.ring.variables.index("y")] == ey:
-                    return c
-            return field.zero()
+            return f.terms.get((ey, ex) if y_first else (ex, ey), field.zero())
 
         a, b, c = coeff(2, 0), coeff(1, 1), coeff(0, 2)
         d, e, g = coeff(1, 0), coeff(0, 1), coeff(0, 0)
@@ -100,21 +99,16 @@ def check_irreducible_fragment(f: Poly) -> tuple[bool, bool]:
 
 # -- Puiseux-polynomial support (terms w^i z^j with fractional j) -----------
 
-def _pp_from_poly(g: Poly, wname: str, zname: str) -> dict:
-    wi = g.ring.variables.index(wname)
-    zi = g.ring.variables.index(zname)
-    out: dict = {}
-    for m, c in g.terms.items():
-        out[(m[wi], Fraction(m[zi]))] = c
-    return out
-
-
-def _pp_w_content(pp: dict) -> int:
-    return min(i for (i, _) in pp)
-
-
-def _pp_divide_w(pp: dict, k: int) -> dict:
-    return {(i - k, j): c for (i, j), c in pp.items()}
+def _chart(f: Poly, swap: bool) -> dict:
+    """The terms {(i, j): c} of c w^i z^j in G(w, z) = z^d f(1/z, w/z), the
+    chart x = 1/z, y = w/z of the points [1:c:0]; with swap, of f with x
+    and y exchanged, whose point c = 0 is [0:1:0].  The degree-d terms of f
+    are the terms of z-degree 0."""
+    d = f.total_degree()
+    xi, yi = f.ring.variables.index("x"), f.ring.variables.index("y")
+    if swap:
+        xi, yi = yi, xi
+    return {(m[yi], Fraction(d - m[xi] - m[yi])): c for m, c in f.terms.items()}
 
 
 def _lower_hull_edges(pp: dict) -> list[tuple[Fraction, list[tuple[int, Fraction]]]]:
@@ -207,10 +201,10 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int 
     if budget <= 0:
         raise BudgetExceeded("Newton polygon recursion budget exhausted")
     out = []
-    k = _pp_w_content(pp)
+    k = min(i for i, _ in pp)
     if k >= 1:
         out.append(([], True))  # the exact branch w = 0
-        pp = _pp_divide_w(pp, k)
+        pp = {(i - k, j): c for (i, j), c in pp.items()}
     if (0, Fraction(0)) in pp:
         return out  # remaining part does not vanish at the origin
     if prec_left <= 0:
@@ -233,45 +227,6 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int 
     return out
 
 
-def _homogeneous_parts(f: Poly):
-    d = f.total_degree()
-    parts = {}
-    for m, c in f.terms.items():
-        parts.setdefault(sum(m), {})[m] = c
-    return d, parts
-
-
-def _degree_form_roots(f: Poly):
-    """Points at infinity [1:c:0] (roots of the degree form in the x-chart)
-    plus a flag for [0:1:0]."""
-    ring = f.ring
-    field = ring.field
-    d, parts = _homogeneous_parts(f)
-    top = parts[d]
-    yi = ring.variables.index("y")
-    roots = _newton_roots([(m[yi], c) for m, c in top.items()], field, 1, "")
-    has_vertical = all(m[yi] != d for m in top)  # no y^d: [0:1:0] lies on the curve
-    return [r for r, _ in roots], has_vertical
-
-
-def _localize(f: Poly, chart: str) -> Poly:
-    """Homogenize and restrict to the chart: X=1 gives G(w, z) = z^d f(1/z, w/z)
-    with x = 1/z, y = w/z; Y=1 gives G(u, z) = z^d f(u/z, 1/z)."""
-    ring = f.ring
-    field = ring.field
-    d = f.total_degree()
-    out_ring = PolyRing(field, ("w", "z"))
-    out = out_ring.zero()
-    xi = ring.variables.index("x")
-    yi = ring.variables.index("y")
-    for m, c in f.terms.items():
-        i, j = m[xi], m[yi]
-        zdeg = d - i - j
-        mono = (j, zdeg) if chart == "X" else (i, zdeg)
-        out = out + out_ring.monomial(mono, c)
-    return out
-
-
 def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Branch]:
     """One validated Branch per place of the curve at infinity whose image
     under the embedding is centered at infinity."""
@@ -279,8 +234,6 @@ def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Bran
         return _places(curve, precision)
     except _ExtensionNeeded as need:
         field = curve.f.ring.field
-        if field.kind != "Fp":
-            raise CoefficientFieldTooSmall(f"missing roots over {field}")
         mod = _monic_int_coeffs(need.factor)
         ext = FieldSpec("Fq", p=field.p, modulus=mod)
         lifted = _lift_curve(curve, ext)
@@ -305,8 +258,7 @@ def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:
         return Poly(ring, {m: c.embed(ext) for m, c in p.terms.items()})
 
     fring = PolyRing(ext, curve.f.ring.variables, curve.f.ring.order_name)
-    r = curve.scheme.root
-    scheme = GroupScheme(r.kind, r.n, ext)
+    scheme = GroupScheme.from_json(curve.scheme.to_json(), ext)
     emb = scheme.map_entries(curve.embedding, lambda p: lift_poly(p, fring))
     return PlaneCurveInput(lift_poly(curve.f, fring), emb, scheme, curve.trusted_irreducible)
 
@@ -319,35 +271,28 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
         raise ValueError(f"{f} is reducible; places are per irreducible curve")
     trusted = curve.trusted_irreducible or not checked
     prec_z = Fraction(precision + 1)
-    expansions: list[tuple[str, Scalar | None, list, bool]] = []
 
-    roots, has_vertical = _degree_form_roots(f)
-    gx = _localize(f, "X")
-    for c0 in roots:
-        pp = _pp_from_poly(gx, "w", "z")
-        pp = _pp_substitute(pp, Fraction(0), c0, field)  # w -> c0 + w
-        for terms, exact in _np_expansions(pp, field, prec_z):
-            expansions.append(("X", c0, terms, exact))
-    if has_vertical:
-        gy = _localize(f, "Y")
-        pp = _pp_from_poly(gy, "w", "z")
-        for terms, exact in _np_expansions(pp, field, prec_z):
-            expansions.append(("Y", None, terms, exact))
+    gx = _chart(f, False)
+    degree_form = [(i, c) for (i, j), c in gx.items() if not j]
+    points = [(False, c0) for c0, _ in _newton_roots(degree_form, field, 1, "")]
+    if (f.total_degree(), 0) not in gx:  # no y^d: [0:1:0] lies on the curve
+        points.append((True, field.zero()))
+    # every expansion before any branch: an error from a later point is
+    # raised before any validate_branch runs
+    expansions = []
+    for swap, c0 in points:
+        pp = _pp_substitute(_chart(f, swap), Fraction(0), c0, field)  # w -> c0 + w
+        expansions += [(swap, c0, terms, exact) for terms, exact in _np_expansions(pp, field, prec_z)]
 
     branches: list[Branch] = []
-    for chart, c0, terms, exact in expansions:
+    for swap, c0, terms, exact in expansions:
         e = math.lcm(*(g.denominator for g, _ in terms))
-        prec_t = None if exact else exp(e * (prec_z - 1))
         pole = PuiseuxSeries.monomial(field, exp(-e), field.one())
-        w_terms = [(exp(Fraction(g) * e), c) for g, c in terms]
-        if chart == "X":
-            w_series = PuiseuxSeries(field, [(exp(0), c0)] + w_terms, None if exact else exp(e * prec_z))
-            xs = pole
-            ys = (w_series * pole).truncate(prec_t) if prec_t is not None else w_series * pole
-        else:
-            u_series = PuiseuxSeries(field, w_terms, None if exact else exp(e * prec_z))
-            ys = pole
-            xs = (u_series * pole).truncate(prec_t) if prec_t is not None else u_series * pole
+        w_terms = [(exp(0), c0)] + [(exp(g * e), c) for g, c in terms]
+        w_series = PuiseuxSeries(field, w_terms, None if exact else exp(e * prec_z))
+        xs, ys = pole, w_series * pole
+        if swap:
+            xs, ys = ys, xs
         values = {"x": xs, "y": ys}
         entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, field))
         branch = validate_branch(curve.scheme, entries)

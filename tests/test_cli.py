@@ -807,3 +807,22 @@ def test_budget_usage_reports_the_job_budgets():
     report, code = run_job(dict(job, budgets={"precision": "x"}))
     assert code == 2
     assert report["budget_usage"]["precision"] == "x"
+
+
+def test_stab_over_an_extension_keeps_the_subgroup_scheme():
+    """The circle x^2 + 2y^2 = 1 over F_5 has its places over F_25; lifted
+    there, the group is still the Subgroup scheme, so no random points of
+    SL(2, F_25) are drawn and the conjugation check reports skipped."""
+    job = {
+        "field": {"kind": "Fp", "p": 5},
+        "group": {"kind": "Subgroup", "parent": {"kind": "SL", "n": 2}, "ideal": ["x11*x22 - x12*x21 - 1"]},
+        "command": "stab",
+        "algorithm": "reparam",
+        "input": {"plane_curve": {"f": "x^2 + 2*y^2 - 1", "embedding": [["x", "y"], ["-2*y", "x"]]}},
+        "budgets": {"precision": 24, "degree_bound": 2},
+    }
+    report, code = run_job(job)
+    assert code == 0 and not report["errors"]
+    ideals = [s["subgroup"]["ideal"] for s in report["results"]["stabilizers"]]
+    assert ideals == [["x12 + 3*x21", "x11 + 4*x22", "x21^2 + 2*x22^2 + 3"]] * 2
+    assert report["checks"]["conjugation"] == "skipped"

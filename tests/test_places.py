@@ -235,3 +235,50 @@ def test_rescaling_needs_every_term_and_precision(entries):
     a = _additive_branch(QQ, inexact([[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]]))
     assert _is_rescaling(a, _additive_branch(QQ, inexact([[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]])))
     assert not _is_rescaling(a, _additive_branch(QQ, entries))
+
+
+F7 = FieldSpec("Fp", p=7)
+
+
+@pytest.mark.parametrize(
+    "f_text, field, expected",
+    [
+        ("x*y - 1", QQ, [("(t^(-1), t)", 1, "Q"), ("(t, t^(-1))", 1, "Q")]),
+        (
+            "x^2 - y^2 - 1",
+            QQ,
+            [
+                ("(t^(-1), -t^(-1) + 1/2*t + 1/8*t^3 + 1/16*t^5 + O(t^(6)))", 1, "Q"),
+                ("(t^(-1), t^(-1) - 1/2*t - 1/8*t^3 - 1/16*t^5 + O(t^(6)))", 1, "Q"),
+            ],
+        ),
+        ("y - x^2", QQ, [("(-t^(-1), t^(-2))", 1, "Q")]),
+        ("y^3 - x^5", QQ, [("(t^(-3), t^(-5))", 1, "Q")]),
+        (
+            "x^2 + y^2 - 1",
+            F7,
+            [
+                ("(t^(-1), w*t^(-1) + 3*w*t + 6*w*t^3 + 3*w*t^5 + O(t^(6)))", 1, "F_7^2"),
+                ("(t^(-1), 6*w*t^(-1) + 4*w*t + w*t^3 + 4*w*t^5 + O(t^(6)))", 1, "F_7^2"),
+            ],
+        ),
+    ],
+    ids=["hyperbola_both_charts", "two_degree_form_roots", "parabola_vertical_only", "y3_x5_vertical_edge", "circle_F7_to_F49"],
+)
+def test_places_are_pinned(f_text, field, expected):
+    """The branches, in order, with their ramification and field: [1:c:0]
+    for each root c of the degree form in turn, then [0:1:0]."""
+    branches = places_at_infinity(_curve(f_text, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=6)
+    assert [(str(b.element), b.ramification, str(b.field)) for b in branches] == expected
+
+
+def test_places_over_an_extension_keep_a_subgroup_scheme():
+    """Over F_5 the circle x^2 + 2y^2 = 1 needs sqrt(-2), so its places lie
+    over F_25; they stay on the plane z = x of the additive 3-space."""
+    scheme = GroupScheme.from_json({"kind": "Subgroup", "parent": {"kind": "Additive", "n": 3}, "ideal": ["z - x"]}, F5)
+    branches = places_at_infinity(_curve("x^2 + 2*y^2 - 1", ["x", "y", "x"], scheme, F5), precision=6)
+    assert len(branches) == 2
+    for b in branches:
+        assert str(b.field) == "F_5^2"
+        assert b.scheme.kind == "Subgroup" and b.scheme.field == b.field
+        assert [str(g) for g in b.scheme.subgroup_ideal.gens] == ["4*x + z"]
