@@ -55,8 +55,8 @@ degree, per flat closure the generators of V and the S-polynomials one run
 forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, per curve the
 precision and the number of places) and the size of the resulting basis,
-and the median, min and max milliseconds of N runs.  The package is imported from the src/ next to this
-script.
+and the median, min and max milliseconds of N runs.  The package is
+imported from the src/ next to this script.
 """
 
 import argparse

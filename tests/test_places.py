@@ -263,7 +263,7 @@ F7 = FieldSpec("Fp", p=7)
             ],
         ),
     ],
-    ids=["hyperbola_both_charts", "two_degree_form_roots", "parabola_vertical_only", "y3_x5_vertical_edge", "circle_F7_to_F49"],
+    ids=["hyperbola_both_charts", "degree_form_with_two_roots", "parabola_vertical_only", "y3_x5_vertical_edge", "circle_F7_to_F49"],
 )
 def test_places_are_pinned(f_text, field, expected):
     """The branches, in order, with their ramification and field: [1:c:0]
