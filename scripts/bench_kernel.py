@@ -8,24 +8,23 @@ The Groebner inputs:
   * twisted_cubic: `eliminate` of x from <y - x^2, z - x^3>;
   * sl2_shear_flat_closure: the `eliminate` of `_s` that `flat_closure`
     runs for the SL2(Q) shear [[t^-1, t^-1 - t^2], [0, t]] (an `sl2_q` job);
-  * sl2_shear_relations: the `groebner_basis` of the relations that
-    `relation_ideal` hands over for the degree-4 closure of that job's
-    reduced branch.
+  * sl2_shear_curve: the `eliminate` of `_s` and `_u` that
+    `branches.curve_ideal` runs for the closure V of that job's reduced
+    branch.
 Each is one Buchberger run, and the little work around it is the same on
 every run.  The last two inputs are captured by running the job once
-through `run_job` with `eliminate` and `groebner_basis` wrapped.  Each run
-gets fresh copies of the generators, so no leading monomial cached by an
+through `run_job` with both modules' `eliminate` wrapped.  Each run gets
+fresh copies of the generators, so no leading monomial cached by an
 earlier run is reused.
 
-The closures: `implicitize` of that shear at degree 4, and of the place
-(t^-3, t^-5) of y^3 = x^5 on the additive plane at degree 6, from the
-branch, each run on fresh series.
+The closures: `implicitize` of that shear, and of the place (t^-3, t^-5)
+of y^3 = x^5 on the additive plane, from the branch, each run on fresh
+series.
 
-The flat closures: `flat_closure` end to end (pullback, saturation and
-renaming) on the reduced branch and the degree-4 closure V that `stab`
-hands it, captured the same way, for that shear and for the `sl2_q`
-closure [[4t^-2 + 1, -2t^-1], [-2t^-1, 1]], the heaviest of seed 1; each
-run gets fresh copies of the generators of V.
+The flat closures: `flat_closure` end to end (the closure V, pullback,
+saturation and renaming) on the reduced branch that `stab` hands it,
+captured the same way, for that shear and for the `sl2_q` closure
+[[4t^-2 + 1, -2t^-1], [-2t^-1, 1]], the heaviest of seed 1.
 
 The division kernel: the normal forms, through one `ideals.reducer`, of
 the S-polynomials of every pair of the reduced basis (under its ring's
@@ -50,9 +49,8 @@ the circle x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus
 input), and at precision 12 for y^2 = x^3 over Q and for the circle over
 F_7, whose places need F_49; each run parses its own curve and scheme.
 
-Prints one JSON line: per input the generator count (per closure the
-degree, per flat closure the generators of V and the S-polynomials one run
-forms, for the division kernel the basis size and the S-polynomials
+Prints one JSON line: per input the generator count (per flat closure
+the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, per curve the
 precision and the number of places) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -69,7 +67,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mustab import degeneration, ideals, stabilizer, subgroups  # noqa: E402
+from mustab import branches, degeneration, ideals, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
@@ -105,35 +103,33 @@ HEAVY_JOB = dict(SHEAR_JOB, input={"branch": {"entries": [
 
 def capture(job: dict) -> dict:
     """The first ideal `flat_closure` eliminates from, the first one
-    `relation_ideal` hands to `groebner_basis`, the first (branch, V)
-    `flat_closure` gets and the first subgroup `stab_reparam` verifies
-    while job runs."""
+    `curve_ideal` eliminates from, the first branch `flat_closure` gets and
+    the first subgroup `stab_reparam` verifies while job runs."""
     found: dict = {}
-    real = degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup
+    real = degeneration.eliminate, branches.eliminate, degeneration.flat_closure, stabilizer.verify_subgroup
 
     def spy_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
         found.setdefault("flat_closure", (I, tuple(drop)))
         return real[0](I, drop, budget)
 
-    def spy_groebner_basis(I, order=None, budget=ideals.DEFAULT_SPOLY_BUDGET):
-        if sys._getframe(1).f_code.co_name == "relation_ideal":
-            found.setdefault("relations", (I, None))
-        return real[1](I, order, budget)
+    def spy_curve_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
+        found.setdefault("curve", (I, tuple(drop)))
+        return real[1](I, drop, budget)
 
-    def spy_flat_closure(branch, V, budgets=None):
-        found.setdefault("closure_input", (branch, V))
-        return real[2](branch, V, budgets)
+    def spy_flat_closure(branch, budgets=None):
+        found.setdefault("closure_input", branch)
+        return real[2](branch, budgets)
 
     def spy_verify_subgroup(H, budgets=None):
         found.setdefault("subgroup", H)
         return real[3](H, budgets)
 
-    degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup = (
-        spy_eliminate, spy_groebner_basis, spy_flat_closure, spy_verify_subgroup)
+    degeneration.eliminate, branches.eliminate, degeneration.flat_closure, stabilizer.verify_subgroup = (
+        spy_eliminate, spy_curve_eliminate, spy_flat_closure, spy_verify_subgroup)
     try:
         _, code = run_job(job)
     finally:
-        degeneration.eliminate, ideals.groebner_basis, degeneration.flat_closure, stabilizer.verify_subgroup = real
+        degeneration.eliminate, branches.eliminate, degeneration.flat_closure, stabilizer.verify_subgroup = real
     if code != 0 or len(found) != 4:
         raise RuntimeError(f"the job exited {code} and reached {sorted(found)}")
     return found
@@ -146,16 +142,15 @@ def inputs(shear: dict) -> dict:
     return {
         "twisted_cubic": (ideal(ring, "y - x^2", "z - x^3"), ("x",)),
         "sl2_shear_flat_closure": shear["flat_closure"],
-        "sl2_shear_relations": shear["relations"],
+        "sl2_shear_curve": shear["curve"],
     }
 
 
 def closures() -> dict:
-    """name -> (branch entries as parse_branch reads them, its scheme, the
-    degree of the closure)."""
+    """name -> (branch entries as parse_branch reads them, its scheme)."""
     return {
-        "sl2_shear_d4": (SHEAR_JOB["input"]["branch"], GroupScheme("SL", 2, QQ), 4),
-        "y3_x5_d6": ({"entries": [_series((-3, 1)), _series((-5, 1))]}, GroupScheme("Additive", 2, QQ), 6),
+        "sl2_shear": (SHEAR_JOB["input"]["branch"], GroupScheme("SL", 2, QQ)),
+        "y3_x5": ({"entries": [_series((-3, 1)), _series((-5, 1))]}, GroupScheme("Additive", 2, QQ)),
     }
 
 
@@ -188,7 +183,7 @@ def _fresh(I: Ideal) -> Ideal:
     return Ideal(I.ring, tuple(Poly(I.ring, dict(g.terms)) for g in I.gens))
 
 
-def time_flat_closure(branch, V: Ideal, runs: int) -> dict:
+def time_flat_closure(branch, runs: int) -> dict:
     calls = 0
     real_s_poly = ideals.s_poly
 
@@ -199,20 +194,19 @@ def time_flat_closure(branch, V: Ideal, runs: int) -> dict:
 
     ideals.s_poly = counting_s_poly
     try:
-        closure, _ = degeneration.flat_closure(branch, _fresh(V), Budgets())
+        closure, _ = degeneration.flat_closure(branch, Budgets())
     finally:
         ideals.s_poly = real_s_poly
     times = []
     for _ in range(runs):
-        fresh = _fresh(V)
         start = time.perf_counter()
-        degeneration.flat_closure(branch, fresh, Budgets())
+        degeneration.flat_closure(branch, Budgets())
         times.append((time.perf_counter() - start) * 1e3)
-    return {"V_gens": len(V.gens), "s_polys": calls, "basis": len(closure.gens), **_stats(times)}
+    return {"s_polys": calls, "basis": len(closure.gens), **_stats(times)}
 
 
-def time_division(branch, V: Ideal, runs: int) -> dict:
-    closure = groebner_basis(degeneration.flat_closure(branch, _fresh(V), Budgets())[0])
+def time_division(branch, runs: int) -> dict:
+    closure = groebner_basis(degeneration.flat_closure(branch, Budgets())[0])
     order = closure.basis_order
     spolys = [ideals.s_poly(f, g, order) for f, g in combinations(closure.gens, 2)]
     times = []
@@ -246,14 +240,14 @@ def time_ansatz_quotient(branch, runs: int) -> dict:
     return {"params": ansatz.ring.nvars, **_stats(times)}
 
 
-def time_closure(branch: dict, scheme: GroupScheme, degree: int, runs: int) -> dict:
+def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
     times = []
     for _ in range(runs):
         fresh = parse_branch(branch, scheme, None)
         start = time.perf_counter()
-        V = implicitize(fresh, degree)
+        V = implicitize(fresh)
         times.append((time.perf_counter() - start) * 1e3)
-    return {"degree": degree, "basis": len(V.gens), **_stats(times)}
+    return {"basis": len(V.gens), **_stats(times)}
 
 
 def time_places(field: FieldSpec, f_text: str, precision: int, runs: int) -> dict:
@@ -274,15 +268,15 @@ def main() -> int:
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
     closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
     flat = {
-        name: time_flat_closure(*found["closure_input"], args.runs)
+        name: time_flat_closure(found["closure_input"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
-    division = time_division(*heavy["closure_input"], args.runs)
+    division = time_division(heavy["closure_input"], args.runs)
     checked = {
         name: time_verify(found["subgroup"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
-    quotient = time_ansatz_quotient(shear["closure_input"][0], args.runs)
+    quotient = time_ansatz_quotient(shear["closure_input"], args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,

@@ -37,7 +37,7 @@ def main():
         if dim is None:
             dim, route = type_dimension(branch, 4), "degree 4 count"
         print(f"   type dimension {dim} ({route})")
-        closure = implicitize(branch, 2)
+        closure = implicitize(branch)
         print(f"   Zariski closure: <{', '.join(str(g) for g in closure.gens)}>")
         run = compute_stabilizer(branch, "both", budgets)
         sub = run.subgroup

@@ -1,29 +1,32 @@
 """Curve branches: validated parameterizations, boundedness, the type
-dimension dim p, and the degree-bounded Zariski closure (implicitization)
-with its Krull dimension.
+dimension dim p, and the Zariski closure V of an exact branch.
 
 For exact entries, certified_dim gives dim p in closed form where an upper
-and a lower rank bound meet; otherwise the degree-D closure bounds it from
-above.  Implicitization is exact linear algebra on the series expansions
-a(t)^m of the coordinate monomials up to a degree bound, one monomial at a
-time (`ideals.monomial_relations`).  For exact (Laurent-polynomial)
-entries the computed relations are certain, and no multiple of a
-relation's leading monomial is expanded; for truncated entries every
-monomial is, and a window-stability check guards against spurious
-relations and raises PrecisionInsufficient instead of guessing.
+and a lower rank bound meet; otherwise type_dimension bounds it from above
+by the relations of degree <= D among the series a(t)^m, found one
+monomial at a time (`ideals.monomial_relations`).  For exact entries those
+relations are certain, and no multiple of a relation's leading monomial is
+expanded; for truncated entries every monomial is, and a window-stability
+check raises PrecisionInsufficient instead of keeping a spurious relation.
+V needs no degree: the branch is Laurent in u = t^(gamma/N), and V is
+<X - a(u), s*u - 1> meet k[X], the prime ideal of a curve (Cox, Little and
+O'Shea, Ideals, Varieties, and Algorithms, 3.3).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import FieldMismatch, PrecisionInsufficient
-from .exponents import EXP_ZERO, Exponent
+from .errors import FieldMismatch, IrrationalExponentInSubstitution, PrecisionInsufficient
+from .exponents import EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme
-from .ideals import Ideal, MonomialValues, _dim_from_leading_monomials, monomial_relations, relation_ideal
+from .ideals import (
+    DEFAULT_SPOLY_BUDGET, Ideal, MonomialValues, _dim_from_leading_monomials, eliminate, monomial_relations,
+)
 from .linalg import echelon
-from .poly import PolyRing, monomials_up_to
+from .poly import Poly, PolyRing, monomials_up_to
 from .series import PuiseuxSeries
 
 
@@ -146,20 +149,68 @@ def _closure_relations(branch: Branch, degree_bound: int) -> list:
     return relations
 
 
-def implicitize(branch: Branch, degree_bound: int) -> Ideal:
-    """Reduced Groebner basis of all polynomial relations of total degree
-    <= degree_bound among the coordinates of a(t)."""
-    ring = PolyRing(branch.field, branch.scheme.coordinates())
-    return relation_ideal(ring, _closure_relations(branch, degree_bound))
+def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
+    """(gamma/N, each entry as its (k, c) terms c * u^k in u = t^(gamma/N))."""
+    exps = [e for s in entries for e, _ in s.terms]
+    gamma = next((e for e in exps if not e.is_rational()), exp(1))
+    if gamma.sign() < 0:
+        gamma = -gamma
+
+    def ratio(e: Exponent) -> Fraction:
+        if gamma.is_rational():
+            return e.a
+        q = e.b / gamma.b
+        if e.a != q * gamma.a:
+            raise IrrationalExponentInSubstitution(
+                f"exponents {gamma} and {e} have rational rank 2; the flat closure needs one direction"
+            )
+        return q
+
+    ratios = {e: ratio(e) for e in exps}
+    n = math.lcm(1, *(q.denominator for q in ratios.values()))
+    laurent = [[(int(ratios[e] * n), c) for e, c in s.terms] for s in entries]
+    return gamma.scale(Fraction(1, n)), laurent
+
+
+def laurent_point(branch: Branch) -> tuple[Exponent, tuple[Poly, ...]]:
+    """(e, a(u)) with u = t^e: every coordinate value, y included, in
+    k[s, X, u] with s = u^-1 the first variable and u the last."""
+    entries = branch.element.flat()
+    if any(s.precision is not None for s in entries):
+        raise PrecisionInsufficient("the flat closure needs exact entries; mu-reduction left a truncated one")
+    u_exponent, laurent = _uniformizer(entries)
+    coords = branch.scheme.coordinates()
+    ring = PolyRing(branch.field, ("_s",) + coords + ("_u",))
+    zeros = (0,) * len(coords)
+    return u_exponent, tuple(
+        Poly(ring, {(max(-k, 0),) + zeros + (max(k, 0),): c for k, c in terms}) for terms in laurent
+    )
+
+
+def curve_ideal(point: tuple[Poly, ...], budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+    """<X - a(u), s*u - 1> meet k[X] for a point a(u) of `laurent_point`,
+    as its reduced grevlex basis.  When a(u) lies in k[s] or in k[u], that
+    is the kernel of k[X] -> k[s] or k[u], and s*u - 1 is left out."""
+    ring = point[0].ring
+    gens = [ring.var(x) - a for x, a in zip(ring.variables[1:-1], point)]
+    if all(any(m[i] for a in point for m in a.terms) for i in (0, -1)):
+        gens.append(ring.var("_s") * ring.var("_u") - ring.one())
+    return eliminate(Ideal(ring, tuple(gens)), ("_s", "_u"), budget)
+
+
+def implicitize(branch: Branch) -> Ideal:
+    """The Zariski closure of an exact branch: the prime ideal of every
+    polynomial relation among the coordinates of a(t), as its reduced
+    grevlex basis."""
+    return curve_ideal(laurent_point(branch)[1])
 
 
 def type_dimension(branch: Branch, degree_bound: int) -> int:
     """The dimension read off the leading monomials of the relations of
     degree <= D: an upper bound for dim p, which certified_dim gives
     exactly where its bounds meet.  It can exceed the Krull dimension of
-    the closure those relations generate, krull_dim(implicitize(b, D)):
-    for the reduced SL(3) branch [t^-5, 2t^2, 0; 0, t^5, 0; t^-4, -t^5, 1]
-    at D = 4 it is 2, against 1."""
+    the ideal those relations generate: for the reduced SL(3) branch
+    [t^-5, 2t^2, 0; 0, t^5, 0; t^-4, -t^5, 1] at D = 4 it is 2, against 1."""
     # the leading monomials generate the deglex leading-term ideal of the
     # degree-<=D relations, which is all the dimension count needs
     leads = [m for m, _ in _closure_relations(branch, degree_bound)]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .corpus import run_corpus
+from .corpus import corpus_entries, run_corpus
 from .jobs import EXIT_INVALID, run_job
 from .pipeline import ALGORITHMS
 
@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", metavar="NAME", help="restrict --corpus to one entry")
     p.add_argument("--algorithm", choices=ALGORITHMS, help="stabilizer algorithm override")
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
-    p.add_argument("--degree-bound", type=int, metavar="D", help="implicitization degree bound")
+    p.add_argument("--degree-bound", type=int, metavar="D", help="type-dimension relation degree bound")
     p.add_argument("--order-budget", type=int, metavar="N", help="reparameterization order budget")
     p.add_argument("--strict", action="store_true", help="inconclusive solvability counts as failure")
     p.add_argument("--json-out", metavar="FILE", help="write the structured report here")
@@ -129,6 +129,10 @@ def main(argv: list[str] | None = None) -> int:
         "order_budget": args.order_budget,
     }
     if args.corpus:
+        names = [entry["name"] for entry in corpus_entries()]
+        if args.only is not None and args.only not in names:
+            print(f"no corpus entry {args.only!r}; the entries are {', '.join(names)}", file=sys.stderr)
+            return EXIT_INVALID
         summary, code = run_corpus(overrides, args.strict, args.only)
         print(explain_corpus(summary))
         if args.json_out:

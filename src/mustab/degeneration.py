@@ -1,22 +1,23 @@
 """Stabilizer via flat degeneration: the special fiber of V . a(t)^-1.
 
-The closure of the translated variety over k[u], for the uniformizer
-u = t^(gamma/N), is computed exactly by saturation (Eisenbud, Commutative
-Algebra, 15.8; Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
-4.4).  Each generator g of V is pulled back along X -> X . a(u), written
-with a variable s standing for u^-1; its poles are cleared into k[u][X]
-and its u-content divided out; then s is eliminated from these, the
-scheme equations and s*u - 1, in k[s, X, u] with u the last grevlex
-variable, the order of Bayer's saturation (Bayer-Stillman, Invent. Math.
-1987).  When the pulled-back generators and the scheme equations are one
-polynomial g (a plane curve on the additive plane), <g> is already
-saturated: u is prime in k[u][X] and does not divide g.  The result is
-the flat closure, and setting u = 0 in any generating set of it gives the
-special fiber with no series precision involved.  gamma = 1 when every exponent of
-a(t) is rational; otherwise gamma is the one positive irrational exponent
-direction all of them are rational multiples of.  A truncated entry
-raises PrecisionInsufficient, exponents of rational rank 2 raise
-IrrationalExponentInSubstitution.
+V is the exact closure of the branch (`branches.curve_ideal`), read off
+the point a(u) the translation uses, for the uniformizer u = t^(gamma/N).
+The closure of the translated variety over k[u] is computed exactly by
+saturation (Eisenbud, Commutative Algebra, 15.8; Cox, Little and O'Shea,
+Ideals, Varieties, and Algorithms, 4.4).  Each generator g of V is pulled
+back along X -> X . a(u), written with a variable s standing for u^-1;
+its poles are cleared into k[u][X] and its u-content divided out; then s
+is eliminated from these, the scheme equations and s*u - 1, in k[s, X, u]
+with u the last grevlex variable, the order of Bayer's saturation
+(Bayer-Stillman, Invent. Math. 1987).  When the pulled-back generators and
+the scheme equations are one polynomial g (a plane curve on the additive
+plane), <g> is already saturated: u is prime in k[u][X] and does not
+divide g.  The result is the flat closure, and setting u = 0 in any
+generating set of it gives the special fiber with no series precision
+involved.  gamma = 1 when every exponent of a(t) is rational; otherwise
+gamma is the one positive irrational exponent direction all of them are
+rational multiples of.  A truncated entry raises PrecisionInsufficient,
+exponents of rational rank 2 raise IrrationalExponentInSubstitution.
 
 The fiber splits as finitely many cosets of the stabilizer; the component
 through the identity is extracted through the supported factorization
@@ -30,23 +31,18 @@ reduced subgroup is what is sought.  The flag `decomposition_complete`
 means only that no examined generator was left unfactored, the identity
 lay in one piece and the depth cap was not hit; it does not mean every
 component of the fiber was found.  A generator that is neither kind is
-never split: [[t^-1, -t^-4], [0, t]] over Q (precision 16, degree bound
-6) has the fiber basis <x21, x22^2 - x11, x11*x22 - 1, x11^2 - x22>, so
-x22^3 - 1 lies in the ideal and has two factors over Q, and the flag
-reads true with one component.
+never split: [[t^-1, -t^-4], [0, t]] over Q has the fiber basis <x21,
+x22^2 - x11, x11*x22 - 1, x11^2 - x22>, so x22^3 - 1 lies in the ideal
+and has two factors over Q, and the flag reads true with one component.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .branches import Branch, is_centered_at_infinity
-from .errors import (
-    FiberNotSplit, IrrationalExponentInSubstitution, NotCenteredAtInfinity, PrecisionInsufficient, SelfCheckFailed,
-)
-from .exponents import Exponent, exp
+from .branches import Branch, curve_ideal, is_centered_at_infinity, laurent_point
+from .errors import FiberNotSplit, NotCenteredAtInfinity, SelfCheckFailed
+from .exponents import Exponent
 from .factor import uni_factor
 from .groups import GroupElement, GroupScheme, eval_poly_series
 from .ideals import (
@@ -71,29 +67,6 @@ class DegenerationResult:
     component_dims: list[int]
 
 
-def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
-    """(gamma/N, each entry as its (k, c) terms c * u^k in u = t^(gamma/N))."""
-    exps = [e for s in entries for e, _ in s.terms]
-    gamma = next((e for e in exps if not e.is_rational()), exp(1))
-    if gamma.sign() < 0:
-        gamma = -gamma
-
-    def ratio(e: Exponent) -> Fraction:
-        if gamma.is_rational():
-            return e.a
-        q = e.b / gamma.b
-        if e.a != q * gamma.a:
-            raise IrrationalExponentInSubstitution(
-                f"exponents {gamma} and {e} have rational rank 2; the flat closure needs one direction"
-            )
-        return q
-
-    ratios = {e: ratio(e) for e in exps}
-    n = math.lcm(1, *(q.denominator for q in ratios.values()))
-    laurent = [[(int(ratios[e] * n), c) for e, c in s.terms] for s in entries]
-    return gamma.scale(Fraction(1, n)), laurent
-
-
 def _clear_poles(p: Poly) -> Poly:
     """u^M p, with M the largest power of s in p and each s^k u^j rewritten
     as u^(M - k + j) (terms that meet are summed), divided by the largest
@@ -108,9 +81,10 @@ def _clear_poles(p: Poly) -> Poly:
     return Poly(p.ring, {(*m[:-1], m[-1] - low): c for m, c in out.items()})
 
 
-def flat_closure(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> tuple[Ideal, Exponent]:
+def flat_closure(branch: Branch, budgets: Budgets | None = None) -> tuple[Ideal, Exponent]:
     """The closure of V . a(u)^-1 over k[u] as an ideal of k[u][X], u the
-    first variable, and the exponent e with u = t^e.
+    first variable, and the exponent e with u = t^e; V is the closure of
+    the branch, from the same point a(u).
 
     The saturation runs in k[s, X, u], s eliminated with u the last grevlex
     variable (Bayer's choice for saturating by u); its basis is renamed
@@ -120,20 +94,11 @@ def flat_closure(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> tu
     is <g>, returned as its reduced basis."""
     budgets = budgets or Budgets()
     scheme = branch.scheme
-    entries = branch.element.flat()
-    if any(s.precision is not None for s in entries):
-        raise PrecisionInsufficient("the flat closure needs exact entries; mu-reduction left a truncated one")
-    u_exponent, laurent = _uniformizer(entries)
+    u_exponent, a = laurent_point(branch)
+    V = curve_ideal(a, budgets.spoly_budget)
     coords = scheme.coordinates()
-    ring = PolyRing(scheme.field, ("_s",) + coords + ("_u",))
-    zeros = (0,) * len(coords)
-    a = []
-    for terms in laurent:
-        p = ring.zero()
-        for k, c in terms:
-            p = p + ring.monomial((max(-k, 0),) + zeros + (max(k, 0),), c)
-        a.append(p)
-    moved = scheme.mul_values(tuple(ring.var(name) for name in coords), tuple(a))
+    ring = a[0].ring
+    moved = scheme.mul_values(tuple(ring.var(name) for name in coords), a)
     values = dict(zip(coords, moved))
     # X -> X . a(u) is invertible, so no nonzero g pulls back to zero
     gens = [_clear_poles(g.subs_polys(values, ring)) for g in V.gens]
@@ -161,13 +126,13 @@ def special_fiber(closure: Ideal, scheme: GroupScheme, budgets: Budgets) -> Idea
     return groebner_basis(Ideal(ring, tuple(gens)), budget=budgets.spoly_budget)
 
 
-def stab_degeneration(branch: Branch, V: Ideal, budgets: Budgets | None = None) -> DegenerationResult:
+def stab_degeneration(branch: Branch, budgets: Budgets | None = None) -> DegenerationResult:
     """Flat-limit stabilizer: special fiber of the translated variety,
     split into the identity component plus coset components."""
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("degeneration requires an unbounded branch")
-    closure, u_exponent = flat_closure(branch, V, budgets)
+    closure, u_exponent = flat_closure(branch, budgets)
     fiber = special_fiber(closure, branch.scheme, budgets)
 
     comp, cosets, complete = identity_component(fiber, branch.scheme, budgets)

@@ -101,12 +101,6 @@ class OrderBudgetTooSmall(NotReduced, BudgetExceeded):
     not reduced is the other cause."""
 
 
-class DegreeBoundTooSmall(BudgetExceeded):
-    """The degree-bounded closure of a reduced branch has a dimension above
-    its certified type dimension: a relation of higher degree than the
-    degree bound is missing, so a larger degree_bound may reach it."""
-
-
 class FiberNotSplit(MustabError):
     """The degeneration's identity component fails `verify_subgroup`: the
     supported factorization fragment did not split the special fiber into

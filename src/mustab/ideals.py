@@ -435,9 +435,3 @@ class Budgets:
     order_budget: int = 6
     spoly_budget: int = DEFAULT_SPOLY_BUDGET
     sample_budget: int = 24
-
-    @property
-    def closure_degree(self) -> int:
-        """The degree of the closures behind the type dimension and the
-        degeneration: degree_bound, but at least 2."""
-        return max(2, self.degree_bound)

@@ -4,22 +4,18 @@ Bounded branches short-circuit to the trivial subgroup through the residue
 point (the stabilizer of a bounded type with residue in k is trivial);
 unbounded branches are mu-reduced first, then handed to the
 reparameterization and/or degeneration algorithms, whose ideals are
-compared by mutual membership.  The degeneration starts from the
-degree-bounded closure of the reduced branch; when that closure has a
-dimension above a certified type dimension, a relation of higher degree is
-missing, and the run ends in DegreeBoundTooSmall rather than a stabilizer
-of the wrong dimension.
+compared by mutual membership.  The degeneration starts from the exact
+Zariski closure of the reduced branch, which reads no degree bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .branches import Branch, certified_dim, implicitize, is_centered_at_infinity
+from .branches import Branch, is_centered_at_infinity
 from .degeneration import DegenerationResult, stab_degeneration, verify_flat_closure_at
-from .errors import DegreeBoundTooSmall
 from .groups import GroupElement, KPoint
-from .ideals import Budgets, ideal_equal, krull_dim
+from .ideals import Budgets, ideal_equal
 from .stabilizer import mu_correct, mu_reduce, stab_reparam
 from .subgroups import SubgroupDesc, TubeCertificate, verify_subgroup
 
@@ -73,14 +69,7 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
     if algorithm in ("reparam", "both"):
         run.reparam = stab_reparam(reduced, budgets, type_dim=dim_after)
     if algorithm in ("degeneration", "both"):
-        V = implicitize(reduced, budgets.closure_degree)
-        closure_dim = krull_dim(V)
-        if closure_dim > dim_after and certified_dim(reduced) == dim_after:
-            raise DegreeBoundTooSmall(
-                f"the closure of degree {budgets.closure_degree} has dimension {closure_dim}, above the "
-                f"certified type dimension {dim_after}; raise degree_bound"
-            )
-        run.degeneration = stab_degeneration(reduced, V, budgets)
+        run.degeneration = stab_degeneration(reduced, budgets)
     if run.reparam is not None and run.degeneration is not None:
         run.agreement = ideal_equal(run.reparam.ideal, run.degeneration.desc.ideal, budgets.spoly_budget)
     return run

@@ -194,8 +194,8 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     """
     budgets = budgets or Budgets()
     # the certified type dimension, else the count at the largest degree the
-    # branch's precision supports
-    D = budgets.closure_degree
+    # branch's precision supports, from degree_bound but at least 2 down
+    D = max(2, budgets.degree_bound)
     dim_before = certified_dim(branch)
     while dim_before is None:
         try:

@@ -304,7 +304,7 @@ def test_criterion_11_property_suites():
                 break
 
     # implicitize vs eliminate on the cusp
-    out = implicitize(cusp_branch(), 3)
+    out = implicitize(cusp_branch())
     ring = PolyRing(QQ, ("s", "x", "y"), "lex")
     oracle = eliminate(ideal(ring, "x*s^2 - 1", "y*s^3 - 1"), ("s",))
     lifted = Ideal(out.ring, tuple(gg.restrict(out.ring) for gg in oracle.gens))

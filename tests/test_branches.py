@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from mustab import branches
 from mustab.branches import certified_dim, implicitize, is_centered_at_infinity, type_dimension, validate_branch
 from mustab.errors import NotOnGroup
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
-from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim
+from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim, relation_ideal
 from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries
 
@@ -56,13 +57,13 @@ def test_bounded_branch_is_not_centered():
 
 def test_implicitize_equal_coordinates():
     b = validate_branch(ADD2, (S((-1, 1)), S((-1, 1))))
-    out = implicitize(b, 2)
+    out = implicitize(b)
     assert ideal_equal(out, ideal(out.ring, "x - y"))
 
 
 def test_implicitize_cusp_matches_elimination_oracle():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    out = implicitize(b, 3)
+    out = implicitize(b)
     # independent oracle: eliminate s from <x s^2 - 1, y s^3 - 1>
     ring = PolyRing(QQ, ("s", "x", "y"), "lex")
     oracle = eliminate(ideal(ring, "x*s^2 - 1", "y*s^3 - 1"), ("s",))
@@ -72,23 +73,28 @@ def test_implicitize_cusp_matches_elimination_oracle():
 
 def test_implicitize_x1():
     b = validate_branch(SL2, ((S((-1, 1)), S((0, 1))), (Z(), S((1, 1)))))
-    out = implicitize(b, 2)
+    out = implicitize(b)
     expected = ideal(out.ring, "x12 - 1", "x21", "x11*x22 - 1")
     assert ideal_equal(out, expected)
     assert krull_dim(out) == 1
 
 
 def test_implicitize_monotone_in_degree():
+    """The relations of degree <= 2 lie in those of degree <= 3, and both
+    in the exact closure."""
     b = validate_branch(SL2, ((S((-1, 1)), S((0, 1))), (Z(), S((1, 1)))))
-    small = implicitize(b, 2)
-    big = implicitize(b, 3)
+    ring = PolyRing(QQ, SL2.coordinates())
+    small, big = (relation_ideal(ring, branches._closure_relations(b, D)) for D in (2, 3))
+    exact = implicitize(b)
     for g in small.gens:
         assert ideal_member(g, big)
+    for g in big.gens:
+        assert ideal_member(g, exact)
 
 
 def test_implicitize_substitution_vanishes():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    out = implicitize(b, 4)
+    out = implicitize(b)
     from mustab.groups import eval_poly_series
 
     values = {"x": b.element.entries[0], "y": b.element.entries[1]}
@@ -169,11 +175,13 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
 
 
 def test_implicitize_skips_the_multiples_of_found_relations(monkeypatch):
-    """The shear [[t^-1, t^-1 - t^2], [0, t]] at D = 4: x21, x12 - x11 +
-    x22^2 and x11*x22 - 1 lead early, so the walk expands only the standard
-    monomials and the leading monomials (12 series products, none for the
-    coordinates themselves) and hands Buchberger one relation per leading
-    monomial, not the 57 vectors of the whole kernel."""
+    """The relation walk behind type_dimension, on the shear [[t^-1, t^-1 -
+    t^2], [0, t]] at D = 4: x21, x12 - x11 + x22^2 and x11*x22 - 1 lead
+    early, so the walk expands only the standard monomials and the leading
+    monomials (12 series products, none for the coordinates themselves)
+    and hands Buchberger one relation per leading monomial, not the 57
+    vectors of the whole kernel.  Those relations have the basis of the
+    exact closure."""
     from mustab import ideals
 
     products = []
@@ -193,7 +201,64 @@ def test_implicitize_skips_the_multiples_of_found_relations(monkeypatch):
     shear = validate_branch(SL2, ((S((-1, 1)), S((-1, 1), (2, -1))), (Z(), S((1, 1)))))
     monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
     monkeypatch.setattr(ideals, "groebner_basis", spy)
-    V = implicitize(shear, 4)
+    V = relation_ideal(PolyRing(QQ, SL2.coordinates()), branches._closure_relations(shear, 4))
     assert len(products) <= 16
     assert handed == [4]
     assert [str(g) for g in V.gens] == ["x21", "x22^2 - x11 + x12", "x11*x22 - 1", "x11^2 - x11*x12 - x22"]
+    assert implicitize(shear).gens == V.gens
+
+
+def _reduced_exact_branches():
+    """The exact mu-reduced branches of the corpus and of random Laurent
+    points and shear products (the families of the property suites) over Q
+    and F_5, each with the degree bounds its walk is compared at."""
+    import random
+
+    from mustab.corpus import corpus_entries
+    from mustab.ideals import Budgets
+    from mustab.jobs import _read_input, parse_budgets
+    from mustab.newton import places_at_infinity
+    from mustab.stabilizer import mu_reduce
+    from tests_helpers import random_laurent_point, shear_product
+
+    out = []
+    for entry in corpus_entries():
+        job = entry["job"]
+        if "skip" in job:
+            continue
+        scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
+        budgets = parse_budgets(job.get("budgets"))
+        inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
+        for b in [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision):
+            if is_centered_at_infinity(b):
+                out.append((mu_reduce(b, budgets)[0], (2, 3, max(2, budgets.degree_bound))))
+    rng = random.Random(31)
+    for field in (QQ, FieldSpec("Fp", p=5), QQ, FieldSpec("Fp", p=5)):
+        for kind, n in (("SL", 2), ("GL", 2), ("SL", 3)):
+            out.append((shear_product(GroupScheme(kind, n, field), rng, 2), (2, 3)))
+        for kind, n in (("Additive", 2), ("Additive", 3), ("SL", 2), ("GL", 2)):
+            g = random_laurent_point(GroupScheme(kind, n, field), rng)
+            b = validate_branch(g.scheme, g.entries)
+            if is_centered_at_infinity(b):
+                out.append((mu_reduce(b, Budgets(degree_bound=3))[0], (2, 3)))
+    return [(b, degrees) for b, degrees in out if all(s.is_exact() for s in b.element.flat())]
+
+
+def test_implicitize_is_the_degree_bounded_closure_of_the_right_dimension():
+    """On a reduced exact branch, the relations of degree <= D generate the
+    exact closure wherever their Krull dimension is the certified dim p.
+    (Reduction matters: the unreduced (-2 - 4t^2 - 3t^3, 3t^-1 - t^3,
+    2t^-3 - 4t^-2) over Q has relations of Krull dimension 1 at D = 3 that
+    miss a generator of the closure.)"""
+    compared = 0
+    for b, degrees in _reduced_exact_branches():
+        V = implicitize(b)
+        dim = certified_dim(b)
+        assert krull_dim(V) == dim, str(b)
+        ring = PolyRing(b.field, b.scheme.coordinates())
+        for D in degrees:
+            W = relation_ideal(ring, branches._closure_relations(b, D))
+            if krull_dim(W) == dim:
+                compared += 1
+                assert W.gens == V.gens, (str(b), D)
+    assert compared >= 30

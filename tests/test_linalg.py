@@ -1,19 +1,20 @@
-"""Sparse elimination in linalg; the relation walk behind implicitize,
-type_dimension and ideal_of_points against the dense kernel computation
-it replaced (kept here as the reference); and certified_dim against
-type_dimension."""
+"""Sparse elimination in linalg; the relation walk behind type_dimension
+and ideal_of_points against the dense kernel computation it replaced (kept
+here as the reference), and the exact closure against it; and
+certified_dim against type_dimension."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from mustab import branches
 from mustab.branches import certified_dim, implicitize, type_dimension, validate_branch
 from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
-from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis
+from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis, ideal_member, relation_ideal
 from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
 from mustab.series import PuiseuxSeries
@@ -335,13 +336,20 @@ BRANCH_FAMILIES = {
 @given(st.sampled_from(sorted(BRANCH_FAMILIES)), st.sampled_from(FIELDS), st.integers(0, 2**32))
 def test_implicitize_matches_the_dense_kernel(family, field, seed):
     """The walk's relations generate the ideal of the whole kernel: the
-    same reduced basis, or PrecisionInsufficient on both paths."""
+    same reduced basis, or PrecisionInsufficient on both paths.  On an
+    exact branch with exponents of rational rank 1 the exact closure
+    contains them."""
     build, degrees = BRANCH_FAMILIES[family]
     rng = random.Random(seed)
     branch = build(field, rng)
+    ring = PolyRing(branch.field, branch.scheme.coordinates())
+    exact = family != "sqrt" and all(s.is_exact() for s in branch.element.flat())
+    closure = implicitize(branch) if exact else None
     for D in degrees:
-        got = outcome(lambda: implicitize(branch, D).gens)
+        got = outcome(lambda: relation_ideal(ring, branches._closure_relations(branch, D)).gens)
         assert got == outcome(dense_implicitize, branch, D), (str(branch), D)
+        if closure is not None:
+            assert all(ideal_member(g, closure) for g in got), (str(branch), D)
 
 
 @st.composite

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mustab.branches import Branch, implicitize, validate_branch
-from mustab.degeneration import _uniformizer, flat_closure, identity_component, special_fiber, stab_degeneration
+from mustab.branches import Branch, _uniformizer, implicitize, validate_branch
+from mustab.degeneration import flat_closure, identity_component, special_fiber, stab_degeneration
 from mustab.errors import (
     BudgetExceeded,
     NotCenteredAtInfinity,
@@ -415,9 +415,10 @@ def test_stab_reparam_raises_not_reduced_above_its_dimension():
 
 def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
     """The type dimension of a branch the rank bounds leave open (a circle
-    place over F_5, known to t^20) and the degeneration's closure are both
-    taken at the job's degree_bound, with no lower cap.  An exact branch
-    the bounds decide builds relations for the closure only."""
+    place over F_5, known to t^20) is taken at the job's degree_bound, with
+    no lower cap; the degeneration's closure is exact and builds no
+    degree-bounded relations, so an exact branch the bounds decide builds
+    none at all."""
     from mustab import branches
 
     calls = []
@@ -433,12 +434,12 @@ def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
     assert branches.certified_dim(place) is None
     run = compute_stabilizer(place, "both", Budgets(degree_bound=8))
     assert run.agreement is True
-    assert sorted(calls) == [("implicitize", 8), ("type_dimension", 8)]
+    assert calls == [("type_dimension", 8)]
 
     calls.clear()
     run = compute_stabilizer(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), "both", Budgets(degree_bound=8))
     assert run.agreement is True
-    assert calls == [("implicitize", 8)]
+    assert calls == []
 
 
 def test_shortfall_below_a_certified_dimension_is_a_budget_limit():
@@ -458,8 +459,7 @@ def test_shortfall_below_a_certified_dimension_is_a_budget_limit():
 
 def test_degeneration_x1():
     b = x1_branch()
-    V = implicitize(b, 2)
-    out = stab_degeneration(b, V, BUDGETS)
+    out = stab_degeneration(b, BUDGETS)
     assert ideal_equal(out.desc.ideal, ideal(out.desc.ideal.ring, "x11 - 1", "x21", "x22 - 1"))
     assert not out.desc.cosets
     assert out.desc.flags["decomposition_complete"]
@@ -470,15 +470,13 @@ def test_degeneration_x1():
 
 def test_degeneration_x2():
     b = x2_branch()
-    V = implicitize(b, 2)
-    out = stab_degeneration(b, V, BUDGETS)
+    out = stab_degeneration(b, BUDGETS)
     assert ideal_equal(out.fiber, ideal(out.fiber.ring, "x12", "x21", "x11*x22 - 1"))
 
 
 def test_degeneration_agrees_with_reparam_on_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    V = implicitize(b, 3)
-    out = stab_degeneration(b, V, BUDGETS)
+    out = stab_degeneration(b, BUDGETS)
     rp = stab_reparam(b, BUDGETS, type_dim=1)
     assert ideal_equal(out.desc.ideal, rp.ideal)
 
@@ -513,7 +511,7 @@ def test_degeneration_needs_exact_entries():
 
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1), (1, 1), prec=4)))
     with pytest.raises(PrecisionInsufficient):
-        stab_degeneration(b, implicitize(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 3), BUDGETS)
+        stab_degeneration(b, BUDGETS)
 
 
 def su_first_closure(branch: Branch, V: Ideal) -> Ideal:
@@ -561,11 +559,11 @@ def _additive_plane_branch(field, rng):
 
 
 CLOSURE_FAMILIES = {
-    # name -> (branch from (field, rng), the degree of V)
-    "sl2": (lambda field, rng: shear_product(GroupScheme("SL", 2, field), rng, 2), 2),
-    "gl2": (lambda field, rng: shear_product(GroupScheme("GL", 2, field), rng, 2), 2),
-    "additive_plane": (_additive_plane_branch, 4),
-    "sl3": (lambda field, rng: shear_product(GroupScheme("SL", 3, field), rng, 2), 2),
+    # name -> branch from (field, rng)
+    "sl2": lambda field, rng: shear_product(GroupScheme("SL", 2, field), rng, 2),
+    "gl2": lambda field, rng: shear_product(GroupScheme("GL", 2, field), rng, 2),
+    "additive_plane": _additive_plane_branch,
+    "sl3": lambda field, rng: shear_product(GroupScheme("SL", 3, field), rng, 2),
 }
 
 
@@ -578,14 +576,13 @@ def test_flat_closure_with_u_last_has_the_fiber_of_the_su_first_saturation(famil
     very basis.  The u-content of the pulled-back generators changes no
     saturation, and on the additive plane it is always 1, so it is checked
     on the generators themselves (on GL(2) most branches have some)."""
-    make, degree = CLOSURE_FAMILIES[family]
-    branch = make(field, random.Random(seed))
-    V = implicitize(branch, degree)
+    branch = CLOSURE_FAMILIES[family](field, random.Random(seed))
+    V = implicitize(branch)
     cleared = []
     real = degeneration._clear_poles
     degeneration._clear_poles = lambda p: cleared.append(real(p)) or cleared[-1]
     try:
-        closure, _ = flat_closure(branch, V, BUDGETS)
+        closure, _ = flat_closure(branch, BUDGETS)
     finally:
         degeneration._clear_poles = real
     # every pulled-back generator is free of s, with its u-content divided out
