@@ -163,17 +163,18 @@ class _ExtensionNeeded(Exception):
         self.factor = factor
 
 
-def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Scalar, int]]:
+def _newton_roots(coeffs, field: FieldSpec, e: int, what: str) -> list[tuple[Scalar, int]]:
     """Roots in k of phi = sum a c^i over coeffs (i, a): the degree form
-    (q = 1) or the polynomial of an edge with ramification q.
+    (e = 1) or the polynomial of an edge that ramifies e-fold beyond the
+    exponents chosen before it.
 
-    Roots conjugate to a k-rational root r under c -> zeta_q^p c
-    parameterize the same place via t -> zeta t, so an irreducible factor
-    dividing c^q - r^q is redundant rather than missing (never when q = 1).
-    The conjugates that lie in k are all returned; their expansions differ
-    by t -> zeta t, and _dedup_branches keeps the first of them by its
-    rescaling test.  Any other nonlinear factor means roots outside k, which
-    is fatal here (or triggers an extension over F_p).
+    The roots zeta r, zeta^e = 1, of a k-rational root r are its conjugates
+    under t -> zeta t, which fixes every earlier term, so they parameterize
+    the place of r: an irreducible factor dividing c^e - r^e is redundant
+    rather than missing (never when e = 1).  Any other nonlinear factor
+    means a place whose coefficients lie outside k, which is fatal here (or
+    triggers an extension over F_p).  All k-roots are returned;
+    _np_expansions expands one of each conjugacy class.
     """
     ring = PolyRing(field, ("c",))
     phi = Poly(ring, {(i,): a for i, a in coeffs})
@@ -186,7 +187,7 @@ def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Sca
         h
         for h, _ in fac.factors + fac.unfactored
         if h.total_degree() >= 2
-        and not any(uni_divmod(c**q - ring.from_scalar(r**q), h)[1].is_zero() for r, _ in roots)
+        and not any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots)
     ]
     if missing:
         if field.kind == "Fp":
@@ -195,9 +196,14 @@ def _newton_roots(coeffs, field: FieldSpec, q: int, what: str) -> list[tuple[Sca
     return roots
 
 
-def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int = _NEWTON_BUDGET):
-    """All Puiseux expansions w(z) with positive valuation solving pp = 0,
-    as (terms, exact) pairs; terms are ascending (Fraction, Scalar)."""
+def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, n0: int = 1, budget: int = _NEWTON_BUDGET):
+    """One Puiseux expansion w(z) with positive valuation solving pp = 0
+    per place, as (terms, exact) pairs; terms are ascending (Fraction,
+    Scalar).  n0 is the lcm of the denominators of the exponents chosen
+    before pp.  At an edge of slope -gamma the roots r and zeta r with
+    zeta^e = 1, e the denominator of n0 gamma, differ by t -> zeta t, which
+    fixes every earlier term: one place, so only the first root of each
+    class (by r^e) is expanded (Duval's rational Puiseux expansions)."""
     if budget <= 0:
         raise BudgetExceeded("Newton polygon recursion budget exhausted")
     out = []
@@ -214,14 +220,17 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, budget: int 
             raise WildRamification(
                 f"edge exponent {gamma} is wildly ramified in characteristic {field.char}"
             )
-        for root, _mult in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, gamma.denominator, "edge "):
-            if root.is_zero():
+        e = (n0 * gamma).denominator
+        classes = []
+        for root, _mult in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, e, "edge "):
+            if root.is_zero() or root**e in classes:
                 continue
+            classes.append(root**e)
             sub = _pp_substitute(pp, gamma, root, field)
             if gamma >= prec_left:
                 out.append(([(gamma, root)], False))
                 continue
-            for tail, tail_exact in _np_expansions(sub, field, prec_left - gamma, budget - 1):
+            for tail, tail_exact in _np_expansions(sub, field, prec_left - gamma, n0 * e, budget - 1):
                 shifted = [(gamma + g2, c2) for g2, c2 in tail]
                 out.append(([(gamma, root)] + shifted, tail_exact))
     return out

@@ -1,14 +1,19 @@
 """Newton-polygon places at infinity."""
 
+import math
+
 import pytest
 
 from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import CoefficientFieldTooSmall
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, eval_poly_series
+from mustab.jobs import run_job
 from mustab.newton import PlaneCurveInput, _dedup_branches, _is_rescaling, check_irreducible_fragment, places_at_infinity
 from mustab.poly import PolyRing
 from mustab.series import parse_series
+
+from tests_helpers import every_root_places
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -167,30 +172,36 @@ def _count_mu_correct(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "f_text, field, expansions",
-    [("y^4 - x", F5, 4), ("y^3 - x^2", FieldSpec("Fp", p=7), 3), ("y^2 - x", QQ, 2)],
+    "f_text, field",
+    [("y^4 - x", F5), ("y^3 - x^2", FieldSpec("Fp", p=7)), ("y^2 - x", QQ)],
     ids=["y4_x_F5", "y3_x2_F7", "y2_x_Q"],
 )
-def test_conjugate_expansions_merge_without_the_ansatz(monkeypatch, f_text, field, expansions):
-    """Every k-rational root of the edge polynomial gives one expansion of
-    the single place; they differ by t -> zeta t, and the rescaling test
-    merges them without one mu_correct call."""
+def test_conjugate_expansions_merge_without_the_ansatz(monkeypatch, f_text, field):
+    """The k-rational roots of the edge polynomial are conjugate under
+    t -> zeta t, so only the first is expanded: one expansion reaches
+    _dedup_branches, which needs neither the rescaling test nor
+    mu_correct."""
     from mustab import newton
 
-    seen = []
-    dedup = newton._dedup_branches
+    seen, rescalings = [], []
+    dedup, is_rescaling = newton._dedup_branches, newton._is_rescaling
 
     def recording(branches):
         seen.extend(branches)
         return dedup(branches)
 
+    def counting(a, b):
+        rescalings.append((a, b))
+        return is_rescaling(a, b)
+
     monkeypatch.setattr(newton, "_dedup_branches", recording)
+    monkeypatch.setattr(newton, "_is_rescaling", counting)
     calls = _count_mu_correct(monkeypatch)
     scheme = GroupScheme("Additive", 2, field)
     branches = places_at_infinity(_curve(f_text, ["x", "y"], scheme, field))
-    assert len(seen) == expansions
-    assert len(branches) == 1 and branches[0] is seen[0]
-    assert calls == []
+    assert len(seen) == 1
+    assert branches == seen
+    assert rescalings == [] and calls == []
 
 
 def test_rescaling_keeps_the_two_circle_places():
@@ -282,3 +293,83 @@ def test_places_over_an_extension_keep_a_subgroup_scheme():
         assert str(b.field) == "F_5^2"
         assert b.scheme.kind == "Subgroup" and b.scheme.field == b.field
         assert [str(g) for g in b.scheme.subgroup_ideal.gens] == ["4*x + z"]
+
+
+# prod over zeta, d in mu_3 of (w - zeta z^(1/3) - d zeta^2 z^(2/3)) in the
+# chart x = 1/z, y = w/z, plus 1: three places that differ only at z^(2/3)
+THREE_PLACES = "y^9 - 3*x*y^6 - 3*x^2*y^6 + 3*x^2*y^3 - 21*x^3*y^3 + 3*x^4*y^3 - 3*x^4 - x^3 - 3*x^5 - x^6 + 1"
+
+
+@pytest.mark.parametrize(
+    "field, code, places, field_of_places",
+    [
+        ({"kind": "Q"}, 3, 0, None),
+        ({"kind": "Fp", "p": 5}, 0, 3, "F_5^2"),
+        ({"kind": "Fp", "p": 7}, 0, 3, "F_7"),
+        ({"kind": "Fp", "p": 11}, 0, 3, "F_11^2"),
+    ],
+    ids=["Q", "F5", "F7", "F11"],
+)
+def test_places_apart_below_the_first_term_need_their_own_roots(field, code, places, field_of_places):
+    """At z^(2/3) the edge polynomial is c^3 - 1, whose roots d differ by
+    cube roots of unity, but t -> zeta t would move the term z^(1/3) too:
+    the roots of c^2 + c + 1 are three places, not conjugates of d = 1.  So
+    over Q the places are missing, over F_5 and F_11 they lie over F_25 and
+    F_121, and over F_7 all three are rational."""
+    job = {
+        "field": field,
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": THREE_PLACES, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    }
+    report, exit_code = run_job(job)
+    assert exit_code == code
+    assert len(report["results"].get("branches", [])) == places
+    if code:
+        assert report["errors"][0]["type"] == "CoefficientFieldTooSmall"
+        return
+    k = FieldSpec.from_json(field)
+    branches = places_at_infinity(_curve(THREE_PLACES, ["x", "y"], GroupScheme("Additive", 2, k), k), precision=4)
+    assert [str(b.field) for b in branches] == [field_of_places] * 3
+
+
+def _binomial_cases():
+    """y^p = x^q, gcd(p, q) = 1, over each field whose characteristic
+    divides neither p nor q."""
+    fields = {"Q": QQ, "F5": F5, "F7": F7, "F9": FieldSpec("Fq", p=3, modulus=(1, 0, 1))}
+    for p in (2, 3, 4):
+        for q in range(1, 6):
+            for name, field in fields.items():
+                if math.gcd(p, q) == 1 and not (field.char and (p % field.char == 0 or q % field.char == 0)):
+                    yield pytest.param(f"y^{p} - x^{q}", field, id=f"y{p}_x{q}_{name}")
+
+
+@pytest.mark.parametrize(
+    "f_text, field",
+    [
+        *_binomial_cases(),
+        pytest.param("x^2 + y^2 - 1", F5, id="circle_F5"),
+        pytest.param("x^2 + y^2 - 1", F7, id="circle_F7"),
+        pytest.param(THREE_PLACES, F7, id="three_places_F7"),
+        pytest.param(THREE_PLACES, FieldSpec("Fp", p=13), id="three_places_F13"),
+    ],
+)
+def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_text, field):
+    """The places equal those of expanding every root and merging the
+    conjugates in _dedup_branches, and every expansion that reaches
+    _dedup_branches is one of them: none is a conjugate of another."""
+    from mustab import newton
+
+    scheme = GroupScheme("Additive", 2, field)
+    expected = every_root_places(_curve(f_text, ["x", "y"], scheme, field), 6)
+    seen = []
+    dedup = newton._dedup_branches
+
+    def recording(branches):
+        seen.extend(branches)
+        return dedup(branches)
+
+    monkeypatch.setattr(newton, "_dedup_branches", recording)
+    assert places_at_infinity(_curve(f_text, ["x", "y"], scheme, field), 6) == expected
+    assert seen == expected

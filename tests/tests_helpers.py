@@ -3,15 +3,19 @@ and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
 of two ideals, the product of a factorization, and the eager `Echelon`
 that built every pivot's combination as it went (the reference for the
-one that builds them on demand), and the list of a finite field's
-elements."""
+one that builds them on demand), the places at infinity from every
+conjugate expansion merged by `_dedup_branches` (the reference for one
+expansion per place), and the list of a finite field's elements."""
 
 from fractions import Fraction
+from unittest import mock
 
 from mustab.exponents import exp
 from mustab.fields import QQ
 from mustab.groups import GroupElement, GroupScheme, KPoint, mat_det, mat_mul, random_entries, random_scalar
+from mustab import newton
 from mustab.branches import validate_branch
+from mustab.errors import BudgetExceeded, WildRamification
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.linalg import _sparse, _subtract
 from mustab.poly import PolyRing
@@ -185,3 +189,42 @@ class EagerEchelon:
         self._pivots[c] = ({j: x * inv for j, x in r.items()}, comb)
         self._cols = sorted(self._cols + [c])
         return None
+
+
+def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
+    """newton._np_expansions as it was before one root per conjugacy class:
+    every k-root of every edge polynomial is expanded, and a nonlinear
+    factor counts as conjugate when it divides c^q - r^q, q the
+    denominator of the edge's exponent."""
+    if budget <= 0:
+        raise BudgetExceeded("Newton polygon recursion budget exhausted")
+    out = []
+    k = min(i for i, _ in pp)
+    if k >= 1:
+        out.append(([], True))
+        pp = {(i - k, j): c for (i, j), c in pp.items()}
+    if (0, Fraction(0)) in pp:
+        return out
+    if prec_left <= 0:
+        return out + [([], False)]
+    for gamma, edge_terms in newton._lower_hull_edges(pp):
+        if field.char and gamma.denominator % field.char == 0:
+            raise WildRamification(f"edge exponent {gamma} is wildly ramified")
+        edge = [(i, pp[(i, j)]) for i, j in edge_terms]
+        for root, _mult in newton._newton_roots(edge, field, gamma.denominator, "edge "):
+            if root.is_zero():
+                continue
+            sub = newton._pp_substitute(pp, gamma, root, field)
+            if gamma >= prec_left:
+                out.append(([(gamma, root)], False))
+                continue
+            for tail, tail_exact in _every_root_expansions(sub, field, prec_left - gamma, budget - 1):
+                out.append(([(gamma, root)] + [(gamma + g2, c2) for g2, c2 in tail], tail_exact))
+    return out
+
+
+def every_root_places(curve, precision):
+    """places_at_infinity with every conjugate expansion built into a
+    branch and merged by `_dedup_branches`."""
+    with mock.patch.object(newton, "_np_expansions", _every_root_expansions):
+        return newton.places_at_infinity(curve, precision)
