@@ -46,13 +46,16 @@ run builds its own Ansatz.
 
 The places at infinity: `places_at_infinity` on the additive plane for
 the circle x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus
-input), and at precision 12 for y^2 = x^3 over Q and for the circle over
-F_7, whose places need F_49; each run parses its own curve and scheme.
+input), and at precision 12 for y^2 = x^3 over Q, for the circle over
+F_7, whose places need F_49, and for y^4 = x over F_5, whose edge
+polynomial has four rational roots conjugate under t -> zeta t; each run
+parses its own curve and scheme.
 
 Prints one JSON line: per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, per curve the
-precision and the number of places) and the size of the resulting basis,
+precision, the number of places and the number of expansions that reach
+`_dedup_branches`) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
 imported from the src/ next to this script.
 """
@@ -67,7 +70,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from mustab import branches, degeneration, ideals, stabilizer, subgroups  # noqa: E402
+from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
@@ -158,6 +161,7 @@ PLACES = {
     "circle_f5": (FieldSpec("Fp", p=5), "x^2 + y^2 - 1", 20),
     "cusp_q": (QQ, "y^2 - x^3", 12),
     "circle_f7": (FieldSpec("Fp", p=7), "x^2 + y^2 - 1", 12),
+    "y4_x_f5": (FieldSpec("Fp", p=5), "y^4 - x", 12),
 }
 
 
@@ -251,13 +255,29 @@ def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
 
 
 def time_places(field: FieldSpec, f_text: str, precision: int, runs: int) -> dict:
+    def curve():
+        return parse_plane_curve({"f": f_text, "embedding": ["x", "y"]}, GroupScheme("Additive", 2, field))
+
+    expansions = 0
+    real_dedup = newton._dedup_branches
+
+    def counting_dedup(found):
+        nonlocal expansions
+        expansions += len(found)
+        return real_dedup(found)
+
+    newton._dedup_branches = counting_dedup
+    try:
+        places_at_infinity(curve(), precision)
+    finally:
+        newton._dedup_branches = real_dedup
     times = []
     for _ in range(runs):
-        curve = parse_plane_curve({"f": f_text, "embedding": ["x", "y"]}, GroupScheme("Additive", 2, field))
+        fresh = curve()
         start = time.perf_counter()
-        branches = places_at_infinity(curve, precision)
+        found = places_at_infinity(fresh, precision)
         times.append((time.perf_counter() - start) * 1e3)
-    return {"precision": precision, "places": len(branches), **_stats(times)}
+    return {"precision": precision, "places": len(found), "expansions": expansions, **_stats(times)}
 
 
 def main() -> int:

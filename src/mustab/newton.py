@@ -5,7 +5,9 @@ The projective closure of V(f) meets the line at infinity in the points
 term.  One chart serves them all: around [1:c:0] the local branches are
 Puiseux series for y/x in z = 1/x, and [0:1:0] is the c = 0 point of the
 same chart for f with x and y exchanged.  The parameterizations are then
-pushed through the embedding into the group scheme.
+pushed through the embedding into the group scheme.  Each edge expands
+one root per class of roots conjugate under t -> zeta t, so each place
+is expanded once.
 
 Over F_p a missing Newton-polygon root triggers one automatic extension to
 F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
@@ -221,11 +223,12 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, n0: int = 1,
                 f"edge exponent {gamma} is wildly ramified in characteristic {field.char}"
             )
         e = (n0 * gamma).denominator
-        classes = []
+        expanded = []  # r^e of each root expanded at this edge
         for root, _mult in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, e, "edge "):
-            if root.is_zero() or root**e in classes:
+            power = root**e
+            if root.is_zero() or power in expanded:
                 continue
-            classes.append(root**e)
+            expanded.append(power)
             sub = _pp_substitute(pp, gamma, root, field)
             if gamma >= prec_left:
                 out.append(([(gamma, root)], False))
@@ -315,9 +318,10 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
 def _dedup_branches(branches: list[Branch]) -> list[Branch]:
     """Drop duplicates, keeping the first branch of each class: identical
     parameterizations first, then rescalings b(t) = a(lam t) of an earlier
-    branch a, which is how the conjugate expansions of one place arrive
-    (s = lam t with eps = 1 is the tube certificate), then anything else
-    mu_correct finds tube-equivalent to an earlier branch."""
+    branch a (s = lam t with eps = 1 is the tube certificate), then
+    anything else mu_correct finds tube-equivalent to an earlier branch.
+    _np_expansions gives one expansion per place, so a class of more than
+    one branch comes from distinct places that the embedding identifies."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
 
     def equivalent(a: Branch, b: Branch) -> bool:
