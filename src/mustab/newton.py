@@ -7,7 +7,8 @@ Puiseux series for y/x in z = 1/x, and [0:1:0] is the c = 0 point of the
 same chart for f with x and y exchanged.  The parameterizations are then
 pushed through the embedding into the group scheme.  Each edge expands
 one root per class of roots conjugate under t -> zeta t, so each place
-is expanded once.
+is expanded once, unless a place has its k-rational expansions only
+under a skipped root; that point then expands every root.
 
 Over F_p a missing Newton-polygon root triggers one automatic extension to
 F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
@@ -165,47 +166,71 @@ class _ExtensionNeeded(Exception):
         self.factor = factor
 
 
-def _newton_roots(coeffs, field: FieldSpec, e: int, what: str) -> list[tuple[Scalar, int]]:
+class _SiblingNeeded(Exception):
+    """A place whose k-rational expansions may all lie under a root that
+    _np_expansions skipped as the conjugate of one it expanded."""
+
+
+def _newton_roots(coeffs, field: FieldSpec, what: str, e: int = 1, n0: int = 1, num: int = 0):
     """Roots in k of phi = sum a c^i over coeffs (i, a): the degree form
     (e = 1) or the polynomial of an edge that ramifies e-fold beyond the
-    exponents chosen before it.
+    earlier terms, whose exponents have denominators dividing n0; the
+    edge's own term has exponent num/(n0 e).  Returns the k-roots and
+    whether a root outside k is rational only under a skipped root (below).
 
-    The roots zeta r, zeta^e = 1, of a k-rational root r are its conjugates
-    under t -> zeta t, which fixes every earlier term, so they parameterize
-    the place of r: an irreducible factor dividing c^e - r^e is redundant
-    rather than missing (never when e = 1).  Any other nonlinear factor
-    means a place whose coefficients lie outside k, which is fatal here (or
-    triggers an extension over F_p).  All k-roots are returned;
-    _np_expansions expands one of each conjugacy class.
+    t -> omega t multiplies the term of exponent m/(n0 e) by eta^m, eta an
+    (n0 e)-th root of unity, and keeps the earlier coefficients in k
+    exactly when lam = eta^e does (their numerators m have gcd e with
+    n0 e).  A root rho of a nonlinear factor h is
+    - redundant when h divides c^e - r^e for a k-root r: with lam = 1,
+      t -> omega t keeps every earlier term and takes rho to r;
+    - rational under another root of an earlier edge when lam^num rho^e
+      is an e-th power in k for some lam in mu_n0(k): t -> omega t takes
+      the earlier terms to k-rational ones that differ from them, those of
+      a root that _np_expansions skips unless it expands every root;
+    - missing otherwise: no conjugate of its place has its terms so far
+      in k, which is fatal here (or triggers an extension over F_p).
     """
     ring = PolyRing(field, ("c",))
     phi = Poly(ring, {(i,): a for i, a in coeffs})
     if phi.is_constant():
-        return []
+        return [], False
     fac = uni_factor(phi)
     roots = fac.roots()
     c = ring.var("c")
-    missing = [
-        h
-        for h, _ in fac.factors + fac.unfactored
-        if h.total_degree() >= 2
-        and not any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots)
-    ]
+    missing, sibling = [], False
+    for h, _ in fac.factors + fac.unfactored:
+        if h.total_degree() < 2 or any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots):
+            continue
+        power = uni_divmod(c**e, h)[1]  # rho^e
+        if power.is_constant() and any(
+            uni_factor(c**e - power.scale(lam**num)).roots() for lam, _ in uni_factor(c**n0 - ring.one()).roots()
+        ):
+            sibling = True
+        else:
+            missing.append(h)
     if missing:
         if field.kind == "Fp":
             raise _ExtensionNeeded(missing[0])
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
-    return roots
+    return roots, sibling
 
 
-def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, n0: int = 1, budget: int = _NEWTON_BUDGET):
+def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, every_root: bool = False,
+                   g0: Fraction = Fraction(0), n0: int = 1, budget: int = _NEWTON_BUDGET):
     """One Puiseux expansion w(z) with positive valuation solving pp = 0
     per place, as (terms, exact) pairs; terms are ascending (Fraction,
-    Scalar).  n0 is the lcm of the denominators of the exponents chosen
-    before pp.  At an edge of slope -gamma the roots r and zeta r with
-    zeta^e = 1, e the denominator of n0 gamma, differ by t -> zeta t, which
-    fixes every earlier term: one place, so only the first root of each
-    class (by r^e) is expanded (Duval's rational Puiseux expansions)."""
+    Scalar).  g0 is the exponent reached before pp and n0 the lcm of the
+    denominators of the exponents chosen so far.  At an edge of slope
+    -gamma the roots r and zeta r with zeta^e = 1, e the denominator of
+    n0 gamma, differ by t -> zeta t, which fixes every earlier term: one
+    place, so only the first root of each class (by r^e) is expanded.
+
+    Such a place may still have its k-rational expansions only under the
+    skipped root zeta r, when a later root is rational only after a
+    conjugation that moves the earlier terms (see _newton_roots).  That
+    raises _SiblingNeeded; with every_root, every k-root is expanded and
+    _dedup_branches merges the conjugate expansions."""
     if budget <= 0:
         raise BudgetExceeded("Newton polygon recursion budget exhausted")
     out = []
@@ -223,17 +248,22 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, n0: int = 1,
                 f"edge exponent {gamma} is wildly ramified in characteristic {field.char}"
             )
         e = (n0 * gamma).denominator
+        num = int((g0 + gamma) * n0 * e)
+        roots, sibling = _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, "edge ", e, n0, num)
+        if sibling and not every_root:
+            raise _SiblingNeeded()
         expanded = []  # r^e of each root expanded at this edge
-        for root, _mult in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, e, "edge "):
+        for root, _mult in roots:
             power = root**e
-            if root.is_zero() or power in expanded:
+            if root.is_zero() or (power in expanded and not every_root):
                 continue
             expanded.append(power)
             sub = _pp_substitute(pp, gamma, root, field)
             if gamma >= prec_left:
                 out.append(([(gamma, root)], False))
                 continue
-            for tail, tail_exact in _np_expansions(sub, field, prec_left - gamma, n0 * e, budget - 1):
+            tails = _np_expansions(sub, field, prec_left - gamma, every_root, g0 + gamma, n0 * e, budget - 1)
+            for tail, tail_exact in tails:
                 shifted = [(gamma + g2, c2) for g2, c2 in tail]
                 out.append(([(gamma, root)] + shifted, tail_exact))
     return out
@@ -286,7 +316,7 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
 
     gx = _chart(f, False)
     degree_form = [(i, c) for (i, j), c in gx.items() if not j]
-    points = [(False, c0) for c0, _ in _newton_roots(degree_form, field, 1, "")]
+    points = [(False, c0) for c0, _ in _newton_roots(degree_form, field, "")[0]]
     if (f.total_degree(), 0) not in gx:  # no y^d: [0:1:0] lies on the curve
         points.append((True, field.zero()))
     # every expansion before any branch: an error from a later point is
@@ -294,7 +324,11 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
     expansions = []
     for swap, c0 in points:
         pp = _pp_substitute(_chart(f, swap), Fraction(0), c0, field)  # w -> c0 + w
-        expansions += [(swap, c0, terms, exact) for terms, exact in _np_expansions(pp, field, prec_z)]
+        try:
+            found = _np_expansions(pp, field, prec_z)
+        except _SiblingNeeded:
+            found = _np_expansions(pp, field, prec_z, every_root=True)
+        expansions += [(swap, c0, terms, exact) for terms, exact in found]
 
     branches: list[Branch] = []
     for swap, c0, terms, exact in expansions:
@@ -320,8 +354,10 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
     parameterizations first, then rescalings b(t) = a(lam t) of an earlier
     branch a (s = lam t with eps = 1 is the tube certificate), then
     anything else mu_correct finds tube-equivalent to an earlier branch.
-    _np_expansions gives one expansion per place, so a class of more than
-    one branch comes from distinct places that the embedding identifies."""
+    _np_expansions gives one expansion per place unless it expands every
+    root, so a class of more than one branch comes from the conjugate
+    expansions of that case or from distinct places that the embedding
+    identifies."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
 
     def equivalent(a: Branch, b: Branch) -> bool:

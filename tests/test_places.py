@@ -342,27 +342,41 @@ def _binomial_cases():
         for q in range(1, 6):
             for name, field in fields.items():
                 if math.gcd(p, q) == 1 and not (field.char and (p % field.char == 0 or q % field.char == 0)):
-                    yield pytest.param(f"y^{p} - x^{q}", field, id=f"y{p}_x{q}_{name}")
+                    yield pytest.param(f"y^{p} - x^{q}", field, None, id=f"y{p}_x{q}_{name}")
+
+
+# prod over s = +-1 of ((w - s z^(1/2))^4 - z^3) in the chart, plus 1: two
+# places, {(1, +-1), (-1, +-i)} and {(1, +-i), (-1, +-1)} as the
+# coefficients of (z^(1/2), z^(3/4)).  Without i in k the second place is
+# rational only under s = -1, the root that t -> zeta t relates to s = 1.
+SIBLING_PLACES = "x^4 - 4*x^3*y^2 - 2*x^3 + 6*x^2*y^4 - 12*x^2*y^2 + x^2 - 4*x*y^6 - 2*x*y^4 + y^8 + 1"
 
 
 @pytest.mark.parametrize(
-    "f_text, field",
+    "f_text, field, expansions",
     [
         *_binomial_cases(),
-        pytest.param("x^2 + y^2 - 1", F5, id="circle_F5"),
-        pytest.param("x^2 + y^2 - 1", F7, id="circle_F7"),
-        pytest.param(THREE_PLACES, F7, id="three_places_F7"),
-        pytest.param(THREE_PLACES, FieldSpec("Fp", p=13), id="three_places_F13"),
+        pytest.param("x^2 + y^2 - 1", F5, None, id="circle_F5"),
+        pytest.param("x^2 + y^2 - 1", F7, None, id="circle_F7"),
+        pytest.param(THREE_PLACES, F7, None, id="three_places_F7"),
+        pytest.param(THREE_PLACES, FieldSpec("Fp", p=13), None, id="three_places_F13"),
+        pytest.param(SIBLING_PLACES, QQ, 4, id="sibling_places_Q"),
+        pytest.param(SIBLING_PLACES, F7, 4, id="sibling_places_F7"),
+        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=11), 4, id="sibling_places_F11"),
+        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=13), None, id="sibling_places_F13"),
     ],
 )
-def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_text, field):
-    """The places equal those of expanding every root and merging the
-    conjugates in _dedup_branches, and every expansion that reaches
-    _dedup_branches is one of them: none is a conjugate of another."""
+def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_text, field, expansions):
+    """The places, and the field they lie over, equal those of expanding
+    every root and merging the conjugates in _dedup_branches.  Every
+    expansion that reaches _dedup_branches is one of them: none is a
+    conjugate of another.  Where a place is rational only under a root
+    skipped as a conjugate (expansions given), every root is expanded
+    instead, and that many expansions reach _dedup_branches."""
     from mustab import newton
 
     scheme = GroupScheme("Additive", 2, field)
-    expected = every_root_places(_curve(f_text, ["x", "y"], scheme, field), 6)
+    expected = every_root_places(_curve(f_text, ["x", "y"], scheme, field), 4)
     seen = []
     dedup = newton._dedup_branches
 
@@ -371,5 +385,62 @@ def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_
         return dedup(branches)
 
     monkeypatch.setattr(newton, "_dedup_branches", recording)
-    assert places_at_infinity(_curve(f_text, ["x", "y"], scheme, field), 6) == expected
-    assert seen == expected
+    assert places_at_infinity(_curve(f_text, ["x", "y"], scheme, field), 4) == expected
+    if expansions is None:
+        assert seen == expected
+    else:
+        assert len(seen) == expansions and all(b in seen for b in expected)
+
+
+# the same with ((w - s z^(1/2))^8 - z^6): besides the two places above,
+# two whose coefficient at z^(3/4) is a primitive 8th root of unity
+EIGHTH_ROOT_PLACES = (
+    "x^8 - 8*x^7*y^2 + 28*x^6*y^4 - 2*x^6 - 56*x^5*y^6 - 56*x^5*y^2 + 70*x^4*y^8 - 140*x^4*y^4 + x^4"
+    " - 56*x^3*y^10 - 56*x^3*y^6 + 28*x^2*y^12 - 2*x^2*y^8 - 8*x*y^14 + y^16 + 1"
+)
+# prod over the conjugates (s, u) = (1, 1), (1, -1), (-1, i), (-1, -i) of
+# (w - s z^(1/2) - u z^(3/4)) in the chart, plus 1: one place, rational
+# under s = 1, while under s = -1 the edge polynomial 4c^2 + 4 has no root
+# in k unless i is in k
+ONE_PLACE = "y^4 - 2*x*y^2 - 4*x*y + x^2 - x + 1"
+
+
+@pytest.mark.parametrize(
+    "f_text, field, code, places, field_of_places",
+    [
+        (SIBLING_PLACES, {"kind": "Q"}, 0, 2, "Q"),
+        (SIBLING_PLACES, {"kind": "Fp", "p": 7}, 0, 2, "F_7"),
+        (EIGHTH_ROOT_PLACES, {"kind": "Q"}, 3, 0, None),
+        (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 5}, 0, 4, "F_5^2"),
+        (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 7}, 0, 4, "F_7^2"),
+        (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 17}, 0, 4, "F_17"),
+        (ONE_PLACE, {"kind": "Q"}, 0, 1, "Q"),
+        (ONE_PLACE, {"kind": "Fp", "p": 7}, 0, 1, "F_7"),
+        (ONE_PLACE, {"kind": "Fp", "p": 13}, 0, 1, "F_13"),
+    ],
+    ids=["two_Q", "two_F7", "four_Q", "four_F5", "four_F7", "four_F17", "one_Q", "one_F7", "one_F13"],
+)
+def test_a_place_rational_only_under_a_conjugate_root(f_text, field, code, places, field_of_places):
+    """The place {(1, +-i), (-1, +-1)} has no conjugate with s = 1 and its
+    coefficients in k unless i is in k, yet it is rational: the job finds
+    both places over Q and F_7.  The places with a primitive 8th root of
+    unity at z^(3/4) have no rational conjugate under either s unless k
+    holds one: over Q they are missing, over F_5 and F_7 they lie over F_25
+    and F_49, and over F_17 all four are rational.  The single place of
+    ONE_PLACE is rational whichever root of s^2 = 1 comes first."""
+    job = {
+        "field": field,
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": f_text, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    }
+    report, exit_code = run_job(job)
+    assert exit_code == code
+    assert len(report["results"].get("branches", [])) == places
+    if code:
+        assert report["errors"][0]["type"] == "CoefficientFieldTooSmall"
+        return
+    k = FieldSpec.from_json(field)
+    branches = places_at_infinity(_curve(f_text, ["x", "y"], GroupScheme("Additive", 2, k), k), precision=4)
+    assert [str(b.field) for b in branches] == [field_of_places] * places

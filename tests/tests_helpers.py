@@ -211,7 +211,7 @@ def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
         if field.char and gamma.denominator % field.char == 0:
             raise WildRamification(f"edge exponent {gamma} is wildly ramified")
         edge = [(i, pp[(i, j)]) for i, j in edge_terms]
-        for root, _mult in newton._newton_roots(edge, field, gamma.denominator, "edge "):
+        for root, _mult in newton._newton_roots(edge, field, "edge ", gamma.denominator)[0]:
             if root.is_zero():
                 continue
             sub = newton._pp_substitute(pp, gamma, root, field)
