@@ -47,15 +47,18 @@ run builds its own Ansatz.
 The places at infinity: `places_at_infinity` on the additive plane for
 the circle x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus
 input), and at precision 12 for y^2 = x^3 over Q, for the circle over
-F_7, whose places need F_49, and for y^4 = x over F_5, whose edge
-polynomial has four rational roots conjugate under t -> zeta t; each run
-parses its own curve and scheme.
+F_7, whose places need F_49, for y^4 = x over F_5, whose edge
+polynomial has four rational roots conjugate under t -> zeta t, for
+y^4 = x^5 over F_9, a binomial edge of ramification 4, and for
+y^3 = 2x^5 over Q, whose edge polynomial -2c^5 + 1 has no root in Q, so
+each run ends in CoefficientFieldTooSmall; each run parses its own curve
+and scheme.
 
 Prints one JSON line: per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, per curve the
 precision, the number of places and the number of expansions that reach
-`_dedup_branches`) and the size of the resulting basis,
+`_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
 imported from the src/ next to this script.
 """
@@ -72,6 +75,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
+from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
@@ -162,6 +166,8 @@ PLACES = {
     "cusp_q": (QQ, "y^2 - x^3", 12),
     "circle_f7": (FieldSpec("Fp", p=7), "x^2 + y^2 - 1", 12),
     "y4_x_f5": (FieldSpec("Fp", p=5), "y^4 - x", 12),
+    "y4_x5_f9": (FieldSpec("Fq", p=3, modulus=(1, 0, 1)), "y^4 - x^5", 12),
+    "y3_2x5_q": (QQ, "y^3 - 2*x^5", 12),
 }
 
 
@@ -266,18 +272,24 @@ def time_places(field: FieldSpec, f_text: str, precision: int, runs: int) -> dic
         expansions += len(found)
         return real_dedup(found)
 
+    def places(fresh):
+        try:
+            return {"places": len(places_at_infinity(fresh, precision))}
+        except MustabError as exc:
+            return {"error": type(exc).__name__}
+
     newton._dedup_branches = counting_dedup
     try:
-        places_at_infinity(curve(), precision)
+        places(curve())
     finally:
         newton._dedup_branches = real_dedup
     times = []
     for _ in range(runs):
         fresh = curve()
         start = time.perf_counter()
-        found = places_at_infinity(fresh, precision)
+        found = places(fresh)
         times.append((time.perf_counter() - start) * 1e3)
-    return {"precision": precision, "places": len(found), "expansions": expansions, **_stats(times)}
+    return {"precision": precision, **found, "expansions": expansions, **_stats(times)}
 
 
 def main() -> int:

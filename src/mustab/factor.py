@@ -4,7 +4,10 @@ Over finite fields the factorization is complete (square-free split,
 distinct-degree, then equal-degree splitting).  Over Q and Q(sqrt d) we do
 square-free decomposition, rational-root extraction (Q), and exact
 handling of factors of degree <= 2; anything beyond that is returned
-unfactored and flagged, which is a legitimate partial result.
+unfactored and flagged, which is a legitimate partial result.  Two inputs
+are their own factorization and skip the square-free loop: a linear
+a c + b, and a monomial u c^k (only a monomial: a c-content split off a
+larger polynomial would leave a cofactor that the loop treats otherwise).
 
 Inside this module a polynomial is dense: a list of Scalars, lowest degree
 first, whose last entry is nonzero ([] is zero), so its degree is its
@@ -160,15 +163,25 @@ def uni_factor(f: Poly) -> Factorization:
     if f.is_constant():
         return Factorization(f.ring, f.constant_coefficient(), [], [])
     a, i = _dense(f)
-    char0 = f.ring.field.char == 0
-    factors: list[tuple[Poly, int]] = []
-    unfactored: list[tuple[Poly, int]] = []
-    for part, mult in _squarefree(_monic(a)):
+    if len(a) == 2 or all(c.is_zero() for c in a[:-1]):
+        # a c + b or u c^k: (c + b/a)^1 or c^k, without the square-free loop
+        fs, un = [(_monic([a[0], a[-1]]), len(a) - 1)], []
+    else:
+        fs, un = _factor_monic(_monic(a))
+    factors = sorted(((_poly(h, f.ring, i), m) for h, m in fs), key=lambda t: (t[0].total_degree(), str(t[0])))
+    return Factorization(f.ring, a[-1], factors, [(_poly(h, f.ring, i), m) for h, m in un])
+
+
+def _factor_monic(f: list[Scalar]) -> tuple[list[tuple[list[Scalar], int]], list[tuple[list[Scalar], int]]]:
+    """(factors, unfactored) with multiplicities of a monic nonconstant f:
+    each square-free part split over its field."""
+    char0 = f[-1].field.char == 0
+    factors, unfactored = [], []
+    for part, mult in _squarefree(f):
         fs, un = _split_char0(part) if char0 else (_split_charp(part), [])
-        factors += [(_poly(h, f.ring, i), mult) for h in fs]
-        unfactored += [(_poly(h, f.ring, i), mult) for h in un]
-    factors.sort(key=lambda t: (t[0].total_degree(), str(t[0])))
-    return Factorization(f.ring, a[-1], factors, unfactored)
+        factors += [(h, mult) for h in fs]
+        unfactored += [(h, mult) for h in un]
+    return factors, unfactored
 
 
 def _squarefree(f: list[Scalar]) -> list[tuple[list[Scalar], int]]:

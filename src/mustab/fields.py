@@ -10,17 +10,20 @@ modulus), one inverse (the extended Euclidean algorithm over k) and one
 canonicalisation, `_lowest`, the only step that differs by base field.  All
 arithmetic is exact.  An F_q modulus is proved irreducible by
 `factor.uni_factor`.  A k-th root over a finite field, k = 2 included, is
-decided by a power test and is the first root of x^k - a in element(i)
-order (`factor.scalar_roots`), found without listing the field; over Q it
-is the exact root of numerator and denominator, and a square root over
-Q(sqrt d) has the norm closed form.
+decided by a power test; the roots are one root, found prime by prime of
+gcd(k, q - 1) (Adleman-Manders-Miller), times the roots of unity of a
+per-process memo, so no polynomial is factored and the field is never
+listed, and `kth_root` returns the first of them in element(i) order; over
+Q a root is the exact root of numerator and denominator, and a square root
+over Q(sqrt d) has the norm closed form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from functools import lru_cache
+from itertools import chain, zip_longest
 from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
@@ -371,32 +374,55 @@ class Scalar:
         return r
 
     def _root(self, k: int) -> Scalar | None:
-        """A k-th root, or None: over a finite field the first root of
-        x^k - self in element(i) order; over Q the exact root of numerator
-        and denominator; over Q(sqrt d) only k = 2, by the norm."""
+        """A k-th root, or None: over a finite field the first in element(i)
+        order, over Q and Q(sqrt d) the first of kth_roots."""
         if k == 1 or self.is_zero() or self.is_one():
             return self
+        roots = self.kth_roots(k)
+        if not roots:
+            return None
+        return min(roots, key=_element_index) if self.field.p else roots[0]
+
+    def kth_roots(self, k: int) -> list[Scalar]:
+        """Every k-th root in the same field: over a finite field one root
+        times mu_g, g = gcd(k, q - 1); over Q the exact root of numerator
+        and denominator, and its negative for even k; over Q(sqrt d) only
+        k <= 2, by the norm."""
+        if k == 1 or self.is_zero():
+            return [self]
         field = self.field
         if field.p:
-            # the k-th powers in the cyclic group F_q^* are its g-th powers,
-            # g = gcd(k, q - 1); the roots are those of x^k - self in F_q
-            q = field.order
-            if not (self ** ((q - 1) // gcd(k, q - 1))).is_one():
-                return None
-            from .factor import scalar_roots  # lazy: factor imports this module
-            from .poly import PolyRing
-
-            ring = PolyRing(field, ("x",))
-            return min(scalar_roots(ring.monomial((k,), field.one()) - ring.monomial((0,), self)), key=_element_index)
+            # the k-th powers in the cyclic group F_q^* are its g-th powers
+            n = field.order - 1
+            g = gcd(k, n)
+            if not (self ** (n // g)).is_one():
+                return []
+            y = self
+            for ell in _prime_factors(g):
+                y = _prime_root(y, ell, n)
+            # y^g = self, and k/g is prime to n/g, the order of self
+            r = y ** pow(k // g, -1, n // g)
+            z = _unity_root(field, g)
+            roots = [r]
+            for _ in range(g - 1):
+                roots.append(roots[-1] * z)
+            return roots
         if field.kind == "Q":
             q = self.as_fraction()
             num = _int_nth_root(abs(q.numerator), k)
             den = _int_nth_root(q.denominator, k)
             if num is None or den is None or (q < 0 and k % 2 == 0):
-                return None
-            return field.from_fraction(Fraction(num if q > 0 else -num, den))
+                return []
+            r = field.from_fraction(Fraction(num if q > 0 else -num, den))
+            return [r, -r] if k % 2 == 0 else [r]
         if k != 2:
             raise CoefficientFieldTooSmall(f"{k}-th roots only implemented for Q and finite fields")
+        r = self._qsqrt()
+        return [] if r is None else [r, -r]
+
+    def _qsqrt(self) -> Scalar | None:
+        """A square root over Q(sqrt d), or None."""
+        field = self.field
         # Q(sqrt d) by the norm: (x + y sqrt d)^2 = a + b sqrt d means
         # x^2 + d y^2 = a and 2xy = b
         a, b = _q_pair(self.rep)
@@ -535,6 +561,51 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
     if num is None or den is None:
         return None
     return Fraction(num, den)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The primes of n with multiplicity, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _prime_root(a: Scalar, ell: int, n: int) -> Scalar:
+    """An ell-th root of an ell-th power a in F_q^*, ell a prime dividing
+    n = q - 1 (Adleman-Manders-Miller).  With n = ell^t s, s prime to ell,
+    x = a^(ell^-1 mod s) has x^ell = a w, w in mu_(ell^t); w^-1 = z^j for
+    z of order ell^t, j found digit by digit in base ell, and ell divides
+    j since a is an ell-th power, so x z^(j/ell) is the root."""
+    t, s = 0, n
+    while s % ell == 0:
+        t, s = t + 1, s // ell
+    x = a ** pow(ell, -1, s)
+    z = _unity_root(a.field, ell**t)
+    digits = [z ** (d * ell ** (t - 1)) for d in range(ell)]  # mu_ell
+    target = a * (x**ell).inv()  # w^-1
+    j = 0
+    for i in range(t):
+        j += digits.index((target * z ** (-j)) ** (ell ** (t - 1 - i))) * ell**i
+    return x * z ** (j // ell)
+
+
+@lru_cache(maxsize=256)
+def _unity_root(field: FieldSpec, m: int) -> Scalar:
+    """A root of unity of order exactly m in a finite field, m dividing
+    q - 1: the first element(i)^((q - 1)/m) of that order, over i = p, ...,
+    q - 1, then 1, ..., p - 1.  The elements of F_p come last, since over
+    F_(p^n) their orders divide p - 1.  Memoized per (field, m); its powers
+    are mu_m."""
+    q, p, primes = field.order, field.p, set(_prime_factors(m))
+    for i in chain(range(p, q), range(1, p)):
+        y = field.element(i) ** ((q - 1) // m)
+        if all(not (y ** (m // ell)).is_one() for ell in primes):
+            return y
+    raise ValueError(f"{m} does not divide the order of {field}^*")
 
 
 def _element_index(x: Scalar) -> int:

@@ -5,10 +5,12 @@ The projective closure of V(f) meets the line at infinity in the points
 term.  One chart serves them all: around [1:c:0] the local branches are
 Puiseux series for y/x in z = 1/x, and [0:1:0] is the c = 0 point of the
 same chart for f with x and y exchanged.  The parameterizations are then
-pushed through the embedding into the group scheme.  Each edge expands
-one root per class of roots conjugate under t -> zeta t, so each place
-is expanded once, unless a place has its k-rational expansions only
-under a skipped root; that point then expands every root.
+pushed through the embedding into the group scheme.  An edge's roots are
+the e-th roots of the roots of its reduced polynomial psi, phi(c) =
+c^i0 psi(c^e), so only psi is factored.  Each edge expands one root per
+class of roots conjugate under t -> zeta t, so each place is expanded
+once, unless a place has its k-rational expansions only under a skipped
+root; that point then expands every root.
 
 Over F_p a missing Newton-polygon root triggers one automatic extension to
 F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
@@ -17,7 +19,7 @@ F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
@@ -46,11 +48,15 @@ class PlaneCurveInput:
     embedding: list
     scheme: GroupScheme
     trusted_irreducible: bool = False
+    irreducibility_checked: bool = dc_field(init=False)  # decided by check_irreducible_fragment
 
     def __post_init__(self):
         ring = self.f.ring
         if set(ring.variables) != {"x", "y"}:
             raise ValueError("plane curves use variables x, y")
+        self.irreducibility_checked, irreducible = check_irreducible_fragment(self.f)
+        if not irreducible:
+            raise ValueError(f"{self.f} is reducible; places are per irreducible curve")
         self._check_embedding_lands_in_scheme()
 
     def _check_embedding_lands_in_scheme(self):
@@ -142,20 +148,28 @@ def _lower_hull_edges(pp: dict) -> list[tuple[Fraction, list[tuple[int, Fraction
 
 
 def _pp_substitute(pp: dict, gamma: Fraction, c: Scalar, field: FieldSpec) -> dict:
-    """w -> z^gamma (c + w), then divide by the minimal z-power."""
+    """w -> z^gamma (c + w), then divide by the minimal z-power.  The powers
+    of c and each w-degree's row of binomial terms are built once per call."""
+    cpow = [field.one()]
+    for _ in range(max(i for i, _ in pp)):
+        cpow.append(cpow[-1] * c)
+    rows: dict = {}  # i -> the nonzero C(i, m) c^(i - m) by m
     out: dict = {}
     for (i, j), a in pp.items():
-        cpow = [field.one()]
-        for _ in range(i):
-            cpow.append(cpow[-1] * c)
-        b = 1
-        for m in range(i + 1):
-            coeff = a * field.from_int(b) * cpow[i - m]
-            if not coeff.is_zero():
-                key = (m, j + i * gamma)
-                cur = out.get(key)
-                out[key] = coeff if cur is None else cur + coeff
-            b = b * (i - m) // (m + 1)
+        row = rows.get(i)
+        if row is None:
+            row, b = [], 1
+            for m in range(i + 1):
+                x = field.from_int(b) * cpow[i - m]
+                if not x.is_zero():
+                    row.append((m, x))
+                b = b * (i - m) // (m + 1)
+            rows[i] = row
+        jj = j + i * gamma
+        for m, x in row:
+            key = (m, jj)
+            cur = out.get(key)
+            out[key] = a * x if cur is None else cur + a * x
     out = {k: v for k, v in out.items() if not v.is_zero()}
     mu = min(j for (_, j) in out)
     return {(i, j - mu): v for (i, j), v in out.items()}
@@ -175,45 +189,78 @@ def _newton_roots(coeffs, field: FieldSpec, what: str, e: int = 1, n0: int = 1, 
     """Roots in k of phi = sum a c^i over coeffs (i, a): the degree form
     (e = 1) or the polynomial of an edge that ramifies e-fold beyond the
     earlier terms, whose exponents have denominators dividing n0; the
-    edge's own term has exponent num/(n0 e).  Returns the k-roots and
+    edge's own term has exponent num/(n0 e).  Returns the k-roots, ordered
+    by the string of c - r as uni_factor orders its linear factors, and
     whether a root outside k is rational only under a skipped root (below).
+
+    The exponents i on an edge differ by multiples of e (two terms on it
+    differ in z-exponent by a multiple of 1/n0), so phi(c) = c^i0 psi(c^e)
+    with i0 the least i, and only psi is factored: degree (max i - i0)/e,
+    1 on a binomial edge.  The nonzero k-roots of phi are the e-th roots in
+    k of the k-roots rho of psi (Scalar.kth_roots: over F_q one root times
+    the memoized mu_g; none over Q(sqrt d) for e > 2, where uni_factor does
+    not split c^e - rho either).
 
     t -> omega t multiplies the term of exponent m/(n0 e) by eta^m, eta an
     (n0 e)-th root of unity, and keeps the earlier coefficients in k
     exactly when lam = eta^e does (their numerators m have gcd e with
-    n0 e).  A root rho of a nonlinear factor h is
-    - redundant when h divides c^e - r^e for a k-root r: with lam = 1,
-      t -> omega t keeps every earlier term and takes rho to r;
-    - rational under another root of an earlier edge when lam^num rho^e
-      is an e-th power in k for some lam in mu_n0(k): t -> omega t takes
-      the earlier terms to k-rational ones that differ from them, those of
-      a root that _np_expansions skips unless it expands every root;
-    - missing otherwise: no conjugate of its place has its terms so far
-      in k, which is fatal here (or triggers an extension over F_p).
+    n0 e).  The roots of c^e - rho, for a root rho of psi, are
+    - redundant when rho has an e-th root r in k: with lam = 1, t -> omega
+      t keeps every earlier term and takes each of them to an r;
+    - rational under another root of an earlier edge when lam^num rho has
+      an e-th root in k for some lam in mu_n0(k): t -> omega t takes the
+      earlier terms to k-rational ones that differ from them, those of a
+      root that _np_expansions skips unless it expands every root;
+    - missing otherwise, as are the roots of a nonlinear factor of psi: no
+      conjugate of their place has its terms so far in k, which is fatal
+      here (or triggers an extension over F_p).  Only then is phi itself
+      factored, over F_p, to name the extension: its first nonlinear
+      factor in uni_factor's order whose roots are missing.
     """
+    i0 = min(i for i, _ in coeffs)
+    roots = [field.zero()] if i0 else []
+    if len(coeffs) == 1:  # a c^i0: psi is constant
+        return roots, False
     ring = PolyRing(field, ("c",))
-    phi = Poly(ring, {(i,): a for i, a in coeffs})
-    if phi.is_constant():
-        return [], False
-    fac = uni_factor(phi)
-    roots = fac.roots()
-    c = ring.var("c")
-    missing, sibling = [], False
-    for h, _ in fac.factors + fac.unfactored:
-        if h.total_degree() < 2 or any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots):
+    fac = uni_factor(Poly(ring, {((i - i0) // e,): a for i, a in coeffs}))
+    sibling, missing = False, []  # missing: the factors of psi whose roots are missing
+    for g, _ in fac.factors + fac.unfactored:
+        if g.total_degree() > 1:
+            missing.append(g)
             continue
-        power = uni_divmod(c**e, h)[1]  # rho^e
-        if power.is_constant() and any(
-            uni_factor(c**e - power.scale(lam**num)).roots() for lam, _ in uni_factor(c**n0 - ring.one()).roots()
-        ):
+        rho = -g.constant_coefficient()
+        found = _eth_roots(rho, e)
+        if found:
+            roots += found
+        elif any(_eth_roots(lam**num * rho, e) for lam in _eth_roots(field.one(), n0)):
             sibling = True
         else:
-            missing.append(h)
+            missing.append(g)
     if missing:
+        phi = Poly(ring, {(i,): a for i, a in coeffs})
         if field.kind == "Fp":
-            raise _ExtensionNeeded(missing[0])
+            rhos = {-g.constant_coefficient() for g in missing if g.total_degree() == 1}
+            raise _ExtensionNeeded(next(h for h, _ in uni_factor(phi).factors if _is_missing(h, e, rhos)))
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
+    if len(roots) > 1:
+        c = ring.var("c")
+        roots.sort(key=lambda r: str(c - ring.from_scalar(r)))
     return roots, sibling
+
+
+def _eth_roots(a: Scalar, e: int) -> list[Scalar]:
+    """a.kth_roots(e); none over Q(sqrt d) for e > 2."""
+    return [] if a.field.kind == "QSqrt" and e > 2 else a.kth_roots(e)
+
+
+def _is_missing(h: Poly, e: int, rhos: set) -> bool:
+    """Whether the roots beta of an irreducible factor h of phi are
+    missing: h is nonlinear and beta^e is outside k or one of rhos, the
+    roots of psi whose e-th roots are missing."""
+    if h.total_degree() < 2:
+        return False
+    power = uni_divmod(h.ring.var("c") ** e, h)[1]  # beta^e
+    return not power.is_constant() or power.constant_coefficient() in rhos
 
 
 def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, every_root: bool = False,
@@ -253,7 +300,7 @@ def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, every_root: 
         if sibling and not every_root:
             raise _SiblingNeeded()
         expanded = []  # r^e of each root expanded at this edge
-        for root, _mult in roots:
+        for root in roots:
             power = root**e
             if root.is_zero() or (power in expanded and not every_root):
                 continue
@@ -275,16 +322,16 @@ def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Bran
     try:
         return _places(curve, precision)
     except _ExtensionNeeded as need:
-        field = curve.f.ring.field
-        mod = _monic_int_coeffs(need.factor)
-        ext = FieldSpec("Fq", p=field.p, modulus=mod)
-        lifted = _lift_curve(curve, ext)
+        p = curve.f.ring.field.p
+        ext = FieldSpec("Fq", p=p, modulus=_monic_int_coeffs(need.factor))
+        try:
+            lifted = _lift_curve(curve, ext)
+        except ValueError:  # a univariate f irreducible over F_p may split over ext
+            raise CoefficientFieldTooSmall(f"the places of {curve.f} need {ext}, over which it is reducible")
         try:
             return _places(lifted, precision)
         except _ExtensionNeeded:
-            raise CoefficientFieldTooSmall(
-                f"roots escape one extension level over F_{field.p}"
-            )
+            raise CoefficientFieldTooSmall(f"roots escape one extension level over F_{p}")
 
 
 def _monic_int_coeffs(g: Poly) -> tuple[int, ...]:
@@ -308,15 +355,12 @@ def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:
 def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
     f = curve.f
     field = f.ring.field
-    checked, irreducible = check_irreducible_fragment(f)
-    if checked and not irreducible:
-        raise ValueError(f"{f} is reducible; places are per irreducible curve")
-    trusted = curve.trusted_irreducible or not checked
+    trusted = curve.trusted_irreducible or not curve.irreducibility_checked
     prec_z = Fraction(precision + 1)
 
     gx = _chart(f, False)
     degree_form = [(i, c) for (i, j), c in gx.items() if not j]
-    points = [(False, c0) for c0, _ in _newton_roots(degree_form, field, "")[0]]
+    points = [(False, c0) for c0 in _newton_roots(degree_form, field, "")[0]]
     if (f.total_degree(), 0) not in gx:  # no y^d: [0:1:0] lies on the curve
         points.append((True, field.zero()))
     # every expansion before any branch: an error from a later point is

@@ -841,3 +841,41 @@ def test_stab_over_an_extension_keeps_the_subgroup_scheme():
     ideals = [s["subgroup"]["ideal"] for s in report["results"]["stabilizers"]]
     assert ideals == [["x12 + 3*x21", "x11 + 4*x22", "x21^2 + 2*x22^2 + 3"]] * 2
     assert report["checks"]["conjugation"] == "skipped"
+
+
+@pytest.mark.parametrize("command", ["places", "stab"])
+@pytest.mark.parametrize(
+    "f, field",
+    [("x^2 - 1", {"kind": "Q"}), ("y^2", {"kind": "Q"}), ("y^2 - 3*x", {"kind": "Fp", "p": 3})],
+    ids=["two_lines_Q", "double_line_Q", "double_line_F3"],
+)
+def test_reducible_plane_curve_exits_invalid(tmp_path, command, f, field):
+    """A curve that check_irreducible_fragment finds reducible is invalid
+    input (y^2 - 3x is y^2 over F_3), through run_job and the command
+    line alike."""
+    job = {
+        "field": field,
+        "group": {"kind": "Additive", "n": 2},
+        "command": command,
+        "input": {"plane_curve": {"f": f, "embedding": ["x", "y"]}},
+    }
+    report, code = run_job(job)
+    assert code == 2
+    assert report["errors"][0]["type"] == "JobError" and "reducible" in report["errors"][0]["message"]
+    job_file = tmp_path / "job.json"
+    job_file.write_text(json.dumps(job))
+    assert main(["--job", str(job_file), "--json-out", str(tmp_path / "report.json")]) == 2
+
+
+@pytest.mark.parametrize("f, p", [("x^2 - 2", 5), ("y^3 - 2", 7)])
+def test_curve_that_splits_over_the_extension_its_places_need_exits_3(f, p):
+    """x^2 - 2 is irreducible over F_5, but its places need sqrt(2), and
+    over F_25 it is two lines: unsupported, not a traceback."""
+    report, code = run_job({
+        "field": {"kind": "Fp", "p": p},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": f, "embedding": ["x", "y"]}},
+    })
+    assert code == 3
+    assert report["errors"][0]["type"] == "CoefficientFieldTooSmall"

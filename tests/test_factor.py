@@ -227,3 +227,33 @@ print(draws)
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         counts.add(int(done.stdout))
     assert len(counts) == 1
+
+
+@pytest.mark.parametrize("field", [QQ, QS2, F5, F9], ids=str)
+def test_linear_and_monomial_inputs_factor_as_the_general_path(field):
+    """A c + b and u c^k skip the square-free loop; the answer is that of
+    the loop: the same factors, multiplicities, order and unit.  The last
+    input, c times a quintic, keeps the loop: over Q(sqrt 2) it leaves the
+    quintic unfactored."""
+    from mustab import factor
+
+    ring = PolyRing(field, ("x", "y"))
+    a = _random_coefficient(field, random.Random(5))
+    a = field.from_int(3) if a.is_zero() else a
+    y = ring.var("y")
+    cases = [
+        y * ring.from_int(2) + ring.from_int(3),
+        y - ring.from_scalar(a),
+        y * ring.from_scalar(a),
+        y,
+        y**5 * ring.from_scalar(a),
+        y**6,
+        ring.var("x") ** 3 * ring.from_int(2),
+        y * (y**5 + y * ring.from_int(2) + ring.from_scalar(a)),
+    ]
+    for f in cases:
+        dense, i = factor._dense(f)
+        factors, unfactored = factor._factor_monic(factor._monic(dense))
+        general = sorted(((factor._poly(h, ring, i), m) for h, m in factors), key=lambda t: (t[0].total_degree(), str(t[0])))
+        fac = uni_factor(f)
+        assert (fac.unit, fac.factors, fac.unfactored) == (dense[-1], general, [(factor._poly(h, ring, i), m) for h, m in unfactored])

@@ -448,3 +448,26 @@ def test_embed_from_the_base_field(name):
             wrong.embed(base)
     with pytest.raises(FieldMismatch):
         other.one().embed(field)
+
+
+@pytest.mark.parametrize("field", [F5, FieldSpec("Fp", p=7), F8, F9, F27], ids=str)
+def test_finite_kth_roots_are_every_root(field):
+    """kth_roots lists each k-th root once, for k prime to p, dividing
+    q - 1 or neither."""
+    elements = field_elements(field)
+    for k in range(1, 13):
+        for a in elements:
+            roots = a.kth_roots(k)
+            assert len(set(roots)) == len(roots)
+            assert set(roots) == {c for c in elements if c**k == a}
+
+
+def test_kth_roots_in_a_large_two_power_sylow_subgroup():
+    """F_65537^* has order 2^16: a 2^j-th root comes digit by digit from a
+    root of unity of order 2^16, found without listing the field."""
+    F = FieldSpec("Fp", p=65537)
+    a = F.from_int(3) ** 1024
+    for k in (2, 4, 8, 1024):
+        roots = a.kth_roots(k)
+        assert len(roots) == k and len(set(roots)) == k and all(r**k == a for r in roots)
+    assert F.from_int(3).kth_roots(2) == []  # 3 generates F_65537^*

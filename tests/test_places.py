@@ -3,17 +3,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import CoefficientFieldTooSmall
-from mustab.fields import QQ, FieldSpec
+from mustab.factor import uni_factor
+from mustab.fields import QQ, FieldSpec, Scalar
 from mustab.groups import GroupScheme, eval_poly_series
 from mustab.jobs import run_job
 from mustab.newton import PlaneCurveInput, _dedup_branches, _is_rescaling, check_irreducible_fragment, places_at_infinity
-from mustab.poly import PolyRing
+from mustab.poly import Poly, PolyRing
 from mustab.series import parse_series
 
-from tests_helpers import every_root_places
+from tests_helpers import every_root_places, phi_factoring_roots
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -444,3 +446,106 @@ def test_a_place_rational_only_under_a_conjugate_root(f_text, field, code, place
     k = FieldSpec.from_json(field)
     branches = places_at_infinity(_curve(f_text, ["x", "y"], GroupScheme("Additive", 2, k), k), precision=4)
     assert [str(b.field) for b in branches] == [field_of_places] * places
+
+
+F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
+QS2 = FieldSpec("QSqrt", d=2)
+
+
+@st.composite
+def _edge_polynomials(draw):
+    """(coeffs, field, e, n0, num) for phi = a c^i0 psi(c^e): psi a product
+    of linear factors u - rho, rho an e-th power, -1 or a unit times one,
+    or any scalar, and of random quadratics, with multiplicities; e and n0
+    are prime to the characteristic, as on every edge."""
+    field = draw(st.sampled_from([QQ, QS2, F5, F7, F9]))
+    prime = st.integers(1, 6).filter(lambda n: not field.char or n % field.char)
+    e, n0 = draw(prime), draw(prime.filter(lambda n: n <= 3))
+    num, i0 = draw(st.integers(1, 12)), draw(st.integers(0, 2))
+    if field.order:
+        scalars = [field.element(i) for i in range(1, field.order)]
+    else:
+        scalars = [field.from_int(n) for n in (1, -1, 2, -2, 3, 4)]
+        if field.kind == "QSqrt":
+            scalars += [field.generator(), field.one() + field.generator()]
+    ring = PolyRing(field, ("c",))
+    u = ring.var("c")
+    psi = ring.from_scalar(draw(st.sampled_from(scalars)))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.sampled_from(scalars))
+        kind = draw(st.sampled_from(["power", "twisted", "any", "quadratic"]))
+        if kind == "quadratic":
+            g = u**2 + u * ring.from_scalar(r) + ring.from_scalar(draw(st.sampled_from(scalars)))
+        else:
+            rho = {"power": r**e, "twisted": -(r**e), "any": r}[kind]
+            g = u - ring.from_scalar(rho)
+        psi = psi * g ** draw(st.integers(1, 2))
+    coeffs = [(i0 + e * m[0], a) for m, a in psi.terms.items()]
+    return coeffs, field, e, n0, num
+
+
+def _roots_outcome(classify, coeffs, field, e, n0, num):
+    from mustab import newton
+
+    try:
+        roots, sibling = classify(coeffs, field, "edge ", e, n0, num)
+    except newton._ExtensionNeeded as need:
+        return "extension", need.factor
+    except CoefficientFieldTooSmall as exc:
+        return "missing", str(exc)
+    return "roots", [r if isinstance(r, Scalar) else r[0] for r in roots], sibling
+
+
+@settings(max_examples=120, deadline=None)
+@given(_edge_polynomials())
+def test_newton_roots_from_psi_match_factoring_phi(case):
+    """The roots from psi in phi(c) = c^i0 psi(c^e), their order, the
+    sibling flag, the error and its message, and the factor an F_p
+    extension is built from, equal those of factoring phi.  The one
+    exception is the fix: where uni_factor leaves part of phi unsplit (Q,
+    Q(sqrt d)), factoring phi counted that part's roots as missing; psi's
+    route may then find the roots, over Q exactly the rational roots of
+    phi."""
+    from mustab import newton
+
+    coeffs, field, e, n0, num = case
+    new = _roots_outcome(newton._newton_roots, *case)
+    reference = _roots_outcome(phi_factoring_roots, *case)
+    if new != reference:
+        fac = uni_factor(Poly(PolyRing(field, ("c",)), {(i,): a for i, a in coeffs}))
+        assert not fac.complete and reference[0] == "missing"
+        if new[0] == "roots" and field == QQ:
+            assert new[1] == [r for r, _ in fac.roots()]
+
+
+# the chart's two places (1, -1) and (-1, 1) as coefficients of
+# (z^(1/3), z^(2/3)): the edge polynomial at z^(1/3) is c^6 - 1 with
+# e = 3, so psi = c^2 - 1, and both places are rational over every field
+CUBE_ROOT_PLACES = "-x^4 + 2*x^3 + 9*x^2*y^2 - x^2 + 6*x*y^4 + y^6 + 1"
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        (QQ, ["(t^(-3), -t^(-2) + t^(-1) + 1/6*t^10 + 1/6*t^11 + O(t^(12)))", "(t^(-3), t^(-2) - t^(-1) - 1/6*t^10 - 1/6*t^11 + O(t^(12)))"]),
+        (F7, ["(t^(-3), 6*t^(-2) + t^(-1) + 6*t^10 + 6*t^11 + O(t^(12)))", "(t^(-3), 4*t^(-2) + 5*t^(-1) + 4*t^10 + 2*t^11 + O(t^(12)))"]),
+    ],
+    ids=["Q", "F7"],
+)
+def test_edge_roots_that_uni_factor_leaves_unsplit_in_phi(field, expected):
+    """Over Q, c^6 - 1 = (c - 1)(c + 1)(c^4 + c^2 + 1), and uni_factor
+    leaves the quartic unsplit, so factoring phi counted its roots as
+    missing and the job exited 3.  psi = c^2 - 1 gives the cube roots 1 and
+    -1: two places of ramification 3 (x = t^-3) over Q, and over F_7 the
+    same two branches as before."""
+    report, code = run_job({
+        "field": field.to_json(),
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": CUBE_ROOT_PLACES, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    })
+    assert code == 0 and len(report["results"]["branches"]) == 2
+    branches = places_at_infinity(_curve(CUBE_ROOT_PLACES, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=4)
+    assert [str(b.element) for b in branches] == expected
+    assert all(str(b.field) == str(field) for b in branches)

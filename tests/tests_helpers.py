@@ -5,7 +5,9 @@ of two ideals, the product of a factorization, and the eager `Echelon`
 that built every pivot's combination as it went (the reference for the
 one that builds them on demand), the places at infinity from every
 conjugate expansion merged by `_dedup_branches` (the reference for one
-expansion per place), and the list of a finite field's elements."""
+expansion per place), the edge-root classifier that factors phi (the
+reference for the one that factors psi), and the list of a finite
+field's elements."""
 
 from fractions import Fraction
 from unittest import mock
@@ -15,10 +17,11 @@ from mustab.fields import QQ
 from mustab.groups import GroupElement, GroupScheme, KPoint, mat_det, mat_mul, random_entries, random_scalar
 from mustab import newton
 from mustab.branches import validate_branch
-from mustab.errors import BudgetExceeded, WildRamification
+from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
+from mustab.factor import uni_divmod, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.linalg import _sparse, _subtract
-from mustab.poly import PolyRing
+from mustab.poly import Poly, PolyRing
 from mustab.series import PuiseuxSeries
 
 
@@ -191,6 +194,37 @@ class EagerEchelon:
         return None
 
 
+def phi_factoring_roots(coeffs, field, what, e=1, n0=1, num=0):
+    """newton._newton_roots as it was before it factored psi in
+    phi(c) = c^i0 psi(c^e): phi itself is factored, and each nonlinear
+    factor h is tested against c^e - r^e for the k-roots r, then by
+    c^e mod h, so a factor that uni_factor leaves unsplit counts as a
+    whole.  Returns (roots with multiplicities, sibling)."""
+    ring = PolyRing(field, ("c",))
+    phi = Poly(ring, {(i,): a for i, a in coeffs})
+    if phi.is_constant():
+        return [], False
+    fac = uni_factor(phi)
+    roots = fac.roots()
+    c = ring.var("c")
+    missing, sibling = [], False
+    for h, _ in fac.factors + fac.unfactored:
+        if h.total_degree() < 2 or any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots):
+            continue
+        power = uni_divmod(c**e, h)[1]  # rho^e
+        if power.is_constant() and any(
+            uni_factor(c**e - power.scale(lam**num)).roots() for lam, _ in uni_factor(c**n0 - ring.one()).roots()
+        ):
+            sibling = True
+        else:
+            missing.append(h)
+    if missing:
+        if field.kind == "Fp":
+            raise newton._ExtensionNeeded(missing[0])
+        raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
+    return roots, sibling
+
+
 def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
     """newton._np_expansions as it was before one root per conjugacy class:
     every k-root of every edge polynomial is expanded, and a nonlinear
@@ -211,7 +245,7 @@ def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
         if field.char and gamma.denominator % field.char == 0:
             raise WildRamification(f"edge exponent {gamma} is wildly ramified")
         edge = [(i, pp[(i, j)]) for i, j in edge_terms]
-        for root, _mult in newton._newton_roots(edge, field, "edge ", gamma.denominator)[0]:
+        for root, _mult in phi_factoring_roots(edge, field, "edge ", gamma.denominator)[0]:
             if root.is_zero():
                 continue
             sub = newton._pp_substitute(pp, gamma, root, field)
