@@ -50,9 +50,9 @@ input), and at precision 12 for y^2 = x^3 over Q, for the circle over
 F_7, whose places need F_49, for y^4 = x over F_5, whose edge
 polynomial has four rational roots conjugate under t -> zeta t, for
 y^4 = x^5 over F_9, a binomial edge of ramification 4, and for
-y^3 = 2x^5 over Q, whose edge polynomial -2c^5 + 1 has no root in Q, so
-each run ends in CoefficientFieldTooSmall; each run parses its own curve
-and scheme.
+y^3 = 2x^5 and y^2 = 3x over Q, whose edge polynomials -2c^5 + 1 and
+c^2 - 3 have no root in Q, so their places come from Duval's z = mu T^q
+with mu != 1; each run parses its own curve and scheme.
 
 Prints one JSON line: per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
@@ -168,6 +168,7 @@ PLACES = {
     "y4_x_f5": (FieldSpec("Fp", p=5), "y^4 - x", 12),
     "y4_x5_f9": (FieldSpec("Fq", p=3, modulus=(1, 0, 1)), "y^4 - x^5", 12),
     "y3_2x5_q": (QQ, "y^3 - 2*x^5", 12),
+    "y2_3x_q": (QQ, "y^2 - 3*x", 12),
 }
 
 

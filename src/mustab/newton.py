@@ -5,12 +5,15 @@ The projective closure of V(f) meets the line at infinity in the points
 term.  One chart serves them all: around [1:c:0] the local branches are
 Puiseux series for y/x in z = 1/x, and [0:1:0] is the c = 0 point of the
 same chart for f with x and y exchanged.  The parameterizations are then
-pushed through the embedding into the group scheme.  An edge's roots are
-the e-th roots of the roots of its reduced polynomial psi, phi(c) =
-c^i0 psi(c^e), so only psi is factored.  Each edge expands one root per
-class of roots conjugate under t -> zeta t, so each place is expanded
-once, unless a place has its k-rational expansions only under a skipped
-root; that point then expands every root.
+pushed through the embedding into the group scheme.
+
+The expansions use Duval's rational change of variables (D. Duval,
+"Rational Puiseux expansions", Compositio Math. 1989): at an edge of
+slope -m/q each k-root rho of the reduced edge polynomial psi, phi(c) =
+c^i0 psi(c^q), is one place, expanded through z -> mu T^q and
+w -> T^m (c + w) with c^q = rho mu^m.  Exponents stay integral, and each
+place whose expansion is k-rational is expanded once, over k, as
+z = lam t^n; its x = 1/z = lam^-1 t^-n may carry a coefficient.
 
 Over F_p a missing Newton-polygon root triggers one automatic extension to
 F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
@@ -106,7 +108,7 @@ def check_irreducible_fragment(f: Poly) -> tuple[bool, bool]:
     return False, True
 
 
-# -- Puiseux-polynomial support (terms w^i z^j with fractional j) -----------
+# -- Puiseux-polynomial support (terms w^i z^j, integral j) -----------------
 
 def _chart(f: Poly, swap: bool) -> dict:
     """The terms {(i, j): c} of c w^i z^j in G(w, z) = z^d f(1/z, w/z), the
@@ -117,12 +119,13 @@ def _chart(f: Poly, swap: bool) -> dict:
     xi, yi = f.ring.variables.index("x"), f.ring.variables.index("y")
     if swap:
         xi, yi = yi, xi
-    return {(m[yi], Fraction(d - m[xi] - m[yi])): c for m, c in f.terms.items()}
+    return {(m[yi], d - m[xi] - m[yi]): c for m, c in f.terms.items()}
 
 
-def _lower_hull_edges(pp: dict) -> list[tuple[Fraction, list[tuple[int, Fraction]]]]:
-    """Edges of the lower-left Newton polygon with positive gamma = -slope."""
-    best: dict[int, Fraction] = {}
+def _lower_hull_edges(pp: dict) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """Edges of the lower-left Newton polygon of negative slope -m/q,
+    gcd(m, q) = 1, as (m, q, the exponents (i, j) on the edge)."""
+    best: dict[int, int] = {}
     for (i, j) in pp:
         if i not in best or j < best[i]:
             best[i] = j
@@ -138,41 +141,46 @@ def _lower_hull_edges(pp: dict) -> list[tuple[Fraction, list[tuple[int, Fraction
         hull.append(p)
     edges = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        if slope < 0:
-            gamma = -slope
-            mu = y1 + x1 * gamma
-            on_edge = [(i, j) for (i, j) in pp if j + i * gamma == mu]
-            edges.append((gamma, on_edge))
+        if y2 < y1:
+            g = math.gcd(y1 - y2, x2 - x1)
+            m, q = (y1 - y2) // g, (x2 - x1) // g
+            level = q * y1 + m * x1
+            edges.append((m, q, [(i, j) for (i, j) in pp if q * j + m * i == level]))
     return edges
 
 
-def _pp_substitute(pp: dict, gamma: Fraction, c: Scalar, field: FieldSpec) -> dict:
-    """w -> z^gamma (c + w), then divide by the minimal z-power.  The powers
-    of c and each w-degree's row of binomial terms are built once per call."""
+def _pp_substitute(pp: dict, m: int, q: int, c: Scalar, mu: Scalar) -> dict:
+    """Duval's change of variables z -> mu T^q, w -> T^m (c + w), then
+    division by the least power of T; T is written z again.  The powers of
+    c and each w-degree's row of binomial terms are built once per call;
+    mu = 1 multiplies nothing."""
+    field = c.field
     cpow = [field.one()]
     for _ in range(max(i for i, _ in pp)):
         cpow.append(cpow[-1] * c)
-    rows: dict = {}  # i -> the nonzero C(i, m) c^(i - m) by m
+    scaled = not mu.is_one()
+    rows: dict = {}  # i -> the nonzero C(i, k) c^(i - k) by k
     out: dict = {}
     for (i, j), a in pp.items():
         row = rows.get(i)
         if row is None:
             row, b = [], 1
-            for m in range(i + 1):
-                x = field.from_int(b) * cpow[i - m]
+            for k in range(i + 1):
+                x = field.from_int(b) * cpow[i - k]
                 if not x.is_zero():
-                    row.append((m, x))
-                b = b * (i - m) // (m + 1)
+                    row.append((k, x))
+                b = b * (i - k) // (k + 1)
             rows[i] = row
-        jj = j + i * gamma
-        for m, x in row:
-            key = (m, jj)
+        if scaled:
+            a = a * mu**j
+        jj = q * j + m * i
+        for k, x in row:
+            key = (k, jj)
             cur = out.get(key)
             out[key] = a * x if cur is None else cur + a * x
     out = {k: v for k, v in out.items() if not v.is_zero()}
-    mu = min(j for (_, j) in out)
-    return {(i, j - mu): v for (i, j), v in out.items()}
+    low = min(j for (_, j) in out)
+    return {(i, j - low): v for (i, j), v in out.items()}
 
 
 class _ExtensionNeeded(Exception):
@@ -180,145 +188,109 @@ class _ExtensionNeeded(Exception):
         self.factor = factor
 
 
-class _SiblingNeeded(Exception):
-    """A place whose k-rational expansions may all lie under a root that
-    _np_expansions skipped as the conjugate of one it expanded."""
+def _newton_roots(coeffs, field: FieldSpec, what: str, q: int = 1, m: int = 0) -> list[tuple[Scalar, Scalar]]:
+    """One (c, mu) per distinct nonzero k-root rho of psi, where phi = sum
+    a c^i over coeffs (i, a) is the degree form (q = 1) or the polynomial
+    of an edge of slope -m/q, gcd(m, q) = 1; ordered by the string of
+    c - r as uni_factor orders its linear factors.
 
-
-def _newton_roots(coeffs, field: FieldSpec, what: str, e: int = 1, n0: int = 1, num: int = 0):
-    """Roots in k of phi = sum a c^i over coeffs (i, a): the degree form
-    (e = 1) or the polynomial of an edge that ramifies e-fold beyond the
-    earlier terms, whose exponents have denominators dividing n0; the
-    edge's own term has exponent num/(n0 e).  Returns the k-roots, ordered
-    by the string of c - r as uni_factor orders its linear factors, and
-    whether a root outside k is rational only under a skipped root (below).
-
-    The exponents i on an edge differ by multiples of e (two terms on it
-    differ in z-exponent by a multiple of 1/n0), so phi(c) = c^i0 psi(c^e)
-    with i0 the least i, and only psi is factored: degree (max i - i0)/e,
-    1 on a binomial edge.  The nonzero k-roots of phi are the e-th roots in
-    k of the k-roots rho of psi (Scalar.kth_roots: over F_q one root times
-    the memoized mu_g; none over Q(sqrt d) for e > 2, where uni_factor does
-    not split c^e - rho either).
-
-    t -> omega t multiplies the term of exponent m/(n0 e) by eta^m, eta an
-    (n0 e)-th root of unity, and keeps the earlier coefficients in k
-    exactly when lam = eta^e does (their numerators m have gcd e with
-    n0 e).  The roots of c^e - rho, for a root rho of psi, are
-    - redundant when rho has an e-th root r in k: with lam = 1, t -> omega
-      t keeps every earlier term and takes each of them to an r;
-    - rational under another root of an earlier edge when lam^num rho has
-      an e-th root in k for some lam in mu_n0(k): t -> omega t takes the
-      earlier terms to k-rational ones that differ from them, those of a
-      root that _np_expansions skips unless it expands every root;
-    - missing otherwise, as are the roots of a nonlinear factor of psi: no
-      conjugate of their place has its terms so far in k, which is fatal
-      here (or triggers an extension over F_p).  Only then is phi itself
-      factored, over F_p, to name the extension: its first nonlinear
-      factor in uni_factor's order whose roots are missing.
+    The exponents i on an edge differ by multiples of q, so phi(c) =
+    c^i0 psi(c^q) with i0 the least i, and only psi is factored: degree
+    (max i - i0)/q, 1 on a binomial edge.  Duval's change of variables
+    z -> mu T^q, w -> T^m (c + w) turns the edge's terms into
+    mu^j0 c^i0 psi(c^q / mu^m), so (c, mu) expands the place of rho when
+    c^q = rho mu^m:
+    - when rho has a q-th root in k (Scalar.kth_roots; none is searched
+      over Q(sqrt d) for q > 2), mu = 1 and c is the first of them: the
+      others differ from it by T -> zeta T, zeta^q = 1, which fixes z and
+      every earlier term, so they give the same place;
+    - otherwise mu = rho^v and c = rho^u with uq - vm = 1, 0 <= v < q.
+    The roots of a nonlinear factor of psi lie over an extension of k,
+    which is fatal here (or triggers an extension over F_p).  Only then is
+    phi itself factored, over F_p, to name the extension: its first
+    nonlinear factor in uni_factor's order whose roots are missing.
     """
     i0 = min(i for i, _ in coeffs)
-    roots = [field.zero()] if i0 else []
     if len(coeffs) == 1:  # a c^i0: psi is constant
-        return roots, False
+        return []
     ring = PolyRing(field, ("c",))
-    fac = uni_factor(Poly(ring, {((i - i0) // e,): a for i, a in coeffs}))
-    sibling, missing = False, []  # missing: the factors of psi whose roots are missing
+    var = ring.var("c")
+
+    def order(r: Scalar) -> str:
+        return str(var - ring.from_scalar(r))
+
+    fac = uni_factor(Poly(ring, {((i - i0) // q,): a for i, a in coeffs}))
+    roots, missing = [], False
     for g, _ in fac.factors + fac.unfactored:
         if g.total_degree() > 1:
-            missing.append(g)
+            missing = True
             continue
         rho = -g.constant_coefficient()
-        found = _eth_roots(rho, e)
+        found = [] if field.kind == "QSqrt" and q > 2 else rho.kth_roots(q)
         if found:
-            roots += found
-        elif any(_eth_roots(lam**num * rho, e) for lam in _eth_roots(field.one(), n0)):
-            sibling = True
+            roots.append((found[0] if len(found) == 1 else min(found, key=order), field.one()))
         else:
-            missing.append(g)
+            v = -pow(m, -1, q) % q
+            roots.append((rho ** ((1 + v * m) // q), rho**v))
     if missing:
         phi = Poly(ring, {(i,): a for i, a in coeffs})
         if field.kind == "Fp":
-            rhos = {-g.constant_coefficient() for g in missing if g.total_degree() == 1}
-            raise _ExtensionNeeded(next(h for h, _ in uni_factor(phi).factors if _is_missing(h, e, rhos)))
+            raise _ExtensionNeeded(next(h for h, _ in uni_factor(phi).factors if _is_missing(h, q)))
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
     if len(roots) > 1:
-        c = ring.var("c")
-        roots.sort(key=lambda r: str(c - ring.from_scalar(r)))
-    return roots, sibling
+        roots.sort(key=lambda root: order(root[0]))
+    return roots
 
 
-def _eth_roots(a: Scalar, e: int) -> list[Scalar]:
-    """a.kth_roots(e); none over Q(sqrt d) for e > 2."""
-    return [] if a.field.kind == "QSqrt" and e > 2 else a.kth_roots(e)
-
-
-def _is_missing(h: Poly, e: int, rhos: set) -> bool:
+def _is_missing(h: Poly, q: int) -> bool:
     """Whether the roots beta of an irreducible factor h of phi are
-    missing: h is nonlinear and beta^e is outside k or one of rhos, the
-    roots of psi whose e-th roots are missing."""
-    if h.total_degree() < 2:
-        return False
-    power = uni_divmod(h.ring.var("c") ** e, h)[1]  # beta^e
-    return not power.is_constant() or power.constant_coefficient() in rhos
+    missing: h is nonlinear and beta^q, c^q mod h, is outside k."""
+    return h.total_degree() > 1 and not uni_divmod(h.ring.var("c") ** q, h)[1].is_constant()
 
 
-def _np_expansions(pp: dict, field: FieldSpec, prec_left: Fraction, every_root: bool = False,
-                   g0: Fraction = Fraction(0), n0: int = 1, budget: int = _NEWTON_BUDGET):
-    """One Puiseux expansion w(z) with positive valuation solving pp = 0
-    per place, as (terms, exact) pairs; terms are ascending (Fraction,
-    Scalar).  g0 is the exponent reached before pp and n0 the lcm of the
-    denominators of the exponents chosen so far.  At an edge of slope
-    -gamma the roots r and zeta r with zeta^e = 1, e the denominator of
-    n0 gamma, differ by t -> zeta t, which fixes every earlier term: one
-    place, so only the first root of each class (by r^e) is expanded.
-
-    Such a place may still have its k-rational expansions only under the
-    skipped root zeta r, when a later root is rational only after a
-    conjugation that moves the earlier terms (see _newton_roots).  That
-    raises _SiblingNeeded; with every_root, every k-root is expanded and
-    _dedup_branches merges the conjugate expansions."""
+def _np_expansions(pp: dict, field: FieldSpec, prec: int, budget: int = _NEWTON_BUDGET):
+    """One Puiseux expansion per place of pp(w, z) = 0 with w of positive
+    valuation, in Duval's variables: (n, lam, terms, exact) with z =
+    lam t^n and w the sum of c t^k over terms (k, c), ascending, wanted
+    below z^prec.  At an edge of slope -m/q each root (c, mu) from
+    _newton_roots is one place, expanded in z -> mu T^q, w -> T^m (c + w);
+    the tail's T = lam' t^n' then gives n = q n', lam = mu lam'^q and
+    multiplies every term by lam'^m."""
     if budget <= 0:
         raise BudgetExceeded("Newton polygon recursion budget exhausted")
+    one = field.one()
     out = []
     k = min(i for i, _ in pp)
     if k >= 1:
-        out.append(([], True))  # the exact branch w = 0
+        out.append((1, one, [], True))  # the exact branch w = 0
         pp = {(i - k, j): c for (i, j), c in pp.items()}
-    if (0, Fraction(0)) in pp:
+    if (0, 0) in pp:
         return out  # remaining part does not vanish at the origin
-    if prec_left <= 0:
-        return out + [([], False)]
-    for gamma, edge_terms in _lower_hull_edges(pp):
-        if field.char and gamma.denominator % field.char == 0:
-            raise WildRamification(
-                f"edge exponent {gamma} is wildly ramified in characteristic {field.char}"
-            )
-        e = (n0 * gamma).denominator
-        num = int((g0 + gamma) * n0 * e)
-        roots, sibling = _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, "edge ", e, n0, num)
-        if sibling and not every_root:
-            raise _SiblingNeeded()
-        expanded = []  # r^e of each root expanded at this edge
-        for root in roots:
-            power = root**e
-            if root.is_zero() or (power in expanded and not every_root):
+    if prec <= 0:
+        return out + [(1, one, [], False)]
+    for m, q, edge_terms in _lower_hull_edges(pp):
+        if field.char and q % field.char == 0:
+            raise WildRamification(f"edge exponent {m}/{q} is wildly ramified in characteristic {field.char}")
+        for c, mu in _newton_roots([(i, pp[(i, j)]) for i, j in edge_terms], field, "edge ", q, m):
+            if m >= q * prec:
+                out.append((q, mu, [(m, c)], False))
                 continue
-            expanded.append(power)
-            sub = _pp_substitute(pp, gamma, root, field)
-            if gamma >= prec_left:
-                out.append(([(gamma, root)], False))
-                continue
-            tails = _np_expansions(sub, field, prec_left - gamma, every_root, g0 + gamma, n0 * e, budget - 1)
-            for tail, tail_exact in tails:
-                shifted = [(gamma + g2, c2) for g2, c2 in tail]
-                out.append(([(gamma, root)] + shifted, tail_exact))
+            sub = _pp_substitute(pp, m, q, c, mu)
+            for n, lam, tail, exact in _np_expansions(sub, field, q * prec - m, budget - 1):
+                terms = [(m * n, c)] + [(m * n + k2, c2) for k2, c2 in tail]
+                if lam == one:
+                    out.append((q * n, mu, terms, exact))
+                else:
+                    scale = lam**m
+                    out.append((q * n, mu * lam**q, [(k2, c2 * scale) for k2, c2 in terms], exact))
     return out
 
 
 def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Branch]:
-    """One validated Branch per place of the curve at infinity whose image
-    under the embedding is centered at infinity."""
+    """One validated Branch per tube class of the places of the curve at
+    infinity whose image under the embedding is centered at infinity:
+    places whose images are tube-equivalent (_dedup_branches) share one
+    branch, as they share one stabilizer."""
     try:
         return _places(curve, precision)
     except _ExtensionNeeded as need:
@@ -356,30 +328,27 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
     f = curve.f
     field = f.ring.field
     trusted = curve.trusted_irreducible or not curve.irreducibility_checked
-    prec_z = Fraction(precision + 1)
+    prec_z = precision + 1
 
     gx = _chart(f, False)
     degree_form = [(i, c) for (i, j), c in gx.items() if not j]
-    points = [(False, c0) for c0 in _newton_roots(degree_form, field, "")[0]]
+    points = [(False, c0) for c0, _ in _newton_roots(degree_form, field, "")]
+    if min(i for i, _ in degree_form):  # c divides the degree form: [1:0:0]
+        points.insert(0, (False, field.zero()))
     if (f.total_degree(), 0) not in gx:  # no y^d: [0:1:0] lies on the curve
         points.append((True, field.zero()))
     # every expansion before any branch: an error from a later point is
     # raised before any validate_branch runs
     expansions = []
     for swap, c0 in points:
-        pp = _pp_substitute(_chart(f, swap), Fraction(0), c0, field)  # w -> c0 + w
-        try:
-            found = _np_expansions(pp, field, prec_z)
-        except _SiblingNeeded:
-            found = _np_expansions(pp, field, prec_z, every_root=True)
-        expansions += [(swap, c0, terms, exact) for terms, exact in found]
+        pp = _pp_substitute(_chart(f, swap), 0, 1, c0, field.one())  # w -> c0 + w
+        expansions += [(swap, c0, *found) for found in _np_expansions(pp, field, prec_z)]
 
     branches: list[Branch] = []
-    for swap, c0, terms, exact in expansions:
-        e = math.lcm(*(g.denominator for g, _ in terms))
-        pole = PuiseuxSeries.monomial(field, exp(-e), field.one())
-        w_terms = [(exp(0), c0)] + [(exp(g * e), c) for g, c in terms]
-        w_series = PuiseuxSeries(field, w_terms, None if exact else exp(e * prec_z))
+    for swap, c0, n, lam, terms, exact in expansions:
+        pole = PuiseuxSeries.monomial(field, exp(-n), lam.inv())  # x = 1/z, z = lam t^n
+        w_terms = [(exp(0), c0)] + [(exp(k), c) for k, c in terms]
+        w_series = PuiseuxSeries(field, w_terms, None if exact else exp(n * prec_z))
         xs, ys = pole, w_series * pole
         if swap:
             xs, ys = ys, xs
@@ -394,14 +363,14 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
 
 
 def _dedup_branches(branches: list[Branch]) -> list[Branch]:
-    """Drop duplicates, keeping the first branch of each class: identical
-    parameterizations first, then rescalings b(t) = a(lam t) of an earlier
-    branch a (s = lam t with eps = 1 is the tube certificate), then
-    anything else mu_correct finds tube-equivalent to an earlier branch.
-    _np_expansions gives one expansion per place unless it expands every
-    root, so a class of more than one branch comes from the conjugate
-    expansions of that case or from distinct places that the embedding
-    identifies."""
+    """Drop duplicates, keeping the first branch of each tube class:
+    identical parameterizations first, then rescalings b(t) = a(lam t) of
+    an earlier branch a (s = lam t with eps = 1 is the tube certificate),
+    then anything else mu_correct finds tube-equivalent to an earlier
+    branch.  _np_expansions gives one expansion per place, so no conjugate
+    expansions reach here: a class of more than one branch comes from
+    distinct places that the embedding identifies, or whose images are
+    tube-equivalent, and the stabilizer depends only on the class."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
 
     def equivalent(a: Branch, b: Branch) -> bool:

@@ -3,19 +3,19 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import CoefficientFieldTooSmall
-from mustab.factor import uni_factor
-from mustab.fields import QQ, FieldSpec, Scalar
+from mustab.factor import uni_divmod, uni_factor
+from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, eval_poly_series
 from mustab.jobs import run_job
 from mustab.newton import PlaneCurveInput, _dedup_branches, _is_rescaling, check_irreducible_fragment, places_at_infinity
 from mustab.poly import Poly, PolyRing
 from mustab.series import parse_series
 
-from tests_helpers import every_root_places, phi_factoring_roots
+from tests_helpers import every_root_places, field_elements
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -355,26 +355,27 @@ SIBLING_PLACES = "x^4 - 4*x^3*y^2 - 2*x^3 + 6*x^2*y^4 - 12*x^2*y^2 + x^2 - 4*x*y
 
 
 @pytest.mark.parametrize(
-    "f_text, field, expansions",
+    "f_text, field, rescaled",
     [
         *_binomial_cases(),
-        pytest.param("x^2 + y^2 - 1", F5, None, id="circle_F5"),
-        pytest.param("x^2 + y^2 - 1", F7, None, id="circle_F7"),
-        pytest.param(THREE_PLACES, F7, None, id="three_places_F7"),
-        pytest.param(THREE_PLACES, FieldSpec("Fp", p=13), None, id="three_places_F13"),
-        pytest.param(SIBLING_PLACES, QQ, 4, id="sibling_places_Q"),
-        pytest.param(SIBLING_PLACES, F7, 4, id="sibling_places_F7"),
-        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=11), 4, id="sibling_places_F11"),
-        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=13), None, id="sibling_places_F13"),
+        pytest.param("x^2 + y^2 - 1", F5, False, id="circle_F5"),
+        pytest.param("x^2 + y^2 - 1", F7, False, id="circle_F7"),
+        pytest.param(THREE_PLACES, F7, False, id="three_places_F7"),
+        pytest.param(THREE_PLACES, FieldSpec("Fp", p=13), False, id="three_places_F13"),
+        pytest.param(SIBLING_PLACES, QQ, True, id="sibling_places_Q"),
+        pytest.param(SIBLING_PLACES, F7, True, id="sibling_places_F7"),
+        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=11), True, id="sibling_places_F11"),
+        pytest.param(SIBLING_PLACES, FieldSpec("Fp", p=13), True, id="sibling_places_F13"),
     ],
 )
-def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_text, field, expansions):
+def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_text, field, rescaled):
     """The places, and the field they lie over, equal those of expanding
-    every root and merging the conjugates in _dedup_branches.  Every
-    expansion that reaches _dedup_branches is one of them: none is a
-    conjugate of another.  Where a place is rational only under a root
-    skipped as a conjugate (expansions given), every root is expanded
-    instead, and that many expansions reach _dedup_branches."""
+    every root in fractional exponents and merging the conjugates in
+    _dedup_branches, and exactly one expansion per place reaches
+    _dedup_branches.  SIBLING_PLACES has a place that is rational only
+    under the root s = -1, which the reference keeps, while Duval's
+    variables expand both places under the first root: there the places
+    match the reference's up to t -> lam t, in some order."""
     from mustab import newton
 
     scheme = GroupScheme("Additive", 2, field)
@@ -387,11 +388,15 @@ def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_
         return dedup(branches)
 
     monkeypatch.setattr(newton, "_dedup_branches", recording)
-    assert places_at_infinity(_curve(f_text, ["x", "y"], scheme, field), 4) == expected
-    if expansions is None:
-        assert seen == expected
-    else:
-        assert len(seen) == expansions and all(b in seen for b in expected)
+    branches = places_at_infinity(_curve(f_text, ["x", "y"], scheme, field), 4)
+    assert seen == branches
+    if not rescaled:
+        assert branches == expected
+        return
+    assert len(branches) == len(expected)
+    assert all(b.field == field for b in branches + expected)
+    for b in branches:
+        assert sum(_is_rescaling(a, b) for a in expected) == 1
 
 
 # the same with ((w - s z^(1/2))^8 - z^6): besides the two places above,
@@ -413,7 +418,7 @@ ONE_PLACE = "y^4 - 2*x*y^2 - 4*x*y + x^2 - x + 1"
         (SIBLING_PLACES, {"kind": "Q"}, 0, 2, "Q"),
         (SIBLING_PLACES, {"kind": "Fp", "p": 7}, 0, 2, "F_7"),
         (EIGHTH_ROOT_PLACES, {"kind": "Q"}, 3, 0, None),
-        (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 5}, 0, 4, "F_5^2"),
+        (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 5}, 0, 4, "F_5"),
         (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 7}, 0, 4, "F_7^2"),
         (EIGHTH_ROOT_PLACES, {"kind": "Fp", "p": 17}, 0, 4, "F_17"),
         (ONE_PLACE, {"kind": "Q"}, 0, 1, "Q"),
@@ -426,10 +431,11 @@ def test_a_place_rational_only_under_a_conjugate_root(f_text, field, code, place
     """The place {(1, +-i), (-1, +-1)} has no conjugate with s = 1 and its
     coefficients in k unless i is in k, yet it is rational: the job finds
     both places over Q and F_7.  The places with a primitive 8th root of
-    unity at z^(3/4) have no rational conjugate under either s unless k
-    holds one: over Q they are missing, over F_5 and F_7 they lie over F_25
-    and F_49, and over F_17 all four are rational.  The single place of
-    ONE_PLACE is rational whichever root of s^2 = 1 comes first."""
+    unity u at z^(3/4): over Q they are missing and over F_7 they lie over
+    F_49, while over F_5 Frobenius sends u to u^5 = -u and t -> -t maps
+    (1, u) to (1, -u), so each of them is F_5-rational, as all four are
+    over F_17.  The single place of ONE_PLACE is rational whichever root
+    of s^2 = 1 comes first."""
     job = {
         "field": field,
         "group": {"kind": "Additive", "n": 2},
@@ -454,14 +460,14 @@ QS2 = FieldSpec("QSqrt", d=2)
 
 @st.composite
 def _edge_polynomials(draw):
-    """(coeffs, field, e, n0, num) for phi = a c^i0 psi(c^e): psi a product
-    of linear factors u - rho, rho an e-th power, -1 or a unit times one,
-    or any scalar, and of random quadratics, with multiplicities; e and n0
-    are prime to the characteristic, as on every edge."""
+    """(coeffs, field, q, m) for phi = a c^i0 psi(c^q), an edge of slope
+    -m/q with gcd(m, q) = 1 and q prime to the characteristic: psi a
+    product of linear factors u - rho, rho a q-th power, -1 or a unit
+    times one, or any scalar, and of random quadratics, with
+    multiplicities."""
     field = draw(st.sampled_from([QQ, QS2, F5, F7, F9]))
-    prime = st.integers(1, 6).filter(lambda n: not field.char or n % field.char)
-    e, n0 = draw(prime), draw(prime.filter(lambda n: n <= 3))
-    num, i0 = draw(st.integers(1, 12)), draw(st.integers(0, 2))
+    q = draw(st.integers(1, 6).filter(lambda n: not field.char or n % field.char))
+    m, i0 = draw(st.integers(1, 12).filter(lambda n: math.gcd(n, q) == 1)), draw(st.integers(0, 2))
     if field.order:
         scalars = [field.element(i) for i in range(1, field.order)]
     else:
@@ -477,45 +483,75 @@ def _edge_polynomials(draw):
         if kind == "quadratic":
             g = u**2 + u * ring.from_scalar(r) + ring.from_scalar(draw(st.sampled_from(scalars)))
         else:
-            rho = {"power": r**e, "twisted": -(r**e), "any": r}[kind]
+            rho = {"power": r**q, "twisted": -(r**q), "any": r}[kind]
             g = u - ring.from_scalar(rho)
         psi = psi * g ** draw(st.integers(1, 2))
-    coeffs = [(i0 + e * m[0], a) for m, a in psi.terms.items()]
-    return coeffs, field, e, n0, num
+    coeffs = [(i0 + q * e[0], a) for e, a in psi.terms.items()]
+    return coeffs, field, q, m
 
 
-def _roots_outcome(classify, coeffs, field, e, n0, num):
-    from mustab import newton
-
-    try:
-        roots, sibling = classify(coeffs, field, "edge ", e, n0, num)
-    except newton._ExtensionNeeded as need:
-        return "extension", need.factor
-    except CoefficientFieldTooSmall as exc:
-        return "missing", str(exc)
-    return "roots", [r if isinstance(r, Scalar) else r[0] for r in roots], sibling
+def _has_qth_root(rho, q):
+    """Whether rho has a q-th root in its field: every element is tried
+    over a finite field, and the integer roots of numerator and
+    denominator over Q; over Q(sqrt d) only q <= 2 is decided (None
+    otherwise)."""
+    field = rho.field
+    if q == 1:
+        return True
+    if field.order:
+        return any(x**q == rho for x in field_elements(field))
+    if field.kind == "QSqrt":
+        return rho.sqrt() is not None if q == 2 else None
+    r = rho.as_fraction()
+    if r < 0 and q % 2 == 0:
+        return False
+    return all(round(abs(n) ** (1 / q)) ** q == abs(n) for n in (r.numerator, r.denominator))
 
 
 @settings(max_examples=120, deadline=None)
 @given(_edge_polynomials())
-def test_newton_roots_from_psi_match_factoring_phi(case):
-    """The roots from psi in phi(c) = c^i0 psi(c^e), their order, the
-    sibling flag, the error and its message, and the factor an F_p
-    extension is built from, equal those of factoring phi.  The one
-    exception is the fix: where uni_factor leaves part of phi unsplit (Q,
-    Q(sqrt d)), factoring phi counted that part's roots as missing; psi's
-    route may then find the roots, over Q exactly the rational roots of
-    phi."""
+# psi = (u + 1)(u^2 + 1) over F_7: phi's factor c^2 + 1 comes first, but
+# c^2 = -1 there is a k-root of psi, so c^4 + 1's first factor is named
+@example(([(i, F7.one()) for i in (0, 2, 4, 6)], F7, 2, 1))
+def test_newton_roots_are_one_duval_root_per_root_of_psi(case):
+    """_newton_roots gives one (c, mu) per distinct nonzero root rho of psi
+    in phi(c) = c^i0 psi(c^q), ordered by the string of c - r, with
+    c^q = rho mu^m, and mu = 1 exactly when rho has a q-th root in k, c
+    then the first q-th root in that order.  A nonlinear factor of psi
+    raises CoefficientFieldTooSmall, or over F_p _ExtensionNeeded with the
+    first nonlinear factor h of phi for which c^q mod h is not constant."""
     from mustab import newton
 
-    coeffs, field, e, n0, num = case
-    new = _roots_outcome(newton._newton_roots, *case)
-    reference = _roots_outcome(phi_factoring_roots, *case)
-    if new != reference:
-        fac = uni_factor(Poly(PolyRing(field, ("c",)), {(i,): a for i, a in coeffs}))
-        assert not fac.complete and reference[0] == "missing"
-        if new[0] == "roots" and field == QQ:
-            assert new[1] == [r for r, _ in fac.roots()]
+    coeffs, field, q, m = case
+    ring = PolyRing(field, ("c",))
+    var = ring.var("c")
+    i0 = min(i for i, _ in coeffs)
+    psi = uni_factor(Poly(ring, {((i - i0) // q,): a for i, a in coeffs}))
+    if any(g.total_degree() > 1 for g, _ in psi.factors + psi.unfactored):
+        if field.kind != "Fp":
+            with pytest.raises(CoefficientFieldTooSmall):
+                newton._newton_roots(coeffs, field, "edge ", q, m)
+            return
+        with pytest.raises(newton._ExtensionNeeded) as need:
+            newton._newton_roots(coeffs, field, "edge ", q, m)
+        phi = uni_factor(Poly(ring, {(i,): a for i, a in coeffs}))
+        expected = next(h for h, _ in phi.factors if h.total_degree() > 1 and not uni_divmod(var**q, h)[1].is_constant())
+        assert need.value.factor == expected
+        return
+    roots = newton._newton_roots(coeffs, field, "edge ", q, m)
+
+    def order(r):
+        return str(var - ring.from_scalar(r))
+
+    assert [order(c) for c, _ in roots] == sorted(order(c) for c, _ in roots)
+    rhos = [c**q / mu**m for c, mu in roots]
+    assert sorted(map(order, rhos)) == sorted(order(r) for r, _ in psi.roots())
+    for (c, mu), rho in zip(roots, rhos):
+        has_root = _has_qth_root(rho, q)
+        if has_root is not None:
+            assert mu.is_one() == has_root
+        if mu.is_one() and field.order:
+            assert order(c) == min(order(r) for r in field_elements(field) if r**q == rho)
 
 
 # the chart's two places (1, -1) and (-1, 1) as coefficients of
@@ -549,3 +585,113 @@ def test_edge_roots_that_uni_factor_leaves_unsplit_in_phi(field, expected):
     branches = places_at_infinity(_curve(CUBE_ROOT_PLACES, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=4)
     assert [str(b.element) for b in branches] == expected
     assert all(str(b.field) == str(field) for b in branches)
+
+
+# the place x = t^-4/9, y = t^-2/3 + t^-1: in the chart its second edge
+# polynomial is 4c^2 + 12, so mu = 3 there and lam = 3^2 for z = lam t^4
+TWO_EDGES = "y^4 - 2*x*y^2 + x^2 - 12*x*y - 9*x"
+
+
+@pytest.mark.parametrize(
+    "f_text, field, expected",
+    [
+        pytest.param("y^2 - 3*x", QQ, "(1/3*t^(-2), t^(-1))", id="y2_3x_Q"),
+        pytest.param("y^2 - 3*x", F7, "(5*t^(-2), t^(-1))", id="y2_3x_F7"),
+        pytest.param("y^3 - 2*x^5", QQ, "(2*t^(-3), 4*t^(-5))", id="y3_2x5_Q"),
+        pytest.param("y^2 - x^3", QS2, "(t^(-2), t^(-3))", id="cusp_QS2"),
+        pytest.param("y^2 - x^3", FieldSpec("QSqrt", d=-1), "(t^(-2), t^(-3))", id="cusp_QSm1"),
+        pytest.param("y^3 - 2*x^2", QS2, "(1/4*t^(-3), 1/2*t^(-2))", id="y3_2x2_QS2"),
+        pytest.param("y^3 - 2*sqrt(2)*x^2", QS2, "(1/8*t^(-3), 1/4*sqrt(2)*t^(-2))", id="y3_2s2x2_QS2"),
+        pytest.param("y^4 - 2*x", F5, "(3*t^(-4), t^(-1))", id="y4_2x_F5"),
+        pytest.param(TWO_EDGES, QQ, "(1/9*t^(-4), 1/3*t^(-2) + t^(-1))", id="two_edges_Q"),
+    ],
+)
+def test_places_rational_under_a_coefficient_on_x(f_text, field, expected):
+    """Each curve has one place at infinity, rational over k only as
+    x = lam^-1 t^-n with lam != 1 (or, for the cusp over Q(sqrt d), found
+    there only through Duval's mu): z = mu T^q with c^q = rho mu^m.  With
+    x = t^-n alone, y^2 - 3x over Q and the others over Q(sqrt d) and Q
+    had no k-root at their edge (exit 3), and y^2 - 3x over F_7 and
+    y^4 - 2x over F_5 were placed over F_49 and F_625; TWO_EDGES needs
+    mu != 1 below an edge with mu = 1.  f vanishes on the
+    branch up to its precision, and stab under both algorithms passes
+    every theorem check it runs."""
+    curve = _curve(f_text, ["x", "y"], GroupScheme("Additive", 2, field), field)
+    branches = places_at_infinity(curve, precision=4)
+    assert [(str(b.element), b.field) for b in branches] == [(expected, field)]
+    values = dict(zip("xy", branches[0].element.entries))
+    assert eval_poly_series(curve.f, values, field).is_zero()
+    report, code = run_job({
+        "field": field.to_json(),
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "algorithm": "both",
+        "input": {"plane_curve": {"f": f_text, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    })
+    assert code == 0
+    assert report["checks"]["agreement"] == "pass"
+    assert set(report["checks"].values()) <= {"pass", "skipped"}
+
+
+@st.composite
+def _binomial_curves(draw):
+    """(f, field): y^p - a x^q with gcd(p, q) = 1, a != 0 and p q prime to
+    the characteristic."""
+    field = draw(st.sampled_from([QQ, QS2, FieldSpec("QSqrt", d=-1), F5, F7, F9, FieldSpec("Fp", p=11)]))
+    p = draw(st.integers(1, 4).filter(lambda n: not field.char or n % field.char))
+    q = draw(st.integers(1, 5).filter(lambda n: math.gcd(n, p) == 1 and (not field.char or n % field.char)))
+    if field.order:
+        a = draw(st.sampled_from([field.element(i) for i in range(1, field.order)]))
+    else:
+        a = field.from_int(draw(st.sampled_from([1, -1, 2, -3, 5])))
+        if field.kind == "QSqrt" and draw(st.booleans()):
+            a = a * field.generator()
+    ring = PolyRing(field, ("x", "y"))
+    return ring.var("y") ** p - ring.from_scalar(a) * ring.var("x") ** q, field
+
+
+@settings(max_examples=60, deadline=None)
+@given(_binomial_curves())
+def test_binomial_curve_has_one_place_over_k(case):
+    """y^p = a x^q with gcd(p, q) = 1 has one place at infinity, x =
+    a^v t^p and y = a^u t^q up to t -> 1/t with up - vq = 1: rational over
+    every k, and found over k."""
+    f, field = case
+    branches = places_at_infinity(PlaneCurveInput(f, [f.ring.var("x"), f.ring.var("y")], GroupScheme("Additive", 2, field)), precision=2)
+    assert len(branches) == 1 and branches[0].field == field
+    values = dict(zip("xy", branches[0].element.entries))
+    assert eval_poly_series(f, values, field).is_zero()
+
+
+# (x(y - x) - 1)(x(y - x) - 2) + (y - x)^3, irreducible over Q(i): at [1:1:0]
+# y - x = w is small, and x w is near 1 or 2: two places
+TUBE_EQUIVALENT_PLACES = "x^4 - 2*x^3*y + x^2*y^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^3 + 3*x^2 - 3*x*y + 2"
+
+
+def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
+    """Over Q(sqrt -1) the places (t^-1, t^-1 + t + t^4 + ...) and
+    (t^-1, t^-1 + 2t - 8t^4 + ...) at [1:1:0] are distinct, neither a
+    rescaling of the other, but mu_correct finds them tube-equivalent, so
+    _dedup_branches keeps only the first: places_at_infinity gives one
+    branch per tube class, as the stabilizer depends only on it."""
+    from mustab import newton
+    from mustab.stabilizer import mu_correct
+
+    field = FieldSpec("QSqrt", d=-1)
+    seen = []
+    dedup = newton._dedup_branches
+
+    def recording(branches):
+        seen.extend(branches)
+        return dedup(branches)
+
+    monkeypatch.setattr(newton, "_dedup_branches", recording)
+    branches = places_at_infinity(_curve(TUBE_EQUIVALENT_PLACES, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=6)
+    first, second = seen[:2]
+    assert [str(b.element) for b in (first, second)] == [
+        "(t^(-1), t^(-1) + t + t^4 + O(t^(6)))",
+        "(t^(-1), t^(-1) + 2*t - 8*t^4 + O(t^(6)))",
+    ]
+    assert not _is_rescaling(first, second) and mu_correct(first, second, order_budget=4) is not None
+    assert branches == [first] + seen[2:]

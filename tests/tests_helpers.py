@@ -3,20 +3,20 @@ and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
 of two ideals, the product of a factorization, and the eager `Echelon`
 that built every pivot's combination as it went (the reference for the
-one that builds them on demand), the places at infinity from every
-conjugate expansion merged by `_dedup_branches` (the reference for one
-expansion per place), the edge-root classifier that factors phi (the
-reference for the one that factors psi), and the list of a finite
-field's elements."""
+one that builds them on demand), the list of a finite field's elements,
+and the places at infinity from every conjugate expansion in fractional
+exponents merged by `_dedup_branches`, with the edge-root classifier
+that factors phi (the reference for one expansion per place in Duval's
+variables)."""
 
+import math
 from fractions import Fraction
-from unittest import mock
 
 from mustab.exponents import exp
-from mustab.fields import QQ
-from mustab.groups import GroupElement, GroupScheme, KPoint, mat_det, mat_mul, random_entries, random_scalar
+from mustab.fields import QQ, FieldSpec
+from mustab.groups import GroupElement, GroupScheme, KPoint, eval_poly_series, mat_det, mat_mul, random_entries, random_scalar
 from mustab import newton
-from mustab.branches import validate_branch
+from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
 from mustab.factor import uni_divmod, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
@@ -194,42 +194,82 @@ class EagerEchelon:
         return None
 
 
-def phi_factoring_roots(coeffs, field, what, e=1, n0=1, num=0):
-    """newton._newton_roots as it was before it factored psi in
-    phi(c) = c^i0 psi(c^e): phi itself is factored, and each nonlinear
-    factor h is tested against c^e - r^e for the k-roots r, then by
-    c^e mod h, so a factor that uni_factor leaves unsplit counts as a
-    whole.  Returns (roots with multiplicities, sibling)."""
+def phi_factoring_roots(coeffs, field, what, e=1):
+    """The k-roots of phi = sum a c^i over coeffs (i, a), with
+    multiplicities, as newton found them before it factored psi in
+    phi(c) = c^i0 psi(c^e): phi itself is factored, and a nonlinear factor
+    h is conjugate to a root when it divides c^e - r^e for a k-root r or
+    when c^e mod h is a constant with an e-th root in k; any other
+    nonlinear factor is missing."""
     ring = PolyRing(field, ("c",))
     phi = Poly(ring, {(i,): a for i, a in coeffs})
     if phi.is_constant():
-        return [], False
+        return []
     fac = uni_factor(phi)
     roots = fac.roots()
     c = ring.var("c")
-    missing, sibling = [], False
+    missing = []
     for h, _ in fac.factors + fac.unfactored:
         if h.total_degree() < 2 or any(uni_divmod(c**e - ring.from_scalar(r**e), h)[1].is_zero() for r, _ in roots):
             continue
         power = uni_divmod(c**e, h)[1]  # rho^e
-        if power.is_constant() and any(
-            uni_factor(c**e - power.scale(lam**num)).roots() for lam, _ in uni_factor(c**n0 - ring.one()).roots()
-        ):
-            sibling = True
-        else:
+        if not (power.is_constant() and uni_factor(c**e - power).roots()):
             missing.append(h)
     if missing:
         if field.kind == "Fp":
             raise newton._ExtensionNeeded(missing[0])
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
-    return roots, sibling
+    return roots
+
+
+# -- places at infinity from every conjugate expansion, merged -------------
+# newton.py as it was before Duval's change of variables: Puiseux
+# polynomials in z with fractional exponents, every k-root of every edge
+# polynomial expanded, x = t^-e, and the conjugate expansions of one place
+# merged by _dedup_branches: the reference for one expansion per place.
+
+def _fractional_hull_edges(pp):
+    """Edges of the lower-left Newton polygon with positive gamma = -slope,
+    as (gamma, the exponents on the edge)."""
+    best = {}
+    for (i, j) in pp:
+        if i not in best or j < best[i]:
+            best[i] = j
+    hull = []
+    for p in sorted(best.items()):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (p[0] - x1) >= (p[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    edges = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slope = Fraction(y2 - y1, x2 - x1)
+        if slope < 0:
+            level = y1 - x1 * slope
+            edges.append((-slope, [(i, j) for (i, j) in pp if j - i * slope == level]))
+    return edges
+
+
+def _fractional_substitute(pp, gamma, c, field):
+    """w -> z^gamma (c + w), then division by the least z-power."""
+    out = {}
+    for (i, j), a in pp.items():
+        for k in range(i + 1):
+            x = a * field.from_int(math.comb(i, k)) * c ** (i - k)
+            key = (k, j + i * gamma)
+            out[key] = out[key] + x if key in out else x
+    out = {key: v for key, v in out.items() if not v.is_zero()}
+    low = min(j for _, j in out)
+    return {(i, j - low): v for (i, j), v in out.items()}
 
 
 def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
-    """newton._np_expansions as it was before one root per conjugacy class:
-    every k-root of every edge polynomial is expanded, and a nonlinear
-    factor counts as conjugate when it divides c^q - r^q, q the
-    denominator of the edge's exponent."""
+    """Every Puiseux expansion w(z) with positive valuation solving pp = 0,
+    one per k-root of each edge polynomial, as (terms, exact) with terms
+    ascending (Fraction, Scalar)."""
     if budget <= 0:
         raise BudgetExceeded("Newton polygon recursion budget exhausted")
     out = []
@@ -237,28 +277,60 @@ def _every_root_expansions(pp, field, prec_left, budget=newton._NEWTON_BUDGET):
     if k >= 1:
         out.append(([], True))
         pp = {(i - k, j): c for (i, j), c in pp.items()}
-    if (0, Fraction(0)) in pp:
+    if (0, 0) in pp:
         return out
     if prec_left <= 0:
         return out + [([], False)]
-    for gamma, edge_terms in newton._lower_hull_edges(pp):
+    for gamma, edge_terms in _fractional_hull_edges(pp):
         if field.char and gamma.denominator % field.char == 0:
             raise WildRamification(f"edge exponent {gamma} is wildly ramified")
         edge = [(i, pp[(i, j)]) for i, j in edge_terms]
-        for root, _mult in phi_factoring_roots(edge, field, "edge ", gamma.denominator)[0]:
+        for root, _mult in phi_factoring_roots(edge, field, "edge ", gamma.denominator):
             if root.is_zero():
                 continue
-            sub = newton._pp_substitute(pp, gamma, root, field)
             if gamma >= prec_left:
                 out.append(([(gamma, root)], False))
                 continue
+            sub = _fractional_substitute(pp, gamma, root, field)
             for tail, tail_exact in _every_root_expansions(sub, field, prec_left - gamma, budget - 1):
                 out.append(([(gamma, root)] + [(gamma + g2, c2) for g2, c2 in tail], tail_exact))
     return out
 
 
+def _every_root_branches(curve, precision):
+    f, field = curve.f, curve.f.ring.field
+    prec_z = Fraction(precision + 1)
+    gx = newton._chart(f, False)
+    points = [(False, c0) for c0, _ in phi_factoring_roots([(i, c) for (i, j), c in gx.items() if not j], field, "")]
+    if (f.total_degree(), 0) not in gx:
+        points.append((True, field.zero()))
+    expansions = []
+    for swap, c0 in points:
+        pp = _fractional_substitute(newton._chart(f, swap), Fraction(0), c0, field)
+        expansions += [(swap, c0, *found) for found in _every_root_expansions(pp, field, prec_z)]
+    branches = []
+    for swap, c0, terms, exact in expansions:
+        e = math.lcm(*(g.denominator for g, _ in terms))
+        pole = PuiseuxSeries.monomial(field, exp(-e), field.one())
+        w_terms = [(exp(0), c0)] + [(exp(g * e), c) for g, c in terms]
+        xs, ys = pole, PuiseuxSeries(field, w_terms, None if exact else exp(e * prec_z)) * pole
+        if swap:
+            xs, ys = ys, xs
+        values = {"x": xs, "y": ys}
+        entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, field))
+        branch = validate_branch(curve.scheme, entries)
+        branch.trusted_irreducible = curve.trusted_irreducible or not curve.irreducibility_checked
+        if is_centered_at_infinity(branch):
+            branches.append(branch)
+    return newton._dedup_branches(branches)
+
+
 def every_root_places(curve, precision):
     """places_at_infinity with every conjugate expansion built into a
-    branch and merged by `_dedup_branches`."""
-    with mock.patch.object(newton, "_np_expansions", _every_root_expansions):
-        return newton.places_at_infinity(curve, precision)
+    branch and merged by `_dedup_branches`, over F_p after one extension
+    when a root is missing."""
+    try:
+        return _every_root_branches(curve, precision)
+    except newton._ExtensionNeeded as need:
+        ext = FieldSpec("Fq", p=curve.f.ring.field.p, modulus=newton._monic_int_coeffs(need.factor))
+        return _every_root_branches(newton._lift_curve(curve, ext), precision)
