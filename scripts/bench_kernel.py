@@ -44,15 +44,18 @@ the same way), the series arithmetic over the polynomial coefficient ring
 k[lam, lami, c_i] that `stab_reparam` runs before its Groebner basis; each
 run builds its own Ansatz.
 
-The places at infinity: `places_at_infinity` on the additive plane for
-the circle x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus
-input), and at precision 12 for y^2 = x^3 over Q, for the circle over
-F_7, whose places need F_49, for y^4 = x over F_5, whose edge
-polynomial has four rational roots conjugate under t -> zeta t, for
-y^4 = x^5 over F_9, a binomial edge of ramification 4, and for
-y^3 = 2x^5 and y^2 = 3x over Q, whose edge polynomials -2c^5 + 1 and
-c^2 - 3 have no root in Q, so their places come from Duval's z = mu T^q
-with mu != 1; each run parses its own curve and scheme.
+The places at infinity: `places_at_infinity` on the additive plane
+(embedding [x, y]) for the circle x^2 + y^2 = 1 over F_5 at precision 20
+(the `circle_f5` corpus input), and at precision 12 for y^2 = x^3 over
+Q, for the circle over F_7, whose places need F_49, for y^4 = x over
+F_5, whose edge polynomial has four rational roots conjugate under
+t -> zeta t, for y^4 = x^5 over F_9, a binomial edge of ramification 4,
+and for y^3 = 2x^5 and y^2 = 3x over Q, whose edge polynomials
+-2c^5 + 1 and c^2 - 3 have no root in Q, so their places come from
+Duval's z = mu T^q with mu != 1; and at precision 12 for xy = 1 over Q
+into the additive line under x + 2y, whose two places map to
+t^-1 + 2t and 2t^-1 + t, merged into one branch by `mu_correct`; each
+run parses its own curve and scheme.
 
 Prints one JSON line: per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
@@ -161,14 +164,16 @@ def closures() -> dict:
     }
 
 
+PLANE = ["x", "y"]
 PLACES = {
-    "circle_f5": (FieldSpec("Fp", p=5), "x^2 + y^2 - 1", 20),
-    "cusp_q": (QQ, "y^2 - x^3", 12),
-    "circle_f7": (FieldSpec("Fp", p=7), "x^2 + y^2 - 1", 12),
-    "y4_x_f5": (FieldSpec("Fp", p=5), "y^4 - x", 12),
-    "y4_x5_f9": (FieldSpec("Fq", p=3, modulus=(1, 0, 1)), "y^4 - x^5", 12),
-    "y3_2x5_q": (QQ, "y^3 - 2*x^5", 12),
-    "y2_3x_q": (QQ, "y^2 - 3*x", 12),
+    "circle_f5": (FieldSpec("Fp", p=5), "x^2 + y^2 - 1", PLANE, 20),
+    "cusp_q": (QQ, "y^2 - x^3", PLANE, 12),
+    "circle_f7": (FieldSpec("Fp", p=7), "x^2 + y^2 - 1", PLANE, 12),
+    "y4_x_f5": (FieldSpec("Fp", p=5), "y^4 - x", PLANE, 12),
+    "y4_x5_f9": (FieldSpec("Fq", p=3, modulus=(1, 0, 1)), "y^4 - x^5", PLANE, 12),
+    "y3_2x5_q": (QQ, "y^3 - 2*x^5", PLANE, 12),
+    "y2_3x_q": (QQ, "y^2 - 3*x", PLANE, 12),
+    "xy_1_x2y_q": (QQ, "x*y - 1", ["x + 2*y"], 12),
 }
 
 
@@ -261,9 +266,10 @@ def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
     return {"basis": len(V.gens), **_stats(times)}
 
 
-def time_places(field: FieldSpec, f_text: str, precision: int, runs: int) -> dict:
+def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: int, runs: int) -> dict:
     def curve():
-        return parse_plane_curve({"f": f_text, "embedding": ["x", "y"]}, GroupScheme("Additive", 2, field))
+        scheme = GroupScheme("Additive", len(embedding), field)
+        return parse_plane_curve({"f": f_text, "embedding": embedding}, scheme)
 
     expansions = 0
     real_dedup = newton._dedup_branches

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
-from .factor import scalar_roots, uni_divmod, uni_factor
+from .factor import uni_divmod, uni_factor
 from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
@@ -289,8 +289,8 @@ def _np_expansions(pp: dict, field: FieldSpec, prec: int, budget: int = _NEWTON_
 def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Branch]:
     """One validated Branch per tube class of the places of the curve at
     infinity whose image under the embedding is centered at infinity:
-    places whose images are tube-equivalent (_dedup_branches) share one
-    branch, as they share one stabilizer."""
+    places whose images are identical or tube-equivalent under mu_correct
+    (_dedup_branches) share one branch, as they share one stabilizer."""
     try:
         return _places(curve, precision)
     except _ExtensionNeeded as need:
@@ -363,18 +363,17 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
 
 
 def _dedup_branches(branches: list[Branch]) -> list[Branch]:
-    """Drop duplicates, keeping the first branch of each tube class:
-    identical parameterizations first, then rescalings b(t) = a(lam t) of
-    an earlier branch a (s = lam t with eps = 1 is the tube certificate),
-    then anything else mu_correct finds tube-equivalent to an earlier
-    branch.  _np_expansions gives one expansion per place, so no conjugate
-    expansions reach here: a class of more than one branch comes from
-    distinct places that the embedding identifies, or whose images are
-    tube-equivalent, and the stabilizer depends only on the class."""
+    """Drop duplicates, keeping the first branch of each tube class: a
+    branch joins an earlier one when their parameterizations are identical
+    or mu_correct finds them tube-equivalent.  _np_expansions gives one
+    expansion per place, so no conjugate expansions reach here: a class of
+    more than one branch comes from distinct places that the embedding
+    identifies, or whose images are tube-equivalent, and the stabilizer
+    depends only on the class."""
     from .stabilizer import mu_correct  # lazy: avoids an import cycle
 
     def equivalent(a: Branch, b: Branch) -> bool:
-        if b.element.entries == a.element.entries or _is_rescaling(a, b):
+        if b.element.entries == a.element.entries:
             return True
         try:
             return mu_correct(a, b, order_budget=4) is not None
@@ -387,27 +386,3 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
             out.append(b)
     return out
 
-
-def _is_rescaling(a: Branch, b: Branch) -> bool:
-    """Whether b(t) = a(lam t) for some lam in k^*: every coordinate (y
-    included) has the same integral exponents and the same precision in a
-    and b, and c_b = lam^m c_a at each exponent m.  The candidates for lam
-    are the roots of lam^m = c_b/c_a at the first term with m != 0."""
-    pairs = []
-    for sa, sb in zip(a.element.flat(), b.element.flat()):
-        if sa.precision != sb.precision or len(sa.terms) != len(sb.terms):
-            return False
-        for (ea, ca), (eb, cb) in zip(sa.terms, sb.terms):
-            if ea != eb or not ea.is_rational() or ea.denominator != 1:
-                return False
-            pairs.append((ea.as_fraction().numerator, ca, cb))
-    lead = next(((m, cb / ca) for m, ca, cb in pairs if m), None)
-    if lead is None:
-        return False
-    m, ratio = lead  # lam^m = ratio
-    lam = PolyRing(a.field, ("lam",)).var("lam")
-    try:
-        roots = scalar_roots(lam ** abs(m) - lam.ring.from_scalar(ratio if m > 0 else ratio.inv()))
-    except CoefficientFieldTooSmall:
-        return False
-    return any(all(cb == r**e * ca for e, ca, cb in pairs) for r in roots)

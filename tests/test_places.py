@@ -11,11 +11,11 @@ from mustab.factor import uni_divmod, uni_factor
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, eval_poly_series
 from mustab.jobs import run_job
-from mustab.newton import PlaneCurveInput, _dedup_branches, _is_rescaling, check_irreducible_fragment, places_at_infinity
+from mustab.newton import PlaneCurveInput, _dedup_branches, check_irreducible_fragment, places_at_infinity
 from mustab.poly import Poly, PolyRing
 from mustab.series import parse_series
 
-from tests_helpers import every_root_places, field_elements
+from tests_helpers import every_root_places, field_elements, is_rescaling
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -181,73 +181,68 @@ def _count_mu_correct(monkeypatch):
 def test_conjugate_expansions_merge_without_the_ansatz(monkeypatch, f_text, field):
     """The k-rational roots of the edge polynomial are conjugate under
     t -> zeta t, so only the first is expanded: one expansion reaches
-    _dedup_branches, which needs neither the rescaling test nor
-    mu_correct."""
+    _dedup_branches, which needs no mu_correct."""
     from mustab import newton
 
-    seen, rescalings = [], []
-    dedup, is_rescaling = newton._dedup_branches, newton._is_rescaling
+    seen = []
+    dedup = newton._dedup_branches
 
     def recording(branches):
         seen.extend(branches)
         return dedup(branches)
 
-    def counting(a, b):
-        rescalings.append((a, b))
-        return is_rescaling(a, b)
-
     monkeypatch.setattr(newton, "_dedup_branches", recording)
-    monkeypatch.setattr(newton, "_is_rescaling", counting)
     calls = _count_mu_correct(monkeypatch)
     scheme = GroupScheme("Additive", 2, field)
     branches = places_at_infinity(_curve(f_text, ["x", "y"], scheme, field))
     assert len(seen) == 1
     assert branches == seen
-    assert rescalings == [] and calls == []
-
-
-def test_rescaling_keeps_the_two_circle_places():
-    """The two places of the circle over F_5 share x = 1/t, which forces
-    lam = 1, but their y-leads are 2 and 3."""
-    scheme = GroupScheme("Additive", 2, F5)
-    a, b = places_at_infinity(_curve("x^2 + y^2 - 1", ["x", "y"], scheme, F5), precision=20)
-    assert not _is_rescaling(a, b) and not _is_rescaling(b, a)
+    assert calls == []
 
 
 def _additive_branch(field, entries):
     return validate_branch(GroupScheme("Additive", 2, field), tuple(parse_series(e, field) for e in entries))
 
 
-def test_rescaling_by_a_non_root_of_unity_is_merged(monkeypatch):
-    """b(t) = a(2t) over Q: lam = 2, found from lam^-2 = 1/4 and checked on
-    every term, here with negative, zero and positive exponents."""
-    a = _additive_branch(QQ, [[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]])
-    b = _additive_branch(QQ, [[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]])
-    calls = _count_mu_correct(monkeypatch)
-    assert _is_rescaling(a, b) and _is_rescaling(b, a)
-    assert _dedup_branches([a, b]) == [a]
-    assert calls == []
-
-
 @pytest.mark.parametrize(
-    "entries",
+    "field, a_entries, b_entries",
     [
-        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "5"], ["1", "2"]], "prec": "3"}],
-        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "5"], ["1", "4"]], "prec": "4"}],
-        [{"terms": [["-2", "1/4"]], "prec": "4"}, {"terms": [["-1", "3/2"], ["0", "6"], ["1", "2"]], "prec": "4"}],
+        (QQ, [[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]], [[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]]),
+        (FieldSpec("QSqrt", d=2), [[["-4", "1"]], [["-1", "1"], ["1", "1"]]], [[["-4", "1"]], [["-1", "-1"], ["1", "-1"]]]),
     ],
-    ids=["one_precision", "linear_coefficient", "constant_coefficient"],
+    ids=["a_of_2t_Q", "a_of_minus_t_QSqrt2"],
 )
-def test_rescaling_needs_every_term_and_precision(entries):
-    """a(2t) with one precision or one coefficient changed is not a
-    rescaling of a, whatever lam is tried; the unchanged a(2t) is."""
+def test_dedup_merges_a_reparameterized_branch(monkeypatch, field, a_entries, b_entries):
+    """b(t) = a(lam t) is tube-equivalent to a, and mu_correct certifies
+    it: lam = 2 over Q, with negative, zero and positive exponents, and
+    lam = -1 over Q(sqrt 2) at a leading exponent -4."""
+    a, b = _additive_branch(field, a_entries), _additive_branch(field, b_entries)
+    calls = _count_mu_correct(monkeypatch)
+    assert _dedup_branches([a, b]) == [a]
+    assert len(calls) == 1
 
-    def inexact(parts):
-        return [{"terms": p, "prec": "4"} for p in parts]
 
-    a = _additive_branch(QQ, inexact([[["-2", "1"]], [["-1", "3"], ["0", "5"], ["1", "1"]]]))
-    assert _is_rescaling(a, _additive_branch(QQ, inexact([[["-2", "1/4"]], [["-1", "3/2"], ["0", "5"], ["1", "2"]]])))
-    assert not _is_rescaling(a, _additive_branch(QQ, entries))
+@pytest.mark.parametrize("field", [{"kind": "Q"}, {"kind": "Fp", "p": 7}, {"kind": "QSqrt", "d": 2}], ids=["Q", "F7", "QSqrt2"])
+def test_places_that_a_curve_reparameterizes_share_one_branch(monkeypatch, field):
+    """x + 2y on the hyperbola xy = 1 sends its places (t^-1, t) and
+    (t, t^-1) to t^-1 + 2t and 2t^-1 + t = a(t/2): mu_correct merges the
+    second into the first, so the job reports one branch."""
+    calls = _count_mu_correct(monkeypatch)
+    report, code = run_job({
+        "field": field,
+        "group": {"kind": "Additive", "n": 1},
+        "command": "places",
+        "input": {"plane_curve": {"f": "x*y - 1", "embedding": ["x + 2*y"]}},
+        "budgets": {"precision": 4},
+    })
+    assert code == 0 and len(calls) == 1
+    assert report["results"]["branches"] == [{
+        "entries": ({"terms": [["-1", "1"], ["1", "2"]]},),
+        "ramification": 1,
+        "centered_at_infinity": True,
+        "trusted_irreducible": False,
+        "notes": [],
+    }]
 
 
 F7 = FieldSpec("Fp", p=7)
@@ -396,7 +391,7 @@ def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_
     assert len(branches) == len(expected)
     assert all(b.field == field for b in branches + expected)
     for b in branches:
-        assert sum(_is_rescaling(a, b) for a in expected) == 1
+        assert sum(is_rescaling(a, b) for a in expected) == 1
 
 
 # the same with ((w - s z^(1/2))^8 - z^6): besides the two places above,
@@ -671,8 +666,8 @@ TUBE_EQUIVALENT_PLACES = "x^4 - 2*x^3*y + x^2*y^2 - x^3 + 3*x^2*y - 3*x*y^2 + y^
 
 def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
     """Over Q(sqrt -1) the places (t^-1, t^-1 + t + t^4 + ...) and
-    (t^-1, t^-1 + 2t - 8t^4 + ...) at [1:1:0] are distinct, neither a
-    rescaling of the other, but mu_correct finds them tube-equivalent, so
+    (t^-1, t^-1 + 2t - 8t^4 + ...) at [1:1:0] are distinct, but
+    mu_correct finds them tube-equivalent, so
     _dedup_branches keeps only the first: places_at_infinity gives one
     branch per tube class, as the stabilizer depends only on it."""
     from mustab import newton
@@ -693,5 +688,5 @@ def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
         "(t^(-1), t^(-1) + t + t^4 + O(t^(6)))",
         "(t^(-1), t^(-1) + 2*t - 8*t^4 + O(t^(6)))",
     ]
-    assert not _is_rescaling(first, second) and mu_correct(first, second, order_budget=4) is not None
+    assert mu_correct(first, second, order_budget=4) is not None
     assert branches == [first] + seen[2:]

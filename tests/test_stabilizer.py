@@ -614,6 +614,18 @@ def test_identity_component_split_roots_of_unity():
     assert krull_dim(comp) == krull_dim(cosets[0]) == 1
 
 
+def test_identity_component_leaves_an_unfactored_generator_incomplete():
+    """x^5 + x^3 + x splits into x and x^4 + x^2 + 1, which uni_factor
+    leaves unfactored over Q: the identity's piece is <x>, the other piece
+    is kept whole, and the split is not complete."""
+    scheme = GroupScheme("Additive", 1, QQ)
+    ring = scheme.coordinate_ring()
+    comp, cosets, complete = identity_component(ideal(ring, "x^5 + x^3 + x"), scheme, BUDGETS)
+    assert ideal_equal(comp, ideal(ring, "x"))
+    assert len(cosets) == 1 and ideal_equal(cosets[0], ideal(ring, "x^4 + x^2 + 1"))
+    assert not complete
+
+
 def test_identity_component_torus_union_translate():
     # synthetic fixture: diagonal torus union its Weyl translate, from an
     # honest ideal intersection

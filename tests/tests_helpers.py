@@ -7,7 +7,8 @@ one that builds them on demand), the list of a finite field's elements,
 and the places at infinity from every conjugate expansion in fractional
 exponents merged by `_dedup_branches`, with the edge-root classifier
 that factors phi (the reference for one expansion per place in Duval's
-variables)."""
+variables), and the exact test b(t) = a(lam t) that relates the places
+of the two."""
 
 import math
 from fractions import Fraction
@@ -18,7 +19,7 @@ from mustab.groups import GroupElement, GroupScheme, KPoint, eval_poly_series, m
 from mustab import newton
 from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
-from mustab.factor import uni_divmod, uni_factor
+from mustab.factor import scalar_roots, uni_divmod, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.linalg import _sparse, _subtract
 from mustab.poly import Poly, PolyRing
@@ -334,3 +335,28 @@ def every_root_places(curve, precision):
     except newton._ExtensionNeeded as need:
         ext = FieldSpec("Fq", p=curve.f.ring.field.p, modulus=newton._monic_int_coeffs(need.factor))
         return _every_root_branches(newton._lift_curve(curve, ext), precision)
+
+
+def is_rescaling(a, b) -> bool:
+    """Whether b(t) = a(lam t) for some lam in k^*: every coordinate (y
+    included) has the same integral exponents and the same precision in a
+    and b, and c_b = lam^m c_a at each exponent m.  The candidates for lam
+    are the roots of lam^m = c_b/c_a at the first term with m != 0."""
+    pairs = []
+    for sa, sb in zip(a.element.flat(), b.element.flat()):
+        if sa.precision != sb.precision or len(sa.terms) != len(sb.terms):
+            return False
+        for (ea, ca), (eb, cb) in zip(sa.terms, sb.terms):
+            if ea != eb or not ea.is_rational() or ea.denominator != 1:
+                return False
+            pairs.append((ea.as_fraction().numerator, ca, cb))
+    lead = next(((m, cb / ca) for m, ca, cb in pairs if m), None)
+    if lead is None:
+        return False
+    m, ratio = lead  # lam^m = ratio
+    lam = PolyRing(a.field, ("lam",)).var("lam")
+    try:
+        roots = scalar_roots(lam ** abs(m) - lam.ring.from_scalar(ratio if m > 0 else ratio.inv()))
+    except CoefficientFieldTooSmall:
+        return False
+    return any(all(cb == r**e * ca for e, ca, cb in pairs) for r in roots)
