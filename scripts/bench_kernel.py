@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""Time Groebner basis runs, closures, the ansatz and places alone on fixed inputs.
+"""Time the import, Groebner basis runs, closures, the ansatz and places alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
+
+The setup: perfbench's setup probe (perfbench/run.py), `import mustab`
+then `corpus_entries()`, timed inside each of N fresh `python -I`
+interpreters; then again with dataclasses, fractions and json imported
+before the clock starts, so that the share of the standard library shows.
 
 The Groebner inputs:
   * twisted_cubic: `eliminate` of x from <y - x^2, z - x^3>;
@@ -54,10 +59,14 @@ and for y^3 = 2x^5 and y^2 = 3x over Q, whose edge polynomials
 -2c^5 + 1 and c^2 - 3 have no root in Q, so their places come from
 Duval's z = mu T^q with mu != 1; and at precision 12 for xy = 1 over Q
 into the additive line under x + 2y, whose two places map to
-t^-1 + 2t and 2t^-1 + t, merged into one branch by `mu_correct`; each
-run parses its own curve and scheme.
+t^-1 + 2t and 2t^-1 + t, merged into one branch by `mu_correct`; and at
+precision 4 for the degree-15 curve of tests/test_places.py over F_5
+(places over F_25) and F_7, three places each, where `mu_correct` refuses
+each pair (over F_5 the lex basis of the (-6, -4) pair ran past 60 s in
+the order lam > lami > c_1 > ... > c_N, and takes milliseconds in the
+reverse order); each run parses its own curve and scheme.
 
-Prints one JSON line: per input the generator count (per flat closure
+Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, per curve the
 precision, the number of places and the number of expansions that reach
@@ -69,12 +78,14 @@ imported from the src/ next to this script.
 import argparse
 import json
 import statistics
+import subprocess
 import sys
 import time
 from itertools import combinations
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
@@ -164,6 +175,17 @@ def closures() -> dict:
     }
 
 
+# the three places of this curve are told apart by mu_correct alone
+DEGREE_15 = (
+    "x^10 - 9*x^9*y + 6*x^9 + 5*x^8*y^3 + 18*x^8*y^2 - 21*x^8*y + 5*x^8 - 36*x^7*y^4 + 69*x^7*y^3 - 72*x^7*y^2"
+    " + 84*x^7*y - 52*x^7 + 10*x^6*y^6 + 54*x^6*y^5 - 279*x^6*y^4 + 330*x^6*y^3 - 81*x^6*y^2 - 54*x^6*y + 52*x^6"
+    " - 54*x^5*y^7 + 117*x^5*y^6 + 189*x^5*y^5 - 540*x^5*y^4 + 335*x^5*y^3 + 45*x^5*y^2 - 18*x^5*y - 5*x^5"
+    " + 10*x^4*y^9 + 54*x^4*y^8 - 252*x^4*y^7 + 78*x^4*y^6 + 324*x^4*y^5 - 252*x^4*y^4 - 16*x^4*y^3 + 99*x^4*y^2"
+    " + 21*x^4*y - 6*x^4 - 36*x^3*y^10 + 51*x^3*y^9 + 27*x^3*y^8 + 18*x^3*y^7 - 209*x^3*y^6 + 135*x^3*y^5"
+    " + 129*x^3*y^4 + 32*x^3*y^3 - 9*x^3*y^2 - 3*x^3*y - x^3 + 5*x^2*y^12 + 18*x^2*y^11 + 6*x^2*y^10 - 4*x^2*y^9"
+    " - 81*x^2*y^8 + 45*x^2*y^7 + 58*x^2*y^6 + 27*x^2*y^5 + 6*x^2*y^4 + x^2*y^3 - 9*x*y^13 - 3*x*y^12 + 9*x*y^11"
+    " - 6*x*y^10 - 2*x*y^9 + y^15 + 1"
+)
 PLANE = ["x", "y"]
 PLACES = {
     "circle_f5": (FieldSpec("Fp", p=5), "x^2 + y^2 - 1", PLANE, 20),
@@ -174,7 +196,21 @@ PLACES = {
     "y3_2x5_q": (QQ, "y^3 - 2*x^5", PLANE, 12),
     "y2_3x_q": (QQ, "y^2 - 3*x", PLANE, 12),
     "xy_1_x2y_q": (QQ, "x*y - 1", ["x + 2*y"], 12),
+    "degree_15_f5": (FieldSpec("Fp", p=5), DEGREE_15, PLANE, 4),
+    "degree_15_f7": (FieldSpec("Fp", p=7), DEGREE_15, PLANE, 4),
 }
+
+# perfbench's setup probe; {preload} runs before the clock starts
+SETUP_PROBE = """
+import sys, time
+{preload}
+t0 = time.perf_counter()
+sys.path.insert(0, sys.argv[1])
+import mustab
+from mustab.corpus import corpus_entries
+corpus_entries()
+print(time.perf_counter() - t0)
+"""
 
 
 def _stats(times: list[float]) -> dict:
@@ -183,6 +219,16 @@ def _stats(times: list[float]) -> dict:
         "min_ms": round(min(times), 3),
         "max_ms": round(max(times), 3),
     }
+
+
+def time_setup(preload: str, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        probe = SETUP_PROBE.format(preload=preload)
+        done = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC)], capture_output=True, text=True, check=True)
+        times.append(float(done.stdout) * 1e3)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_ms": round(median, 3), "q1_ms": round(q1, 3), "q3_ms": round(q3, 3)}
 
 
 def time_basis(I: Ideal, drop, runs: int) -> dict:
@@ -303,6 +349,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=50)
     args = ap.parse_args()
+    setup = {"cold": time_setup("", args.runs), "stdlib_preloaded": time_setup("import dataclasses, fractions, json", args.runs)}
     shear, heavy = capture(SHEAR_JOB), capture(HEAVY_JOB)
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
     closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
@@ -317,7 +364,7 @@ def main() -> int:
     }
     quotient = time_ansatz_quotient(shear["closure_input"], args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
-    print(json.dumps({"runs": args.runs, "inputs": out, "implicitize": closed, "flat_closure": flat,
+    print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
                       "places": places}))
     return 0

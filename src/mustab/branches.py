@@ -16,7 +16,6 @@ O'Shea, Ideals, Varieties, and Algorithms, 3.3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldMismatch, IrrationalExponentInSubstitution, PrecisionInsufficient
@@ -27,17 +26,22 @@ from .ideals import (
 )
 from .linalg import echelon
 from .poly import Poly, PolyRing, monomials_up_to
+from .records import Record
 from .series import PuiseuxSeries
 
 
-@dataclass
-class Branch:
+class Branch(Record):
     """A parameterized curve germ a(t) on a group scheme."""
 
-    element: GroupElement
-    ramification: int
-    trusted_irreducible: bool = False
-    notes: tuple[str, ...] = ()
+    __slots__ = ("element", "ramification", "trusted_irreducible", "notes")
+
+    def __init__(
+        self, element: GroupElement, ramification: int, trusted_irreducible: bool = False, notes: tuple[str, ...] = ()
+    ):
+        self.element = element
+        self.ramification = ramification
+        self.trusted_irreducible = trusted_irreducible
+        self.notes = notes
 
     @property
     def scheme(self) -> GroupScheme:

@@ -38,8 +38,6 @@ and has two factors over Q, and the flag reads true with one component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .branches import Branch, curve_ideal, is_centered_at_infinity, laurent_point
 from .errors import FiberNotSplit, NotCenteredAtInfinity, SelfCheckFailed
 from .exponents import Exponent
@@ -54,17 +52,20 @@ from .ideals import (
     krull_dim,
 )
 from .poly import Poly, PolyRing
+from .records import Record
 from .series import PuiseuxSeries
 from .subgroups import SubgroupDesc, verify_subgroup
 
 
-@dataclass
-class DegenerationResult:
-    desc: SubgroupDesc
-    fiber: Ideal
-    closure: Ideal            # the flat closure in k[u][X], u its first variable
-    u_exponent: Exponent      # u = t^u_exponent
-    component_dims: list[int]
+class DegenerationResult(Record):
+    __slots__ = ("desc", "fiber", "closure", "u_exponent", "component_dims")
+
+    def __init__(self, desc: SubgroupDesc, fiber: Ideal, closure: Ideal, u_exponent: Exponent, component_dims: list[int]):
+        self.desc = desc
+        self.fiber = fiber
+        self.closure = closure  # the flat closure in k[u][X], u its first variable
+        self.u_exponent = u_exponent  # u = t^u_exponent
+        self.component_dims = component_dims
 
 
 def _clear_poles(p: Poly) -> Poly:

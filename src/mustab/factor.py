@@ -20,20 +20,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero
 from .fields import Scalar
 from .poly import Poly, PolyRing
+from .records import Record
 
 
-@dataclass
-class Factorization:
-    ring: PolyRing                       # the factored polynomial's ring
-    unit: Scalar
-    factors: list[tuple[Poly, int]]      # monic, irreducible over the field
-    unfactored: list[tuple[Poly, int]]   # monic, square-free, degree certified > 2, not split
+class Factorization(Record):
+    __slots__ = ("ring", "unit", "factors", "unfactored")
+
+    def __init__(self, ring: PolyRing, unit: Scalar, factors: list[tuple[Poly, int]], unfactored: list[tuple[Poly, int]]):
+        self.ring = ring  # the factored polynomial's ring
+        self.unit = unit
+        self.factors = factors  # monic, irreducible over the field
+        self.unfactored = unfactored  # monic, square-free, degree certified > 2, not split
 
     @property
     def complete(self) -> bool:

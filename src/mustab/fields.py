@@ -20,7 +20,6 @@ over Q(sqrt d) has the norm closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, zip_longest
@@ -28,6 +27,7 @@ from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 from .exponents import sqrt_str
+from .records import Frozen
 
 
 def pow_by_squaring(base, e: int, one):
@@ -91,8 +91,7 @@ def _int_nth_root(n: int, k: int) -> int | None:
 _KEYS = {"Q": (), "QSqrt": ("d",), "Fp": ("p",), "Fq": ("p", "modulus")}
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """Descriptor of an exact field: Q, QSqrt(d), Fp(p) or Fq(p, modulus).
 
     p is the characteristic of a finite field and None over Q.  An extension
@@ -101,31 +100,29 @@ class FieldSpec:
     w^2 - d for QSqrt, where d is a nonsquare integer.
     """
 
-    kind: str
-    d: int | None = None
-    p: int | None = None
-    modulus: tuple[int, ...] | None = None
+    __slots__ = ("kind", "d", "p", "modulus")
 
-    def __post_init__(self):
-        if self.kind not in _KEYS:
-            raise ValueError(f"unknown field kind {self.kind!r}")
-        if self.kind == "QSqrt":
-            if type(self.d) is not int or _int_nth_root(self.d, 2) is not None:
-                raise ValueError(f"QSqrt requires a nonsquare integer d, got {self.d!r}")
-            object.__setattr__(self, "modulus", (-self.d, 0, 1))
-        elif self.kind != "Q" and (self.p is None or not is_prime(self.p)):
-            raise ValueError(f"{self.kind} requires a prime, got {self.p}")
-        if self.kind == "Fq":
-            m = list(self.modulus or ())
-            if len(m) < 3 or m[-1] != 1 or any(c % self.p != c for c in m):
+    def __init__(self, kind: str, d: int | None = None, p: int | None = None, modulus: tuple[int, ...] | None = None):
+        if kind not in _KEYS:
+            raise ValueError(f"unknown field kind {kind!r}")
+        if kind == "QSqrt":
+            if type(d) is not int or _int_nth_root(d, 2) is not None:
+                raise ValueError(f"QSqrt requires a nonsquare integer d, got {d!r}")
+            modulus = (-d, 0, 1)
+        elif kind != "Q" and (p is None or not is_prime(p)):
+            raise ValueError(f"{kind} requires a prime, got {p}")
+        if kind == "Fq":
+            m = list(modulus or ())
+            if len(m) < 3 or m[-1] != 1 or any(c % p != c for c in m):
                 raise ValueError("Fq modulus must be monic of degree >= 2 with reduced coefficients")
             from .factor import uni_factor  # lazy: factor imports this module
             from .poly import Poly, PolyRing
 
-            fp = FieldSpec("Fp", p=self.p)
+            fp = FieldSpec("Fp", p=p)
             f = Poly(PolyRing(fp, ("x",)), {(i,): fp.from_int(c) for i, c in enumerate(m)})
             if uni_factor(f).factors != [(f, 1)]:
-                raise ValueError(f"Fq modulus {m} is reducible over F_{self.p}")
+                raise ValueError(f"Fq modulus {m} is reducible over F_{p}")
+        self._set(kind, d, p, modulus)
 
     @property
     def char(self) -> int:

@@ -26,7 +26,6 @@ the series field and k[x] with series coefficients.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -41,6 +40,7 @@ from .exponents import exp
 from .fields import FieldSpec, Scalar
 from .ideals import Ideal
 from .poly import Poly, PolyRing, eval_poly
+from .records import Frozen
 from .series import PuiseuxSeries
 
 
@@ -54,22 +54,26 @@ def matrix_coordinates(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
 
 
-@dataclass(frozen=True)
-class GroupScheme:
-    kind: str                       # GL | SL | Additive | Subgroup
-    n: int
-    field: FieldSpec
-    parent: GroupScheme | None = None
-    subgroup_ideal: Ideal | None = None
+class GroupScheme(Frozen):
+    # __dict__ holds the cached properties
+    __slots__ = ("kind", "n", "field", "parent", "subgroup_ideal", "__dict__")
 
-    def __post_init__(self):
-        if self.kind not in ("GL", "SL", "Additive", "Subgroup"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "Subgroup":
-            if self.parent is None or self.subgroup_ideal is None:
+    def __init__(
+        self,
+        kind: str,  # GL | SL | Additive | Subgroup
+        n: int,
+        field: FieldSpec,
+        parent: GroupScheme | None = None,
+        subgroup_ideal: Ideal | None = None,
+    ):
+        if kind not in ("GL", "SL", "Additive", "Subgroup"):
+            raise ValueError(f"unknown scheme kind {kind!r}")
+        if kind == "Subgroup":
+            if parent is None or subgroup_ideal is None:
                 raise ValueError("Subgroup requires a parent scheme and an ideal")
-            if self.subgroup_ideal.ring.variables != self.parent.coordinates():
+            if subgroup_ideal.ring.variables != parent.coordinates():
                 raise ValueError("subgroup ideal must live in the parent's coordinates")
+        self._set(kind, n, field, parent, subgroup_ideal)
 
     @property
     def root(self) -> GroupScheme:
@@ -398,17 +402,15 @@ class GroupElement(_Point):
         return f"GroupElement({self})"
 
 
-@dataclass(frozen=True)
-class KPoint(_Point):
+class KPoint(_Point, Frozen):
     """A point over the residue field k."""
 
-    scheme: GroupScheme
-    entries: tuple
-    y: Scalar | None = None
+    __slots__ = ("scheme", "entries", "y")
 
-    def __post_init__(self):
-        if self.scheme.root.kind == "GL" and self.y is None:
-            object.__setattr__(self, "y", mat_det(self.entries).inv())
+    def __init__(self, scheme: GroupScheme, entries: tuple, y: Scalar | None = None):
+        if scheme.root.kind == "GL" and y is None:
+            y = mat_det(entries).inv()
+        self._set(scheme, entries, y)
         values = self._values()
         for eq in self.scheme._equations:
             v = eq.eval_scalars(values)

@@ -49,33 +49,31 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add, le, mul, sub
 
 from .errors import BudgetExceeded, EmptyVariety
 from .linalg import Echelon
 from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, monomials_up_to, order_by_name
+from .records import Frozen, Record
 
 DEFAULT_SPOLY_BUDGET = 10_000
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Frozen):
     """An ideal of `ring` given by generators.  `basis_order`, set only in
     this module, names the order under which `gens` already is the reduced
     Groebner basis, sorted by leading monomial; it takes no part in
-    equality or hashing."""
+    equality, hashing or repr."""
 
-    ring: PolyRing
-    gens: tuple[Poly, ...]
-    basis_order: MonomialOrder | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("ring", "gens", "basis_order")
+    _hidden = ("basis_order",)
 
-    def __post_init__(self):
-        for g in self.gens:
-            if g.ring != self.ring:
+    def __init__(self, ring: PolyRing, gens: tuple[Poly, ...], basis_order: MonomialOrder | None = None):
+        for g in gens:
+            if g.ring != ring:
                 raise ValueError("generator outside the declared ring")
-        object.__setattr__(self, "gens", tuple(g for g in self.gens if not g.is_zero()))
+        self._set(ring, tuple(g for g in gens if not g.is_zero()), basis_order)
 
     def is_zero(self) -> bool:
         return not self.gens
@@ -426,12 +424,21 @@ def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
     return 0
 
 
-@dataclass
-class Budgets:
+class Budgets(Record):
     """Work caps shared across the pipeline."""
 
-    precision: int = 12
-    degree_bound: int = 8
-    order_budget: int = 6
-    spoly_budget: int = DEFAULT_SPOLY_BUDGET
-    sample_budget: int = 24
+    __slots__ = ("precision", "degree_bound", "order_budget", "spoly_budget", "sample_budget")
+
+    def __init__(
+        self,
+        precision: int = 12,
+        degree_bound: int = 8,
+        order_budget: int = 6,
+        spoly_budget: int = DEFAULT_SPOLY_BUDGET,
+        sample_budget: int = 24,
+    ):
+        self.precision = precision
+        self.degree_bound = degree_bound
+        self.order_budget = order_budget
+        self.spoly_budget = spoly_budget
+        self.sample_budget = sample_budget

@@ -22,7 +22,6 @@ F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
@@ -32,33 +31,32 @@ from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
 from .poly import Poly, PolyRing
+from .records import Record
 from .series import PuiseuxSeries
 
 # depth of the Newton-polygon recursion before BudgetExceeded
 _NEWTON_BUDGET = 200
 
 
-@dataclass
-class PlaneCurveInput:
+class PlaneCurveInput(Record):
     """An irreducible plane curve with an embedding into a group scheme.
 
     embedding is a vector of polynomials in (x, y) for Additive schemes or
     an n x n matrix of polynomials for matrix schemes.
     """
 
-    f: Poly
-    embedding: list
-    scheme: GroupScheme
-    trusted_irreducible: bool = False
-    irreducibility_checked: bool = dc_field(init=False)  # decided by check_irreducible_fragment
+    __slots__ = ("f", "embedding", "scheme", "trusted_irreducible", "irreducibility_checked")
 
-    def __post_init__(self):
-        ring = self.f.ring
-        if set(ring.variables) != {"x", "y"}:
+    def __init__(self, f: Poly, embedding: list, scheme: GroupScheme, trusted_irreducible: bool = False):
+        if set(f.ring.variables) != {"x", "y"}:
             raise ValueError("plane curves use variables x, y")
-        self.irreducibility_checked, irreducible = check_irreducible_fragment(self.f)
+        self.f = f
+        self.embedding = embedding
+        self.scheme = scheme
+        self.trusted_irreducible = trusted_irreducible
+        self.irreducibility_checked, irreducible = check_irreducible_fragment(f)
         if not irreducible:
-            raise ValueError(f"{self.f} is reducible; places are per irreducible curve")
+            raise ValueError(f"{f} is reducible; places are per irreducible curve")
         self._check_embedding_lands_in_scheme()
 
     def _check_embedding_lands_in_scheme(self):

@@ -10,12 +10,11 @@ Zariski closure of the reduced branch, which reads no degree bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .branches import Branch, is_centered_at_infinity
 from .degeneration import DegenerationResult, stab_degeneration, verify_flat_closure_at
 from .groups import GroupElement, KPoint
 from .ideals import Budgets, ideal_equal
+from .records import Record
 from .stabilizer import mu_correct, mu_reduce, stab_reparam
 from .subgroups import SubgroupDesc, TubeCertificate, verify_subgroup
 
@@ -23,17 +22,32 @@ from .subgroups import SubgroupDesc, TubeCertificate, verify_subgroup
 ALGORITHMS = ("reparam", "degeneration", "both")
 
 
-@dataclass
-class StabilizerRun:
-    reduced: Branch
-    certificate: TubeCertificate | None
-    dim_before: int
-    dim_after: int
-    bounded: bool
-    reparam: SubgroupDesc | None = None
-    degeneration: DegenerationResult | None = None
-    agreement: bool | None = None
-    notes: list[str] = dc_field(default_factory=list)
+class StabilizerRun(Record):
+    __slots__ = (
+        "reduced", "certificate", "dim_before", "dim_after", "bounded", "reparam", "degeneration", "agreement", "notes"
+    )
+
+    def __init__(
+        self,
+        reduced: Branch,
+        certificate: TubeCertificate | None,
+        dim_before: int,
+        dim_after: int,
+        bounded: bool,
+        reparam: SubgroupDesc | None = None,
+        degeneration: DegenerationResult | None = None,
+        agreement: bool | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.reduced = reduced
+        self.certificate = certificate
+        self.dim_before = dim_before
+        self.dim_after = dim_after
+        self.bounded = bounded
+        self.reparam = reparam
+        self.degeneration = degeneration
+        self.agreement = agreement
+        self.notes = [] if notes is None else notes
 
     @property
     def subgroup(self) -> SubgroupDesc:

@@ -8,13 +8,13 @@ by `+`/`-` and scalars written `a/b`, `a+b*sqrt(d)` or integers mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add, itemgetter
 
 from .errors import FieldMismatch
 from .fields import FieldSpec, Scalar, pow_by_squaring
+from .records import Frozen
 
 Monomial = tuple[int, ...]
 
@@ -92,15 +92,13 @@ def order_by_name(name: str) -> MonomialOrder:
     return _NAMED_ORDERS[name]
 
 
-@dataclass(frozen=True)
-class PolyRing:
-    field: FieldSpec
-    variables: tuple[str, ...]
-    order_name: str = "grevlex"
+class PolyRing(Frozen):
+    __slots__ = ("field", "variables", "order_name")
 
-    def __post_init__(self):
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, field: FieldSpec, variables: tuple[str, ...], order_name: str = "grevlex"):
+        if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
+        self._set(field, variables, order_name)
 
     @property
     def order(self) -> MonomialOrder:

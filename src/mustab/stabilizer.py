@@ -162,7 +162,12 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
         constraints, _ = _mu_conditions(e, require_identity_residue=True)
     except PrecisionInsufficient as exc:
         raise BudgetExceeded(f"precision too low to decide equivalence: {exc}")
-    J = Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,))
+    # the condition where c_k first appears is linear in c_k (with a unit
+    # coefficient when p does not divide the pole order), so the system is
+    # triangular from lam up: lex with c_N > ... > c_1 > lami > lam lets
+    # solve_point back-substitute from lam
+    ring = PolyRing(ansatz.ring.field, ansatz.ring.variables[::-1])
+    J = Ideal(ring, tuple(g.restrict(ring) for g in (*constraints, ansatz.relation)))
     sol = solve_point(J, defaults={"lam": a.field.one(), "lami": a.field.one()})
     if sol is None:
         return None

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dc_field
 from operator import mul
 
 from .errors import MustabError
@@ -40,29 +39,42 @@ from .ideals import (
 )
 from .factor import scalar_roots
 from .poly import Poly, PolyRing
+from .records import Record
 from .series import PuiseuxSeries
 
 # entries kept by the process-wide memo of each certificate function
 _MEMO_SIZE = 256
 
 
-@dataclass
-class ParamFamily:
+class ParamFamily(Record):
     """Residue family M(params) on the constraint variety V(relations)."""
 
-    ring: PolyRing
-    entries: tuple                  # Poly entries in the scheme's layout (groups.py), without y
-    relations: Ideal
+    __slots__ = ("ring", "entries", "relations")
+
+    def __init__(self, ring: PolyRing, entries: tuple, relations: Ideal):
+        self.ring = ring
+        self.entries = entries  # Poly entries in the scheme's layout (groups.py), without y
+        self.relations = relations
 
 
-@dataclass
-class SubgroupDesc:
-    scheme: GroupScheme
-    ideal: Ideal
-    dim: int
-    param: ParamFamily | None = None
-    flags: dict = dc_field(default_factory=dict)
-    cosets: tuple[Ideal, ...] = ()
+class SubgroupDesc(Record):
+    __slots__ = ("scheme", "ideal", "dim", "param", "flags", "cosets")
+
+    def __init__(
+        self,
+        scheme: GroupScheme,
+        ideal: Ideal,
+        dim: int,
+        param: ParamFamily | None = None,
+        flags: dict | None = None,
+        cosets: tuple[Ideal, ...] = (),
+    ):
+        self.scheme = scheme
+        self.ideal = ideal
+        self.dim = dim
+        self.param = param
+        self.flags = {} if flags is None else flags
+        self.cosets = cosets
 
     def classification(self) -> str:
         return classify_subgroup(self)
@@ -86,10 +98,12 @@ class SubgroupDesc:
         return out
 
 
-@dataclass
-class TubeCertificate:
-    s: PuiseuxSeries
-    eps: object       # GroupElement in mu
+class TubeCertificate(Record):
+    __slots__ = ("s", "eps")
+
+    def __init__(self, s: PuiseuxSeries, eps):
+        self.s = s
+        self.eps = eps  # GroupElement in mu
 
     def to_json(self) -> dict:
         from .series import series_to_json
@@ -294,10 +308,12 @@ def _classified(scheme: GroupScheme, ideal: Ideal, dim: int) -> str:
 
 # -- solvability ----------------------------------------------------------------
 
-@dataclass
-class SolvabilityResult:
-    value: bool | None          # None = inconclusive
-    note: str = ""
+class SolvabilityResult(Record):
+    __slots__ = ("value", "note")
+
+    def __init__(self, value: bool | None, note: str = ""):
+        self.value = value  # None = inconclusive
+        self.note = note
 
 
 def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool:

@@ -2,6 +2,8 @@
 
 import json
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -123,6 +125,19 @@ def test_report_deterministic_modulo_timing(tmp_path):
     report1.pop("timing")
     report2.pop("timing")
     assert json.dumps(report1, sort_keys=True) == json.dumps(report2, sort_keys=True)
+
+
+def test_import_loads_no_code_generation_machinery():
+    """Each CLI process imports the package for one job, so the import must
+    stay light: dataclasses alone pulls in inspect, dis, ast and tokenize."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import mustab; from mustab.corpus import corpus_entries; "
+        "corpus_entries(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe, str(ROOT / "src")], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_places_job():

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from mustab.errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
-from mustab.poly import PolyRing, parse_scalar
+from mustab.groups import GroupScheme
+from mustab.ideals import Budgets, Ideal
+from mustab.poly import PolyRing, order_by_name, parse_scalar
 from tests_helpers import field_elements
 
 QS2 = FieldSpec("QSqrt", d=2)
@@ -107,6 +109,50 @@ def test_field_mismatch():
     # equal specs built separately still combine
     assert F5.from_int(2) + FieldSpec("Fp", p=5).from_int(3) == F5.zero()
     assert PolyRing(F5, ("x",)).var("x") * PolyRing(FieldSpec("Fp", p=5), ("x",)).var("x") == PolyRing(F5, ("x",)).parse("x^2")
+
+
+def test_records_print_compare_freeze_and_pickle_field_by_field():
+    """The reprs a report can carry (a PolyRing's through the "polynomial
+    rings differ" FieldMismatch, which a job reports as its message) print
+    every field; the immutable records refuse assignment, hash their
+    compared fields and survive pickle and copy; an Ideal's basis_order
+    takes no part in ==, hash or repr."""
+    ring = PolyRing(QQ, ("x", "y"))
+    q_spec = "FieldSpec(kind='Q', d=None, p=None, modulus=None)"
+    assert repr(ring) == f"PolyRing(field={q_spec}, variables=('x', 'y'), order_name='grevlex')"
+    assert repr(GroupScheme("SL", 2, QQ)) == f"GroupScheme(kind='SL', n=2, field={q_spec}, parent=None, subgroup_ideal=None)"
+    assert repr(Budgets()) == "Budgets(precision=12, degree_bound=8, order_budget=6, spoly_budget=10000, sample_budget=24)"
+    with pytest.raises(FieldMismatch, match=r"polynomial rings differ: PolyRing\(field=FieldSpec\(kind='Q'"):
+        ring.var("x") + PolyRing(QQ, ("x",)).var("x")
+
+    sl2 = GroupScheme("SL", 2, QQ)
+    frozen = [
+        (QQ, ("kind", "d", "p", "modulus")),
+        (F9, ("kind", "d", "p", "modulus")),
+        (ring, ("field", "variables", "order_name")),
+        (sl2, ("kind", "n", "field", "parent", "subgroup_ideal")),
+        (sl2.identity(), ("scheme", "entries", "y")),
+        (Ideal(ring, (ring.var("x"),)), ("ring", "gens", "basis_order")),
+    ]
+    for record, fields in frozen:
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert hash(record) == hash(type(record)(*(getattr(record, n) for n in fields)))
+
+    for record in (QQ, QS2, F5, F9, ring, PolyRing(F9, ("x", "y"), "lex")):
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+            assert repr(twin) == repr(record)
+
+    x = ring.var("x")
+    plain, marked = Ideal(ring, (x,)), Ideal(ring, (x,), order_by_name("lex"))
+    assert plain == marked and hash(plain) == hash(marked) and repr(plain) == repr(marked)
+    assert "basis_order" not in repr(marked) and marked.basis_order is order_by_name("lex")
+
+    assert Budgets() == Budgets() and Budgets(precision=4) != Budgets() and Budgets() != ring
+    with pytest.raises(TypeError):
+        hash(Budgets())
 
 
 def test_fq_arithmetic_and_inverse():

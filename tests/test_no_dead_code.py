@@ -3,9 +3,9 @@
 A definition counts as used when a name, attribute or import alias in
 src/mustab or scripts/ mentions it outside the definition itself; one that
 only tests/ mention counts as used only when it is exported in
-mustab.__all__, since test-only helpers belong in tests/.  A field (a
-dataclass field, or an attribute a method assigns on self) counts as read
-when an attribute load or a string constant names it.
+mustab.__all__, since test-only helpers belong in tests/.  A field (a name
+in a class's __slots__, or an attribute a method assigns on self) counts
+as read when an attribute load or a string constant names it.
 """
 
 import ast
@@ -67,12 +67,17 @@ def test_every_definition_is_mentioned_elsewhere():
     assert not unused, "defined but never used outside tests/: " + ", ".join(unused)
 
 
+def _is_slots(node) -> bool:
+    return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets)
+
+
 def _fields(node: ast.ClassDef):
-    """(name, line) of each dataclass field and each attribute set on self."""
-    if any(ast.unparse(d).startswith("dataclass") for d in node.decorator_list):
-        for item in node.body:
-            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                yield item.target.id, item.lineno
+    """(name, line) of each __slots__ field and each attribute set on self."""
+    for item in node.body:
+        if _is_slots(item):
+            for name in ast.literal_eval(item.value):
+                if name != "__dict__":
+                    yield name, item.lineno
     for sub in ast.walk(node):
         if (
             isinstance(sub, ast.Attribute)
@@ -84,10 +89,17 @@ def _fields(node: ast.ClassDef):
 
 
 def _reads(tree):
+    # the names in a __slots__ declaration define fields, they do not read them
+    declared = {
+        id(c)
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for item in node.body if _is_slots(item)
+        for c in ast.walk(item.value)
+    }
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in declared:
             yield node.value
 
 

@@ -280,6 +280,54 @@ def test_places_are_pinned(f_text, field, expected):
     assert [(str(b.element), b.ramification, str(b.field)) for b in branches] == expected
 
 
+# three places, two of them with the pole orders (-6, -4): telling those
+# two apart is a lex basis that is fast only in the order in which the
+# tube conditions are triangular, c_N > ... > c_1 > lami > lam
+DEGREE_15 = (
+    "x^10 - 9*x^9*y + 6*x^9 + 5*x^8*y^3 + 18*x^8*y^2 - 21*x^8*y + 5*x^8 - 36*x^7*y^4 "
+    "+ 69*x^7*y^3 - 72*x^7*y^2 + 84*x^7*y - 52*x^7 + 10*x^6*y^6 + 54*x^6*y^5 - 279*x^6*y^4 "
+    "+ 330*x^6*y^3 - 81*x^6*y^2 - 54*x^6*y + 52*x^6 - 54*x^5*y^7 + 117*x^5*y^6 + 189*x^5*y^5 "
+    "- 540*x^5*y^4 + 335*x^5*y^3 + 45*x^5*y^2 - 18*x^5*y - 5*x^5 + 10*x^4*y^9 + 54*x^4*y^8 "
+    "- 252*x^4*y^7 + 78*x^4*y^6 + 324*x^4*y^5 - 252*x^4*y^4 - 16*x^4*y^3 + 99*x^4*y^2 "
+    "+ 21*x^4*y - 6*x^4 - 36*x^3*y^10 + 51*x^3*y^9 + 27*x^3*y^8 + 18*x^3*y^7 - 209*x^3*y^6 "
+    "+ 135*x^3*y^5 + 129*x^3*y^4 + 32*x^3*y^3 - 9*x^3*y^2 - 3*x^3*y - x^3 + 5*x^2*y^12 "
+    "+ 18*x^2*y^11 + 6*x^2*y^10 - 4*x^2*y^9 - 81*x^2*y^8 + 45*x^2*y^7 + 58*x^2*y^6 "
+    "+ 27*x^2*y^5 + 6*x^2*y^4 + x^2*y^3 - 9*x*y^13 - 3*x*y^12 + 9*x*y^11 - 6*x*y^10 - 2*x*y^9 "
+    "+ y^15 + 1"
+)
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        (
+            F5,
+            [
+                "(t^(-6), (4*w+1)*t^(-4) + w*t^(-2) + 4*t^(-1) + O(t^(24)))",
+                "(t^(-6), (4*w+1)*t^(-4) + w*t^(-2) + w*t^(-1) + O(t^(24)))",
+                "(t^(-3), (4*w+1)*t^(-2) + 4*w*t^(-1) + O(t^(12)))",
+            ],
+        ),
+        (
+            F7,
+            [
+                "(t^(-6), 6*t^(-4) + 6*t^(-2) + 5*t^(-1) + O(t^(24)))",
+                "(t^(-6), 6*t^(-4) + 6*t^(-2) + 4*t^(-1) + O(t^(24)))",
+                "(t^(-3), 6*t^(-2) + t^(-1) + O(t^(12)))",
+            ],
+        ),
+    ],
+    ids=["F5", "F7"],
+)
+def test_places_of_the_degree_15_curve(field, expected):
+    """Over F_5 the places lie over F_25; mu_correct refuses each pair, and
+    with lam > lami > c_1 > ... > c_N its lex basis for the (-6, -4) pair
+    ran for minutes."""
+    branches = places_at_infinity(_curve(DEGREE_15, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=4)
+    assert [str(b.element) for b in branches] == expected
+    assert {str(b.field) for b in branches} == {"F_5^2" if field is F5 else "F_7"}
+
+
 def test_places_over_an_extension_keep_a_subgroup_scheme():
     """Over F_5 the circle x^2 + 2y^2 = 1 needs sqrt(-2), so its places lie
     over F_25; they stay on the plane z = x of the additive 3-space."""
