@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, closures, the ansatz and places alone on fixed inputs.
+"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate and places alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -43,11 +43,16 @@ captured the same way.  A process certifies each ideal once and answers
 repeats from a memo, so the memo is cleared before each run, which times
 the check itself.
 
-The ansatz quotient: `stabilizer.Ansatz(b, 6).quotient(b.element)` for the
-reduced branch b of that shear (the branch `flat_closure` gets, captured
-the same way), the series arithmetic over the polynomial coefficient ring
-k[lam, lami, c_i] that `stab_reparam` runs before its Groebner basis; each
-run builds its own Ansatz.
+The ansatz quotient: `stabilizer.Ansatz(b, b.element, cap=6).quotient()`
+for the reduced branch b of that shear (the branch `flat_closure` gets,
+captured the same way), the series arithmetic over the polynomial
+coefficient ring k[lam, lami, c_i] that `stab_reparam` runs before its
+Groebner basis at order_budget 6; each run builds its own Ansatz.
+
+The tube certificate: `mu_correct(a, b)` for a = (t^-1, t^-7) and
+b = (t^-1, t^-7 - 7) on the additive plane over Q, tube-equivalent over
+s = t + t^8, so the ansatz must reach gamma = 7; each run parses its own
+branches.
 
 The places at infinity: `places_at_infinity` on the additive plane
 (embedding [x, y]) for the circle x^2 + y^2 = 1 over F_5 at precision 20
@@ -68,7 +73,8 @@ reverse order); each run parses its own curve and scheme.
 
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
-reduced, for the ansatz quotient its parameter count, per curve the
+reduced, for the ansatz quotient its parameter count, for the tube
+certificate the s it returns or null, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -296,10 +302,25 @@ def time_ansatz_quotient(branch, runs: int) -> dict:
     times = []
     for _ in range(runs):
         start = time.perf_counter()
-        ansatz = stabilizer.Ansatz(branch, 6)
-        ansatz.quotient(branch.element)
+        ansatz = stabilizer.Ansatz(branch, branch.element, cap=6)
+        ansatz.quotient()
         times.append((time.perf_counter() - start) * 1e3)
     return {"params": ansatz.ring.nvars, **_stats(times)}
+
+
+# (t^-1, t^-7) and (t^-1, t^-7 - 7): one tube over s = t + t^8
+ORDER_7_PAIR = ([_series((-1, 1)), _series((-7, 1))], [_series((-1, 1)), _series((-7, 1), (0, -7))])
+
+
+def time_mu_correct(pair, runs: int) -> dict:
+    scheme = GroupScheme("Additive", 2, QQ)
+    times = []
+    for _ in range(runs):
+        a, b = (parse_branch({"entries": entries}, scheme, None) for entries in pair)
+        start = time.perf_counter()
+        cert = stabilizer.mu_correct(a, b)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"s": None if cert is None else str(cert.s), **_stats(times)}
 
 
 def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
@@ -363,10 +384,11 @@ def main() -> int:
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
     quotient = time_ansatz_quotient(shear["closure_input"], args.runs)
+    certificate = time_mu_correct(ORDER_7_PAIR, args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
-                      "places": places}))
+                      "mu_correct_order_7": certificate, "places": places}))
     return 0
 
 

@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=ALGORITHMS, help="stabilizer algorithm override")
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
     p.add_argument("--degree-bound", type=int, metavar="D", help="type-dimension relation degree bound")
-    p.add_argument("--order-budget", type=int, metavar="N", help="reparameterization order budget")
+    p.add_argument("--order-budget", type=int, metavar="N", help="cap on the reparameterization stabilizer's ansatz order")
     p.add_argument("--strict", action="store_true", help="inconclusive solvability counts as failure")
     p.add_argument("--json-out", metavar="FILE", help="write the structured report here")
     return p

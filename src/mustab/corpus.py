@@ -7,7 +7,7 @@ textually, since reduced bases are order-sensitive.
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from .fields import FieldSpec
 from .groups import GroupScheme
@@ -16,8 +16,8 @@ from .jobs import EXIT_OK, EXIT_VERIFY, run_job
 
 
 def _load(name: str) -> dict:
-    path = resources.files("mustab").joinpath("corpus_data", name)
-    return json.loads(path.read_text())
+    with open(os.path.join(os.path.dirname(__file__), "corpus_data", name)) as f:
+        return json.load(f)
 
 
 def corpus_entries() -> list[dict]:

@@ -28,7 +28,7 @@ class CoefficientFieldTooSmall(MustabError):
 
 
 class BudgetExceeded(MustabError):
-    """A configured work cap (S-pairs, ansatz order, samples) was hit."""
+    """A configured work cap (S-pairs, samples, stab_reparam's ansatz order) was hit."""
 
     exit_code = 4
 
@@ -59,7 +59,7 @@ class IrrationalExponentInSubstitution(MustabError):
 
 class WildRamification(MustabError):
     """Characteristic-p obstruction: p divides a ramification or binomial
-    denominator."""
+    denominator, or a stabilizer needs exponents with p in the denominator."""
 
     exit_code = 3
 
@@ -96,9 +96,8 @@ class NotReduced(MustabError):
 
 class OrderBudgetTooSmall(NotReduced, BudgetExceeded):
     """The reparameterization's stabilizer has lower dimension than a
-    certified type dimension.  That dimension is exact, not a degree-bounded
-    count, so a larger ansatz order budget may reach it; a branch that is
-    not reduced is the other cause."""
+    certified type dimension, and order_budget cut its ansatz below the
+    order the branch reads: a larger order_budget may reach it."""
 
 
 class FiberNotSplit(MustabError):

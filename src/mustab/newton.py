@@ -374,7 +374,7 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
         if b.element.entries == a.element.entries:
             return True
         try:
-            return mu_correct(a, b, order_budget=4) is not None
+            return mu_correct(a, b) is not None
         except MustabError:
             return False
 

@@ -11,6 +11,7 @@ those constraints yields tube certificates and the stabilizer family.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import ceil
 
 from .branches import Branch, certified_dim, is_centered_at_infinity, type_dimension, validate_branch
 from .errors import (
@@ -22,6 +23,7 @@ from .errors import (
     OrderBudgetTooSmall,
     PrecisionInsufficient,
     SelfCheckFailed,
+    WildRamification,
 )
 from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_det
@@ -31,24 +33,10 @@ from .series import PowerList, PuiseuxSeries, ser_subst
 from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
-def ansatz_exponents(branch: Branch, order_budget: int) -> list[Fraction]:
-    """Reparameterization exponents: the branch's exponent lattice steps
-    (1/ram)Z in (0, order_budget], all ram * order_budget of them, which
-    contains the closure under addition of all exponent differences
-    present in the entries."""
-    r = branch.ramification
-    out = []
-    k = 1
-    while Fraction(k, r) <= order_budget:
-        out.append(Fraction(k, r))
-        k += 1
-    return out
-
-
 class Ansatz:
-    """Symbolic reparameterization with polynomial coefficients.
+    """Symbolic reparameterization of a against b, with polynomial coefficients.
 
-    `quotient(b)` expands a(s) only as far as `_mu_conditions` reads the
+    `quotient()` expands a(s) only as far as `_mu_conditions` reads the
     quotient a(s) * b^-1: its terms at exponents <= 0 and the sign of each
     entry's precision.  With a(s) known below P, each product term
     a(s)_ik * b^-1_kj is known below P + val(b^-1_kj), so P = 1 + max(0,
@@ -56,31 +44,38 @@ class Ansatz:
     included, leaves every such product known beyond exponent 0; on the
     additive scheme the law is a sum and P = 1.  Any larger P gives the
     same terms at exponents <= 0 and the same precision signs, so the
-    conditions are exact."""
+    conditions are exact.
 
-    def __init__(self, branch: Branch, order_budget: int):
+    The same P bounds the reach of s = lam^r t (1 + sum c_i t^gamma_i):
+    c t^gamma first moves a(s) at t^(low + gamma), low the lowest exponent
+    of a, y included, so the conditions read gamma = k/r only below P - low.
+    The ansatz takes all of them, those up to `cap` if one is given; `cut`
+    is the largest gamma the cap left out, else None."""
+
+    def __init__(self, branch: Branch, b: GroupElement, cap: int | None = None):
         self.branch = branch
-        field = branch.field
         self.r = branch.ramification
-        self.gammas = tuple(ansatz_exponents(branch, order_budget))
-        names = ("lam", "lami") + tuple(f"c{i + 1}" for i in range(len(self.gammas)))
-        self.ring = PolyRing(field, names)
-        tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
-        self.tail = PuiseuxSeries(self.ring, tail_terms, None)
-        self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
-        self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
+        self.b_inv = b.inv()
+        self.prec = EXP_ONE
+        if b.scheme.root.kind != "Additive":
+            bounds = [v for v in map(PuiseuxSeries.val_bound, self.b_inv.flat()) if v is not None]
+            self.prec += max([EXP_ZERO] + [-v for v in bounds])
         # one list of tail powers serves every coordinate substituted if it
         # reaches prec - low for the lowest exponent low of all, y included
         # (on GL, y = det^-1 can lie below every entry)
         self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
-
-    def precision(self, b_inv: GroupElement) -> Exponent:
-        """The precision quotient expands a(s) to against b^-1: 1 beyond
-        the deepest pole of b^-1, y included, or 1 on the additive scheme."""
-        if b_inv.scheme.root.kind == "Additive":
-            return EXP_ONE
-        bounds = [v for v in map(PuiseuxSeries.val_bound, b_inv.flat()) if v is not None]
-        return EXP_ONE + max([EXP_ZERO] + [-v for v in bounds])
+        reach = self.prec - self.low
+        gammas = []
+        while exp(Fraction(len(gammas) + 1, self.r)) < reach:
+            gammas.append(Fraction(len(gammas) + 1, self.r))
+        self.gammas = tuple(g for g in gammas if cap is None or g <= cap)
+        self.cut = gammas[-1] if len(self.gammas) < len(gammas) else None
+        names = ("lam", "lami") + tuple(f"c{i + 1}" for i in range(len(self.gammas)))
+        self.ring = PolyRing(branch.field, names)
+        tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
+        self.tail = PuiseuxSeries(self.ring, tail_terms, None)
+        self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
+        self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
 
     def tail_powers(self, prec: Exponent) -> PowerList:
         return PowerList(self.tail, prec - self.low)
@@ -92,12 +87,11 @@ class Ansatz:
     def subst(self, f: PuiseuxSeries, prec: Exponent, powers: PowerList) -> PuiseuxSeries:
         return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, powers))
 
-    def quotient(self, b: GroupElement) -> GroupElement:
-        """a(s) * b(t)^-1 over the ansatz ring, for the ansatz's branch a."""
-        b_inv = b.inv()
-        prec = self.precision(b_inv)
-        powers = self.tail_powers(prec)
-        return self.branch.element.map(lambda f: self.subst(f, prec, powers)).mul(b_inv.map(self.lift_series))
+    def quotient(self) -> GroupElement:
+        """a(s) * b(t)^-1 over the ansatz ring."""
+        powers = self.tail_powers(self.prec)
+        a_s = self.branch.element.map(lambda f: self.subst(f, self.prec, powers))
+        return a_s.mul(self.b_inv.map(self.lift_series))
 
 
 def _lead_root(lam, lami, r: int):
@@ -140,9 +134,10 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
     return constraints, residue
 
 
-def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate | None:
+def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     """Certificate that mu . a = mu . b (a reparameterization s and a
-    correction eps in mu with a(s) = eps * b), or None when none is found."""
+    correction eps in mu with a(s) = eps * b), or None when none is found.
+    The ansatz for s reaches as far as the pair's mu-conditions read."""
     if a.scheme != b.scheme:
         return None
     # direct attempt without reparameterization
@@ -156,10 +151,9 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     if any(s.has_irrational_exponent() for s in a.element.entries_flat()):
         return None  # a cannot go through substitution
 
-    ansatz = Ansatz(a, order_budget)
-    e = ansatz.quotient(b.element)
+    ansatz = Ansatz(a, b.element)
     try:
-        constraints, _ = _mu_conditions(e, require_identity_residue=True)
+        constraints, _ = _mu_conditions(ansatz.quotient(), require_identity_residue=True)
     except PrecisionInsufficient as exc:
         raise BudgetExceeded(f"precision too low to decide equivalence: {exc}")
     # the condition where c_k first appears is linear in c_k (with a unit
@@ -177,14 +171,14 @@ def mu_correct(a: Branch, b: Branch, order_budget: int = 6) -> TubeCertificate |
     terms = [(EXP_ONE, lead)] + [(EXP_ONE + exp(g), lead * c) for g, c in tail if not c.is_zero()]
     s0 = PuiseuxSeries(a.field, terms, None)
     lead_root = _lead_root(sol["lam"], sol["lami"], ansatz.r)
-    eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(b.element.inv())
+    eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(ansatz.b_inv)
     return TubeCertificate(s0, eps) if eps.in_mu() else None
 
 
-def _certify(a: Branch, b: Branch, order_budget: int) -> TubeCertificate | None:
+def _certify(a: Branch, b: Branch) -> TubeCertificate | None:
     """mu_correct(a, b), with a budget limit read as no certificate."""
     try:
-        return mu_correct(a, b, order_budget)
+        return mu_correct(a, b)
     except BudgetExceeded:
         return None
 
@@ -222,11 +216,11 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
     for cand in candidates:
         if unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
             continue
-        cert = _certify(branch, cand, budgets.order_budget)
+        cert = _certify(branch, cand)
         if cert is None and irrational:
             # the original cannot go through substitution; certify from the
             # rational-exponent side instead
-            cert = _certify(cand, branch, budgets.order_budget)
+            cert = _certify(cand, branch)
         if cert is None:
             continue
         dim_cand = certified_dim(cand)
@@ -308,18 +302,20 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     """Stabilizer via the reparameterization ansatz: integrality of
     a(s) a(t)^-1 carves the parameter variety; its residue family
     implicitizes to the subgroup ideal.  type_dim is the branch's type
-    dimension from mu_reduce; the stabilizer must reach it.  Falling short
-    of a dimension certified_dim confirms is an order budget limit
-    (OrderBudgetTooSmall), short of a degree-bounded count NotReduced."""
+    dimension from mu_reduce; the stabilizer must reach it.  Short of a
+    degree-bounded count the branch is not reduced (NotReduced).  Short of
+    a dimension certified_dim confirms, it is OrderBudgetTooSmall if
+    order_budget cut the ansatz; at its full reach no budget helps, so it
+    is WildRamification in characteristic p (the answer needs exponents
+    with p in the denominator) and SelfCheckFailed in characteristic 0."""
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("stabilizer ansatz requires an unbounded branch")
     if any(s.has_irrational_exponent() for s in branch.element.entries_flat()):
         raise IrrationalExponentInSubstitution("run mu_reduce first: irrational exponents in the branch")
 
-    ansatz = Ansatz(branch, budgets.order_budget)
-    e = ansatz.quotient(branch.element)
-    constraints, residue = _mu_conditions(e, require_identity_residue=False)
+    ansatz = Ansatz(branch, branch.element, cap=budgets.order_budget)
+    constraints, residue = _mu_conditions(ansatz.quotient(), require_identity_residue=False)
     J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)), budget=budgets.spoly_budget)
 
     nf = reducer(list(J.gens), ansatz.ring.order)
@@ -351,11 +347,13 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
         raise SelfCheckFailed(f"the reparameterization ideal is not a subgroup: {report['witness']}")
 
     if dim < type_dim:
-        if certified_dim(branch) == type_dim:
-            raise OrderBudgetTooSmall(
-                f"stabilizer dimension {dim} below certified type dimension {type_dim}; "
-                f"raise order_budget (now {budgets.order_budget})"
-            )
-        raise NotReduced(f"stabilizer dimension {dim} below type dimension {type_dim}; run mu_reduce first")
+        if certified_dim(branch) != type_dim:
+            raise NotReduced(f"stabilizer dimension {dim} below type dimension {type_dim}; run mu_reduce first")
+        short = f"stabilizer dimension {dim} below certified type dimension {type_dim}"
+        if ansatz.cut is not None:
+            raise OrderBudgetTooSmall(f"{short}; raise order_budget (now {budgets.order_budget}) to {ceil(ansatz.cut)}")
+        if branch.field.char:
+            raise WildRamification(f"{short} at full reach: it needs exponents with {branch.field.char} in the denominator")
+        raise SelfCheckFailed(f"{short} at the full reach of the ansatz")
     desc.flags["type_dimension"] = type_dim
     return desc

@@ -145,7 +145,7 @@ def test_criterion_04_two_places_of_the_hyperbola():
     elapsed = time.monotonic() - t0
     inequivalent = True
     if len(branches) == 2:
-        out = mu_correct(branches[0], branches[1], 4)
+        out = mu_correct(branches[0], branches[1])
         inequivalent = not isinstance(out, TubeCertificate)
     ok = len(branches) == 2 and inequivalent and elapsed < 5.0
     report("criterion 4: the hyperbola has exactly two inequivalent places at infinity", ok, f"{elapsed:.2f}s")

@@ -129,10 +129,11 @@ def test_report_deterministic_modulo_timing(tmp_path):
 
 def test_import_loads_no_code_generation_machinery():
     """Each CLI process imports the package for one job, so the import must
-    stay light: dataclasses alone pulls in inspect, dis, ast and tokenize."""
+    stay light: dataclasses alone pulls in inspect, dis, ast and tokenize,
+    and importlib.resources pulls in zipfile, pathlib, tempfile and shutil."""
     probe = (
         "import sys; sys.path.insert(0, sys.argv[1]); import mustab; from mustab.corpus import corpus_entries; "
-        "corpus_entries(); print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "corpus_entries(); print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'zipfile'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe, str(ROOT / "src")], capture_output=True, text=True, check=True, timeout=60
@@ -523,6 +524,27 @@ def test_stabilizer_below_certified_dimension_exits_4(group, inp, budgets):
     assert code == 4
     assert report["errors"][0]["type"] == "OrderBudgetTooSmall"
     assert "order_budget" in report["errors"][0]["message"]
+
+
+@pytest.mark.parametrize("algorithm", ["reparam", "both"])
+def test_shortfall_at_the_full_reach_in_characteristic_3_is_unsupported(algorithm):
+    """[t^-1, 0; t^-2, t] over F_3: dim p is certified 1, and the ansatz
+    reaches every exponent the pair reads (gamma < 5) below order_budget 8,
+    yet finds dimension 0.  The residue needs s = t(1 + c t^(1/3)), an
+    exponent with 3 in the denominator: no order budget helps, so the job
+    exits 3, not 4."""
+    job = {
+        "field": {"kind": "Fp", "p": 3},
+        "group": {"kind": "SL", "n": 2},
+        "command": "stab",
+        "algorithm": algorithm,
+        "input": {"branch": {"entries": [[ser(("-1", "1")), ZERO], [ser(("-2", "1")), ser(("1", "1"))]]}},
+        "budgets": {"precision": 16, "degree_bound": 6, "order_budget": 8},
+    }
+    report, code = run_job(job)
+    assert code == 3
+    assert report["errors"][0]["type"] == "WildRamification"
+    assert "3 in the denominator" in report["errors"][0]["message"]
 
 
 @pytest.mark.parametrize("algorithm", ["degeneration", "both"])

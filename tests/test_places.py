@@ -736,5 +736,5 @@ def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
         "(t^(-1), t^(-1) + t + t^4 + O(t^(6)))",
         "(t^(-1), t^(-1) + 2*t - 8*t^4 + O(t^(6)))",
     ]
-    assert mu_correct(first, second, order_budget=4) is not None
+    assert mu_correct(first, second) is not None
     assert branches == [first] + seen[2:]

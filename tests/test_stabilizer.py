@@ -87,8 +87,8 @@ def test_ansatz_power_list_covers_every_coordinate(make):
     list reaching that coordinate's lowest exponent gives: the same terms
     and the same precision."""
     branch = make()
-    ansatz = stabilizer.Ansatz(branch, 6)
-    prec = ansatz.precision(branch.element.inv())
+    ansatz = stabilizer.Ansatz(branch, branch.element)
+    prec = ansatz.prec
     shared = ansatz.tail_powers(prec)
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
@@ -127,9 +127,9 @@ def _conditions(quotient):
 
 
 def _assert_quotient_keeps_the_conditions(a, bs):
-    ansatz = stabilizer.Ansatz(a, 6)
     for b in bs:
-        got = _conditions(lambda: ansatz.quotient(b.element))
+        ansatz = stabilizer.Ansatz(a, b.element)
+        got = _conditions(ansatz.quotient)
         assert got == _conditions(lambda: _reference_quotient(ansatz, b.element)), (a.element, b.element)
 
 
@@ -209,10 +209,18 @@ def _ram5_branch():
     return validate_branch(ADD2, (S((-5, 1)), second))
 
 
-def test_ansatz_exponents_reach_the_order_budget_at_any_ramification():
-    """A ram-5 branch at order budget 6 gets every k/5 up to 6, all thirty
-    of them."""
-    assert stabilizer.ansatz_exponents(_ram5_branch(), 6) == [Fraction(k, 5) for k in range(1, 31)]
+def test_ansatz_reaches_below_p_minus_low_at_any_ramification():
+    """Against itself, the ram-5 branch has P = 1 and lowest exponent
+    low = -5: the ansatz takes every k/5 below P - low = 6, k = 1..29, and
+    a cap cuts that list without changing the reach."""
+    a = _ram5_branch()
+    ansatz = stabilizer.Ansatz(a, a.element)
+    assert (ansatz.prec, ansatz.low) == (exp(1), exp(-5))
+    assert ansatz.gammas == tuple(Fraction(k, 5) for k in range(1, 30))
+    assert ansatz.cut is None
+    capped = stabilizer.Ansatz(a, a.element, cap=4)
+    assert capped.gammas == tuple(Fraction(k, 5) for k in range(1, 21))
+    assert capped.cut == Fraction(29, 5)
 
 
 def test_ansatz_of_a_ram5_branch_reaches_gamma_5():
@@ -220,9 +228,9 @@ def test_ansatz_of_a_ram5_branch_reaches_gamma_5():
     gamma = 5: the ansatz carries that parameter, c25, and the residue of
     the first coordinate reads it."""
     a = _ram5_branch()
-    ansatz = stabilizer.Ansatz(a, 6)
+    ansatz = stabilizer.Ansatz(a, a.element)
     assert ansatz.gammas[24] == Fraction(5)
-    _, residue = stabilizer._mu_conditions(ansatz.quotient(a.element), require_identity_residue=False)
+    _, residue = stabilizer._mu_conditions(ansatz.quotient(), require_identity_residue=False)
     assert "c25" in residue[0].variables_used()
 
 
@@ -248,7 +256,7 @@ def test_quotient_precision_below_an_irrational_pole():
     r = Exponent(Fraction(0), Fraction(-1), 2)
     b = validate_branch(SL2, ((S((-1, 1)), PuiseuxSeries(QQ, [(r, QQ.one())], None)), (Z(), S((1, 1)))))
     a = x1_branch()
-    assert not stabilizer.Ansatz(a, 6).precision(b.element.inv()).is_rational()
+    assert not stabilizer.Ansatz(a, b.element).prec.is_rational()
     _assert_quotient_keeps_the_conditions(a, [b])
 
 
@@ -283,6 +291,18 @@ def test_mu_correct_with_unit_reparameterization():
     b = validate_branch(SL2, ((S((-1, 3)), Z()), (S((0, 1)), S((1, 1)).scale(QQ.from_int(3).inv()))))
     cert = mu_correct(a, b)
     assert isinstance(cert, TubeCertificate)
+
+
+def test_mu_correct_reaches_the_order_the_pair_needs():
+    """(t^-1, t^-7) and (t^-1, t^-7 - 7) are one tube over s = t + t^8:
+    s^-7 = t^-7 - 7 + O(t^7).  The pair reads gamma up to 7, beyond any
+    fixed order below it."""
+    a = validate_branch(ADD2, (S((-1, 1)), S((-7, 1))))
+    b = validate_branch(ADD2, (S((-1, 1)), S((-7, 1), (0, -7))))
+    cert = mu_correct(a, b)
+    assert isinstance(cert, TubeCertificate)
+    assert cert.s == S((1, 1), (8, 1))
+    assert cert.eps.in_mu()
 
 
 # -- mu_reduce ----------------------------------------------------------------
@@ -874,7 +894,7 @@ def test_sampled_stabilizer_points_stabilize_the_tube():
         assert len(pts) >= 3
         for h in pts:
             moved = run.reduced.translate(h)
-            cert = mu_correct(moved, run.reduced, 6)
+            cert = mu_correct(moved, run.reduced)
             assert isinstance(cert, TubeCertificate), f"{h} does not stabilize the tube"
 
 
