@@ -69,7 +69,12 @@ precision 4 for the degree-15 curve of tests/test_places.py over F_5
 (places over F_25) and F_7, three places each, where `mu_correct` refuses
 each pair (over F_5 the lex basis of the (-6, -4) pair ran past 60 s in
 the order lam > lami > c_1 > ... > c_N, and takes milliseconds in the
-reverse order); each run parses its own curve and scheme.
+reverse order); and at precision 4 for 2 + 2y^6 + xy^5 + 2x^2y^2 + 2x^6
+over F_3, whose degree form has roots of degrees 1, 2 and 3, so that its
+six places lie over F_3^6, and for y^4 + xy^2 + 2x^2 + 1 over F_5, whose
+edge polynomial psi = u^2 + u + 2 puts its two places over F_25 (the
+pass over F_p that asks for the extension is timed too); each run
+parses its own curve and scheme.
 
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
@@ -204,6 +209,8 @@ PLACES = {
     "xy_1_x2y_q": (QQ, "x*y - 1", ["x + 2*y"], 12),
     "degree_15_f5": (FieldSpec("Fp", p=5), DEGREE_15, PLANE, 4),
     "degree_15_f7": (FieldSpec("Fp", p=7), DEGREE_15, PLANE, 4),
+    "three_and_two_f3": (FieldSpec("Fp", p=3), "2 + 2*y^6 + x*y^5 + 2*x^2*y^2 + 2*x^6", PLANE, 4),
+    "quadratic_psi_f5": (FieldSpec("Fp", p=5), "y^4 + x*y^2 + 2*x^2 + 1", PLANE, 4),
 }
 
 # perfbench's setup probe; {preload} runs before the clock starts

@@ -12,8 +12,8 @@ larger polynomial would leave a cofactor that the loop treats otherwise).
 Inside this module a polynomial is dense: a list of Scalars, lowest degree
 first, whose last entry is nonzero ([] is zero), so its degree is its
 length minus one.  Polys are read and written only at the public entry
-points `uni_factor`, `scalar_roots` and `uni_divmod`, and factors come
-back as Polys in the caller's ring and variable.
+points `uni_factor` and `scalar_roots`, and factors come back as Polys in
+the caller's ring and variable.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import CoefficientFieldTooSmall, DivisionByZero
+from .errors import CoefficientFieldTooSmall
 from .fields import Scalar
 from .poly import Poly, PolyRing
 from .records import Record
@@ -62,19 +62,6 @@ def _dense(f: Poly) -> tuple[list[Scalar], int]:
 def _poly(a: list[Scalar], ring: PolyRing, i: int) -> Poly:
     zeros = (0,) * ring.nvars
     return Poly._trusted(ring, {zeros[:i] + (e,) + zeros[i + 1 :]: c for e, c in enumerate(a) if not c.is_zero()})
-
-
-def uni_divmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder of f by a nonzero g, both univariate in one
-    variable."""
-    if g.is_zero():
-        raise DivisionByZero(f"division of {f} by zero")
-    a, i = _dense(f)
-    b, j = _dense(g)
-    if len(a) > 1 and len(b) > 1 and i != j:
-        raise ValueError(f"{f} and {g} are not in one variable")
-    k = j if len(b) > 1 else i
-    return tuple(_poly(h, f.ring, k) for h in _divmod(a, b))
 
 
 # -- dense arithmetic ---------------------------------------------------------

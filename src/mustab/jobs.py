@@ -7,6 +7,7 @@ re-parses and is byte-stable modulo the timing block.
 
 from __future__ import annotations
 
+import random
 import time
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
@@ -14,9 +15,10 @@ from .errors import DivisionByZero, FieldMismatch, MustabError
 from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, iwasawa, random_kpoint
-from .ideals import Budgets, Ideal, ideal_equal
+from .ideals import Budgets, Ideal, ideal_equal, ideal_member, krull_dim
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
+from .poly import PolyRing
 from .series import parse_series, series_to_json
 from .stabilizer import mu_reduce
 from .subgroups import SubgroupDesc, conjugate_stab, is_solvable, verify_subgroup
@@ -70,8 +72,6 @@ def parse_branch(data: dict, scheme: GroupScheme, d: int | None) -> Branch:
 
 
 def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
-    from .poly import PolyRing
-
     ring = PolyRing(scheme.field, ("x", "y"))
     f = ring.parse(data["f"])
     embedding = _parse_entries(scheme, data["embedding"], ring.parse)
@@ -132,8 +132,6 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             report["results"]["b"] = _element_json(b2)
             report["results"]["u_integral"] = u.is_integral()
         else:  # verify; _read_input rejected any other command
-            from .ideals import krull_dim
-
             desc = SubgroupDesc(scheme, inp, krull_dim(inp))
             ok, rep = verify_subgroup(desc, budgets)
             solv = is_solvable(desc, budgets) if ok else None
@@ -262,8 +260,6 @@ def _agreement_witness(run: StabilizerRun, index: int) -> str:
         return f"branch {index}"
     left = run.reparam.ideal
     right = run.degeneration.desc.ideal
-    from .ideals import ideal_member
-
     separator = None
     for g in left.gens:
         if not ideal_member(g, right):
@@ -283,8 +279,6 @@ def _agreement_witness(run: StabilizerRun, index: int) -> str:
 
 def _conjugation_check(run: StabilizerRun, budgets: Budgets) -> bool:
     """Stab(g . a) = g Stab(a) g^-1 at two random k-points g."""
-    import random
-
     rng = random.Random(31)
     for _ in range(2):
         g = random_kpoint(run.reduced.scheme, rng)

@@ -15,8 +15,10 @@ w -> T^m (c + w) with c^q = rho mu^m.  Exponents stay integral, and each
 place whose expansion is k-rational is expanded once, over k, as
 z = lam t^n; its x = 1/z = lam^-1 t^-n may carry a coefficient.
 
-Over F_p a missing Newton-polygon root triggers one automatic extension to
-F_{p^n}; over Q and Q(sqrt d) it surfaces as CoefficientFieldTooSmall.
+Over F_p a root of psi missing from the field restarts the whole
+computation over F_{p^L}, L the lcm of the degrees over F_p of every root
+met; over Q, Q(sqrt d) and a given F_q it surfaces as
+CoefficientFieldTooSmall.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
-from .factor import uni_divmod, uni_factor
+from .factor import uni_factor
 from .fields import FieldSpec, Scalar
 from .groups import GroupScheme, eval_poly_series, mat_det
 from .ideals import Ideal, ideal_member
@@ -36,6 +38,9 @@ from .series import PuiseuxSeries
 
 # depth of the Newton-polygon recursion before BudgetExceeded
 _NEWTON_BUDGET = 200
+# the most elements of an extension F_{p^L} that holds the places of a
+# curve over F_p; a curve whose places need more is CoefficientFieldTooSmall
+_MAX_EXTENSION_ORDER = 10**6
 
 
 class PlaneCurveInput(Record):
@@ -182,8 +187,11 @@ def _pp_substitute(pp: dict, m: int, q: int, c: Scalar, mu: Scalar) -> dict:
 
 
 class _ExtensionNeeded(Exception):
-    def __init__(self, factor: Poly):
-        self.factor = factor
+    """Roots of psi missing from a finite field; degree is that over F_p
+    of the least extension of the field that holds them."""
+
+    def __init__(self, degree: int):
+        self.degree = degree
 
 
 def _newton_roots(coeffs, field: FieldSpec, what: str, q: int = 1, m: int = 0) -> list[tuple[Scalar, Scalar]]:
@@ -203,10 +211,10 @@ def _newton_roots(coeffs, field: FieldSpec, what: str, q: int = 1, m: int = 0) -
       others differ from it by T -> zeta T, zeta^q = 1, which fixes z and
       every earlier term, so they give the same place;
     - otherwise mu = rho^v and c = rho^u with uq - vm = 1, 0 <= v < q.
-    The roots of a nonlinear factor of psi lie over an extension of k,
-    which is fatal here (or triggers an extension over F_p).  Only then is
-    phi itself factored, over F_p, to name the extension: its first
-    nonlinear factor in uni_factor's order whose roots are missing.
+    The roots of a nonlinear factor of psi lie over an extension of k.
+    Over a finite field that raises _ExtensionNeeded with the degree of k
+    over F_p times the lcm of those factors' degrees, and elsewhere it is
+    CoefficientFieldTooSmall.
     """
     i0 = min(i for i, _ in coeffs)
     if len(coeffs) == 1:  # a c^i0: psi is constant
@@ -218,10 +226,10 @@ def _newton_roots(coeffs, field: FieldSpec, what: str, q: int = 1, m: int = 0) -
         return str(var - ring.from_scalar(r))
 
     fac = uni_factor(Poly(ring, {((i - i0) // q,): a for i, a in coeffs}))
-    roots, missing = [], False
+    roots, missing = [], []
     for g, _ in fac.factors + fac.unfactored:
         if g.total_degree() > 1:
-            missing = True
+            missing.append(g.total_degree())
             continue
         rho = -g.constant_coefficient()
         found = [] if field.kind == "QSqrt" and q > 2 else rho.kth_roots(q)
@@ -231,19 +239,13 @@ def _newton_roots(coeffs, field: FieldSpec, what: str, q: int = 1, m: int = 0) -
             v = -pow(m, -1, q) % q
             roots.append((rho ** ((1 + v * m) // q), rho**v))
     if missing:
+        if field.p:
+            raise _ExtensionNeeded(field.extension_degree * math.lcm(*missing))
         phi = Poly(ring, {(i,): a for i, a in coeffs})
-        if field.kind == "Fp":
-            raise _ExtensionNeeded(next(h for h, _ in uni_factor(phi).factors if _is_missing(h, q)))
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
     if len(roots) > 1:
         roots.sort(key=lambda root: order(root[0]))
     return roots
-
-
-def _is_missing(h: Poly, q: int) -> bool:
-    """Whether the roots beta of an irreducible factor h of phi are
-    missing: h is nonlinear and beta^q, c^q mod h, is outside k."""
-    return h.total_degree() > 1 and not uni_divmod(h.ring.var("c") ** q, h)[1].is_constant()
 
 
 def _np_expansions(pp: dict, field: FieldSpec, prec: int, budget: int = _NEWTON_BUDGET):
@@ -288,28 +290,40 @@ def places_at_infinity(curve: PlaneCurveInput, precision: int = 12) -> list[Bran
     """One validated Branch per tube class of the places of the curve at
     infinity whose image under the embedding is centered at infinity:
     places whose images are identical or tube-equivalent under mu_correct
-    (_dedup_branches) share one branch, as they share one stabilizer."""
-    try:
-        return _places(curve, precision)
-    except _ExtensionNeeded as need:
-        p = curve.f.ring.field.p
-        ext = FieldSpec("Fq", p=p, modulus=_monic_int_coeffs(need.factor))
-        try:
-            lifted = _lift_curve(curve, ext)
-        except ValueError:  # a univariate f irreducible over F_p may split over ext
-            raise CoefficientFieldTooSmall(f"the places of {curve.f} need {ext}, over which it is reducible")
+    (_dedup_branches) share one branch, as they share one stabilizer.
+
+    Over F_p, a root missing from the field restarts the computation:
+    each pass rebuilds the F_p curve over F_{p^L}, L the degree that
+    _ExtensionNeeded names, until no root is missing.  Past
+    _MAX_EXTENSION_ORDER elements, and over any other field, a missing
+    root is CoefficientFieldTooSmall."""
+    field = curve.f.ring.field
+    lifted = curve
+    while True:
         try:
             return _places(lifted, precision)
-        except _ExtensionNeeded:
-            raise CoefficientFieldTooSmall(f"roots escape one extension level over F_{p}")
+        except _ExtensionNeeded as need:
+            ext = f"F_{field.p}^{need.degree}"
+            if field.kind != "Fp":
+                raise CoefficientFieldTooSmall(f"the places of {curve.f} need {ext}, not {field}")
+            if field.p**need.degree > _MAX_EXTENSION_ORDER:
+                raise CoefficientFieldTooSmall(f"the places of {curve.f} need {ext}, past {_MAX_EXTENSION_ORDER} elements")
+            try:
+                lifted = _lift_curve(curve, _extension(field.p, need.degree))
+            except ValueError:  # a univariate f irreducible over F_p may split over F_{p^L}
+                raise CoefficientFieldTooSmall(f"the places of {curve.f} need {ext}, over which it is reducible")
 
 
-def _monic_int_coeffs(g: Poly) -> tuple[int, ...]:
-    """The F_p residues of a monic factor in c, lowest degree first."""
-    coeffs = [0] * (g.total_degree() + 1)
-    for (e,), c in g.terms.items():
-        coeffs[e] = c.rep
-    return tuple(coeffs)
+def _extension(p: int, degree: int) -> FieldSpec:
+    """F_{p^degree} by a rule that depends on (p, degree) alone, so that
+    reports are deterministic: its modulus is the first monic polynomial
+    of that degree, with the base-p digits of 0, 1, 2, ... as its lower
+    coefficients from the lowest up, that is irreducible over F_p."""
+    for i in range(p**degree):
+        try:
+            return FieldSpec("Fq", p=p, modulus=(*(i // p**k % p for k in range(degree)), 1))
+        except ValueError:  # reducible
+            continue
 
 
 def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:

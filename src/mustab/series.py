@@ -41,7 +41,7 @@ from .errors import (
 )
 from .exponents import EXP_ZERO, Exponent, exp
 from .fields import FieldSpec, Scalar, pow_by_squaring
-from .poly import PolyRing
+from .poly import PolyRing, parse_scalar
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
 
@@ -444,8 +444,6 @@ def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> P
     """JSON literal: {"terms": [[exponent, coefficient], ...], "prec": e}
     with exponents "a/b" or "a/b+c/e*sqrt(d)" and scalar coefficient
     strings; a bare list is shorthand for exact terms."""
-    from .poly import parse_scalar
-
     if isinstance(data, list):
         items, prec = data, None
     else:

@@ -40,7 +40,7 @@ from .ideals import (
 from .factor import scalar_roots
 from .poly import Poly, PolyRing
 from .records import Record
-from .series import PuiseuxSeries
+from .series import PuiseuxSeries, series_to_json
 
 # entries kept by the process-wide memo of each certificate function
 _MEMO_SIZE = 256
@@ -106,8 +106,6 @@ class TubeCertificate(Record):
         self.eps = eps  # GroupElement in mu
 
     def to_json(self) -> dict:
-        from .series import series_to_json
-
         return {"s": series_to_json(self.s), "eps": str(self.eps)}
 
 

@@ -11,7 +11,7 @@ import pytest
 from mustab.fields import QQ, FieldSpec
 from mustab.factor import scalar_roots, uni_factor
 from mustab.poly import PolyRing
-from tests_helpers import factorization_product
+from tests_helpers import factorization_product, uni_divmod
 
 F5 = FieldSpec("Fp", p=5)
 QS2 = FieldSpec("QSqrt", d=2)
@@ -143,7 +143,7 @@ def test_powmod_skips_the_last_square(monkeypatch):
         calls.clear()
         got = factor._powmod(dense_base, e, dense_mod)
         assert len(calls) == 1 + (e.bit_length() - 1) + bin(e).count("1")
-        assert got == factor._dense(factor.uni_divmod(base**e, mod)[1])[0]
+        assert got == factor._dense(uni_divmod(base**e, mod)[1])[0]
 
 
 F2 = FieldSpec("Fp", p=2)

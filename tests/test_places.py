@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mustab.branches import is_centered_at_infinity, validate_branch
-from mustab.errors import CoefficientFieldTooSmall
-from mustab.factor import uni_divmod, uni_factor
+from mustab.errors import CoefficientFieldTooSmall, EmptyVariety, WildRamification
+from mustab.factor import uni_factor
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, eval_poly_series
+from mustab.ideals import Ideal, krull_dim
 from mustab.jobs import run_job
+from mustab import newton
 from mustab.newton import PlaneCurveInput, _dedup_branches, check_irreducible_fragment, places_at_infinity
 from mustab.poly import Poly, PolyRing
 from mustab.series import parse_series
@@ -124,8 +126,6 @@ def test_extension_on_demand_over_fp():
 
 
 def test_wild_ramification_detected():
-    from mustab.errors import WildRamification
-
     scheme = GroupScheme("Additive", 2, F5)
     curve = _curve("y^2 - x^5", ["x", "y"], scheme, F5)
     with pytest.raises(WildRamification):
@@ -182,8 +182,6 @@ def test_conjugate_expansions_merge_without_the_ansatz(monkeypatch, f_text, fiel
     """The k-rational roots of the edge polynomial are conjugate under
     t -> zeta t, so only the first is expanded: one expansion reaches
     _dedup_branches, which needs no mu_correct."""
-    from mustab import newton
-
     seen = []
     dedup = newton._dedup_branches
 
@@ -303,9 +301,9 @@ DEGREE_15 = (
         (
             F5,
             [
-                "(t^(-6), (4*w+1)*t^(-4) + w*t^(-2) + 4*t^(-1) + O(t^(24)))",
-                "(t^(-6), (4*w+1)*t^(-4) + w*t^(-2) + w*t^(-1) + O(t^(24)))",
-                "(t^(-3), (4*w+1)*t^(-2) + 4*w*t^(-1) + O(t^(12)))",
+                "(t^(-3), (w+3)*t^(-2) + (w+2)*t^(-1) + O(t^(12)))",
+                "(t^(-6), (w+3)*t^(-4) + (4*w+3)*t^(-2) + (w+2)*t^(-1) + O(t^(24)))",
+                "(t^(-6), (w+3)*t^(-4) + (4*w+3)*t^(-2) + 4*t^(-1) + O(t^(24)))",
             ],
         ),
         (
@@ -320,9 +318,9 @@ DEGREE_15 = (
     ids=["F5", "F7"],
 )
 def test_places_of_the_degree_15_curve(field, expected):
-    """Over F_5 the places lie over F_25; mu_correct refuses each pair, and
-    with lam > lami > c_1 > ... > c_N its lex basis for the (-6, -4) pair
-    ran for minutes."""
+    """Over F_5 the places lie over F_25 = F_5[w]/(w^2 + 2); mu_correct
+    refuses each pair, and with lam > lami > c_1 > ... > c_N its lex basis
+    for the (-6, -4) pair ran for minutes."""
     branches = places_at_infinity(_curve(DEGREE_15, ["x", "y"], GroupScheme("Additive", 2, field), field), precision=4)
     assert [str(b.element) for b in branches] == expected
     assert {str(b.field) for b in branches} == {"F_5^2" if field is F5 else "F_7"}
@@ -419,8 +417,6 @@ def test_one_expansion_per_place_matches_merging_every_conjugate(monkeypatch, f_
     under the root s = -1, which the reference keeps, while Duval's
     variables expand both places under the first root: there the places
     match the reference's up to t -> lam t, in some order."""
-    from mustab import newton
-
     scheme = GroupScheme("Additive", 2, field)
     expected = every_root_places(_curve(f_text, ["x", "y"], scheme, field), 4)
     seen = []
@@ -551,35 +547,46 @@ def _has_qth_root(rho, q):
     return all(round(abs(n) ** (1 / q)) ** q == abs(n) for n in (r.numerator, r.denominator))
 
 
+def _splits(psi, p, degree):
+    """Whether psi over F_p splits into linear factors over F_(p^degree),
+    built by newton's rule."""
+    field = FieldSpec("Fp", p=p) if degree == 1 else newton._extension(p, degree)
+    lifted = Poly(PolyRing(field, ("c",)), {e: a.embed(field) for e, a in psi.terms.items()})
+    return all(g.total_degree() == 1 for g, _ in uni_factor(lifted).factors)
+
+
 @settings(max_examples=120, deadline=None)
 @given(_edge_polynomials())
-# psi = (u + 1)(u^2 + 1) over F_7: phi's factor c^2 + 1 comes first, but
-# c^2 = -1 there is a k-root of psi, so c^4 + 1's first factor is named
+# psi = (u + 1)(u^2 + 1) over F_7: only u^2 + 1 asks for an extension, F_49
 @example(([(i, F7.one()) for i in (0, 2, 4, 6)], F7, 2, 1))
 def test_newton_roots_are_one_duval_root_per_root_of_psi(case):
     """_newton_roots gives one (c, mu) per distinct nonzero root rho of psi
     in phi(c) = c^i0 psi(c^q), ordered by the string of c - r, with
     c^q = rho mu^m, and mu = 1 exactly when rho has a q-th root in k, c
     then the first q-th root in that order.  A nonlinear factor of psi
-    raises CoefficientFieldTooSmall, or over F_p _ExtensionNeeded with the
-    first nonlinear factor h of phi for which c^q mod h is not constant."""
-    from mustab import newton
-
+    raises CoefficientFieldTooSmall, or over a finite field k
+    _ExtensionNeeded with the degree over F_p of k(the roots of psi): k's
+    degree times the lcm of those factors' degrees, and over F_p the least
+    L for which psi splits over F_(p^L)."""
     coeffs, field, q, m = case
     ring = PolyRing(field, ("c",))
     var = ring.var("c")
     i0 = min(i for i, _ in coeffs)
-    psi = uni_factor(Poly(ring, {((i - i0) // q,): a for i, a in coeffs}))
-    if any(g.total_degree() > 1 for g, _ in psi.factors + psi.unfactored):
-        if field.kind != "Fp":
+    psi_poly = Poly(ring, {((i - i0) // q,): a for i, a in coeffs})
+    psi = uni_factor(psi_poly)
+    nonlinear = [g.total_degree() for g, _ in psi.factors + psi.unfactored if g.total_degree() > 1]
+    if nonlinear:
+        if not field.p:
             with pytest.raises(CoefficientFieldTooSmall):
                 newton._newton_roots(coeffs, field, "edge ", q, m)
             return
         with pytest.raises(newton._ExtensionNeeded) as need:
             newton._newton_roots(coeffs, field, "edge ", q, m)
-        phi = uni_factor(Poly(ring, {(i,): a for i, a in coeffs}))
-        expected = next(h for h, _ in phi.factors if h.total_degree() > 1 and not uni_divmod(var**q, h)[1].is_constant())
-        assert need.value.factor == expected
+        degree = need.value.degree
+        assert degree == field.extension_degree * math.lcm(*nonlinear)
+        if field.kind == "Fp":
+            assert _splits(psi_poly, field.p, degree)
+            assert not any(_splits(psi_poly, field.p, e) for e in range(1, degree) if degree % e == 0)
         return
     roots = newton._newton_roots(coeffs, field, "edge ", q, m)
 
@@ -718,7 +725,6 @@ def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
     mu_correct finds them tube-equivalent, so
     _dedup_branches keeps only the first: places_at_infinity gives one
     branch per tube class, as the stabilizer depends only on it."""
-    from mustab import newton
     from mustab.stabilizer import mu_correct
 
     field = FieldSpec("QSqrt", d=-1)
@@ -738,3 +744,130 @@ def test_places_with_tube_equivalent_images_share_one_branch(monkeypatch):
     ]
     assert mu_correct(first, second) is not None
     assert branches == [first] + seen[2:]
+
+
+def _places_before_dedup(curve, precision):
+    """The branches that reach _dedup_branches in places_at_infinity,
+    which here keeps them all."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(newton, "_dedup_branches", lambda branches: seen.extend(branches) or branches)
+        places_at_infinity(curve, precision)
+    return seen
+
+
+def _pole_order(branch):
+    """n for the place z = lam t^n of a branch under the embedding (x, y):
+    z = 1/x, or 1/y at [0:1:0], so n is the larger pole order of the two."""
+    return -min(s.val().as_fraction() for s in branch.element.entries if not s.is_zero())
+
+
+# the degree form's roots need F_9 and F_27, so F_3^6 at once
+THREE_AND_TWO = "2 + 2*y^6 + x*y^5 + 2*x^2*y^2 + 2*x^6"
+# the degree form's roots need F_27, and then an edge over F_27 needs
+# the roots of c^2 + 1: F_3^6 on a second restart
+TWO_RESTARTS = "2 + y^2 + x^2*y^4 + 2*x^3*y^3 + x^6"
+# psi = u^2 + u + 2 at an edge of slope -1/2, though phi = c^4 + c^2 + 2
+# is irreducible over F_5
+QUADRATIC_PSI = "y^4 + x*y^2 + 2*x^2 + 1"
+# psi = (u^2 + u + 2)(u^4 + 2) at an edge of slope -1/2
+QUADRATIC_AND_QUARTIC_PSI = "y^12 + x*y^10 + 2*x^2*y^8 + 2*x^4*y^4 + 2*x^5*y^2 + 4*x^6 + 1"
+
+
+@pytest.mark.parametrize(
+    "f_text, p, field_of_places, places, branches",
+    [
+        (THREE_AND_TWO, 3, "F_3^6", 6, 6),
+        (TWO_RESTARTS, 3, "F_3^6", 6, 5),
+        (QUADRATIC_PSI, 5, "F_5^2", 2, 2),
+        (QUADRATIC_AND_QUARTIC_PSI, 5, "F_5^4", 6, 6),
+    ],
+    ids=["three_and_two_F3", "two_restarts_F3", "quadratic_psi_F5", "quadratic_and_quartic_psi_F5"],
+)
+def test_places_lie_over_the_field_their_roots_need(f_text, p, field_of_places, places, branches):
+    """Over F_p the places lie over F_(p^L), L the lcm of the degrees over
+    F_p of the roots of every psi met, whatever the order in which the
+    roots go missing.  Every place is counted before _dedup_branches, and
+    their pole orders add up to the degree of the curve."""
+    report, code = run_job({
+        "field": {"kind": "Fp", "p": p},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": f_text, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    })
+    assert code == 0 and len(report["results"]["branches"]) == branches
+    k = FieldSpec("Fp", p=p)
+    curve = _curve(f_text, ["x", "y"], GroupScheme("Additive", 2, k), k)
+    seen = _places_before_dedup(curve, 4)
+    assert len(seen) == places
+    assert {str(b.field) for b in seen} == {field_of_places}
+    assert sum(map(_pole_order, seen)) == curve.f.total_degree()
+
+
+def test_extension_past_the_cap_is_coefficient_field_too_small(monkeypatch):
+    """A curve whose places need a field past _MAX_EXTENSION_ORDER exits 3,
+    and the message names the extension."""
+    monkeypatch.setattr(newton, "_MAX_EXTENSION_ORDER", 3**5)
+    report, code = run_job({
+        "field": {"kind": "Fp", "p": 3},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "places",
+        "input": {"plane_curve": {"f": THREE_AND_TWO, "embedding": ["x", "y"]}},
+        "budgets": {"precision": 4},
+    })
+    assert code == 3
+    assert report["errors"][0]["type"] == "CoefficientFieldTooSmall"
+    assert "F_3^6" in report["errors"][0]["message"]
+
+
+def _partial(f, i):
+    """The derivative of f by its i-th variable."""
+    return Poly(f.ring, {m[:i] + (m[i] - 1,) + m[i + 1 :]: c * f.ring.field.from_int(m[i]) for m, c in f.terms.items() if m[i]})
+
+
+def _is_reduced(f):
+    """Whether <f, f_x, f_y> has dimension <= 0, so f has no square factor."""
+    try:
+        return krull_dim(Ideal(f.ring, (f, _partial(f, 0), _partial(f, 1)))) <= 0
+    except EmptyVariety:
+        return True
+
+
+@st.composite
+def _plane_curves(draw):
+    """A curve of degree 2 to 4 with up to 5 terms over Q, F_3, F_5 or F_7,
+    one of them of top degree."""
+    field = draw(st.sampled_from([QQ, FieldSpec("Fp", p=3), F5, F7]))
+    d = draw(st.integers(2, 4))
+    monomials = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    support = {draw(st.sampled_from([m for m in monomials if sum(m) == d]))}
+    support |= set(draw(st.lists(st.sampled_from(monomials), max_size=4)))
+    values = range(1, field.p) if field.p else (-2, -1, 1, 2)
+    ring = PolyRing(field, ("x", "y"))
+    return Poly(ring, {m: field.from_int(draw(st.sampled_from(values))) for m in support})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_plane_curves())
+@example(PolyRing(F7, ("x", "y")).parse("x^2 + y^2 - 1"))  # one restart, over F_49
+@example(PolyRing(F5, ("x", "y")).parse(QUADRATIC_PSI))  # an edge's restart, over F_25
+def test_pole_orders_of_the_places_add_up_to_the_degree(f):
+    """The line at infinity cuts a reduced curve of degree d in a divisor
+    of degree d, and each place z = lam t^n meets it n times, so the pole
+    orders n of the places before _dedup_branches add up to d, also after
+    a restart over an extension.  Only reduced curves are drawn: p-th
+    powers such as x^3 + y^3 + 2 over F_3 and squares such as (xy - 1)^2
+    over Q pass the irreducibility fragment and give d/p or d/2.  Those
+    are the open witnesses of the degree check (ROADMAP item 18), which is
+    to reject them with exit 2; they are left out here for that reason
+    alone."""
+    if not _is_reduced(f):
+        return
+    scheme = GroupScheme("Additive", 2, f.ring.field)
+    try:
+        curve = PlaneCurveInput(f, [f.ring.var("x"), f.ring.var("y")], scheme)
+        seen = _places_before_dedup(curve, 4)
+    except (ValueError, CoefficientFieldTooSmall, WildRamification):
+        return  # reducible by the fragment, roots outside Q, or wild
+    assert sum(map(_pole_order, seen)) == f.total_degree()

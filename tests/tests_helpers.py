@@ -7,24 +7,32 @@ one that builds them on demand), the list of a finite field's elements,
 and the places at infinity from every conjugate expansion in fractional
 exponents merged by `_dedup_branches`, with the edge-root classifier
 that factors phi (the reference for one expansion per place in Duval's
-variables), and the exact test b(t) = a(lam t) that relates the places
-of the two."""
+variables), the exact test b(t) = a(lam t) that relates the places
+of the two, and univariate division by factor.py's dense routines."""
 
 import math
 from fractions import Fraction
 
 from mustab.exponents import exp
-from mustab.fields import QQ, FieldSpec
+from mustab.fields import QQ
 from mustab.groups import GroupElement, GroupScheme, KPoint, eval_poly_series, mat_det, mat_mul, random_entries, random_scalar
 from mustab import newton
 from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
-from mustab.factor import scalar_roots, uni_divmod, uni_factor
+from mustab import factor
+from mustab.factor import scalar_roots, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.linalg import _sparse, _subtract
 from mustab.poly import Poly, PolyRing
 from mustab.series import PuiseuxSeries
 
+
+
+def uni_divmod(f, g):
+    """Quotient and remainder of f by a nonzero g, both univariate in one
+    variable, by factor.py's dense division."""
+    (a, i), (b, j) = factor._dense(f), factor._dense(g)
+    return tuple(factor._poly(h, f.ring, j if len(b) > 1 else i) for h in factor._divmod(a, b))
 
 
 def field_elements(field) -> list:
@@ -217,8 +225,8 @@ def phi_factoring_roots(coeffs, field, what, e=1):
         if not (power.is_constant() and uni_factor(c**e - power).roots()):
             missing.append(h)
     if missing:
-        if field.kind == "Fp":
-            raise newton._ExtensionNeeded(missing[0])
+        if field.p:
+            raise newton._ExtensionNeeded(field.extension_degree * math.lcm(*(h.total_degree() for h in missing)))
         raise CoefficientFieldTooSmall(f"Newton-polygon {what}roots of {phi} are not all in {field}")
     return roots
 
@@ -328,13 +336,18 @@ def _every_root_branches(curve, precision):
 
 def every_root_places(curve, precision):
     """places_at_infinity with every conjugate expansion built into a
-    branch and merged by `_dedup_branches`, over F_p after one extension
-    when a root is missing."""
-    try:
-        return _every_root_branches(curve, precision)
-    except newton._ExtensionNeeded as need:
-        ext = FieldSpec("Fq", p=curve.f.ring.field.p, modulus=newton._monic_int_coeffs(need.factor))
-        return _every_root_branches(newton._lift_curve(curve, ext), precision)
+    branch and merged by `_dedup_branches`; over F_p a missing root
+    restarts it over the extension of the degree named, built by
+    newton's rule, and over any other field it is fatal."""
+    lifted = curve
+    while True:
+        try:
+            return _every_root_branches(lifted, precision)
+        except newton._ExtensionNeeded as need:
+            field = curve.f.ring.field
+            if field.kind != "Fp":
+                raise CoefficientFieldTooSmall(f"the places need F_{field.p}^{need.degree}, not {field}")
+            lifted = newton._lift_curve(curve, newton._extension(field.p, need.degree))
 
 
 def is_rescaling(a, b) -> bool:
