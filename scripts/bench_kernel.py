@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate and places alone on fixed inputs.
+"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places and relations alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -76,10 +76,17 @@ edge polynomial psi = u^2 + u + 2 puts its two places over F_25 (the
 pass over F_p that asks for the extension is timed too); each run
 parses its own curve and scheme.
 
+The relations, the only callers of `linalg.Echelon` with keyed rows:
+`type_dimension(b, 3)` on each of the two places b of the circle
+x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus input),
+found once before the clock starts; and `ideal_of_points` at degree 3 on
+36 points of SL(2, Q) drawn by `random_kpoint` from random.Random(1).
+
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count, for the tube
-certificate the s it returns or null, per curve the
+certificate the s it returns or null, for the relations the type
+dimensions and the ideal's basis size, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -88,6 +95,7 @@ imported from the src/ next to this script.
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -99,15 +107,15 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
-from mustab.branches import implicitize  # noqa: E402
+from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
-from mustab.groups import GroupScheme  # noqa: E402
+from mustab.groups import GroupScheme, random_kpoint  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
-from mustab.subgroups import SubgroupDesc, verify_subgroup  # noqa: E402
+from mustab.subgroups import SubgroupDesc, ideal_of_points, verify_subgroup  # noqa: E402
 
 
 def _series(*terms) -> dict:
@@ -340,6 +348,28 @@ def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
     return {"basis": len(V.gens), **_stats(times)}
 
 
+def time_relations(runs: int) -> dict:
+    field, f_text, embedding, precision = PLACES["circle_f5"]
+    curve = parse_plane_curve({"f": f_text, "embedding": embedding}, GroupScheme("Additive", len(embedding), field))
+    places = places_at_infinity(curve, precision)
+    sl2 = GroupScheme("SL", 2, QQ)
+    rng = random.Random(1)
+    points = [random_kpoint(sl2, rng)._values() for _ in range(36)]
+    ring = sl2.coordinate_ring()
+    dim_times, ideal_times = [], []
+    for _ in range(runs):
+        start = time.perf_counter()
+        dims = [type_dimension(b, 3) for b in places]
+        dim_times.append((time.perf_counter() - start) * 1e3)
+        start = time.perf_counter()
+        I = ideal_of_points(points, ring, 3)
+        ideal_times.append((time.perf_counter() - start) * 1e3)
+    return {
+        "type_dimension_circle_f5": {"dims": dims, **_stats(dim_times)},
+        "ideal_of_points_sl2": {"points": len(points), "basis": len(I.gens), **_stats(ideal_times)},
+    }
+
+
 def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: int, runs: int) -> dict:
     def curve():
         scheme = GroupScheme("Additive", len(embedding), field)
@@ -393,9 +423,10 @@ def main() -> int:
     quotient = time_ansatz_quotient(shear["closure_input"], args.runs)
     certificate = time_mu_correct(ORDER_7_PAIR, args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
+    relations = time_relations(args.runs)
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
-                      "mu_correct_order_7": certificate, "places": places}))
+                      "mu_correct_order_7": certificate, "places": places, "relations": relations}))
     return 0
 
 

@@ -28,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
     p.add_argument("--degree-bound", type=int, metavar="D", help="type-dimension relation degree bound")
     p.add_argument("--order-budget", type=int, metavar="N", help="cap on the reparameterization stabilizer's ansatz order")
-    p.add_argument("--strict", action="store_true", help="inconclusive solvability counts as failure")
     p.add_argument("--json-out", metavar="FILE", help="write the structured report here")
     return p
 
@@ -133,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.only is not None and args.only not in names:
             print(f"no corpus entry {args.only!r}; the entries are {', '.join(names)}", file=sys.stderr)
             return EXIT_INVALID
-        summary, code = run_corpus(overrides, args.strict, args.only)
+        summary, code = run_corpus(overrides, args.only)
         print(explain_corpus(summary))
         if args.json_out:
             with open(args.json_out, "w") as fh:
@@ -148,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read job: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report, code = run_job(job, overrides, args.strict)
+    report, code = run_job(job, overrides)
     print(explain(report))
     if args.json_out:
         with open(args.json_out, "w") as fh:

@@ -98,7 +98,7 @@ def check_expected(entry: dict, report: dict) -> list[str]:
     return problems
 
 
-def run_corpus(overrides: dict | None = None, strict: bool = False, only: str | None = None) -> tuple[dict, int]:
+def run_corpus(overrides: dict | None = None, only: str | None = None) -> tuple[dict, int]:
     summary = {"entries": [], "passed": 0, "failed": 0, "skipped": 0}
     code = EXIT_OK
     for entry in corpus_entries():
@@ -110,7 +110,7 @@ def run_corpus(overrides: dict | None = None, strict: bool = False, only: str | 
             summary["entries"].append({"name": name, "status": "skipped", "note": job["skip"]})
             summary["skipped"] += 1
             continue
-        report, job_code = run_job(job, overrides, strict)
+        report, job_code = run_job(job, overrides)
         problems = check_expected(entry, report)
         status = "pass" if job_code == EXIT_OK and not problems else "fail"
         item = {

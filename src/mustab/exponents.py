@@ -17,6 +17,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import FieldMismatch
+from .records import Frozen
 
 _FRACTION_ZERO = Fraction(0)
 
@@ -56,7 +57,7 @@ def _sign(p: int, q: int, d: int | None) -> int:
     return (rhs > lhs) - (rhs < lhs)
 
 
-class Exponent:
+class Exponent(Frozen):
     """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0."""
 
     __slots__ = ("p", "q", "n", "d")
@@ -68,15 +69,6 @@ class Exponent:
         n = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
         p, q = a.numerator * (n // a.denominator), b.numerator * (n // b.denominator)
         _init(self, p, q, n, d if q else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def __reduce__(self):
-        return (_make, (self.p, self.q, self.n, self.d))
 
     # -- structure ---------------------------------------------------------
     @property

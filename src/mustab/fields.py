@@ -201,7 +201,7 @@ class FieldSpec(Frozen):
         return f"F_{self.p}^{self.extension_degree}"
 
 
-class Scalar:
+class Scalar(Frozen):
     """An element of a FieldSpec in canonical form; immutable.
 
     rep is a (numerator, denominator) int pair in lowest terms with
@@ -222,15 +222,6 @@ class Scalar:
             rep = (q.numerator, q.denominator)
         _set_field(self, field)
         _set_rep(self, rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field '{name}'")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field '{name}'")
-
-    def __reduce__(self):
-        return (_make, (self.field, self.rep))
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Scalar:

@@ -203,7 +203,10 @@ class GroupScheme(Frozen):
             ring = parent.coordinate_ring()
             gens = tuple(ring.parse(s) for s in data["ideal"])
             return GroupScheme("Subgroup", parent.n, field, parent, Ideal(ring, gens))
-        return GroupScheme(kind, int(data["n"]), field)
+        n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"group size n must be an integer >= 1, not {n!r}")
+        return GroupScheme(kind, n, field)
 
     def __str__(self):
         if self.kind == "Subgroup":

@@ -78,7 +78,7 @@ def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
     return PlaneCurveInput(f, embedding, scheme, bool(data.get("trusted_irreducible", False)))
 
 
-def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> tuple[dict, int]:
+def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
     """Execute one JobSpec; returns (report, exit_code)."""
     start = time.time()
     report: dict = {
@@ -119,7 +119,7 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             branches = [inp] if isinstance(inp, Branch) else places_at_infinity(inp, budgets.precision)
             runs = [compute_stabilizer(b, algorithm, budgets) for b in branches]
             report["results"]["stabilizers"] = [_run_json(r) for r in runs]
-            _theorem_checks(report, runs, budgets, strict)
+            _theorem_checks(report, runs, budgets)
         elif command == "reduce":
             reduced, cert, dim_before, dim_after = mu_reduce(inp, budgets)
             report["results"]["reduced"] = _branch_json(reduced)
@@ -140,8 +140,6 @@ def run_job(job: dict, overrides: dict | None = None, strict: bool = False) -> t
             if solv is not None:
                 report["results"]["solvable"] = solv.value
                 report["results"]["solvable_note"] = solv.note
-                if strict and solv.value is None:
-                    code = max(code, EXIT_VERIFY)
             if not ok:
                 code = max(code, EXIT_VERIFY)
     except (JobError, MustabError) as exc:
@@ -164,6 +162,8 @@ def _read_input(job: dict, command: str, scheme: GroupScheme, d):
     """The command's parsed input: a plane curve (places), a branch or a
     plane curve (stab), a branch (reduce, iwasawa) or an ideal (verify)."""
     inp = job["input"]
+    if command == "iwasawa" and not scheme.is_matrix:
+        raise JobError(f"iwasawa needs a GL or SL scheme, not {scheme}")
     if command in ("reduce", "iwasawa") or (command == "stab" and "branch" in inp):
         return parse_branch(inp["branch"], scheme, d)
     if command in ("places", "stab"):
@@ -209,7 +209,7 @@ def _run_json(run: StabilizerRun) -> dict:
     return out
 
 
-def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets, strict: bool):
+def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets):
     checks = report["checks"]
     witnesses = report["witnesses"]
 
@@ -243,10 +243,7 @@ def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets, s
             )
             set_check("infinite", desc.dim >= 1, f"branch {i}: dim {desc.dim}")
         solv = is_solvable(desc, budgets)
-        if solv.value is None:
-            set_check("solvable", False if strict else None, solv.note)
-        else:
-            set_check("solvable", solv.value is True, solv.note)
+        set_check("solvable", solv.value, solv.note)
         if run.agreement is not None:
             set_check("agreement", run.agreement, _agreement_witness(run, i))
         if not run.bounded and desc.scheme.kind == "SL" and desc.scheme.n == 2:

@@ -25,15 +25,11 @@ class MonomialOrder:
     Keys are flat int tuples (Lex returns the monomial itself), compared
     only between monomials of one ring."""
 
-    name = "?"
-
     def key(self, m: Monomial):
         raise NotImplementedError
 
 
 class Lex(MonomialOrder):
-    name = "lex"
-
     def key(self, m: Monomial):
         return m
 
@@ -41,8 +37,6 @@ class Lex(MonomialOrder):
 class GrevLex(MonomialOrder):
     """Total degree, then the smaller exponent of the last variable wins:
     the key is (degree, -m[n-1], ..., -m[0])."""
-
-    name = "grevlex"
 
     def key(self, m: Monomial):
         return (sum(m), *[-e for e in reversed(m)])
@@ -66,8 +60,6 @@ class BlockOrder(MonomialOrder):
     so a Groebner basis element free of the first block is first-block free
     in every term.
     """
-
-    name = "block"
 
     def __init__(self, first: tuple[int, ...], second: tuple[int, ...]):
         self.first = first

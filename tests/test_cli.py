@@ -825,6 +825,20 @@ MALFORMED_INPUTS = {
     "budgets_a_list_of_pairs": (
         "stab", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}, {"budgets": [["precision", 12]]}
     ),
+    # the group size n is a JSON integer >= 1
+    "stab_on_additive_0": ("stab", {"kind": "Additive", "n": 0}, {"branch": {"entries": []}}),
+    "reduce_on_sl_0": ("reduce", {"kind": "SL", "n": 0}, {"branch": {"entries": []}}),
+    "places_on_additive_0": ("places", {"kind": "Additive", "n": 0}, {"plane_curve": {"f": "x*y - 1", "embedding": []}}),
+    "n_two_and_a_half": ("stab", {"kind": "Additive", "n": 2.5}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
+    "n_true": ("stab", {"kind": "Additive", "n": True}, {"branch": {"entries": [ser((-1, 1))]}}),
+    "n_a_string": ("stab", {"kind": "Additive", "n": "2"}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
+    # the Iwasawa decomposition is of GL and SL points only
+    "iwasawa_on_additive": ("iwasawa", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
+    "iwasawa_on_an_additive_subgroup": (
+        "iwasawa",
+        {"kind": "Subgroup", "parent": {"kind": "Additive", "n": 2}, "ideal": ["y"]},
+        {"branch": {"entries": [ser((-1, 1)), ser()]}},
+    ),
 }
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mustab.errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
+from mustab.exponents import Exponent
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.groups import GroupScheme
 from mustab.ideals import Budgets, Ideal
@@ -114,9 +115,10 @@ def test_field_mismatch():
 def test_records_print_compare_freeze_and_pickle_field_by_field():
     """The reprs a report can carry (a PolyRing's through the "polynomial
     rings differ" FieldMismatch, which a job reports as its message) print
-    every field; the immutable records refuse assignment, hash their
-    compared fields and survive pickle and copy; an Ideal's basis_order
-    takes no part in ==, hash or repr."""
+    every field; the immutable records, scalars of each field kind and
+    exponents included, refuse assignment and deletion, hash their compared
+    fields and survive pickle and copy; an Ideal's basis_order takes no part
+    in ==, hash or repr."""
     ring = PolyRing(QQ, ("x", "y"))
     q_spec = "FieldSpec(kind='Q', d=None, p=None, modulus=None)"
     assert repr(ring) == f"PolyRing(field={q_spec}, variables=('x', 'y'), order_name='grevlex')"
@@ -126,6 +128,8 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
         ring.var("x") + PolyRing(QQ, ("x",)).var("x")
 
     sl2 = GroupScheme("SL", 2, QQ)
+    scalars = [QQ.from_fraction(Fraction(-2, 3)), QS2.generator() + QS2.one(), F5.from_int(3), F9.generator()]
+    exponents = [Exponent(Fraction(-3, 2)), Exponent(1, Fraction(1, 2), 2)]
     frozen = [
         (QQ, ("kind", "d", "p", "modulus")),
         (F9, ("kind", "d", "p", "modulus")),
@@ -133,14 +137,19 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
         (sl2, ("kind", "n", "field", "parent", "subgroup_ideal")),
         (sl2.identity(), ("scheme", "entries", "y")),
         (Ideal(ring, (ring.var("x"),)), ("ring", "gens", "basis_order")),
+        *((x, ("field", "rep")) for x in scalars),
+        *((e, ("p", "q", "n", "d")) for e in exponents),
     ]
     for record, fields in frozen:
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
-        assert hash(record) == hash(type(record)(*(getattr(record, n) for n in fields)))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        if type(record) is not Exponent:  # Exponent(a, b, d) does not take its fields
+            assert hash(record) == hash(type(record)(*(getattr(record, n) for n in fields)))
 
-    for record in (QQ, QS2, F5, F9, ring, PolyRing(F9, ("x", "y"), "lex")):
+    for record in (QQ, QS2, F5, F9, ring, PolyRing(F9, ("x", "y"), "lex"), *scalars, *exponents):
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
             assert repr(twin) == repr(record)

@@ -1,14 +1,13 @@
 """Shared test helpers: random series and random points of G(K), G(O)
 and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
-of two ideals, the product of a factorization, and the eager `Echelon`
-that built every pivot's combination as it went (the reference for the
-one that builds them on demand), the list of a finite field's elements,
-and the places at infinity from every conjugate expansion in fractional
-exponents merged by `_dedup_branches`, with the edge-root classifier
-that factors phi (the reference for one expansion per place in Duval's
-variables), the exact test b(t) = a(lam t) that relates the places
-of the two, and univariate division by factor.py's dense routines."""
+of two ideals, the product of a factorization, the list of a finite
+field's elements, and the places at infinity from every conjugate
+expansion in fractional exponents merged by `_dedup_branches`, with the
+edge-root classifier that factors phi (the reference for one expansion
+per place in Duval's variables), the exact test b(t) = a(lam t) that
+relates the places of the two, and univariate division by factor.py's
+dense routines."""
 
 import math
 from fractions import Fraction
@@ -22,7 +21,6 @@ from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamifica
 from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
-from mustab.linalg import _sparse, _subtract
 from mustab.poly import Poly, PolyRing
 from mustab.series import PuiseuxSeries
 
@@ -171,36 +169,6 @@ def shear_product(scheme, rng, most=3):
         return validate_branch(scheme, acc)
     unit = monomial()
     return validate_branch(scheme, ((tuple(x * unit for x in acc[0]),) + acc[1:]))
-
-
-class EagerEchelon:
-    """linalg.Echelon as it was before combinations were built on demand:
-    every pivot carries its combination, updated at each reduction step."""
-
-    def __init__(self):
-        self._pivots: dict = {}  # pivot column -> (row without its leading 1, combination)
-        self._cols: list[int] = []
-
-    def add(self, row, key=None):
-        r = _sparse(row)
-        comb: dict = {}
-        for c in self._cols:
-            if c in r:
-                tail, pcomb = self._pivots[c]
-                f = r.pop(c)
-                _subtract(r, f, tail)
-                if key is not None:
-                    _subtract(comb, f, pcomb)
-        if not r:
-            return comb
-        c = min(r)
-        inv = r.pop(c).inv()
-        if key is not None:
-            comb = {k: x * inv for k, x in comb.items()}
-            comb[key] = inv
-        self._pivots[c] = ({j: x * inv for j, x in r.items()}, comb)
-        self._cols = sorted(self._cols + [c])
-        return None
 
 
 def phi_factoring_roots(coeffs, field, what, e=1):
