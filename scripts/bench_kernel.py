@@ -54,6 +54,9 @@ b = (t^-1, t^-7 - 7) on the additive plane over Q, tube-equivalent over
 s = t + t^8, so the ansatz must reach gamma = 7; each run parses its own
 branches.
 
+Both run cold, with the process-wide ansatz kernels and binomial rows
+emptied before each run, and warm, reading what earlier runs left there.
+
 The places at infinity: `places_at_infinity` on the additive plane
 (embedding [x, y]) for the circle x^2 + y^2 = 1 over F_5 at precision 20
 (the `circle_f5` corpus input), and at precision 12 for y^2 = x^3 over
@@ -84,8 +87,9 @@ found once before the clock starts; and `ideal_of_points` at degree 3 on
 
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
-reduced, for the ansatz quotient its parameter count, for the tube
-certificate the s it returns or null, for the relations the type
+reduced, for the ansatz quotient its parameter count and cold and warm
+stats, for the tube certificate the s it returns or null and cold and warm
+stats, for the relations the type
 dimensions and the ideal's basis size, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
@@ -106,7 +110,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
+from mustab import branches, degeneration, ideals, newton, series, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
@@ -313,14 +317,29 @@ def time_verify(H: SubgroupDesc, runs: int) -> dict:
     return {"gens": len(H.ideal.gens), "verified": ok, **_stats(times)}
 
 
+def _cold_and_warm(run, runs: int) -> dict:
+    """The stats of `runs` calls of run() with the ansatz memos emptied
+    before each, then of as many calls that find them filled."""
+    out = {}
+    for mode in ("cold", "warm"):
+        times = []
+        for _ in range(runs):
+            if mode == "cold":
+                stabilizer._kernel.cache_clear()
+                series._binomial_rows.clear()
+            times.append(run())
+        out[mode] = _stats(times)
+    return out
+
+
 def time_ansatz_quotient(branch, runs: int) -> dict:
-    times = []
-    for _ in range(runs):
+    def run():
         start = time.perf_counter()
-        ansatz = stabilizer.Ansatz(branch, branch.element, cap=6)
-        ansatz.quotient()
-        times.append((time.perf_counter() - start) * 1e3)
-    return {"params": ansatz.ring.nvars, **_stats(times)}
+        stabilizer.Ansatz(branch, branch.element, cap=6).quotient()
+        return (time.perf_counter() - start) * 1e3
+
+    params = stabilizer.Ansatz(branch, branch.element, cap=6).ring.nvars
+    return {"params": params, **_cold_and_warm(run, runs)}
 
 
 # (t^-1, t^-7) and (t^-1, t^-7 - 7): one tube over s = t + t^8
@@ -329,13 +348,16 @@ ORDER_7_PAIR = ([_series((-1, 1)), _series((-7, 1))], [_series((-1, 1)), _series
 
 def time_mu_correct(pair, runs: int) -> dict:
     scheme = GroupScheme("Additive", 2, QQ)
-    times = []
-    for _ in range(runs):
+
+    def run():
         a, b = (parse_branch({"entries": entries}, scheme, None) for entries in pair)
         start = time.perf_counter()
-        cert = stabilizer.mu_correct(a, b)
-        times.append((time.perf_counter() - start) * 1e3)
-    return {"s": None if cert is None else str(cert.s), **_stats(times)}
+        stabilizer.mu_correct(a, b)
+        return (time.perf_counter() - start) * 1e3
+
+    a, b = (parse_branch({"entries": entries}, scheme, None) for entries in pair)
+    cert = stabilizer.mu_correct(a, b)
+    return {"s": None if cert is None else str(cert.s), **_cold_and_warm(run, runs)}
 
 
 def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:

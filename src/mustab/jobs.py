@@ -11,7 +11,7 @@ import random
 import time
 
 from .branches import Branch, is_centered_at_infinity, validate_branch
-from .errors import DivisionByZero, FieldMismatch, MustabError
+from .errors import DivisionByZero, FieldMismatch, MustabError, NotOnGroup, PrecisionInsufficient, ZeroLeadingTerm
 from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, iwasawa, random_kpoint
@@ -109,7 +109,10 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
         report["command"] = command
         try:
             inp = _read_input(job, command, scheme, d)
-        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch,
+                NotOnGroup, ZeroLeadingTerm) as exc:
+            if isinstance(exc, PrecisionInsufficient):
+                raise  # LeadingTermUnknown: more input precision may decide it
             raise JobError(f"invalid input: {type(exc).__name__}: {exc}")
 
         if command == "places":

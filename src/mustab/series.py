@@ -11,9 +11,10 @@ in any order: it drops zero coefficients, sorts, rejects duplicate
 exponents and drops the terms at or above the precision.  The arithmetic
 here knows its results are already in that form and builds them with the
 private `PuiseuxSeries._ordered`, which checks nothing: `+` is a linear
-merge of the two ordered term lists, `*` collects the products in a dict
-keyed by exponent and sorts once, and negation, `scale`, `shift` and
-`truncate` keep the order of their input.
+merge of the two ordered term lists, `*`, `ser_subst` and the binomial
+expansion collect their terms in one dict keyed by exponent and sort once,
+and negation, `scale`, `shift` and `truncate` keep the order of their
+input.
 
 A series' `dom` is its coefficient ring: a FieldSpec for Scalar
 coefficients, or a PolyRing for the polynomial coefficients of the
@@ -199,8 +200,7 @@ class PuiseuxSeries:
                 c = c1 * c2
                 old = acc.get(e)
                 acc[e] = c if old is None else old + c
-        terms = sorted(((e, c) for e, c in acc.items() if not c.is_zero()), key=_exponent_of)
-        return PuiseuxSeries._ordered(self.dom, tuple(terms), prec)
+        return _collected(self.dom, acc, prec)
 
     def scale(self, c) -> PuiseuxSeries:
         if c.is_zero():
@@ -385,13 +385,25 @@ def ser_subst(
         target = DEFAULT_PRECISION
     if powers is None and f.terms:
         powers = PowerList(w, None if target is None else target - v.scale(f.terms[0][0].as_fraction()))
-    out = PuiseuxSeries.zero(f.dom, target)
+    # each t^(v gamma) (1 + w)^gamma is known below target: below v gamma +
+    # local = target, or v gamma + (a precision of w^k >= w.precision), and
+    # target <= v gamma_0 + w.precision for the lowest gamma_0 of f
+    acc: dict = {}
     for e, coeff in f.terms:
         gamma = e.as_fraction()
+        shift = v.scale(gamma)
         lead = coeff * lead_pow(gamma)
-        local = None if target is None else target - v.scale(gamma)
-        out = out + _binomial_power(powers, gamma, local).shift(v.scale(gamma)).scale(lead)
-    return out if target is None else out.truncate(target)
+        for ee, c in _binomial_power(powers, gamma, None if target is None else target - shift).terms:
+            ee, c = ee + shift, c * lead
+            old = acc.get(ee)
+            acc[ee] = c if old is None else old + c
+    return _collected(f.dom, acc, target)
+
+
+def _collected(dom: FieldSpec | PolyRing, acc: dict, prec: Exponent | None) -> PuiseuxSeries:
+    """The series of acc, a dict exponent -> coefficient, known below prec."""
+    terms = sorted(((e, c) for e, c in acc.items() if not c.is_zero()), key=_exponent_of)
+    return PuiseuxSeries._ordered(dom, tuple(terms), None).truncate(prec)
 
 
 class PowerList:
@@ -413,6 +425,12 @@ class PowerList:
         return self._powers[k]
 
 
+# binom(gamma, k), k = 0, 1, ..., as Fractions extended on demand and shared
+# by every field, keyed by gamma's (numerator, denominator); emptied when full
+_ROWS_KEPT = 256
+_binomial_rows: dict = {}
+
+
 def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | None) -> PuiseuxSeries:
     """(1 + w)^gamma = sum_k binom(gamma, k) w^k from the powers of w, known
     below local_prec.  The sum stops where binom(gamma, k) = 0, so integer
@@ -425,19 +443,35 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
     dom = powers.w.dom
     char = dom.char
-    out = powers[0].truncate(local_prec)
-    bc = Fraction(1)
+    key = (gamma.numerator, gamma.denominator)
+    row = _binomial_rows.get(key)
+    if row is None:
+        if len(_binomial_rows) >= _ROWS_KEPT:
+            _binomial_rows.clear()
+        row = _binomial_rows[key] = [Fraction(1)]
+    acc = dict(powers[0].truncate(local_prec).terms)
+    known = local_prec
     k = 0
     bound = EXP_ZERO
     while True:
-        bc = bc * (gamma - k) / (k + 1)
         k += 1
+        if len(row) == k:
+            row.append(row[-1] * (gamma - k + 1) / k)
+        bc = row[k]
         bound = bound + powers.val
         if bc == 0 or (local_prec is not None and not bound < local_prec):
-            return out
+            return _collected(dom, acc, known)
         if char and bc.denominator % char == 0:
             raise WildRamification(f"denominator {bc.denominator} vanishes in characteristic {char}")
-        out = out + powers[k].truncate(local_prec).scale(dom.from_fraction(bc))
+        c = dom.from_fraction(bc)
+        wk = powers[k]
+        known = _min_prec(known, wk.precision)
+        for e, x in wk.terms:
+            if local_prec is not None and not e < local_prec:
+                break
+            x = x * c
+            old = acc.get(e)
+            acc[e] = x if old is None else old + x
 
 
 def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> PuiseuxSeries:

@@ -10,6 +10,7 @@ those constraints yields tube certificates and the stabilizer family.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import ceil
 
@@ -29,8 +30,8 @@ from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
 from .poly import PolyRing
-from .series import PowerList, PuiseuxSeries, ser_subst
-from .subgroups import ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
+from .series import PowerList, PuiseuxSeries, _collected, ser_subst
+from .subgroups import _MEMO_SIZE, ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
 class Ansatz:
@@ -50,7 +51,8 @@ class Ansatz:
     c t^gamma first moves a(s) at t^(low + gamma), low the lowest exponent
     of a, y included, so the conditions read gamma = k/r only below P - low.
     The ansatz takes all of them, those up to `cap` if one is given; `cut`
-    is the largest gamma the cap left out, else None."""
+    is the largest gamma the cap left out, else None.  Its ring, tail and
+    monomials s^e come from the process-wide kernel of (field, r, N)."""
 
     def __init__(self, branch: Branch, b: GroupElement, cap: int | None = None):
         self.branch = branch
@@ -70,28 +72,76 @@ class Ansatz:
             gammas.append(Fraction(len(gammas) + 1, self.r))
         self.gammas = tuple(g for g in gammas if cap is None or g <= cap)
         self.cut = gammas[-1] if len(self.gammas) < len(gammas) else None
-        names = ("lam", "lami") + tuple(f"c{i + 1}" for i in range(len(self.gammas)))
-        self.ring = PolyRing(branch.field, names)
-        tail_terms = [(exp(g), self.ring.var(f"c{i + 1}")) for i, g in enumerate(self.gammas)]
-        self.tail = PuiseuxSeries(self.ring, tail_terms, None)
-        self.relation = self.ring.var("lam") * self.ring.var("lami") - self.ring.one()
-        self.lead_root = _lead_root(self.ring.var("lam"), self.ring.var("lami"), self.r)
-
-    def tail_powers(self, prec: Exponent) -> PowerList:
-        return PowerList(self.tail, prec - self.low)
+        self.kernel = k = _kernel(branch.field, self.r, len(self.gammas))
+        self.ring, self.tail, self.relation, self.lead_root = k.ring, k.tail, k.relation, k.lead_root
 
     def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
         return PuiseuxSeries(self.ring, terms, f.precision)
 
-    def subst(self, f: PuiseuxSeries, prec: Exponent, powers: PowerList) -> PuiseuxSeries:
-        return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, powers))
+    def subst(self, f: PuiseuxSeries, prec: Exponent) -> PuiseuxSeries:
+        """f(s) known below prec, f one of a's coordinates, from the
+        kernel's list of tail powers below prec - low: for an exact f = sum
+        a_e t^e with rational exponents, sum a_e s^e over its monomials."""
+        reach = prec - self.low
+        if f.precision is not None or f.has_irrational_exponent():
+            return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, self.kernel.powers(reach)))
+        acc: dict = {}
+        for e, a in f.terms:
+            unit = a.is_one()
+            for te, m in self.kernel.monomial(prec, e, reach).terms:
+                x = m if unit else m.scale(a)
+                old = acc.get(te)
+                acc[te] = x if old is None else old + x
+        return _collected(self.ring, acc, prec)
 
     def quotient(self) -> GroupElement:
         """a(s) * b(t)^-1 over the ansatz ring."""
-        powers = self.tail_powers(self.prec)
-        a_s = self.branch.element.map(lambda f: self.subst(f, self.prec, powers))
+        a_s = self.branch.element.map(lambda f: self.subst(f, self.prec))
         return a_s.mul(self.b_inv.map(self.lift_series))
+
+
+_KERNEL_ENTRIES = 512
+
+
+class _Kernel:
+    """What every Ansatz over one field, ramification r and n parameters
+    shares: the ring k[lam, lami, c_1..c_n], the tail sum c_i t^(i/r),
+    lam * lami - 1, the lead_root of lam^r, and a memo of at most
+    _KERNEL_ENTRIES entries, emptied when full, of one PowerList of the
+    tail per reach and each monomial s^e = lam^(re) t^e (1 + tail)^e known
+    below P, keyed (P, e, reach); an expansion that raises is not kept."""
+
+    def __init__(self, field, r: int, n: int):
+        self.ring = ring = PolyRing(field, ("lam", "lami") + tuple(f"c{i}" for i in range(1, n + 1)))
+        lam, lami = ring.var("lam"), ring.var("lami")
+        self.tail = PuiseuxSeries(ring, [(exp(Fraction(i, r)), ring.var(f"c{i}")) for i in range(1, n + 1)], None)
+        self.relation, self.lead_root = lam * lami - ring.one(), _lead_root(lam, lami, r)
+        self._memo: dict = {}
+
+    def _kept(self, key, make):
+        value = self._memo.get(key)
+        if value is None:
+            value = make()
+            if len(self._memo) >= _KERNEL_ENTRIES:
+                self._memo.clear()
+            self._memo[key] = value
+        return value
+
+    def powers(self, reach: Exponent) -> PowerList:
+        return self._kept(reach, lambda: PowerList(self.tail, reach))
+
+    def monomial(self, prec: Exponent, e: Exponent, reach: Exponent) -> PuiseuxSeries:
+        """s^e below prec, from the tail's powers below reach >= prec - e."""
+        def expand():
+            one = PuiseuxSeries._ordered(self.ring, ((e, self.ring.one()),), None)
+            return ser_subst(one, None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, self.powers(reach)))
+        return self._kept((prec, e, reach), expand)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _kernel(field, r: int, n: int) -> _Kernel:
+    return _Kernel(field, r, n)
 
 
 def _lead_root(lam, lami, r: int):

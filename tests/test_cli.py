@@ -467,13 +467,14 @@ def test_iwasawa_job_claims_no_unknown_terms():
     [
         ("SL", [[ser(("1", "1")), ser()], [ser(prec="1/2"), ser(("-1", "1"))]], 4, "PivotUnknown"),
         ("GL", [[ser(prec=1), ser(prec=1)], [ser(prec=1), ser(prec=1)]], 4, "LeadingTermUnknown"),
-        ("GL", [[ser(), ser(("0", "1"))], [ser(), ser(("0", "1"))]], 5, "ZeroLeadingTerm"),
+        ("GL", [[ser(), ser(("0", "1"))], [ser(), ser(("0", "1"))]], 2, "JobError"),
     ],
     ids=["SL2_pivot_unknown", "GL2_determinant_unknown", "GL2_exactly_singular"],
 )
 def test_iwasawa_precision_limits_exit_4(kind, entries, code, error):
     """A pivot or a determinant that more input precision would decide is a
-    precision result; the exact determinant 0 of a singular point is not."""
+    precision result; the exact determinant 0 of a singular point is not a
+    point of GL(2), so it is invalid input."""
     job = {
         "field": {"kind": "Q"},
         "group": {"kind": kind, "n": 2},
@@ -832,6 +833,12 @@ MALFORMED_INPUTS = {
     "n_two_and_a_half": ("stab", {"kind": "Additive", "n": 2.5}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
     "n_true": ("stab", {"kind": "Additive", "n": True}, {"branch": {"entries": [ser((-1, 1))]}}),
     "n_a_string": ("stab", {"kind": "Additive", "n": "2"}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
+    # points off the group: det diag(2t^-1, t) = 2, an SL(1) entry other
+    # than 1, and the exactly singular [[0, 1], [0, 1]], whose y = det^-1
+    # does not exist
+    "sl2_determinant_2": ("stab", {"kind": "SL", "n": 2}, {"branch": {"entries": [[ser((-1, 2)), ser()], [ser(), ser((1, 1))]]}}),
+    "sl1_entry_not_1": ("stab", {"kind": "SL", "n": 1}, {"branch": {"entries": [[ser((-1, 1))]]}}),
+    "gl2_exactly_singular": ("stab", {"kind": "GL", "n": 2}, {"branch": {"entries": [[ser(), ser((0, 1))], [ser(), ser((0, 1))]]}}),
     # the Iwasawa decomposition is of GL and SL points only
     "iwasawa_on_additive": ("iwasawa", {"kind": "Additive", "n": 2}, {"branch": {"entries": [ser((-1, 1)), ser((-2, 1))]}}),
     "iwasawa_on_an_additive_subgroup": (

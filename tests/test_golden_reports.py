@@ -9,6 +9,7 @@ fixes a wrong answer regenerates the file, and says so:
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,22 @@ def report_without_timing(job: dict) -> dict:
 def test_report_matches_golden(name):
     golden = json.loads(GOLDEN.read_text())
     assert report_without_timing(golden_jobs()[name]) == golden[name]
+
+
+def test_reports_do_not_depend_on_the_jobs_run_before():
+    """The process-wide memos (ansatz kernels, subgroup checks, binomial
+    rows) fill in whatever order jobs come: the corpus fixtures and the
+    seed-1 SL2(Q) benchmark jobs (perfbench/workloads.py) give the same
+    reports run forward and then reversed in one process."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    jobs = list(golden_jobs().values()) + workloads.sl2_q(1, workloads.ROUND_SECONDS["sl2_q"])
+    forward = [report_without_timing(job) for job in jobs]
+    backward = [report_without_timing(job) for job in reversed(jobs)]
+    assert backward[::-1] == forward
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ verification, solvability, conjugation, component splitting."""
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,11 +13,13 @@ from mustab.branches import Branch, _uniformizer, implicitize, validate_branch
 from mustab.degeneration import flat_closure, identity_component, special_fiber, stab_degeneration
 from mustab.errors import (
     BudgetExceeded,
+    MustabError,
     NotCenteredAtInfinity,
     NotReduced,
     OrderBudgetTooSmall,
     PrecisionInsufficient,
     SelfCheckFailed,
+    WildRamification,
 )
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
@@ -38,7 +41,7 @@ from mustab.subgroups import (
     is_solvable,
     verify_subgroup,
 )
-from tests_helpers import ideal_intersect, is_identity, random_laurent_point, shear_product
+from tests_helpers import direct_quotient, ideal_intersect, is_identity, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -82,19 +85,18 @@ def _parabola_branch():
 
 @pytest.mark.parametrize("make", [_gl2_y_below_entries, x1_branch, _parabola_branch], ids=["GL2", "SL2", "additive"])
 def test_ansatz_power_list_covers_every_coordinate(make):
-    """At the precision quotient picks, the ansatz's one list of tail
-    powers gives every coordinate, y included, the substitution a fresh
-    list reaching that coordinate's lowest exponent gives: the same terms
-    and the same precision."""
+    """At the precision quotient picks, the ansatz's substitution, from its
+    kernel's one list of tail powers, gives every coordinate, y included,
+    what ser_subst gives from a fresh list reaching that coordinate's
+    lowest exponent: the same terms and the same precision."""
     branch = make()
     ansatz = stabilizer.Ansatz(branch, branch.element)
     prec = ansatz.prec
-    shared = ansatz.tail_powers(prec)
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
         fresh = PowerList(ansatz.tail, prec - f.terms[0][0] if f.terms else None)
         want = ser_subst(f, None, prec=prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
-        got = ansatz.subst(v, prec, shared)
+        got = ansatz.subst(v, prec)
         assert (got.terms, got.precision) == (want.terms, want.precision)
 
 
@@ -112,8 +114,7 @@ def _reference_quotient(ansatz, b):
     leads = [s.terms[0][0] for s in a.element.entries_flat() if s.terms]
     pole = max([Fraction(0)] + [-e.as_fraction() for e in leads if e.sign() < 0 and e.is_rational()])
     prec = exp(pole * a.scheme.root.n + 2)
-    powers = ansatz.tail_powers(prec)
-    return a.element.map(lambda f: ansatz.subst(f, prec, powers)).mul(b.inv().map(ansatz.lift_series))
+    return a.element.map(lambda f: ansatz.subst(f, prec)).mul(b.inv().map(ansatz.lift_series))
 
 
 def _conditions(quotient):
@@ -139,17 +140,17 @@ def _scalar(data, field):
     return field.element(data.draw(st.integers(0, field.order - 1)))
 
 
-def _series(data, field, low=-2, high=2):
-    """Up to three terms at integer exponents in [low, high], exact or
-    known below a precision in (low, high + 1]."""
-    prec = data.draw(st.one_of(st.none(), st.integers(low + 1, high + 1)))
+def _series(data, field, low=-2, high=2, r=1):
+    """Up to three terms at exponents k/r in [low, high], exact or known
+    below a precision k/r in (low, high + 1]."""
+    prec = data.draw(st.one_of(st.none(), st.integers(low * r + 1, (high + 1) * r)))
     terms = {}
     for _ in range(data.draw(st.integers(0, 3))):
-        e = data.draw(st.integers(low, high))
-        if prec is None or e < prec:
-            terms[e] = _scalar(data, field)
-    known = [(exp(e), c) for e, c in sorted(terms.items()) if not c.is_zero()]
-    return PuiseuxSeries(field, known, None if prec is None else exp(prec))
+        k = data.draw(st.integers(low * r, high * r))
+        if prec is None or k < prec:
+            terms[k] = _scalar(data, field)
+    known = [(exp(Fraction(k, r)), c) for k, c in sorted(terms.items()) if not c.is_zero()]
+    return PuiseuxSeries(field, known, None if prec is None else exp(Fraction(prec, r)))
 
 
 def _lead(data, field, k):
@@ -157,23 +158,23 @@ def _lead(data, field, k):
     return PuiseuxSeries.monomial(field, exp(-k), c)
 
 
-def _sl2_point(data, field):
+def _sl2_point(data, field, r=1):
     u = _lead(data, field, data.draw(st.integers(1, 2)))
-    f, g = _series(data, field), _series(data, field)
+    f, g = _series(data, field, r=r), _series(data, field, r=r)
     one = PuiseuxSeries.one(f.dom)
     return validate_branch(GroupScheme("SL", 2, field), ((u, f), (g, (one + f * g) * u.inv())))
 
 
-def _gl2_point(data, field):
+def _gl2_point(data, field, r=1):
     """[[c t^-1, f], [0, d t^3]] with val f >= -1: y = t^-2 / (c d)."""
     u = _lead(data, field, 1)
     v = _lead(data, field, -3)
-    return validate_branch(GroupScheme("GL", 2, field), ((u, _series(data, field, low=-1)), (Z(u.dom), v)))
+    return validate_branch(GroupScheme("GL", 2, field), ((u, _series(data, field, low=-1, r=r)), (Z(u.dom), v)))
 
 
-def _additive_point(data, field):
-    first = _lead(data, field, data.draw(st.integers(1, 3))) + _series(data, field, low=-1)
-    return validate_branch(GroupScheme("Additive", 2, field), (first, _series(data, field, low=-3)))
+def _additive_point(data, field, r=1):
+    first = _lead(data, field, data.draw(st.integers(1, 3))) + _series(data, field, low=-1, r=r)
+    return validate_branch(GroupScheme("Additive", 2, field), (first, _series(data, field, low=-3, r=r)))
 
 
 def _sl3_point(data, field):
@@ -201,6 +202,97 @@ def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
     precision error where there is one."""
     a = QUOTIENT_SHAPES[shape](data, field)
     _assert_quotient_keeps_the_conditions(a, [a] + stabilizer._truncation_candidates(a))
+
+
+# -- the ansatz kernel -----------------------------------------------------------
+
+def _outcome(compute):
+    """compute()'s entries as (terms, precision), or the class of the
+    MustabError it raises."""
+    try:
+        return [(f.terms, f.precision) for f in compute().flat()]
+    except MustabError as exc:
+        return type(exc)
+
+
+def _certificate(a, b):
+    try:
+        cert = mu_correct(a, b)
+    except MustabError as exc:
+        return type(exc)
+    return None if cert is None else cert.to_json()
+
+
+KERNEL_SHAPES = {"SL2": _sl2_point, "GL2": _gl2_point, "additive": _additive_point}
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_kernel_quotient_matches_the_direct_substitution(shape, field, data):
+    """The quotient from the kernel's monomials s^e equals the one that
+    substitutes each entry by ser_subst, on exact and truncated branches at
+    ramification 1 to 3, against the branch itself or one of its
+    truncation candidates, with or without a cap (which lets one kernel
+    serve several precisions), on a first and a second call; mu_correct
+    gives the same certificate either way.  Ramification 3 over F_9 raises
+    WildRamification both ways."""
+    a = KERNEL_SHAPES[shape](data, field, data.draw(st.integers(1, 3)))
+    b = data.draw(st.sampled_from([a] + stabilizer._truncation_candidates(a)))
+    cap = data.draw(st.sampled_from([None, 1, 2]))
+    direct = _outcome(lambda: direct_quotient(stabilizer.Ansatz(a, b.element, cap=cap)))
+    for _ in range(2):
+        assert _outcome(lambda: stabilizer.Ansatz(a, b.element, cap=cap).quotient()) == direct
+    certificate = _certificate(a, b)
+    with mock.patch.object(stabilizer.Ansatz, "quotient", direct_quotient):
+        assert _certificate(a, b) == certificate
+
+
+def test_kernels_are_keyed_by_field_ramification_and_length():
+    """One kernel per (field, r, N): F_5 and F_7 at the same (r, N) get
+    rings over their own fields, and an equal FieldSpec finds the same
+    kernel."""
+    F7 = FieldSpec("Fp", p=7)
+    k5, k7 = stabilizer._kernel(F5, 2, 3), stabilizer._kernel(F7, 2, 3)
+    assert k5 is not k7 and (k5.ring.field, k7.ring.field) == (F5, F7)
+    assert stabilizer._kernel(FieldSpec("Fp", p=5), 2, 3) is k5
+    assert stabilizer._kernel(F5, 1, 3) is not k5 and stabilizer._kernel(F5, 2, 4) is not k5
+    branches = [validate_branch(GroupScheme("Additive", 2, F), (S((-1, 1), dom=F), S((-2, 1), dom=F))) for F in (F5, F7)]
+    ansatze = [stabilizer.Ansatz(b, b.element) for b in branches]
+    assert ansatze[0].kernel is not ansatze[1].kernel
+    assert [x.quotient().flat()[0].dom.field for x in ansatze] == [F5, F7]
+
+
+def test_one_kernel_serves_two_precisions():
+    """x1 against itself (P = 2, low = -1) and [[t^-2, t^-1], [0, t^2]]
+    against the identity (P = 1, low = -2) both reach 3, so they share a
+    kernel; each reads s^-1 at its own precision, the lower one first."""
+    stabilizer._kernel.cache_clear()
+    a = x1_branch()
+    b = validate_branch(SL2, ((S((-2, 1)), S((-1, 1))), (Z(), S((2, 1)))))
+    first, second = stabilizer.Ansatz(a, a.element), stabilizer.Ansatz(b, SL2.identity().to_series())
+    assert first.kernel is second.kernel and (first.prec, second.prec) == (exp(2), exp(1))
+    for ansatz in (second, first, second):
+        assert _outcome(ansatz.quotient) == _outcome(lambda: direct_quotient(ansatz))
+
+
+def test_a_wild_expansion_raises_on_every_call_and_is_not_kept():
+    """(t^-1, t^(-1/3)) over F_3: s^(-1/3) needs a cube root in
+    characteristic 3.  Every quotient raises WildRamification, and the
+    kernel keeps the tail's powers and s^-1, which later calls read from
+    it, but no s^(-1/3)."""
+    F3 = FieldSpec("Fp", p=3)
+    second = PuiseuxSeries(F3, [(exp(Fraction(-1, 3)), F3.one())], None)
+    a = validate_branch(GroupScheme("Additive", 2, F3), (S((-1, 1), dom=F3), second))
+    stabilizer._kernel.cache_clear()
+    for _ in range(2):
+        ansatz = stabilizer.Ansatz(a, a.element)
+        with pytest.raises(WildRamification):
+            ansatz.quotient()
+    reach = ansatz.prec - ansatz.low
+    assert set(ansatz.kernel._memo) == {reach, (ansatz.prec, exp(-1), reach)}
+    assert ansatz.kernel.monomial(ansatz.prec, exp(-1), reach) is ansatz.kernel._memo[ansatz.prec, exp(-1), reach]
 
 
 def _ram5_branch():

@@ -6,8 +6,8 @@ field's elements, and the places at infinity from every conjugate
 expansion in fractional exponents merged by `_dedup_branches`, with the
 edge-root classifier that factors phi (the reference for one expansion
 per place in Duval's variables), the exact test b(t) = a(lam t) that
-relates the places of the two, and univariate division by factor.py's
-dense routines."""
+relates the places of the two, univariate division by factor.py's
+dense routines, and the ansatz quotient substituted entry by entry."""
 
 import math
 from fractions import Fraction
@@ -22,8 +22,20 @@ from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
 from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
 from mustab.poly import Poly, PolyRing
-from mustab.series import PuiseuxSeries
+from mustab.series import PowerList, PuiseuxSeries, ser_subst
 
+
+
+def direct_quotient(ansatz) -> GroupElement:
+    """a(s) * b^-1 with each entry of a substituted by ser_subst over one
+    fresh list of the tail's powers: the per-entry path that the ansatz
+    kernel's monomials s^e replace, kept as their reference."""
+    powers = PowerList(ansatz.tail, ansatz.prec - ansatz.low)
+
+    def subst(f):
+        return ser_subst(ansatz.lift_series(f), None, prec=ansatz.prec, lead_root=ansatz.lead_root, parts=(exp(1), powers))
+
+    return ansatz.branch.element.map(subst).mul(ansatz.b_inv.map(ansatz.lift_series))
 
 
 def uni_divmod(f, g):
