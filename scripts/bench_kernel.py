@@ -54,8 +54,8 @@ b = (t^-1, t^-7 - 7) on the additive plane over Q, tube-equivalent over
 s = t + t^8, so the ansatz must reach gamma = 7; each run parses its own
 branches.
 
-Both run cold, with the process-wide ansatz kernels and binomial rows
-emptied before each run, and warm, reading what earlier runs left there.
+Both run cold, with the process-wide ansatz kernels emptied before each
+run, and warm, reading what earlier runs left there.
 
 The places at infinity: `places_at_infinity` on the additive plane
 (embedding [x, y]) for the circle x^2 + y^2 = 1 over F_5 at precision 20
@@ -110,7 +110,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
-from mustab import branches, degeneration, ideals, newton, series, stabilizer, subgroups  # noqa: E402
+from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
@@ -318,7 +318,7 @@ def time_verify(H: SubgroupDesc, runs: int) -> dict:
 
 
 def _cold_and_warm(run, runs: int) -> dict:
-    """The stats of `runs` calls of run() with the ansatz memos emptied
+    """The stats of `runs` calls of run() with the ansatz kernels emptied
     before each, then of as many calls that find them filled."""
     out = {}
     for mode in ("cold", "warm"):
@@ -326,7 +326,6 @@ def _cold_and_warm(run, runs: int) -> dict:
         for _ in range(runs):
             if mode == "cold":
                 stabilizer._kernel.cache_clear()
-                series._binomial_rows.clear()
             times.append(run())
         out[mode] = _stats(times)
     return out

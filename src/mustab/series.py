@@ -401,9 +401,10 @@ def ser_subst(
 
 
 def _collected(dom: FieldSpec | PolyRing, acc: dict, prec: Exponent | None) -> PuiseuxSeries:
-    """The series of acc, a dict exponent -> coefficient, known below prec."""
+    """The series of acc, a dict exponent -> coefficient whose exponents
+    all lie below prec, known below prec."""
     terms = sorted(((e, c) for e, c in acc.items() if not c.is_zero()), key=_exponent_of)
-    return PuiseuxSeries._ordered(dom, tuple(terms), None).truncate(prec)
+    return PuiseuxSeries._ordered(dom, tuple(terms), prec)
 
 
 class PowerList:
@@ -425,12 +426,6 @@ class PowerList:
         return self._powers[k]
 
 
-# binom(gamma, k), k = 0, 1, ..., as Fractions extended on demand and shared
-# by every field, keyed by gamma's (numerator, denominator); emptied when full
-_ROWS_KEPT = 256
-_binomial_rows: dict = {}
-
-
 def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | None) -> PuiseuxSeries:
     """(1 + w)^gamma = sum_k binom(gamma, k) w^k from the powers of w, known
     below local_prec.  The sum stops where binom(gamma, k) = 0, so integer
@@ -443,24 +438,17 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
     dom = powers.w.dom
     char = dom.char
-    key = (gamma.numerator, gamma.denominator)
-    row = _binomial_rows.get(key)
-    if row is None:
-        if len(_binomial_rows) >= _ROWS_KEPT:
-            _binomial_rows.clear()
-        row = _binomial_rows[key] = [Fraction(1)]
     acc = dict(powers[0].truncate(local_prec).terms)
     known = local_prec
+    bc = Fraction(1)
     k = 0
     bound = EXP_ZERO
     while True:
+        bc = bc * (gamma - k) / (k + 1)
         k += 1
-        if len(row) == k:
-            row.append(row[-1] * (gamma - k + 1) / k)
-        bc = row[k]
         bound = bound + powers.val
         if bc == 0 or (local_prec is not None and not bound < local_prec):
-            return _collected(dom, acc, known)
+            return _collected(dom, acc, local_prec).truncate(known)
         if char and bc.denominator % char == 0:
             raise WildRamification(f"denominator {bc.denominator} vanishes in characteristic {char}")
         c = dom.from_fraction(bc)

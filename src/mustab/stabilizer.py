@@ -30,7 +30,7 @@ from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
 from .poly import PolyRing
-from .series import PowerList, PuiseuxSeries, _collected, ser_subst
+from .series import PowerList, PuiseuxSeries, _collected, _min_prec, _rational_lower_bound, ser_subst
 from .subgroups import _MEMO_SIZE, ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
@@ -80,12 +80,12 @@ class Ansatz:
         return PuiseuxSeries(self.ring, terms, f.precision)
 
     def subst(self, f: PuiseuxSeries, prec: Exponent) -> PuiseuxSeries:
-        """f(s) known below prec, f one of a's coordinates, from the
-        kernel's list of tail powers below prec - low: for an exact f = sum
-        a_e t^e with rational exponents, sum a_e s^e over its monomials."""
+        """f(s) = sum a_e s^e, f = sum a_e t^e one of a's coordinates, over
+        the kernel's monomials s^e, known below prec and, for a truncated f,
+        below a rational bound of its precision, as ser_subst reads it."""
         reach = prec - self.low
-        if f.precision is not None or f.has_irrational_exponent():
-            return ser_subst(self.lift_series(f), None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, self.kernel.powers(reach)))
+        if f.precision is not None:
+            prec = _min_prec(prec, exp(_rational_lower_bound(f.precision)))
         acc: dict = {}
         for e, a in f.terms:
             unit = a.is_one()
@@ -110,7 +110,8 @@ class _Kernel:
     lam * lami - 1, the lead_root of lam^r, and a memo of at most
     _KERNEL_ENTRIES entries, emptied when full, of one PowerList of the
     tail per reach and each monomial s^e = lam^(re) t^e (1 + tail)^e known
-    below P, keyed (P, e, reach); an expansion that raises is not kept."""
+    below P, keyed (P, e): any list reaching P - e gives the same s^e below
+    P, the tail being exact.  An expansion that raises is not kept."""
 
     def __init__(self, field, r: int, n: int):
         self.ring = ring = PolyRing(field, ("lam", "lami") + tuple(f"c{i}" for i in range(1, n + 1)))
@@ -132,11 +133,12 @@ class _Kernel:
         return self._kept(reach, lambda: PowerList(self.tail, reach))
 
     def monomial(self, prec: Exponent, e: Exponent, reach: Exponent) -> PuiseuxSeries:
-        """s^e below prec, from the tail's powers below reach >= prec - e."""
+        """s^e below prec, from the tail's powers below reach >= prec - e
+        if it is not kept yet."""
         def expand():
             one = PuiseuxSeries._ordered(self.ring, ((e, self.ring.one()),), None)
             return ser_subst(one, None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, self.powers(reach)))
-        return self._kept((prec, e, reach), expand)
+        return self._kept((prec, e), expand)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
