@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places and relations alone on fixed inputs.
+"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places, relations and solvability alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -79,18 +79,26 @@ edge polynomial psi = u^2 + u + 2 puts its two places over F_25 (the
 pass over F_p that asks for the extension is timed too); each run
 parses its own curve and scheme.
 
-The relations, the only callers of `linalg.Echelon` with keyed rows:
+The relations, through `linalg.Echelon` with keyed rows:
 `type_dimension(b, 3)` on each of the two places b of the circle
 x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus input),
-found once before the clock starts; and `ideal_of_points` at degree 3 on
-36 points of SL(2, Q) drawn by `random_kpoint` from random.Random(1).
+found once before the clock starts.
+
+The solvability check: `is_solvable` on the whole of SL(2, Q) and of
+GL(2, Q) (the tangent space and its derived series, which stops at sl2)
+and on the stabilizer of the SL(3, Q) branch [1, 0, 1; 0, t^-3, 0;
+2t^-2, t^-1, 2t^-2 + t^3], mu_5 x| G_a, in the frame res(u) of that
+branch's Iwasawa decomposition (the tangent space, its derived series and
+the Borel containment).  Each run builds its SubgroupDesc from fresh
+copies of the generators; `verify_subgroup`'s memo is filled before the
+clock starts, as a job certifies its stabilizer before checking it.
 
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count and cold and warm
 stats, for the tube certificate the s it returns or null and cold and warm
 stats, for the relations the type
-dimensions and the ideal's basis size, per curve the
+dimensions, for the solvability check the answer, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -99,7 +107,6 @@ imported from the src/ next to this script.
 
 import argparse
 import json
-import random
 import statistics
 import subprocess
 import sys
@@ -114,12 +121,12 @@ from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups
 from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
-from mustab.groups import GroupScheme, random_kpoint  # noqa: E402
+from mustab.groups import GroupScheme, KPoint  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
-from mustab.subgroups import SubgroupDesc, ideal_of_points, verify_subgroup  # noqa: E402
+from mustab.subgroups import SubgroupDesc, is_solvable, verify_subgroup  # noqa: E402
 
 
 def _series(*terms) -> dict:
@@ -373,22 +380,36 @@ def time_relations(runs: int) -> dict:
     field, f_text, embedding, precision = PLACES["circle_f5"]
     curve = parse_plane_curve({"f": f_text, "embedding": embedding}, GroupScheme("Additive", len(embedding), field))
     places = places_at_infinity(curve, precision)
-    sl2 = GroupScheme("SL", 2, QQ)
-    rng = random.Random(1)
-    points = [random_kpoint(sl2, rng)._values() for _ in range(36)]
-    ring = sl2.coordinate_ring()
-    dim_times, ideal_times = [], []
+    times = []
     for _ in range(runs):
         start = time.perf_counter()
         dims = [type_dimension(b, 3) for b in places]
-        dim_times.append((time.perf_counter() - start) * 1e3)
-        start = time.perf_counter()
-        I = ideal_of_points(points, ring, 3)
-        ideal_times.append((time.perf_counter() - start) * 1e3)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"type_dimension_circle_f5": {"dims": dims, **_stats(times)}}
+
+
+def solvability_inputs() -> dict:
+    """name -> (SubgroupDesc, frame or None) for the solvability check."""
+    sl2, gl2, sl3 = (GroupScheme(kind, n, QQ) for kind, n in (("SL", 2), ("GL", 2), ("SL", 3)))
+    o, z = QQ.one(), QQ.zero()
+    mu5_ga = ("x32", "x23", "x21", "x13", "x12", "x11 - 1", "x22*x33 - 1", "x33^3 - x22^2", "x22^3 - x33^2")
     return {
-        "type_dimension_circle_f5": {"dims": dims, **_stats(dim_times)},
-        "ideal_of_points_sl2": {"points": len(points), "basis": len(I.gens), **_stats(ideal_times)},
+        "whole_sl2": (SubgroupDesc(sl2, ideal(sl2.coordinate_ring(), "x11*x22 - x12*x21 - 1"), 3), None),
+        "whole_gl2": (SubgroupDesc(gl2, ideal(gl2.coordinate_ring(), "x11*x22*y - x12*x21*y - 1"), 4), None),
+        "sl3_mu5_ga": (SubgroupDesc(sl3, ideal(sl3.coordinate_ring(), *mu5_ga), 1),
+                       KPoint(sl3, ((z, z, -o), (z, o, z), (o, z, z)))),
     }
+
+
+def time_solvability(H: SubgroupDesc, frame, runs: int) -> dict:
+    verify_subgroup(H)
+    times = []
+    for _ in range(runs):
+        fresh = SubgroupDesc(H.scheme, _fresh(H.ideal), H.dim)
+        start = time.perf_counter()
+        out = is_solvable(fresh, None, None if frame is None else lambda: frame)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"solvable": out.value, **_stats(times)}
 
 
 def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: int, runs: int) -> dict:
@@ -445,9 +466,11 @@ def main() -> int:
     certificate = time_mu_correct(ORDER_7_PAIR, args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     relations = time_relations(args.runs)
+    solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
-                      "mu_correct_order_7": certificate, "places": places, "relations": relations}))
+                      "mu_correct_order_7": certificate, "places": places, "relations": relations,
+                      "is_solvable": solvability}))
     return 0
 
 

@@ -28,7 +28,7 @@ class CoefficientFieldTooSmall(MustabError):
 
 
 class BudgetExceeded(MustabError):
-    """A configured work cap (S-pairs, samples, stab_reparam's ansatz order) was hit."""
+    """A configured work cap (S-pairs, stab_reparam's ansatz order) was hit."""
 
     exit_code = 4
 

@@ -27,8 +27,8 @@ call that made it.
 
 Each basis is computed once.  An `Ideal` whose generators already are its
 reduced basis under some order records that order in `basis_order`:
-`groebner_basis` sets it (and returns such an ideal unchanged), and so do
-`eliminate` (grevlex, see there) and `relation_ideal`.
+`groebner_basis` sets it (and returns such an ideal unchanged), and so
+does `eliminate` (grevlex, see there).
 `ideal_member`, `ideal_contains`, `ideal_equal` and `krull_dim` read the
 stored basis instead of running Buchberger again.  `extend_basis` reuses it
 when the added polynomials reduce to 0.  The generic pair of
@@ -38,11 +38,10 @@ monomials (Buchberger's first criterion) and grevlex on (u, v) restricted to
 one copy is grevlex on the coordinates, so its basis is one basis in the
 coordinates copied onto u and onto v.
 
-The ideals of a point cloud and of a branch's degree-D closure come from
-one walk over the monomials, `monomial_relations`: on exact values it
-evaluates only the standard monomials and the leading monomials of the
-relations (the border), never a multiple of a leading monomial, and
-Buchberger gets one relation per leading monomial.
+The relations of a branch's degree-D closure come from one walk over the
+monomials, `monomial_relations`: on exact values it evaluates only the
+standard monomials and the leading monomials of the relations (the
+border), never a multiple of a leading monomial.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Callable, Iterable
 from itertools import combinations
-from operator import add, le, mul, sub
+from operator import add, le, sub
 
 from .errors import BudgetExceeded, EmptyVariety
 from .linalg import Echelon
@@ -300,9 +299,9 @@ class MonomialValues(dict):
     already known, as it is for every monomial the walk of
     `monomial_relations` evaluates."""
 
-    def __init__(self, point, one, times: Callable = mul):
+    def __init__(self, point, one):
         super().__init__()
-        self.point, self.one, self.times = point, one, times
+        self.point, self.one = point, one
 
     def __missing__(self, m: Monomial):
         if not any(m):
@@ -310,7 +309,7 @@ class MonomialValues(dict):
         else:
             i = max(j for j, e in enumerate(m) if e)
             x = self.point[i]
-            v = x if sum(m) == 1 else self.times(self[m[:i] + (m[i] - 1,) + m[i + 1 :]], x)
+            v = x if sum(m) == 1 else self[m[:i] + (m[i] - 1,) + m[i + 1 :]] * x
         self[m] = v
         return v
 
@@ -348,13 +347,6 @@ def monomial_relations(nvars: int, degree: int, vector: Callable[[Monomial], dic
         else:
             relations.append((m, comb))
     return relations, standard
-
-
-def relation_ideal(ring: PolyRing, relations: list[tuple[Monomial, dict]]) -> Ideal:
-    """The ideal the relations of `monomial_relations` generate, as its
-    reduced basis under the ring's order."""
-    one = ring.field.one()
-    return groebner_basis(Ideal(ring, tuple(Poly._trusted(ring, {m: one, **comb}) for m, comb in relations)))
 
 
 def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
@@ -427,7 +419,7 @@ def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
 class Budgets(Record):
     """Work caps shared across the pipeline."""
 
-    __slots__ = ("precision", "degree_bound", "order_budget", "spoly_budget", "sample_budget")
+    __slots__ = ("precision", "degree_bound", "order_budget", "spoly_budget")
 
     def __init__(
         self,
@@ -435,10 +427,8 @@ class Budgets(Record):
         degree_bound: int = 8,
         order_budget: int = 6,
         spoly_budget: int = DEFAULT_SPOLY_BUDGET,
-        sample_budget: int = 24,
     ):
         self.precision = precision
         self.degree_bound = degree_bound
         self.order_budget = order_budget
         self.spoly_budget = spoly_budget
-        self.sample_budget = sample_budget

@@ -14,7 +14,7 @@ from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import DivisionByZero, FieldMismatch, MustabError, NotOnGroup, PrecisionInsufficient, ZeroLeadingTerm
 from .exponents import check_d
 from .fields import FieldSpec
-from .groups import GroupElement, GroupScheme, iwasawa, random_kpoint
+from .groups import GroupElement, GroupScheme, KPoint, iwasawa, random_kpoint
 from .ideals import Budgets, Ideal, ideal_equal, ideal_member, krull_dim
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
@@ -245,7 +245,7 @@ def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets):
                 f"branch {i}: dim Stab {desc.dim} vs dim p {run.dim_after}",
             )
             set_check("infinite", desc.dim >= 1, f"branch {i}: dim {desc.dim}")
-        solv = is_solvable(desc, budgets)
+        solv = is_solvable(desc, budgets, lambda: _borel_frame(run))
         set_check("solvable", solv.value, solv.note)
         if run.agreement is not None:
             set_check("agreement", run.agreement, _agreement_witness(run, i))
@@ -253,6 +253,17 @@ def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets):
             set_check("conjugation", _conjugation_check(run, budgets), f"branch {i}")
         else:
             set_check("conjugation", None)
+
+
+def _borel_frame(run: StabilizerRun) -> KPoint:
+    """res(u) for the reduced branch a = u * b, b upper triangular
+    (groups.iwasawa): the frame whose Borel subgroup holds the stabilizer
+    when the branch's triangular part decides it; the identity when the
+    decomposition fails."""
+    try:
+        return iwasawa(run.reduced.element)[0].res()
+    except MustabError:
+        return run.reduced.scheme.identity()
 
 
 def _agreement_witness(run: StabilizerRun, index: int) -> str:

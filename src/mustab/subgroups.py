@@ -3,9 +3,9 @@
 A SubgroupDesc is an ideal in the ambient scheme's matrix coordinates,
 optionally with a polynomial parameterization.  verify_subgroup certifies
 the group axioms symbolically (generic points, ideal membership);
-classify_subgroup names the subgroup; is_solvable runs the derived series
-on parameterized/sampled points; conjugate_stab pulls the ideal back along
-an inner automorphism.
+classify_subgroup names the subgroup; is_solvable decides solvability from
+the tangent Lie algebra at the identity and a Borel subgroup; conjugate_stab
+pulls the ideal back along an inner automorphism.
 
 The two certificates read only values (the scheme, the ideal and the
 S-polynomial budget or the dimension), and a job meets the same few
@@ -17,27 +17,15 @@ budget error is raised again, never kept.
 from __future__ import annotations
 
 import functools
-import random
-from operator import mul
+from collections.abc import Callable
+from itertools import combinations
 
 from .errors import MustabError
 from .fields import Scalar
-from .groups import GroupScheme, KPoint, random_kpoint, random_scalar
-from .ideals import (
-    Budgets,
-    Ideal,
-    MonomialValues,
-    extend_basis,
-    groebner_basis,
-    ideal_contains,
-    ideal_equal,
-    ideal_member,
-    krull_dim,
-    monomial_relations,
-    reducer,
-    relation_ideal,
-)
+from .groups import GroupScheme, KPoint, mat_mul
+from .ideals import Budgets, Ideal, extend_basis, groebner_basis, ideal_contains, ideal_equal, ideal_member, reducer
 from .factor import scalar_roots
+from .linalg import Echelon
 from .poly import Poly, PolyRing
 from .records import Record
 from .series import PuiseuxSeries, series_to_json
@@ -176,6 +164,14 @@ def _substituted(f: Poly, scheme: GroupScheme, flat, ring: PolyRing) -> Poly:
     return f.subs_polys(dict(zip(scheme.coordinates(), flat)), ring)
 
 
+def _basis(ideal: Ideal, scheme: GroupScheme, budget: int) -> Ideal:
+    """The reduced basis of ideal + the scheme equations in the scheme's
+    coordinate ring."""
+    ring = scheme.coordinate_ring()
+    own = ideal if ideal.ring == ring else Ideal(ring, tuple(g.restrict(ring) for g in ideal.gens))
+    return extend_basis(own, scheme.defining_polys(), budget)
+
+
 def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
     """Two independent generic points u, v of V(ideal) as flat tuples of
     variables, their ring, and a Groebner basis of the relations they obey.
@@ -186,12 +182,10 @@ def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
     coprime leading monomials, and grevlex on (u, v) restricted to either
     copy is grevlex on the coordinates."""
     names = scheme.coordinates()
-    ring = scheme.coordinate_ring()
     big = PolyRing(scheme.field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
     u = tuple(big.var("u" + n) for n in names)
     v = tuple(big.var("v" + n) for n in names)
-    own = ideal if ideal.ring == ring else Ideal(ring, tuple(g.restrict(ring) for g in ideal.gens))
-    gb = extend_basis(own, scheme.defining_polys(ring), budget).gens
+    gb = _basis(ideal, scheme, budget).gens
     gb = [g.rename({n: side + n for n in names}, big) for side in "uv" for g in gb]
     return big, u, v, gb
 
@@ -234,19 +228,22 @@ def _verified(scheme: GroupScheme, ideal: Ideal, spoly_budget: int) -> tuple[boo
 
 # -- conjugation ---------------------------------------------------------------
 
-def conjugate_stab(H: SubgroupDesc, g: KPoint) -> Ideal:
-    """The ideal of g H g^-1, as its reduced basis: H's ideal pulled back
-    along x -> g^-1 x g."""
-    scheme = H.scheme
-    ring = H.ideal.ring
-
+def _conjugated(scheme: GroupScheme, g: KPoint, ring: PolyRing) -> tuple:
+    """g^-1 * X * g as a flat tuple over ring, X the point of coordinate
+    variables: entries linear in the coordinates."""
     def lifted(point: KPoint) -> tuple:
         return tuple(ring.from_scalar(c) for c in point.flat())
 
-    # g^-1 * X * g, entries linear in the coordinates
     x = tuple(ring.var(name) for name in scheme.coordinates())
-    moved = scheme.mul_values(scheme.mul_values(lifted(g.inv()), x), lifted(g))
-    return groebner_basis(Ideal(ring, tuple(_substituted(f, scheme, moved, ring) for f in H.ideal.gens)))
+    return scheme.mul_values(scheme.mul_values(lifted(g.inv()), x), lifted(g))
+
+
+def conjugate_stab(H: SubgroupDesc, g: KPoint) -> Ideal:
+    """The ideal of g H g^-1, as its reduced basis: H's ideal pulled back
+    along x -> g^-1 x g."""
+    ring = H.ideal.ring
+    moved = _conjugated(H.scheme, g, ring)
+    return groebner_basis(Ideal(ring, tuple(_substituted(f, H.scheme, moved, ring) for f in H.ideal.gens)))
 
 
 # -- classification -------------------------------------------------------------
@@ -321,59 +318,71 @@ def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool
     return all(nf(a - b).is_zero() for a, b in zip(uv, vu))
 
 
-def ideal_of_points(points: list[dict[str, Scalar]], ring: PolyRing, degree: int) -> Ideal:
-    """Vanishing ideal of a finite point cloud, up to a degree bound: the
-    relations among the monomials' vectors of values at the points."""
-    values = MonomialValues(
-        [tuple(pt[v] for pt in points) for v in ring.variables],
-        (ring.field.one(),) * len(points),
-        lambda a, b: tuple(map(mul, a, b)),
-    )
-    relations, _ = monomial_relations(ring.nvars, degree, values.__getitem__, True)
-    return relation_ideal(ring, relations)
+def _tangent_space(ideal: Ideal, scheme: GroupScheme) -> list[tuple]:
+    """A basis of the tangent space at e of V(ideal + the scheme
+    equations), the kernel of their Jacobian J(e), each vector a flat
+    tuple in coordinates() order.
+
+    The columns of J(e), read off the linear terms of each generator at
+    e + X, go into one Echelon in coordinate order; a column j that
+    reduces to zero, c_j + sum(a_k c_k) = 0, gives the kernel vector
+    e_j + sum(a_k e_k), and these vectors are a basis of the kernel."""
+    ring = scheme.coordinate_ring()
+    names = scheme.coordinates()
+    e = scheme.identity()._values()
+    shift = {v: ring.var(v) + ring.from_scalar(e[v]) for v in names}
+    units = [ring.var(v).leading_monomial(ring.order) for v in names]
+    columns: list[dict] = [{} for _ in names]
+    for r, f in enumerate(ideal.gens + tuple(scheme.defining_polys())):
+        linear = f.subs_polys(shift, ring).terms
+        for j, m in enumerate(units):
+            if m in linear:
+                columns[j][r] = linear[m]
+    ech = Echelon()
+    basis = []
+    for j, column in enumerate(columns):
+        comb = ech.add(column, j)
+        if comb is not None:
+            comb[j] = ring.field.one()
+            basis.append(tuple(comb.get(k, ring.field.zero()) for k in range(len(names))))
+    return basis
 
 
-def _sample_kpoints(H: SubgroupDesc, rng: random.Random, count: int) -> list[KPoint]:
-    """k-points of H: from the parameterized family when present, else
-    random points when H is the whole of SL(2) or GL(2), its own scheme
-    (equal ideals); none otherwise.  SL(3) and GL(3) are left out: the
-    derived series of the whole of SL(3) ran past 120 s."""
-    scheme = H.scheme
-    field = scheme.field
-    out: list[KPoint] = []
-    if H.param is not None:
-        pr = H.param.ring
-        tries = 0
-        while len(out) < count and tries < count * 30:
-            tries += 1
-            # lam = lami = 1 and a random value for each c_i the relations
-            # leave free
-            defaults = {v: field.one() if v in ("lam", "lami") else random_scalar(field, rng) for v in pr.variables}
-            sol = solve_point(H.param.relations, defaults)
-            pt = None if sol is None else _param_point(H, sol)
-            if pt is not None:
-                out.append(pt)
-        return out
-    if scheme.kind in ("SL", "GL") and scheme.n == 2:
-        whole = Ideal(H.ideal.ring, tuple(scheme.defining_polys(H.ideal.ring)))
-        if ideal_equal(H.ideal, whole):
-            return [random_kpoint(scheme, rng) for _ in range(count)]
-    return out
+def _derived_series_stops(tangent: list[tuple], scheme: GroupScheme) -> int:
+    """The dimension at which the derived series of the Lie algebra
+    spanned by the matrix parts of the tangent vectors stops, 0 when it
+    reaches 0.  Each level is spanned by the brackets [a, b] = ab - ba of
+    the basis of the one before; the brackets kept as pivots of one
+    Echelon are the next level's basis."""
+    level = [scheme.shape(v)[0] for v in tangent]
+    while level:
+        ech = Echelon()
+        bracketed = []
+        for a, b in combinations(level, 2):
+            c = [x - y for x, y in zip(scheme.flatten(mat_mul(a, b)), scheme.flatten(mat_mul(b, a)))]
+            if ech.add(c) is None:
+                bracketed.append(scheme.shape(c)[0])
+        if len(bracketed) >= len(level):
+            return len(level)
+        level = bracketed
+    return 0
 
 
-def _param_point(H: SubgroupDesc, sol: dict[str, Scalar]) -> KPoint | None:
-    try:
-        return KPoint(H.scheme, H.scheme.map_entries(H.param.entries, lambda p: p.eval_scalars(sol)))
-    except MustabError:
-        return None
+def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None,
+                frame: Callable[[], KPoint] | None = None) -> SolvabilityResult:
+    """Whether H is solvable, by linear algebra on its tangent space
+    (Milne, "Algebraic Groups", ch. 10; Borel, "Linear Algebraic Groups",
+    section 3).
 
-
-def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None) -> SolvabilityResult:
-    """Derived series on parameterized/sampled points.
-
-    True when the series reaches the trivial group within dim+1 steps
-    (abelian levels certified symbolically); certified False when a step
-    stabilizes at a symbolically nonabelian verified subgroup.
+    Additive and abelian groups are solvable.  Otherwise let h be the
+    tangent space at e.  When dim h is H.dim, H is smooth and h its Lie
+    algebra, and [h, h] lies in the Lie algebra of the derived group; so a
+    derived series of h that stops above 0 proves H not solvable, in any
+    characteristic.  When it reaches 0, H is solvable if it lies in the
+    Borel subgroup g B g^-1, B upper triangular: the strictly lower
+    entries of g^-1 X g lie in H's ideal plus the scheme equations.  g is
+    frame(), called only at this step, or the identity when frame is
+    None.  Any other case is inconclusive, None with the reason.
     """
     budgets = budgets or Budgets()
     if not H.flags.get("verified_subgroup"):
@@ -381,45 +390,22 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None) -> SolvabilityR
         if not H.flags.get("verified_subgroup"):
             return SolvabilityResult(None, "not a verified subgroup")
     scheme = H.scheme
-    r = scheme.root
-    if r.kind == "Additive":
+    if scheme.root.kind == "Additive":
         return SolvabilityResult(True, "additive groups are abelian")
     if _is_abelian_symbolic(H.ideal, scheme, budgets.spoly_budget):
         return SolvabilityResult(True, "abelian")
 
-    rng = random.Random(20)
-    current = H.ideal
-    samples = _sample_kpoints(H, rng, budgets.sample_budget)
-    if len(samples) < 4:
-        return SolvabilityResult(None, "cannot sample enough points")
-    ring = H.ideal.ring
-    for _ in range(max(1, H.dim) + 1):
-        commutators = []
-        for _ in range(budgets.sample_budget):
-            a = samples[rng.randrange(len(samples))]
-            b = samples[rng.randrange(len(samples))]
-            c = a.mul(b).mul(a.inv()).mul(b.inv())
-            commutators.append(c)
-        closed = list(commutators)
-        for _ in range(budgets.sample_budget // 2):
-            a = commutators[rng.randrange(len(commutators))]
-            b = commutators[rng.randrange(len(commutators))]
-            closed.append(a.mul(b))
-        pts = [p._values() for p in closed]
-        nxt = ideal_of_points(pts, ring, max(2, min(3, budgets.degree_bound)))
-        id_values = scheme.identity()._values()
-        if not all(g.eval_scalars(id_values).is_zero() for g in nxt.gens):
-            return SolvabilityResult(None, "identity escaped the sampled ideal")
-        if _is_trivial(nxt, scheme):
-            return SolvabilityResult(True, "derived series reached the trivial group")
-        if _is_abelian_symbolic(nxt, scheme, budgets.spoly_budget):
-            return SolvabilityResult(True, "derived series reached an abelian group")
-        if ideal_equal(nxt, current):
-            sub = SubgroupDesc(scheme, nxt, krull_dim(nxt))
-            ok, _ = verify_subgroup(sub, budgets)
-            if ok:
-                return SolvabilityResult(False, "derived series stabilized at a nonabelian subgroup")
-            return SolvabilityResult(None, "stabilized at an uncertified set")
-        current = nxt
-        samples = closed
-    return SolvabilityResult(None, "derived series did not settle within the step budget")
+    tangent = _tangent_space(H.ideal, scheme)
+    if len(tangent) != H.dim:
+        return SolvabilityResult(None, f"tangent space at e of dimension {len(tangent)}, not {H.dim}")
+    stop = _derived_series_stops(tangent, scheme)
+    if stop:
+        return SolvabilityResult(False, f"the Lie algebra's derived series stops at dimension {stop}")
+
+    ring = scheme.coordinate_ring()
+    moved = _conjugated(scheme, frame() if frame is not None else scheme.identity(), ring)
+    nf = reducer(_basis(H.ideal, scheme, budgets.spoly_budget).gens, ring.order)
+    n = scheme.root.n
+    if all(nf(moved[i * n + j]).is_zero() for i in range(n) for j in range(i)):
+        return SolvabilityResult(True, "contained in a Borel subgroup")
+    return SolvabilityResult(None, "solvable Lie algebra, but not contained in the frame's Borel subgroup")

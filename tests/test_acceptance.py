@@ -183,7 +183,7 @@ def test_criterion_06_solvability():
             failures.append((name, out.note))
     ring = sl2().coordinate_ring()
     control = SubgroupDesc(sl2(), ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
-    control_out = is_solvable(control, Budgets(degree_bound=4, sample_budget=30))
+    control_out = is_solvable(control)
     ok = not failures and control_out.value is False
     report("criterion 6: every corpus stabilizer is solvable and full SL2 is not",
            ok, f"failures={failures}, control={control_out.value}")

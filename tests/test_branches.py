@@ -11,9 +11,10 @@ from mustab.errors import NotOnGroup
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
-from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim, relation_ideal
+from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim
 from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries
+from tests_helpers import relation_ideal
 
 QS2 = FieldSpec("QSqrt", d=2)
 SL2 = GroupScheme("SL", 2, QQ)

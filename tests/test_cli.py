@@ -267,9 +267,10 @@ def test_stab_on_a_subgroup_scheme_skips_conjugation():
     assert report["checks"]["conjugation"] == "skipped"
 
 
-def test_verify_on_a_subgroup_scheme_samples_no_ambient_points():
-    """The Borel as the whole of a Subgroup scheme: the derived series may
-    not run on random points of SL(2), which lie outside it."""
+def test_verify_on_a_subgroup_scheme_reads_its_borel():
+    """The Borel as the whole of a Subgroup scheme: not abelian, its Lie
+    algebra span(h, e) solvable, and it lies in the upper triangular Borel
+    of the identity frame."""
     job = {
         "field": {"kind": "Q"},
         "group": SL2_BOREL_SUBGROUP,
@@ -278,14 +279,38 @@ def test_verify_on_a_subgroup_scheme_samples_no_ambient_points():
     }
     report, code = run_job(job)
     assert code == 0 and report["results"]["verified_subgroup"] is True
-    assert report["results"]["solvable"] is None
-    assert report["results"]["solvable_note"] == "cannot sample enough points"
+    assert report["results"]["solvable"] is True
+    assert report["results"]["solvable_note"] == "contained in a Borel subgroup"
+
+
+WHOLE_GROUPS = {"SL": "x11*x22 - x12*x21 - 1", "GL": "x11*x22*y - x12*x21*y - 1"}
+
+
+# GL(2) over Q is test_verify_whole_gl2_is_not_solvable
+@pytest.mark.parametrize("kind, p", [("SL", 0), ("SL", 2), ("SL", 3), ("SL", 5), ("GL", 2), ("GL", 3), ("GL", 5)],
+                         ids=["SL2-Q", "SL2-F2", "SL2-F3", "SL2-F5", "GL2-F2", "GL2-F3", "GL2-F5"])
+def test_verify_whole_sl2_and_gl2_are_not_solvable(kind, p):
+    """Criterion 6 for the whole of SL(2) and GL(2), with no budget: the
+    derived series of sl2 stops at sl2 (perfect for p != 2), so neither
+    group is solvable, though G(F_2) and G(F_3) are finite solvable groups.
+    In characteristic 2, sl2 is a solvable Lie algebra and no Borel
+    subgroup holds the group: nothing is certified."""
+    field = {"kind": "Fp", "p": p} if p else {"kind": "Q"}
+    job = {"field": field, "group": {"kind": kind, "n": 2}, "command": "verify",
+           "input": {"subgroup": {"ideal": [WHOLE_GROUPS[kind]]}}}
+    report, code = run_job(job)
+    assert code == 0 and report["results"]["verified_subgroup"] is True
+    if p == 2:
+        assert report["results"]["solvable"] is None
+        assert report["results"]["solvable_note"] == "solvable Lie algebra, but not contained in the frame's Borel subgroup"
+    else:
+        assert report["results"]["solvable"] is False
+        assert report["results"]["solvable_note"] == "the Lie algebra's derived series stops at dimension 3"
 
 
 def test_verify_whole_gl2_is_not_solvable():
-    """The GL(2) counterpart of criterion 6: the derived series of the
-    whole group, run on random points of GL(2), settles at a nonabelian
-    subgroup."""
+    """The GL(2) counterpart of criterion 6: the derived series of gl2
+    goes to sl2 and stops there."""
     job = {
         "field": {"kind": "Q"},
         "group": {"kind": "GL", "n": 2},
@@ -295,7 +320,7 @@ def test_verify_whole_gl2_is_not_solvable():
     report, code = run_job(job)
     assert code == 0 and report["results"]["verified_subgroup"] is True
     assert report["results"]["solvable"] is False
-    assert report["results"]["solvable_note"] == "derived series stabilized at a nonabelian subgroup"
+    assert report["results"]["solvable_note"] == "the Lie algebra's derived series stops at dimension 3"
 
 
 def test_reparam_self_check_failure_exits_verify(monkeypatch):

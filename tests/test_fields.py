@@ -123,7 +123,7 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
     q_spec = "FieldSpec(kind='Q', d=None, p=None, modulus=None)"
     assert repr(ring) == f"PolyRing(field={q_spec}, variables=('x', 'y'), order_name='grevlex')"
     assert repr(GroupScheme("SL", 2, QQ)) == f"GroupScheme(kind='SL', n=2, field={q_spec}, parent=None, subgroup_ideal=None)"
-    assert repr(Budgets()) == "Budgets(precision=12, degree_bound=8, order_budget=6, spoly_budget=10000, sample_budget=24)"
+    assert repr(Budgets()) == "Budgets(precision=12, degree_bound=8, order_budget=6, spoly_budget=10000)"
     with pytest.raises(FieldMismatch, match=r"polynomial rings differ: PolyRing\(field=FieldSpec\(kind='Q'"):
         ring.var("x") + PolyRing(QQ, ("x",)).var("x")
 

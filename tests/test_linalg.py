@@ -1,7 +1,7 @@
-"""Sparse elimination in linalg; the relation walk behind type_dimension
-and ideal_of_points against the dense kernel computation it replaced (kept
-here as the reference), and the exact closure against it; and
-certified_dim against type_dimension."""
+"""Sparse elimination in linalg; the relation walk behind type_dimension,
+on branches and on point clouds, against the dense kernel computation it
+replaced (kept here as the reference), and the exact closure against it;
+and certified_dim against type_dimension."""
 
 import random
 from fractions import Fraction
@@ -14,12 +14,11 @@ from mustab.errors import PrecisionInsufficient
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
-from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis, ideal_member, relation_ideal
+from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis, ideal_member
 from mustab.linalg import Echelon, echelon
 from mustab.poly import Poly, PolyRing, monomials_up_to
 from mustab.series import PuiseuxSeries
-from mustab.subgroups import ideal_of_points
-from tests_helpers import field_elements, random_laurent, random_laurent_point, shear_product
+from tests_helpers import field_elements, points_ideal, random_laurent, random_laurent_point, relation_ideal, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -362,9 +361,9 @@ def point_clouds(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(point_clouds())
-def test_ideal_of_points_matches_the_dense_kernel(cloud):
+def test_point_relations_match_the_dense_kernel(cloud):
     ring, points, degree = cloud
     monos = sorted(monomials_up_to(ring.nvars, degree), key=lambda m: (sum(m), m))
     rows = [[Poly(ring, {m: ring.field.one()}).eval_scalars(pt) for m in monos] for pt in points]
     expected = kernel_basis(ring, monos, dense_nullspace(rows, len(monos), ring.field))
-    assert ideal_of_points(points, ring, degree).gens == expected
+    assert points_ideal(points, ring, degree).gens == expected

@@ -41,7 +41,7 @@ from mustab.subgroups import (
     is_solvable,
     verify_subgroup,
 )
-from tests_helpers import direct_quotient, ideal_intersect, is_identity, random_laurent_point, shear_product
+from tests_helpers import direct_quotient, ideal_intersect, is_identity, param_kpoints, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -874,22 +874,60 @@ def test_solvable_abelian_cases():
 
 
 def test_solvable_borel_two_steps():
+    """The Borel's Lie algebra span(h, e) has derived series 2 -> 1 -> 0,
+    and the group lies in the upper triangular Borel of the identity
+    frame."""
     ring = SL2.coordinate_ring()
     borel = SubgroupDesc(SL2, ideal(ring, "x21"), 2)
-    # sampling needs a parameterization or a full-scheme match; provide points
-    # via the parameterized family b, c, a invertible
-    from mustab.poly import PolyRing
-    from mustab.subgroups import ParamFamily
-
-    pring = PolyRing(QQ, ("lam", "lami", "c1"))
-    entries = (
-        (pring.var("lam"), pring.var("c1")),
-        (pring.zero(), pring.var("lami")),
-    )
-    rel = Ideal(pring, (pring.parse("lam*lami - 1"),))
-    borel.param = ParamFamily(pring, entries, rel)
     out = is_solvable(borel, BUDGETS)
-    assert out.value is True
+    assert (out.value, out.note) == (True, "contained in a Borel subgroup")
+
+
+def test_solvable_mu5_semidirect_ga_in_the_frame_of_its_branch():
+    """The stabilizer of the SL(3) branch [1, 0, 1; 0, t^-3, 0; 2t^-2,
+    t^-1, 2t^-2 + t^3], mu_5 x| G_a: diag(1, a, 1/a) with a^5 = 1 and x31
+    free.  It is not abelian and its Lie algebra span(E31) is; the group
+    is lower triangular, so the identity frame leaves it open, and the
+    frame res(u) of the branch's Iwasawa decomposition, read off the
+    branch, puts it in its Borel subgroup."""
+    scheme = GroupScheme("SL", 3, QQ)
+    ring = scheme.coordinate_ring()
+    gens = ("x32", "x23", "x21", "x13", "x12", "x11 - 1", "x22*x33 - 1", "x33^3 - x22^2", "x22^3 - x33^2")
+    H = SubgroupDesc(scheme, ideal(ring, *gens), 1)
+    o, z = QQ.one(), QQ.zero()
+    frame = KPoint(scheme, ((z, z, -o), (z, o, z), (o, z, z)))
+    out = is_solvable(H, BUDGETS, lambda: frame)
+    assert (out.value, out.note) == (True, "contained in a Borel subgroup")
+    out = is_solvable(H, BUDGETS)
+    assert out.value is None and "Borel" in out.note
+
+
+def test_solvable_calls_the_frame_only_past_the_lie_algebra():
+    """The frame is read only when the Lie algebra leaves the question open:
+    not on an abelian group, not on a non-solvable one."""
+    def frame():
+        raise AssertionError("frame called")
+
+    ring = SL2.coordinate_ring()
+    torus = SubgroupDesc(SL2, ideal(ring, "x12", "x21", "x11*x22 - 1"), 1)
+    full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
+    assert is_solvable(torus, BUDGETS, frame).value is True
+    assert is_solvable(full, BUDGETS, frame).value is False
+
+
+@pytest.mark.parametrize("field, value, note", [
+    (QQ, True, "contained in a Borel subgroup"),
+    (F5, None, "tangent space at e of dimension 2, not 1"),
+], ids=["Q", "F5"])
+def test_solvable_needs_the_tangent_space_of_the_group_dimension(field, value, note):
+    """<x21, x11^5 - 1> in SL(2) is mu_5 x| G_a.  Over Q, mu_5 is reduced
+    and the Borel holds the group; over F_5, x11^5 - 1 = (x11 - 1)^5, the
+    scheme is not reduced and its tangent space at e is 2-dimensional
+    against the group's 1, so nothing is certified."""
+    scheme = GroupScheme("SL", 2, field)
+    H = SubgroupDesc(scheme, ideal(scheme.coordinate_ring(), "x21", "x11^5 - 1"), 1)
+    out = is_solvable(H, BUDGETS)
+    assert H.flags["verified_subgroup"] and (out.value, out.note) == (value, note)
 
 
 def test_solve_point_lets_unexpected_errors_through(monkeypatch):
@@ -917,15 +955,15 @@ def test_solve_point_lets_unexpected_errors_through(monkeypatch):
 def test_not_solvable_full_sl2():
     ring = SL2.coordinate_ring()
     full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
-    out = is_solvable(full, Budgets(degree_bound=4, sample_budget=30))
-    assert out.value is False
+    out = is_solvable(full)
+    assert (out.value, out.note) == (False, "the Lie algebra's derived series stops at dimension 3")
 
 
 def test_not_solvable_full_sl2_f5():
     scheme = GroupScheme("SL", 2, F5)
     ring = scheme.coordinate_ring()
     full = SubgroupDesc(scheme, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
-    out = is_solvable(full, Budgets(degree_bound=4, sample_budget=40))
+    out = is_solvable(full)
     assert out.value is False
 
 
@@ -979,10 +1017,8 @@ def test_conjugating_the_gl2_torus_moves_y_with_it():
 def test_sampled_stabilizer_points_stabilize_the_tube():
     for branch in (x1_branch(), x2_branch()):
         run = compute_stabilizer(branch, "reparam", BUDGETS)
-        from mustab.subgroups import _sample_kpoints
-
         rng = random.Random(3)
-        pts = _sample_kpoints(run.subgroup, rng, 5)
+        pts = param_kpoints(run.subgroup, rng, 5)
         assert len(pts) >= 3
         for h in pts:
             moved = run.reduced.translate(h)
@@ -1001,9 +1037,7 @@ def test_sampling_solves_the_relations_on_the_c_parameters(make):
     H = compute_stabilizer(make(), "reparam", BUDGETS).subgroup
     pinned = {v for g in H.param.relations.gens for v in g.variables_used() if v.startswith("c")}
     assert pinned == {"c1", "c2"}
-    from mustab.subgroups import _sample_kpoints
-
-    pts = _sample_kpoints(H, random.Random(5), 6)
+    pts = param_kpoints(H, random.Random(5), 6)
     assert len(pts) == 6
     for h in pts:
         values = h._values()

@@ -30,7 +30,8 @@ from mustab.ideals import (
     krull_dim,
 )
 from mustab.poly import Poly, PolyRing, order_by_name
-from mustab.subgroups import SubgroupDesc, _generic_pair, _substituted, classify_subgroup, ideal_of_points
+from mustab.subgroups import SubgroupDesc, _generic_pair, _substituted, classify_subgroup
+from tests_helpers import points_ideal
 
 ROOT = Path(__file__).resolve().parent.parent
 F5 = FieldSpec("Fp", p=5)
@@ -65,7 +66,7 @@ def _marked_ideals(rng, field):
     yield groebner_basis(I, "grevlex")
     yield eliminate(I, names[:1])
     points = [{v: field.from_int(rng.randrange(5)) for v in names} for _ in range(3)]
-    yield ideal_of_points(points, ring, 2)
+    yield points_ideal(points, ring, 2)
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])

@@ -2,7 +2,9 @@
 and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
 of two ideals, the product of a factorization, the list of a finite
-field's elements, and the places at infinity from every conjugate
+field's elements, the ideal of a list of monomial relations and of a
+point cloud, k-points of a parameterized subgroup, and the places at
+infinity from every conjugate
 expansion in fractional exponents merged by `_dedup_branches`, with the
 edge-root classifier that factors phi (the reference for one expansion
 per place in Duval's variables), the exact test b(t) = a(lam t) that
@@ -20,9 +22,11 @@ from mustab.branches import is_centered_at_infinity, validate_branch
 from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
 from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
-from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate
+from mustab import ideals
+from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate, monomial_relations
 from mustab.poly import Poly, PolyRing
 from mustab.series import PowerList, PuiseuxSeries, ser_subst
+from mustab.subgroups import solve_point
 
 
 
@@ -48,6 +52,41 @@ def uni_divmod(f, g):
 def field_elements(field) -> list:
     """Every element of a finite field, in element(i) order."""
     return [field.element(i) for i in range(field.order)]
+
+
+def relation_ideal(ring: PolyRing, relations) -> Ideal:
+    """The ideal the relations of `ideals.monomial_relations` generate, as
+    its reduced basis under the ring's order, through the module's
+    `groebner_basis` so that a test may watch it."""
+    one = ring.field.one()
+    return ideals.groebner_basis(Ideal(ring, tuple(Poly(ring, {m: one, **comb}) for m, comb in relations)))
+
+
+def points_ideal(points: list[dict], ring: PolyRing, degree: int) -> Ideal:
+    """The vanishing ideal of a point cloud up to a degree bound: the
+    relations among the monomials' vectors of values at the points."""
+    one = ring.field.one()
+
+    def vector(m):
+        return [Poly(ring, {m: one}).eval_scalars(pt) for pt in points]
+
+    return relation_ideal(ring, monomial_relations(ring.nvars, degree, vector, True)[0])
+
+
+def param_kpoints(H, rng, count: int) -> list[KPoint]:
+    """k-points of H from its parameterized family: one `solve_point` on
+    the family's relations per try, lam = lami = 1 and a random default for
+    every other parameter, at most 30 tries per point."""
+    field = H.scheme.field
+    out = []
+    for _ in range(count * 30):
+        if len(out) == count:
+            break
+        defaults = {v: field.one() if v in ("lam", "lami") else random_scalar(field, rng) for v in H.param.ring.variables}
+        sol = solve_point(H.param.relations, defaults)
+        if sol is not None:
+            out.append(KPoint(H.scheme, H.scheme.map_entries(H.param.entries, lambda p: p.eval_scalars(sol))))
+    return out
 
 
 def random_series(rng, dom=QQ, allow_neg=True, max_terms=4, prec_range=(4, 8)):
