@@ -87,9 +87,11 @@ found once before the clock starts.
 The solvability check: `is_solvable` on the whole of SL(2, Q) and of
 GL(2, Q) (the tangent space and its derived series, which stops at sl2)
 and on the stabilizer of the SL(3, Q) branch [1, 0, 1; 0, t^-3, 0;
-2t^-2, t^-1, 2t^-2 + t^3], mu_5 x| G_a, in the frame res(u) of that
-branch's Iwasawa decomposition (the tangent space, its derived series and
-the Borel containment).  Each run builds its SubgroupDesc from fresh
+2t^-2, t^-1, 2t^-2 + t^3], mu_5 x| G_a, and of that branch in the
+top-left block of SL(4, Q), in the frame res(u) of the branch's Iwasawa
+decomposition (the tangent space, its derived series, the decomposition,
+which inverts by minors, and the Borel containment; each branch is its
+own mu-reduction).  Each run builds its SubgroupDesc from fresh
 copies of the generators; `verify_subgroup`'s memo is filled before the
 clock starts, as a job certifies its stabilizer before checking it.
 
@@ -121,7 +123,7 @@ from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups
 from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
-from mustab.groups import GroupScheme, KPoint  # noqa: E402
+from mustab.groups import GroupScheme, iwasawa  # noqa: E402
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
@@ -388,26 +390,39 @@ def time_relations(runs: int) -> dict:
     return {"type_dimension_circle_f5": {"dims": dims, **_stats(times)}}
 
 
+MU5_GA_SL3 = [
+    [_series((0, 1)), _series(), _series((0, 1))],
+    [_series(), _series((-3, 1)), _series()],
+    [_series((-2, 2)), _series((-1, 1)), _series((-2, 2), (3, 1))],
+]
+# the same branch in the top-left block of SL(4), 1 in the corner
+MU5_GA_SL4 = [row + [_series()] for row in MU5_GA_SL3] + [[_series()] * 3 + [_series((0, 1))]]
+
+
 def solvability_inputs() -> dict:
-    """name -> (SubgroupDesc, frame or None) for the solvability check."""
-    sl2, gl2, sl3 = (GroupScheme(kind, n, QQ) for kind, n in (("SL", 2), ("GL", 2), ("SL", 3)))
-    o, z = QQ.one(), QQ.zero()
+    """name -> (SubgroupDesc, the branch whose Iwasawa frame is_solvable
+    reads, or None) for the solvability check."""
+    sl2, gl2, sl3, sl4 = (GroupScheme(kind, n, QQ) for kind, n in (("SL", 2), ("GL", 2), ("SL", 3), ("SL", 4)))
     mu5_ga = ("x32", "x23", "x21", "x13", "x12", "x11 - 1", "x22*x33 - 1", "x33^3 - x22^2", "x22^3 - x33^2")
+    corner = ("x44 - 1", "x43", "x42", "x41", "x34", "x24", "x14")
     return {
         "whole_sl2": (SubgroupDesc(sl2, ideal(sl2.coordinate_ring(), "x11*x22 - x12*x21 - 1"), 3), None),
         "whole_gl2": (SubgroupDesc(gl2, ideal(gl2.coordinate_ring(), "x11*x22*y - x12*x21*y - 1"), 4), None),
         "sl3_mu5_ga": (SubgroupDesc(sl3, ideal(sl3.coordinate_ring(), *mu5_ga), 1),
-                       KPoint(sl3, ((z, z, -o), (z, o, z), (o, z, z)))),
+                       parse_branch({"entries": MU5_GA_SL3}, sl3, None)),
+        "sl4_mu5_ga": (SubgroupDesc(sl4, ideal(sl4.coordinate_ring(), *mu5_ga, *corner), 1),
+                       parse_branch({"entries": MU5_GA_SL4}, sl4, None)),
     }
 
 
-def time_solvability(H: SubgroupDesc, frame, runs: int) -> dict:
+def time_solvability(H: SubgroupDesc, branch, runs: int) -> dict:
     verify_subgroup(H)
     times = []
     for _ in range(runs):
         fresh = SubgroupDesc(H.scheme, _fresh(H.ideal), H.dim)
+        frame = None if branch is None else lambda: iwasawa(branch.element)[0].res()
         start = time.perf_counter()
-        out = is_solvable(fresh, None, None if frame is None else lambda: frame)
+        out = is_solvable(fresh, None, frame)
         times.append((time.perf_counter() - start) * 1e3)
     return {"solvable": out.value, **_stats(times)}
 

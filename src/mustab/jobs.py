@@ -15,7 +15,7 @@ from .errors import DivisionByZero, FieldMismatch, MustabError, NotOnGroup, Prec
 from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, KPoint, iwasawa, random_kpoint
-from .ideals import Budgets, Ideal, ideal_equal, ideal_member, krull_dim
+from .ideals import Budgets, Ideal, extend_basis, ideal_equal, ideal_member, krull_dim
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
 from .poly import PolyRing
@@ -135,9 +135,12 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
             report["results"]["b"] = _element_json(b2)
             report["results"]["u_integral"] = u.is_integral()
         else:  # verify; _read_input rejected any other command
-            desc = SubgroupDesc(scheme, inp, krull_dim(inp))
+            desc = SubgroupDesc(scheme, inp, krull_dim(inp))  # EmptyVariety on the unit ideal
             ok, rep = verify_subgroup(desc, budgets)
-            solv = is_solvable(desc, budgets) if ok else None
+            solv = None
+            if ok:  # is_solvable reads the dimension of the group scheme, its equations included
+                desc.dim = krull_dim(extend_basis(inp, scheme.defining_polys(), budgets.spoly_budget))
+                solv = is_solvable(desc, budgets)
             report["results"]["verified_subgroup"] = ok
             report["results"]["verify_report"] = {k: v for k, v in rep.items()}
             if solv is not None:

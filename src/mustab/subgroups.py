@@ -59,7 +59,7 @@ class SubgroupDesc(Record):
     ):
         self.scheme = scheme
         self.ideal = ideal
-        self.dim = dim
+        self.dim = dim  # of V(ideal + the scheme equations)
         self.param = param
         self.flags = {} if flags is None else flags
         self.cosets = cosets
@@ -375,7 +375,8 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None,
     section 3).
 
     Additive and abelian groups are solvable.  Otherwise let h be the
-    tangent space at e.  When dim h is H.dim, H is smooth and h its Lie
+    tangent space at e.  When dim h is H.dim (the scheme equations
+    included, or a non-reduced H can pass), H is smooth and h its Lie
     algebra, and [h, h] lies in the Lie algebra of the derived group; so a
     derived series of h that stops above 0 proves H not solvable, in any
     characteristic.  When it reaches 0, H is solvable if it lies in the

@@ -323,6 +323,28 @@ def test_verify_whole_gl2_is_not_solvable():
     assert report["results"]["solvable_note"] == "the Lie algebra's derived series stops at dimension 3"
 
 
+@pytest.mark.parametrize("p, ideal, value, note", [
+    (0, ["x21"], True, "contained in a Borel subgroup"),
+    (3, ["x12^3"], None, "tangent space at e of dimension 3, not 2"),
+    (5, ["x21", "x11^5 - 1"], None, "tangent space at e of dimension 2, not 1"),
+], ids=["borel-Q", "x12-cubed-F3", "mu5-ga-F5"])
+def test_verify_reads_the_dimension_with_the_scheme_equations(p, ideal, value, note):
+    """The tangent space at e is set against the dimension of V(ideal +
+    det - 1), not of V(ideal) in the four entries.  The Borel <x21> over Q
+    is smooth of dimension 2 and is certified.  Over F_3, Frobenius keeps
+    <x12^3> closed; its points are the lower Borel, but the scheme is not
+    reduced (tangent space sl2 against dimension 2), so sl2 being perfect
+    proves nothing and nothing is certified.  Over F_5, <x21, x11^5 - 1>
+    is not reduced either, and the job agrees with
+    test_solvable_needs_the_tangent_space_of_the_group_dimension."""
+    field = {"kind": "Fp", "p": p} if p else {"kind": "Q"}
+    job = {"field": field, "group": {"kind": "SL", "n": 2}, "command": "verify",
+           "input": {"subgroup": {"ideal": ideal}}}
+    report, code = run_job(job)
+    assert code == 0 and report["results"]["verified_subgroup"] is True
+    assert (report["results"]["solvable"], report["results"]["solvable_note"]) == (value, note)
+
+
 def test_reparam_self_check_failure_exits_verify(monkeypatch):
     # spoil the stabilizer ideal with x12 - 1, which does not vanish on the
     # family x12 = s of the x1 branch
