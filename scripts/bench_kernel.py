@@ -95,12 +95,17 @@ own mu-reduction).  Each run builds its SubgroupDesc from fresh
 copies of the generators; `verify_subgroup`'s memo is filled before the
 clock starts, as a job certifies its stabilizer before checking it.
 
+The dimension: `krull_dim` of that SL(4) stabilizer ideal in 16
+variables (its grevlex basis, then the fewest variables meeting every
+leading monomial's support), on fresh copies of the generators.
+
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count and cold and warm
 stats, for the tube certificate the s it returns or null and cold and warm
 stats, for the relations the type
-dimensions, for the solvability check the answer, per curve the
+dimensions, for the solvability check the answer, for the dimension the
+answer, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -124,7 +129,7 @@ from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme, iwasawa  # noqa: E402
-from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal  # noqa: E402
+from mustab.ideals import Ideal, eliminate, groebner_basis, ideal, krull_dim  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.poly import Poly, PolyRing  # noqa: E402
@@ -161,21 +166,21 @@ def capture(job: dict) -> dict:
     found: dict = {}
     real = degeneration.eliminate, branches.eliminate, degeneration.flat_closure, stabilizer.verify_subgroup
 
-    def spy_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
+    def spy_eliminate(I, drop):
         found.setdefault("flat_closure", (I, tuple(drop)))
-        return real[0](I, drop, budget)
+        return real[0](I, drop)
 
-    def spy_curve_eliminate(I, drop, budget=ideals.DEFAULT_SPOLY_BUDGET):
+    def spy_curve_eliminate(I, drop):
         found.setdefault("curve", (I, tuple(drop)))
-        return real[1](I, drop, budget)
+        return real[1](I, drop)
 
-    def spy_flat_closure(branch, budgets=None):
+    def spy_flat_closure(branch):
         found.setdefault("closure_input", branch)
-        return real[2](branch, budgets)
+        return real[2](branch)
 
-    def spy_verify_subgroup(H, budgets=None):
+    def spy_verify_subgroup(H):
         found.setdefault("subgroup", H)
-        return real[3](H, budgets)
+        return real[3](H)
 
     degeneration.eliminate, branches.eliminate, degeneration.flat_closure, stabilizer.verify_subgroup = (
         spy_eliminate, spy_curve_eliminate, spy_flat_closure, spy_verify_subgroup)
@@ -190,8 +195,8 @@ def capture(job: dict) -> dict:
 
 def inputs(shear: dict) -> dict:
     """name -> (ideal, the variables to eliminate, or None for a plain
-    basis under the ring's order)."""
-    ring = PolyRing(QQ, ("x", "y", "z"), "lex")
+    grevlex basis)."""
+    ring = PolyRing(QQ, ("x", "y", "z"))
     return {
         "twisted_cubic": (ideal(ring, "y - x^2", "z - x^3"), ("x",)),
         "sl2_shear_flat_closure": shear["flat_closure"],
@@ -290,19 +295,19 @@ def time_flat_closure(branch, runs: int) -> dict:
 
     ideals.s_poly = counting_s_poly
     try:
-        closure, _ = degeneration.flat_closure(branch, Budgets())
+        closure, _ = degeneration.flat_closure(branch)
     finally:
         ideals.s_poly = real_s_poly
     times = []
     for _ in range(runs):
         start = time.perf_counter()
-        degeneration.flat_closure(branch, Budgets())
+        degeneration.flat_closure(branch)
         times.append((time.perf_counter() - start) * 1e3)
     return {"s_polys": calls, "basis": len(closure.gens), **_stats(times)}
 
 
 def time_division(branch, runs: int) -> dict:
-    closure = groebner_basis(degeneration.flat_closure(branch, Budgets())[0])
+    closure = groebner_basis(degeneration.flat_closure(branch)[0])
     order = closure.basis_order
     spolys = [ideals.s_poly(f, g, order) for f, g in combinations(closure.gens, 2)]
     times = []
@@ -422,9 +427,19 @@ def time_solvability(H: SubgroupDesc, branch, runs: int) -> dict:
         fresh = SubgroupDesc(H.scheme, _fresh(H.ideal), H.dim)
         frame = None if branch is None else lambda: iwasawa(branch.element)[0].res()
         start = time.perf_counter()
-        out = is_solvable(fresh, None, frame)
+        out = is_solvable(fresh, frame)
         times.append((time.perf_counter() - start) * 1e3)
     return {"solvable": out.value, **_stats(times)}
+
+
+def time_krull_dim(H: SubgroupDesc, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        fresh = _fresh(H.ideal)
+        start = time.perf_counter()
+        dim = krull_dim(fresh)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"gens": len(H.ideal.gens), "dim": dim, **_stats(times)}
 
 
 def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: int, runs: int) -> dict:
@@ -482,10 +497,11 @@ def main() -> int:
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     relations = time_relations(args.runs)
     solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
+    dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
                       "mu_correct_order_7": certificate, "places": places, "relations": relations,
-                      "is_solvable": solvability}))
+                      "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension}))
     return 0
 
 

@@ -22,6 +22,7 @@ from .ideals import (
     ideal_equal,
     ideal_member,
     krull_dim,
+    spoly_budget,
 )
 from .factor import uni_factor
 from .newton import PlaneCurveInput, places_at_infinity
@@ -73,6 +74,7 @@ __all__ = [
     "parse_series",
     "places_at_infinity",
     "ser_subst",
+    "spoly_budget",
     "stab_degeneration",
     "stab_reparam",
     "type_dimension",

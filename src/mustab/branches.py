@@ -21,9 +21,7 @@ from fractions import Fraction
 from .errors import FieldMismatch, IrrationalExponentInSubstitution, PrecisionInsufficient
 from .exponents import EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme
-from .ideals import (
-    DEFAULT_SPOLY_BUDGET, Ideal, MonomialValues, _dim_from_leading_monomials, eliminate, monomial_relations,
-)
+from .ideals import Ideal, MonomialValues, _dim_from_leading_monomials, eliminate, monomial_relations
 from .linalg import echelon
 from .poly import Poly, PolyRing, monomials_up_to
 from .records import Record
@@ -191,7 +189,7 @@ def laurent_point(branch: Branch) -> tuple[Exponent, tuple[Poly, ...]]:
     )
 
 
-def curve_ideal(point: tuple[Poly, ...], budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+def curve_ideal(point: tuple[Poly, ...]) -> Ideal:
     """<X - a(u), s*u - 1> meet k[X] for a point a(u) of `laurent_point`,
     as its reduced grevlex basis.  When a(u) lies in k[s] or in k[u], that
     is the kernel of k[X] -> k[s] or k[u], and s*u - 1 is left out."""
@@ -199,7 +197,7 @@ def curve_ideal(point: tuple[Poly, ...], budget: int = DEFAULT_SPOLY_BUDGET) -> 
     gens = [ring.var(x) - a for x, a in zip(ring.variables[1:-1], point)]
     if all(any(m[i] for a in point for m in a.terms) for i in (0, -1)):
         gens.append(ring.var("_s") * ring.var("_u") - ring.one())
-    return eliminate(Ideal(ring, tuple(gens)), ("_s", "_u"), budget)
+    return eliminate(Ideal(ring, tuple(gens)), ("_s", "_u"))
 
 
 def implicitize(branch: Branch) -> Ideal:

@@ -43,14 +43,7 @@ from .errors import FiberNotSplit, NotCenteredAtInfinity, SelfCheckFailed
 from .exponents import Exponent
 from .factor import uni_factor
 from .groups import GroupElement, GroupScheme, eval_poly_series
-from .ideals import (
-    Budgets,
-    Ideal,
-    eliminate,
-    groebner_basis,
-    ideal_contains,
-    krull_dim,
-)
+from .ideals import Ideal, eliminate, groebner_basis, ideal_contains, krull_dim
 from .poly import Poly, PolyRing
 from .records import Record
 from .series import PuiseuxSeries
@@ -82,7 +75,7 @@ def _clear_poles(p: Poly) -> Poly:
     return Poly(p.ring, {(*m[:-1], m[-1] - low): c for m, c in out.items()})
 
 
-def flat_closure(branch: Branch, budgets: Budgets | None = None) -> tuple[Ideal, Exponent]:
+def flat_closure(branch: Branch) -> tuple[Ideal, Exponent]:
     """The closure of V . a(u)^-1 over k[u] as an ideal of k[u][X], u the
     first variable, and the exponent e with u = t^e; V is the closure of
     the branch, from the same point a(u).
@@ -93,10 +86,9 @@ def flat_closure(branch: Branch, budgets: Budgets | None = None) -> tuple[Ideal,
     order with u last.  A principal ideal needs no elimination: u is prime
     in k[u][X] and the generator's u-content is divided out, so <g> : u^oo
     is <g>, returned as its reduced basis."""
-    budgets = budgets or Budgets()
     scheme = branch.scheme
     u_exponent, a = laurent_point(branch)
-    V = curve_ideal(a, budgets.spoly_budget)
+    V = curve_ideal(a)
     coords = scheme.coordinates()
     ring = a[0].ring
     moved = scheme.mul_values(tuple(ring.var(name) for name in coords), a)
@@ -114,29 +106,28 @@ def flat_closure(branch: Branch, budgets: Budgets | None = None) -> tuple[Ideal,
     if len(gens) == 1:
         return groebner_basis(Ideal(closure_ring, (to_closure_ring(gens[0]),))), u_exponent
     gens.append(ring.var("_s") * ring.var("_u") - ring.one())
-    saturated = eliminate(Ideal(ring, tuple(gens)), ("_s",), budgets.spoly_budget)
+    saturated = eliminate(Ideal(ring, tuple(gens)), ("_s",))
     return Ideal(closure_ring, tuple(to_closure_ring(g) for g in saturated.gens)), u_exponent
 
 
-def special_fiber(closure: Ideal, scheme: GroupScheme, budgets: Budgets) -> Ideal:
+def special_fiber(closure: Ideal, scheme: GroupScheme) -> Ideal:
     """The fiber of the flat closure at u = 0, as its reduced basis in the
     scheme's coordinates: every generator at u = 0.  Any generating set of
     the closure gives the same fiber ideal."""
     ring = scheme.coordinate_ring()
     gens = [Poly(ring, {m[1:]: c for m, c in g.terms.items() if not m[0]}) for g in closure.gens]
-    return groebner_basis(Ideal(ring, tuple(gens)), budget=budgets.spoly_budget)
+    return groebner_basis(Ideal(ring, tuple(gens)))
 
 
-def stab_degeneration(branch: Branch, budgets: Budgets | None = None) -> DegenerationResult:
+def stab_degeneration(branch: Branch) -> DegenerationResult:
     """Flat-limit stabilizer: special fiber of the translated variety,
     split into the identity component plus coset components."""
-    budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("degeneration requires an unbounded branch")
-    closure, u_exponent = flat_closure(branch, budgets)
-    fiber = special_fiber(closure, branch.scheme, budgets)
+    closure, u_exponent = flat_closure(branch)
+    fiber = special_fiber(closure, branch.scheme)
 
-    comp, cosets, complete = identity_component(fiber, branch.scheme, budgets)
+    comp, cosets, complete = identity_component(fiber, branch.scheme)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     desc = SubgroupDesc(
         branch.scheme,
@@ -151,7 +142,7 @@ def stab_degeneration(branch: Branch, budgets: Budgets | None = None) -> Degener
         },
         tuple(cosets),
     )
-    ok, report = verify_subgroup(desc, budgets)
+    ok, report = verify_subgroup(desc)
     if not ok:
         raise FiberNotSplit(f"the fiber's identity component is not a subgroup: {report['witness']}")
     return DegenerationResult(desc, fiber, closure, u_exponent, dims)
@@ -159,9 +150,7 @@ def stab_degeneration(branch: Branch, budgets: Budgets | None = None) -> Degener
 
 # -- component splitting -------------------------------------------------------
 
-def identity_component(
-    fiber: Ideal, scheme: GroupScheme, budgets: Budgets | None = None
-) -> tuple[Ideal, list[Ideal], bool]:
+def identity_component(fiber: Ideal, scheme: GroupScheme) -> tuple[Ideal, list[Ideal], bool]:
     """Split the fiber, an ideal in the scheme's coordinates, through the
     factorization fragment and return the piece containing the scheme's
     identity, the other pieces, and a completeness flag.
@@ -172,7 +161,6 @@ def identity_component(
     piece and the depth cap of 8 splits was not hit; it does not certify
     that every component was found, since a generator of neither kind is
     never split (see the module docstring)."""
-    budgets = budgets or Budgets()
     identity = scheme.identity()._values()
     ring = fiber.ring
     complete = True
@@ -184,7 +172,7 @@ def identity_component(
             complete = False
             leaves.append(I)
             return
-        gb = groebner_basis(I, budget=budgets.spoly_budget)
+        gb = groebner_basis(I)
         parts, saw_unfactored = _splittable_factors(gb)
         if saw_unfactored:
             complete = False
@@ -193,7 +181,7 @@ def identity_component(
             return
         for part in parts:
             J = Ideal(ring, gb.gens + (part,))
-            gbJ = groebner_basis(J, budget=budgets.spoly_budget)
+            gbJ = groebner_basis(J)
             if any(g.is_constant() and not g.is_zero() for g in gbJ.gens):
                 continue  # empty piece
             rec(gbJ, depth + 1)

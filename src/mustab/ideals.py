@@ -8,9 +8,11 @@ each generator waits keyed by its leading monomial and, when its turn
 comes, is reduced against the basis built so far and joins it only if it
 does not reduce to zero, so generators that are redundant cost one
 division each and no pairs.  S-pairs are skipped by the coprime-lcm and
-chain criteria; the configurable budget counts the S-polynomials formed,
-never the generator reductions.  Bases are returned reduced and monic,
-sorted by leading monomial, so re-running is a fixed point.
+chain criteria; the cap of the enclosing `with spoly_budget(n)` block
+(else `DEFAULT_SPOLY_BUDGET`) counts the S-polynomials formed, never the
+generator reductions, and no function takes it as an argument.  Bases
+are returned reduced and monic, under grevlex unless a call names another
+order, sorted by leading monomial, so re-running is a fixed point.
 
 Division (Cox-Little-O'Shea 2.3) yields only the remainder, the normal
 form: no caller reads the quotients.  It reduces one dict of the remaining
@@ -48,15 +50,33 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable, Iterable
-from itertools import combinations
+from contextlib import contextmanager
+from contextvars import ContextVar
 from operator import add, le, sub
 
 from .errors import BudgetExceeded, EmptyVariety
 from .linalg import Echelon
-from .poly import BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, monomials_up_to, order_by_name
+from .poly import GREVLEX, BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, monomials_up_to
 from .records import Frozen, Record
 
 DEFAULT_SPOLY_BUDGET = 10_000
+_SPOLY_BUDGET: ContextVar[int] = ContextVar("spoly_budget", default=DEFAULT_SPOLY_BUDGET)
+
+
+@contextmanager
+def spoly_budget(n: int):
+    """Cap every Buchberger run inside the block at n S-polynomials; the
+    cap before the block is restored when it ends, also when it raises."""
+    token = _SPOLY_BUDGET.set(n)
+    try:
+        yield
+    finally:
+        _SPOLY_BUDGET.reset(token)
+
+
+def current_spoly_budget() -> int:
+    """The S-polynomial cap Buchberger reads here and now."""
+    return _SPOLY_BUDGET.get()
 
 
 class Ideal(Frozen):
@@ -193,7 +213,7 @@ def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return Poly._trusted(f.ring, out)
 
 
-def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPOLY_BUDGET) -> list[Poly]:
+def buchberger(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     gens = [g for g in gens if not g.is_zero()]
     if len(gens) == 1:
         return [gens[0].monic(order)]  # the reduced basis of a principal ideal
@@ -217,6 +237,7 @@ def buchberger(gens: list[Poly], order: MonomialOrder, budget: int = DEFAULT_SPO
             lcm = _mono_lcm(table[k][0], lm_new)
             heapq.heappush(heap, (keys[lcm], k, new, lcm))
 
+    budget = _SPOLY_BUDGET.get()
     processed = 0
     handled: set[tuple[int, int]] = set()
     while heap:
@@ -267,29 +288,20 @@ def _interreduce(basis: list[Poly], order: MonomialOrder, keys: _KeyMemo) -> lis
     return sorted(reduced, key=lambda g: keys[g.leading_monomial(order)])
 
 
-def _resolve(order: MonomialOrder | str | None, ring: PolyRing) -> MonomialOrder:
-    if isinstance(order, str):
-        return order_by_name(order)
-    return order or ring.order
-
-
-def groebner_basis(I: Ideal, order: MonomialOrder | str | None = None,
-                   budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
-    order = _resolve(order, I.ring)
+def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX) -> Ideal:
     if I.basis_order is order:
         return I
-    return Ideal(I.ring, tuple(buchberger(list(I.gens), order, budget)), order)
+    return Ideal(I.ring, tuple(buchberger(list(I.gens), order)), order)
 
 
-def extend_basis(I: Ideal, extra: list[Poly], budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+def extend_basis(I: Ideal, extra: list[Poly]) -> Ideal:
     """The reduced basis of I + <extra> under the ring's order; I itself
     when it is marked as that basis and every extra reduces to 0 by it."""
-    order = I.ring.order
-    if I.basis_order is order:
-        nf = reducer(list(I.gens), order)
+    if I.basis_order is GREVLEX:
+        nf = reducer(list(I.gens), GREVLEX)
         if all(nf(f).is_zero() for f in extra):
             return I
-    return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)), order, budget)
+    return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)))
 
 
 class MonomialValues(dict):
@@ -349,86 +361,83 @@ def monomial_relations(nvars: int, degree: int, vector: Callable[[Monomial], dic
     return relations, standard
 
 
-def ideal_member(f: Poly, I: Ideal, order: MonomialOrder | str | None = None,
-                 budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
+def ideal_member(f: Poly, I: Ideal) -> bool:
     """Whether f lies in I: its normal form against the reduced basis is 0."""
-    order = _resolve(order, I.ring)
-    return reducer(groebner_basis(I, order, budget).gens, order)(f).is_zero()
+    return reducer(groebner_basis(I).gens, GREVLEX)(f).is_zero()
 
 
-def ideal_contains(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
+def ideal_contains(I: Ideal, J: Ideal) -> bool:
     """True when every generator of J lies in I."""
-    order = I.ring.order
-    nf = reducer(groebner_basis(I, order, budget).gens, order)
+    nf = reducer(groebner_basis(I).gens, GREVLEX)
     return all(nf(g).is_zero() for g in J.gens)
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> bool:
-    return ideal_contains(I, J, budget) and ideal_contains(J, I, budget)
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    return ideal_contains(I, J) and ideal_contains(J, I)
 
 
-def eliminate(I: Ideal, drop: tuple[str, ...] | list[str],
-              budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+def eliminate(I: Ideal, drop: tuple[str, ...] | list[str]) -> Ideal:
     """Generators of I intersected with the subring omitting `drop`.
 
     Returns an ideal over the restricted ring, as its reduced grevlex
-    basis.  Dropping nothing returns the reduced basis of I under its
-    ring's order.
+    basis.  Dropping nothing returns the reduced grevlex basis of I.
     """
     drop = tuple(drop)
     for v in drop:
         if v not in I.ring.variables:
             raise ValueError(f"{v!r} is not a ring variable")
     if not drop:
-        return groebner_basis(I, budget=budget)
+        return groebner_basis(I)
     keep = tuple(v for v in I.ring.variables if v not in drop)
     first = tuple(I.ring.variables.index(v) for v in drop)
     second = tuple(I.ring.variables.index(v) for v in keep)
     order = BlockOrder(first, second)
-    gb = buchberger(list(I.gens), order, budget)
-    target = PolyRing(I.ring.field, keep, I.ring.order_name)
+    gb = buchberger(list(I.gens), order)
+    target = PolyRing(I.ring.field, keep)
     kept = [g.restrict(target) for g in gb if not (g.variables_used() & set(drop))]
     # the second block compares by grevlex, so the kept elements are the
     # reduced grevlex basis of the elimination ideal, in the same order
-    return Ideal(target, tuple(kept), order_by_name("grevlex"))
+    return Ideal(target, tuple(kept), GREVLEX)
 
 
-def krull_dim(I: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> int:
+def krull_dim(I: Ideal) -> int:
     """Krull dimension of V(I) from independent variable sets modulo the
     leading-term ideal."""
-    order = I.ring.order
-    gb = groebner_basis(I, order, budget).gens
+    gb = groebner_basis(I).gens
     if any(g.is_constant() and not g.is_zero() for g in gb):
         raise EmptyVariety("ideal contains a unit")
-    return _dim_from_leading_monomials([g.leading_monomial(order) for g in gb], I.ring.nvars)
+    return _dim_from_leading_monomials([g.leading_monomial(GREVLEX) for g in gb], I.ring.nvars)
 
 
 def _dim_from_leading_monomials(lead_monos, nvars: int) -> int:
     """Size of the largest variable set that contains the support of no
-    leading monomial: the Krull dimension of the monomial ideal."""
-    if not lead_monos:
-        return nvars
-    for size in range(nvars, -1, -1):
-        for subset in combinations(range(nvars), size):
-            sset = set(subset)
-            if all(any(e and i not in sset for i, e in enumerate(m)) for m in lead_monos):
-                return size
-    return 0
+    leading monomial, the Krull dimension of the monomial ideal: nvars less
+    the fewest variables that meet every support (Kredel-Weispfenning,
+    J. Symb. Comput. 1988).  A constant leading monomial gives 0."""
+    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lead_monos]
+    if not all(supports):
+        return 0
+    return nvars - _fewest_meeting(supports, nvars + 1)
+
+
+def _fewest_meeting(unmet: list[frozenset], bound: int) -> int:
+    """min(bound, the fewest variables meeting every set in unmet), by
+    branching on the variables of the smallest set, one of which it holds."""
+    if not unmet:
+        return 0
+    for v in min(unmet, key=len):
+        if bound <= 1:
+            break
+        bound = min(bound, 1 + _fewest_meeting([s for s in unmet if v not in s], bound - 1))
+    return bound
 
 
 class Budgets(Record):
-    """Work caps shared across the pipeline."""
+    """Work caps shared across the pipeline, but for `spoly_budget`."""
 
-    __slots__ = ("precision", "degree_bound", "order_budget", "spoly_budget")
+    __slots__ = ("precision", "degree_bound", "order_budget")
 
-    def __init__(
-        self,
-        precision: int = 12,
-        degree_bound: int = 8,
-        order_budget: int = 6,
-        spoly_budget: int = DEFAULT_SPOLY_BUDGET,
-    ):
+    def __init__(self, precision: int = 12, degree_bound: int = 8, order_budget: int = 6):
         self.precision = precision
         self.degree_bound = degree_bound
         self.order_budget = order_budget
-        self.spoly_budget = spoly_budget

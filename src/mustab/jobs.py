@@ -15,7 +15,7 @@ from .errors import DivisionByZero, FieldMismatch, MustabError, NotOnGroup, Prec
 from .exponents import check_d
 from .fields import FieldSpec
 from .groups import GroupElement, GroupScheme, KPoint, iwasawa, random_kpoint
-from .ideals import Budgets, Ideal, extend_basis, ideal_equal, ideal_member, krull_dim
+from .ideals import DEFAULT_SPOLY_BUDGET, Budgets, Ideal, extend_basis, ideal_equal, ideal_member, krull_dim, spoly_budget
 from .newton import PlaneCurveInput, places_at_infinity
 from .pipeline import ALGORITHMS, StabilizerRun, compute_stabilizer
 from .poly import PolyRing
@@ -34,10 +34,11 @@ class JobError(Exception):
     exit_code = EXIT_INVALID
 
 
-def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
-    """The job's budgets, each a JSON integer in its range; the overrides
-    (command-line flags) win over the job's values."""
-    b = Budgets()
+def parse_budgets(data: dict | None, overrides: dict | None = None) -> tuple[Budgets, int]:
+    """The job's budgets and its S-polynomial cap (`spoly_budget`), each a
+    JSON integer in its range; the overrides (command-line flags) win over
+    the job's values."""
+    values: dict = {}
     if data is not None and not isinstance(data, dict):
         raise JobError(f"budgets must be a JSON object, not {data!r}")
     merged = dict(data or {})
@@ -54,8 +55,9 @@ def parse_budgets(data: dict | None, overrides: dict | None = None) -> Budgets:
         if value < lo or (hi is not None and value > hi):
             wanted = f"in [{lo}, {hi}]" if hi is not None else f"at least {lo}"
             raise JobError(f"{name} must be {wanted}, not {value}")
-        setattr(b, name, value)
-    return b
+        values[name] = value
+    cap = values.pop("spoly_budget", DEFAULT_SPOLY_BUDGET)
+    return Budgets(**values), cap
 
 
 def _parse_entries(scheme: GroupScheme, entries, parse):
@@ -98,7 +100,7 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
             if d is not None:
                 check_d(d)
             command = job["command"]
-            budgets = parse_budgets(job.get("budgets"), overrides)
+            budgets, cap = parse_budgets(job.get("budgets"), overrides)
             algorithm = (overrides or {}).get("algorithm") or job.get("algorithm", "both")
             if algorithm not in ALGORITHMS:
                 raise JobError(f"unknown algorithm {algorithm!r}; expected {'|'.join(ALGORITHMS)}")
@@ -107,47 +109,48 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
         except Exception as exc:
             raise JobError(f"invalid job: {exc}")
         report["command"] = command
-        try:
-            inp = _read_input(job, command, scheme, d)
-        except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch,
-                NotOnGroup, ZeroLeadingTerm) as exc:
-            if isinstance(exc, PrecisionInsufficient):
-                raise  # LeadingTermUnknown: more input precision may decide it
-            raise JobError(f"invalid input: {type(exc).__name__}: {exc}")
+        with spoly_budget(cap):  # every Groebner basis of the job runs under its cap
+            try:
+                inp = _read_input(job, command, scheme, d)
+            except (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError, DivisionByZero, FieldMismatch,
+                    NotOnGroup, ZeroLeadingTerm) as exc:
+                if isinstance(exc, PrecisionInsufficient):
+                    raise  # LeadingTermUnknown: more input precision may decide it
+                raise JobError(f"invalid input: {type(exc).__name__}: {exc}")
 
-        if command == "places":
-            branches = places_at_infinity(inp, budgets.precision)
-            report["results"]["branches"] = [_branch_json(b) for b in branches]
-        elif command == "stab":
-            branches = [inp] if isinstance(inp, Branch) else places_at_infinity(inp, budgets.precision)
-            runs = [compute_stabilizer(b, algorithm, budgets) for b in branches]
-            report["results"]["stabilizers"] = [_run_json(r) for r in runs]
-            _theorem_checks(report, runs, budgets)
-        elif command == "reduce":
-            reduced, cert, dim_before, dim_after = mu_reduce(inp, budgets)
-            report["results"]["reduced"] = _branch_json(reduced)
-            report["results"]["dim_before"] = dim_before
-            report["results"]["dim_after"] = dim_after
-            report["results"]["certificate"] = cert.to_json() if cert else None
-        elif command == "iwasawa":
-            u, b2 = iwasawa(inp.element)
-            report["results"]["u"] = _element_json(u)
-            report["results"]["b"] = _element_json(b2)
-            report["results"]["u_integral"] = u.is_integral()
-        else:  # verify; _read_input rejected any other command
-            desc = SubgroupDesc(scheme, inp, krull_dim(inp))  # EmptyVariety on the unit ideal
-            ok, rep = verify_subgroup(desc, budgets)
-            solv = None
-            if ok:  # is_solvable reads the dimension of the group scheme, its equations included
-                desc.dim = krull_dim(extend_basis(inp, scheme.defining_polys(), budgets.spoly_budget))
-                solv = is_solvable(desc, budgets)
-            report["results"]["verified_subgroup"] = ok
-            report["results"]["verify_report"] = {k: v for k, v in rep.items()}
-            if solv is not None:
-                report["results"]["solvable"] = solv.value
-                report["results"]["solvable_note"] = solv.note
-            if not ok:
-                code = max(code, EXIT_VERIFY)
+            if command == "places":
+                branches = places_at_infinity(inp, budgets.precision)
+                report["results"]["branches"] = [_branch_json(b) for b in branches]
+            elif command == "stab":
+                branches = [inp] if isinstance(inp, Branch) else places_at_infinity(inp, budgets.precision)
+                runs = [compute_stabilizer(b, algorithm, budgets) for b in branches]
+                report["results"]["stabilizers"] = [_run_json(r) for r in runs]
+                _theorem_checks(report, runs, budgets)
+            elif command == "reduce":
+                reduced, cert, dim_before, dim_after = mu_reduce(inp, budgets)
+                report["results"]["reduced"] = _branch_json(reduced)
+                report["results"]["dim_before"] = dim_before
+                report["results"]["dim_after"] = dim_after
+                report["results"]["certificate"] = cert.to_json() if cert else None
+            elif command == "iwasawa":
+                u, b2 = iwasawa(inp.element)
+                report["results"]["u"] = _element_json(u)
+                report["results"]["b"] = _element_json(b2)
+                report["results"]["u_integral"] = u.is_integral()
+            else:  # verify; _read_input rejected any other command
+                desc = SubgroupDesc(scheme, inp, krull_dim(inp))  # EmptyVariety on the unit ideal
+                ok, rep = verify_subgroup(desc)
+                solv = None
+                if ok:  # is_solvable reads the dimension of the group scheme, its equations included
+                    desc.dim = krull_dim(extend_basis(inp, scheme.defining_polys()))
+                    solv = is_solvable(desc)
+                report["results"]["verified_subgroup"] = ok
+                report["results"]["verify_report"] = {k: v for k, v in rep.items()}
+                if solv is not None:
+                    report["results"]["solvable"] = solv.value
+                    report["results"]["solvable_note"] = solv.note
+                if not ok:
+                    code = max(code, EXIT_VERIFY)
     except (JobError, MustabError) as exc:
         report["errors"].append({"type": type(exc).__name__, "message": str(exc)})
         code = exc.exit_code
@@ -248,7 +251,7 @@ def _theorem_checks(report: dict, runs: list[StabilizerRun], budgets: Budgets):
                 f"branch {i}: dim Stab {desc.dim} vs dim p {run.dim_after}",
             )
             set_check("infinite", desc.dim >= 1, f"branch {i}: dim {desc.dim}")
-        solv = is_solvable(desc, budgets, lambda: _borel_frame(run))
+        solv = is_solvable(desc, lambda: _borel_frame(run))
         set_check("solvable", solv.value, solv.note)
         if run.agreement is not None:
             set_check("agreement", run.agreement, _agreement_witness(run, i))
@@ -298,6 +301,6 @@ def _conjugation_check(run: StabilizerRun, budgets: Budgets) -> bool:
         g = random_kpoint(run.reduced.scheme, rng)
         moved = run.reduced.translate(g)
         moved_run = compute_stabilizer(moved, "reparam", budgets)
-        if not ideal_equal(moved_run.subgroup.ideal, conjugate_stab(run.subgroup, g), budgets.spoly_budget):
+        if not ideal_equal(moved_run.subgroup.ideal, conjugate_stab(run.subgroup, g)):
             return False
     return True

@@ -330,7 +330,7 @@ def _lift_curve(curve: PlaneCurveInput, ext: FieldSpec) -> PlaneCurveInput:
     def lift_poly(p: Poly, ring: PolyRing) -> Poly:
         return Poly(ring, {m: c.embed(ext) for m, c in p.terms.items()})
 
-    fring = PolyRing(ext, curve.f.ring.variables, curve.f.ring.order_name)
+    fring = PolyRing(ext, curve.f.ring.variables)
     scheme = GroupScheme.from_json(curve.scheme.to_json(), ext)
     emb = scheme.map_entries(curve.embedding, lambda p: lift_poly(p, fring))
     return PlaneCurveInput(lift_poly(curve.f, fring), emb, scheme, curve.trusted_irreducible)

@@ -83,9 +83,9 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
     if algorithm in ("reparam", "both"):
         run.reparam = stab_reparam(reduced, budgets, type_dim=dim_after)
     if algorithm in ("degeneration", "both"):
-        run.degeneration = stab_degeneration(reduced, budgets)
+        run.degeneration = stab_degeneration(reduced)
     if run.reparam is not None and run.degeneration is not None:
-        run.agreement = ideal_equal(run.reparam.ideal, run.degeneration.desc.ideal, budgets.spoly_budget)
+        run.agreement = ideal_equal(run.reparam.ideal, run.degeneration.desc.ideal)
     return run
 
 

@@ -1,9 +1,10 @@
 """Sparse multivariate polynomials over an exact field.
 
 Monomials are exponent tuples aligned with the ring's variable list.
-Orders: lex, grevlex, and block orders for elimination.  Polynomials
-parse from and print to the ASCII grammar `c*x^e*y^f` with terms joined
-by `+`/`-` and scalars written `a/b`, `a+b*sqrt(d)` or integers mod p.
+Every ring's order is grevlex; lex and block orders for elimination are
+chosen per call.  Polynomials parse from and print to the ASCII grammar
+`c*x^e*y^f` with terms joined by `+`/`-` and scalars written `a/b`,
+`a+b*sqrt(d)` or integers mod p.
 """
 
 from __future__ import annotations
@@ -73,28 +74,21 @@ class BlockOrder(MonomialOrder):
         return (sum(a), *[-e for e in a], sum(b), *[-e for e in b])
 
 
-# one instance per named order, so a leading monomial cached under a ring's
-# order (Poly._lead, keyed by identity) serves every later ask of that ring
-_NAMED_ORDERS = {"lex": Lex(), "grevlex": GrevLex()}
-
-
-def order_by_name(name: str) -> MonomialOrder:
-    if name not in _NAMED_ORDERS:
-        raise ValueError(f"unknown monomial order {name!r}")
-    return _NAMED_ORDERS[name]
+# one instance of each, so a leading monomial cached under it (Poly._lead,
+# keyed by identity) serves every later ask
+LEX = Lex()
+GREVLEX = GrevLex()
 
 
 class PolyRing(Frozen):
-    __slots__ = ("field", "variables", "order_name")
+    __slots__ = ("field", "variables")
 
-    def __init__(self, field: FieldSpec, variables: tuple[str, ...], order_name: str = "grevlex"):
+    order = GREVLEX  # every ring's order
+
+    def __init__(self, field: FieldSpec, variables: tuple[str, ...]):
         if len(set(variables)) != len(variables):
             raise ValueError("duplicate variable names")
-        self._set(field, variables, order_name)
-
-    @property
-    def order(self) -> MonomialOrder:
-        return order_by_name(self.order_name)
+        self._set(field, variables)
 
     @property
     def nvars(self) -> int:

@@ -368,7 +368,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
 
     ansatz = Ansatz(branch, branch.element, cap=budgets.order_budget)
     constraints, residue = _mu_conditions(ansatz.quotient(), require_identity_residue=False)
-    J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)), budget=budgets.spoly_budget)
+    J = groebner_basis(Ideal(ansatz.ring, tuple(constraints) + (ansatz.relation,)))
 
     nf = reducer(list(J.gens), ansatz.ring.order)
     residue = [nf(p) for p in residue]
@@ -382,7 +382,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
         big_gens.append(big.var(name) - rp.rename(lift, big))
     # the elimination ideal lives in scheme.coordinate_ring(), as its
     # reduced grevlex basis
-    ideal_out = eliminate(Ideal(big, tuple(big_gens)), ansatz.ring.variables, budgets.spoly_budget)
+    ideal_out = eliminate(Ideal(big, tuple(big_gens)), ansatz.ring.variables)
     dim = krull_dim(ideal_out) if ideal_out.gens else len(coords)
 
     param = ParamFamily(ansatz.ring, scheme.shape(residue)[0], J)
@@ -394,7 +394,7 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
         if not nf(composed).is_zero():
             raise SelfCheckFailed(f"stabilizer generator {g} does not vanish on its own family")
     desc = SubgroupDesc(scheme, ideal_out, dim, param, {"algorithm": "reparam"})
-    ok, report = verify_subgroup(desc, budgets)
+    ok, report = verify_subgroup(desc)
     if not ok:
         raise SelfCheckFailed(f"the reparameterization ideal is not a subgroup: {report['witness']}")
 

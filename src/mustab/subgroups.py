@@ -7,11 +7,12 @@ classify_subgroup names the subgroup; is_solvable decides solvability from
 the tangent Lie algebra at the identity and a Borel subgroup; conjugate_stab
 pulls the ideal back along an inner automorphism.
 
-The two certificates read only values (the scheme, the ideal and the
-S-polynomial budget or the dimension), and a job meets the same few
+The two certificates read only values (the scheme, the ideal, the
+dimension and the S-polynomial cap in force), and a job meets the same few
 stabilizer ideals again and again: each is computed once per process and
-kept in a bounded memo, as the SL(2) templates and identity bases are.  A
-budget error is raised again, never kept.
+kept in a bounded memo keyed on all of them.  A budget error is raised
+again, never kept.  The SL(2) templates and identity bases, kept per ring
+and scheme, form no S-polynomial: their leading monomials are coprime.
 """
 
 from __future__ import annotations
@@ -23,10 +24,12 @@ from itertools import combinations
 from .errors import MustabError
 from .fields import Scalar
 from .groups import GroupScheme, KPoint, mat_mul
-from .ideals import Budgets, Ideal, extend_basis, groebner_basis, ideal_contains, ideal_equal, ideal_member, reducer
+from .ideals import (
+    Ideal, current_spoly_budget, extend_basis, groebner_basis, ideal_contains, ideal_equal, ideal_member, reducer,
+)
 from .factor import scalar_roots
 from .linalg import Echelon
-from .poly import Poly, PolyRing
+from .poly import LEX, Poly, PolyRing
 from .records import Record
 from .series import PuiseuxSeries, series_to_json
 
@@ -107,7 +110,7 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
     variables take their default value (0, overridable per name).
     """
     ring = J.ring
-    gb = groebner_basis(J, "lex", budget=4000).gens
+    gb = groebner_basis(J, LEX).gens
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return None
     defaults = defaults or {}
@@ -164,15 +167,15 @@ def _substituted(f: Poly, scheme: GroupScheme, flat, ring: PolyRing) -> Poly:
     return f.subs_polys(dict(zip(scheme.coordinates(), flat)), ring)
 
 
-def _basis(ideal: Ideal, scheme: GroupScheme, budget: int) -> Ideal:
+def _basis(ideal: Ideal, scheme: GroupScheme) -> Ideal:
     """The reduced basis of ideal + the scheme equations in the scheme's
     coordinate ring."""
     ring = scheme.coordinate_ring()
     own = ideal if ideal.ring == ring else Ideal(ring, tuple(g.restrict(ring) for g in ideal.gens))
-    return extend_basis(own, scheme.defining_polys(), budget)
+    return extend_basis(own, scheme.defining_polys())
 
 
-def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
+def _generic_pair(ideal: Ideal, scheme: GroupScheme):
     """Two independent generic points u, v of V(ideal) as flat tuples of
     variables, their ring, and a Groebner basis of the relations they obey.
 
@@ -185,28 +188,28 @@ def _generic_pair(ideal: Ideal, scheme: GroupScheme, budget: int):
     big = PolyRing(scheme.field, tuple("u" + n for n in names) + tuple("v" + n for n in names))
     u = tuple(big.var("u" + n) for n in names)
     v = tuple(big.var("v" + n) for n in names)
-    gb = _basis(ideal, scheme, budget).gens
+    gb = _basis(ideal, scheme).gens
     gb = [g.rename({n: side + n for n in names}, big) for side in "uv" for g in gb]
     return big, u, v, gb
 
 
-def verify_subgroup(H: SubgroupDesc, budgets: Budgets | None = None) -> tuple[bool, dict]:
+def verify_subgroup(H: SubgroupDesc) -> tuple[bool, dict]:
     """Certify identity membership and closure under product and inverse.
 
     Closure is checked on two independent generic points via ideal
     membership; the report carries any failing generator.  The answer
-    depends only on the scheme, the ideal and the S-polynomial budget, and
+    depends only on the scheme, the ideal and the S-polynomial cap, and
     is certified once per process for each of them; H's flag is set and a
     fresh report returned on every call.
     """
-    budgets = budgets or Budgets()
-    ok, report = _verified(H.scheme, H.ideal, budgets.spoly_budget)
+    ok, report = _verified(H.scheme, H.ideal, current_spoly_budget())
     H.flags["verified_subgroup"] = ok
     return ok, dict(report)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _verified(scheme: GroupScheme, ideal: Ideal, spoly_budget: int) -> tuple[bool, dict]:
+def _verified(scheme: GroupScheme, ideal: Ideal, cap: int) -> tuple[bool, dict]:
+    # cap, the S-polynomial cap in force, is read only as the memo's key
     report: dict = {"identity": False, "product": False, "inverse": False}
     id_values = scheme.identity()._values()
     for g in ideal.gens:
@@ -215,7 +218,7 @@ def _verified(scheme: GroupScheme, ideal: Ideal, spoly_budget: int) -> tuple[boo
             return False, report
     report["identity"] = True
 
-    big, u, v, gb = _generic_pair(ideal, scheme, spoly_budget)
+    big, u, v, gb = _generic_pair(ideal, scheme)
     nf = reducer(gb, big.order)
     for axiom, point in (("product", scheme.mul_values(u, v)), ("inverse", scheme.inv_values(u))):
         for f in ideal.gens:
@@ -275,13 +278,14 @@ def _is_trivial(ideal: Ideal, scheme: GroupScheme) -> bool:
 
 def classify_subgroup(H: SubgroupDesc) -> str:
     """H's name: trivial, a named subgroup of SL(2), or the kind of
-    subgroup with H.dim; named once per process for each scheme, ideal and
-    dim."""
-    return _classified(H.scheme, H.ideal, H.dim)
+    subgroup with H.dim; named once per process for each scheme, ideal,
+    dim and S-polynomial cap."""
+    return _classified(H.scheme, H.ideal, H.dim, current_spoly_budget())
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _classified(scheme: GroupScheme, ideal: Ideal, dim: int) -> str:
+def _classified(scheme: GroupScheme, ideal: Ideal, dim: int, cap: int) -> str:
+    # cap, the S-polynomial cap in force, is read only as the memo's key
     ring = ideal.ring
     r = scheme.root
     if _is_trivial(ideal, scheme):
@@ -311,8 +315,8 @@ class SolvabilityResult(Record):
         self.note = note
 
 
-def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme, budget: int) -> bool:
-    big, u, v, gb = _generic_pair(ideal, scheme, budget)
+def _is_abelian_symbolic(ideal: Ideal, scheme: GroupScheme) -> bool:
+    big, u, v, gb = _generic_pair(ideal, scheme)
     uv, vu = scheme.mul_values(u, v), scheme.mul_values(v, u)
     nf = reducer(gb, big.order)
     return all(nf(a - b).is_zero() for a, b in zip(uv, vu))
@@ -368,8 +372,7 @@ def _derived_series_stops(tangent: list[tuple], scheme: GroupScheme) -> int:
     return 0
 
 
-def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None,
-                frame: Callable[[], KPoint] | None = None) -> SolvabilityResult:
+def is_solvable(H: SubgroupDesc, frame: Callable[[], KPoint] | None = None) -> SolvabilityResult:
     """Whether H is solvable, by linear algebra on its tangent space
     (Milne, "Algebraic Groups", ch. 10; Borel, "Linear Algebraic Groups",
     section 3).
@@ -385,15 +388,14 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None,
     frame(), called only at this step, or the identity when frame is
     None.  Any other case is inconclusive, None with the reason.
     """
-    budgets = budgets or Budgets()
     if not H.flags.get("verified_subgroup"):
-        verify_subgroup(H, budgets)
+        verify_subgroup(H)
         if not H.flags.get("verified_subgroup"):
             return SolvabilityResult(None, "not a verified subgroup")
     scheme = H.scheme
     if scheme.root.kind == "Additive":
         return SolvabilityResult(True, "additive groups are abelian")
-    if _is_abelian_symbolic(H.ideal, scheme, budgets.spoly_budget):
+    if _is_abelian_symbolic(H.ideal, scheme):
         return SolvabilityResult(True, "abelian")
 
     tangent = _tangent_space(H.ideal, scheme)
@@ -405,7 +407,7 @@ def is_solvable(H: SubgroupDesc, budgets: Budgets | None = None,
 
     ring = scheme.coordinate_ring()
     moved = _conjugated(scheme, frame() if frame is not None else scheme.identity(), ring)
-    nf = reducer(_basis(H.ideal, scheme, budgets.spoly_budget).gens, ring.order)
+    nf = reducer(_basis(H.ideal, scheme).gens, ring.order)
     n = scheme.root.n
     if all(nf(moved[i * n + j]).is_zero() for i in range(n) for j in range(i)):
         return SolvabilityResult(True, "contained in a Borel subgroup")

@@ -178,7 +178,7 @@ def test_criterion_06_solvability():
     runs = one_dimensional_corpus_runs()
     failures = []
     for name, run in runs:
-        out = is_solvable(run.subgroup, BUDGETS)
+        out = is_solvable(run.subgroup)
         if out.value is not True:
             failures.append((name, out.note))
     ring = sl2().coordinate_ring()
@@ -305,7 +305,7 @@ def test_criterion_11_property_suites():
 
     # implicitize vs eliminate on the cusp
     out = implicitize(cusp_branch())
-    ring = PolyRing(QQ, ("s", "x", "y"), "lex")
+    ring = PolyRing(QQ, ("s", "x", "y"))
     oracle = eliminate(ideal(ring, "x*s^2 - 1", "y*s^3 - 1"), ("s",))
     lifted = Ideal(out.ring, tuple(gg.restrict(out.ring) for gg in oracle.gens))
     if not ideal_equal(out, lifted):
@@ -341,14 +341,14 @@ def test_criterion_12_equidimensional_components():
     scheme = sl2()
     ring = scheme.coordinate_ring()
     fiber = ideal(ring, "x21", "(x11 - 1)*(x11 + 1)", "x11*x22 - 1")
-    comp, cosets, _ = identity_component(fiber, scheme, BUDGETS)
+    comp, cosets, _ = identity_component(fiber, scheme)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     if len(set(dims)) > 1:
         failures.append(f"roots-of-unity fixture: {dims}")
     torus = ideal(ring, "x12", "x21", "x11*x22 - 1")
     w_translate = ideal(ring, "x11", "x22", "x12*x21 + 1")
     union = ideal_intersect(torus, w_translate)
-    comp, cosets, _ = identity_component(union, scheme, BUDGETS)
+    comp, cosets, _ = identity_component(union, scheme)
     dims = [krull_dim(comp)] + [krull_dim(c) for c in cosets]
     if len(set(dims)) > 1:
         failures.append(f"torus-union fixture: {dims}")

@@ -66,7 +66,7 @@ def test_implicitize_cusp_matches_elimination_oracle():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
     out = implicitize(b)
     # independent oracle: eliminate s from <x s^2 - 1, y s^3 - 1>
-    ring = PolyRing(QQ, ("s", "x", "y"), "lex")
+    ring = PolyRing(QQ, ("s", "x", "y"))
     oracle = eliminate(ideal(ring, "x*s^2 - 1", "y*s^3 - 1"), ("s",))
     lifted = Ideal(out.ring, tuple(g.restrict(out.ring) for g in oracle.gens))
     assert ideal_equal(out, lifted)
@@ -165,7 +165,7 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
             continue
         job = entry["job"]
         scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
-        budgets = parse_budgets(job.get("budgets"))
+        budgets, _ = parse_budgets(job.get("budgets"))
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
         branches = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
         cases[entry["name"]] = [(b, D) for b in branches for D in (2, budgets.degree_bound)]
@@ -228,7 +228,7 @@ def _reduced_exact_branches():
         if "skip" in job:
             continue
         scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
-        budgets = parse_budgets(job.get("budgets"))
+        budgets, _ = parse_budgets(job.get("budgets"))
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
         for b in [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision):
             if is_centered_at_infinity(b):

@@ -237,6 +237,34 @@ def test_exit_code_budget():
     assert report["errors"][0]["type"] == "BudgetExceeded"
 
 
+def _clear_memos():
+    from mustab import fields, stabilizer, subgroups
+
+    for memo in (subgroups._verified, subgroups._classified, subgroups._sl2_templates, subgroups._identity_basis,
+                 stabilizer._kernel, fields._unity_root):
+        memo.cache_clear()
+
+
+def test_a_report_is_the_same_after_any_earlier_job():
+    """x1 at spoly_budget 1 (exit 4), at the default, at 5 (the least cap
+    it passes at) and at 4, in that order in one process: each report is
+    the report of the same job with every memo cleared first, so no job
+    reads an answer an earlier job found under another cap."""
+    codes, reports = [], []
+    for cap in (1, None, 5, 4):
+        job = json.loads(json.dumps(X1_JOB))
+        if cap is not None:
+            job["budgets"]["spoly_budget"] = cap
+        report, code = run_job(job)
+        _clear_memos()
+        fresh, fresh_code = run_job(job)
+        for r in (report, fresh):
+            r.pop("timing")
+        assert (report, code) == (fresh, fresh_code)
+        codes.append(code)
+    assert codes == [4, 0, 0, 4]
+
+
 @pytest.mark.parametrize(
     "name, value",
     [("spoly_budget", 0), ("spoly_budget", -3)]
@@ -372,7 +400,7 @@ def test_reparam_subgroup_failure_exits_verify(monkeypatch):
     # verification, not a stabilizer
     from mustab import stabilizer
 
-    def failing(desc, budgets=None):
+    def failing(desc):
         desc.flags["verified_subgroup"] = False
         return False, {"identity": True, "product": False, "inverse": False, "witness": "product leaves the ideal at x21"}
 
@@ -392,8 +420,8 @@ def test_degeneration_self_check_failure_exits_verify(monkeypatch):
 
     real = degeneration.identity_component
 
-    def off_identity(fiber, scheme, budgets=None):
-        return real(ideal(fiber.ring, "x11 - 2", "x12", "x21", "2*x22 - 1"), scheme, budgets)
+    def off_identity(fiber, scheme):
+        return real(ideal(fiber.ring, "x11 - 2", "x12", "x21", "2*x22 - 1"), scheme)
 
     monkeypatch.setattr(degeneration, "identity_component", off_identity)
     report, code = run_job(dict(X1_JOB, algorithm="degeneration"))

@@ -18,7 +18,7 @@ from mustab.exponents import Exponent
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.groups import GroupScheme
 from mustab.ideals import Budgets, Ideal
-from mustab.poly import PolyRing, order_by_name, parse_scalar
+from mustab.poly import LEX, PolyRing, parse_scalar
 from tests_helpers import field_elements
 
 QS2 = FieldSpec("QSqrt", d=2)
@@ -121,9 +121,9 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
     in ==, hash or repr."""
     ring = PolyRing(QQ, ("x", "y"))
     q_spec = "FieldSpec(kind='Q', d=None, p=None, modulus=None)"
-    assert repr(ring) == f"PolyRing(field={q_spec}, variables=('x', 'y'), order_name='grevlex')"
+    assert repr(ring) == f"PolyRing(field={q_spec}, variables=('x', 'y'))"
     assert repr(GroupScheme("SL", 2, QQ)) == f"GroupScheme(kind='SL', n=2, field={q_spec}, parent=None, subgroup_ideal=None)"
-    assert repr(Budgets()) == "Budgets(precision=12, degree_bound=8, order_budget=6, spoly_budget=10000)"
+    assert repr(Budgets()) == "Budgets(precision=12, degree_bound=8, order_budget=6)"
     with pytest.raises(FieldMismatch, match=r"polynomial rings differ: PolyRing\(field=FieldSpec\(kind='Q'"):
         ring.var("x") + PolyRing(QQ, ("x",)).var("x")
 
@@ -133,7 +133,7 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
     frozen = [
         (QQ, ("kind", "d", "p", "modulus")),
         (F9, ("kind", "d", "p", "modulus")),
-        (ring, ("field", "variables", "order_name")),
+        (ring, ("field", "variables")),
         (sl2, ("kind", "n", "field", "parent", "subgroup_ideal")),
         (sl2.identity(), ("scheme", "entries", "y")),
         (Ideal(ring, (ring.var("x"),)), ("ring", "gens", "basis_order")),
@@ -149,15 +149,15 @@ def test_records_print_compare_freeze_and_pickle_field_by_field():
         if type(record) is not Exponent:  # Exponent(a, b, d) does not take its fields
             assert hash(record) == hash(type(record)(*(getattr(record, n) for n in fields)))
 
-    for record in (QQ, QS2, F5, F9, ring, PolyRing(F9, ("x", "y"), "lex"), *scalars, *exponents):
+    for record in (QQ, QS2, F5, F9, ring, PolyRing(F9, ("x", "y")), *scalars, *exponents):
         for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
             assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
             assert repr(twin) == repr(record)
 
     x = ring.var("x")
-    plain, marked = Ideal(ring, (x,)), Ideal(ring, (x,), order_by_name("lex"))
+    plain, marked = Ideal(ring, (x,)), Ideal(ring, (x,), LEX)
     assert plain == marked and hash(plain) == hash(marked) and repr(plain) == repr(marked)
-    assert "basis_order" not in repr(marked) and marked.basis_order is order_by_name("lex")
+    assert "basis_order" not in repr(marked) and marked.basis_order is LEX
 
     assert Budgets() == Budgets() and Budgets(precision=4) != Budgets() and Budgets() != ring
     with pytest.raises(TypeError):

@@ -22,15 +22,17 @@ from mustab.ideals import (
     ideal_equal,
     ideal_member,
     krull_dim,
+    _dim_from_leading_monomials,
     _interreduce,
     _KeyMemo,
     reducer,
     s_poly,
+    spoly_budget,
 )
 from mustab.groups import eval_poly_series, random_scalar
-from mustab.poly import BlockOrder, GrevLex, Lex, Poly, PolyRing, order_by_name
+from mustab.poly import GREVLEX, LEX, BlockOrder, GrevLex, Lex, Poly, PolyRing
 from mustab.series import PuiseuxSeries
-from tests_helpers import ideal_intersect, random_laurent, random_series, relation_ideal
+from tests_helpers import dim_by_subsets, ideal_intersect, random_laurent, random_series, relation_ideal
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -103,16 +105,16 @@ def test_gb_single_variable():
 
 
 def test_gb_linear_substitution_lex():
-    ring = PolyRing(QQ, ("x11", "x12", "x21", "x22"), "lex")
+    ring = PolyRing(QQ, ("x11", "x12", "x21", "x22"))
     I = ideal(ring, "x11 - 1", "x21", "x11*x22 - 1")
-    gb = groebner_basis(I, "lex")
+    gb = groebner_basis(I, LEX)
     expected = ideal(ring, "x11 - 1", "x21", "x22 - 1")
     assert ideal_equal(gb, expected)
 
 
 def test_gb_twisted_cubic_elimination():
     # oracle: y^3 - z^2 vanishes on (s, s^2, s^3); frozen after checking
-    ring = PolyRing(QQ, ("x", "y", "z"), "lex")
+    ring = PolyRing(QQ, ("x", "y", "z"))
     I = ideal(ring, "y - x^2", "z - x^3")
     out = eliminate(I, ("x",))
     target = out.ring.parse("y^3 - z^2")
@@ -144,7 +146,7 @@ def test_eliminate_nothing_is_groebner():
 def test_eliminate_laurent_relation():
     # oracle: x = t^-2, y = t^-3 satisfies x^3 - y^2; degree bound excludes
     # lower-order relations, so the eliminant is exactly <x^3 - y^2>
-    ring = PolyRing(QQ, ("s", "x", "y"), "lex")
+    ring = PolyRing(QQ, ("s", "x", "y"))
     I = ideal(ring, "x*s^2 - 1", "y*s^3 - 1")
     out = eliminate(I, ("s",))
     expected = Ideal(out.ring, (out.ring.parse("x^3 - y^2"),))
@@ -153,7 +155,7 @@ def test_eliminate_laurent_relation():
 
 def test_eliminate_translated_sl2_chart():
     # opaque unit symbols T, U standing for t and 1/t
-    ring = PolyRing(QQ, ("x", "T", "U", "g11", "g12", "g21", "g22"), "lex")
+    ring = PolyRing(QQ, ("x", "T", "U", "g11", "g12", "g21", "g22"))
     I = ideal(
         ring,
         "g11 - x*T",
@@ -179,7 +181,7 @@ def test_ideal_member_trivial_cases():
 
 
 def test_ideal_member_elimination_consequence():
-    ring = PolyRing(QQ, ("s", "x", "y"), "lex")
+    ring = PolyRing(QQ, ("s", "x", "y"))
     I = ideal(ring, "x*s^2 - 1", "y*s^3 - 1")
     out = eliminate(I, ("s",))
     assert ideal_member(out.ring.parse("y^2 - x^3"), out)
@@ -223,7 +225,7 @@ def test_krull_dim_examples():
 
 
 def test_krull_dim_monotone_under_elimination():
-    ring = PolyRing(QQ, ("s", "x", "y"), "lex")
+    ring = PolyRing(QQ, ("s", "x", "y"))
     cases = [
         ideal(ring, "x*s^2 - 1", "y*s^3 - 1"),
         ideal(ring, "x - s^2", "y - s^3"),
@@ -237,8 +239,8 @@ def test_krull_dim_monotone_under_elimination():
 def test_budget_exceeded_is_raised():
     ring = PolyRing(QQ, ("x", "y", "z"))
     I = ideal(ring, "x^2 + y*z", "y^2 + x*z", "z^2 + x*y")
-    with pytest.raises(BudgetExceeded):
-        groebner_basis(I, budget=1)
+    with pytest.raises(BudgetExceeded), spoly_budget(1):
+        groebner_basis(I)
 
 
 def test_generators_enter_through_the_pair_queue(monkeypatch):
@@ -289,6 +291,28 @@ def small_f5_ideal(draw):
         if not g.is_zero():
             gens.append(g)
     return Ideal(ring, tuple(gens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=6))))
+def test_dim_of_leading_monomials_matches_every_subset(case):
+    """The fewest variables meeting every support give the dimension that
+    trying every variable set gives, a constant monomial included."""
+    nvars, monos = case
+    assert _dim_from_leading_monomials(monos, nvars) == dim_by_subsets(monos, nvars)
+
+
+def test_dim_of_leading_monomials_in_many_variables():
+    """x0, x3, ..., x15 and x1*x2 in 16 variables: the fewest variables
+    meeting every support are 15 of them, so the dimension is 1, and 2
+    without x0; the subset loop would try every set of 2 to 16 variables
+    first."""
+    monos = [tuple(1 if j == i else 0 for j in range(16)) for i in range(3, 16)]
+    monos.append((0, 1, 1) + (0,) * 13)
+    monos.append((1, 0, 0) + (0,) * 13)
+    assert _dim_from_leading_monomials(monos, 16) == 1
+    assert _dim_from_leading_monomials(monos[:-1], 16) == 2
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,7 +473,7 @@ def test_twisted_cubic_elimination_forms_four_s_polynomials(monkeypatch):
     calls = []
     real = ideals.s_poly
     monkeypatch.setattr(ideals, "s_poly", lambda f, g, order: calls.append(1) or real(f, g, order))
-    ring = PolyRing(QQ, ("x", "y", "z"), "lex")
+    ring = PolyRing(QQ, ("x", "y", "z"))
     out = eliminate(ideal(ring, "y - x^2", "z - x^3"), ("x",))
     assert [str(g) for g in out.gens] == ["y^3 - z^2"]
     assert len(calls) == 4
@@ -463,8 +487,7 @@ def test_leading_monomial_cache_follows_the_order():
     assert len(set(leads)) == 3  # x^2*y, z^5, x^2*y, y^4: neighbours differ
     for order in orders * 2 + orders[::-1] + [GrevLex(), Lex()]:
         assert p.leading_monomial(order) == max(p.terms, key=order.key)
-    assert order_by_name("grevlex") is ring.order is PolyRing(QQ, ("a",)).order
-    assert order_by_name("lex") is PolyRing(QQ, ("a",), "lex").order
+    assert GREVLEX is ring.order is PolyRing(QQ, ("a",)).order
 
 
 @pytest.mark.parametrize("field", [F5, QS2, QQ], ids=["F5", "QS2", "Q"])

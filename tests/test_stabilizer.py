@@ -24,7 +24,7 @@ from mustab.errors import (
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
-from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim
+from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim, spoly_budget
 from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
 from mustab.series import PowerList, PuiseuxSeries, ser_subst
@@ -431,7 +431,7 @@ def _truncated_tail_branch():
 
 def _circle_f5_places():
     job = next(e["job"] for e in corpus_entries() if e["job"]["name"] == "circle_f5")
-    budgets = parse_budgets(job["budgets"])
+    budgets, _ = parse_budgets(job["budgets"])
     scheme = GroupScheme("Additive", 2, F5)
     curve = parse_plane_curve(job["input"]["plane_curve"], scheme)
     return [(b, budgets) for b in places_at_infinity(curve, budgets.precision)]
@@ -571,7 +571,7 @@ def test_shortfall_below_a_certified_dimension_is_a_budget_limit():
 
 def test_degeneration_x1():
     b = x1_branch()
-    out = stab_degeneration(b, BUDGETS)
+    out = stab_degeneration(b)
     assert ideal_equal(out.desc.ideal, ideal(out.desc.ideal.ring, "x11 - 1", "x21", "x22 - 1"))
     assert not out.desc.cosets
     assert out.desc.flags["decomposition_complete"]
@@ -582,13 +582,13 @@ def test_degeneration_x1():
 
 def test_degeneration_x2():
     b = x2_branch()
-    out = stab_degeneration(b, BUDGETS)
+    out = stab_degeneration(b)
     assert ideal_equal(out.fiber, ideal(out.fiber.ring, "x12", "x21", "x11*x22 - 1"))
 
 
 def test_degeneration_agrees_with_reparam_on_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    out = stab_degeneration(b, BUDGETS)
+    out = stab_degeneration(b)
     rp = stab_reparam(b, BUDGETS, type_dim=1)
     assert ideal_equal(out.desc.ideal, rp.ideal)
 
@@ -623,7 +623,7 @@ def test_degeneration_needs_exact_entries():
 
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1), (1, 1), prec=4)))
     with pytest.raises(PrecisionInsufficient):
-        stab_degeneration(b, BUDGETS)
+        stab_degeneration(b)
 
 
 def su_first_closure(branch: Branch, V: Ideal) -> Ideal:
@@ -694,14 +694,14 @@ def test_flat_closure_with_u_last_has_the_fiber_of_the_su_first_saturation(famil
     real = degeneration._clear_poles
     degeneration._clear_poles = lambda p: cleared.append(real(p)) or cleared[-1]
     try:
-        closure, _ = flat_closure(branch, BUDGETS)
+        closure, _ = flat_closure(branch)
     finally:
         degeneration._clear_poles = real
     # every pulled-back generator is free of s, with its u-content divided out
     assert all(not any(m[0] for m in g.terms) and min(m[-1] for m in g.terms) == 0 for g in cleared)
     reference = su_first_closure(branch, V)
     assert closure.ring == reference.ring
-    assert special_fiber(closure, branch.scheme, BUDGETS).gens == u_zero_fiber(reference, branch.scheme).gens
+    assert special_fiber(closure, branch.scheme).gens == u_zero_fiber(reference, branch.scheme).gens
     if len(V.gens) == 1 and family == "additive_plane":
         assert closure.gens == reference.gens
 
@@ -711,7 +711,7 @@ def test_flat_closure_with_u_last_has_the_fiber_of_the_su_first_saturation(famil
 def test_identity_component_irreducible():
     ring = SL2.coordinate_ring()
     fiber = ideal(ring, "x11 - 1", "x21", "x22 - 1")
-    comp, cosets, complete = identity_component(fiber, SL2, BUDGETS)
+    comp, cosets, complete = identity_component(fiber, SL2)
     assert ideal_equal(comp, fiber)
     assert not cosets and complete
 
@@ -719,7 +719,7 @@ def test_identity_component_irreducible():
 def test_identity_component_split_roots_of_unity():
     ring = SL2.coordinate_ring()
     fiber = ideal(ring, "x21", "(x11 - 1)*(x11 + 1)", "x11*x22 - 1")
-    comp, cosets, complete = identity_component(fiber, SL2, BUDGETS)
+    comp, cosets, complete = identity_component(fiber, SL2)
     assert ideal_equal(comp, ideal(ring, "x21", "x11 - 1", "x22 - 1"))
     assert len(cosets) == 1 and complete
     assert ideal_equal(cosets[0], ideal(ring, "x21", "x11 + 1", "x22 + 1"))
@@ -732,7 +732,7 @@ def test_identity_component_leaves_an_unfactored_generator_incomplete():
     is kept whole, and the split is not complete."""
     scheme = GroupScheme("Additive", 1, QQ)
     ring = scheme.coordinate_ring()
-    comp, cosets, complete = identity_component(ideal(ring, "x^5 + x^3 + x"), scheme, BUDGETS)
+    comp, cosets, complete = identity_component(ideal(ring, "x^5 + x^3 + x"), scheme)
     assert ideal_equal(comp, ideal(ring, "x"))
     assert len(cosets) == 1 and ideal_equal(cosets[0], ideal(ring, "x^4 + x^2 + 1"))
     assert not complete
@@ -745,7 +745,7 @@ def test_identity_component_torus_union_translate():
     torus = ideal(ring, "x12", "x21", "x11*x22 - 1")
     w_translate = ideal(ring, "x11", "x22", "x12*x21 + 1")
     union = ideal_intersect(torus, w_translate)
-    comp, cosets, complete = identity_component(union, SL2, BUDGETS)
+    comp, cosets, complete = identity_component(union, SL2)
     assert ideal_equal(comp, torus)
     assert len(cosets) == 1
     assert ideal_equal(cosets[0], w_translate)
@@ -764,7 +764,7 @@ def test_identity_component_torus_union_translate():
 def test_identity_component_drops_contained_and_repeated_pieces(gens, pieces):
     ring = SL2.coordinate_ring()
     fiber = ideal(ring, *gens, "x11*x22 - x12*x21 - 1")
-    comp, cosets, _ = identity_component(fiber, SL2, BUDGETS)
+    comp, cosets, _ = identity_component(fiber, SL2)
     kept = [comp, *cosets]
     assert len(kept) == len(pieces)
     for want in pieces:
@@ -846,10 +846,34 @@ def test_a_budget_error_is_raised_again(monkeypatch):
     pairs = _counting(monkeypatch, subgroups, "_generic_pair")
     H = SubgroupDesc(SL2, ideal(SL2.coordinate_ring(), "x12*x21", "x11^2 - x22^2"), 1)
     for n in (1, 2):
-        with pytest.raises(BudgetExceeded):
-            verify_subgroup(H, Budgets(spoly_budget=1))
+        with pytest.raises(BudgetExceeded), spoly_budget(1):
+            verify_subgroup(H)
         assert len(pairs) == n
     assert "verified_subgroup" not in H.flags
+
+
+def test_every_basis_runs_under_the_cap_of_its_block():
+    """krull_dim, conjugate_stab and classify_subgroup build their bases
+    under the cap of the enclosing `spoly_budget` block, also after an
+    answer under the default cap; after the block, raised out of or left,
+    the cap is the default again."""
+    ring = SL2.coordinate_ring()
+    gens = ("x11^2 + x12*x21", "x12^2 + x11*x21", "x21^2 + x11*x12")
+    for call in (
+        lambda: krull_dim(ideal(ring, *gens)),
+        lambda: conjugate_stab(SubgroupDesc(SL2, ideal(ring, *gens), 1), SL2.identity()),
+        lambda: classify_subgroup(SubgroupDesc(SL2, ideal(ring, *gens), 1)),
+    ):
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded), spoly_budget(1):
+                call()
+            assert ideals.current_spoly_budget() == ideals.DEFAULT_SPOLY_BUDGET
+            call()
+    with spoly_budget(3):
+        with spoly_budget(1):
+            assert ideals.current_spoly_budget() == 1
+        assert ideals.current_spoly_budget() == 3
+    assert ideals.current_spoly_budget() == ideals.DEFAULT_SPOLY_BUDGET
 
 
 def test_classification_reads_the_dimension():
@@ -869,8 +893,8 @@ def test_solvable_abelian_cases():
     ring = SL2.coordinate_ring()
     unipotent = SubgroupDesc(SL2, ideal(ring, "x11 - 1", "x21", "x22 - 1"), 1)
     torus = SubgroupDesc(SL2, ideal(ring, "x12", "x21", "x11*x22 - 1"), 1)
-    assert is_solvable(unipotent, BUDGETS).value is True
-    assert is_solvable(torus, BUDGETS).value is True
+    assert is_solvable(unipotent).value is True
+    assert is_solvable(torus).value is True
 
 
 def test_solvable_borel_two_steps():
@@ -879,7 +903,7 @@ def test_solvable_borel_two_steps():
     frame."""
     ring = SL2.coordinate_ring()
     borel = SubgroupDesc(SL2, ideal(ring, "x21"), 2)
-    out = is_solvable(borel, BUDGETS)
+    out = is_solvable(borel)
     assert (out.value, out.note) == (True, "contained in a Borel subgroup")
 
 
@@ -896,9 +920,9 @@ def test_solvable_mu5_semidirect_ga_in_the_frame_of_its_branch():
     H = SubgroupDesc(scheme, ideal(ring, *gens), 1)
     o, z = QQ.one(), QQ.zero()
     frame = KPoint(scheme, ((z, z, -o), (z, o, z), (o, z, z)))
-    out = is_solvable(H, BUDGETS, lambda: frame)
+    out = is_solvable(H, lambda: frame)
     assert (out.value, out.note) == (True, "contained in a Borel subgroup")
-    out = is_solvable(H, BUDGETS)
+    out = is_solvable(H)
     assert out.value is None and "Borel" in out.note
 
 
@@ -911,8 +935,8 @@ def test_solvable_calls_the_frame_only_past_the_lie_algebra():
     ring = SL2.coordinate_ring()
     torus = SubgroupDesc(SL2, ideal(ring, "x12", "x21", "x11*x22 - 1"), 1)
     full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
-    assert is_solvable(torus, BUDGETS, frame).value is True
-    assert is_solvable(full, BUDGETS, frame).value is False
+    assert is_solvable(torus, frame).value is True
+    assert is_solvable(full, frame).value is False
 
 
 @pytest.mark.parametrize("field, value, note", [
@@ -926,7 +950,7 @@ def test_solvable_needs_the_tangent_space_of_the_group_dimension(field, value, n
     against the group's 1, so nothing is certified."""
     scheme = GroupScheme("SL", 2, field)
     H = SubgroupDesc(scheme, ideal(scheme.coordinate_ring(), "x21", "x11^5 - 1"), 1)
-    out = is_solvable(H, BUDGETS)
+    out = is_solvable(H)
     assert H.flags["verified_subgroup"] and (out.value, out.note) == (value, note)
 
 

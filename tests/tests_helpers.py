@@ -1,7 +1,8 @@
 """Shared test helpers: random series and random points of G(K), G(O)
 and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
-of two ideals, the product of a factorization, the list of a finite
+of two ideals, the dimension of a monomial ideal by every variable
+subset, the product of a factorization, the list of a finite
 field's elements, the ideal of a list of monomial relations and of a
 point cloud, k-points of a parameterized subgroup, and the places at
 infinity from every conjugate
@@ -12,6 +13,7 @@ relates the places of the two, univariate division by factor.py's
 dense routines, and the ansatz quotient substituted entry by entry."""
 
 import math
+from itertools import combinations
 from fractions import Fraction
 
 from mustab.exponents import exp
@@ -23,7 +25,7 @@ from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamifica
 from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
 from mustab import ideals
-from mustab.ideals import DEFAULT_SPOLY_BUDGET, Ideal, eliminate, monomial_relations
+from mustab.ideals import Ideal, eliminate, monomial_relations
 from mustab.poly import Poly, PolyRing
 from mustab.series import PowerList, PuiseuxSeries, ser_subst
 from mustab.subgroups import solve_point
@@ -114,19 +116,33 @@ def is_identity(g) -> bool:
     return g == g.scheme.identity()
 
 
-def ideal_intersect(I: Ideal, J: Ideal, budget: int = DEFAULT_SPOLY_BUDGET) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via the u-trick: eliminate u from u*I + (1-u)*J."""
     if I.ring != J.ring:
         raise ValueError("ideals in different rings")
     ring = I.ring
-    aux = PolyRing(ring.field, ("_u",) + ring.variables, ring.order_name)
+    aux = PolyRing(ring.field, ("_u",) + ring.variables)
     u = aux.var("_u")
     lift = {v: v for v in ring.variables}
     gens = [u * g.rename(lift, aux) for g in I.gens]
     gens += [(aux.one() - u) * g.rename(lift, aux) for g in J.gens]
-    elim = eliminate(Ideal(aux, tuple(gens)), ("_u",), budget)
+    elim = eliminate(Ideal(aux, tuple(gens)), ("_u",))
     back = [g.rename(lift, ring) for g in elim.gens]
     return Ideal(ring, tuple(back))
+
+
+def dim_by_subsets(lead_monos, nvars: int) -> int:
+    """The Krull dimension of the monomial ideal of lead_monos, by trying
+    every variable set, largest first, for one that contains the support
+    of no monomial: the reference for `ideals._dim_from_leading_monomials`."""
+    if not lead_monos:
+        return nvars
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
+            sset = set(subset)
+            if all(any(e and i not in sset for i, e in enumerate(m)) for m in lead_monos):
+                return size
+    return 0
 
 
 def factorization_product(fac):
