@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places, relations and solvability alone on fixed inputs.
+"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -99,13 +99,17 @@ The dimension: `krull_dim` of that SL(4) stabilizer ideal in 16
 variables (its grevlex basis, then the fewest variables meeting every
 leading monomial's support), on fresh copies of the generators.
 
+The Iwasawa frame: `iwasawa(a)[0].res()`, the frame `stab`'s solvability
+check reads, for the unipotent SL(6, Q) branch a with 1 on the diagonal,
+t^-1 below it and 0 above; each run parses its own branch.
+
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count and cold and warm
 stats, for the tube certificate the s it returns or null and cold and warm
 stats, for the relations the type
 dimensions, for the solvability check the answer, for the dimension the
-answer, per curve the
+answer, for the Iwasawa frame whether it is the identity, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
@@ -442,6 +446,22 @@ def time_krull_dim(H: SubgroupDesc, runs: int) -> dict:
     return {"gens": len(H.ideal.gens), "dim": dim, **_stats(times)}
 
 
+def unipotent_branch(n: int) -> list:
+    """The SL(n) branch with 1 on the diagonal, t^-1 below it, 0 above."""
+    return [[_series((-1, 1)) if i > j else _series((0, 1)) if i == j else _series() for j in range(n)] for i in range(n)]
+
+
+def time_iwasawa_frame(n: int, runs: int) -> dict:
+    scheme = GroupScheme("SL", n, QQ)
+    times = []
+    for _ in range(runs):
+        branch = parse_branch({"entries": unipotent_branch(n)}, scheme, None)
+        start = time.perf_counter()
+        frame = iwasawa(branch.element)[0].res()
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"frame_is_identity": frame == scheme.identity(), **_stats(times)}
+
+
 def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: int, runs: int) -> dict:
     def curve():
         scheme = GroupScheme("Additive", len(embedding), field)
@@ -498,10 +518,12 @@ def main() -> int:
     relations = time_relations(args.runs)
     solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
     dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
+    frame = time_iwasawa_frame(6, args.runs)
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
                       "mu_correct_order_7": certificate, "places": places, "relations": relations,
-                      "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension}))
+                      "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,
+                      "iwasawa_sl6_unipotent": frame}))
     return 0
 
 

@@ -17,6 +17,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import FieldMismatch
+from .fields import FieldSpec, sqrt_str
+from .poly import parse_scalar
 from .records import Frozen
 
 _FRACTION_ZERO = Fraction(0)
@@ -28,17 +30,6 @@ def check_d(d) -> int:
     if type(d) is not int or d <= 0 or isqrt(d) ** 2 == d:
         raise ValueError(f"sqrt(d) requires a positive nonsquare integer d, got {d!r}")
     return d
-
-
-def sqrt_str(a: Fraction, b: Fraction, d: int) -> str:
-    """a + b*sqrt(d) as exponents and Q(sqrt d) scalars print it: a alone
-    when b = 0, the sqrt(d) part alone when a = 0."""
-    if not b:
-        return str(a)
-    bs = f"sqrt({d})" if b == 1 else (f"-sqrt({d})" if b == -1 else f"{b}*sqrt({d})")
-    if not a:
-        return bs
-    return f"{a}{bs}" if bs.startswith("-") else f"{a}+{bs}"
 
 
 def _sign(p: int, q: int, d: int | None) -> int:
@@ -160,29 +151,17 @@ class Exponent(Frozen):
 
     @staticmethod
     def parse(text: str, d: int | None = None) -> Exponent:
-        """Parse "a/b" or "a/b+c/e*sqrt(d)" (either part optional)."""
-        text = text.replace(" ", "")
-        if "sqrt" not in text:
-            return Exponent(Fraction(text))
-        head, _, tail = text.partition("sqrt(")
-        dd = check_d(int(tail.rstrip(")").split(")")[0]))
+        """Parse a rational "a/b", or any expression of the scalar grammar
+        (poly.parse_scalar) over Q(sqrt d) in one sqrt(d)."""
+        compact = text.replace(" ", "")
+        if "sqrt" not in compact:
+            return Exponent(Fraction(compact))
+        dd = check_d(int(compact.partition("sqrt(")[2].partition(")")[0]))
         if d is not None and dd != d:
             raise FieldMismatch(f"expected sqrt({d}), got sqrt({dd})")
-        head = head.rstrip("*")
-        a = Fraction(0)
-        bstr = head
-        for i in range(len(head) - 1, 0, -1):
-            if head[i] in "+-" and head[i - 1] not in "+-/*":
-                a = Fraction(head[:i])
-                bstr = head[i:]
-                break
-        if bstr in ("", "+"):
-            b = Fraction(1)
-        elif bstr == "-":
-            b = Fraction(-1)
-        else:
-            b = Fraction(bstr)
-        return Exponent(a, b, dd)
+        coeffs, n = parse_scalar(text, FieldSpec("QSqrt", d=dd)).rep
+        p, q = (coeffs + (0, 0))[:2]
+        return _make(p, q, n, dd)
 
 
 _new = object.__new__

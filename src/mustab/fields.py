@@ -26,7 +26,6 @@ from itertools import chain, zip_longest
 from math import gcd
 
 from .errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
-from .exponents import sqrt_str
 from .records import Frozen
 
 
@@ -87,6 +86,17 @@ def _int_nth_root(n: int, k: int) -> int | None:
         x = y
 
 
+def sqrt_str(a: Fraction, b: Fraction, d: int) -> str:
+    """a + b*sqrt(d) as exponents and Q(sqrt d) scalars print it: a alone
+    when b = 0, the sqrt(d) part alone when a = 0."""
+    if not b:
+        return str(a)
+    bs = f"sqrt({d})" if b == 1 else (f"-sqrt({d})" if b == -1 else f"{b}*sqrt({d})")
+    if not a:
+        return bs
+    return f"{a}{bs}" if bs.startswith("-") else f"{a}+{bs}"
+
+
 # the JSON keys of each field kind besides "kind"
 _KEYS = {"Q": (), "QSqrt": ("d",), "Fp": ("p",), "Fq": ("p", "modulus")}
 
@@ -109,19 +119,19 @@ class FieldSpec(Frozen):
             if type(d) is not int or _int_nth_root(d, 2) is not None:
                 raise ValueError(f"QSqrt requires a nonsquare integer d, got {d!r}")
             modulus = (-d, 0, 1)
-        elif kind != "Q" and (p is None or not is_prime(p)):
-            raise ValueError(f"{kind} requires a prime, got {p}")
+        elif kind != "Q" and (type(p) is not int or not is_prime(p)):
+            raise ValueError(f"{kind} requires a prime, got {p!r}")
         if kind == "Fq":
-            m = list(modulus or ())
-            if len(m) < 3 or m[-1] != 1 or any(c % p != c for c in m):
+            modulus = tuple(modulus or ())
+            if len(modulus) < 3 or modulus[-1] != 1 or any(type(c) is not int or c % p != c for c in modulus):
                 raise ValueError("Fq modulus must be monic of degree >= 2 with reduced coefficients")
             from .factor import uni_factor  # lazy: factor imports this module
             from .poly import Poly, PolyRing
 
             fp = FieldSpec("Fp", p=p)
-            f = Poly(PolyRing(fp, ("x",)), {(i,): fp.from_int(c) for i, c in enumerate(m)})
+            f = Poly(PolyRing(fp, ("x",)), {(i,): fp.from_int(c) for i, c in enumerate(modulus)})
             if uni_factor(f).factors != [(f, 1)]:
-                raise ValueError(f"Fq modulus {m} is reducible over F_{p}")
+                raise ValueError(f"Fq modulus {list(modulus)} is reducible over F_{p}")
         self._set(kind, d, p, modulus)
 
     @property
@@ -188,8 +198,8 @@ class FieldSpec(Frozen):
         kind = data["kind"]
         if kind == "Q":
             return QQ
-        args = {key: tuple(int(c) for c in data[key]) if key == "modulus" else int(data[key]) for key in _KEYS.get(kind, ())}
-        return FieldSpec(kind, **args)  # ValueError for an unknown kind
+        # each parameter as given: __init__ rejects what is not a JSON integer
+        return FieldSpec(kind, **{key: data[key] for key in _KEYS.get(kind, ())})  # ValueError for an unknown kind
 
     def __str__(self):
         if self.kind == "Q":

@@ -491,7 +491,10 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
         raise ValueError("Iwasawa decomposition applies to GL/SL only")
     n = r.n
     rows = [list(row) for row in a.entries]
-    u_rows = [[_const_like(a, 1 if i == j else 0) for j in range(n)] for i in range(n)]
+    # a = u * rows throughout: each row operation on rows applies its
+    # inverse to u's columns, so u is built without inverting a matrix
+    ident = a.scheme.identity().to_series()
+    u_cols = [list(col) for col in zip(*ident.entries)]
     # inversion window wide enough that intermediate entries (valuations
     # bounded by n times the input exponent span) keep visible leading terms
     span = Fraction(0)
@@ -522,24 +525,16 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
         if piv != j:
             # rotation swap: row_j <- row_piv, row_piv <- -row_j (det 1)
             rows[j], rows[piv] = rows[piv], [-s for s in rows[j]]
-            u_rows[j], u_rows[piv] = u_rows[piv], [-s for s in u_rows[j]]
+            u_cols[j], u_cols[piv] = u_cols[piv], [-s for s in u_cols[j]]
         for i in range(j + 1, n):
             s = rows[i][j]
             if s.is_zero() and s.is_exact():
                 continue
             m = s * rows[j][j].inv(prec=inv_prec)
             rows[i] = [x - m * yv for x, yv in zip(rows[i], rows[j])]
-            u_rows[i] = [x - m * yv for x, yv in zip(u_rows[i], u_rows[j])]
-    # rows = L * a where L is the accumulated transform; a = L^-1 * rows
-    l_elem = GroupElement(a.scheme, tuple(tuple(row) for row in u_rows), check=False)
-    u = l_elem.inv()
+            u_cols[j] = [x + m * yv for x, yv in zip(u_cols[j], u_cols[i])]
+    # every operation has det 1, so u does: on GL its y is the identity's
+    u = GroupElement(a.scheme, tuple(zip(*u_cols)), ident.y, check=False)
     b = GroupElement(a.scheme, tuple(tuple(row) for row in rows), check=False)
     return u, b
-
-
-def _const_like(a: GroupElement, value: int) -> PuiseuxSeries:
-    dom = a._dom()
-    if value == 0:
-        return PuiseuxSeries.zero(dom)
-    return PuiseuxSeries.constant(dom, a.scheme.field.from_int(value))
 

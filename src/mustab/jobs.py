@@ -34,22 +34,18 @@ class JobError(Exception):
     exit_code = EXIT_INVALID
 
 
-def parse_budgets(data: dict | None, overrides: dict | None = None) -> tuple[Budgets, int]:
+def parse_budgets(data: dict | None) -> tuple[Budgets, int]:
     """The job's budgets and its S-polynomial cap (`spoly_budget`), each a
-    JSON integer in its range; the overrides (command-line flags) win over
-    the job's values."""
+    JSON integer in its range."""
     values: dict = {}
     if data is not None and not isinstance(data, dict):
         raise JobError(f"budgets must be a JSON object, not {data!r}")
-    merged = dict(data or {})
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            merged[k] = v
+    data = data or {}
     limits = {"precision": (1, 64), "degree_bound": (1, 12), "order_budget": (1, 24), "spoly_budget": (1, None)}
     for name, (lo, hi) in limits.items():
-        if name not in merged:
+        if name not in data:
             continue
-        value = merged[name]
+        value = data[name]
         if type(value) is not int:
             raise JobError(f"{name} must be an integer, not {value!r}")
         if value < lo or (hi is not None and value > hi):
@@ -81,8 +77,17 @@ def parse_plane_curve(data: dict, scheme: GroupScheme) -> PlaneCurveInput:
 
 
 def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
-    """Execute one JobSpec; returns (report, exit_code)."""
+    """Execute one JobSpec; returns (report, exit_code).  The overrides
+    (command-line flags) that are set win over the job's algorithm and
+    budgets."""
     start = time.time()
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    # the one merge of flags and budgets, read by parse_budgets and
+    # budget_usage; a value that is not an object is left for
+    # parse_budgets to reject
+    budgets_in = job.get("budgets") if isinstance(job, dict) else None
+    if budgets_in is None or isinstance(budgets_in, dict):
+        budgets_in = {**(budgets_in or {}), **flags}
     report: dict = {
         "schema": "mustab-report-v1",
         "inputs": job,
@@ -100,8 +105,8 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
             if d is not None:
                 check_d(d)
             command = job["command"]
-            budgets, cap = parse_budgets(job.get("budgets"), overrides)
-            algorithm = (overrides or {}).get("algorithm") or job.get("algorithm", "both")
+            budgets, cap = parse_budgets(budgets_in)
+            algorithm = flags.get("algorithm", job.get("algorithm", "both"))
             if algorithm not in ALGORITHMS:
                 raise JobError(f"unknown algorithm {algorithm!r}; expected {'|'.join(ALGORITHMS)}")
         except JobError:
@@ -138,7 +143,7 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
                 report["results"]["b"] = _element_json(b2)
                 report["results"]["u_integral"] = u.is_integral()
             else:  # verify; _read_input rejected any other command
-                desc = SubgroupDesc(scheme, inp, krull_dim(inp))  # EmptyVariety on the unit ideal
+                desc = SubgroupDesc(scheme, inp, None)  # verify_subgroup reads no dimension
                 ok, rep = verify_subgroup(desc)
                 solv = None
                 if ok:  # is_solvable reads the dimension of the group scheme, its equations included
@@ -158,11 +163,9 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
         code = max(code, EXIT_VERIFY)
     report["timing"] = {"seconds": round(time.time() - start, 3)}
     defaults = Budgets()
-    given = job.get("budgets") if isinstance(job, dict) else None
-    given = given if isinstance(given, dict) else {}
+    used = budgets_in if isinstance(budgets_in, dict) else flags
     report["budget_usage"] = {
-        name: (overrides or {}).get(name) or given.get(name, getattr(defaults, name))
-        for name in ("precision", "degree_bound", "order_budget")
+        name: used.get(name, getattr(defaults, name)) for name in ("precision", "degree_bound", "order_budget")
     }
     return report, code
 

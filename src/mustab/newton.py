@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 
+from . import stabilizer
 from .branches import Branch, is_centered_at_infinity, validate_branch
 from .errors import BudgetExceeded, CoefficientFieldTooSmall, MustabError, WildRamification
 from .exponents import exp
@@ -382,13 +383,11 @@ def _dedup_branches(branches: list[Branch]) -> list[Branch]:
     more than one branch comes from distinct places that the embedding
     identifies, or whose images are tube-equivalent, and the stabilizer
     depends only on the class."""
-    from .stabilizer import mu_correct  # lazy: avoids an import cycle
-
     def equivalent(a: Branch, b: Branch) -> bool:
         if b.element.entries == a.element.entries:
             return True
         try:
-            return mu_correct(a, b) is not None
+            return stabilizer.mu_correct(a, b) is not None
         except MustabError:
             return False
 

@@ -464,8 +464,8 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
 
 def parse_series(data: dict | list, field: FieldSpec, d: int | None = None) -> PuiseuxSeries:
     """JSON literal: {"terms": [[exponent, coefficient], ...], "prec": e}
-    with exponents "a/b" or "a/b+c/e*sqrt(d)" and scalar coefficient
-    strings; a bare list is shorthand for exact terms."""
+    with exponent strings as Exponent.parse reads them and scalar
+    coefficient strings; a bare list is shorthand for exact terms."""
     if isinstance(data, list):
         items, prec = data, None
     else:

@@ -957,6 +957,65 @@ def test_budget_usage_reports_the_job_budgets():
     assert report["budget_usage"]["precision"] == "x"
 
 
+def test_budget_usage_reports_the_flags_the_job_ran_with():
+    """The flags are merged into the budgets once: a rejected flag is
+    reported as given, and a budgets value that is not an object is
+    invalid with or without flags."""
+    report, code = run_job(X1_JOB, {"precision": 0})
+    assert code == 2 and report["errors"][0]["message"] == "precision must be in [1, 64], not 0"
+    assert report["budget_usage"] == {"precision": 0, "degree_bound": 4, "order_budget": 6}
+    assert report["inputs"] == X1_JOB
+    for flags in (None, {"precision": 10}):
+        report, code = run_job(dict(X1_JOB, budgets=[12]), flags)
+        assert code == 2 and report["errors"][0]["message"] == "budgets must be a JSON object, not [12]"
+
+
+@pytest.mark.parametrize("field", [
+    {"kind": "Fp", "p": 7.9},
+    {"kind": "Fp", "p": "7"},
+    {"kind": "QSqrt", "d": 2.5},
+    {"kind": "Fq", "p": 3, "modulus": [1, 0.2, 1]},
+])
+def test_field_parameters_are_json_integers(field):
+    """p, d and the modulus entries reach FieldSpec as given, like n and
+    the budgets: a float or a string names no field."""
+    report, code = run_job(dict(X1_JOB, field=field))
+    assert code == 2 and report["errors"][0]["type"] == "JobError"
+
+
+def test_an_exponent_is_read_as_written():
+    """The reduced_a2 branch with its exponent sqrt(2) written 2*sqrt(2)/2
+    is the same branch: reduce reports the same results.  Written without
+    the product sign, the exponent is invalid, as a coefficient would be."""
+    base = next(e["job"] for e in corpus_entries() if e["name"] == "reduced_a2")
+    outs = {}
+    for text in ("sqrt(2)", "2*sqrt(2)/2", "1/2sqrt(2)"):
+        job = json.loads(json.dumps(dict(base, command="reduce")))
+        job["input"]["branch"]["entries"][1]["terms"][1][0] = text
+        report, code = run_job(job)
+        outs[text] = (code, report["results"])
+    assert outs["sqrt(2)"][0] == 0 and outs["2*sqrt(2)/2"] == outs["sqrt(2)"]
+    assert outs["sqrt(2)"][1]["certificate"]["eps"] == "(0, t^(sqrt(2)))"
+    assert outs["1/2sqrt(2)"][0] == 2
+
+
+@pytest.mark.parametrize("ideal, cap, witness", [
+    (["-2*x22*x12 + 1 - 2*x22*x21", "x21*x11 - x11^2", "2*x22*x12"], 1, "identity fails -2*x12*x22 - 2*x21*x22 + 1"),
+    (["1"], None, "identity fails 1"),
+], ids=["small-cap", "unit-ideal"])
+def test_verify_checks_the_identity_before_any_basis(ideal, cap, witness):
+    """An ideal that misses the identity exits 5 with the identity witness
+    at any S-polynomial cap, the unit ideal included: no Groebner basis
+    runs before verify_subgroup."""
+    job = {"field": {"kind": "Q"}, "group": {"kind": "SL", "n": 2}, "command": "verify",
+           "input": {"subgroup": {"ideal": ideal}}}
+    if cap is not None:
+        job["budgets"] = {"spoly_budget": cap}
+    report, code = run_job(job)
+    assert code == 5 and report["errors"] == []
+    assert report["results"]["verify_report"]["witness"] == witness
+
+
 def test_stab_over_an_extension_keeps_the_subgroup_scheme():
     """The circle x^2 + 2y^2 = 1 over F_5 has its places over F_25; lifted
     there, the group is still the Subgroup scheme, so no random points of

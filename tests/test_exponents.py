@@ -59,6 +59,42 @@ def test_parse_roundtrip():
         assert Exponent.parse(str(e)) == e
 
 
+@pytest.mark.parametrize("text, value", [
+    ("2*sqrt(2)/2", (0, 1)),
+    ("sqrt(2)/2", (0, Fraction(1, 2))),
+    ("sqrt(2)*3", (0, 3)),
+    ("2*sqrt(2)+1", (1, 2)),
+    ("-sqrt(2)-1", (-1, -1)),
+    ("(1+sqrt(2))/2", (Fraction(1, 2), Fraction(1, 2))),
+    ("sqrt(2)^2 - 1", (1, 0)),
+])
+def test_parse_reads_the_scalar_grammar(text, value):
+    """An exponent holding sqrt(d) is any expression of the coefficient
+    grammar over Q(sqrt d), read as that grammar reads it."""
+    a, b = value
+    assert Exponent.parse(text) == Exponent(a, b, 2 if b else None)
+
+
+def test_parse_rejects_what_the_scalar_grammar_rejects():
+    """Juxtaposition is no product, as in a coefficient; a second square
+    root and a declared d that differs are refused."""
+    with pytest.raises(ValueError, match="trailing input"):
+        Exponent.parse("1/2sqrt(2)")
+    with pytest.raises(ValueError, match="does not live in"):
+        Exponent.parse("sqrt(2)+sqrt(3)")
+    with pytest.raises(FieldMismatch):
+        Exponent.parse("sqrt(3)", 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 12), st.sampled_from([2, 3, 5, 7]))
+def test_parse_round_trips_every_exponent(p, q, n, d):
+    """(p + q*sqrt(d))/n written by str, or as that quotient, parses back."""
+    e = Exponent(Fraction(p, n), Fraction(q, n), d if q else None)
+    assert Exponent.parse(str(e)) == e
+    assert Exponent.parse(f"({p}+{q}*sqrt({d}))/{n}") == e
+
+
 def test_comparison_agrees_with_high_precision_sqrt2():
     # oracle: rational approximation of sqrt(2) to 60 digits
     sqrt2 = Fraction(

@@ -456,6 +456,17 @@ _EXTENSION_PINS = {
 }
 
 
+@pytest.mark.parametrize("data", [
+    {"kind": "Fp", "p": 7.0},
+    {"kind": "Fq", "p": 3, "modulus": [1, 0, 1.0]},
+    {"kind": "QSqrt", "d": "2"},
+])
+def test_from_json_coerces_no_parameter(data):
+    """A parameter that is not a JSON integer names no field."""
+    with pytest.raises(ValueError):
+        FieldSpec.from_json(data)
+
+
 @pytest.mark.parametrize("name", sorted(_EXTENSION_PINS))
 def test_extension_str_json_and_element_order(name):
     field, text, first, values = _EXTENSION_PINS[name]

@@ -283,6 +283,21 @@ def test_iwasawa_roundtrip_random():
         _check_iwasawa(random_laurent_point(GroupScheme("SL", 2, F5), rng))
 
 
+def test_iwasawa_keeps_the_entries_the_row_operations_give_exactly():
+    """u is built by applying each row operation's inverse to its columns,
+    not by inverting their product, so an entry the operations give
+    exactly stays exact: u[1][0] is 3t, not 3t + O(t^22)."""
+    quarter = PuiseuxSeries(QQ, [(exp(2), QQ.from_fraction(Fraction(-1, 4)))], None)
+    a = GroupElement(GroupScheme("SL", 3, QQ), (
+        (S((-1, -1)), S((-3, 3), (1, 3)), Z()),
+        (S((0, -3)), S((-2, 9), (-1, 4), (2, 9)), Z()),
+        (S((-1, 4), (2, 2)), S((0, -3)), quarter),
+    ))
+    u, _ = iwasawa(a)
+    assert u.entries[1][0] == S((1, 3)) and u.entries[1][0].precision is None
+    _check_iwasawa(a)
+
+
 def test_inv_involution_and_det_multiplicative():
     rng = random.Random(10)
     for _ in range(25):
