@@ -533,8 +533,9 @@ def iwasawa(a: GroupElement) -> tuple[GroupElement, GroupElement]:
             m = s * rows[j][j].inv(prec=inv_prec)
             rows[i] = [x - m * yv for x, yv in zip(rows[i], rows[j])]
             u_cols[j] = [x + m * yv for x, yv in zip(u_cols[j], u_cols[i])]
-    # every operation has det 1, so u does: on GL its y is the identity's
+    # every operation has det 1, so on GL u's y is the identity's and b's
+    # is a's: neither determinant is expanded
     u = GroupElement(a.scheme, tuple(zip(*u_cols)), ident.y, check=False)
-    b = GroupElement(a.scheme, tuple(tuple(row) for row in rows), check=False)
+    b = GroupElement(a.scheme, tuple(tuple(row) for row in rows), a.y, check=False)
     return u, b
 
