@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, closures, the ansatz, a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, closures, the ansatz, a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -21,6 +21,18 @@ every run.  The last two inputs are captured by running the job once
 through `run_job` with both modules' `eliminate` wrapped.  Each run gets
 fresh copies of the generators, so no leading monomial cached by an
 earlier run is reused.
+
+The linear bases: `groebner_basis` (one Buchberger run, wrapped in an
+Ideal) on two inputs of degree <= 1 met on the workloads:
+  * sl2_q_elimination: [c2, c1, lami - 1, lam - 1, -96*c3 + x11 - 1,
+    128*c3 + x12, -72*c3 + x21, 96*c3 + x22 - 1] over
+    k[lam, lami, c1..c4, x11..x22], under the block order that drops the
+    ansatz variables lam, lami, c1..c4, as `eliminate` runs it;
+  * grevlex_system: [9*x11 + 6*x12 - 12*x21 - 8*x22 - 1,
+    -12*x11 - 9*x12 + 16*x21 + 12*x22, -8*x11 - 6*x12 + 12*x21 + 9*x22 - 1]
+    over k[x11, x12, x21, x22] under grevlex.
+Each call takes well under a millisecond, so a run times LINEAR_CALLS
+calls, each on its own fresh copy made before the clock starts.
 
 The closures: `implicitize` of that shear, and of the place (t^-3, t^-5)
 of y^3 = x^5 on the additive plane, from the branch, each run on fresh
@@ -103,7 +115,8 @@ The Iwasawa frame: `iwasawa(a)[0].res()`, the frame `stab`'s solvability
 check reads, for the unipotent SL(6, Q) branch a with 1 on the diagonal,
 t^-1 below it and 0 above; each run parses its own branch.
 
-Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per flat closure
+Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per linear basis
+also the calls one run times, per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, for the ansatz quotient its parameter count and cold and warm
 stats, for the tube certificate the s it returns or null and cold and warm
@@ -136,7 +149,7 @@ from mustab.groups import GroupScheme, iwasawa  # noqa: E402
 from mustab.ideals import Ideal, eliminate, groebner_basis, ideal, krull_dim  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
-from mustab.poly import Poly, PolyRing  # noqa: E402
+from mustab.poly import GREVLEX, BlockOrder, Poly, PolyRing  # noqa: E402
 from mustab.subgroups import SubgroupDesc, is_solvable, verify_subgroup  # noqa: E402
 
 
@@ -206,6 +219,32 @@ def inputs(shear: dict) -> dict:
         "sl2_shear_flat_closure": shear["flat_closure"],
         "sl2_shear_curve": shear["curve"],
     }
+
+
+LINEAR_CALLS = 100
+
+
+def linear_inputs() -> dict:
+    """name -> (an ideal generated in degree <= 1, the order of its basis)."""
+    ansatz = PolyRing(QQ, ("lam", "lami", "c1", "c2", "c3", "c4", "x11", "x12", "x21", "x22"))
+    gl2 = PolyRing(QQ, ("x11", "x12", "x21", "x22"))
+    elimination = ("c2", "c1", "lami - 1", "lam - 1", "-96*c3 + x11 - 1", "128*c3 + x12", "-72*c3 + x21", "96*c3 + x22 - 1")
+    system = ("9*x11 + 6*x12 - 12*x21 - 8*x22 - 1", "-12*x11 - 9*x12 + 16*x21 + 12*x22", "-8*x11 - 6*x12 + 12*x21 + 9*x22 - 1")
+    return {
+        "sl2_q_elimination": (ideal(ansatz, *elimination), BlockOrder(tuple(range(6)), tuple(range(6, 10)))),
+        "grevlex_system": (ideal(gl2, *system), GREVLEX),
+    }
+
+
+def time_linear_basis(I: Ideal, order, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        copies = [_fresh(I) for _ in range(LINEAR_CALLS)]
+        start = time.perf_counter()
+        for fresh in copies:
+            basis = groebner_basis(fresh, order)
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"gens": len(I.gens), "basis": len(basis.gens), "calls_per_run": LINEAR_CALLS, **_stats(times)}
 
 
 def closures() -> dict:
@@ -502,6 +541,7 @@ def main() -> int:
     setup = {"cold": time_setup("", args.runs), "stdlib_preloaded": time_setup("import dataclasses, fractions, json", args.runs)}
     shear, heavy = capture(SHEAR_JOB), capture(HEAVY_JOB)
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
+    linear = {name: time_linear_basis(*spec, args.runs) for name, spec in linear_inputs().items()}
     closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
     flat = {
         name: time_flat_closure(found["closure_input"], args.runs)
@@ -519,7 +559,7 @@ def main() -> int:
     solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
     dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
     frame = time_iwasawa_frame(6, args.runs)
-    print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "implicitize": closed, "flat_closure": flat,
+    print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "linear_basis": linear, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
                       "mu_correct_order_7": certificate, "places": places, "relations": relations,
                       "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,

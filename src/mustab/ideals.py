@@ -14,6 +14,16 @@ generator reductions, and no function takes it as an argument.  Bases
 are returned reduced and monic, under grevlex unless a call names another
 order, sorted by leading monomial, so re-running is a fixed point.
 
+Two or more generators whose every term has degree <= 1 skip the queue:
+their reduced basis is the reduced row echelon form of the coefficient
+matrix whose columns are the generators' monomials, largest in the order
+first and the constant last (Cox-Little-O'Shea 2.7), one forward
+elimination in `linalg.Echelon` and its back-substitution.  The reduced
+basis is unique, so this returns the same Polys as the queue, term order
+and cached leading monomial included.  Neither path forms an S-polynomial
+on such an input: the reduced generators lead with distinct variables (or
+with 1), pairwise coprime, so the cap means the same on both.
+
 Division (Cox-Little-O'Shea 2.3) yields only the remainder, the normal
 form: no caller reads the quotients.  It reduces one dict of the remaining
 terms in place against a divisor table, one (leading monomial, leading
@@ -217,6 +227,8 @@ def buchberger(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     gens = [g for g in gens if not g.is_zero()]
     if len(gens) == 1:
         return [gens[0].monic(order)]  # the reduced basis of a principal ideal
+    if gens and all(sum(m) <= 1 for g in gens for m in g.terms):
+        return _linear_basis(gens, order)
     keys = _KeyMemo(order)
     basis: list[Poly] = []
     table: list[tuple] = []  # the divisor entry of each basis element
@@ -265,6 +277,30 @@ def buchberger(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
             raise BudgetExceeded(f"S-polynomial budget {budget} exceeded")
         insert(s_poly(basis[i], basis[j], order))
     return _interreduce(basis, order, keys)
+
+
+def _linear_basis(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
+    """The reduced basis of an ideal generated in degree <= 1: the reduced
+    row echelon form of the coefficient matrix whose columns are the
+    monomials of the generators, largest in `order` first, so that the
+    constant, if present, comes last."""
+    ring = gens[0].ring
+    monos = sorted({m for g in gens for m in g.terms}, key=order.key, reverse=True)
+    column = {m: c for c, m in enumerate(monos)}
+    ech = Echelon()
+    for g in gens:
+        ech.add({column[m]: c for m, c in g.terms.items()})
+    rows = ech.reduced()
+    one = ring.field.one()
+    constant = column.get((0,) * ring.nvars)
+    if constant in rows:  # 1 is in the ideal
+        rows = {constant: {}}
+    basis = []
+    for c, tail in reversed(rows.items()):
+        g = Poly._trusted(ring, {monos[c]: one, **{monos[j]: tail[j] for j in sorted(tail)}})
+        g._lead = (order, monos[c])
+        basis.append(g)
+    return basis
 
 
 def _interreduce(basis: list[Poly], order: MonomialOrder, keys: _KeyMemo) -> list[Poly]:

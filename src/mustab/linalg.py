@@ -4,8 +4,9 @@ A row is a dict {column: nonzero Scalar}; a dense list of Scalars is read
 as the row of its nonzero entries.  One forward elimination, `Echelon`,
 takes rows one at a time: each is reduced against the pivots kept so far,
 and either becomes a new pivot or reduces to zero, when it can report the
-linear relation that cleared it.  `echelon` gives the pivot columns (the
-column rank profile) of a list of rows.
+linear relation that cleared it; `Echelon.reduced` back-substitutes the
+pivots into the reduced row echelon form.  `echelon` gives the pivot
+columns (the column rank profile) of a list of rows.
 """
 
 from __future__ import annotations
@@ -79,6 +80,21 @@ class Echelon:
         self._pivots[c] = ({j: x * inv for j, x in r.items()}, comb)
         insort(self._cols, c)
         return None
+
+    def reduced(self) -> dict[int, Row]:
+        """The reduced row echelon form of the rows added so far, by back-
+        substitution: pivot column -> the rest of its row, which is zero
+        at every other pivot column, in ascending pivot column.  The kept
+        rows are not touched."""
+        out: dict[int, Row] = {}
+        # a row's columns all lie above its pivot, so the rows above are
+        # final when it comes to be reduced
+        for c in reversed(self._cols):
+            r = dict(self._pivots[c][0])
+            for d in [d for d in r if d in out]:
+                _subtract(r, r.pop(d), out[d])
+            out[c] = r
+        return {c: out[c] for c in self._cols}
 
 
 def echelon(rows) -> list[int]:

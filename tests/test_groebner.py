@@ -562,6 +562,89 @@ def test_the_basis_of_one_generator_is_that_generator_made_monic(case, order):
     assert buchberger([g], order) == buchberger([g, ring.var("x") * g], order) == [g.monic(order)]
 
 
+LINEAR_ORDERS = [GREVLEX, LEX, BlockOrder((1, 3), (0, 2))]
+
+
+@st.composite
+def linear_generators(draw):
+    """A list of generators of degree <= 1 in four variables over Q, F_5,
+    F_9 or Q(sqrt 2), with zero, repeated and dependent ones among them."""
+    field = draw(st.sampled_from([QQ, F5, F9, QS2]))
+    ring = PolyRing(field, ("w", "x", "y", "z"))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    theta = field.generator() if field.modulus else field.one()
+    monos = [(0, 0, 0, 0)] + [tuple(int(i == j) for j in range(4)) for i in range(4)]
+
+    def scalar():
+        return field.from_int(rng.randrange(-3, 4)) + field.from_int(rng.randrange(-1, 2)) * theta
+
+    gens: list[Poly] = []
+    for _ in range(rng.randrange(2, 7)):
+        kind = rng.random()
+        if gens and kind < 0.15:
+            gens.append(rng.choice(gens))
+        elif gens and kind < 0.4:
+            g, h = rng.choice(gens), rng.choice(gens)
+            gens.append(g.scale(scalar()) + h.scale(scalar()))
+        elif kind < 0.5:
+            gens.append(ring.zero())
+        else:
+            # a constant term only now and then, so that most inputs are proper
+            support = rng.sample(monos[1:], rng.randrange(1, 5)) + [monos[0]] * (rng.random() < 0.3)
+            gens.append(Poly(ring, {m: scalar() for m in support}))
+    return ring, gens
+
+
+def assert_same_polys(got, expected):
+    assert len(got) == len(expected)
+    for p, q in zip(got, expected):
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert p._lead == q._lead
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_generators(), st.sampled_from(LINEAR_ORDERS))
+def test_linear_basis_is_the_general_path_basis(case, order):
+    # x*g has degree 2, so the second run goes through the pair queue;
+    # the reduced basis is unique, term order and cached lead included
+    ring, gens = case
+    nonzero = [g for g in gens if not g.is_zero()]
+    if not nonzero:
+        assert buchberger(gens, order) == []
+        return
+    g = nonzero[-1]
+    fresh = [Poly(ring, dict(h.terms)) for h in gens]
+    got, expected = buchberger(gens, order), buchberger(fresh + [ring.var("x") * g], order)
+    if len(nonzero) == 1:
+        assert got == expected  # the principal shortcut keeps g's term order
+    else:
+        assert_same_polys(got, expected)
+
+
+@pytest.mark.parametrize("order", LINEAR_ORDERS, ids=["grevlex", "lex", "block"])
+def test_linear_unit_ideal_carries_its_leading_monomial(order):
+    ring = PolyRing(QQ, ("w", "x", "y", "z"))
+    gens = [ring.parse("x + y - 1"), ring.parse("x + y"), ring.parse("w - z")]
+    basis = buchberger(gens, order)
+    assert basis == [ring.one()]
+    assert_lead_cached(basis[0], order)
+    assert_same_polys(basis, buchberger(gens + [ring.parse("x^2")], order))
+
+
+def test_linear_basis_forms_no_s_polynomial(monkeypatch):
+    from mustab import ideals
+
+    calls = []
+    real = ideals.s_poly
+    monkeypatch.setattr(ideals, "s_poly", lambda f, g, order: calls.append(1) or real(f, g, order))
+    ring = PolyRing(QQ, ("w", "x", "y", "z"))
+    gens = [ring.parse(t) for t in ("w + x + y + z - 1", "x - y", "2*w + 3*z", "y + z - 2")]
+    with spoly_budget(1):
+        basis = buchberger(gens, GREVLEX)
+    assert [str(g) for g in basis] == ["z - 6/5", "y - 4/5", "x - 4/5", "w + 9/5"]
+    assert calls == []
+
+
 def termwise_eval(p, values, lift, acc):
     """The evaluation eval_poly replaced: each term multiplies lift(c) by
     the value of each variable, once per unit of its exponent."""

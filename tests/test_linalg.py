@@ -300,6 +300,29 @@ def test_echelon_combinations_cancel_sparse_rows_exactly(case):
     assert echelon(rows) == ech._cols
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_rows())
+def test_reduced_echelon_form_spans_the_rows(case):
+    """Each reduced row is zero at every other pivot column, the pivot
+    columns are those of `echelon`, and every input row reduces to zero
+    against the reduced rows."""
+    field, rows = case
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
+    reduced = ech.reduced()
+    assert list(reduced) == echelon(rows)
+    for c, tail in reduced.items():
+        assert min(tail, default=c + 1) > c
+        assert not set(tail) & set(reduced)
+        assert not any(x.is_zero() for x in tail.values())
+    span = Echelon()
+    for c, tail in reduced.items():
+        assert span.add({c: field.one(), **tail}) is None
+    for row in rows:
+        assert span.add(row) == {}
+
+
 # -- the relation walk against the dense kernel -----------------------------------
 
 def truncated_plane_branch(field, rng):
