@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, linear bases, closures, the ansatz, a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -55,19 +55,29 @@ captured the same way.  A process certifies each ideal once and answers
 repeats from a memo, so the memo is cleared before each run, which times
 the check itself.
 
-The ansatz quotient: `stabilizer.Ansatz(b, b.element, cap=6).quotient()`
-for the reduced branch b of that shear (the branch `flat_closure` gets,
-captured the same way), the series arithmetic over the polynomial
-coefficient ring k[lam, lami, c_i] that `stab_reparam` runs before its
-Groebner basis at order_budget 6; each run builds its own Ansatz.
+The powers of a series, each read through `series.SeriesPowers`:
+  * ser_subst_circle_f5: `ser_subst(y, t + t^2 + t^3)` for the y
+    coordinate of the first place of the circle x^2 + y^2 = 1 over F_5 at
+    precision 20 (the `circle_f5` corpus input), a truncated series;
+  * inv_sl2_cofactor: `inv(prec=t^12)` of the entry t^-1 - t^2 of that
+    shear, the cofactor of its other off-diagonal entry;
+  * ansatz_quotient: `stabilizer.Ansatz(b, b.element, cap=6).quotient()`
+    for the reduced branch b of that shear (the branch `flat_closure`
+    gets, captured the same way), the series arithmetic over the
+    polynomial coefficient ring k[lam, lami, c_i] that `stab_reparam` runs
+    before its Groebner basis at order_budget 6; each run builds its own
+    Ansatz;
+  * mu_correct_eps: the certificate's eps = a(s0) * b^-1 for the pair
+    below, from one SeriesPowers of the s0 that `mu_correct` returns.
 
 The tube certificate: `mu_correct(a, b)` for a = (t^-1, t^-7) and
 b = (t^-1, t^-7 - 7) on the additive plane over Q, tube-equivalent over
 s = t + t^8, so the ansatz must reach gamma = 7; each run parses its own
 branches.
 
-Both run cold, with the process-wide ansatz kernels emptied before each
-run, and warm, reading what earlier runs left there.
+The ansatz quotient and the tube certificate run cold, with the
+process-wide ansatz kernels emptied before each run, and warm, reading
+what earlier runs left there.
 
 The places at infinity: `places_at_infinity` on the additive plane
 (embedding [x, y]) for the circle x^2 + y^2 = 1 over F_5 at precision 20
@@ -118,8 +128,8 @@ t^-1 below it and 0 above; each run parses its own branch.
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per linear basis
 also the calls one run times, per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
-reduced, for the ansatz quotient its parameter count and cold and warm
-stats, for the tube certificate the s it returns or null and cold and warm
+reduced, per power kernel its stats, for the ansatz quotient its parameter
+count and cold and warm stats, for the tube certificate the s it returns or null and cold and warm
 stats, for the relations the type
 dimensions, for the solvability check the answer, for the dimension the
 answer, for the Iwasawa frame whether it is the identity, per curve the
@@ -144,12 +154,14 @@ sys.path.insert(0, str(SRC))
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize, type_dimension  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
+from mustab.exponents import exp  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme, iwasawa  # noqa: E402
 from mustab.ideals import Ideal, eliminate, groebner_basis, ideal, krull_dim  # noqa: E402
 from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.poly import GREVLEX, BlockOrder, Poly, PolyRing  # noqa: E402
+from mustab.series import PuiseuxSeries, SeriesPowers, ser_subst  # noqa: E402
 from mustab.subgroups import SubgroupDesc, is_solvable, verify_subgroup  # noqa: E402
 
 
@@ -398,6 +410,32 @@ def time_ansatz_quotient(branch, runs: int) -> dict:
     return {"params": params, **_cold_and_warm(run, runs)}
 
 
+def _timed(run, runs: int) -> dict:
+    times = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        run()
+        times.append((time.perf_counter() - start) * 1e3)
+    return _stats(times)
+
+
+def time_powers(shear: dict, runs: int) -> dict:
+    field, f_text, embedding, precision = PLACES["circle_f5"]
+    curve = parse_plane_curve({"f": f_text, "embedding": embedding}, GroupScheme("Additive", len(embedding), field))
+    y = places_at_infinity(curve, precision)[0].element.flat()[1]
+    s = PuiseuxSeries(field, [(exp(k), field.one()) for k in (1, 2, 3)], None)
+    cofactor = parse_branch(SHEAR_JOB["input"]["branch"], GroupScheme("SL", 2, QQ), None).element.flat()[1]
+    scheme = GroupScheme("Additive", 2, QQ)
+    a, b = (parse_branch({"entries": entries}, scheme, None) for entries in ORDER_7_PAIR)
+    s0, b_inv = stabilizer.mu_correct(a, b).s, b.element.inv()
+    return {
+        "ser_subst_circle_f5": _timed(lambda: ser_subst(y, s), runs),
+        "inv_sl2_cofactor": _timed(lambda: cofactor.inv(prec=exp(12)), runs),
+        "ansatz_quotient": time_ansatz_quotient(shear["closure_input"], runs),
+        "mu_correct_eps": _timed(lambda: a.element.map(SeriesPowers.of(s0).subst).mul(b_inv), runs),
+    }
+
+
 # (t^-1, t^-7) and (t^-1, t^-7 - 7): one tube over s = t + t^8
 ORDER_7_PAIR = ([_series((-1, 1)), _series((-7, 1))], [_series((-1, 1)), _series((-7, 1), (0, -7))])
 
@@ -552,7 +590,7 @@ def main() -> int:
         name: time_verify(found["subgroup"], args.runs)
         for name, found in (("sl2_shear", shear), ("sl2_q_heavy", heavy))
     }
-    quotient = time_ansatz_quotient(shear["closure_input"], args.runs)
+    powers = time_powers(shear, args.runs)
     certificate = time_mu_correct(ORDER_7_PAIR, args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
     relations = time_relations(args.runs)
@@ -560,7 +598,7 @@ def main() -> int:
     dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
     frame = time_iwasawa_frame(6, args.runs)
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "linear_basis": linear, "implicitize": closed, "flat_closure": flat,
-                      "division": division, "verify_subgroup": checked, "ansatz_quotient": quotient,
+                      "division": division, "verify_subgroup": checked, "powers": powers,
                       "mu_correct_order_7": certificate, "places": places, "relations": relations,
                       "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,
                       "iwasawa_sl6_unipotent": frame}))

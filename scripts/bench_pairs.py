@@ -14,12 +14,16 @@ report digest or outcome differs between the sides, read from the run's
 per-job records in perfbench/out/. Per workload it keeps each side's total
 `failed` jobs, the count of each differing outcome pair over all pairs
 ("5 -> 0" is a job that exits 5 at the parent and 0 with the change) and,
-per end-to-end metric, each side's median and quartiles and the number of
-pairs the change won. After the pairs, each side runs every workload
-TRACED_RUNS more times with seed 1 and --trace 1, alternating which side
-runs first, and the file keeps the median self times (`*.self_s`) and call
-counts (`*.calls`) of those runs, to show in which layer a change in the
-end-to-end numbers sits.
+per end-to-end metric, each side's median and quartiles, the number of
+pairs the change won and `claim_met`: whether the change won at least
+CLAIM_WINS pairs and its median is better than the parent's by more than
+the parent's quartile spread (q3 - q1). After the pairs, each side runs
+every workload TRACED_RUNS more times with seed 1 and --trace 1,
+alternating which side runs first, and the file keeps the median self
+times (`*.self_s`), the median share of each self time in its run's total
+self time (the sum over the modules), which cancels the host's speed, and
+the median call counts (`*.calls`) of those runs, to show in which layer a
+change in the end-to-end numbers sits.
 """
 
 import argparse
@@ -31,7 +35,8 @@ from collections import Counter
 from pathlib import Path
 
 PAIRS = 10
-TRACED_RUNS = 3
+CLAIM_WINS = 9
+TRACED_RUNS = 5
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> tuple[dict, list]:
@@ -64,6 +69,17 @@ def layer_medians(runs: list[dict], suffix: str) -> dict:
     return {name: statistics.median(run[name]["value"] for run in runs) for name in names}
 
 
+def self_shares(runs: list[dict]) -> dict:
+    """Per *.self_s metric, the median over runs of its share of the run's
+    total self time, the sum of the modules' (the names with one dot)."""
+    shares = []
+    for run in runs:
+        names = [name for name in run if name.endswith(".self_s")]
+        total = sum(run[name]["value"] for name in names if name.count(".") == 1)
+        shares.append({name: run[name]["value"] / total for name in names})
+    return {name: statistics.median(share[name] for share in shares) for name in shares[0]}
+
+
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     out = {"failed": {side: sum(p[side]["failed"] for p in pairs) for side in ("parent", "change")}}
     moves = Counter(f"{d['parent']} -> {d['change']}" for p in pairs for d in p["differing_jobs"])
@@ -73,7 +89,15 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         parent = [p["parent"]["metrics"][name]["value"] for p in pairs]
         change = [p["change"]["metrics"][name]["value"] for p in pairs]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-        out[name] = {"better": m["better"], "parent": spread(parent), "change": spread(change), "change_wins": wins}
+        before, after = spread(parent), spread(change)
+        gain = after["median"] - before["median"] if higher else before["median"] - after["median"]
+        out[name] = {
+            "better": m["better"],
+            "parent": before,
+            "change": after,
+            "change_wins": wins,
+            "claim_met": wins >= CLAIM_WINS and gain > before["q3"] - before["q1"],
+        }
     return out
 
 
@@ -102,10 +126,12 @@ def main() -> int:
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"])
         traced = {side: layer_medians(runs[side], ".self_s") for side in runs}
+        shares = {side: self_shares(runs[side]) for side in runs}
         calls = {side: layer_medians(runs[side], ".calls") for side in runs}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,
+            "traced_self_share_seed_1": shares,
             "traced_calls_seed_1": calls,
             "pairs": pairs,
         }

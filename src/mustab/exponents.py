@@ -49,9 +49,11 @@ def _sign(p: int, q: int, d: int | None) -> int:
 
 
 class Exponent(Frozen):
-    """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0."""
+    """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0; h
+    is the hash of (p, q, n), computed once."""
 
-    __slots__ = ("p", "q", "n", "d")
+    __slots__ = ("p", "q", "n", "d", "h")
+    _hidden = ("h",)
 
     def __init__(self, a, b=_FRACTION_ZERO, d: int | None = None):
         a, b = Fraction(a), Fraction(b)
@@ -139,8 +141,7 @@ class Exponent(Frozen):
         return self.p == other.p and self.n == other.n and self.q == other.q and self.d == other.d
 
     def __hash__(self) -> int:
-        # integers only: hash(None) is an address on some interpreters
-        return hash((self.p, self.q, self.n))
+        return self.h
 
     # -- io --------------------------------------------------------------------
     def __str__(self):
@@ -174,6 +175,7 @@ def _init(e: Exponent, p: int, q: int, n: int, d: int | None) -> None:
     _setattr(e, "q", q)
     _setattr(e, "n", n)
     _setattr(e, "d", d)
+    _setattr(e, "h", hash((p, q, n)))  # integers only: hash(None) is an address on some interpreters
 
 
 def _make(p: int, q: int, n: int, d: int | None) -> Exponent:

@@ -9,8 +9,9 @@ chosen per call.  Polynomials parse from and print to the ASCII grammar
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, takewhile
 from operator import add, itemgetter
 
 from .errors import FieldMismatch
@@ -305,22 +306,27 @@ class Poly:
 
     # -- printing ----------------------------------------------------------
     def __str__(self):
+        return self.text(self.ring.variables)
+
+    def text(self, names: tuple[str, ...]) -> str:
+        """The polynomial printed with names[i] for its i-th variable."""
         if self.is_zero():
             return "0"
+        field = self.ring.field
+        one, minus_one = field.one(), -field.one()
         parts = []
         for m, c in self.sorted_terms():
             mono_parts = []
             for i, e in enumerate(m):
                 if e == 1:
-                    mono_parts.append(self.ring.variables[i])
+                    mono_parts.append(names[i])
                 elif e > 1:
-                    mono_parts.append(f"{self.ring.variables[i]}^{e}")
+                    mono_parts.append(f"{names[i]}^{e}")
             cs = str(c)
-            negative = cs.startswith("-") and "+" not in cs[1:] and "-" not in cs[1:]
             if mono_parts:
-                if c.is_one():
+                if c == one:
                     body = "*".join(mono_parts)
-                elif (-c).is_one() and self.ring.field.char == 0:
+                elif c == minus_one and field.char == 0:
                     body = "-" + "*".join(mono_parts)
                 else:
                     coeff = cs if _scalar_is_atomic(cs) else f"({cs})"
@@ -380,31 +386,20 @@ def monomials_up_to(nvars: int, degree: int):
 # parsing: small recursive-descent evaluator over the term grammar
 # ---------------------------------------------------------------------------
 
+# whitespace, then an operator, an ASCII number or name that ends its run
+# of word characters (str.isalnum or "_"), any other run, which _words
+# splits, or a character no token starts with; trailing whitespace is left.
+# re compiles it on first use, which keeps it out of the import.
+_TOKEN = r"\s*(?:([-+*/^()]|[0-9]+(?!\w)|[A-Za-z_]\w*)|(\w+)|(\S))"
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.toks: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.toks.append(text[i:j])
-                i = j
-            elif ch in "+-*/^()":
-                self.toks.append(ch)
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r} in {text!r}")
+        for tok, word, other in re.findall(_TOKEN, text):
+            if other:
+                raise ValueError(f"unexpected character {other!r} in {text!r}")
+            self.toks += (tok,) if tok else _words(word, text)
         self.pos = 0
 
     def peek(self):
@@ -421,6 +416,17 @@ class _Tokens:
         got = self.next()
         if got != tok:
             raise ValueError(f"expected {tok!r}, got {got!r}")
+
+
+def _words(word: str, text: str) -> list[str]:
+    """The tokens of a run of word characters: a number, its longest
+    prefix of str.isdigit characters, and a name, the rest of the run,
+    which must start with a letter or "_"."""
+    number = "".join(takewhile(str.isdigit, word))
+    name = word[len(number):]
+    if name and not (name[0].isalpha() or name[0] == "_"):
+        raise ValueError(f"unexpected character {name[0]!r} in {text!r}")
+    return [t for t in (number, name) if t]
 
 
 def parse_poly(text: str, ring: PolyRing) -> Poly:

@@ -11,18 +11,23 @@ in any order: it drops zero coefficients, sorts, rejects duplicate
 exponents and drops the terms at or above the precision.  The arithmetic
 here knows its results are already in that form and builds them with the
 private `PuiseuxSeries._ordered`, which checks nothing: `+` is a linear
-merge of the two ordered term lists, `*`, `ser_subst` and the binomial
+merge of the two ordered term lists, `*`, substitution and the binomial
 expansion collect their terms in one dict keyed by exponent and sort once,
 and negation, `scale`, `shift` and `truncate` keep the order of their
 input.
+
+Every power s^gamma of a series s = lead t^v (1 + w) comes from one
+`SeriesPowers`: the lists of w's powers, lead^gamma and, for the
+stabilizer ansatz, a bounded memo of s^gamma.  Its `subst` loop, which
+applies the precision rule for truncated f, serves `ser_subst`, the
+ansatz and the tube certificate's eps, and `PuiseuxSeries.inv` is s^-1.
 
 A series' `dom` is its coefficient ring: a FieldSpec for Scalar
 coefficients, or a PolyRing for the polynomial coefficients of the
 stabilizer ansatz.  The ring gives `zero()`, `one()`, `from_fraction(q)`
 for the binomial coefficients and `char`; coefficients give `+`, `-`, `*`
 and `is_zero()`.  Only Scalar coefficients are inverted (`c.inv()`): the
-leading coefficient in `PuiseuxSeries.inv` and of the substituted series
-in `ser_subst`.
+leading coefficient of s in `SeriesPowers.of`.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ from .fields import FieldSpec, Scalar, pow_by_squaring
 from .poly import PolyRing, parse_scalar
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
+EXP_MINUS_ONE = Exponent(Fraction(-1))
 
 
 _new = object.__new__
@@ -232,25 +238,19 @@ class PuiseuxSeries:
         return pow_by_squaring(self, k, PuiseuxSeries.one(self.dom))
 
     def inv(self, prec: Exponent | None = None) -> PuiseuxSeries:
-        """Inverse as c^-1 t^-v (1 + w)^-1 by the binomial series, for the
-        leading term c t^v; the expansion runs to the lower of prec and the
-        precision of w, to either one that is known, else to
-        DEFAULT_PRECISION."""
+        """Inverse as s^-1 for s = c t^v (1 + w), its leading term c t^v;
+        (1 + w)^-1 runs to the lower of prec and the precision of w, to
+        either one that is known, else to DEFAULT_PRECISION."""
         if not self.terms:
             if self.precision is not None:
                 raise LeadingTermUnknown(f"no term of the series is known below t^({self.precision})")
             raise ZeroLeadingTerm("cannot invert a series with no known nonzero term")
-        v, c = self.terms[0]
-        cinv = c.inv()
-        lead_inv = PuiseuxSeries.monomial(self.dom, -v, cinv)
-        # w = self / (c t^v) - 1 has positive valuation
-        w = (self.shift(-v)).scale(cinv) - PuiseuxSeries.one(self.dom)
+        powers = SeriesPowers.of(self)
+        w = powers.w
         if w.is_zero() and w.is_exact():
-            return lead_inv
-        target = _min_prec(prec, w.precision)
-        if target is None:
-            target = DEFAULT_PRECISION
-        return lead_inv * _binomial_power(PowerList(w, target), Fraction(-1), target)
+            return powers.power(EXP_MINUS_ONE, None, None)
+        target = DEFAULT_PRECISION if prec is None and w.precision is None else _min_prec(prec, w.precision)
+        return powers.power(EXP_MINUS_ONE, target - powers.v, target)
 
     # -- valuation data ----------------------------------------------------
     def val(self) -> Exponent:
@@ -321,83 +321,24 @@ def _rational_lower_bound(e: Exponent) -> Fraction:
     return e.a + e.b * (root_ceil if e.b < 0 else 0)
 
 
-def ser_subst(
-    f: PuiseuxSeries,
-    s: PuiseuxSeries | None,
-    prec: Exponent | None = None,
-    lead_root=None,
-    parts: tuple | None = None,
-) -> PuiseuxSeries:
+def ser_subst(f: PuiseuxSeries, s: PuiseuxSeries, prec: Exponent | None = None, lead_root=None) -> PuiseuxSeries:
     """Compose f(s) for val(s) > 0 using generalized binomial expansion.
 
     All exponents of f must be rational; in characteristic p their
     denominators (and every binomial denominator met along the way) must be
     coprime to p.  `lead_root` optionally supplies c^gamma for the leading
-    coefficient c of s when fractional powers of it are needed.  `parts`
-    optionally supplies (val, PowerList of tail) for s = lead * t^val *
-    (1 + tail), where the lead is only invertible modulo relations; it
-    requires lead_root, the list must reach target - val * e for the
-    lowest exponent e of f, and s is unused.  Otherwise one PowerList
-    serves every term.
+    coefficient c of s when fractional powers of it are needed.  The
+    precision rule is SeriesPowers.subst's.
     """
     if f.has_irrational_exponent():
         raise IrrationalExponentInSubstitution(f"cannot substitute into {f}")
-    char = f.dom.char
-    if char:
-        for e, _ in f.terms:
-            if e.as_fraction().denominator % char == 0:
-                raise WildRamification(f"exponent denominator divisible by characteristic {char}")
-    if parts is not None:
-        if lead_root is None:
-            raise ValueError("parts requires lead_root")
-        v, powers = parts
-        w = powers.w
-        c_lead = cinv = None
-    else:
-        if not s.terms:
-            raise ZeroLeadingTerm("substitution by a series with no known term")
-        v, c_lead = s.terms[0]
-        cinv = c_lead.inv()
-        w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)  # known below s.precision - v
-        powers = None
-    if not EXP_ZERO < v:
-        raise ValueError(f"substitution requires positive valuation, got val = {v}")
-
-    def lead_pow(gamma: Fraction):
-        if lead_root is not None:
-            return lead_root(gamma)
-        num, den = gamma.numerator, gamma.denominator
-        if den == 1:
-            return c_lead**num if num >= 0 else cinv ** (-num)
-        if isinstance(c_lead, Scalar):
-            root = c_lead.kth_root(den)
-            return root**num if num >= 0 else root.inv() ** (-num)
-        raise ValueError("fractional power of a non-scalar leading coefficient needs lead_root")
-
-    # precision budget
-    target = prec
-    if f.precision is not None:
-        target = _min_prec(target, v.scale(_rational_lower_bound(f.precision)))
-    if w.precision is not None and f.terms:
-        target = _min_prec(target, v.scale(f.terms[0][0].as_fraction()) + w.precision)
-    infinite = any(e.as_fraction().denominator != 1 or e.sign() < 0 for e, _ in f.terms)
-    if target is None and infinite and not (w.is_zero() and w.is_exact()):
-        target = DEFAULT_PRECISION
-    if powers is None and f.terms:
-        powers = PowerList(w, None if target is None else target - v.scale(f.terms[0][0].as_fraction()))
-    # each t^(v gamma) (1 + w)^gamma is known below target: below v gamma +
-    # local = target, or v gamma + (a precision of w^k >= w.precision), and
-    # target <= v gamma_0 + w.precision for the lowest gamma_0 of f
-    acc: dict = {}
-    for e, coeff in f.terms:
-        gamma = e.as_fraction()
-        shift = v.scale(gamma)
-        lead = coeff * lead_pow(gamma)
-        for ee, c in _binomial_power(powers, gamma, None if target is None else target - shift).terms:
-            ee, c = ee + shift, c * lead
-            old = acc.get(ee)
-            acc[ee] = c if old is None else old + c
-    return _collected(f.dom, acc, target)
+    if not s.terms:
+        raise ZeroLeadingTerm("substitution by a series with no known term")
+    s._check(f)
+    powers = SeriesPowers.of(s, lead_root)
+    if not EXP_ZERO < powers.v:
+        raise ValueError(f"substitution requires positive valuation, got val = {powers.v}")
+    return powers.subst(f, prec)
 
 
 def _collected(dom: FieldSpec | PolyRing, acc: dict, prec: Exponent | None) -> PuiseuxSeries:
@@ -424,6 +365,98 @@ class PowerList:
         while len(self._powers) <= k:
             self._powers.append(self._powers[-1].mul_below(self.w, self.prec))
         return self._powers[k]
+
+
+class SeriesPowers:
+    """The powers s^gamma, gamma rational, of one series s = lead * t^v *
+    (1 + w), w of positive valuation or exactly 0, over the ring dom: the
+    lists of w's powers by reach and lead^gamma = lead_root(gamma).  With
+    `entries` set, each s^gamma known below a bound is kept too, keyed
+    (bound, gamma): any list reaching bound - v gamma gives the same
+    s^gamma.  The memo, lists included, is emptied when it holds `entries`
+    values; an expansion that raises is not kept."""
+
+    __slots__ = ("dom", "v", "w", "lead_root", "entries", "_memo")
+
+    def __init__(self, dom: FieldSpec | PolyRing, v: Exponent, w: PuiseuxSeries, lead_root, entries: int | None = None):
+        self.dom, self.v, self.w, self.lead_root, self.entries = dom, v, w, lead_root, entries
+        self._memo: dict = {}
+
+    @staticmethod
+    def of(s: PuiseuxSeries, lead_root=None) -> SeriesPowers:
+        """The powers of s, whose leading term c t^v is known and c
+        invertible; w = s / (c t^v) - 1 is known below s.precision - v.
+        Without lead_root, c^gamma is a power of c or of a root of it."""
+        v, c = s.terms[0]
+        cinv = c.inv()
+        w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(s.dom)
+
+        def scalar_root(gamma: Fraction):
+            num, den = gamma.numerator, gamma.denominator
+            if den == 1:
+                return c**num if num >= 0 else cinv ** (-num)
+            if isinstance(c, Scalar):
+                root = c.kth_root(den)
+                return root**num if num >= 0 else root.inv() ** (-num)
+            raise ValueError("fractional power of a non-scalar leading coefficient needs lead_root")
+
+        return SeriesPowers(s.dom, v, w, lead_root or scalar_root)
+
+    def _kept(self, key, make):
+        value = self._memo.get(key)
+        if value is None:
+            value = make()
+            if self.entries is not None and len(self._memo) >= self.entries:
+                self._memo.clear()
+            self._memo[key] = value
+        return value
+
+    def power(self, e: Exponent, bound: Exponent | None, reach: Exponent | None) -> PuiseuxSeries:
+        """s^e = lead^e t^(v e) (1 + w)^e known below bound (None: exact),
+        from the list of w's powers below reach >= bound - v e."""
+
+        def expand():
+            powers = self._kept(reach, lambda: PowerList(self.w, reach))
+            gamma, char = e.as_fraction(), self.dom.char
+            if char and gamma.denominator % char == 0:
+                raise WildRamification(f"exponent denominator divisible by characteristic {char}")
+            shift, lead = self.v.scale(gamma), self.lead_root(gamma)
+            x = _binomial_power(powers, gamma, None if bound is None else bound - shift)
+            return PuiseuxSeries._ordered(self.dom, tuple((ee + shift, c * lead) for ee, c in x.terms), bound)
+
+        return expand() if self.entries is None else self._kept((bound, e), expand)
+
+    def subst(self, f: PuiseuxSeries, prec: Exponent | None = None, reach: Exponent | None = None) -> PuiseuxSeries:
+        """f(s) = sum a_e s^e for f = sum a_e t^e with rational exponents,
+        known below the target: prec, lowered to v times a rational bound
+        of f's precision and to v e_0 + prec(w) for f's lowest exponent
+        e_0; with no bound at all, an infinite expansion (a fractional or
+        negative e, w not exactly 0) runs to DEFAULT_PRECISION.  Each s^e
+        is known below it, w^k being known below prec(w) + (k - 1) val(w).
+        Every s^e reads the list of w's powers below reach, by default
+        target - v e_0, which the lowest term needs."""
+        v, w = self.v, self.w
+        target = prec
+        if f.precision is not None:
+            target = _min_prec(target, v.scale(_rational_lower_bound(f.precision)))
+        if f.terms:
+            e0 = f.terms[0][0]
+            if w.precision is not None:
+                target = _min_prec(target, v.scale(e0.as_fraction()) + w.precision)
+            if target is None and not (w.is_zero() and w.is_exact()) and any(e.n != 1 or e.sign() < 0 for e, _ in f.terms):
+                target = DEFAULT_PRECISION
+            if reach is None and target is not None:
+                reach = target - v.scale(e0.as_fraction())
+        one = f.dom.one()
+        acc: dict = {}
+        for e, a in f.terms:
+            unit = a == one
+            for te, x in self.power(e, target, reach).terms:
+                if not unit:
+                    x = x * a
+                old = acc.get(te)
+                acc[te] = x if old is None else old + x
+        return _collected(self.dom, acc, target)
 
 
 def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | None) -> PuiseuxSeries:

@@ -6,6 +6,8 @@ lam * lami = 1.  Substituting the ansatz into a branch and multiplying by
 a reference realization turns "the quotient is infinitesimal/integral"
 into polynomial constraints on the parameters; solving or eliminating
 those constraints yields tube certificates and the stabilizer family.
+Every substitution, the ansatz's and a certificate's eps = a(s0) * b^-1,
+reads the powers s^gamma from one series.SeriesPowers of s.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ from .errors import (
     SelfCheckFailed,
     WildRamification,
 )
-from .exponents import EXP_ONE, EXP_ZERO, Exponent, exp
+from .exponents import EXP_ONE, EXP_ZERO, exp
 from .groups import GroupElement, GroupScheme, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
-from .poly import PolyRing
-from .series import PowerList, PuiseuxSeries, _collected, _min_prec, _rational_lower_bound, ser_subst
+from .poly import Poly, PolyRing
+from .series import PuiseuxSeries, SeriesPowers
 from .subgroups import _MEMO_SIZE, ParamFamily, SubgroupDesc, TubeCertificate, solve_point, verify_subgroup
 
 
@@ -51,8 +53,8 @@ class Ansatz:
     c t^gamma first moves a(s) at t^(low + gamma), low the lowest exponent
     of a, y included, so the conditions read gamma = k/r only below P - low.
     The ansatz takes all of them, those up to `cap` if one is given; `cut`
-    is the largest gamma the cap left out, else None.  Its ring, tail and
-    monomials s^e come from the process-wide kernel of (field, r, N)."""
+    is the largest gamma the cap left out, else None.  Its ring and the
+    powers of s come from the process-wide kernel of (field, r, N)."""
 
     def __init__(self, branch: Branch, b: GroupElement, cap: int | None = None):
         self.branch = branch
@@ -66,84 +68,39 @@ class Ansatz:
         # reaches prec - low for the lowest exponent low of all, y included
         # (on GL, y = det^-1 can lie below every entry)
         self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
-        reach = self.prec - self.low
+        self.reach = reach = self.prec - self.low
         gammas = []
         while exp(Fraction(len(gammas) + 1, self.r)) < reach:
             gammas.append(Fraction(len(gammas) + 1, self.r))
         self.gammas = tuple(g for g in gammas if cap is None or g <= cap)
         self.cut = gammas[-1] if len(self.gammas) < len(gammas) else None
-        self.kernel = k = _kernel(branch.field, self.r, len(self.gammas))
-        self.ring, self.tail, self.relation, self.lead_root = k.ring, k.tail, k.relation, k.lead_root
+        self.kernel, self.relation = _kernel(branch.field, self.r, len(self.gammas))
+        self.ring = self.kernel.dom
 
     def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
         terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
         return PuiseuxSeries(self.ring, terms, f.precision)
 
-    def subst(self, f: PuiseuxSeries, prec: Exponent) -> PuiseuxSeries:
-        """f(s) = sum a_e s^e, f = sum a_e t^e one of a's coordinates, over
-        the kernel's monomials s^e, known below prec and, for a truncated f,
-        below a rational bound of its precision, as ser_subst reads it."""
-        reach = prec - self.low
-        if f.precision is not None:
-            prec = _min_prec(prec, exp(_rational_lower_bound(f.precision)))
-        acc: dict = {}
-        for e, a in f.terms:
-            unit = a.is_one()
-            for te, m in self.kernel.monomial(prec, e, reach).terms:
-                x = m if unit else m.scale(a)
-                old = acc.get(te)
-                acc[te] = x if old is None else old + x
-        return _collected(self.ring, acc, prec)
-
     def quotient(self) -> GroupElement:
-        """a(s) * b(t)^-1 over the ansatz ring."""
-        a_s = self.branch.element.map(lambda f: self.subst(f, self.prec))
+        """a(s) * b(t)^-1 over the ansatz ring, each coordinate of a
+        substituted from the kernel's powers of s."""
+        a_s = self.branch.element.map(lambda f: self.kernel.subst(f, self.prec, self.reach))
         return a_s.mul(self.b_inv.map(self.lift_series))
 
 
 _KERNEL_ENTRIES = 512
 
 
-class _Kernel:
-    """What every Ansatz over one field, ramification r and n parameters
-    shares: the ring k[lam, lami, c_1..c_n], the tail sum c_i t^(i/r),
-    lam * lami - 1, the lead_root of lam^r, and a memo of at most
-    _KERNEL_ENTRIES entries, emptied when full, of one PowerList of the
-    tail per reach and each monomial s^e = lam^(re) t^e (1 + tail)^e known
-    below P, keyed (P, e): any list reaching P - e gives the same s^e below
-    P, the tail being exact.  An expansion that raises is not kept."""
-
-    def __init__(self, field, r: int, n: int):
-        self.ring = ring = PolyRing(field, ("lam", "lami") + tuple(f"c{i}" for i in range(1, n + 1)))
-        lam, lami = ring.var("lam"), ring.var("lami")
-        self.tail = PuiseuxSeries(ring, [(exp(Fraction(i, r)), ring.var(f"c{i}")) for i in range(1, n + 1)], None)
-        self.relation, self.lead_root = lam * lami - ring.one(), _lead_root(lam, lami, r)
-        self._memo: dict = {}
-
-    def _kept(self, key, make):
-        value = self._memo.get(key)
-        if value is None:
-            value = make()
-            if len(self._memo) >= _KERNEL_ENTRIES:
-                self._memo.clear()
-            self._memo[key] = value
-        return value
-
-    def powers(self, reach: Exponent) -> PowerList:
-        return self._kept(reach, lambda: PowerList(self.tail, reach))
-
-    def monomial(self, prec: Exponent, e: Exponent, reach: Exponent) -> PuiseuxSeries:
-        """s^e below prec, from the tail's powers below reach >= prec - e
-        if it is not kept yet."""
-        def expand():
-            one = PuiseuxSeries._ordered(self.ring, ((e, self.ring.one()),), None)
-            return ser_subst(one, None, prec=prec, lead_root=self.lead_root, parts=(EXP_ONE, self.powers(reach)))
-        return self._kept((prec, e), expand)
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _kernel(field, r: int, n: int) -> _Kernel:
-    return _Kernel(field, r, n)
+def _kernel(field, r: int, n: int) -> tuple[SeriesPowers, Poly]:
+    """What every Ansatz over one field, ramification r and n parameters
+    shares: the powers of s = lam^r t (1 + sum c_i t^(i/r)) over the ring
+    k[lam, lami, c_1..c_n], which keep the tail's powers and each s^e in
+    a memo of at most _KERNEL_ENTRIES entries, and lam * lami - 1."""
+    ring = PolyRing(field, ("lam", "lami") + tuple(f"c{i}" for i in range(1, n + 1)))
+    lam, lami = ring.var("lam"), ring.var("lami")
+    tail = PuiseuxSeries(ring, [(exp(Fraction(i, r)), ring.var(f"c{i}")) for i in range(1, n + 1)], None)
+    return SeriesPowers(ring, EXP_ONE, tail, _lead_root(lam, lami, r), _KERNEL_ENTRIES), lam * lami - ring.one()
 
 
 def _lead_root(lam, lami, r: int):
@@ -222,8 +179,8 @@ def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     tail = [(g, sol[f"c{i + 1}"]) for i, g in enumerate(ansatz.gammas)]
     terms = [(EXP_ONE, lead)] + [(EXP_ONE + exp(g), lead * c) for g, c in tail if not c.is_zero()]
     s0 = PuiseuxSeries(a.field, terms, None)
-    lead_root = _lead_root(sol["lam"], sol["lami"], ansatz.r)
-    eps = a.element.map(lambda f: ser_subst(f, s0, lead_root=lead_root)).mul(ansatz.b_inv)
+    powers = SeriesPowers.of(s0, _lead_root(sol["lam"], sol["lami"], ansatz.r))
+    eps = a.element.map(powers.subst).mul(ansatz.b_inv)
     return TubeCertificate(s0, eps) if eps.in_mu() else None
 
 

@@ -80,12 +80,9 @@ class SubgroupDesc(Record):
         }
         if self.param is not None:
             # each parameter is named c1, c2, ... by its position in the ring
-            names = {v: f"c{i + 1}" for i, v in enumerate(self.param.ring.variables)}
-            target = PolyRing(self.param.ring.field, tuple(names.values()))
-            def rn(p: Poly) -> str:
-                return str(p.rename(names, target))
-            out["param"] = self.scheme.map_entries(self.param.entries, rn)
-            out["param_relations"] = [rn(g) for g in self.param.relations.gens]
+            names = tuple(f"c{i + 1}" for i in range(self.param.ring.nvars))
+            out["param"] = self.scheme.map_entries(self.param.entries, lambda p: p.text(names))
+            out["param_relations"] = [g.text(names) for g in self.param.relations.gens]
         return out
 
 

@@ -18,8 +18,8 @@ from mustab.exponents import Exponent
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.groups import GroupScheme
 from mustab.ideals import Budgets, Ideal
-from mustab.poly import LEX, PolyRing, parse_scalar
-from tests_helpers import field_elements
+from mustab.poly import LEX, PolyRing, _Tokens, parse_scalar
+from tests_helpers import field_elements, reference_tokens
 
 QS2 = FieldSpec("QSqrt", d=2)
 QS5 = FieldSpec("QSqrt", d=5)
@@ -537,3 +537,26 @@ def test_kth_roots_in_a_large_two_power_sylow_subgroup():
         roots = a.kth_roots(k)
         assert len(roots) == k and len(set(roots)) == k and all(r**k == a for r in roots)
     assert F.from_int(3).kth_roots(2) == []  # 3 generates F_65537^*
+
+
+# ASCII syntax, spaces, and characters where str.isdigit, str.isalpha and
+# the re classes part: superscript and Ethiopic digits (isdigit, not \d),
+# Arabic-Indic digits (\d), numerics that are no digit (½, Ⅻ), a numeric
+# letter (一), letters with accents, a no-break space and characters no
+# token starts with
+TOKEN_CHARS = "x1y_2 +-*/^()" + "²³₂፩٣½Ⅻ一éß\u00a0.,!#\u200b"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(TOKEN_CHARS), max_size=12) | st.text(max_size=8))
+def test_one_pattern_scans_as_the_character_scanner(text):
+    """The polynomial scanner's one pattern gives every text the token list
+    of the character-by-character scanner, or raises ValueError where it
+    did."""
+    try:
+        want = reference_tokens(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _Tokens(text)
+        return
+    assert _Tokens(text).toks == want

@@ -27,7 +27,7 @@ from mustab.groups import GroupScheme, KPoint
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim, spoly_budget
 from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
-from mustab.series import PowerList, PuiseuxSeries, ser_subst
+from mustab.series import PowerList, PuiseuxSeries, SeriesPowers, ser_subst
 from mustab import degeneration, ideals, stabilizer, subgroups
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
@@ -41,7 +41,7 @@ from mustab.subgroups import (
     is_solvable,
     verify_subgroup,
 )
-from tests_helpers import direct_quotient, ideal_intersect, is_identity, param_kpoints, random_laurent_point, shear_product
+from tests_helpers import direct_quotient, ideal_intersect, is_identity, reference_inv, reference_ser_subst, param_kpoints, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -87,16 +87,17 @@ def _parabola_branch():
 def test_ansatz_power_list_covers_every_coordinate(make):
     """At the precision quotient picks, the ansatz's substitution, from its
     kernel's one list of tail powers, gives every coordinate, y included,
-    what ser_subst gives from a fresh list reaching that coordinate's
-    lowest exponent: the same terms and the same precision."""
+    what the earlier per-entry ser_subst (reference_ser_subst) gives from a
+    fresh list reaching that coordinate's lowest exponent: the same terms
+    and the same precision."""
     branch = make()
     ansatz = stabilizer.Ansatz(branch, branch.element)
     prec = ansatz.prec
     for v in branch.element.flat():
         f = ansatz.lift_series(v)
-        fresh = PowerList(ansatz.tail, prec - f.terms[0][0] if f.terms else None)
-        want = ser_subst(f, None, prec=prec, lead_root=ansatz.lead_root, parts=(exp(1), fresh))
-        got = ansatz.subst(v, prec)
+        fresh = PowerList(ansatz.kernel.w, prec - f.terms[0][0] if f.terms else None)
+        want = reference_ser_subst(f, None, prec=prec, lead_root=ansatz.kernel.lead_root, parts=(exp(1), fresh))
+        got = ansatz.kernel.subst(v, prec, ansatz.reach)
         assert (got.terms, got.precision) == (want.terms, want.precision)
 
 
@@ -114,7 +115,7 @@ def _reference_quotient(ansatz, b):
     leads = [s.terms[0][0] for s in a.element.entries_flat() if s.terms]
     pole = max([Fraction(0)] + [-e.as_fraction() for e in leads if e.sign() < 0 and e.is_rational()])
     prec = exp(pole * a.scheme.root.n + 2)
-    return a.element.map(lambda f: ansatz.subst(f, prec)).mul(b.inv().map(ansatz.lift_series))
+    return a.element.map(lambda f: ansatz.kernel.subst(f, prec, prec - ansatz.low)).mul(b.inv().map(ansatz.lift_series))
 
 
 def _conditions(quotient):
@@ -231,8 +232,8 @@ KERNEL_SHAPES = {"SL2": _sl2_point, "GL2": _gl2_point, "additive": _additive_poi
 @settings(max_examples=5, deadline=None)
 @given(data=st.data())
 def test_kernel_quotient_matches_the_direct_substitution(shape, field, data):
-    """The quotient from the kernel's monomials s^e equals the one that
-    substitutes each entry by ser_subst, on exact and truncated branches at
+    """The quotient from the kernel's powers s^e equals the one that
+    substitutes each entry by reference_ser_subst, on exact and truncated branches at
     ramification 1 to 3, against the branch itself or one of its
     truncation candidates, with or without a cap (which lets one kernel
     serve several precisions), on a first and a second call; mu_correct
@@ -249,15 +250,56 @@ def test_kernel_quotient_matches_the_direct_substitution(shape, field, data):
         assert _certificate(a, b) == certificate
 
 
+def _route(compute):
+    """compute()'s (terms, precision), or the class of the MustabError it
+    raises."""
+    try:
+        f = compute()
+    except MustabError as exc:
+        return type(exc)
+    return f.terms, f.precision
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_shared_powers_match_the_three_earlier_routes(shape, field, data):
+    """On exact and truncated branches a at ramification r = 1 to 3, the
+    shared powers give what the earlier routes gave: one SeriesPowers of
+    s0 = lam^r t (1 + sum c_i t^(i/r)), as for a certificate's eps, gives
+    every coordinate of a what reference_ser_subst gives it, and so does
+    ser_subst; the ansatz quotient equals direct_quotient; and each
+    coordinate's inverse, exact or below t^2, equals reference_inv's.
+    Ramification 3 over F_9 raises WildRamification on both sides."""
+    r = data.draw(st.integers(1, 3))
+    a = KERNEL_SHAPES[shape](data, field, r)
+    lam = field.from_int(data.draw(st.sampled_from([1, 2])))
+    lead = lam**r
+    tail = [(exp(Fraction(i, r)), _scalar(data, field)) for i in range(1, 2 * r + 1)]
+    s0 = PuiseuxSeries(field, [(exp(1), lead)] + [(exp(1) + g, lead * c) for g, c in tail], None)
+    lead_root = stabilizer._lead_root(lam, lam.inv(), r)
+    shared = SeriesPowers.of(s0, lead_root)
+    for f in a.element.flat():
+        want = _route(lambda: reference_ser_subst(f, s0, lead_root=lead_root))
+        assert _route(lambda: shared.subst(f)) == want
+        assert _route(lambda: ser_subst(f, s0, lead_root=lead_root)) == want
+        if f.terms:
+            for prec in (None, exp(2)):
+                assert _route(lambda: f.inv(prec)) == _route(lambda: reference_inv(f, prec))
+    ansatz = stabilizer.Ansatz(a, a.element)
+    assert _outcome(ansatz.quotient) == _outcome(lambda: direct_quotient(ansatz))
+
+
 def test_kernels_are_keyed_by_field_ramification_and_length():
     """One kernel per (field, r, N): F_5 and F_7 at the same (r, N) get
     rings over their own fields, and an equal FieldSpec finds the same
     kernel."""
     F7 = FieldSpec("Fp", p=7)
-    k5, k7 = stabilizer._kernel(F5, 2, 3), stabilizer._kernel(F7, 2, 3)
-    assert k5 is not k7 and (k5.ring.field, k7.ring.field) == (F5, F7)
-    assert stabilizer._kernel(FieldSpec("Fp", p=5), 2, 3) is k5
-    assert stabilizer._kernel(F5, 1, 3) is not k5 and stabilizer._kernel(F5, 2, 4) is not k5
+    k5, k7 = stabilizer._kernel(F5, 2, 3)[0], stabilizer._kernel(F7, 2, 3)[0]
+    assert k5 is not k7 and (k5.dom.field, k7.dom.field) == (F5, F7)
+    assert stabilizer._kernel(FieldSpec("Fp", p=5), 2, 3)[0] is k5
+    assert stabilizer._kernel(F5, 1, 3)[0] is not k5 and stabilizer._kernel(F5, 2, 4)[0] is not k5
     branches = [validate_branch(GroupScheme("Additive", 2, F), (S((-1, 1), dom=F), S((-2, 1), dom=F))) for F in (F5, F7)]
     ansatze = [stabilizer.Ansatz(b, b.element) for b in branches]
     assert ansatze[0].kernel is not ansatze[1].kernel
@@ -291,8 +333,9 @@ def test_a_wild_expansion_raises_on_every_call_and_is_not_kept():
         with pytest.raises(WildRamification):
             ansatz.quotient()
     reach = ansatz.prec - ansatz.low
-    assert set(ansatz.kernel._memo) == {reach, (ansatz.prec, exp(-1))}
-    assert ansatz.kernel.monomial(ansatz.prec, exp(-1), reach) is ansatz.kernel._memo[ansatz.prec, exp(-1)]
+    memo = ansatz.kernel._memo
+    assert set(memo) == {reach, (ansatz.prec, exp(-1))}
+    assert ansatz.kernel.power(exp(-1), ansatz.prec, reach) is memo[ansatz.prec, exp(-1)]
 
 
 def _ram5_branch():
@@ -493,15 +536,14 @@ def test_stab_reparam_cusp():
 
 def test_stab_reparam_cusp_order_by_order_oracle():
     # oracle: s = t(1 + c3 t^3) by hand forces the residue family (0, -3 c3)
-    # s enters as its parts, the way the ansatz substitutes: lead 1 * t^1
+    # s enters as its powers, the way the ansatz substitutes: lead 1 * t^1
     # and the powers of the tail w = c3 t^3, reaching 2 + 3 for x^-3
     ring = PolyRing(QQ, ("c3",))
     c3 = ring.var("c3")
-    parts = (exp(1), PowerList(PuiseuxSeries.monomial(ring, exp(3), c3), exp(5)))
-    lead_root = lambda gamma: ring.one()
+    s = SeriesPowers(ring, exp(1), PuiseuxSeries.monomial(ring, exp(3), c3), lambda gamma: ring.one())
 
-    x_of_s = ser_subst(PuiseuxSeries.monomial(ring, exp(-2), ring.one()), None, prec=exp(2), lead_root=lead_root, parts=parts)
-    y_of_s = ser_subst(PuiseuxSeries.monomial(ring, exp(-3), ring.one()), None, prec=exp(2), lead_root=lead_root, parts=parts)
+    x_of_s = s.subst(PuiseuxSeries.monomial(ring, exp(-2), ring.one()), exp(2), exp(5))
+    y_of_s = s.subst(PuiseuxSeries.monomial(ring, exp(-3), ring.one()), exp(2), exp(5))
     ex = x_of_s - PuiseuxSeries.monomial(ring, exp(-2), ring.one())
     ey = y_of_s - PuiseuxSeries.monomial(ring, exp(-3), ring.one())
     for e, c in list(ex.terms) + list(ey.terms):

@@ -10,36 +10,143 @@ expansion in fractional exponents merged by `_dedup_branches`, with the
 edge-root classifier that factors phi (the reference for one expansion
 per place in Duval's variables), the exact test b(t) = a(lam t) that
 relates the places of the two, univariate division by factor.py's
-dense routines, and the ansatz quotient substituted entry by entry."""
+dense routines, and the earlier routes kept as references: the polynomial
+scanner character by character, ser_subst and the series inverse each
+over their own list of powers, and the ansatz quotient substituted entry
+by entry."""
 
 import math
 from itertools import combinations
 from fractions import Fraction
 
-from mustab.exponents import exp
+from mustab.exponents import EXP_ZERO, exp
 from mustab.fields import QQ
 from mustab.groups import GroupElement, GroupScheme, KPoint, eval_poly_series, mat_det, mat_mul, random_entries, random_scalar
 from mustab import newton
 from mustab.branches import is_centered_at_infinity, validate_branch
-from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, WildRamification
+from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, IrrationalExponentInSubstitution, WildRamification, ZeroLeadingTerm
 from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
 from mustab import ideals
 from mustab.ideals import Ideal, eliminate, monomial_relations
 from mustab.poly import Poly, PolyRing
-from mustab.series import PowerList, PuiseuxSeries, ser_subst
+from mustab.series import DEFAULT_PRECISION, PowerList, PuiseuxSeries, _binomial_power, _collected, _min_prec, _rational_lower_bound
 from mustab.subgroups import solve_point
 
 
 
+def reference_ser_subst(f, s, prec=None, lead_root=None, parts=None):
+    """f(s) by the route series.ser_subst took before SeriesPowers: the
+    lead's powers, the precision target and one PowerList assembled here,
+    each term's (1 + w)^gamma by _binomial_power times coeff * lead^gamma.
+    `parts` = (v, PowerList of w) stands for s = lead t^v (1 + w) with the
+    lead known only through lead_root, as the ansatz substituted."""
+    if f.has_irrational_exponent():
+        raise IrrationalExponentInSubstitution(f"cannot substitute into {f}")
+    char = f.dom.char
+    for e, _ in f.terms:
+        if char and e.as_fraction().denominator % char == 0:
+            raise WildRamification(f"exponent denominator divisible by characteristic {char}")
+    if parts is not None:
+        v, powers = parts
+        w = powers.w
+    else:
+        if not s.terms:
+            raise ZeroLeadingTerm("substitution by a series with no known term")
+        v, c_lead = s.terms[0]
+        cinv = c_lead.inv()
+        w = s.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)
+        powers = None
+    if not EXP_ZERO < v:
+        raise ValueError(f"substitution requires positive valuation, got val = {v}")
+
+    def lead_pow(gamma):
+        if lead_root is not None:
+            return lead_root(gamma)
+        num, den = gamma.numerator, gamma.denominator
+        if den == 1:
+            return c_lead**num if num >= 0 else cinv ** (-num)
+        root = c_lead.kth_root(den)
+        return root**num if num >= 0 else root.inv() ** (-num)
+
+    target = prec
+    if f.precision is not None:
+        target = _min_prec(target, v.scale(_rational_lower_bound(f.precision)))
+    if w.precision is not None and f.terms:
+        target = _min_prec(target, v.scale(f.terms[0][0].as_fraction()) + w.precision)
+    infinite = any(e.as_fraction().denominator != 1 or e.sign() < 0 for e, _ in f.terms)
+    if target is None and infinite and not (w.is_zero() and w.is_exact()):
+        target = DEFAULT_PRECISION
+    if powers is None and f.terms:
+        powers = PowerList(w, None if target is None else target - v.scale(f.terms[0][0].as_fraction()))
+    acc: dict = {}
+    for e, coeff in f.terms:
+        gamma = e.as_fraction()
+        shift = v.scale(gamma)
+        lead = coeff * lead_pow(gamma)
+        for ee, c in _binomial_power(powers, gamma, None if target is None else target - shift).terms:
+            ee, c = ee + shift, c * lead
+            old = acc.get(ee)
+            acc[ee] = c if old is None else old + c
+    return _collected(f.dom, acc, target)
+
+
+def reference_inv(f, prec=None):
+    """f^-1 by the route PuiseuxSeries.inv took before SeriesPowers:
+    c^-1 t^-v times (1 + w)^-1 from its own PowerList, for the leading
+    term c t^v of f."""
+    v, c = f.terms[0]
+    cinv = c.inv()
+    lead_inv = PuiseuxSeries.monomial(f.dom, -v, cinv)
+    w = f.shift(-v).scale(cinv) - PuiseuxSeries.one(f.dom)
+    if w.is_zero() and w.is_exact():
+        return lead_inv
+    target = _min_prec(prec, w.precision)
+    if target is None:
+        target = DEFAULT_PRECISION
+    return lead_inv * _binomial_power(PowerList(w, target), Fraction(-1), target)
+
+
+def reference_tokens(text: str) -> list[str]:
+    """The token list of poly._Tokens by the character-by-character scanner
+    it used before its one pattern: digit runs by str.isdigit, names from
+    a letter or "_" on by str.isalnum or "_", operators, whitespace
+    skipped; any other character raises ValueError."""
+    toks = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(text[i:j])
+            i = j
+        elif ch in "+-*/^()":
+            toks.append(ch)
+            i += 1
+        else:
+            raise ValueError(f"unexpected character {ch!r} in {text!r}")
+    return toks
+
+
 def direct_quotient(ansatz) -> GroupElement:
-    """a(s) * b^-1 with each entry of a substituted by ser_subst over one
-    fresh list of the tail's powers: the per-entry path that the ansatz
-    kernel's monomials s^e replace, kept as their reference."""
-    powers = PowerList(ansatz.tail, ansatz.prec - ansatz.low)
+    """a(s) * b^-1 with each entry of a substituted by reference_ser_subst
+    over one fresh list of the tail's powers: the per-entry path that the
+    ansatz kernel's powers s^e replace, kept as their reference."""
+    s = ansatz.kernel
+    powers = PowerList(s.w, ansatz.prec - ansatz.low)
 
     def subst(f):
-        return ser_subst(ansatz.lift_series(f), None, prec=ansatz.prec, lead_root=ansatz.lead_root, parts=(exp(1), powers))
+        return reference_ser_subst(ansatz.lift_series(f), None, prec=ansatz.prec, lead_root=s.lead_root, parts=(exp(1), powers))
 
     return ansatz.branch.element.map(subst).mul(ansatz.b_inv.map(ansatz.lift_series))
 
