@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, linear bases, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, relations, solvability and an Iwasawa frame alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability and an Iwasawa frame alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -101,11 +101,6 @@ edge polynomial psi = u^2 + u + 2 puts its two places over F_25 (the
 pass over F_p that asks for the extension is timed too); each run
 parses its own curve and scheme.
 
-The relations, through `linalg.Echelon` with keyed rows:
-`type_dimension(b, 3)` on each of the two places b of the circle
-x^2 + y^2 = 1 over F_5 at precision 20 (the `circle_f5` corpus input),
-found once before the clock starts.
-
 The solvability check: `is_solvable` on the whole of SL(2, Q) and of
 GL(2, Q) (the tangent space and its derived series, which stops at sl2)
 and on the stabilizer of the SL(3, Q) branch [1, 0, 1; 0, t^-3, 0;
@@ -130,8 +125,7 @@ also the calls one run times, per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, per power kernel its stats, for the ansatz quotient its parameter
 count and cold and warm stats, for the tube certificate the s it returns or null and cold and warm
-stats, for the relations the type
-dimensions, for the solvability check the answer, for the dimension the
+stats, for the solvability check the answer, for the dimension the
 answer, for the Iwasawa frame whether it is the identity, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
@@ -152,7 +146,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
-from mustab.branches import implicitize, type_dimension  # noqa: E402
+from mustab.branches import implicitize  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.exponents import exp  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
@@ -464,18 +458,6 @@ def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
     return {"basis": len(V.gens), **_stats(times)}
 
 
-def time_relations(runs: int) -> dict:
-    field, f_text, embedding, precision = PLACES["circle_f5"]
-    curve = parse_plane_curve({"f": f_text, "embedding": embedding}, GroupScheme("Additive", len(embedding), field))
-    places = places_at_infinity(curve, precision)
-    times = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        dims = [type_dimension(b, 3) for b in places]
-        times.append((time.perf_counter() - start) * 1e3)
-    return {"type_dimension_circle_f5": {"dims": dims, **_stats(times)}}
-
-
 MU5_GA_SL3 = [
     [_series((0, 1)), _series(), _series((0, 1))],
     [_series(), _series((-3, 1)), _series()],
@@ -593,13 +575,12 @@ def main() -> int:
     powers = time_powers(shear, args.runs)
     certificate = time_mu_correct(ORDER_7_PAIR, args.runs)
     places = {name: time_places(*spec, args.runs) for name, spec in PLACES.items()}
-    relations = time_relations(args.runs)
     solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
     dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
     frame = time_iwasawa_frame(6, args.runs)
     print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "linear_basis": linear, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "powers": powers,
-                      "mu_correct_order_7": certificate, "places": places, "relations": relations,
+                      "mu_correct_order_7": certificate, "places": places,
                       "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,
                       "iwasawa_sl6_unipotent": frame}))
     return 0

@@ -15,7 +15,6 @@ from mustab import (
     compute_stabilizer,
     implicitize,
     places_at_infinity,
-    type_dimension,
 )
 
 
@@ -33,13 +32,14 @@ def main():
     budgets = Budgets(degree_bound=4)
     for i, branch in enumerate(branches):
         print(f"\n-- branch {i}: a(t) = {branch.element}")
-        dim, route = certified_dim(branch), "closed form"
-        if dim is None:
-            dim, route = type_dimension(branch, 4), "degree 4 count"
-        print(f"   type dimension {dim} ({route})")
+        # a place of a plane curve has dim p = 1; the exact rank bounds
+        # certify the same where they meet
+        route = "a place of a plane curve" if branch.curve_place else "rank bounds"
+        print(f"   type dimension {certified_dim(branch)} (certified by {route})")
         closure = implicitize(branch)
         print(f"   Zariski closure: <{', '.join(str(g) for g in closure.gens)}>")
         run = compute_stabilizer(branch, "both", budgets)
+        print(f"   mu-reduced to {run.reduced.element}: type dimension {run.dim_before} -> {run.dim_after}")
         sub = run.subgroup
         print(f"   stabilizer ideal: <{', '.join(str(g) for g in sub.ideal.gens)}>")
         print(f"   classification: {sub.classification()}, dim {sub.dim}")

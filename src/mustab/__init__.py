@@ -8,7 +8,7 @@ the supporting exact machinery: scalar fields, Groebner bases, truncated
 Puiseux series, matrix group schemes, and Newton-polygon places.
 """
 
-from .branches import Branch, certified_dim, implicitize, is_centered_at_infinity, type_dimension, validate_branch
+from .branches import Branch, certified_dim, implicitize, is_centered_at_infinity, validate_branch
 from .degeneration import identity_component, stab_degeneration
 from .exponents import Exponent, exp
 from .fields import QQ, FieldSpec, Scalar
@@ -77,7 +77,6 @@ __all__ = [
     "spoly_budget",
     "stab_degeneration",
     "stab_reparam",
-    "type_dimension",
     "uni_factor",
     "validate_branch",
     "verify_subgroup",

@@ -1,16 +1,14 @@
 """Curve branches: validated parameterizations, boundedness, the type
 dimension dim p, and the Zariski closure V of an exact branch.
 
-For exact entries, certified_dim gives dim p in closed form where an upper
-and a lower rank bound meet; otherwise type_dimension bounds it from above
-by the relations of degree <= D among the series a(t)^m, found one
-monomial at a time (`ideals.monomial_relations`).  For exact entries those
-relations are certain, and no multiple of a relation's leading monomial is
-expanded; for truncated entries every monomial is, and a window-stability
-check raises PrecisionInsufficient instead of keeping a spurious relation.
-V needs no degree: the branch is Laurent in u = t^(gamma/N), and V is
-<X - a(u), s*u - 1> meet k[X], the prime ideal of a curve (Cox, Little and
-O'Shea, Ideals, Varieties, and Algorithms, 3.3).
+dim p is read only where it is certain (certified_dim): for an unbounded
+image of a place of a plane curve it is 1, and for exact entries it is
+the value where an upper and a lower rank bound meet.  Everywhere else
+it is left open, and mu_reduce looks for a tube-equivalent branch whose
+dim p is certified.  V needs no degree: the branch is Laurent in
+u = t^(gamma/N), and V is <X - a(u), s*u - 1> meet k[X], the prime ideal
+of a curve (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms,
+3.3).
 """
 
 from __future__ import annotations
@@ -21,25 +19,34 @@ from fractions import Fraction
 from .errors import FieldMismatch, IrrationalExponentInSubstitution, PrecisionInsufficient
 from .exponents import EXP_ZERO, Exponent, exp
 from .groups import GroupElement, GroupScheme
-from .ideals import Ideal, MonomialValues, _dim_from_leading_monomials, eliminate, monomial_relations
+from .ideals import Ideal, eliminate
 from .linalg import echelon
-from .poly import Poly, PolyRing, monomials_up_to
+from .poly import Poly, PolyRing
 from .records import Record
-from .series import PuiseuxSeries
 
 
 class Branch(Record):
-    """A parameterized curve germ a(t) on a group scheme."""
+    """A parameterized curve germ a(t) on a group scheme.  curve_place marks
+    the image of a place of a plane curve (newton._places), which bounds
+    dim p by 1; a translate keeps it, any other change of the entries
+    drops it."""
 
-    __slots__ = ("element", "ramification", "trusted_irreducible", "notes")
+    __slots__ = ("element", "ramification", "trusted_irreducible", "notes", "curve_place")
+    _hidden = ("curve_place",)
 
     def __init__(
-        self, element: GroupElement, ramification: int, trusted_irreducible: bool = False, notes: tuple[str, ...] = ()
+        self,
+        element: GroupElement,
+        ramification: int,
+        trusted_irreducible: bool = False,
+        notes: tuple[str, ...] = (),
+        curve_place: bool = False,
     ):
         self.element = element
         self.ramification = ramification
         self.trusted_irreducible = trusted_irreducible
         self.notes = notes
+        self.curve_place = curve_place
 
     @property
     def scheme(self) -> GroupScheme:
@@ -52,7 +59,7 @@ class Branch(Record):
     def translate(self, g) -> Branch:
         """Left-translate by a k-point g."""
         moved = g.to_series().mul(self.element)
-        return Branch(moved, self.ramification, self.trusted_irreducible, self.notes)
+        return Branch(moved, self.ramification, self.trusted_irreducible, self.notes, self.curve_place)
 
     def __str__(self):
         return f"branch {self.element} (ram {self.ramification})"
@@ -89,15 +96,20 @@ def _rational_rank(exponents) -> int:
 
 
 def certified_dim(branch: Branch) -> int | None:
-    """dim p, the transcendence degree of k(a) over k, when two bounds that
-    need no relations meet; None when an entry is truncated or they differ.
+    """dim p, the transcendence degree of k(a) over k, where it is certain;
+    None where it is not.
 
-    The entries lie in k[t^G] for the group G their exponents generate, so
-    dim p <= rank_Q G.  Eliminating the rows 1, a_1, ..., a_n over the
-    exponent slots in ascending order leads each pivot row with the
-    valuation of a k-combination of them, so by Abhyankar's inequality
-    dim p >= the rank of those pivot exponents.  y = det^-1 lies in k(a)
-    and is skipped."""
+    An unbounded image of a plane-curve place has dim p = 1: k(a) lies in
+    the curve's function field, and an entry with a pole is transcendental.
+    Otherwise the entries must be exact.  They lie in k[t^G] for the group
+    G their exponents generate, so dim p <= rank_Q G.  Eliminating the rows
+    1, a_1, ..., a_n over the exponent slots in ascending order leads each
+    pivot row with the valuation of a k-combination of them, so by
+    Abhyankar's inequality dim p >= the rank of those pivot exponents.
+    Where the two bounds meet, that is dim p; y = det^-1 lies in k(a) and
+    is skipped."""
+    if branch.curve_place and is_centered_at_infinity(branch):
+        return 1
     entries = branch.element.entries_flat()
     if any(s.precision is not None for s in entries):
         return None
@@ -107,48 +119,6 @@ def certified_dim(branch: Branch) -> int | None:
     pivots = echelon(rows)
     upper = _rational_rank(slots)
     return upper if _rational_rank(slots[c] for c in pivots) == upper else None
-
-
-def _closure_relations(branch: Branch, degree_bound: int) -> list:
-    """The relations of degree <= degree_bound among the coordinates of
-    a(t), as `monomial_relations` returns them: a monomial's vector holds
-    the coefficients of its series a(t)^m by exponent slot.
-
-    Exact entries skip the multiples of every leading monomial found.
-    Truncated entries skip nothing: a relation that holds below the least
-    precision hi need not hold for its multiples there.  Every monomial is
-    evaluated, its vector keeps only the slots below hi, and a relation
-    must survive dropping the top fifth of those slots: the standard
-    monomials' vectors keep their rank on the lowest ones.  That rank is
-    the rank of every monomial's vector there, since the others are
-    combinations of the standard ones."""
-    if degree_bound < 1:
-        raise ValueError("degree bound must be >= 1")
-    point = branch.element.flat()
-    n = len(point)
-    values = MonomialValues(point, PuiseuxSeries.one(branch.field))
-    if all(s.is_exact() for s in point):
-        slot: dict[Exponent, int] = {}
-        return monomial_relations(
-            n, degree_bound, lambda m: {slot.setdefault(e, len(slot)): c for e, c in values[m].terms}, True
-        )[0]
-
-    evaluated = [values[m] for m in monomials_up_to(n, degree_bound)]
-    hi = min(s.precision for s in evaluated if s.precision is not None)
-    slots = sorted({e for s in evaluated for e, _ in s.terms if e < hi})
-    if len(slots) < 2:
-        raise PrecisionInsufficient("too few known exponent slots for implicitization")
-    col = {e: i for i, e in enumerate(slots)}
-    rows = {m: {col[e]: c for e, c in s.terms if e < hi} for m, s in values.items()}
-    relations, standard = monomial_relations(n, degree_bound, rows.__getitem__, False)
-    window = len(slots) - max(1, len(slots) // 5)
-    window_rank = len(echelon({c: x for c, x in rows[m].items() if c < window} for m in standard))
-    if window_rank != len(standard):
-        raise PrecisionInsufficient(
-            f"relations unstable under window shrink ({len(rows) - window_rank} vs {len(rows) - len(standard)}); "
-            "raise precision"
-        )
-    return relations
 
 
 def _uniformizer(entries) -> tuple[Exponent, list[list[tuple[int, object]]]]:
@@ -205,15 +175,3 @@ def implicitize(branch: Branch) -> Ideal:
     polynomial relation among the coordinates of a(t), as its reduced
     grevlex basis."""
     return curve_ideal(laurent_point(branch)[1])
-
-
-def type_dimension(branch: Branch, degree_bound: int) -> int:
-    """The dimension read off the leading monomials of the relations of
-    degree <= D: an upper bound for dim p, which certified_dim gives
-    exactly where its bounds meet.  It can exceed the Krull dimension of
-    the ideal those relations generate: for the reduced SL(3) branch
-    [t^-5, 2t^2, 0; 0, t^5, 0; t^-4, -t^5, 1] at D = 4 it is 2, against 1."""
-    # the leading monomials generate the deglex leading-term ideal of the
-    # degree-<=D relations, which is all the dimension count needs
-    leads = [m for m, _ in _closure_relations(branch, degree_bound)]
-    return _dim_from_leading_monomials(leads, len(branch.scheme.coordinates()))

@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", metavar="NAME", help="restrict --corpus to one entry")
     p.add_argument("--algorithm", choices=ALGORITHMS, help="stabilizer algorithm override")
     p.add_argument("--precision", type=int, metavar="N", help="series precision budget")
-    p.add_argument("--degree-bound", type=int, metavar="D", help="type-dimension relation degree bound")
+    p.add_argument("--degree-bound", type=int, metavar="D", help="accepted and echoed in budget_usage; no computation reads it")
     p.add_argument("--order-budget", type=int, metavar="N", help="cap on the reparameterization stabilizer's ansatz order")
     p.add_argument("--json-out", metavar="FILE", help="write the structured report here")
     return p

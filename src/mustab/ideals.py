@@ -49,11 +49,6 @@ disjoint variables u and v; S-pairs across the copies have coprime leading
 monomials (Buchberger's first criterion) and grevlex on (u, v) restricted to
 one copy is grevlex on the coordinates, so its basis is one basis in the
 coordinates copied onto u and onto v.
-
-The relations of a branch's degree-D closure come from one walk over the
-monomials, `monomial_relations`: on exact values it evaluates only the
-standard monomials and the leading monomials of the relations (the
-border), never a multiple of a leading monomial.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ from operator import add, le, sub
 
 from .errors import BudgetExceeded, EmptyVariety
 from .linalg import Echelon
-from .poly import GREVLEX, BlockOrder, Monomial, MonomialOrder, Poly, PolyRing, monomials_up_to
+from .poly import GREVLEX, BlockOrder, Monomial, MonomialOrder, Poly, PolyRing
 from .records import Frozen, Record
 
 DEFAULT_SPOLY_BUDGET = 10_000
@@ -340,63 +335,6 @@ def extend_basis(I: Ideal, extra: list[Poly]) -> Ideal:
     return groebner_basis(Ideal(I.ring, I.gens + tuple(extra)))
 
 
-class MonomialValues(dict):
-    """x^m by monomial m at one point x, given as one value per variable:
-    each is computed on its first lookup as x^(m - e_i) * x_i for the last
-    variable i of m, one product (none in degree 1) when that parent is
-    already known, as it is for every monomial the walk of
-    `monomial_relations` evaluates."""
-
-    def __init__(self, point, one):
-        super().__init__()
-        self.point, self.one = point, one
-
-    def __missing__(self, m: Monomial):
-        if not any(m):
-            v = self.one
-        else:
-            i = max(j for j, e in enumerate(m) if e)
-            x = self.point[i]
-            v = x if sum(m) == 1 else self[m[:i] + (m[i] - 1,) + m[i + 1 :]] * x
-        self[m] = v
-        return v
-
-
-def monomial_relations(nvars: int, degree: int, vector: Callable[[Monomial], dict],
-                       skip_multiples: bool) -> tuple[list[tuple[Monomial, dict]], list[Monomial]]:
-    """The linear relations among the vectors of the monomials of degree
-    <= degree, found one monomial at a time (Buchberger-Moeller; Marinari-
-    Moeller-Mora, "Groebner bases of ideals defined by functionals", 1993).
-
-    The walk goes up `monomials_up_to` (deglex) and keeps the vectors of
-    the standard monomials, those independent of every earlier one, in
-    echelon form.  A monomial m whose vector(m), a sparse row, depends on
-    theirs gives the relation m + sum(c * s) over earlier standard s, led
-    by m in deglex; it is returned as (m, {s: c}).  Returns the relations
-    and the standard monomials.
-
-    With skip_multiples, every multiple x^a m of a relation's leading
-    monomial is skipped unevaluated.  That is sound when the relations
-    hold as functions, so that x^a times a relation is one too, led by
-    x^a m: on exact values, not on values known only below a precision.
-    The relations then generate the same ideal as the relations of all
-    the dependent monomials, and their leading monomials the same monomial
-    ideal; and every monomial evaluated has a standard parent in
-    `MonomialValues`."""
-    ech = Echelon()
-    relations: list[tuple[Monomial, dict]] = []
-    standard: list[Monomial] = []
-    for m in monomials_up_to(nvars, degree):
-        if skip_multiples and any(_mono_divides(lead, m) for lead, _ in relations):
-            continue
-        comb = ech.add(vector(m), m)
-        if comb is None:
-            standard.append(m)
-        else:
-            relations.append((m, comb))
-    return relations, standard
-
-
 def ideal_member(f: Poly, I: Ideal) -> bool:
     """Whether f lies in I: its normal form against the reduced basis is 0."""
     return reducer(groebner_basis(I).gens, GREVLEX)(f).is_zero()
@@ -469,7 +407,9 @@ def _fewest_meeting(unmet: list[frozenset], bound: int) -> int:
 
 
 class Budgets(Record):
-    """Work caps shared across the pipeline, but for `spoly_budget`."""
+    """Work caps shared across the pipeline, but for `spoly_budget`.
+    degree_bound is accepted and echoed in a report's budget_usage; no
+    computation reads it."""
 
     __slots__ = ("precision", "degree_bound", "order_budget")
 

@@ -132,7 +132,7 @@ def run_job(job: dict, overrides: dict | None = None) -> tuple[dict, int]:
                 report["results"]["stabilizers"] = [_run_json(r) for r in runs]
                 _theorem_checks(report, runs, budgets)
             elif command == "reduce":
-                reduced, cert, dim_before, dim_after = mu_reduce(inp, budgets)
+                reduced, cert, dim_before, dim_after = mu_reduce(inp)
                 report["results"]["reduced"] = _branch_json(reduced)
                 report["results"]["dim_before"] = dim_before
                 report["results"]["dim_after"] = dim_after

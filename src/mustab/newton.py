@@ -369,6 +369,7 @@ def _places(curve: PlaneCurveInput, precision: int) -> list[Branch]:
         entries = curve.scheme.map_entries(curve.embedding, lambda p: eval_poly_series(p, values, field))
         branch = validate_branch(curve.scheme, entries)
         branch.trusted_irreducible = trusted
+        branch.curve_place = True
         if is_centered_at_infinity(branch):
             branches.append(branch)
 

@@ -75,13 +75,13 @@ def compute_stabilizer(branch: Branch, algorithm: str = "both", budgets: Budgets
         run.notes.append("bounded branch: stabilizer is trivial by the residue-point argument")
         return run
 
-    reduced, cert, dim_before, dim_after = mu_reduce(branch, budgets)
+    reduced, cert, dim_before, dim_after = mu_reduce(branch)
     run = StabilizerRun(reduced, cert, dim_before, dim_after, False)
     if dim_after < dim_before:
         run.notes.append(f"mu-reduction lowered the type dimension {dim_before} -> {dim_after}")
 
     if algorithm in ("reparam", "both"):
-        run.reparam = stab_reparam(reduced, budgets, type_dim=dim_after)
+        run.reparam = stab_reparam(reduced, budgets)
     if algorithm in ("degeneration", "both"):
         run.degeneration = stab_degeneration(reduced)
     if run.reparam is not None and run.degeneration is not None:

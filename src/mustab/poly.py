@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, takewhile
+from itertools import takewhile
 from operator import add, itemgetter
 
 from .errors import FieldMismatch
@@ -368,18 +368,6 @@ def eval_poly(p, values: dict, lift, acc):
                 term = term * pw[e - 1]
         acc = acc + term
     return acc
-
-
-def monomials_up_to(nvars: int, degree: int):
-    """Exponent tuples of total degree <= degree, ascending by degree and,
-    within a degree, by tuple (deglex).  combinations_with_replacement
-    gives each degree in descending tuple order."""
-    for d in range(degree + 1):
-        for combo in reversed(list(combinations_with_replacement(range(nvars), d))):
-            m = [0] * nvars
-            for i in combo:
-                m[i] += 1
-            yield tuple(m)
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,8 @@ def _rational_lower_bound(e: Exponent) -> Fraction:
     """A rational q <= e, used for conservative precision scaling."""
     if e.b == 0:
         return e.a
-    root_ceil = 1
-    while root_ceil * root_ceil < e.d:
-        root_ceil += 1
-    return e.a + e.b * (root_ceil if e.b < 0 else 0)
+    # d is no square, so ceil(sqrt(d)) = isqrt(d) + 1
+    return e.a + e.b * (math.isqrt(e.d) + 1 if e.b < 0 else 0)
 
 
 def ser_subst(f: PuiseuxSeries, s: PuiseuxSeries, prec: Exponent | None = None, lead_root=None) -> PuiseuxSeries:

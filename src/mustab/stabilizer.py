@@ -8,6 +8,10 @@ into polynomial constraints on the parameters; solving or eliminating
 those constraints yields tube certificates and the stabilizer family.
 Every substitution, the ansatz's and a certificate's eps = a(s0) * b^-1,
 reads the powers s^gamma from one series.SeriesPowers of s.
+
+mu-reduction and the stabilizer read dim p only where
+branches.certified_dim certifies it: a reduced branch is a certified
+tube-equivalent truncation, and the stabilizer must reach its dim p.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ import functools
 from fractions import Fraction
 from math import ceil
 
-from .branches import Branch, certified_dim, is_centered_at_infinity, type_dimension, validate_branch
+from .branches import Branch, certified_dim, is_centered_at_infinity, validate_branch
 from .errors import (
     BudgetExceeded,
     IrrationalExponentInSubstitution,
     MustabError,
     NotCenteredAtInfinity,
-    NotReduced,
     OrderBudgetTooSmall,
     PrecisionInsufficient,
     SelfCheckFailed,
@@ -192,38 +195,36 @@ def _certify(a: Branch, b: Branch) -> TubeCertificate | None:
         return None
 
 
-def mu_reduce(branch: Branch, budgets: Budgets | None = None):
+def mu_reduce(branch: Branch):
     """Best-effort minimal-dimension representative of the tube class.
 
     Enumerates truncations of positive-exponent tails (with a determinant
-    repair for matrix schemes), keeps candidates certified tube-equivalent
-    by mu_correct, and returns one minimizing the type dimension: certified
-    where certified_dim decides it, else counted at the degree bound.
+    repair for matrix schemes), keeps candidates whose dim p certified_dim
+    decides and that mu_correct certifies tube-equivalent, and returns one
+    minimizing (dim p, term count), the branch itself included when its
+    own dim p is certified.  A branch whose dim p is open reports its
+    reduction's as dim_before.  With no certified candidate more precision
+    may help when an entry is truncated (PrecisionInsufficient); for exact
+    entries the exponents have rational rank 2, where no bound meets
+    (IrrationalExponentInSubstitution).
     """
-    budgets = budgets or Budgets()
-    # the certified type dimension, else the count at the largest degree the
-    # branch's precision supports, from degree_bound but at least 2 down
-    D = max(2, budgets.degree_bound)
     dim_before = certified_dim(branch)
-    while dim_before is None:
-        try:
-            dim_before = type_dimension(branch, D)
-        except PrecisionInsufficient:
-            if D == 2:
-                raise
-            D -= 1
-    candidates = _truncation_candidates(branch)
-    ident_cert = TubeCertificate(
-        PuiseuxSeries.monomial(branch.field, exp(1), branch.field.one()),
-        _identity_eps(branch),
-    )
-    best = (dim_before, _term_count(branch), branch, ident_cert)
+    best = None
+    if dim_before is not None:
+        ident_cert = TubeCertificate(
+            PuiseuxSeries.monomial(branch.field, exp(1), branch.field.one()),
+            _identity_eps(branch),
+        )
+        best = (dim_before, _term_count(branch), branch, ident_cert)
     irrational = any(s.has_irrational_exponent() for s in branch.element.entries_flat())
     # an unbounded branch has type dimension >= 1, so a candidate cannot
     # beat (1, its term count)
     unbounded = is_centered_at_infinity(branch)
-    for cand in candidates:
-        if unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
+    for cand in _truncation_candidates(branch):
+        if best is not None and unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
+            continue
+        dim_cand = certified_dim(cand)
+        if dim_cand is None:
             continue
         cert = _certify(branch, cand)
         if cert is None and irrational:
@@ -232,20 +233,22 @@ def mu_reduce(branch: Branch, budgets: Budgets | None = None):
             cert = _certify(cand, branch)
         if cert is None:
             continue
-        dim_cand = certified_dim(cand)
-        if dim_cand is None:
-            try:
-                dim_cand = type_dimension(cand, D)
-            except PrecisionInsufficient:
-                continue  # cannot certify this candidate's dimension
         key = (dim_cand, _term_count(cand))
-        if key < (best[0], best[1]):
+        if best is None or key < (best[0], best[1]):
             best = (dim_cand, key[1], cand, cert)
+    if best is None:
+        if any(s.precision is not None for s in branch.element.entries_flat()):
+            raise PrecisionInsufficient("no tube-equivalent cut of the branch has a certified dim p; raise precision")
+        raise IrrationalExponentInSubstitution("dim p of exponents of rational rank 2 is not certified")
     dim_after, _, reduced, cert = best
+    if dim_before is None:
+        dim_before = dim_after
     notes = set(reduced.notes)
     if dim_after == 1:
         notes.add("reduction_certified_minimal")
-    reduced = Branch(reduced.element, reduced.ramification, reduced.trusted_irreducible, tuple(sorted(notes)))
+    reduced = Branch(
+        reduced.element, reduced.ramification, reduced.trusted_irreducible, tuple(sorted(notes)), reduced.curve_place
+    )
     return reduced, cert, dim_before, dim_after
 
 
@@ -263,13 +266,19 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
     entry, like every entry of the all-cut candidate, is exact: the dropped
     tail, known or not, is what mu_correct moves into eps.  The entries a
     candidate does not cut are kept as they were, truncated ones included,
-    so a candidate can be inexact."""
+    so a candidate can be inexact; candidates differ by their terms or their
+    precision, so an exact cut is kept beside an inexact one with the same
+    terms."""
     el = branch.element
     scheme = el.scheme
     r = scheme.root
     flat = el.entries_flat()
     out: list[Branch] = []
     seen = set()
+
+    def key(entries):
+        return tuple((tuple(x.terms), x.precision) for x in entries)
+
     for idx, s in enumerate(flat):
         for cut_at, (e, _) in enumerate(s.terms):
             if e.sign() <= 0:
@@ -277,10 +286,10 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             truncated = PuiseuxSeries(s.dom, s.terms[:cut_at], None)
             new_flat = list(flat)
             new_flat[idx] = truncated
-            key = tuple(tuple(x.terms) for x in new_flat)
-            if key in seen:
+            k = key(new_flat)
+            if k in seen:
                 continue
-            seen.add(key)
+            seen.add(k)
             cand = _try_candidate(scheme, new_flat, branch)
             if cand is not None:
                 out.append(cand)
@@ -292,7 +301,7 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
                 all_cut = scheme.flatten(with_det(scheme.shape(all_cut)[0]))
             except (MustabError, ValueError):
                 return out
-        if tuple(tuple(x.terms) for x in all_cut) not in seen:
+        if key(all_cut) not in seen:
             cand = _try_candidate(scheme, all_cut, branch)
             if cand is not None:
                 out.append(cand)
@@ -307,16 +316,15 @@ def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None
     return Branch(b.element, b.ramification, original.trusted_irreducible, original.notes)
 
 
-def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: int) -> SubgroupDesc:
+def stab_reparam(branch: Branch, budgets: Budgets | None = None) -> SubgroupDesc:
     """Stabilizer via the reparameterization ansatz: integrality of
     a(s) a(t)^-1 carves the parameter variety; its residue family
-    implicitizes to the subgroup ideal.  type_dim is the branch's type
-    dimension from mu_reduce; the stabilizer must reach it.  Short of a
-    degree-bounded count the branch is not reduced (NotReduced).  Short of
-    a dimension certified_dim confirms, it is OrderBudgetTooSmall if
-    order_budget cut the ansatz; at its full reach no budget helps, so it
-    is WildRamification in characteristic p (the answer needs exponents
-    with p in the denominator) and SelfCheckFailed in characteristic 0."""
+    implicitizes to the subgroup ideal.  The stabilizer must reach the
+    branch's certified dim p, as mu_reduce leaves it.  Short of it, it is
+    OrderBudgetTooSmall if order_budget cut the ansatz; at its full reach
+    no budget helps, so it is WildRamification in characteristic p (the
+    answer needs exponents with p in the denominator) and SelfCheckFailed
+    in characteristic 0."""
     budgets = budgets or Budgets()
     if not is_centered_at_infinity(branch):
         raise NotCenteredAtInfinity("stabilizer ansatz requires an unbounded branch")
@@ -355,9 +363,8 @@ def stab_reparam(branch: Branch, budgets: Budgets | None = None, *, type_dim: in
     if not ok:
         raise SelfCheckFailed(f"the reparameterization ideal is not a subgroup: {report['witness']}")
 
-    if dim < type_dim:
-        if certified_dim(branch) != type_dim:
-            raise NotReduced(f"stabilizer dimension {dim} below type dimension {type_dim}; run mu_reduce first")
+    type_dim = certified_dim(branch)
+    if type_dim is not None and dim < type_dim:
         short = f"stabilizer dimension {dim} below certified type dimension {type_dim}"
         if ansatz.cut is not None:
             raise OrderBudgetTooSmall(f"{short}; raise order_budget (now {budgets.order_budget}) to {ceil(ansatz.cut)}")

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from mustab.branches import implicitize, type_dimension, validate_branch
+from mustab.branches import certified_dim, implicitize, validate_branch
 from mustab.degeneration import identity_component
 from mustab.exponents import EXP_ZERO, Exponent, exp
 from mustab.fields import QQ, FieldSpec
@@ -113,8 +113,8 @@ def test_criterion_03_irrational_pair_reduction():
     r = Exponent(Fraction(0), Fraction(1), 2)
     second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     branch = validate_branch(add2(), (S((-1, 1)), second))
-    dim_p = type_dimension(branch, 6)
-    reduced, cert, dim_before, dim_after = mu_reduce(branch, Budgets(degree_bound=6))
+    dim_p = certified_dim(branch)
+    reduced, cert, dim_before, dim_after = mu_reduce(branch)
     run = compute_stabilizer(branch, "both", Budgets(degree_bound=6))
     elapsed = time.monotonic() - t0
     eps = cert.eps

@@ -1,12 +1,11 @@
-"""Branch validation, boundedness, implicitization, type dimension and its
-closed-form certification."""
+"""Branch validation, boundedness, implicitization, and the type dimension
+dim p where certified_dim certifies it."""
 
 from fractions import Fraction
 
 import pytest
 
-from mustab import branches
-from mustab.branches import certified_dim, implicitize, is_centered_at_infinity, type_dimension, validate_branch
+from mustab.branches import Branch, certified_dim, implicitize, is_centered_at_infinity, validate_branch
 from mustab.errors import NotOnGroup
 from mustab.exponents import Exponent, exp
 from mustab.fields import QQ, FieldSpec
@@ -14,7 +13,7 @@ from mustab.groups import GroupScheme
 from mustab.ideals import Ideal, eliminate, ideal, ideal_equal, ideal_member, krull_dim
 from mustab.poly import PolyRing
 from mustab.series import PuiseuxSeries
-from tests_helpers import relation_ideal
+from tests_helpers import closure_relations, relation_ideal
 
 QS2 = FieldSpec("QSqrt", d=2)
 SL2 = GroupScheme("SL", 2, QQ)
@@ -85,7 +84,7 @@ def test_implicitize_monotone_in_degree():
     in the exact closure."""
     b = validate_branch(SL2, ((S((-1, 1)), S((0, 1))), (Z(), S((1, 1)))))
     ring = PolyRing(QQ, SL2.coordinates())
-    small, big = (relation_ideal(ring, branches._closure_relations(b, D)) for D in (2, 3))
+    small, big = (relation_ideal(ring, closure_relations(b, D)) for D in (2, 3))
     exact = implicitize(b)
     for g in small.gens:
         assert ideal_member(g, big)
@@ -108,19 +107,12 @@ def test_type_dimension_irrational_pair():
     first = S((-1, 1))
     second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     b = validate_branch(ADD2, (first, second))
-    assert type_dimension(b, 6) == 2
+    assert certified_dim(b) == 2
 
 
 def test_type_dimension_diagonal_and_cusp():
-    assert type_dimension(validate_branch(ADD2, (S((-1, 1)), S((-1, 1)))), 6) == 1
-    assert type_dimension(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), 6) == 1
-
-
-def test_type_dimension_monotone_nonincreasing():
-    b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    dims = [type_dimension(b, D) for D in (2, 3, 4, 5)]
-    assert dims == sorted(dims, reverse=True)
-    assert dims[0] == 2 and dims[-1] == 1  # no relation exists at degree 2
+    assert certified_dim(validate_branch(ADD2, (S((-1, 1)), S((-1, 1))))) == 1
+    assert certified_dim(validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))) == 1
 
 
 def test_certified_dim_where_the_bounds_meet():
@@ -128,7 +120,7 @@ def test_certified_dim_where_the_bounds_meet():
     reduced_a2 the valuations -1 and sqrt(2) certify 2, and so do -1 and
     the valuation sqrt(2) of y - 1 for y = 1 + t^sqrt(2)."""
     cusp = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    assert certified_dim(cusp) == 1 and type_dimension(cusp, 2) == 2
+    assert certified_dim(cusp) == 1 and not closure_relations(cusp, 2)
     r = Exponent(Fraction(0), Fraction(1), 2)
     second = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     assert certified_dim(validate_branch(ADD2, (S((-1, 1)), second))) == 2
@@ -143,22 +135,22 @@ def test_certified_dim_leaves_open_bounds_that_differ():
     bounds nothing."""
     x = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (Exponent(Fraction(0), Fraction(1), 2), QQ.one())], None)
     square = validate_branch(ADD2, (x, x * x))
-    assert certified_dim(square) is None and type_dimension(square, 2) == 1
+    assert certified_dim(square) is None
     assert certified_dim(validate_branch(ADD2, (S((-2, 1)), S((-3, 1), prec=4)))) is None
 
 
 def test_type_dimension_needs_no_groebner_basis(monkeypatch):
-    """type_dimension reads the dimension off the leading monomials of the
-    relation kernel; it must not compute a Groebner basis."""
+    """certified_dim reads dim p off the exponents, or off the curve of a
+    place; it must not compute a Groebner basis."""
     from mustab import ideals
     from mustab.corpus import corpus_entries
     from mustab.jobs import _read_input, parse_budgets
     from mustab.newton import places_at_infinity
 
     def refuse(*_args):
-        raise AssertionError("type_dimension computed a Groebner basis")
+        raise AssertionError("certified_dim computed a Groebner basis")
 
-    expected = {"x1": [1, 1], "cusp": [2, 1], "circle_f5": [1, 1, 1, 1]}
+    expected = {"x1": [1], "cusp": [1], "circle_f5": [1, 1]}
     cases = {}
     for entry in corpus_entries():
         if entry["name"] not in expected:
@@ -167,46 +159,34 @@ def test_type_dimension_needs_no_groebner_basis(monkeypatch):
         scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
         budgets, _ = parse_budgets(job.get("budgets"))
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
-        branches = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
-        cases[entry["name"]] = [(b, D) for b in branches for D in (2, budgets.degree_bound)]
+        cases[entry["name"]] = [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision)
     # every path from branches.py to a Groebner basis goes through these
     monkeypatch.setattr(ideals, "groebner_basis", refuse)
     monkeypatch.setattr(ideals, "buchberger", refuse)
-    assert {name: [type_dimension(b, D) for b, D in found] for name, found in cases.items()} == expected
+    assert {name: [certified_dim(b) for b in found] for name, found in cases.items()} == expected
 
 
-def test_implicitize_skips_the_multiples_of_found_relations(monkeypatch):
-    """The relation walk behind type_dimension, on the shear [[t^-1, t^-1 -
-    t^2], [0, t]] at D = 4: x21, x12 - x11 + x22^2 and x11*x22 - 1 lead
-    early, so the walk expands only the standard monomials and the leading
-    monomials (12 series products, none for the coordinates themselves)
-    and hands Buchberger one relation per leading monomial, not the 57
-    vectors of the whole kernel.  Those relations have the basis of the
-    exact closure."""
-    from mustab import ideals
+def test_a_plane_curve_place_has_dim_one_and_its_cuts_are_open():
+    """A place of the circle over F_5, known to t^20, is certified 1 by its
+    curve alone; its truncation candidates are no places, and the one-entry
+    cuts keep a truncated entry, so they are open."""
+    from mustab.jobs import parse_plane_curve
+    from mustab.newton import places_at_infinity
+    from mustab.stabilizer import _truncation_candidates
 
-    products = []
-    real_mul = PuiseuxSeries.__mul__
-
-    def counting_mul(a, b):
-        products.append(1)
-        return real_mul(a, b)
-
-    handed = []
-    real_groebner_basis = ideals.groebner_basis
-
-    def spy(I, *args, **kwargs):
-        handed.append(len(I.gens))
-        return real_groebner_basis(I, *args, **kwargs)
-
-    shear = validate_branch(SL2, ((S((-1, 1)), S((-1, 1), (2, -1))), (Z(), S((1, 1)))))
-    monkeypatch.setattr(PuiseuxSeries, "__mul__", counting_mul)
-    monkeypatch.setattr(ideals, "groebner_basis", spy)
-    V = relation_ideal(PolyRing(QQ, SL2.coordinates()), branches._closure_relations(shear, 4))
-    assert len(products) <= 16
-    assert handed == [4]
-    assert [str(g) for g in V.gens] == ["x21", "x22^2 - x11 + x12", "x11*x22 - 1", "x11^2 - x11*x12 - x22"]
-    assert implicitize(shear).gens == V.gens
+    F5 = FieldSpec("Fp", p=5)
+    circle = parse_plane_curve({"f": "x^2 + y^2 - 1", "embedding": ["x", "y"]}, GroupScheme("Additive", 2, F5))
+    for place in places_at_infinity(circle, 20):
+        assert place.curve_place and any(s.precision is not None for s in place.element.flat())
+        assert certified_dim(place) == 1
+        moved = place.translate(GroupScheme("Additive", 2, F5).identity())
+        assert moved.curve_place and certified_dim(moved) == 1
+        cuts = _truncation_candidates(place)
+        assert cuts and not any(c.curve_place for c in cuts)
+        assert all(certified_dim(c) is None for c in cuts if not all(s.is_exact() for s in c.element.flat()))
+    # hidden from equality and repr
+    assert place == Branch(place.element, place.ramification, place.trusted_irreducible, place.notes)
+    assert "curve_place" not in repr(place)
 
 
 def _reduced_exact_branches():
@@ -216,7 +196,6 @@ def _reduced_exact_branches():
     import random
 
     from mustab.corpus import corpus_entries
-    from mustab.ideals import Budgets
     from mustab.jobs import _read_input, parse_budgets
     from mustab.newton import places_at_infinity
     from mustab.stabilizer import mu_reduce
@@ -232,7 +211,7 @@ def _reduced_exact_branches():
         inp = _read_input(job, "stab", scheme, job.get("exponent_d"))
         for b in [inp] if "branch" in job["input"] else places_at_infinity(inp, budgets.precision):
             if is_centered_at_infinity(b):
-                out.append((mu_reduce(b, budgets)[0], (2, 3, max(2, budgets.degree_bound))))
+                out.append((mu_reduce(b)[0], (2, 3, max(2, budgets.degree_bound))))
     rng = random.Random(31)
     for field in (QQ, FieldSpec("Fp", p=5), QQ, FieldSpec("Fp", p=5)):
         for kind, n in (("SL", 2), ("GL", 2), ("SL", 3)):
@@ -241,7 +220,7 @@ def _reduced_exact_branches():
             g = random_laurent_point(GroupScheme(kind, n, field), rng)
             b = validate_branch(g.scheme, g.entries)
             if is_centered_at_infinity(b):
-                out.append((mu_reduce(b, Budgets(degree_bound=3))[0], (2, 3)))
+                out.append((mu_reduce(b)[0], (2, 3)))
     return [(b, degrees) for b, degrees in out if all(s.is_exact() for s in b.element.flat())]
 
 
@@ -258,7 +237,7 @@ def test_implicitize_is_the_degree_bounded_closure_of_the_right_dimension():
         assert krull_dim(V) == dim, str(b)
         ring = PolyRing(b.field, b.scheme.coordinates())
         for D in degrees:
-            W = relation_ideal(ring, branches._closure_relations(b, D))
+            W = relation_ideal(ring, closure_relations(b, D))
             if krull_dim(W) == dim:
                 compared += 1
                 assert W.gens == V.gens, (str(b), D)

@@ -11,7 +11,7 @@ import pytest
 
 from mustab import errors, jobs
 from mustab.cli import explain, main
-from mustab.corpus import corpus_entries, run_corpus
+from mustab.corpus import check_expected, corpus_entries, run_corpus
 from mustab.jobs import run_job
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -469,13 +469,17 @@ def test_every_error_exits_with_the_readme_code(monkeypatch, cls):
 
 
 def test_exit_code_precision_budget():
-    # circle_f5 at precision 1 or 2 has too few exponent slots for a stable
-    # implicitization: a budget outcome, not a failed theorem
-    job = next(e["job"] for e in corpus_entries() if e["name"] == "circle_f5")
-    for precision in (1, 2):
-        report, code = run_job(job, {"precision": precision})
-        assert code == 4
-        assert report["errors"][0]["type"] == "PrecisionInsufficient"
+    # circle_f5 at precision 1 leaves its places' reduction truncated, and
+    # the flat closure needs exact entries: a budget outcome, not a failed
+    # theorem.  At precision 2 the exact cuts are certified, and the job
+    # answers the corpus ideals.
+    entry = next(e for e in corpus_entries() if e["name"] == "circle_f5")
+    report, code = run_job(entry["job"], {"precision": 1})
+    assert code == 4
+    assert report["errors"][0]["type"] == "PrecisionInsufficient"
+    report, code = run_job(entry["job"], {"precision": 2})
+    assert code == 0
+    assert check_expected(entry, report) == []
 
 
 @pytest.mark.parametrize("name", ["x1", "reduced_a2"])
@@ -503,6 +507,42 @@ def test_reduce_job():
     assert report["results"]["dim_before"] == 2
     assert report["results"]["dim_after"] == 1
     assert report["results"]["certificate"] is not None
+
+
+def test_reduce_job_with_exponents_of_rational_rank_2_is_unsupported():
+    """(t^-1 + t^-sqrt(2), t^-2 + t^-2sqrt(2)) is exact, but its exponents
+    have rational rank 2 and no cut is tube-equivalent, so no bound
+    certifies dim p: exit 3, never a count."""
+    job = {
+        "field": {"kind": "Q"},
+        "group": {"kind": "Additive", "n": 2},
+        "exponent_d": 2,
+        "command": "reduce",
+        "input": {"branch": {"entries": [ser(("-1", "1"), ("-sqrt(2)", "1")), ser(("-2", "1"), ("-2*sqrt(2)", "1"))]}},
+    }
+    report, code = run_job(job)
+    assert code == 3
+    assert report["errors"][0]["type"] == "IrrationalExponentInSubstitution"
+
+
+@pytest.mark.parametrize("algorithm", ["reparam", "both"])
+def test_truncated_f3_branch_reduces_to_its_exact_polar_part(algorithm):
+    """(t^-3 + 2t^-2 + t^2 + O(t^3), -t^-2 + O(t^3)) over F_3: dim p of the
+    truncated branch is open, and its exact all-cut (t^-3 + 2t^-2, -t^-2)
+    is certified 1, so the job reports dims 1 and 1 and <x + 2y>."""
+    job = {
+        "field": {"kind": "Fp", "p": 3},
+        "group": {"kind": "Additive", "n": 2},
+        "command": "stab",
+        "algorithm": algorithm,
+        "input": {"branch": {"entries": [ser(("-3", "1"), ("-2", "2"), ("2", "1"), prec=3), ser(("-2", "-1"), prec=3)]}},
+    }
+    report, code = run_job(job)
+    assert code == 0, report["errors"]
+    (stab,) = report["results"]["stabilizers"]
+    assert (stab["dim_before_reduction"], stab["dim_after_reduction"]) == (1, 1)
+    assert stab["subgroup"]["ideal"] == ["x + 2*y"]
+    assert report["checks"]["dim_equality"] == "pass"
 
 
 def test_iwasawa_job():

@@ -32,7 +32,7 @@ from mustab.ideals import (
 from mustab.groups import eval_poly_series, random_scalar
 from mustab.poly import GREVLEX, LEX, BlockOrder, GrevLex, Lex, Poly, PolyRing
 from mustab.series import PuiseuxSeries
-from tests_helpers import dim_by_subsets, ideal_intersect, random_laurent, random_series, relation_ideal
+from tests_helpers import closure_relations, dim_by_subsets, ideal_intersect, random_laurent, random_series, relation_ideal
 
 F5 = FieldSpec("Fp", p=5)
 
@@ -247,7 +247,7 @@ def test_generators_enter_through_the_pair_queue(monkeypatch):
     # the degree-4 relations of the x1 corpus branch number in the dozens but
     # reduce to a basis of three elements one at a time; pairing them all up
     # front made 58 S-polynomials
-    from mustab import branches, ideals
+    from mustab import ideals
     from mustab.corpus import corpus_entries
     from mustab.groups import GroupScheme
     from mustab.jobs import parse_branch
@@ -257,7 +257,7 @@ def test_generators_enter_through_the_pair_queue(monkeypatch):
     calls = []
     real = ideals.s_poly
     monkeypatch.setattr(ideals, "s_poly", lambda f, g, order: calls.append(1) or real(f, g, order))
-    out = relation_ideal(PolyRing(QQ, branch.scheme.coordinates()), branches._closure_relations(branch, 4))
+    out = relation_ideal(PolyRing(QQ, branch.scheme.coordinates()), closure_relations(branch, 4))
     assert calls == []
     assert [str(g) for g in out.gens] == ["x21", "x12 - 1", "x11*x22 - 1"]
 

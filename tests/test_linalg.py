@@ -1,24 +1,30 @@
-"""Sparse elimination in linalg; the relation walk behind type_dimension,
-on branches and on point clouds, against the dense kernel computation it
-replaced (kept here as the reference), and the exact closure against it;
-and certified_dim against type_dimension."""
+"""Sparse elimination in linalg; the relation walk of the test helpers, on
+exact branches and on point clouds, against a dense kernel computation,
+and the exact closure against it; and certified_dim against the
+dimension counted at a degree bound, which can only overcount."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mustab import branches
-from mustab.branches import certified_dim, implicitize, type_dimension, validate_branch
-from mustab.errors import PrecisionInsufficient
-from mustab.exponents import Exponent, exp
+from mustab.branches import certified_dim, implicitize, validate_branch
+from mustab.exponents import Exponent
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme
 from mustab.ideals import Ideal, _dim_from_leading_monomials, groebner_basis, ideal_member
 from mustab.linalg import Echelon, echelon
-from mustab.poly import Poly, PolyRing, monomials_up_to
+from mustab.poly import Poly, PolyRing
 from mustab.series import PuiseuxSeries
-from tests_helpers import field_elements, points_ideal, random_laurent, random_laurent_point, relation_ideal, shear_product
+from tests_helpers import (
+    closure_relations,
+    field_elements,
+    monomials_up_to,
+    points_ideal,
+    random_laurent_point,
+    relation_ideal,
+    shear_product,
+)
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -65,9 +71,8 @@ def dense_nullspace(rows, ncols, field):
 
 
 def dense_kernel(branch, degree_bound):
-    """The relation kernel as a dense slot x monomial matrix: the monomials
-    in deglex order and the full kernel vectors, with the window shrink
-    recomputed from scratch."""
+    """The relation kernel of an exact branch as a dense slot x monomial
+    matrix: the monomials in deglex order and the full kernel vectors."""
     field = branch.field
     series_list = branch.element.flat()
     monos = sorted(monomials_up_to(len(series_list), degree_bound), key=lambda m: (sum(m), m))
@@ -79,19 +84,9 @@ def dense_kernel(branch, degree_bound):
         else:
             by_mono[m] = PuiseuxSeries.one(field)
     evaluated = [by_mono[m] for m in monos]
-    precisions = [s.precision for s in evaluated if s.precision is not None]
-    hi = min(precisions) if precisions else None
-    slots = sorted({e for s in evaluated for e, _ in s.terms if hi is None or e < hi})
-    if precisions and len(slots) < 2:
-        raise PrecisionInsufficient("too few slots")
-
-    def kernel(active):
-        return dense_nullspace([[s.coefficient(e) for s in evaluated] for e in active], len(monos), field)
-
-    basis = kernel(slots)
-    if precisions and len(kernel(slots[: -max(1, len(slots) // 5)])) != len(basis):
-        raise PrecisionInsufficient("window shrink")
-    return monos, basis
+    slots = sorted({e for s in evaluated for e, _ in s.terms})
+    rows = [[s.coefficient(e) for s in evaluated] for e in slots]
+    return monos, dense_nullspace(rows, len(monos), field)
 
 
 def dense_type_dimension(branch, degree_bound):
@@ -114,24 +109,7 @@ def dense_implicitize(branch, degree_bound):
     return kernel_basis(ring, *dense_kernel(branch, degree_bound))
 
 
-def outcome(fn, *args):
-    try:
-        return fn(*args)
-    except PrecisionInsufficient:
-        return "PrecisionInsufficient"
-
-
-# -- type_dimension against the reference --------------------------------------
-
-def check_branches(branches, degrees):
-    outcomes = []
-    for b in branches:
-        for D in degrees:
-            got = outcome(type_dimension, b, D)
-            assert got == outcome(dense_type_dimension, b, D), (str(b), D)
-            outcomes.append(got)
-    return outcomes
-
+# -- certified_dim against the count ---------------------------------------------
 
 def laurent_branches(rng):
     """Exact branches over Q, F_5 and F_9 on the additive 3-space and SL2."""
@@ -161,14 +139,6 @@ def sqrt_branches(rng):
     return branches
 
 
-def test_type_dimension_matches_dense_on_laurent_branches():
-    check_branches(laurent_branches(random.Random(5)), (1, 2, 3))
-
-
-def test_type_dimension_matches_dense_on_sqrt_exponents():
-    check_branches(sqrt_branches(random.Random(7)), (1, 2, 3, 4))
-
-
 def test_certified_dim_is_below_every_degree_bounded_count():
     """Where the rank bounds meet, their value is dim p, which the closure
     at any degree bound can only overcount."""
@@ -182,26 +152,9 @@ def test_certified_dim_is_below_every_degree_bounded_count():
     for b, degrees in cases:
         dim = certified_dim(b)
         if dim is not None:
-            assert all(dim <= type_dimension(b, D) for D in degrees), (str(b), dim)
+            assert all(dim <= dense_type_dimension(b, D) for D in degrees), (str(b), dim)
         certified.add(dim)
     assert {0, 1, 2} <= certified
-
-
-def test_type_dimension_matches_dense_on_truncated_entries():
-    rng = random.Random(11)
-    outcomes = []
-    for field in FIELDS:
-        add2 = GroupScheme("Additive", 2, field)
-        branches = []
-        for _ in range(8):
-            entries = [random_laurent(field, rng, lo=-3, hi=3) for _ in range(2)]
-            i = rng.randrange(2)
-            entries[i] = entries[i].truncate(exp(rng.randrange(1, 6)))
-            branches.append(validate_branch(add2, tuple(entries)))
-        outcomes += check_branches(branches, (1, 2, 3))
-    # both outcomes occur: a stable dimension and a refusal by both paths
-    assert "PrecisionInsufficient" in outcomes
-    assert any(isinstance(o, int) for o in outcomes)
 
 
 # -- echelon, rref and nullspace -------------------------------------------------
@@ -325,14 +278,6 @@ def test_reduced_echelon_form_spans_the_rows(case):
 
 # -- the relation walk against the dense kernel -----------------------------------
 
-def truncated_plane_branch(field, rng):
-    add2 = GroupScheme("Additive", 2, field)
-    entries = [random_laurent(field, rng, lo=-3, hi=3) for _ in range(2)]
-    i = rng.randrange(2)
-    entries[i] = entries[i].truncate(exp(rng.randrange(1, 6)))
-    return validate_branch(add2, tuple(entries))
-
-
 def laurent_point_branch(kind, n):
     """A branch at a random Laurent point of G(K), y included on GL."""
     def build(field, rng):
@@ -347,7 +292,6 @@ BRANCH_FAMILIES = {
     "sl2": (laurent_point_branch("SL", 2), (1, 2, 3)),
     "gl2": (laurent_point_branch("GL", 2), (1, 2, 3)),
     "sl3_shears": (lambda field, rng: shear_product(GroupScheme("SL", 3, field), rng), (1, 2)),
-    "truncated": (truncated_plane_branch, (1, 2, 3)),
     "sqrt": (lambda _field, rng: rng.choice(sqrt_branches(rng)), (1, 2, 3, 4)),
 }
 
@@ -356,18 +300,16 @@ BRANCH_FAMILIES = {
 @given(st.sampled_from(sorted(BRANCH_FAMILIES)), st.sampled_from(FIELDS), st.integers(0, 2**32))
 def test_implicitize_matches_the_dense_kernel(family, field, seed):
     """The walk's relations generate the ideal of the whole kernel: the
-    same reduced basis, or PrecisionInsufficient on both paths.  On an
-    exact branch with exponents of rational rank 1 the exact closure
-    contains them."""
+    same reduced basis.  On a branch with exponents of rational rank 1 the
+    exact closure contains them."""
     build, degrees = BRANCH_FAMILIES[family]
     rng = random.Random(seed)
     branch = build(field, rng)
     ring = PolyRing(branch.field, branch.scheme.coordinates())
-    exact = family != "sqrt" and all(s.is_exact() for s in branch.element.flat())
-    closure = implicitize(branch) if exact else None
+    closure = implicitize(branch) if family != "sqrt" else None
     for D in degrees:
-        got = outcome(lambda: relation_ideal(ring, branches._closure_relations(branch, D)).gens)
-        assert got == outcome(dense_implicitize, branch, D), (str(branch), D)
+        got = relation_ideal(ring, closure_relations(branch, D)).gens
+        assert got == dense_implicitize(branch, D), (str(branch), D)
         if closure is not None:
             assert all(ideal_member(g, closure) for g in got), (str(branch), D)
 

@@ -21,6 +21,7 @@ from mustab.series import (
     PowerList,
     PuiseuxSeries,
     _binomial_power,
+    _rational_lower_bound,
     parse_series,
     ser_subst,
     series_to_json,
@@ -780,3 +781,19 @@ def test_mu_correct_certifies_every_completion(field, data):
             for m in roots_of(lam, R // r):
                 root = _lead_root(m, m.inv(), R)
                 assert A.map(lambda h: ser_subst(h, s0, prec=SOUND_HI, lead_root=root)).mul(b_inv).in_mu()
+
+
+def test_an_irrational_precision_scales_by_a_rational_lower_bound():
+    """_rational_lower_bound(a + b*sqrt(d)) drops b*sqrt(d) when b > 0 and
+    rounds sqrt(d) up to an integer when b < 0; f(s) for an f known below
+    the irrational 3 - sqrt(2) and val(s) = 2 is known below 2 * 1."""
+    assert _rational_lower_bound(exp("3/2")) == Fraction(3, 2)
+    assert _rational_lower_bound(Exponent(1, 1, 2)) == 1
+    assert _rational_lower_bound(Exponent(1, -1, 2)) == -1
+    assert _rational_lower_bound(Exponent(0, Fraction(-1, 3), 5)) == -1
+    assert _rational_lower_bound(Exponent(0, -1, 17)) == -5
+    f = PuiseuxSeries(QQ, [(exp(-1), QQ.one())], Exponent(3, -1, 2))
+    s = PuiseuxSeries(QQ, [(exp(2), QQ.one()), (exp(3), QQ.one())], None)
+    out = ser_subst(f, s)
+    assert out.precision == exp(2)
+    assert str(out) == "t^(-2) - t^(-1) + 1 - t + O(t^(2))"

@@ -2,7 +2,6 @@
 verification, solvability, conjugation, component splitting."""
 
 import random
-import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +14,6 @@ from mustab.errors import (
     BudgetExceeded,
     MustabError,
     NotCenteredAtInfinity,
-    NotReduced,
     OrderBudgetTooSmall,
     PrecisionInsufficient,
     SelfCheckFailed,
@@ -443,7 +441,7 @@ def test_mu_correct_reaches_the_order_the_pair_needs():
 # -- mu_reduce ----------------------------------------------------------------
 
 def test_mu_reduce_irrational_pair():
-    reduced, cert, dim_before, dim_after = mu_reduce(irrational_pair_branch(), BUDGETS)
+    reduced, cert, dim_before, dim_after = mu_reduce(irrational_pair_branch())
     assert (dim_before, dim_after) == (2, 1)
     assert str(reduced.element) == "(t^(-1), t^(-1))"
     assert isinstance(cert, TubeCertificate)
@@ -451,14 +449,14 @@ def test_mu_reduce_irrational_pair():
 
 
 def test_mu_reduce_already_minimal():
-    reduced, _, dim_before, dim_after = mu_reduce(x1_branch(), BUDGETS)
+    reduced, _, dim_before, dim_after = mu_reduce(x1_branch())
     assert dim_before == dim_after == 1
     assert reduced.element.entries == x1_branch().element.entries
 
 
 def test_mu_reduce_strips_positive_tail():
     a = validate_branch(SL2, ((S((-1, 1)), S((0, 1), (2, 1))), (Z(), S((1, 1)))))
-    reduced, cert, _, dim_after = mu_reduce(a, BUDGETS)
+    reduced, cert, _, dim_after = mu_reduce(a)
     assert str(reduced.element) == "[t^(-1), 1; 0, t]"
     assert isinstance(cert, TubeCertificate)
     eps = cert.eps
@@ -466,10 +464,24 @@ def test_mu_reduce_strips_positive_tail():
     assert str(eps.entries[0][1]) == "t"  # the correction [[1, t], [0, 1]]
 
 
+def test_truncation_candidates_keep_an_exact_cut_with_the_terms_of_an_inexact_one():
+    """Over F_3, cutting t^2 off the first entry of (t^-3 + 2t^-2 + t^2 +
+    O(t^3), -t^-2 + O(t^3)) leaves the terms of the exact all-cut (t^-3 +
+    2t^-2, -t^-2), but not its precision: both are candidates."""
+    F3 = FieldSpec("Fp", p=3)
+    add2 = GroupScheme("Additive", 2, F3)
+    a = PuiseuxSeries(F3, [(exp(-3), F3.one()), (exp(-2), F3.from_int(2)), (exp(2), F3.one())], exp(3))
+    b = PuiseuxSeries(F3, [(exp(-2), -F3.one())], exp(3))
+    cuts = [tuple(c.element.flat()) for c in stabilizer._truncation_candidates(validate_branch(add2, (a, b)))]
+    polar = PuiseuxSeries(F3, a.terms[:2], None)
+    assert (polar, b) in cuts
+    assert (polar, PuiseuxSeries(F3, b.terms, None)) in cuts
+
+
 def _truncated_tail_branch():
     """SL(2) [[1/t, 0], [1 + t + ... + t^29 + O(t^30), t]]: 30 candidates."""
     tail = S(*[(k, 1) for k in range(30)], prec=30)
-    return [(validate_branch(SL2, ((S((-1, 1)), Z()), (tail, S((1, 1))))), Budgets(degree_bound=4))]
+    return [validate_branch(SL2, ((S((-1, 1)), Z()), (tail, S((1, 1)))))]
 
 
 def _circle_f5_places():
@@ -477,7 +489,7 @@ def _circle_f5_places():
     budgets, _ = parse_budgets(job["budgets"])
     scheme = GroupScheme("Additive", 2, F5)
     curve = parse_plane_curve(job["input"]["plane_curve"], scheme)
-    return [(b, budgets) for b in places_at_infinity(curve, budgets.precision)]
+    return places_at_infinity(curve, budgets.precision)
 
 
 @pytest.mark.parametrize("places", [_truncated_tail_branch, _circle_f5_places], ids=["x2_truncated_tail", "circle_f5"])
@@ -493,13 +505,13 @@ def test_mu_reduce_pruning_keeps_the_result(places, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(stabilizer, "mu_correct", counted)
-    for branch, budgets in inputs:
-        pruned = mu_reduce(branch, budgets)
+    for branch in inputs:
+        pruned = mu_reduce(branch)
         n_pruned = len(calls)
         # the bound applies to unbounded branches only: call them bounded
         with monkeypatch.context() as m:
             m.setattr(stabilizer, "is_centered_at_infinity", lambda b: False)
-            full = mu_reduce(branch, budgets)
+            full = mu_reduce(branch)
         n_full = len(calls) - n_pruned
         calls.clear()
         (red_p, cert_p, *dims_p), (red_f, cert_f, *dims_f) = pruned, full
@@ -513,7 +525,7 @@ def test_mu_reduce_pruning_keeps_the_result(places, monkeypatch):
 # -- stab_reparam ---------------------------------------------------------------
 
 def test_stab_reparam_x1_unipotent():
-    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
+    desc = stab_reparam(x1_branch(), BUDGETS)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x11 - 1", "x21", "x22 - 1"))
     assert desc.dim == 1
     assert desc.flags["verified_subgroup"]
@@ -521,7 +533,7 @@ def test_stab_reparam_x1_unipotent():
 
 
 def test_stab_reparam_x2_torus():
-    desc = stab_reparam(x2_branch(), BUDGETS, type_dim=1)
+    desc = stab_reparam(x2_branch(), BUDGETS)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x12", "x21", "x11*x22 - 1"))
     assert desc.dim == 1
     assert desc.classification() == "diagonal torus"
@@ -529,7 +541,7 @@ def test_stab_reparam_x2_torus():
 
 def test_stab_reparam_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
-    desc = stab_reparam(b, BUDGETS, type_dim=1)
+    desc = stab_reparam(b, BUDGETS)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x"))
     assert desc.dim == 1
 
@@ -557,56 +569,16 @@ def test_stab_reparam_requires_centered():
     one_plus_t = S((0, 1), (1, 1))
     bounded = validate_branch(SL2, ((one_plus_t, Z()), (Z(), one_plus_t.inv(prec=exp(10)))))
     with pytest.raises(NotCenteredAtInfinity):
-        stab_reparam(bounded, BUDGETS, type_dim=1)
-
-
-def test_stab_reparam_raises_not_reduced_above_its_dimension():
-    """The type dimension comes from mu_reduce; a stabilizer of lower
-    dimension than it means the branch was not reduced."""
-    with pytest.raises(NotReduced, match="stabilizer dimension 1 below type dimension 2"):
-        stab_reparam(x1_branch(), BUDGETS, type_dim=2)
-
-
-def test_compute_stabilizer_uses_the_degree_bound(monkeypatch):
-    """The type dimension of a branch the rank bounds leave open (a circle
-    place over F_5, known to t^20) is taken at the job's degree_bound, with
-    no lower cap; the degeneration's closure is exact and builds no
-    degree-bounded relations, so an exact branch the bounds decide builds
-    none at all."""
-    from mustab import branches
-
-    calls = []
-    closure_relations = branches._closure_relations
-
-    def spy(branch, degree_bound):
-        calls.append((sys._getframe(1).f_code.co_name, degree_bound))
-        return closure_relations(branch, degree_bound)
-
-    monkeypatch.setattr(branches, "_closure_relations", spy)
-    circle = parse_plane_curve({"f": "x^2 + y^2 - 1", "embedding": ["x", "y"]}, GroupScheme("Additive", 2, F5))
-    place = places_at_infinity(circle, 20)[0]
-    assert branches.certified_dim(place) is None
-    run = compute_stabilizer(place, "both", Budgets(degree_bound=8))
-    assert run.agreement is True
-    assert calls == [("type_dimension", 8)]
-
-    calls.clear()
-    run = compute_stabilizer(validate_branch(ADD2, (S((-2, 1)), S((-3, 1)))), "both", Budgets(degree_bound=8))
-    assert run.agreement is True
-    assert calls == []
+        stab_reparam(bounded, BUDGETS)
 
 
 def test_shortfall_below_a_certified_dimension_is_a_budget_limit():
     """y^2 = x^7: dim p is certified 1, and order_budget 6 finds no
-    stabilizer of that dimension; below an uncertified count the same
-    shortfall stays a plain NotReduced."""
+    stabilizer of that dimension."""
     curve = parse_plane_curve({"f": "y^2 - x^7", "embedding": ["x", "y"]}, ADD2)
     (place,) = places_at_infinity(curve, 12)
     with pytest.raises(OrderBudgetTooSmall, match="below certified type dimension 1; raise order_budget"):
-        stab_reparam(place, Budgets(precision=12, degree_bound=6, order_budget=6), type_dim=1)
-    with pytest.raises(NotReduced) as info:
-        stab_reparam(x1_branch(), BUDGETS, type_dim=2)
-    assert not isinstance(info.value, BudgetExceeded)
+        stab_reparam(place, Budgets(precision=12, degree_bound=6, order_budget=6))
 
 
 # -- stab_degeneration ------------------------------------------------------------
@@ -631,7 +603,7 @@ def test_degeneration_x2():
 def test_degeneration_agrees_with_reparam_on_cusp():
     b = validate_branch(ADD2, (S((-2, 1)), S((-3, 1))))
     out = stab_degeneration(b)
-    rp = stab_reparam(b, BUDGETS, type_dim=1)
+    rp = stab_reparam(b, BUDGETS)
     assert ideal_equal(out.desc.ideal, rp.ideal)
 
 
@@ -1036,13 +1008,13 @@ def test_not_solvable_full_sl2_f5():
 # -- conjugate_stab ---------------------------------------------------------------
 
 def test_conjugate_identity_fixes():
-    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
+    desc = stab_reparam(x1_branch(), BUDGETS)
     out = conjugate_stab(desc, SL2.identity())
     assert ideal_equal(out, desc.ideal)
 
 
 def test_conjugate_by_weyl_element():
-    desc = stab_reparam(x1_branch(), BUDGETS, type_dim=1)
+    desc = stab_reparam(x1_branch(), BUDGETS)
     w = KPoint(SL2, ((QQ.zero(), QQ.one()), (-QQ.one(), QQ.zero())))
     out = conjugate_stab(desc, w)
     assert ideal_equal(out, ideal(out.ring, "x11 - 1", "x12", "x22 - 1"))
@@ -1051,7 +1023,7 @@ def test_conjugate_by_weyl_element():
 def test_conjugation_coherence_with_translation():
     g = KPoint(SL2, ((QQ.one(), QQ.one()), (QQ.zero(), QQ.one())))
     base = x1_branch()
-    desc = stab_reparam(base, BUDGETS, type_dim=1)
+    desc = stab_reparam(base, BUDGETS)
     moved = base.translate(g)
     moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
     conj = conjugate_stab(desc, g)
@@ -1116,7 +1088,7 @@ def test_ramification_mismatch_is_a_self_check_failure():
     than an assert."""
     el = validate_branch(ADD2, (S((-1, 1)), S((Fraction(-1, 2), 1)))).element
     with pytest.raises(SelfCheckFailed, match="-1/2"):
-        stab_reparam(Branch(el, 1), type_dim=1)
+        stab_reparam(Branch(el, 1))
 
 
 def test_dim_bound_and_equality():
@@ -1130,7 +1102,7 @@ def test_gl1_full_torus_stabilizer():
     # so the stabilizer is all of GL(1)
     gl1 = GroupScheme("GL", 1, QQ)
     b = validate_branch(gl1, ((S((-1, 1)),),))
-    desc = stab_reparam(b, BUDGETS, type_dim=1)
+    desc = stab_reparam(b, BUDGETS)
     scheme_ideal = Ideal(desc.ideal.ring, tuple(gl1.defining_polys(desc.ideal.ring)))
     assert ideal_equal(desc.ideal, scheme_ideal)
     assert desc.dim == 1
@@ -1145,7 +1117,7 @@ def test_stabilizer_over_f9():
     tpos = PuiseuxSeries.monomial(F9, exp(1), F9.one())
     zero = PuiseuxSeries.zero(F9)
     b = validate_branch(scheme, ((tneg, one), (zero, tpos)))
-    desc = stab_reparam(b, BUDGETS, type_dim=1)
+    desc = stab_reparam(b, BUDGETS)
     want = ideal(desc.ideal.ring, "x11 - 1", "x21", "x22 - 1")
     assert ideal_equal(desc.ideal, want)
     assert desc.dim == 1 and desc.flags["verified_subgroup"]
@@ -1157,7 +1129,7 @@ def test_parabola_branch_in_additive3():
     # family (second-order reparameterization coefficients)
     add3 = GroupScheme("Additive", 3, QQ)
     b = validate_branch(add3, (S((-1, 1)), S((-1, 1)), S((-2, 1))))
-    desc = stab_reparam(b, BUDGETS, type_dim=1)
+    desc = stab_reparam(b, BUDGETS)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x", "y"))
     assert desc.dim == 1
     run = compute_stabilizer(b, "both", Budgets(degree_bound=3))
@@ -1170,8 +1142,8 @@ def test_parabola_with_irrational_tail_reduces():
     r = Exponent(Fraction(0), Fraction(1), 2)
     middle = PuiseuxSeries(QQ, [(exp(-1), QQ.one()), (r, QQ.one())], None)
     b = validate_branch(add3, (S((-1, 1)), middle, S((-2, 1))))
-    reduced, cert, dim_before, dim_after = mu_reduce(b, Budgets(degree_bound=4))
+    reduced, cert, dim_before, dim_after = mu_reduce(b)
     assert (dim_before, dim_after) == (2, 1)
     assert isinstance(cert, TubeCertificate)
-    desc = stab_reparam(reduced, BUDGETS, type_dim=1)
+    desc = stab_reparam(reduced, BUDGETS)
     assert ideal_equal(desc.ideal, ideal(desc.ideal.ring, "x", "y"))

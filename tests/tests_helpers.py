@@ -3,8 +3,9 @@ and mu for property suites, branches at shear products, series agreement
 on a common window, the identity test for group points, the intersection
 of two ideals, the dimension of a monomial ideal by every variable
 subset, the product of a factorization, the list of a finite
-field's elements, the ideal of a list of monomial relations and of a
-point cloud, k-points of a parameterized subgroup, and the places at
+field's elements, the relations among monomials found one monomial at
+a time, as a point cloud's and an exact branch's closure of bounded
+degree, and their ideal, k-points of a parameterized subgroup, and the places at
 infinity from every conjugate
 expansion in fractional exponents merged by `_dedup_branches`, with the
 edge-root classifier that factors phi (the reference for one expansion
@@ -16,7 +17,7 @@ over their own list of powers, and the ansatz quotient substituted entry
 by entry."""
 
 import math
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from fractions import Fraction
 
 from mustab.exponents import EXP_ZERO, exp
@@ -28,7 +29,8 @@ from mustab.errors import BudgetExceeded, CoefficientFieldTooSmall, IrrationalEx
 from mustab import factor
 from mustab.factor import scalar_roots, uni_factor
 from mustab import ideals
-from mustab.ideals import Ideal, eliminate, monomial_relations
+from mustab.ideals import Ideal, eliminate
+from mustab.linalg import Echelon
 from mustab.poly import Poly, PolyRing
 from mustab.series import DEFAULT_PRECISION, PowerList, PuiseuxSeries, _binomial_power, _collected, _min_prec, _rational_lower_bound
 from mustab.subgroups import solve_point
@@ -163,8 +165,57 @@ def field_elements(field) -> list:
     return [field.element(i) for i in range(field.order)]
 
 
+def monomials_up_to(nvars: int, degree: int):
+    """Exponent tuples of total degree <= degree, ascending by degree and,
+    within a degree, by tuple (deglex)."""
+    for d in range(degree + 1):
+        for combo in reversed(list(combinations_with_replacement(range(nvars), d))):
+            m = [0] * nvars
+            for i in combo:
+                m[i] += 1
+            yield tuple(m)
+
+
+def monomial_relations(nvars: int, degree: int, vector) -> list:
+    """The linear relations among the vectors of the monomials of degree <=
+    degree, found one monomial at a time up `monomials_up_to`
+    (Buchberger-Moeller): a monomial m whose sparse row vector(m) depends on
+    the earlier standard ones gives (m, {s: c}), the relation m + sum(c *
+    s).  The multiples of a relation's leading monomial are skipped, which
+    is sound for values that are exact."""
+    ech = Echelon()
+    relations = []
+    for m in monomials_up_to(nvars, degree):
+        if any(all(a <= b for a, b in zip(lead, m)) for lead, _ in relations):
+            continue
+        comb = ech.add(vector(m), m)
+        if comb is not None:
+            relations.append((m, comb))
+    return relations
+
+
+def closure_relations(branch, degree: int) -> list:
+    """The relations of degree <= degree among the coordinates of an exact
+    branch a(t), y included on GL: a monomial's vector holds the
+    coefficients of a(t)^m by exponent slot."""
+    point = branch.element.flat()
+    values = {}
+    slot = {}
+
+    def value(m):
+        if m not in values:
+            i = max((j for j, e in enumerate(m) if e), default=None)
+            if i is None:
+                values[m] = PuiseuxSeries.one(branch.field)
+            else:
+                values[m] = value(m[:i] + (m[i] - 1,) + m[i + 1 :]) * point[i]
+        return values[m]
+
+    return monomial_relations(len(point), degree, lambda m: {slot.setdefault(e, len(slot)): c for e, c in value(m).terms})
+
+
 def relation_ideal(ring: PolyRing, relations) -> Ideal:
-    """The ideal the relations of `ideals.monomial_relations` generate, as
+    """The ideal the relations of `monomial_relations` generate, as
     its reduced basis under the ring's order, through the module's
     `groebner_basis` so that a test may watch it."""
     one = ring.field.one()
@@ -179,7 +230,7 @@ def points_ideal(points: list[dict], ring: PolyRing, degree: int) -> Ideal:
     def vector(m):
         return [Poly(ring, {m: one}).eval_scalars(pt) for pt in points]
 
-    return relation_ideal(ring, monomial_relations(ring.nvars, degree, vector, True)[0])
+    return relation_ideal(ring, monomial_relations(ring.nvars, degree, vector))
 
 
 def param_kpoints(H, rng, count: int) -> list[KPoint]:
