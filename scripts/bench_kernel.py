@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, linear bases, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability and an Iwasawa frame alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, a long division, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability and an Iwasawa frame alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -33,6 +33,13 @@ Ideal) on two inputs of degree <= 1 met on the workloads:
     over k[x11, x12, x21, x22] under grevlex.
 Each call takes well under a millisecond, so a run times LINEAR_CALLS
 calls, each on its own fresh copy made before the clock starts.
+
+The long division: `groebner_basis` of the ansatz constraints of the
+ramification-5 witness (t^-5, t^(-1/5)) on the additive plane over Q
+(row 5-ram5-add2 of tests/data/witnesses.json), the grevlex basis in 31
+variables that `stab_reparam` computes first, captured by running the job
+up to that call.  It takes seconds, so it runs at most LONG_DIVISION_RUNS
+times, each on fresh copies of the generators.
 
 The closures: `implicitize` of that shear, and of the place (t^-3, t^-5)
 of y^3 = x^5 on the additive plane, from the branch, each run on fresh
@@ -121,7 +128,8 @@ check reads, for the unipotent SL(6, Q) branch a with 1 on the diagonal,
 t^-1 below it and 0 above; each run parses its own branch.
 
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per linear basis
-also the calls one run times, per flat closure
+also the calls one run times, for the long division the variables, terms
+and runs, per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, per power kernel its stats, for the ansatz quotient its parameter
 count and cold and warm stats, for the tube certificate the s it returns or null and cold and warm
@@ -228,6 +236,8 @@ def inputs(shear: dict) -> dict:
 
 
 LINEAR_CALLS = 100
+LONG_DIVISION_RUNS = 3
+WITNESSES = SRC.parent / "tests" / "data" / "witnesses.json"
 
 
 def linear_inputs() -> dict:
@@ -251,6 +261,36 @@ def time_linear_basis(I: Ideal, order, runs: int) -> dict:
             basis = groebner_basis(fresh, order)
         times.append((time.perf_counter() - start) * 1e3)
     return {"gens": len(I.gens), "basis": len(basis.gens), "calls_per_run": LINEAR_CALLS, **_stats(times)}
+
+
+def ansatz_ideal(row_id: str) -> Ideal:
+    """The first ideal `stab_reparam` hands `groebner_basis` while the
+    witness row's job runs; the job stops there."""
+    job = next(row["job"] for row in json.loads(WITNESSES.read_text()) if row["id"] == row_id)
+    found = []
+    real = stabilizer.groebner_basis
+
+    def spy_groebner_basis(I, *args):
+        found.append(I)
+        raise MustabError("captured")
+
+    stabilizer.groebner_basis = spy_groebner_basis
+    try:
+        run_job(job)
+    finally:
+        stabilizer.groebner_basis = real
+    return found[0]
+
+
+def time_long_division(I: Ideal, runs: int) -> dict:
+    times = []
+    for _ in range(min(runs, LONG_DIVISION_RUNS)):
+        fresh = _fresh(I)
+        start = time.perf_counter()
+        basis = groebner_basis(fresh)
+        times.append((time.perf_counter() - start) * 1e3)
+    terms = sum(len(g.terms) for g in I.gens)
+    return {"vars": I.ring.nvars, "gens": len(I.gens), "terms": terms, "basis": len(basis.gens), "runs": len(times), **_stats(times)}
 
 
 def closures() -> dict:
@@ -562,6 +602,7 @@ def main() -> int:
     shear, heavy = capture(SHEAR_JOB), capture(HEAVY_JOB)
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
     linear = {name: time_linear_basis(*spec, args.runs) for name, spec in linear_inputs().items()}
+    long_division = time_long_division(ansatz_ideal("5-ram5-add2"), args.runs)
     closed = {name: time_closure(*spec, args.runs) for name, spec in closures().items()}
     flat = {
         name: time_flat_closure(found["closure_input"], args.runs)
@@ -578,7 +619,8 @@ def main() -> int:
     solvability = {name: time_solvability(*spec, args.runs) for name, spec in solvability_inputs().items()}
     dimension = time_krull_dim(solvability_inputs()["sl4_mu5_ga"][0], args.runs)
     frame = time_iwasawa_frame(6, args.runs)
-    print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "linear_basis": linear, "implicitize": closed, "flat_closure": flat,
+    print(json.dumps({"runs": args.runs, "setup": setup, "inputs": out, "linear_basis": linear,
+                      "long_division_ram5": long_division, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "powers": powers,
                       "mu_correct_order_7": certificate, "places": places,
                       "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,

@@ -90,11 +90,7 @@ class NotCenteredAtInfinity(MustabError):
     """Branch is bounded where an unbounded one is required."""
 
 
-class NotReduced(MustabError):
-    """Stabilizer computation detected a non-minimal-dimension branch."""
-
-
-class OrderBudgetTooSmall(NotReduced, BudgetExceeded):
+class OrderBudgetTooSmall(BudgetExceeded):
     """The reparameterization's stabilizer has lower dimension than a
     certified type dimension, and order_budget cut its ansatz below the
     order the branch reads: a larger order_budget may reach it."""

@@ -25,17 +25,25 @@ on such an input: the reduced generators lead with distinct variables (or
 with 1), pairwise coprime, so the cap means the same on both.
 
 Division (Cox-Little-O'Shea 2.3) yields only the remainder, the normal
-form: no caller reads the quotients.  It reduces one dict of the remaining
-terms in place against a divisor table, one (leading monomial, leading
-coefficient, tail) entry per basis element, with the order keys in a memo,
-and wraps the remainder by the trusted Poly constructor, with no Poly per
-division step.  Whoever divides repeatedly against one basis owns the
-table and the memo for as long as it does: a Buchberger run adds one entry
-per basis element and keeps one memo through `_interreduce`, and
-`reducer(basis, order)` builds both once for every other caller.  Terms
-leave the division largest first, so a remainder's first term is its
-leading monomial, cached on the Poly as it is built.  No memo outlives the
-call that made it.
+form: no caller reads the quotients.  Inside the kernel (Buchberger,
+`_interreduce`, `reducer` and the division loop) a monomial is one int,
+the order's key written in base 2^64 (`_Packer`): a product is an int
+addition, the leading term is a plain `max`, and divisibility is one
+addition and one mask test (Monagan-Pearce, CASC 2007; Bachmann-
+Schoenemann, ISSAC 1998).  Polys, Ideals and every public signature keep
+tuple monomials; they are packed on the way in and unpacked on the way
+out, by one packer per (order, number of variables, digit width), built
+on first use, whose memos are bounded.  Exponents are unbounded: a
+monomial that outgrows the digits raises `_Overflow`, and the whole call
+runs again with digits twice as wide, so no exponent size changes an
+answer.  The division reduces one dict of the remaining terms in place
+against a divisor table, one (divisibility offset, inverse of the leading
+coefficient, tail relative to the leading monomial) entry per basis
+element, with no Poly per division step.  A Buchberger run adds one entry
+per basis element, and `reducer(basis, order)` builds its table once for
+every normal form it serves.  Terms leave the division largest first, so
+a remainder's first term is its leading monomial, cached on the Poly as
+it is built.
 
 Each basis is computed once.  An `Ideal` whose generators already are its
 reduced basis under some order records that order in `basis_order`:
@@ -57,7 +65,7 @@ import heapq
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from contextvars import ContextVar
-from operator import add, le, sub
+from operator import attrgetter, mul
 
 from .errors import BudgetExceeded, EmptyVariety
 from .linalg import Echelon
@@ -113,45 +121,161 @@ def ideal(ring: PolyRing, *gens) -> Ideal:
     return Ideal(ring, tuple(out))
 
 
-def _mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
 def _mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def _mono_quot(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(sub, a, b))
+class _Overflow(Exception):
+    """A monomial outgrew its packer's digits; the caller repacks wider."""
 
 
-class _KeyMemo(dict):
-    """Order keys by monomial, each computed on its first lookup; one memo
-    serves one Buchberger run or one reducer, and goes with it."""
+_WIDTH = 64  # bits per digit of the first packer
+_MARGIN = 22  # bits of growth left above the largest packed input degree
+_MEMO_CAP = 512  # monomials per packer memo
+_PACKER_CAP = 16
+_PACKERS: dict = {}
 
-    def __init__(self, order: MonomialOrder):
-        super().__init__()
-        self.order_key = order.key
 
-    def __missing__(self, m: Monomial):
-        k = self[m] = self.order_key(m)
+def _packer(order: MonomialOrder, nvars: int, width: int) -> _Packer:
+    """The packer of order on nvars variables with width-bit digits, built
+    on first use and kept while few others are."""
+    key = (order, nvars, width)
+    pk = _PACKERS.get(key)
+    if pk is None:
+        if len(_PACKERS) >= _PACKER_CAP:
+            _PACKERS.clear()
+        pk = _PACKERS[key] = _Packer(order, nvars, width)
+    return pk
+
+
+def _widening(run: Callable[[int], object], width: int = _WIDTH):
+    """run(width), run again with digits twice as wide while it raises
+    _Overflow: no exponent size changes an answer."""
+    while True:
+        try:
+            return run(width)
+        except _Overflow:
+            width *= 2
+
+
+class _Packer:
+    """Monomials of one order in nvars variables, one int each.
+
+    The order's key (Lex: m; GrevLex: (deg, -e_n, ..., -e_1); BlockOrder:
+    both blocks' keys) is linear in the exponents, each of its digits a sum
+    of exponents with one sign.  Written in base 2^width with digits below
+    2^(width-1) in absolute value, it is the int sum(e_i * weights[i]):
+    a product of monomials is an int addition, and comparing ints compares
+    keys digit by digit (Monagan-Pearce, CASC 2007).  Adding `off` (2^(width-1)
+    to a digit of sign +, one less to a digit of sign -) turns every digit of
+    a difference of two monomials into a width-bit number without borrows,
+    so a | b is one add and one mask test on the top bit of one digit per
+    variable, ((b - a + off) & mask) == want (Bachmann-Schoenemann,
+    ISSAC 1998).
+
+    A monomial is sound while each digit stays below 2^(width-2) in
+    absolute value: then a product of two has exact digits.  `pack` takes
+    only total degrees below `limit`, _MARGIN bits lower, and `_divide`
+    tests each monomial it takes, ((m + off) & guard) == sound, and
+    raises _Overflow at the first that is not.  The memos of both
+    directions hold at most _MEMO_CAP monomials."""
+
+    __slots__ = ("width", "limit", "weights", "off", "mask", "want", "guard", "sound", "fields", "_ints", "_monos")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        ndigits = len(order.key((0,) * nvars))
+        shift = [width * (ndigits - 1 - k) for k in range(ndigits)]
+        # each variable's key as its nonzero (digit, coefficient) pairs
+        columns = []
+        for i in range(nvars):
+            unit = [0] * nvars
+            unit[i] = 1
+            columns.append([(k, c) for k, c in enumerate(order.key(tuple(unit))) if c])
+        sign, readers = [1] * ndigits, [0] * ndigits
+        for col in columns:
+            for k, c in col:
+                readers[k] += 1
+                if c < 0:
+                    sign[k] = -1
+        if any(c != sign[k] for col in columns for k, c in col):
+            raise ValueError("the order's key is not a sum of exponents with one sign per digit")
+        half, quarter = 1 << (width - 1), 1 << (width - 2)
+        offsets = [half if g > 0 else half - 1 for g in sign]
+        self.width, self.limit = width, 1 << (width - 2 - _MARGIN)
+        self.weights = [sum(c << shift[k] for k, c in col) for col in columns]
+        self.off = sum(o << s for o, s in zip(offsets, shift))
+        self.guard = sum((half | quarter) << s for s in shift)
+        self.sound = sum((half if g > 0 else quarter) << s for g, s in zip(sign, shift))
+        # per variable, a digit that holds its exponent alone: (shift, sign, offset)
+        self.fields = []
+        for col in columns:
+            k = next(k for k, _ in col if readers[k] == 1)
+            self.fields.append((shift[k], sign[k], offsets[k]))
+        self.mask = sum(half << s for s, _, _ in self.fields)
+        self.want = sum(half << s for s, g, _ in self.fields if g > 0)
+        self._ints: dict = {}
+        self._monos: dict = {}
+
+    def pack(self, m: Monomial) -> int:
+        k = self._ints.get(m)
+        if k is None:
+            if sum(m) >= self.limit:
+                raise _Overflow
+            k = sum(map(mul, m, self.weights))
+            self._remember(m, k)
         return k
 
+    def unpack(self, k: int) -> Monomial:
+        m = self._monos.get(k)
+        if m is None:
+            u, low = k + self.off, (1 << self.width) - 1
+            m = tuple(g * (((u >> s) & low) - o) for s, g, o in self.fields)
+            self._remember(m, k)
+        return m
 
-def _divisor(g: Poly, order: MonomialOrder) -> tuple:
-    """The divisor table entry of g: (leading monomial, the inverse of the
-    leading coefficient, the other terms negated, as a list)."""
-    lm = g.leading_monomial(order)
-    return lm, g.terms[lm].inv(), [(m, -c) for m, c in g.terms.items() if m != lm]
+    def _remember(self, m: Monomial, k: int):
+        if len(self._ints) >= _MEMO_CAP:
+            self._ints.clear()
+            self._monos.clear()
+        self._ints[m] = k
+        self._monos[k] = m
+
+    def divides(self, a: int, b: int) -> bool:
+        return (b - a + self.off) & self.mask == self.want
+
+    def packed(self, f: Poly) -> dict:
+        """f's terms by packed monomial."""
+        pack = self.pack
+        return {pack(m): c for m, c in f.terms.items()}
+
+    def poly(self, ring: PolyRing, terms: dict, order: MonomialOrder | None = None) -> Poly:
+        """The Poly over packed terms, with its leading monomial under
+        order cached when an order is given."""
+        unpack = self.unpack
+        p = Poly._trusted(ring, {unpack(m): c for m, c in terms.items()})
+        if order is not None and terms:
+            p._lead = (order, unpack(max(terms)))
+        return p
 
 
-def _remainder(ring: PolyRing, rem: dict, order: MonomialOrder) -> Poly:
-    """The Poly over a remainder of `_divide`, whose first term is its
-    leading monomial: the terms leave the division in descending order."""
-    r = Poly._trusted(ring, rem)
-    if rem:
-        r._lead = (order, next(iter(rem)))
-    return r
+class _Packed:
+    """A polynomial inside the kernel: its packed terms, its leading
+    monomial packed (`key`) and as a tuple (`lead`), and its divisor entry
+    (off - key, the inverse of the leading coefficient, and the other terms
+    as (monomial - key, -coefficient)), so that m + (off - key) tests
+    divisibility and m + (t - key) is the product of t with m / key."""
+
+    __slots__ = ("packer", "terms", "key", "lead", "divisor")
+
+    def __init__(self, terms: dict, packer: _Packer):
+        key = max(terms)
+        self.packer, self.terms, self.key, self.lead = packer, terms, key, packer.unpack(key)
+        self.divisor = (packer.off - key, terms[key].inv(), [(m - key, -c) for m, c in terms.items() if m != key])
+
+
+def _monic(terms: dict) -> dict:
+    inv = terms[max(terms)].inv()
+    return {m: c * inv for m, c in terms.items()}
 
 
 def reducer(basis: Iterable[Poly], order: MonomialOrder) -> Callable[[Poly], Poly]:
@@ -159,55 +283,74 @@ def reducer(basis: Iterable[Poly], order: MonomialOrder) -> Callable[[Poly], Pol
     the division of f by basis (Cox-Little-O'Shea 2.3), no term of which
     any leading monomial divides.  The largest remaining monomial is
     reduced by the first divisor, in basis order, whose leading monomial
-    divides it, else moved to the remainder.  The divisor table and the
-    order keys are built once and serve every call."""
-    table = [_divisor(g, order) for g in basis]
-    keys = _KeyMemo(order)
-    return lambda f: _remainder(f.ring, _divide(f, table, keys), order)
+    divides it, else moved to the remainder.  The divisor table is built
+    once, and again with wider digits only if some f needs them."""
+    basis = list(basis)
+    made: list = [None, None]  # the packer and its divisor table
+
+    def run(f: Poly, width: int) -> Poly:
+        pk = _packer(order, f.ring.nvars, width)
+        if made[0] is not pk:
+            made[1] = [_Packed(pk.packed(g), pk).divisor for g in basis]
+            made[0] = pk
+        return pk.poly(f.ring, _divide(pk.packed(f), made[1], pk), order)
+
+    return lambda f: _widening(lambda w: run(f, w), made[0].width if made[0] else _WIDTH)
 
 
-def _divide(f: Poly, table: list[tuple], keys: _KeyMemo) -> dict:
-    """The division loop of `reducer` against a table of `_divisor`
-    entries: returns the remainder's terms, largest first."""
+def _divide(p: dict, table: list[tuple], pk: _Packer) -> dict:
+    """The division loop of `reducer` on the packed terms p (consumed)
+    against a table of `_Packed` divisor entries: returns the remainder's
+    terms, largest first."""
     rem: dict = {}
-    p = dict(f.terms)
-    key = keys.__getitem__
+    off, guard, sound, mask, want = pk.off, pk.guard, pk.sound, pk.mask, pk.want
     while p:
-        m = max(p, key=key)
+        m = max(p)
+        if (m + off) & guard != sound:
+            raise _Overflow
         c = p.pop(m)
-        for lm, inv, tail in table:
-            if all(map(le, lm, m)):  # _mono_divides, inlined in the hot loop
-                # p -= q x^qm g; the leading term cancels c exactly
+        for lmo, inv, tail in table:
+            if (m + lmo) & mask == want:
+                # p -= q x^(m - lm) g; the leading term cancels c exactly
                 q = c * inv
-                qm = _mono_quot(m, lm)
-                for tm, tc in tail:
-                    mm = tuple(map(add, qm, tm))
-                    if mm in p:
-                        s = p[mm] + q * tc
+                for r, tc in tail:
+                    mm = m + r
+                    old = p.get(mm)
+                    if old is None:
+                        p[mm] = q * tc
+                    else:
+                        s = old + q * tc
                         if s.is_zero():
                             del p[mm]
                         else:
                             p[mm] = s
-                    else:
-                        p[mm] = q * tc
                 break
         else:
             rem[m] = c
     return rem
 
 
-def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+def s_poly(f: Poly | _Packed, g: Poly | _Packed, order: MonomialOrder) -> Poly | dict:
     """lcm/lt(f) f - lcm/lt(g) g, built as one dict from the two shifted
-    tails: the leading terms cancel exactly."""
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = _mono_lcm(lf, lg)
+    tails: the leading terms cancel exactly.  Polys give a Poly; Buchberger
+    passes its `_Packed` basis elements and gets packed terms."""
+    if isinstance(f, _Packed):
+        return _shifted_tails(f, g)
+
+    def run(width: int) -> Poly:
+        pk = _packer(order, f.ring.nvars, width)
+        return pk.poly(f.ring, _shifted_tails(_Packed(pk.packed(f), pk), _Packed(pk.packed(g), pk)))
+
+    return _widening(run)
+
+
+def _shifted_tails(f: _Packed, g: _Packed) -> dict:
+    """The packed terms of `s_poly` of two packed polynomials."""
+    lcm = f.packer.pack(_mono_lcm(f.lead, g.lead))
     out: dict = {}
-    for h, lh, scale in ((f, lf, f.terms[lf].inv()), (g, lg, -g.terms[lg].inv())):
-        shift = _mono_quot(lcm, lh)
-        for m, c in h.terms.items():
-            if m == lh:
-                continue
-            mm = tuple(map(add, shift, m))
+    for h, scale in ((f, -f.divisor[1]), (g, g.divisor[1])):
+        for r, c in h.divisor[2]:
+            mm = lcm + r
             c = c * scale
             if mm in out:
                 c = out[mm] + c
@@ -215,51 +358,56 @@ def s_poly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
                     del out[mm]
                     continue
             out[mm] = c
-    return Poly._trusted(f.ring, out)
+    return out
 
 
 def buchberger(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     gens = [g for g in gens if not g.is_zero()]
     if len(gens) == 1:
         return [gens[0].monic(order)]  # the reduced basis of a principal ideal
-    if gens and all(sum(m) <= 1 for g in gens for m in g.terms):
+    if not gens:
+        return []
+    if all(sum(m) <= 1 for g in gens for m in g.terms):
         return _linear_basis(gens, order)
-    keys = _KeyMemo(order)
-    basis: list[Poly] = []
+    return _widening(lambda width: _buchberger(gens, order, _packer(order, gens[0].ring.nvars, width)))
+
+
+def _buchberger(gens: list[Poly], order: MonomialOrder, pk: _Packer) -> list[Poly]:
+    polys = [pk.packed(g) for g in gens]
+    basis: list[_Packed] = []
     table: list[tuple] = []  # the divisor entry of each basis element
-    # an input generator g waits as the pseudo-pair (-1, index), keyed by its
+    # an input generator waits as the pseudo-pair (-1, index), keyed by its
     # leading monomial; S-pairs (i, j) have i >= 0
-    heap: list = [(keys[g.leading_monomial(order)], -1, n, None) for n, g in enumerate(gens)]
+    heap: list = [(max(p), -1, n) for n, p in enumerate(polys)]
     heapq.heapify(heap)
 
-    def insert(f: Poly):
-        r = _remainder(f.ring, _divide(f, table, keys), order)
-        if r.is_zero():
+    def insert(p: dict):
+        r = _divide(p, table, pk)
+        if not r:
             return
-        basis.append(r.monic(order))
-        table.append(_divisor(basis[-1], order))
-        new = len(basis) - 1
-        lm_new = table[new][0]
-        for k in range(new):
-            lcm = _mono_lcm(table[k][0], lm_new)
-            heapq.heappush(heap, (keys[lcm], k, new, lcm))
+        new = _Packed(_monic(r), pk)
+        for k, b in enumerate(basis):
+            heapq.heappush(heap, (pk.pack(_mono_lcm(b.lead, new.lead)), k, len(basis)))
+        basis.append(new)
+        table.append(new.divisor)
 
     budget = _SPOLY_BUDGET.get()
+    mask, want = pk.mask, pk.want
     processed = 0
     handled: set[tuple[int, int]] = set()
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         if i < 0:
-            insert(gens[j])
+            insert(polys[j])
             continue
         handled.add((i, j))
-        if lcm == tuple(map(add, table[i][0], table[j][0])):
+        if lcm == basis[i].key + basis[j].key:
             continue  # coprime leading monomials
         chain = False
         for k in range(len(basis)):
             if k in (i, j):
                 continue
-            if _mono_divides(table[k][0], lcm):
+            if (lcm + table[k][0]) & mask == want:  # lm_k divides lcm
                 p1 = (min(i, k), max(i, k))
                 p2 = (min(j, k), max(j, k))
                 if p1 in handled and p2 in handled:
@@ -271,7 +419,7 @@ def buchberger(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
         if processed > budget:
             raise BudgetExceeded(f"S-polynomial budget {budget} exceeded")
         insert(s_poly(basis[i], basis[j], order))
-    return _interreduce(basis, order, keys)
+    return _interreduce(gens[0].ring, order, basis, pk)
 
 
 def _linear_basis(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -298,25 +446,23 @@ def _linear_basis(gens: list[Poly], order: MonomialOrder) -> list[Poly]:
     return basis
 
 
-def _interreduce(basis: list[Poly], order: MonomialOrder, keys: _KeyMemo) -> list[Poly]:
+def _interreduce(ring: PolyRing, order: MonomialOrder, basis: list[_Packed], pk: _Packer) -> list[Poly]:
+    """The reduced basis of the ideal whose Groebner basis is `basis`, as
+    monic Polys sorted by leading monomial, each carrying it."""
     # minimal basis: smaller leading monomials can only divide larger ones,
     # so one ascending pass suffices
-    basis = sorted(basis, key=lambda g: keys[g.leading_monomial(order)])
-    kept: list[tuple] = []  # divisor entries of the minimal basis
-    polys: list[Poly] = []
-    for g in basis:
-        lm = g.leading_monomial(order)
-        if any(_mono_divides(h[0], lm) for h in kept):
-            continue
-        kept.append(_divisor(g, order))
-        polys.append(g)
+    kept: list[_Packed] = []
+    for g in sorted(basis, key=attrgetter("key")):
+        if not any(pk.divides(h.key, g.key) for h in kept):
+            kept.append(g)
     reduced = []
-    for i, g in enumerate(polys):
-        others = kept[:i] + kept[i + 1:]
-        r = _remainder(g.ring, _divide(g, others, keys), order) if others else g
-        if not r.is_zero():
-            reduced.append(r.monic(order))
-    return sorted(reduced, key=lambda g: keys[g.leading_monomial(order)])
+    for i, g in enumerate(kept):
+        others = [h.divisor for h in kept[:i] + kept[i + 1:]]
+        r = _divide(dict(g.terms), others, pk) if others else g.terms
+        if r:
+            reduced.append(_monic(r))
+    reduced.sort(key=max)
+    return [pk.poly(ring, r, order) for r in reduced]
 
 
 def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX) -> Ideal:

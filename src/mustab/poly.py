@@ -25,7 +25,9 @@ class MonomialOrder:
     """Total order on monomials, exposed as a sort key (bigger = leading).
 
     Keys are flat int tuples (Lex returns the monomial itself), compared
-    only between monomials of one ring."""
+    only between monomials of one ring.  Each entry of a key is a sum of
+    exponents, all with one sign, and each variable has an entry of its
+    own: ideals.py packs keys of that shape into ints."""
 
     def key(self, m: Monomial):
         raise NotImplementedError
@@ -73,6 +75,13 @@ class BlockOrder(MonomialOrder):
         a = self._first(m)
         b = self._second(m)
         return (sum(a), *[-e for e in a], sum(b), *[-e for e in b])
+
+    # one order per pair of blocks, so that ideals.py packs each once
+    def __eq__(self, other):
+        return isinstance(other, BlockOrder) and (self.first, self.second) == (other.first, other.second)
+
+    def __hash__(self):
+        return hash((self.first, self.second))
 
 
 # one instance of each, so a leading monomial cached under it (Poly._lead,
@@ -496,6 +505,18 @@ def _parse_atom(toks: _Tokens, ring: PolyRing) -> Poly:
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    ring = PolyRing(field, ())
-    p = parse_poly(text, ring)
-    return p.constant_coefficient()
+    """The scalar the grammar reads in text, over field.  An integer or a
+    fraction a/b in ASCII digits, with at most a "-" in front, skips the
+    parser, with the same value and, where b is 0 in the field, the same
+    error."""
+    a, slash, b = text.removeprefix("-").partition("/")
+    if not (_is_digits(a) and (not slash or _is_digits(b))):
+        return parse_poly(text, PolyRing(field, ())).constant_coefficient()
+    c = field.from_int(int(a))
+    if slash:
+        c = c * field.from_int(int(b)).inv()
+    return -c if text[0] == "-" else c
+
+
+def _is_digits(s: str) -> bool:
+    return s.isascii() and s.isdecimal()

@@ -368,7 +368,8 @@ class PowerList:
 class SeriesPowers:
     """The powers s^gamma, gamma rational, of one series s = lead * t^v *
     (1 + w), w of positive valuation or exactly 0, over the ring dom: the
-    lists of w's powers by reach and lead^gamma = lead_root(gamma).  With
+    lists of w's powers by reach and lead^gamma = lead_root(gamma), with
+    lead_root None when lead is 1 and no factor is applied.  With
     `entries` set, each s^gamma known below a bound is kept too, keyed
     (bound, gamma): any list reaching bound - v gamma gives the same
     s^gamma.  The memo, lists included, is emptied when it holds `entries`
@@ -398,6 +399,8 @@ class SeriesPowers:
                 return root**num if num >= 0 else root.inv() ** (-num)
             raise ValueError("fractional power of a non-scalar leading coefficient needs lead_root")
 
+        if lead_root is None and c == s.dom.one():
+            return SeriesPowers(s.dom, v, w, None)  # every c^gamma is 1
         return SeriesPowers(s.dom, v, w, lead_root or scalar_root)
 
     def _kept(self, key, make):
@@ -415,11 +418,17 @@ class SeriesPowers:
 
         def expand():
             powers = self._kept(reach, lambda: PowerList(self.w, reach))
-            gamma, char = e.as_fraction(), self.dom.char
+            # an integer exponent stays an int: no Fraction is built for it,
+            # and the binomial series below runs on int gamma - k
+            gamma = e.p if e.n == 1 and e.is_rational() else e.as_fraction()
+            char = self.dom.char
             if char and gamma.denominator % char == 0:
                 raise WildRamification(f"exponent denominator divisible by characteristic {char}")
-            shift, lead = self.v.scale(gamma), self.lead_root(gamma)
+            shift = self.v.scale(gamma)
             x = _binomial_power(powers, gamma, None if bound is None else bound - shift)
+            if self.lead_root is None:
+                return PuiseuxSeries._ordered(self.dom, tuple((ee + shift, c) for ee, c in x.terms), bound)
+            lead = self.lead_root(gamma)
             return PuiseuxSeries._ordered(self.dom, tuple((ee + shift, c * lead) for ee, c in x.terms), bound)
 
         return expand() if self.entries is None else self._kept((bound, e), expand)

@@ -18,7 +18,7 @@ from mustab.exponents import Exponent
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
 from mustab.groups import GroupScheme
 from mustab.ideals import Budgets, Ideal
-from mustab.poly import LEX, PolyRing, _Tokens, parse_scalar
+from mustab.poly import LEX, PolyRing, _Tokens, parse_poly, parse_scalar
 from tests_helpers import field_elements, reference_tokens
 
 QS2 = FieldSpec("QSqrt", d=2)
@@ -357,6 +357,25 @@ def test_scalar_str_roundtrip():
     ]:
         s = parse_scalar(text, field)
         assert parse_scalar(str(s), field) == s
+
+
+@pytest.mark.parametrize("text, field", [
+    ("1/0", QQ), ("2/5", F5), ("sqrt(3)", QQ), ("x", QQ),  # errors
+    ("-3/6", QQ), ("7", F5), ("-0", F9), ("12/7", QS2), ("0/4", F5), ("1 / 2", QQ), ("+3", F5), ("--3", QQ),
+    ("", QQ), ("-", QQ), ("1/", QQ), ("1/2/3", QQ), ("²", QQ),
+])
+def test_plain_scalars_read_as_the_grammar_reads_them(text, field):
+    """parse_scalar's direct path for integers and a/b gives the grammar's
+    value, or raises its error class with its message."""
+    def outcome(read):
+        try:
+            value = read()
+        except Exception as exc:
+            return type(exc), str(exc)
+        return value.field, value.rep
+
+    grammar = outcome(lambda: parse_poly(text, PolyRing(field, ())).constant_coefficient())
+    assert outcome(lambda: parse_scalar(text, field)) == grammar
 
 
 def test_pow_by_squaring_skips_the_last_square():

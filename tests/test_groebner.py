@@ -8,6 +8,7 @@ by substituting explicit parameterizations.
 
 import random
 from itertools import combinations, combinations_with_replacement
+from operator import add, le, mul
 
 import pytest
 
@@ -24,7 +25,9 @@ from mustab.ideals import (
     krull_dim,
     _dim_from_leading_monomials,
     _interreduce,
-    _KeyMemo,
+    _Overflow,
+    _packer,
+    _Packed,
     reducer,
     s_poly,
     spoly_budget,
@@ -412,7 +415,7 @@ def assert_lead_cached(p, order):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(division_cases), st.sampled_from(ORDERS), st.booleans())
 def test_normal_form_is_the_division_remainder(case, order, reducer_first):
-    # one reducer serves many normal forms: its divisor table and key memo
+    # one reducer serves many normal forms: its divisor table and packer
     # outlive each call, and fresh divisions before or after it must see
     # the same remainders, each with its leading monomial cached
     fs, divisors = case
@@ -548,7 +551,8 @@ def test_results_carry_their_leading_monomial(case, order):
     for g in buchberger(gens, order):
         assert_lead_cached(g, order)
     fresh = [Poly(ring, dict(g.terms)) for g in gens]
-    for g in _interreduce(fresh, order, _KeyMemo(order)):
+    pk = _packer(order, ring.nvars, 64)
+    for g in _interreduce(ring, order, [_Packed(pk.packed(g), pk) for g in fresh], pk):
         assert_lead_cached(g, order)
     for g in (Poly(ring, dict(g.terms)) for g in gens):
         assert_lead_cached(g.monic(order), order)
@@ -688,3 +692,61 @@ def test_eval_poly_equals_termwise_evaluation(field, seed):
     got = eval_poly_series(p, series, field)
     want = termwise_eval(p, series, lambda c: PuiseuxSeries.constant(field, c), PuiseuxSeries.zero(field))
     assert got.terms == want.terms and got.precision == want.precision
+
+
+PACKED_ORDERS = [Lex(), GrevLex(), BlockOrder((1,), (0, 2))]
+
+
+def packable_exponents(limit):
+    """Three exponents, small or just below a third of the packer's input
+    limit, so that every sum stays packable."""
+    return st.tuples(*[st.integers(0, 3) | st.integers(limit // 3 - 3, limit // 3 - 1)] * 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PACKED_ORDERS), st.data())
+def test_packed_monomials_compare_add_and_divide_as_tuples(order, data):
+    # BlockOrder((1,), (0, 2)) puts its second degree digit between
+    # exponent digits
+    pk = _packer(order, 3, 64)
+    a, b = data.draw(packable_exponents(pk.limit)), data.draw(packable_exponents(pk.limit))
+    ka, kb = pk.pack(a), pk.pack(b)
+    assert (ka < kb) == (order.key(a) < order.key(b))
+    assert (ka == kb) == (a == b)
+    assert pk.unpack(ka) == a and pk.unpack(kb) == b
+    assert pk.unpack(ka + kb) == tuple(map(add, a, b))
+    assert pk.divides(ka, kb) == all(map(le, a, b))
+    assert pk.divides(kb, ka) == all(map(le, b, a))
+
+
+@pytest.mark.parametrize("order", PACKED_ORDERS, ids=["lex", "grevlex", "block"])
+def test_packed_monomials_are_sound_below_a_quarter_digit(order):
+    """_divide takes a packed monomial only while every key digit is below
+    2^62 in absolute value, and pack refuses total degrees from its limit."""
+    pk = _packer(order, 3, 64)
+    quarter = 1 << 62
+    for m in [(quarter - 1, 0, 0), (0, 0, quarter - 1), (quarter, 0, 0), (0, quarter, 0),
+              (quarter // 2, quarter // 2, 0), (quarter // 2, 0, quarter // 2 - 1), (1, 2, 3)]:
+        k = sum(map(mul, m, pk.weights))
+        assert ((k + pk.off) & pk.guard == pk.sound) == all(abs(d) < quarter for d in order.key(m))
+    with pytest.raises(_Overflow):
+        pk.pack((pk.limit - 1, 1, 0))
+    assert pk.unpack(pk.pack((pk.limit - 2, 1, 0))) == (pk.limit - 2, 1, 0)
+
+
+@pytest.mark.parametrize("order", [LEX, GREVLEX])
+def test_exponents_beyond_the_first_digit_width(order):
+    # <x^N - y, x^(N+1)> = <x^N - y, x*y, y^2>: x^(N+1) - x(x^N - y) = xy,
+    # and y(x^N - y) - x^(N-1)(xy) = -y^2
+    n = 2**64 + 1
+    ring = PolyRing(QQ, ("x", "y"))
+    x, y = ring.var("x"), ring.var("y")
+    basis = buchberger([x**n - y, x ** (n + 1)], order)
+    assert basis == [y**2, x * y, x**n - y]
+    nf = reducer(basis, order)
+    assert nf(x ** (2 * n) + x * y**3).is_zero()
+    assert nf(x ** (n - 1) + y) == x ** (n - 1) + y
+    assert nf(x ** (2**80) * y + x ** (n + 3) + x ** (n - 2)) == x ** (n - 2)
+    # accepted at the first width, then an lcm of degree past its limit
+    a = _packer(order, 2, 64).limit - 3
+    assert set(buchberger([x**a * y, x * y**a], order)) == {x**a * y, x * y**a}
