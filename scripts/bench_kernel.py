@@ -1,8 +1,21 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, linear bases, a long division, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability and an Iwasawa frame alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, a long division, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability, an Iwasawa frame and scalar products alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
+    python scripts/bench_kernel.py PARENT_DIR CHANGE_DIR [--runs N] [--pairs P] [--kernels NAME ...]
+
+With two source checkouts the script compares them kernel by kernel, as
+scripts/bench_pairs.py compares whole runs: for each kernel named in
+PAIRED (all of them unless --kernels picks some), P pairs of fresh
+`python -I` processes, one per checkout, each importing its checkout's
+src/ and timing that kernel N times (this script's own code, run with
+`--src DIR --kernel NAME`), the parent first on even pairs and the change
+first on odd ones.  It prints one JSON object: per kernel and per timed
+figure (each `median_ms` of the kernel's output, named by its path), each
+side's per-process medians, their median and quartiles, and the number
+of pairs in which the change was faster.  One process per side per pair
+keeps a slow spell of a shared host from landing on one side only.
 
 The setup: perfbench's setup probe (perfbench/run.py), `import mustab`
 then `corpus_entries()`, timed inside each of N fresh `python -I`
@@ -127,6 +140,12 @@ The Iwasawa frame: `iwasawa(a)[0].res()`, the frame `stab`'s solvability
 check reads, for the unipotent SL(6, Q) branch a with 1 on the diagonal,
 t^-1 below it and 0 above; each run parses its own branch.
 
+The scalar products: SCALAR_MULS products `a * b` of `Scalar`s drawn
+once from a seeded generator, for each of three operand kinds: Q
+integers in [-64, 64] (most of the Q values the workloads build), Q
+fractions with numerator and denominator below 100 in absolute value,
+and F_5 residues.
+
 Prints one JSON line: for the setup the median and quartiles in ms, per input the generator count (per linear basis
 also the calls one run times, for the long division the variables, terms
 and runs, per flat closure
@@ -136,21 +155,33 @@ count and cold and warm stats, for the tube certificate the s it returns or null
 stats, for the solvability check the answer, for the dimension the
 answer, for the Iwasawa frame whether it is the identity, per curve the
 precision, the number of places and the number of expansions that reach
-`_dedup_branches`, or the error a run ends in) and the size of the resulting basis,
+`_dedup_branches`, or the error a run ends in, per scalar product kind the
+products one run times) and the size of the resulting basis,
 and the median, min and max milliseconds of N runs.  The package is
-imported from the src/ next to this script.
+imported from the src/ next to this script, or from the one --src names.
 """
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+
+def _src() -> Path:
+    """The src/ this process imports: the one after --src, else the one
+    next to this script."""
+    if "--src" in sys.argv:
+        return Path(sys.argv[sys.argv.index("--src") + 1]).resolve()
+    return Path(__file__).resolve().parent.parent / "src"
+
+
+SRC = _src()
 sys.path.insert(0, str(SRC))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
@@ -594,10 +625,97 @@ def time_places(field: FieldSpec, f_text: str, embedding: list[str], precision: 
     return {"precision": precision, **found, "expansions": expansions, **_stats(times)}
 
 
+SCALAR_MULS = 10_000
+
+
+def time_scalar_mul(runs: int) -> dict:
+    rng = random.Random(48)
+    f5 = FieldSpec("Fp", p=5)
+    operands = {
+        "q_small_int": lambda: QQ.from_int(rng.randint(-64, 64)),
+        "q_fraction": lambda: QQ.from_fraction(Fraction(rng.randint(-99, 99), rng.randint(1, 99))),
+        "f5": lambda: f5.from_int(rng.randint(0, 4)),
+    }
+    out = {}
+    for name, draw in operands.items():
+        pairs = [(draw(), draw()) for _ in range(SCALAR_MULS)]
+
+        def run():
+            for a, b in pairs:
+                a * b
+
+        out[name] = {"products": SCALAR_MULS, **_timed(run, runs)}
+    return out
+
+
+# the kernels the two-checkout mode times: name -> a function of the runs
+PAIRED = {
+    "scalar_mul": time_scalar_mul,
+    "ansatz_quotient": lambda runs: time_ansatz_quotient(capture(SHEAR_JOB)["closure_input"], runs),
+    "mu_correct_order_7": lambda runs: time_mu_correct(ORDER_7_PAIR, runs),
+    "long_division_ram5": lambda runs: time_long_division(ansatz_ideal("5-ram5-add2"), runs),
+}
+
+
+def _medians(result, path: str = "") -> dict:
+    """Every median_ms in a kernel's output, keyed by its path."""
+    out = {}
+    for key, value in result.items():
+        if key == "median_ms":
+            out[path or key] = value
+        elif isinstance(value, dict):
+            out.update(_medians(value, f"{path}.{key}" if path else key))
+    return out
+
+
+def _spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4), "runs": values}
+
+
+def compare_checkouts(parent: Path, change: Path, names: list[str], runs: int, pairs: int) -> dict:
+    """Per kernel and timed figure, both sides' per-process medians over
+    pairs of fresh processes, alternating which side runs first."""
+    out = {"runs": runs, "pairs": pairs, "kernels": {}}
+    for name in names:
+        medians = {"parent": [], "change": []}
+        for i in range(pairs):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                src = (parent if side == "parent" else change) / "src"
+                cmd = [sys.executable, "-I", __file__, "--src", str(src), "--kernel", name, "--runs", str(runs)]
+                done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+                medians[side].append(_medians(json.loads(done.stdout)))
+            print(name, i + 1, {side: medians[side][-1] for side in medians}, file=sys.stderr)
+        figures = {}
+        for figure in medians["change"][0]:
+            before = [m[figure] for m in medians["parent"]]
+            after = [m[figure] for m in medians["change"]]
+            figures[figure] = {
+                "parent": _spread(before),
+                "change": _spread(after),
+                "change_wins": sum(a < b for a, b in zip(after, before)),
+            }
+        out["kernels"][name] = figures
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("checkouts", nargs="*", type=Path, help="PARENT_DIR CHANGE_DIR: compare two checkouts")
     ap.add_argument("--runs", type=int, default=50)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--kernels", nargs="+", choices=sorted(PAIRED), default=sorted(PAIRED))
+    ap.add_argument("--src", type=Path, help="the src/ to import (read before the imports)")
+    ap.add_argument("--kernel", choices=sorted(PAIRED), help="time this kernel alone and print its result")
     args = ap.parse_args()
+    if args.kernel:
+        print(json.dumps(PAIRED[args.kernel](args.runs)))
+        return 0
+    if args.checkouts:
+        if len(args.checkouts) != 2:
+            ap.error("give two checkouts, PARENT_DIR CHANGE_DIR, or none")
+        print(json.dumps(compare_checkouts(*args.checkouts, args.kernels, args.runs, args.pairs)))
+        return 0
     setup = {"cold": time_setup("", args.runs), "stdlib_preloaded": time_setup("import dataclasses, fractions, json", args.runs)}
     shear, heavy = capture(SHEAR_JOB), capture(HEAVY_JOB)
     out = {name: time_basis(I, drop, args.runs) for name, (I, drop) in inputs(shear).items()}
@@ -624,7 +742,7 @@ def main() -> int:
                       "division": division, "verify_subgroup": checked, "powers": powers,
                       "mu_correct_order_7": certificate, "places": places,
                       "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,
-                      "iwasawa_sl6_unipotent": frame}))
+                      "iwasawa_sl6_unipotent": frame, "scalar_mul": time_scalar_mul(args.runs)}))
     return 0
 
 

@@ -3,25 +3,26 @@ extension k[w]/(m) of it, spelled Q(sqrt d) = Q[w]/(w^2 - d) or F_q.
 
 A FieldSpec names the field; a Scalar pairs a spec with a canonical rep (see
 Scalar) and is built by one trusted constructor, `_make`, as
-`exponents._make` builds exponents.  An extension element is a trimmed int
-coefficient tuple over one shared denominator, and every extension has one
-multiply-and-reduce (an integer convolution reduced by the monic integer
-modulus), one inverse (the extended Euclidean algorithm over k) and one
-canonicalisation, `_lowest`, the only step that differs by base field.  All
-arithmetic is exact.  An F_q modulus is proved irreducible by
-`factor.uni_factor`.  A k-th root over a finite field, k = 2 included, is
-decided by a power test; the roots are one root, found prime by prime of
-gcd(k, q - 1) (Adleman-Manders-Miller), times the roots of unity of a
-per-process memo, so no polynomial is factored and the field is never
-listed, and `kth_root` returns the first of them in element(i) order; over
-Q a root is the exact root of numerator and denominator, and a square root
-over Q(sqrt d) has the norm closed form.
+`exponents._make` builds exponents; `_make` hands out the Scalar the field
+has interned for that rep when there is one.  An extension element is a
+trimmed int coefficient tuple over one shared denominator, and every
+extension has one multiply-and-reduce (an integer convolution reduced by
+the monic integer modulus), one inverse (the extended Euclidean algorithm
+over k) and one canonicalisation, `_lowest`, the only step that differs
+by base field.  All arithmetic is exact.  An F_q modulus is proved
+irreducible by `factor.uni_factor`.  A k-th root over a finite field,
+k = 2 included, is decided by a power test; the roots are one root, found
+prime by prime of gcd(k, q - 1) (Adleman-Manders-Miller), times the roots
+of unity of a per-process memo, so no polynomial is factored and the
+field is never listed, and `kth_root` returns the first of them in
+element(i) order; over Q a root is the exact root of numerator and
+denominator, and a square root over Q(sqrt d) has the norm closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, zip_longest
 from math import gcd
 
@@ -108,9 +109,14 @@ class FieldSpec(Frozen):
     k[w]/(m) holds its monic modulus m, coefficients from degree 0 upward:
     given for Fq, irreducible over F_p with reduced coefficients; set to
     w^2 - d for QSqrt, where d is a nonsquare integer.
+
+    A field holds its interned scalars (see `_make`), built on first use;
+    equality, hashing, pickling and copying read only the four fields, so
+    the table never travels.
     """
 
-    __slots__ = ("kind", "d", "p", "modulus")
+    # __dict__ holds the cached table of interned scalars
+    __slots__ = ("kind", "d", "p", "modulus", "__dict__")
 
     def __init__(self, kind: str, d: int | None = None, p: int | None = None, modulus: tuple[int, ...] | None = None):
         if kind not in _KEYS:
@@ -133,6 +139,10 @@ class FieldSpec(Frozen):
             if uni_factor(f).factors != [(f, 1)]:
                 raise ValueError(f"Fq modulus {list(modulus)} is reducible over F_{p}")
         self._set(kind, d, p, modulus)
+
+    @cached_property
+    def _interned(self) -> dict:
+        return {}
 
     @property
     def char(self) -> int:
@@ -234,6 +244,8 @@ class Scalar(Frozen):
         _set_rep(self, rep)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if other.__class__ is not Scalar:
             return NotImplemented
         return self.rep == other.rep and (self.field is other.field or self.field == other.field)
@@ -484,11 +496,24 @@ _set_field = Scalar.field.__set__
 _set_rep = Scalar.rep.__set__
 
 
+# the most scalars a field interns; the first ones built, 0 and 1 among
+# them, are the values that recur
+_INTERNED = 512
+
+
 def _make(field: FieldSpec, rep) -> Scalar:
-    """The Scalar of field with rep, which must already be canonical."""
-    s = _new(Scalar)
-    _set_field(s, field)
-    _set_rep(s, rep)
+    """The Scalar of field with rep, which must already be canonical: the
+    one the field already holds for rep, else a new one, which the field
+    keeps while it holds fewer than _INTERNED (hash-consing), so the values
+    that recur are built once and compare by identity."""
+    table = field._interned
+    s = table.get(rep)
+    if s is None:
+        s = _new(Scalar)
+        _set_field(s, field)
+        _set_rep(s, rep)
+        if len(table) < _INTERNED:
+            table[rep] = s
     return s
 
 

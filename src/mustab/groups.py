@@ -26,8 +26,9 @@ the series field and k[x] with series coefficients.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, islice
 
 from .errors import (
     NotIntegral,
@@ -84,6 +85,10 @@ class GroupScheme(Frozen):
         return self.root.kind in ("GL", "SL")
 
     def coordinates(self) -> tuple[str, ...]:
+        return self._coordinates
+
+    @cached_property
+    def _coordinates(self) -> tuple[str, ...]:
         r = self.root
         if r.kind == "Additive":
             return additive_coordinates(r.n)
@@ -101,10 +106,10 @@ class GroupScheme(Frozen):
             if len(flat) != r.n:
                 raise ValueError(f"{r.kind}({r.n}) takes {r.n} entries, not {len(flat)}")
         else:
-            if len(entries) != r.n or any(len(row) != r.n for row in entries):
-                lengths = [len(row) for row in entries]
+            lengths = list(map(len, entries))
+            if lengths != [r.n] * r.n:
                 raise ValueError(f"{r.kind}({r.n}) takes {r.n} rows of {r.n} entries, not rows of {lengths}")
-            flat = tuple(e for row in entries for e in row)
+            flat = tuple(chain.from_iterable(entries))
         return flat if y is None else flat + (y,)
 
     def shape(self, flat) -> tuple:
@@ -114,7 +119,8 @@ class GroupScheme(Frozen):
         if r.kind == "Additive":
             return tuple(flat), None
         n = r.n
-        rows = tuple(tuple(flat[i * n : i * n + n]) for i in range(n))
+        # n rows of n drawn from one iterator over the entries, y left out
+        rows = tuple(zip(*[islice(flat, n * n)] * n))
         return rows, (flat[n * n] if len(flat) > n * n else None)
 
     def map_entries(self, entries, f):

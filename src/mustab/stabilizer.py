@@ -17,6 +17,7 @@ tube-equivalent truncation, and the stabilizer must reach its dim p.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 from math import ceil
 
@@ -149,7 +150,11 @@ def _mu_conditions(e: GroupElement, require_identity_residue: bool):
 def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     """Certificate that mu . a = mu . b (a reparameterization s and a
     correction eps in mu with a(s) = eps * b), or None when none is found.
-    The ansatz for s reaches as far as the pair's mu-conditions read."""
+    The ansatz for s reaches as far as the pair's mu-conditions read.
+    Whether the solved s0 puts eps = a(s0) * b^-1 in mu is read off eps
+    known below the quotient's precision, which decides every entry's terms
+    at exponents <= 0 (see Ansatz); the certificate's eps, at the precision
+    a plain substitution gives, is built when first read."""
     if a.scheme != b.scheme:
         return None
     # direct attempt without reparameterization
@@ -183,8 +188,10 @@ def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     terms = [(EXP_ONE, lead)] + [(EXP_ONE + exp(g), lead * c) for g, c in tail if not c.is_zero()]
     s0 = PuiseuxSeries(a.field, terms, None)
     powers = SeriesPowers.of(s0, _lead_root(sol["lam"], sol["lami"], ansatz.r))
-    eps = a.element.map(powers.subst).mul(ansatz.b_inv)
-    return TubeCertificate(s0, eps) if eps.in_mu() else None
+    eps_low = a.element.map(lambda f: powers.subst(f, ansatz.prec, ansatz.reach)).mul(ansatz.b_inv)
+    if not eps_low.in_mu():
+        return None
+    return TubeCertificate(s0, build=lambda: a.element.map(powers.subst).mul(ansatz.b_inv))
 
 
 def _certify(a: Branch, b: Branch) -> TubeCertificate | None:
@@ -213,16 +220,18 @@ def mu_reduce(branch: Branch):
     if dim_before is not None:
         ident_cert = TubeCertificate(
             PuiseuxSeries.monomial(branch.field, exp(1), branch.field.one()),
-            _identity_eps(branch),
+            build=lambda: branch.scheme.identity().to_series(),
         )
-        best = (dim_before, _term_count(branch), branch, ident_cert)
+        best = (dim_before, _term_count(branch.element.entries_flat()), branch, ident_cert)
     irrational = any(s.has_irrational_exponent() for s in branch.element.entries_flat())
     # an unbounded branch has type dimension >= 1, so a candidate cannot
     # beat (1, its term count)
     unbounded = is_centered_at_infinity(branch)
-    for cand in _truncation_candidates(branch):
-        if best is not None and unbounded and (1, _term_count(cand)) >= (best[0], best[1]):
-            continue
+
+    def beaten(term_count: int) -> bool:
+        return best is not None and unbounded and (1, term_count) >= (best[0], best[1])
+
+    for cand in _truncation_candidates(branch, beaten):
         dim_cand = certified_dim(cand)
         if dim_cand is None:
             continue
@@ -233,7 +242,7 @@ def mu_reduce(branch: Branch):
             cert = _certify(cand, branch)
         if cert is None:
             continue
-        key = (dim_cand, _term_count(cand))
+        key = (dim_cand, _term_count(cand.element.entries_flat()))
         if best is None or key < (best[0], best[1]):
             best = (dim_cand, key[1], cand, cert)
     if best is None:
@@ -252,28 +261,25 @@ def mu_reduce(branch: Branch):
     return reduced, cert, dim_before, dim_after
 
 
-def _identity_eps(branch: Branch) -> GroupElement:
-    return branch.scheme.identity().to_series()
+def _term_count(entries) -> int:
+    return sum(len(s.terms) for s in entries)
 
 
-def _term_count(branch: Branch) -> int:
-    return sum(len(s.terms) for s in branch.element.entries_flat())
-
-
-def _truncation_candidates(branch: Branch) -> list[Branch]:
-    """Branches cut from this one: one entry without its tail from a
-    positive exponent on, and every entry without its positive part.  A cut
-    entry, like every entry of the all-cut candidate, is exact: the dropped
-    tail, known or not, is what mu_correct moves into eps.  The entries a
-    candidate does not cut are kept as they were, truncated ones included,
-    so a candidate can be inexact; candidates differ by their terms or their
-    precision, so an exact cut is kept beside an inexact one with the same
-    terms."""
+def _truncation_candidates(branch: Branch, beaten: Callable[[int], bool] = lambda term_count: False) -> Iterator[Branch]:
+    """Branches cut from this one, one at a time: one entry without its
+    tail from a positive exponent on, and every entry without its positive
+    part.  A cut entry, like every entry of the all-cut candidate, is
+    exact: the dropped tail, known or not, is what mu_correct moves into
+    eps.  The entries a candidate does not cut are kept as they were,
+    truncated ones included, so a candidate can be inexact; candidates
+    differ by their terms or their precision, so an exact cut is kept
+    beside an inexact one with the same terms.  A cut whose term count
+    `beaten` rejects, asked when the cut is reached, is neither validated
+    nor yielded."""
     el = branch.element
     scheme = el.scheme
     r = scheme.root
     flat = el.entries_flat()
-    out: list[Branch] = []
     seen = set()
 
     def key(entries):
@@ -290,9 +296,11 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             if k in seen:
                 continue
             seen.add(k)
+            if beaten(_term_count(new_flat)):
+                continue
             cand = _try_candidate(scheme, new_flat, branch)
             if cand is not None:
-                out.append(cand)
+                yield cand
     # all-entries truncation, with determinant repair on SL
     all_cut = [PuiseuxSeries(s.dom, [(e, c) for e, c in s.terms if e.sign() <= 0], None) for s in flat]
     if r.kind != "GL" and any(a.terms != b.terms for a, b in zip(all_cut, flat)):
@@ -300,12 +308,11 @@ def _truncation_candidates(branch: Branch) -> list[Branch]:
             try:
                 all_cut = scheme.flatten(with_det(scheme.shape(all_cut)[0]))
             except (MustabError, ValueError):
-                return out
-        if key(all_cut) not in seen:
+                return
+        if key(all_cut) not in seen and not beaten(_term_count(all_cut)):
             cand = _try_candidate(scheme, all_cut, branch)
             if cand is not None:
-                out.append(cand)
-    return out
+                yield cand
 
 
 def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None:

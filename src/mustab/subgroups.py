@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
+from functools import cached_property
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import MustabError
 from .fields import Scalar
@@ -87,14 +89,30 @@ class SubgroupDesc(Record):
 
 
 class TubeCertificate(Record):
-    __slots__ = ("s", "eps")
+    """A reparameterization s and the correction eps in mu with a(s) =
+    eps * b: eps as given, or built by `build()` when first read."""
 
-    def __init__(self, s: PuiseuxSeries, eps):
+    # __dict__ holds eps, or its builder until eps is first read
+    __slots__ = ("s", "__dict__")
+
+    def __init__(self, s: PuiseuxSeries, eps=None, build: Callable | None = None):
         self.s = s
-        self.eps = eps  # GroupElement in mu
+        if build is None:
+            self.eps = eps
+        else:
+            self._build = build
+
+    @cached_property
+    def eps(self):  # GroupElement in mu
+        return self.__dict__.pop("_build")()
 
     def to_json(self) -> dict:
         return {"s": series_to_json(self.s), "eps": str(self.eps)}
+
+
+# eps takes part in == and repr as a field does
+TubeCertificate._shown = ("s", "eps")
+TubeCertificate._key = staticmethod(attrgetter(*TubeCertificate._shown))
 
 
 # -- point solving on small constraint varieties -----------------------------

@@ -181,7 +181,7 @@ def test_a_plane_curve_place_has_dim_one_and_its_cuts_are_open():
         assert certified_dim(place) == 1
         moved = place.translate(GroupScheme("Additive", 2, F5).identity())
         assert moved.curve_place and certified_dim(moved) == 1
-        cuts = _truncation_candidates(place)
+        cuts = list(_truncation_candidates(place))
         assert cuts and not any(c.curve_place for c in cuts)
         assert all(certified_dim(c) is None for c in cuts if not all(s.is_exact() for s in c.element.flat()))
     # hidden from equality and repr

@@ -13,6 +13,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mustab import fields
 from mustab.errors import CoefficientFieldTooSmall, DivisionByZero, FieldMismatch
 from mustab.exponents import Exponent
 from mustab.fields import PRIME_BOUND, QQ, FieldSpec, Scalar, is_prime, pow_by_squaring
@@ -462,6 +463,52 @@ def test_scalar_pickles_copies_and_is_immutable(kind):
     with pytest.raises(AttributeError):
         del s.rep
     assert s == _SCALARS[kind] and s.field.kind == kind.split("_")[0]
+
+
+@pytest.mark.parametrize("kind", sorted(_SCALARS))
+def test_interned_scalars_keep_their_value_semantics(kind):
+    """A field hands out one Scalar per canonical rep it has interned; a
+    pickled or deep-copied field or scalar compares and hashes equal to the
+    original and carries no table, and equal fields stay equal whatever
+    their tables hold."""
+    s = _SCALARS[kind]
+    field = s.field
+    assert field.one() is field.one() and (s * field.one() is s) == (s.rep in field._interned)
+    table = field._interned
+    assert table and all(x.rep == rep and x.field is field for rep, x in table.items())
+    for twin in (pickle.loads(pickle.dumps(field)), copy.deepcopy(field)):
+        assert twin == field and hash(twin) == hash(field) and "_interned" not in twin.__dict__
+    for t in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+        assert t == s and hash(t) == hash(s) and t is not s
+        assert "_interned" not in t.field.__dict__
+    assert len(pickle.dumps(field)) == len(pickle.dumps(copy.deepcopy(field)))
+    # equal specs with different tables
+    a, b = copy.deepcopy(field), copy.deepcopy(field)
+    a.one(), b.from_int(2), b.from_int(3)
+    assert a._interned.keys() != b._interned.keys()
+    assert a == b and hash(a) == hash(b) and a.one() == b.one() and a.one() + b.one() == b.from_int(2)
+
+
+def test_the_interned_table_is_capped_and_arithmetic_stays_exact():
+    """After twice the cap of distinct values a field holds exactly the cap;
+    values past it are built unshared and compute as before."""
+    cap = fields._INTERNED
+    field = FieldSpec("Q")
+    values = [field.from_int(n) for n in range(2 * cap)]
+    assert len(field._interned) == cap
+    assert field.from_int(cap - 1) is values[cap - 1]
+    late = field.from_int(2 * cap - 1)
+    assert late == values[-1] and late is not values[-1] and hash(late) == hash(values[-1])
+    total = field.zero()
+    for x in values:
+        total = total + x
+    assert total.as_fraction() == Fraction(2 * cap * (2 * cap - 1), 2)
+    half = field.from_fraction(Fraction(1, 2))
+    for n in (0, 1, cap - 1, cap, 2 * cap - 1):
+        x = values[n]
+        assert (x * half).as_fraction() == Fraction(n, 2) and (x - late).as_fraction() == n - (2 * cap - 1)
+        assert n == 0 or (x.inv() * x).is_one()
+    assert len(field._interned) == cap
 
 
 # each extension: its str, its JSON, element(i) by base-p digits, and a few

@@ -200,7 +200,7 @@ def test_quotient_precision_keeps_the_mu_conditions(shape, field, data):
     itself and against each of its truncation candidates, and the same
     precision error where there is one."""
     a = QUOTIENT_SHAPES[shape](data, field)
-    _assert_quotient_keeps_the_conditions(a, [a] + stabilizer._truncation_candidates(a))
+    _assert_quotient_keeps_the_conditions(a, [a] + list(stabilizer._truncation_candidates(a)))
 
 
 # -- the ansatz kernel -----------------------------------------------------------
@@ -238,7 +238,7 @@ def test_kernel_quotient_matches_the_direct_substitution(shape, field, data):
     gives the same certificate either way.  Ramification 3 over F_9 raises
     WildRamification both ways."""
     a = KERNEL_SHAPES[shape](data, field, data.draw(st.integers(1, 3)))
-    b = data.draw(st.sampled_from([a] + stabilizer._truncation_candidates(a)))
+    b = data.draw(st.sampled_from([a] + list(stabilizer._truncation_candidates(a))))
     cap = data.draw(st.sampled_from([None, 1, 2]))
     direct = _outcome(lambda: direct_quotient(stabilizer.Ansatz(a, b.element, cap=cap)))
     for _ in range(2):
@@ -246,6 +246,62 @@ def test_kernel_quotient_matches_the_direct_substitution(shape, field, data):
     certificate = _certificate(a, b)
     with mock.patch.object(stabilizer.Ansatz, "quotient", direct_quotient):
         assert _certificate(a, b) == certificate
+
+
+def _in_mu(eps):
+    """eps.in_mu(), or the class of the MustabError it raises."""
+    try:
+        return eps.in_mu()
+    except MustabError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_mu_correct_decides_eps_below_t_and_builds_it_when_read(shape, field, data):
+    """mu_correct(a, b), for b one of a's truncation candidates and a
+    reparameterized to a(c t) (c = 1 included, so that most pairs need a
+    solved s0), either way round, decides eps = a(s0) * b^-1 in mu on eps
+    known below the quotient's precision: its verdict is the one on the
+    eps a plain substitution of s0 gives.  A certificate's eps is not
+    built until it is read, and then prints as that eps.  Ramification
+    divisible by the characteristic is left out: it raises before any s0."""
+    a = KERNEL_SHAPES[shape](data, field, data.draw(st.sampled_from([r for r in (1, 2, 3) if r % 3 or field.char != 3])))
+    b = data.draw(st.sampled_from(list(stabilizer._truncation_candidates(a)) or [a]))
+    lam = field.element(data.draw(st.integers(1, field.order - 1))) if field.p else field.from_int(data.draw(st.sampled_from([1, 2, -1])))
+    r = a.ramification
+    s = PuiseuxSeries.monomial(field, exp(1), lam**r)
+    a = Branch(a.element.map(SeriesPowers.of(s, stabilizer._lead_root(lam, lam.inv(), r)).subst), r)
+    if data.draw(st.booleans()):
+        a, b = b, a
+    real_of = SeriesPowers.of
+    solved = []  # the s0 mu_correct substitutes, with its lead roots
+
+    def spy_of(s, lead_root=None):
+        if lead_root is not None:
+            solved.append((s, lead_root))
+        return real_of(s, lead_root)
+
+    with mock.patch.object(SeriesPowers, "of", spy_of):
+        try:
+            cert = mu_correct(a, b)
+        except MustabError as exc:
+            cert = type(exc)
+    if not solved:
+        return  # decided without a solved s0
+    s0, lead_root = solved[-1]
+    ansatz = stabilizer.Ansatz(a, b.element)
+    low = a.element.map(lambda f: real_of(s0, lead_root).subst(f, ansatz.prec, ansatz.reach)).mul(ansatz.b_inv)
+    full = a.element.map(real_of(s0, lead_root).subst).mul(ansatz.b_inv)
+    assert _in_mu(low) == _in_mu(full)
+    if _in_mu(full) is not True:
+        assert cert is None or cert == _in_mu(full)
+        return
+    assert isinstance(cert, TubeCertificate) and cert.s == s0
+    assert "eps" not in cert.__dict__
+    assert str(cert.eps) == str(full) and cert.eps == full
 
 
 def _route(compute):
