@@ -19,11 +19,12 @@ pairs the change won and `claim_met`: whether the change won at least
 CLAIM_WINS pairs and its median is better than the parent's by more than
 the parent's quartile spread (q3 - q1). After the pairs, each side runs
 every workload TRACED_RUNS more times with seed 1 and --trace 1,
-alternating which side runs first, and the file keeps the median self
-times (`*.self_s`), the median share of each self time in its run's total
-self time (the sum over the modules), which cancels the host's speed, and
-the median call counts (`*.calls`) of those runs, to show in which layer a
-change in the end-to-end numbers sits.
+alternating which side runs first, and the file keeps the self times
+(`*.self_s`), the share of each self time in its run's total self time
+(the sum over the modules), which cancels the host's speed, and the call
+counts (`*.calls`) of those runs, each as its median and quartiles over
+the runs, to show in which layer a change in the end-to-end numbers sits
+and whether its direction stands out of the runs' spread.
 """
 
 import argparse
@@ -63,21 +64,23 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def layer_medians(runs: list[dict], suffix: str) -> dict:
-    """Per metric named *suffix, the median of its values over runs."""
+def layer_spreads(runs: list[dict], suffix: str) -> dict:
+    """Per metric named *suffix, the median and quartiles of its values
+    over runs."""
     names = [name for name in runs[0] if name.endswith(suffix)]
-    return {name: statistics.median(run[name]["value"] for run in runs) for name in names}
+    return {name: spread([run[name]["value"] for run in runs]) for name in names}
 
 
 def self_shares(runs: list[dict]) -> dict:
-    """Per *.self_s metric, the median over runs of its share of the run's
-    total self time, the sum of the modules' (the names with one dot)."""
+    """Per *.self_s metric, the median and quartiles over runs of its share
+    of the run's total self time, the sum of the modules' (the names with
+    one dot)."""
     shares = []
     for run in runs:
         names = [name for name in run if name.endswith(".self_s")]
         total = sum(run[name]["value"] for name in names if name.count(".") == 1)
         shares.append({name: run[name]["value"] / total for name in names})
-    return {name: statistics.median(share[name] for share in shares) for name in shares[0]}
+    return {name: spread([share[name] for share in shares]) for name in shares[0]}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -125,9 +128,9 @@ def main() -> int:
         for i in range(TRACED_RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"])
-        traced = {side: layer_medians(runs[side], ".self_s") for side in runs}
+        traced = {side: layer_spreads(runs[side], ".self_s") for side in runs}
         shares = {side: self_shares(runs[side]) for side in runs}
-        calls = {side: layer_medians(runs[side], ".calls") for side in runs}
+        calls = {side: layer_spreads(runs[side], ".calls") for side in runs}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,

@@ -9,11 +9,18 @@ cross-multiplication; otherwise p + q*sqrt(d) is compared to 0 by cases on
 the signs of p and q, falling back to comparing p^2 with d*q^2.  No
 floating point anywhere.  The Fraction views `a` and `b` are built on
 demand.
+
+Series arithmetic adds the same exponents again and again (a term of a
+kept power of a series, shifted by each term of a factor), so an exponent
+keeps a bounded memo of its sums with right operands, `_sums`, built on
+first use and emptied when it holds _SUMS values; like a field's interned
+scalars it takes no part in equality, hashing, repr, pickling or copying.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import FieldMismatch
@@ -22,6 +29,9 @@ from .poly import parse_scalar
 from .records import Frozen
 
 _FRACTION_ZERO = Fraction(0)
+
+# the most sums an exponent keeps (see _sums)
+_SUMS = 64
 
 
 def check_d(d) -> int:
@@ -52,7 +62,8 @@ class Exponent(Frozen):
     """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0; h
     is the hash of (p, q, n), computed once."""
 
-    __slots__ = ("p", "q", "n", "d", "h")
+    # __dict__ holds the cached memo of sums
+    __slots__ = ("p", "q", "n", "d", "h", "__dict__")
     _hidden = ("h",)
 
     def __init__(self, a, b=_FRACTION_ZERO, d: int | None = None):
@@ -94,11 +105,24 @@ class Exponent(Frozen):
         raise FieldMismatch(f"incompatible exponent groups sqrt({self.d}) vs sqrt({other.d})")
 
     # -- arithmetic ----------------------------------------------------------
+    @cached_property
+    def _sums(self) -> dict:
+        return {}
+
     def __add__(self, other: Exponent) -> Exponent:
+        sums = self._sums
+        s = sums.get(other)
+        if s is not None:
+            return s
         d, n1, n2 = self._join_d(other), self.n, other.n
         if n1 == n2:
-            return _make(self.p + other.p, self.q + other.q, n1, d)
-        return _make(self.p * n2 + other.p * n1, self.q * n2 + other.q * n1, n1 * n2, d)
+            s = _make(self.p + other.p, self.q + other.q, n1, d)
+        else:
+            s = _make(self.p * n2 + other.p * n1, self.q * n2 + other.q * n1, n1 * n2, d)
+        if len(sums) >= _SUMS:
+            sums.clear()
+        sums[other] = s
+        return s
 
     def __sub__(self, other: Exponent) -> Exponent:
         return self + (-other)
@@ -204,4 +228,6 @@ def exp(q, d: int | None = None) -> Exponent:
         return q
     if isinstance(q, tuple):
         return Exponent(Fraction(q[0]), Fraction(q[1]), d)
-    return Exponent(Fraction(q))
+    if isinstance(q, int):
+        return _make(q, 0, 1, None)
+    return _rational(q if isinstance(q, Fraction) else Fraction(q))

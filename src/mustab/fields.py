@@ -466,7 +466,8 @@ class Scalar(Frozen):
     def __str__(self):
         k = self.field.kind
         if k == "Q":
-            return str(self.as_fraction())
+            a, b = self.rep
+            return str(a) if b == 1 else f"{a}/{b}"
         if k == "Fp":
             return str(self.rep)
         if k == "QSqrt":

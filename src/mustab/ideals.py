@@ -493,6 +493,11 @@ def ideal_contains(I: Ideal, J: Ideal) -> bool:
 
 
 def ideal_equal(I: Ideal, J: Ideal) -> bool:
+    """Whether I and J are one ideal: two reduced bases under one order
+    are equal exactly when the ideals are, since each is unique and sorted
+    by leading monomial; otherwise containment both ways."""
+    if I.basis_order is not None and I.basis_order is J.basis_order and I.ring == J.ring:
+        return I.gens == J.gens
     return ideal_contains(I, J) and ideal_contains(J, I)
 
 

@@ -111,11 +111,14 @@ class PolyRing(Frozen):
         return self.from_scalar(self.field.one())
 
     def from_scalar(self, c: Scalar) -> Poly:
-        if c.field is not self.field and c.field != self.field:
-            raise FieldMismatch(f"{c.field} scalar in a ring over {self.field}")
+        self._check_scalar(c)
         if c.is_zero():
             return self.zero()
         return Poly(self, {(0,) * self.nvars: c})
+
+    def _check_scalar(self, c: Scalar):
+        if c.field is not self.field and c.field != self.field:
+            raise FieldMismatch(f"{c.field} scalar in a ring over {self.field}")
 
     def from_int(self, n: int) -> Poly:
         return self.from_scalar(self.field.from_int(n))
@@ -228,12 +231,16 @@ class Poly:
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
+        if other.__class__ is Scalar:
+            self.ring._check_scalar(other)
+            return self.scale(other)
         other = self._coerce(other)
         self._check(other)
         out: dict[Monomial, Scalar] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(map(add, m1, m2))
+                # over a field a product of nonzero scalars is nonzero
                 c = c1 * c2
                 if m in out:
                     s = out[m] + c
@@ -241,7 +248,7 @@ class Poly:
                         del out[m]
                     else:
                         out[m] = s
-                elif not c.is_zero():
+                else:
                     out[m] = c
         return Poly._trusted(self.ring, out)
 
@@ -299,13 +306,20 @@ class Poly:
         return eval_poly(self, values, target.from_scalar, target.zero())
 
     def rename(self, mapping: dict[str, str], target: PolyRing) -> Poly:
-        """Transport into `target` by renaming variables."""
+        """Transport into `target` by renaming variables; a variable that
+        target lacks may only have exponent 0."""
+        where = {v: i for i, v in enumerate(target.variables)}
+        names = [mapping.get(v, v) for v in self.ring.variables]
+        index = [where.get(name) for name in names]
         out = {}
         for m, c in self.terms.items():
             mono = [0] * target.nvars
             for i, e in enumerate(m):
                 if e:
-                    mono[target.variables.index(mapping.get(self.ring.variables[i], self.ring.variables[i]))] = e
+                    j = index[i]
+                    if j is None:
+                        raise ValueError(f"{names[i]!r} is not a variable of {target.variables}")
+                    mono[j] = e
             out[tuple(mono)] = c
         return Poly(target, out)
 

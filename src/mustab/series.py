@@ -24,17 +24,28 @@ ansatz and the tube certificate's eps, and `PuiseuxSeries.inv` is s^-1.
 
 A series' `dom` is its coefficient ring: a FieldSpec for Scalar
 coefficients, or a PolyRing for the polynomial coefficients of the
-stabilizer ansatz.  The ring gives `zero()`, `one()`, `from_fraction(q)`
-for the binomial coefficients and `char`; coefficients give `+`, `-`, `*`
-and `is_zero()`.  Only Scalar coefficients are inverted (`c.inv()`): the
-leading coefficient of s in `SeriesPowers.of`.
+stabilizer ansatz.  The ring gives `zero()`, `one()` and `char`, and its
+field (the ring itself, or a PolyRing's `field`) the binomial coefficients
+by `from_fraction(q)`; coefficients give `+`, `-`, `*` and `is_zero()`.
+Only Scalar coefficients are inverted (`c.inv()`): the leading
+coefficient of s in `SeriesPowers.of`.
+
+Scale, don't lift: a series over a PolyRing R takes a series over R's
+field as the right operand of `+` and `*`.  A product scales the
+R-coefficients by the scalars (`Poly.scale`), as do the substitution of a
+series over the field into powers over R and the binomial coefficients;
+only a sum lifts the scalar terms into R.  Over a field, and over a
+polynomial ring, a product of nonzero coefficients is nonzero, so a
+product with a one-term factor is a shift and a scaling, with nothing to
+collect or sort.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
+from itertools import product
+from operator import itemgetter, mul
 
 from .errors import (
     FieldMismatch,
@@ -47,7 +58,7 @@ from .errors import (
 )
 from .exponents import EXP_ZERO, Exponent, exp
 from .fields import FieldSpec, Scalar, pow_by_squaring
-from .poly import PolyRing, parse_scalar
+from .poly import Poly, PolyRing, parse_scalar
 
 DEFAULT_PRECISION = Exponent(Fraction(12))
 EXP_MINUS_ONE = Exponent(Fraction(-1))
@@ -55,6 +66,12 @@ EXP_MINUS_ONE = Exponent(Fraction(-1))
 
 _new = object.__new__
 _exponent_of = itemgetter(0)
+
+
+def _times(dom: FieldSpec | PolyRing, other: FieldSpec | PolyRing):
+    """(c1, c2) -> c1 * c2 for coefficients c1 over dom and c2 over other:
+    Poly.scale when other is the field of the PolyRing dom."""
+    return Poly.scale if dom.__class__ is PolyRing and other.__class__ is not PolyRing else mul
 
 
 def _min_prec(p: Exponent | None, q: Exponent | None) -> Exponent | None:
@@ -117,7 +134,11 @@ class PuiseuxSeries:
         return PuiseuxSeries(dom, ((EXP_ZERO, c),), None)
 
     def _check(self, other: PuiseuxSeries):
-        if self.dom is not other.dom and self.dom != other.dom:
+        """other's ring is self's, or the field of self's PolyRing."""
+        dom, odom = self.dom, other.dom
+        if dom is odom or dom.__class__ is PolyRing and dom.field is odom:
+            return
+        if dom != odom and not (dom.__class__ is PolyRing and dom.field == odom):
             raise FieldMismatch(f"series rings differ: {self.dom} vs {other.dom}")
 
     # -- inspection ------------------------------------------------------------
@@ -150,9 +171,13 @@ class PuiseuxSeries:
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: PuiseuxSeries) -> PuiseuxSeries:
-        self._check(other)
+        if other.dom is not self.dom:
+            self._check(other)
         prec = _min_prec(self.precision, other.precision)
         xs, ys = self.terms, other.terms
+        if self.dom.__class__ is PolyRing and other.dom.__class__ is not PolyRing:
+            lift = self.dom.from_scalar
+            ys = [(e, lift(c)) for e, c in ys]
         out = []
         i = j = 0
         while i < len(xs) and j < len(ys):
@@ -189,21 +214,33 @@ class PuiseuxSeries:
     def mul_below(self, other: PuiseuxSeries, bound: Exponent | None) -> PuiseuxSeries:
         """(self * other).truncate(bound), without forming the pairs of
         terms at or above bound (None: no bound)."""
-        self._check(other)
-        prec = _min_prec(
-            _min_prec(
-                _add_prec(self.precision, other.val_bound()),
-                _add_prec(other.precision, self.val_bound()),
-            ),
-            bound,
-        )
+        times = mul
+        if other.dom is not self.dom:
+            self._check(other)
+            times = _times(self.dom, other.dom)
+        xs, ys = self.terms, other.terms
+        # known below each precision plus the other factor's valuation bound
+        prec = bound
+        if self.precision is not None and (ys or other.precision is not None):
+            prec = _min_prec(self.precision + (ys[0][0] if ys else other.precision), prec)
+        if other.precision is not None and (xs or self.precision is not None):
+            prec = _min_prec(other.precision + (xs[0][0] if xs else self.precision), prec)
+        if len(xs) == 1 or len(ys) == 1:
+            # a shift and a scaling: ascending, and no product is zero
+            out = []
+            for (e1, c1), (e2, c2) in product(xs, ys):
+                e = e1 + e2
+                if prec is not None and not e < prec:
+                    break
+                out.append((e, times(c1, c2)))
+            return PuiseuxSeries._ordered(self.dom, tuple(out), prec)
         acc: dict = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        for e1, c1 in xs:
+            for e2, c2 in ys:
                 e = e1 + e2
                 if prec is not None and not e < prec:
                     break  # the exponents of other ascend: so do the rest
-                c = c1 * c2
+                c = times(c1, c2)
                 old = acc.get(e)
                 acc[e] = c if old is None else old + c
         return _collected(self.dom, acc, prec)
@@ -454,13 +491,20 @@ class SeriesPowers:
                 target = DEFAULT_PRECISION
             if reach is None and target is not None:
                 reach = target - v.scale(e0.as_fraction())
-        one = f.dom.one()
+        one, times = f.dom.one(), _times(self.dom, f.dom)
+        if len(f.terms) == 1:
+            # one power, scaled: no term to collect
+            (e, a), = f.terms
+            x = self.power(e, target, reach)
+            if a == one:
+                return x
+            return PuiseuxSeries._ordered(self.dom, tuple((te, times(c, a)) for te, c in x.terms), target)
         acc: dict = {}
         for e, a in f.terms:
             unit = a == one
             for te, x in self.power(e, target, reach).terms:
                 if not unit:
-                    x = x * a
+                    x = times(x, a)
                 old = acc.get(te)
                 acc[te] = x if old is None else old + x
         return _collected(self.dom, acc, target)
@@ -477,7 +521,9 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
     if local_prec is None and (gamma.denominator != 1 or gamma < 0):
         raise PrecisionInsufficient("infinite binomial expansion needs a precision target")
     dom = powers.w.dom
-    char = dom.char
+    # the binomial coefficients are scalars, which scale a PolyRing's terms
+    field = dom.field if dom.__class__ is PolyRing else dom
+    times, char = _times(dom, field), dom.char
     acc = dict(powers[0].truncate(local_prec).terms)
     known = local_prec
     bc = Fraction(1)
@@ -491,13 +537,13 @@ def _binomial_power(powers: PowerList, gamma: Fraction, local_prec: Exponent | N
             return _collected(dom, acc, local_prec).truncate(known)
         if char and bc.denominator % char == 0:
             raise WildRamification(f"denominator {bc.denominator} vanishes in characteristic {char}")
-        c = dom.from_fraction(bc)
+        c = field.from_fraction(bc)
         wk = powers[k]
         known = _min_prec(known, wk.precision)
         for e, x in wk.terms:
             if local_prec is not None and not e < local_prec:
                 break
-            x = x * c
+            x = times(x, c)
             old = acc.get(e)
             acc[e] = x if old is None else old + x
 

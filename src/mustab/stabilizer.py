@@ -33,7 +33,7 @@ from .errors import (
     WildRamification,
 )
 from .exponents import EXP_ONE, EXP_ZERO, exp
-from .groups import GroupElement, GroupScheme, with_det
+from .groups import GroupElement, GroupScheme, mat_adjugate, with_det
 from .ideals import Budgets, Ideal, eliminate, groebner_basis, krull_dim, reducer
 from .poly import Poly, PolyRing
 from .series import PuiseuxSeries, SeriesPowers
@@ -74,22 +74,19 @@ class Ansatz:
         self.low = min((f.terms[0][0] for f in branch.element.flat() if f.terms), default=EXP_ZERO)
         self.reach = reach = self.prec - self.low
         gammas = []
-        while exp(Fraction(len(gammas) + 1, self.r)) < reach:
-            gammas.append(Fraction(len(gammas) + 1, self.r))
+        while exp(gamma := Fraction(len(gammas) + 1, self.r)) < reach:
+            gammas.append(gamma)
         self.gammas = tuple(g for g in gammas if cap is None or g <= cap)
         self.cut = gammas[-1] if len(self.gammas) < len(gammas) else None
         self.kernel, self.relation = _kernel(branch.field, self.r, len(self.gammas))
         self.ring = self.kernel.dom
 
-    def lift_series(self, f: PuiseuxSeries) -> PuiseuxSeries:
-        terms = [(e, self.ring.from_scalar(c)) for e, c in f.terms]
-        return PuiseuxSeries(self.ring, terms, f.precision)
-
     def quotient(self) -> GroupElement:
         """a(s) * b(t)^-1 over the ansatz ring, each coordinate of a
-        substituted from the kernel's powers of s."""
+        substituted from the kernel's powers of s; b^-1 stays over the
+        field, its scalars scaling the ring's coefficients."""
         a_s = self.branch.element.map(lambda f: self.kernel.subst(f, self.prec, self.reach))
-        return a_s.mul(self.b_inv.map(self.lift_series))
+        return a_s.mul(self.b_inv)
 
 
 _KERNEL_ENTRIES = 512
@@ -275,11 +272,13 @@ def _truncation_candidates(branch: Branch, beaten: Callable[[int], bool] = lambd
     differ by their terms or their precision, so an exact cut is kept
     beside an inexact one with the same terms.  A cut whose term count
     `beaten` rejects, asked when the cut is reached, is neither validated
-    nor yielded."""
+    nor yielded, and neither is a cut of an entry `_pinned_entries` pins,
+    which would fail validation."""
     el = branch.element
     scheme = el.scheme
     r = scheme.root
     flat = el.entries_flat()
+    pinned = _pinned_entries(scheme, flat)
     seen = set()
 
     def key(entries):
@@ -296,7 +295,7 @@ def _truncation_candidates(branch: Branch, beaten: Callable[[int], bool] = lambd
             if k in seen:
                 continue
             seen.add(k)
-            if beaten(_term_count(new_flat)):
+            if pinned[idx] or beaten(_term_count(new_flat)):
                 continue
             cand = _try_candidate(scheme, new_flat, branch)
             if cand is not None:
@@ -313,6 +312,18 @@ def _truncation_candidates(branch: Branch, beaten: Callable[[int], bool] = lambd
             cand = _try_candidate(scheme, all_cut, branch)
             if cand is not None:
                 yield cand
+
+
+def _pinned_entries(scheme: GroupScheme, flat) -> list[bool]:
+    """Per entry, whether every cut of it leaves the group: on an exact
+    point of SL(n), det = 1 is linear in each entry x_ij, so dropping a
+    tail from x_ij leaves det = 1 - tail * C_ij, which is not 1 when the
+    cofactor C_ij is nonzero.  Nothing is pinned elsewhere."""
+    if scheme.root.kind != "SL" or any(s.precision is not None for s in flat):
+        return [False] * len(flat)
+    # the adjugate is the transposed matrix of cofactors
+    n, adj = scheme.root.n, mat_adjugate(scheme.shape(flat)[0])
+    return [not adj[j][i].is_zero() for i in range(n) for j in range(n)]
 
 
 def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None:

@@ -121,14 +121,16 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
     """One k-point of V(J), or None.
 
     Lex Groebner basis, then back-substitution from the last variable with
-    roots from the certified factorization fragment; unconstrained
-    variables take their default value (0, overridable per name).
+    the root of a linear univariate, else the roots from the certified
+    factorization fragment; unconstrained variables take their default
+    value (0, overridable per name).
     """
     ring = J.ring
     gb = groebner_basis(J, LEX).gens
     if any(g.is_constant() and not g.is_zero() for g in gb):
         return None
     defaults = defaults or {}
+    uses = [(g, g.variables_used()) for g in gb]
 
     def backsub(assign: dict[str, Scalar], remaining: list[str]):
         if not remaining:
@@ -137,10 +139,10 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
                     return None
             return assign
         var = remaining[-1]
+        known = {*assign, var}
         univars = []
-        for g in gb:
-            used = g.variables_used()
-            if var in used and used <= set(assign) | {var}:
+        for g, used in uses:
+            if var in used and used <= known:
                 sub = _partial_eval(g, assign)
                 if not sub.is_zero():
                     univars.append(sub)
@@ -149,8 +151,9 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
         if not univars:
             candidates = [defaults.get(var, ring.field.zero())]
         else:
+            u = univars[0]
             try:
-                roots = scalar_roots(univars[0])
+                roots = [_linear_root(u)] if u.total_degree() == 1 else scalar_roots(u)
             except (MustabError, ValueError):
                 return None
             candidates = [
@@ -166,13 +169,29 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
     return backsub({}, list(ring.variables))
 
 
+def _linear_root(u: Poly) -> Scalar:
+    """The root -c0/c1 of u = c1*x + c0, univariate of degree 1."""
+    c1 = next(c for m, c in u.terms.items() if any(m))
+    return -u.constant_coefficient() * c1.inv()
+
+
 def _partial_eval(g: Poly, assign: dict[str, Scalar]) -> Poly:
-    """Evaluate the assigned variables, keep the rest symbolic."""
-    ring = g.ring
-    values = {}
-    for v in ring.variables:
-        values[v] = ring.from_scalar(assign[v]) if v in assign else ring.var(v)
-    return g.subs_polys(values, ring)
+    """Evaluate the assigned variables, keep the rest symbolic: each term's
+    scalar times its assigned powers, on the monomial of the rest."""
+    values = [assign.get(v) for v in g.ring.variables]
+    out: dict = {}
+    for m, c in g.terms.items():
+        kept = []
+        for x, e in zip(values, m):
+            if x is None:
+                kept.append(e)
+            else:
+                kept.append(0)
+                if e:
+                    c = c * x if e == 1 else c * x**e
+        mono = tuple(kept)
+        out[mono] = out[mono] + c if mono in out else c
+    return Poly(g.ring, out)
 
 
 # -- verification -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact total order on Q + Q*sqrt(d) exponents."""
 
+import copy
 import math
 import os
 import pickle
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import mustab
 from mustab.errors import FieldMismatch
-from mustab.exponents import EXP_ZERO, Exponent, _rational, exp
+from mustab.exponents import _SUMS, EXP_ZERO, Exponent, _rational, exp
 
 
 def test_basic_order():
@@ -246,3 +247,39 @@ def test_exponent_hashes_repeat_across_interpreters():
         for _ in range(2)
     ]
     assert outs[0] == outs[1] and outs[0].startswith("[")
+
+
+# -- the memo of sums --------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(exponents, st.lists(exponents, min_size=1, max_size=12))
+def test_a_warm_memo_keeps_the_exponent_a_value(x, others):
+    """Sums read from an exponent's memo equal the sums of a fresh copy,
+    and the memo takes no part in equality, hashing, repr, pickling or
+    copying: a copy of a warm exponent is a cold one."""
+    fresh = Exponent(x.a, x.b, x.d)
+    for y in others + others:
+        assert x + y == Exponent(x.a, x.b, x.d) + y
+        assert x + y is x + y  # the second sum is read from the memo
+    assert x._sums and "_sums" not in vars(fresh)
+    assert x == fresh and hash(x) == hash(fresh) and repr(x) == repr(fresh) and str(x) == str(fresh)
+    assert pickle.dumps(x) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert twin == x and hash(twin) == hash(x) and repr(twin) == repr(x)
+        assert "_sums" not in vars(twin)
+    assert copy.deepcopy([x, x]) == [fresh, fresh]
+
+
+def test_the_memo_of_sums_stays_within_its_cap():
+    """Past _SUMS distinct right operands the memo starts again; every sum
+    stays exact, and a sum that raises is not kept."""
+    x = exp("1/3")
+    for k in range(3 * _SUMS):
+        y = exp(Fraction(k, 7))
+        assert x + y == Exponent(Fraction(1, 3) + Fraction(k, 7))
+        assert 1 <= len(x._sums) <= _SUMS
+    root2, root3 = Exponent(0, 1, 2), Exponent(0, 1, 3)
+    root2 + EXP_ZERO
+    with pytest.raises(FieldMismatch):
+        root2 + root3
+    assert root3 not in root2._sums

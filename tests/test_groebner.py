@@ -12,7 +12,7 @@ from operator import add, le, mul
 
 import pytest
 
-from mustab.errors import BudgetExceeded, EmptyVariety
+from mustab.errors import BudgetExceeded, EmptyVariety, FieldMismatch
 from mustab.fields import QQ, FieldSpec
 from mustab.ideals import (
     Ideal,
@@ -515,6 +515,30 @@ def test_arithmetic_results_store_no_zero_coefficient(field):
         assert r == rebuilt and hash(r) == hash(rebuilt)
     assert (x - x).is_zero() and (a - a).is_zero()
     assert set(prod.terms) == {(2, 0), (0, 2)}
+
+
+@pytest.mark.parametrize("field", [F5, QS2, QQ], ids=["F5", "QS2", "Q"])
+def test_a_scalar_factor_scales_the_polynomial(field):
+    """p * c for a scalar c is p.scale(c), the product with c lifted to a
+    constant, zero included; a scalar of another field is refused as
+    from_scalar refuses it."""
+    ring = PolyRing(field, ("x", "y"))
+    p = ring.parse("x^2 + 3*x*y - 2")
+    for c in (field.from_int(3), field.zero(), field.one(), -field.one()):
+        assert p * c == p * ring.from_scalar(c) == p.scale(c)
+        assert not any(v.is_zero() for v in (p * c).terms.values())
+    with pytest.raises(FieldMismatch):
+        p * FieldSpec("Fp", p=7).one()
+
+
+def test_rename_moves_each_variable_and_refuses_only_a_used_missing_one():
+    ring = PolyRing(QQ, ("x", "y", "z"))
+    p = ring.parse("x^2*z + 3*y - 1")
+    target = PolyRing(QQ, ("b", "a", "w", "z2"))
+    assert p.rename({"x": "a", "y": "b", "z": "z2"}, target) == target.parse("a^2*z2 + 3*b - 1")
+    assert ring.parse("x*z + 1").restrict(PolyRing(QQ, ("z", "x"))) == PolyRing(QQ, ("z", "x")).parse("x*z + 1")
+    with pytest.raises(ValueError):
+        p.restrict(PolyRing(QQ, ("x", "z")))
 
 
 @st.composite

@@ -26,7 +26,7 @@ from mustab.series import (
     ser_subst,
     series_to_json,
 )
-from tests_helpers import agrees
+from tests_helpers import agrees, lift_series
 
 QS2 = FieldSpec("QSqrt", d=2)
 F5 = FieldSpec("Fp", p=5)
@@ -797,3 +797,88 @@ def test_an_irrational_precision_scales_by_a_rational_lower_bound():
     out = ser_subst(f, s)
     assert out.precision == exp(2)
     assert str(out) == "t^(-2) - t^(-1) + 1 - t + O(t^(2))"
+
+
+# -- scale, don't lift: products with a one-term factor and with scalars -----
+
+MIXED_FIELDS = [QQ, F5, F9]
+
+
+def _nonzero_scalar(draw, field):
+    if field.order:
+        return field.element(draw(st.integers(1, field.order - 1)))
+    return field.from_int(draw(st.sampled_from([-3, -2, -1, 1, 2, 5])))
+
+
+def _coefficient(draw, dom):
+    c = _nonzero_scalar(draw, dom if isinstance(dom, FieldSpec) else dom.field)
+    if isinstance(dom, FieldSpec):
+        return c
+    a, b = dom.var("a"), dom.var("b")
+    return draw(st.sampled_from([dom.one(), a, b, a * b - dom.from_int(2), a * a + b])).scale(c)
+
+
+@st.composite
+def _series_over(draw, dom, terms=(0, 4)):
+    """A series over dom with up to terms[1] terms from EXPONENT_POOL, exact
+    or truncated."""
+    exps = draw(st.lists(st.sampled_from(EXPONENT_POOL), min_size=terms[0], max_size=terms[1], unique=True))
+    prec = draw(st.none() | st.sampled_from(EXPONENT_POOL))
+    return PuiseuxSeries(dom, [(e, _coefficient(draw, dom)) for e in exps], prec)
+
+
+def _reference_mul_below(f, g, bound):
+    """The product known below bound as the general loop forms it: every
+    pair of terms below the precision summed in one dict, then the checking
+    constructor drops zeros and sorts."""
+    prec = bound
+    for p, other in ((f.precision, g), (g.precision, f)):
+        v = other.val_bound()
+        if p is not None and v is not None and (prec is None or p + v < prec):
+            prec = p + v
+    acc = {}
+    for e1, c1 in f.terms:
+        for e2, c2 in g.terms:
+            e = e1 + e2
+            if prec is None or e < prec:
+                acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return PuiseuxSeries(f.dom, list(acc.items()), prec)
+
+
+def _as_data(s):
+    return s.dom, s.terms, s.precision
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_ring_series_times_a_scalar_series_is_the_lifted_product(data):
+    """A series over R = k[a, b] times a series over k, bounded or not,
+    equals the product with the scalar series lifted to constants of R, in
+    terms and precision, and so does the sum; the scalar factor must be
+    the right one."""
+    field = data.draw(st.sampled_from(MIXED_FIELDS))
+    ring = PolyRing(field, ("a", "b"))
+    f, g = data.draw(_series_over(ring)), data.draw(_series_over(field))
+    bound = data.draw(st.none() | st.sampled_from(EXPONENT_POOL))
+    lifted = lift_series(ring, g)
+    assert _as_data(f.mul_below(g, bound)) == _as_data(_reference_mul_below(f, lifted, bound))
+    assert _as_data(f * g) == _as_data(f * lifted)
+    assert _as_data(f + g) == _as_data(f + lifted)
+    assert _as_data(f - g) == _as_data(f - lifted)
+    with pytest.raises(FieldMismatch):
+        g * f
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_product_with_a_one_term_factor_is_the_general_loop(data):
+    """With one factor of a single term, on either side, the shift and
+    scaling gives the terms and the precision of the general loop, over a
+    field and over a polynomial ring, with and without a bound."""
+    field = data.draw(st.sampled_from(MIXED_FIELDS))
+    dom = data.draw(st.sampled_from([field, PolyRing(field, ("a", "b"))]))
+    one_term = data.draw(_series_over(dom, terms=(1, 1)))
+    other = data.draw(_series_over(dom))
+    bound = data.draw(st.none() | st.sampled_from(EXPONENT_POOL))
+    for f, g in ((one_term, other), (other, one_term)):
+        assert _as_data(f.mul_below(g, bound)) == _as_data(_reference_mul_below(f, g, bound))

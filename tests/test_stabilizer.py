@@ -20,6 +20,7 @@ from mustab.errors import (
     WildRamification,
 )
 from mustab.exponents import Exponent, exp
+from mustab.factor import scalar_roots
 from mustab.fields import QQ, FieldSpec
 from mustab.groups import GroupScheme, KPoint
 from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, ideal_equal, krull_dim, spoly_budget
@@ -39,7 +40,7 @@ from mustab.subgroups import (
     is_solvable,
     verify_subgroup,
 )
-from tests_helpers import direct_quotient, ideal_intersect, is_identity, reference_inv, reference_ser_subst, param_kpoints, random_laurent_point, shear_product
+from tests_helpers import direct_quotient, ideal_intersect, is_identity, lift_series, reference_inv, reference_ser_subst, param_kpoints, random_laurent_point, shear_product
 
 F5 = FieldSpec("Fp", p=5)
 F9 = FieldSpec("Fq", p=3, modulus=(1, 0, 1))
@@ -92,7 +93,7 @@ def test_ansatz_power_list_covers_every_coordinate(make):
     ansatz = stabilizer.Ansatz(branch, branch.element)
     prec = ansatz.prec
     for v in branch.element.flat():
-        f = ansatz.lift_series(v)
+        f = lift_series(ansatz.ring, v)
         fresh = PowerList(ansatz.kernel.w, prec - f.terms[0][0] if f.terms else None)
         want = reference_ser_subst(f, None, prec=prec, lead_root=ansatz.kernel.lead_root, parts=(exp(1), fresh))
         got = ansatz.kernel.subst(v, prec, ansatz.reach)
@@ -113,7 +114,7 @@ def _reference_quotient(ansatz, b):
     leads = [s.terms[0][0] for s in a.element.entries_flat() if s.terms]
     pole = max([Fraction(0)] + [-e.as_fraction() for e in leads if e.sign() < 0 and e.is_rational()])
     prec = exp(pole * a.scheme.root.n + 2)
-    return a.element.map(lambda f: ansatz.kernel.subst(f, prec, prec - ansatz.low)).mul(b.inv().map(ansatz.lift_series))
+    return a.element.map(lambda f: ansatz.kernel.subst(f, prec, prec - ansatz.low)).mul(b.inv().map(lambda f: lift_series(ansatz.ring, f)))
 
 
 def _conditions(quotient):
@@ -532,6 +533,34 @@ def test_truncation_candidates_keep_an_exact_cut_with_the_terms_of_an_inexact_on
     polar = PuiseuxSeries(F3, a.terms[:2], None)
     assert (polar, b) in cuts
     assert (polar, PuiseuxSeries(F3, b.terms, None)) in cuts
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_pinned_cuts_of_an_exact_sl_branch_are_the_ones_validation_rejects(n, monkeypatch):
+    """On an exact SL(n) branch, dropping a tail from an entry whose
+    cofactor is nonzero leaves det = 1 - tail * cofactor, not 1: skipping
+    those cuts yields the candidates of the unpinned enumeration while
+    validating fewer cuts.  An inexact branch pins nothing."""
+    rng = random.Random(f"pinned cuts of SL({n})")
+    scheme = GroupScheme("SL", n, QQ)
+    tried = []
+    original = stabilizer._try_candidate
+    monkeypatch.setattr(stabilizer, "_try_candidate", lambda *args: tried.append(args) or original(*args))
+    fewer = 0
+    for k in range(16):
+        branch = shear_product(scheme, rng, most=4) if k % 2 else validate_branch(scheme, random_laurent_point(scheme, rng).entries)
+        got = [(c.element, c.ramification, c.notes) for c in stabilizer._truncation_candidates(branch)]
+        pinned_tries = len(tried)
+        tried.clear()
+        with monkeypatch.context() as m:
+            m.setattr(stabilizer, "_pinned_entries", lambda scheme, flat: [False] * len(flat))
+            want = [(c.element, c.ramification, c.notes) for c in stabilizer._truncation_candidates(branch)]
+        assert got == want
+        fewer += pinned_tries < len(tried)
+        tried.clear()
+    assert fewer
+    inexact = [s.truncate(exp(5)) for s in branch.element.entries_flat()]
+    assert stabilizer._pinned_entries(scheme, inexact) == [False] * n * n
 
 
 def _truncated_tail_branch():
@@ -1044,6 +1073,39 @@ def test_solve_point_lets_unexpected_errors_through(monkeypatch):
     monkeypatch.setattr(subgroups, "scalar_roots", raising(TypeError))
     with pytest.raises(TypeError):
         subgroups.solve_point(J)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_root_of_a_linear_univariate_is_its_factored_root(data):
+    """solve_point reads the root of c1*x + c0 as -c0/c1: the one root
+    scalar_roots finds by factoring, over Q, F_5 and F_9."""
+    field = data.draw(st.sampled_from([QQ, F5, F9]))
+    ring = PolyRing(field, ("c1", "c2"))
+
+    def scalar(low):
+        if field.order:
+            return field.element(data.draw(st.integers(low, field.order - 1)))
+        return field.from_fraction(Fraction(data.draw(st.integers(low, 9)) * data.draw(st.sampled_from([1, -1])), data.draw(st.integers(1, 6))))
+
+    u = ring.var(data.draw(st.sampled_from(ring.variables))).scale(scalar(1)) + ring.from_scalar(scalar(0))
+    assert [subgroups._linear_root(u)] == scalar_roots(u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_partial_evaluation_is_the_substitution_of_the_assigned_values(data):
+    """_partial_eval, term by term, equals substituting the assigned
+    scalars as constants and every other variable for itself."""
+    field = data.draw(st.sampled_from([QQ, F5, F9]))
+    ring = PolyRing(field, ("c1", "c2", "c3"))
+    monos = st.tuples(*[st.integers(0, 3)] * 3)
+    terms = data.draw(st.dictionaries(monos, st.integers(1, 4), max_size=5))
+    g = Poly(ring, {m: field.from_int(c) for m, c in terms.items()})
+    names = data.draw(st.sets(st.sampled_from(ring.variables)))
+    assign = {v: field.element(data.draw(st.integers(0, field.order - 1))) if field.order else field.from_int(data.draw(st.integers(-3, 3))) for v in names}
+    values = {v: ring.from_scalar(assign[v]) if v in assign else ring.var(v) for v in ring.variables}
+    assert subgroups._partial_eval(g, assign) == g.subs_polys(values, ring)
 
 
 def test_not_solvable_full_sl2():

@@ -11,6 +11,7 @@ runs Buchberger itself, so the mark is always read.
 import ast
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,7 @@ from mustab.ideals import (
     groebner_basis,
     ideal,
     ideal_contains,
+    ideal_equal,
     ideal_member,
     krull_dim,
 )
@@ -92,6 +94,34 @@ def test_marked_ideals_are_their_reduced_basis(field):
                 J = Ideal(M.ring, (f,) + M.gens[:1])
                 assert ideal_contains(M, J) == ideal_contains(plain, J)
                 assert ideal_contains(J, M) == ideal_contains(J, plain)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["Q", "F5", "F9"])
+def test_two_bases_under_one_order_are_equal_exactly_when_their_ideals_are(field, monkeypatch):
+    """ideal_equal compares the generators of two ideals marked with the
+    same order object, and answers as containment both ways does: over
+    shuffled and redundant generators, a smaller ideal, eliminations and
+    the unit ideal."""
+    rng = random.Random(f"ideal equality over {field}")
+    contained = []
+    real = ideals.ideal_contains
+    monkeypatch.setattr(ideals, "ideal_contains", lambda I, J: contained.append(1) or real(I, J))
+    for _ in range(5):
+        ring = PolyRing(field, ("a", "b", "c"))
+        gens = [_random_poly(rng, ring) for _ in range(rng.randrange(2, 4))]
+        shuffled = rng.sample(gens, len(gens)) + [gens[0] * gens[-1] + gens[-1]]
+        plain = [Ideal(ring, tuple(g)) for g in (gens, shuffled, gens[:-1], [ring.one()], [gens[0], ring.from_int(2)])]
+        for order in (GREVLEX, LEX):
+            marked = [groebner_basis(I, order) for I in plain]
+            for (A, P), (B, Q) in combinations(list(zip(marked, plain)), 2):
+                want = real(P, Q) and real(Q, P)
+                contained.clear()
+                assert ideal_equal(A, B) == want
+                assert not contained
+                assert ideal_equal(P, Q) == want and ideal_equal(A, Q) == want
+        cut = [eliminate(I, ("a",)) for I in plain]
+        for A, B in combinations(cut, 2):
+            assert ideal_equal(A, B) == (real(Ideal(A.ring, A.gens), B) and real(Ideal(B.ring, B.gens), A))
 
 
 def test_a_marked_basis_is_computed_once(monkeypatch):

@@ -140,6 +140,11 @@ def reference_tokens(text: str) -> list[str]:
     return toks
 
 
+def lift_series(ring: PolyRing, f: PuiseuxSeries) -> PuiseuxSeries:
+    """f with each scalar coefficient lifted to a constant of ring."""
+    return PuiseuxSeries(ring, [(e, ring.from_scalar(c)) for e, c in f.terms], f.precision)
+
+
 def direct_quotient(ansatz) -> GroupElement:
     """a(s) * b^-1 with each entry of a substituted by reference_ser_subst
     over one fresh list of the tail's powers: the per-entry path that the
@@ -148,9 +153,9 @@ def direct_quotient(ansatz) -> GroupElement:
     powers = PowerList(s.w, ansatz.prec - ansatz.low)
 
     def subst(f):
-        return reference_ser_subst(ansatz.lift_series(f), None, prec=ansatz.prec, lead_root=s.lead_root, parts=(exp(1), powers))
+        return reference_ser_subst(lift_series(ansatz.ring, f), None, prec=ansatz.prec, lead_root=s.lead_root, parts=(exp(1), powers))
 
-    return ansatz.branch.element.map(subst).mul(ansatz.b_inv.map(ansatz.lift_series))
+    return ansatz.branch.element.map(subst).mul(ansatz.b_inv.map(lambda f: lift_series(ansatz.ring, f)))
 
 
 def uni_divmod(f, g):
