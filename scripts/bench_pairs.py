@@ -21,10 +21,12 @@ the parent's quartile spread (q3 - q1). After the pairs, each side runs
 every workload TRACED_RUNS more times with seed 1 and --trace 1,
 alternating which side runs first, and the file keeps the self times
 (`*.self_s`), the share of each self time in its run's total self time
-(the sum over the modules), which cancels the host's speed, and the call
-counts (`*.calls`) of those runs, each as its median and quartiles over
-the runs, to show in which layer a change in the end-to-end numbers sits
-and whether its direction stands out of the runs' spread.
+(the sum over the modules), which cancels the host's speed, and the
+counts (the per-layer metrics of unit "count" in BENCHMARK.json: calls,
+operation counts and exit counts) of those runs, each as its median and
+quartiles over the runs, to show in which layer a change in the
+end-to-end numbers sits and whether its direction stands out of the runs'
+spread.
 """
 
 import argparse
@@ -64,11 +66,10 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def layer_spreads(runs: list[dict], suffix: str) -> dict:
-    """Per metric named *suffix, the median and quartiles of its values
-    over runs."""
-    names = [name for name in runs[0] if name.endswith(suffix)]
-    return {name: spread([run[name]["value"] for run in runs]) for name in names}
+def layer_spreads(runs: list[dict], names: list[str]) -> dict:
+    """Per metric of names that the runs report, the median and quartiles
+    of its values over runs."""
+    return {name: spread([run[name]["value"] for run in runs]) for name in names if name in runs[0]}
 
 
 def self_shares(runs: list[dict]) -> dict:
@@ -112,6 +113,7 @@ def main() -> int:
     args = ap.parse_args()
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
+    counted = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     result = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
@@ -128,14 +130,15 @@ def main() -> int:
         for i in range(TRACED_RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"])
-        traced = {side: layer_spreads(runs[side], ".self_s") for side in runs}
+        timed = [name for name in runs["parent"][0] if name.endswith(".self_s")]
+        traced = {side: layer_spreads(runs[side], timed) for side in runs}
         shares = {side: self_shares(runs[side]) for side in runs}
-        calls = {side: layer_spreads(runs[side], ".calls") for side in runs}
+        counts = {side: layer_spreads(runs[side], counted) for side in runs}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,
             "traced_self_share_seed_1": shares,
-            "traced_calls_seed_1": calls,
+            "traced_counts_seed_1": counts,
             "pairs": pairs,
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")
