@@ -251,8 +251,8 @@ def test_exponent_hashes_repeat_across_interpreters():
 
 # -- the memo of sums --------------------------------------------------------
 
-@settings(max_examples=60, deadline=None)
-@given(exponents, st.lists(exponents, min_size=1, max_size=12))
+@settings(max_examples=40, deadline=None)
+@given(exponents, st.lists(exponents, min_size=1, max_size=8))
 def test_a_warm_memo_keeps_the_exponent_a_value(x, others):
     """Sums read from an exponent's memo equal the sums of a fresh copy,
     and the memo takes no part in equality, hashing, repr, pickling or

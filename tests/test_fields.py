@@ -628,7 +628,7 @@ def test_one_pattern_scans_as_the_character_scanner(text):
     assert _Tokens(text).toks == want
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.fractions(max_denominator=10**6))
 def test_a_rational_scalar_prints_as_its_fraction(q):
     assert str(QQ.from_fraction(q)) == str(q)

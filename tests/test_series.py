@@ -849,7 +849,7 @@ def _as_data(s):
     return s.dom, s.terms, s.precision
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_ring_series_times_a_scalar_series_is_the_lifted_product(data):
     """A series over R = k[a, b] times a series over k, bounded or not,
@@ -869,7 +869,7 @@ def test_a_ring_series_times_a_scalar_series_is_the_lifted_product(data):
         g * f
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_a_product_with_a_one_term_factor_is_the_general_loop(data):
     """With one factor of a single term, on either side, the shift and
