@@ -19,14 +19,11 @@ pairs the change won and `claim_met`: whether the change won at least
 CLAIM_WINS pairs and its median is better than the parent's by more than
 the parent's quartile spread (q3 - q1). After the pairs, each side runs
 every workload TRACED_RUNS more times with seed 1 and --trace 1,
-alternating which side runs first, and the file keeps the self times
-(`*.self_s`), the share of each self time in its run's total self time
-(the sum over the modules), which cancels the host's speed, and the
-counts (the per-layer metrics of unit "count" in BENCHMARK.json: calls,
-operation counts and exit counts) of those runs, each as its median and
-quartiles over the runs, to show in which layer a change in the
-end-to-end numbers sits and whether its direction stands out of the runs'
-spread.
+alternating which side runs first, and the file keeps the median self
+times (`*.self_s`), the median share of each self time in its run's total
+self time (the sum over the modules), which cancels the host's speed, and
+the median call counts (`*.calls`) of those runs, to show in which layer a
+change in the end-to-end numbers sits.
 """
 
 import argparse
@@ -66,22 +63,21 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def layer_spreads(runs: list[dict], names: list[str]) -> dict:
-    """Per metric of names that the runs report, the median and quartiles
-    of its values over runs."""
-    return {name: spread([run[name]["value"] for run in runs]) for name in names if name in runs[0]}
+def layer_medians(runs: list[dict], suffix: str) -> dict:
+    """Per metric named *suffix, the median of its values over runs."""
+    names = [name for name in runs[0] if name.endswith(suffix)]
+    return {name: statistics.median(run[name]["value"] for run in runs) for name in names}
 
 
 def self_shares(runs: list[dict]) -> dict:
-    """Per *.self_s metric, the median and quartiles over runs of its share
-    of the run's total self time, the sum of the modules' (the names with
-    one dot)."""
+    """Per *.self_s metric, the median over runs of its share of the run's
+    total self time, the sum of the modules' (the names with one dot)."""
     shares = []
     for run in runs:
         names = [name for name in run if name.endswith(".self_s")]
         total = sum(run[name]["value"] for name in names if name.count(".") == 1)
         shares.append({name: run[name]["value"] / total for name in names})
-    return {name: spread([share[name] for share in shares]) for name in shares[0]}
+    return {name: statistics.median(share[name] for share in shares) for name in shares[0]}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
@@ -113,7 +109,6 @@ def main() -> int:
     args = ap.parse_args()
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
-    counted = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     result = {"seconds": seconds, "pairs": PAIRS, "workloads": {}}
     for workload in (w["name"] for w in bench["workloads"]):
         pairs = []
@@ -130,15 +125,14 @@ def main() -> int:
         for i in range(TRACED_RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(run_once(getattr(args, side), workload, 1, seconds, trace=1)[0]["metrics"])
-        timed = [name for name in runs["parent"][0] if name.endswith(".self_s")]
-        traced = {side: layer_spreads(runs[side], timed) for side in runs}
+        traced = {side: layer_medians(runs[side], ".self_s") for side in runs}
         shares = {side: self_shares(runs[side]) for side in runs}
-        counts = {side: layer_spreads(runs[side], counted) for side in runs}
+        calls = {side: layer_medians(runs[side], ".calls") for side in runs}
         result["workloads"][workload] = {
             "summary": summarize(pairs, bench["end_to_end"]),
             "traced_self_s_seed_1": traced,
             "traced_self_share_seed_1": shares,
-            "traced_counts_seed_1": counts,
+            "traced_calls_seed_1": calls,
             "pairs": pairs,
         }
     args.out.write_text(json.dumps(result, indent=1) + "\n")

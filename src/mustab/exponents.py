@@ -10,17 +10,15 @@ the signs of p and q, falling back to comparing p^2 with d*q^2.  No
 floating point anywhere.  The Fraction views `a` and `b` are built on
 demand.
 
-Series arithmetic adds the same exponents again and again (a term of a
-kept power of a series, shifted by each term of a factor), so an exponent
-keeps a bounded memo of its sums with right operands, `_sums`, built on
-first use and emptied when it holds _SUMS values; like a field's interned
-scalars it takes no part in equality, hashing, repr, pickling or copying.
+Series arithmetic adds the same few exponents again and again (a term of
+a kept power of a series, shifted by each term of a factor), so `+` reads
+its sums from one module-wide memo, `_sums`, keyed (left, right) and
+emptied when it holds _SUMS of them, which bounds what it keeps alive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import FieldMismatch
@@ -30,8 +28,9 @@ from .records import Frozen
 
 _FRACTION_ZERO = Fraction(0)
 
-# the most sums an exponent keeps (see _sums)
-_SUMS = 64
+# the sums made so far, keyed (left, right), emptied when it holds _SUMS
+_sums: dict = {}
+_SUMS = 1024
 
 
 def check_d(d) -> int:
@@ -62,8 +61,7 @@ class Exponent(Frozen):
     """(p + q*sqrt(d))/n in lowest terms; d is None exactly when q == 0; h
     is the hash of (p, q, n), computed once."""
 
-    # __dict__ holds the cached memo of sums
-    __slots__ = ("p", "q", "n", "d", "h", "__dict__")
+    __slots__ = ("p", "q", "n", "d", "h")
     _hidden = ("h",)
 
     def __init__(self, a, b=_FRACTION_ZERO, d: int | None = None):
@@ -105,13 +103,9 @@ class Exponent(Frozen):
         raise FieldMismatch(f"incompatible exponent groups sqrt({self.d}) vs sqrt({other.d})")
 
     # -- arithmetic ----------------------------------------------------------
-    @cached_property
-    def _sums(self) -> dict:
-        return {}
-
     def __add__(self, other: Exponent) -> Exponent:
-        sums = self._sums
-        s = sums.get(other)
+        key = (self, other)
+        s = _sums.get(key)
         if s is not None:
             return s
         d, n1, n2 = self._join_d(other), self.n, other.n
@@ -119,9 +113,9 @@ class Exponent(Frozen):
             s = _make(self.p + other.p, self.q + other.q, n1, d)
         else:
             s = _make(self.p * n2 + other.p * n1, self.q * n2 + other.q * n1, n1 * n2, d)
-        if len(sums) >= _SUMS:
-            sums.clear()
-        sums[other] = s
+        if len(_sums) >= _SUMS:
+            _sums.clear()
+        _sums[key] = s
         return s
 
     def __sub__(self, other: Exponent) -> Exponent:

@@ -176,22 +176,12 @@ def _linear_root(u: Poly) -> Scalar:
 
 
 def _partial_eval(g: Poly, assign: dict[str, Scalar]) -> Poly:
-    """Evaluate the assigned variables, keep the rest symbolic: each term's
-    scalar times its assigned powers, on the monomial of the rest."""
-    values = [assign.get(v) for v in g.ring.variables]
-    out: dict = {}
-    for m, c in g.terms.items():
-        kept = []
-        for x, e in zip(values, m):
-            if x is None:
-                kept.append(e)
-            else:
-                kept.append(0)
-                if e:
-                    c = c * x if e == 1 else c * x**e
-        mono = tuple(kept)
-        out[mono] = out[mono] + c if mono in out else c
-    return Poly(g.ring, out)
+    """Evaluate the assigned variables, keep the rest symbolic."""
+    ring = g.ring
+    values = {}
+    for v in ring.variables:
+        values[v] = ring.from_scalar(assign[v]) if v in assign else ring.var(v)
+    return g.subs_polys(values, ring)
 
 
 # -- verification -------------------------------------------------------------

@@ -1092,22 +1092,6 @@ def test_the_root_of_a_linear_univariate_is_its_factored_root(data):
     assert [subgroups._linear_root(u)] == scalar_roots(u)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_partial_evaluation_is_the_substitution_of_the_assigned_values(data):
-    """_partial_eval, term by term, equals substituting the assigned
-    scalars as constants and every other variable for itself."""
-    field = data.draw(st.sampled_from([QQ, F5, F9]))
-    ring = PolyRing(field, ("c1", "c2", "c3"))
-    monos = st.tuples(*[st.integers(0, 3)] * 3)
-    terms = data.draw(st.dictionaries(monos, st.integers(1, 4), max_size=5))
-    g = Poly(ring, {m: field.from_int(c) for m, c in terms.items()})
-    names = data.draw(st.sets(st.sampled_from(ring.variables)))
-    assign = {v: field.element(data.draw(st.integers(0, field.order - 1))) if field.order else field.from_int(data.draw(st.integers(-3, 3))) for v in names}
-    values = {v: ring.from_scalar(assign[v]) if v in assign else ring.var(v) for v in ring.variables}
-    assert subgroups._partial_eval(g, assign) == g.subs_polys(values, ring)
-
-
 def test_not_solvable_full_sl2():
     ring = SL2.coordinate_ring()
     full = SubgroupDesc(SL2, ideal(ring, "x11*x22 - x12*x21 - 1"), 3)
