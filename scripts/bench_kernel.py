@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the import, Groebner basis runs, linear bases, a long division, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability, an Iwasawa frame and scalar products alone on fixed inputs.
+"""Time the import, Groebner basis runs, linear bases, a long division, closures, the powers of a series (the ansatz quotient among them), a tube certificate, places, solvability, an Iwasawa frame, the conjugation check and scalar products alone on fixed inputs.
 
 Usage:
     python scripts/bench_kernel.py [--runs N]
@@ -140,6 +140,14 @@ The Iwasawa frame: `iwasawa(a)[0].res()`, the frame `stab`'s solvability
 check reads, for the unipotent SL(6, Q) branch a with 1 on the diagonal,
 t^-1 below it and 0 above; each run parses its own branch.
 
+The conjugation check: `jobs._conjugation_check` on the run that
+`compute_stabilizer` returns for the x1 corpus fixture
+[[t^-1, 1], [0, t]] under its job's algorithm and budgets, with the
+job's S-polynomial cap in force, as `run_job` calls it: Stab(g . a) for
+the reduced branch a at two random points g, against g Stab(a) g^-1.  It
+runs cold, with the ansatz kernels and `verify_subgroup`'s memo emptied
+before each run, and warm.
+
 The scalar products: SCALAR_MULS products `a * b` of `Scalar`s drawn
 once from a seeded generator, for each of three operand kinds: Q
 integers in [-64, 64] (most of the Q values the workloads build), Q
@@ -152,7 +160,8 @@ and runs, per flat closure
 the S-polynomials one run forms, for the division kernel the basis size and the S-polynomials
 reduced, per power kernel its stats, for the ansatz quotient its parameter
 count and cold and warm stats, for the tube certificate the s it returns or null and cold and warm
-stats, for the solvability check the answer, for the dimension the
+stats, for the solvability check the answer, for the conjugation check its
+answer and cold and warm stats, for the dimension the
 answer, for the Iwasawa frame whether it is the identity, per curve the
 precision, the number of places and the number of expansions that reach
 `_dedup_branches`, or the error a run ends in, per scalar product kind the
@@ -186,13 +195,15 @@ sys.path.insert(0, str(SRC))
 
 from mustab import branches, degeneration, ideals, newton, stabilizer, subgroups  # noqa: E402
 from mustab.branches import implicitize  # noqa: E402
+from mustab.corpus import corpus_entries  # noqa: E402
 from mustab.errors import MustabError  # noqa: E402
 from mustab.exponents import exp  # noqa: E402
 from mustab.fields import QQ, FieldSpec  # noqa: E402
 from mustab.groups import GroupScheme, iwasawa  # noqa: E402
-from mustab.ideals import Ideal, eliminate, groebner_basis, ideal, krull_dim  # noqa: E402
-from mustab.jobs import parse_branch, parse_plane_curve, run_job  # noqa: E402
+from mustab.ideals import Ideal, eliminate, groebner_basis, ideal, krull_dim, spoly_budget  # noqa: E402
+from mustab.jobs import _conjugation_check, parse_branch, parse_budgets, parse_plane_curve, run_job  # noqa: E402
 from mustab.newton import places_at_infinity  # noqa: E402
+from mustab.pipeline import compute_stabilizer  # noqa: E402
 from mustab.poly import GREVLEX, BlockOrder, Poly, PolyRing  # noqa: E402
 from mustab.series import PuiseuxSeries, SeriesPowers, ser_subst  # noqa: E402
 from mustab.subgroups import SubgroupDesc, is_solvable, verify_subgroup  # noqa: E402
@@ -451,15 +462,16 @@ def time_verify(H: SubgroupDesc, runs: int) -> dict:
     return {"gens": len(H.ideal.gens), "verified": ok, **_stats(times)}
 
 
-def _cold_and_warm(run, runs: int) -> dict:
-    """The stats of `runs` calls of run() with the ansatz kernels emptied
-    before each, then of as many calls that find them filled."""
+def _cold_and_warm(run, runs: int, empty=stabilizer._kernel.cache_clear) -> dict:
+    """The stats of `runs` calls of run() with empty() (by default, the
+    ansatz kernels emptied) before each, then of as many calls that find
+    them filled."""
     out = {}
     for mode in ("cold", "warm"):
         times = []
         for _ in range(runs):
             if mode == "cold":
-                stabilizer._kernel.cache_clear()
+                empty()
             times.append(run())
         out[mode] = _stats(times)
     return out
@@ -517,6 +529,26 @@ def time_mu_correct(pair, runs: int) -> dict:
     a, b = (parse_branch({"entries": entries}, scheme, None) for entries in pair)
     cert = stabilizer.mu_correct(a, b)
     return {"s": None if cert is None else str(cert.s), **_cold_and_warm(run, runs)}
+
+
+def time_conjugation_check(runs: int) -> dict:
+    job = next(entry["job"] for entry in corpus_entries() if entry["name"] == "x1")
+    budgets, cap = parse_budgets(job["budgets"])
+    scheme = GroupScheme.from_json(job["group"], FieldSpec.from_json(job["field"]))
+    branch = parse_branch(job["input"]["branch"], scheme, None)
+    with spoly_budget(cap):
+        stab_run = compute_stabilizer(branch, job["algorithm"], budgets)
+
+        def run():
+            start = time.perf_counter()
+            _conjugation_check(stab_run, budgets)
+            return (time.perf_counter() - start) * 1e3
+
+        def empty():
+            stabilizer._kernel.cache_clear()
+            subgroups._verified.cache_clear()
+
+        return {"passes": _conjugation_check(stab_run, budgets), **_cold_and_warm(run, runs, empty)}
 
 
 def time_closure(branch: dict, scheme: GroupScheme, runs: int) -> dict:
@@ -654,6 +686,7 @@ PAIRED = {
     "ansatz_quotient": lambda runs: time_ansatz_quotient(capture(SHEAR_JOB)["closure_input"], runs),
     "mu_correct_order_7": lambda runs: time_mu_correct(ORDER_7_PAIR, runs),
     "long_division_ram5": lambda runs: time_long_division(ansatz_ideal("5-ram5-add2"), runs),
+    "conjugation_check": time_conjugation_check,
 }
 
 
@@ -741,7 +774,8 @@ def main() -> int:
                       "long_division_ram5": long_division, "implicitize": closed, "flat_closure": flat,
                       "division": division, "verify_subgroup": checked, "powers": powers,
                       "mu_correct_order_7": certificate, "places": places,
-                      "is_solvable": solvability, "krull_dim_sl4_mu5_ga": dimension,
+                      "is_solvable": solvability, "conjugation_check": time_conjugation_check(args.runs),
+                      "krull_dim_sl4_mu5_ga": dimension,
                       "iwasawa_sl6_unipotent": frame, "scalar_mul": time_scalar_mul(args.runs)}))
     return 0
 

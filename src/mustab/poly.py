@@ -10,7 +10,6 @@ chosen per call.  Polynomials parse from and print to the ASCII grammar
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import takewhile
 from operator import add, itemgetter
 
@@ -122,9 +121,6 @@ class PolyRing(Frozen):
 
     def from_int(self, n: int) -> Poly:
         return self.from_scalar(self.field.from_int(n))
-
-    def from_fraction(self, q: Fraction) -> Poly:
-        return self.from_scalar(self.field.from_fraction(q))
 
     @property
     def char(self) -> int:

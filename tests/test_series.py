@@ -277,6 +277,11 @@ def reference_binomial_power(w, gamma, local_prec, dom):
         if not EXP_ZERO < local_prec:
             return PuiseuxSeries.zero(dom, local_prec)
         return (base.truncate(local_prec) ** int(gamma)).truncate(local_prec)
+
+    def coefficient(q):
+        # a field's scalar, or a constant of the ring
+        return dom.from_scalar(dom.field.from_fraction(q)) if isinstance(dom, PolyRing) else dom.from_fraction(q)
+
     acc = PuiseuxSeries.one(dom).truncate(local_prec)
     power = PuiseuxSeries.one(dom)
     bc = Fraction(1)
@@ -288,7 +293,7 @@ def reference_binomial_power(w, gamma, local_prec, dom):
         power = (power * w).truncate(local_prec)
         if bc == 0 or (power.is_zero() and power.is_exact()):
             break
-        acc = acc + power.scale(dom.from_fraction(bc))
+        acc = acc + power.scale(coefficient(bc))
         acc = PuiseuxSeries(acc.dom, acc.terms, local_prec)
         bound = bound + vb
     return acc

@@ -27,7 +27,7 @@ from mustab.ideals import Budgets, Ideal, eliminate, groebner_basis, ideal, idea
 from mustab.poly import Poly, PolyRing
 from mustab.pipeline import compute_stabilizer
 from mustab.series import PowerList, PuiseuxSeries, SeriesPowers, ser_subst
-from mustab import degeneration, ideals, stabilizer, subgroups
+from mustab import degeneration, ideals, jobs, pipeline, stabilizer, subgroups
 from mustab.corpus import corpus_entries
 from mustab.jobs import parse_budgets, parse_plane_curve
 from mustab.newton import places_at_infinity
@@ -1130,6 +1130,74 @@ def test_conjugation_coherence_with_translation():
     moved_run = compute_stabilizer(moved, "reparam", BUDGETS)
     conj = conjugate_stab(desc, g)
     assert ideal_equal(moved_run.subgroup.ideal, conj)
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The arguments of every call of stabilizer's `name`, through whichever
+    module calls it."""
+    calls = []
+    real = getattr(stabilizer, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (stabilizer, pipeline, jobs):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _sl2_check_branches():
+    """x1 and x2 over Q and F_5, then the four shear products of the sl2_q
+    benchmark workload over Q, at (a, b) = (1, 2), (-1, 1), (2, -1), (2, 2):
+    [1, a t^-2 + b t; 0, 1] diag(t^-1, t), [1, a t^-1; 0, 1] [1, 0; b t^-1, 1],
+    [1, 0; a t, 1] [1, b t^-1; 0, 1] and diag(a t^2, t^-2 / a) [1, b t^-3; 0, 1]."""
+    out = []
+    for field in (QQ, F5):
+        scheme = GroupScheme("SL", 2, field)
+        out.append(validate_branch(scheme, ((S((-1, 1), dom=field), S((0, 1), dom=field)), (Z(field), S((1, 1), dom=field)))))
+        out.append(validate_branch(scheme, ((S((-1, 1), dom=field), Z(field)), (S((0, 1), dom=field), S((1, 1), dom=field)))))
+    half = PuiseuxSeries.monomial(QQ, exp(-2), QQ.from_fraction(Fraction(1, 2)))
+    return out + [
+        validate_branch(SL2, ((S((-1, 1)), S((-1, 1), (2, 2))), (Z(), S((1, 1))))),
+        validate_branch(SL2, ((S((0, 1), (-2, -1)), S((-1, -1))), (S((-1, 1)), S((0, 1))))),
+        validate_branch(SL2, ((S((0, 1)), S((-1, -1))), (S((1, 2)), S((0, -1))))),
+        validate_branch(SL2, ((S((2, 2)), S((-1, 4))), (Z(), half))),
+    ]
+
+
+def test_the_conjugation_check_reparameterizes_without_reducing_again(monkeypatch):
+    """The check translates the reduced branch and runs stab_reparam on it,
+    once per point: no mu_reduce and no tube certificate."""
+    run = compute_stabilizer(x1_branch(), "reparam", BUDGETS)
+    reduced, certified, reparameterized = (_counted(monkeypatch, name) for name in ("mu_reduce", "mu_correct", "stab_reparam"))
+    assert jobs._conjugation_check(run, BUDGETS)
+    assert (len(reduced), len(certified), len(reparameterized)) == (0, 0, 2)
+
+
+def test_the_conjugation_check_fails_a_wrong_subgroup():
+    """x1's stabilizer is the upper unipotent group; a run carrying the
+    lower one fails the check."""
+    run = compute_stabilizer(x1_branch(), "reparam", BUDGETS)
+    ring = SL2.coordinate_ring()
+    run.reparam = SubgroupDesc(SL2, groebner_basis(ideal(ring, "x11 - 1", "x12", "x22 - 1")), 1)
+    assert not jobs._conjugation_check(run, BUDGETS)
+
+
+@pytest.mark.parametrize("index", range(8), ids=["x1_Q", "x2_Q", "x1_F5", "x2_F5", "shear1", "shear2", "shear3", "shear4"])
+def test_the_translate_of_a_reduced_branch_needs_no_second_reduction(monkeypatch, index):
+    """At the check's two points g, stab_reparam(g . a) for the reduced
+    branch a gives the ideal that the full pipeline, mu_reduce included,
+    gives for g . a."""
+    run = compute_stabilizer(_sl2_check_branches()[index], "reparam", BUDGETS)
+    moved = _counted(monkeypatch, "stab_reparam")
+    jobs._conjugation_check(run, BUDGETS)
+    monkeypatch.undo()
+    assert len(moved) == 2
+    for branch, budgets in moved:
+        full = compute_stabilizer(branch, "reparam", budgets).subgroup.ideal
+        assert ideal_equal(stab_reparam(branch, budgets).ideal, full)
 
 
 def test_conjugating_an_additive_subgroup_is_the_identity():
