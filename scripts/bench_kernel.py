@@ -76,7 +76,7 @@ repeats from a memo, so the memo is cleared before each run, which times
 the check itself.
 
 The powers of a series, each read through `series.SeriesPowers`:
-  * ser_subst_circle_f5: `ser_subst(y, t + t^2 + t^3)` for the y
+  * subst_circle_f5: `SeriesPowers.of(t + t^2 + t^3).subst(y)` for the y
     coordinate of the first place of the circle x^2 + y^2 = 1 over F_5 at
     precision 20 (the `circle_f5` corpus input), a truncated series;
   * inv_sl2_cofactor: `inv(prec=t^12)` of the entry t^-1 - t^2 of that
@@ -205,7 +205,7 @@ from mustab.jobs import _conjugation_check, parse_branch, parse_budgets, parse_p
 from mustab.newton import places_at_infinity  # noqa: E402
 from mustab.pipeline import compute_stabilizer  # noqa: E402
 from mustab.poly import GREVLEX, BlockOrder, Poly, PolyRing  # noqa: E402
-from mustab.series import PuiseuxSeries, SeriesPowers, ser_subst  # noqa: E402
+from mustab.series import PuiseuxSeries, SeriesPowers  # noqa: E402
 from mustab.subgroups import SubgroupDesc, is_solvable, verify_subgroup  # noqa: E402
 
 
@@ -506,7 +506,7 @@ def time_powers(shear: dict, runs: int) -> dict:
     a, b = (parse_branch({"entries": entries}, scheme, None) for entries in ORDER_7_PAIR)
     s0, b_inv = stabilizer.mu_correct(a, b).s, b.element.inv()
     return {
-        "ser_subst_circle_f5": _timed(lambda: ser_subst(y, s), runs),
+        "subst_circle_f5": _timed(lambda: SeriesPowers.of(s).subst(y), runs),
         "inv_sl2_cofactor": _timed(lambda: cofactor.inv(prec=exp(12)), runs),
         "ansatz_quotient": time_ansatz_quotient(shear["closure_input"], runs),
         "mu_correct_eps": _timed(lambda: a.element.map(SeriesPowers.of(s0).subst).mul(b_inv), runs),

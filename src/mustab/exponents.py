@@ -89,12 +89,6 @@ class Exponent(Frozen):
             raise ValueError(f"{self} is irrational")
         return Fraction(self.p, self.n)
 
-    @property
-    def denominator(self) -> int:
-        if not self.q:
-            return self.n
-        return self.a.denominator * self.b.denominator
-
     def _join_d(self, other: Exponent) -> int | None:
         if self.d is None:
             return other.d

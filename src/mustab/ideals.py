@@ -107,9 +107,6 @@ class Ideal(Frozen):
                 raise ValueError("generator outside the declared ring")
         self._set(ring, tuple(g for g in gens if not g.is_zero()), basis_order)
 
-    def is_zero(self) -> bool:
-        return not self.gens
-
     def __str__(self):
         return "<" + ", ".join(str(g) for g in self.gens) + ">"
 

@@ -19,8 +19,9 @@ input.
 Every power s^gamma of a series s = lead t^v (1 + w) comes from one
 `SeriesPowers`: the lists of w's powers, lead^gamma and, for the
 stabilizer ansatz, a bounded memo of s^gamma.  Its `subst` loop, which
-applies the precision rule for truncated f, serves `ser_subst`, the
-ansatz and the tube certificate's eps, and `PuiseuxSeries.inv` is s^-1.
+applies the precision rule for truncated f, is the one substitution f(s):
+the ansatz's and the tube certificate's eps; `PuiseuxSeries.inv` is
+s^-1.
 
 A series' `dom` is its coefficient ring: a FieldSpec for Scalar
 coefficients, or a PolyRing for the polynomial coefficients of the
@@ -49,7 +50,6 @@ from operator import itemgetter, mul
 
 from .errors import (
     FieldMismatch,
-    IrrationalExponentInSubstitution,
     LeadingTermUnknown,
     NegativeValuation,
     PrecisionInsufficient,
@@ -354,26 +354,6 @@ def _rational_lower_bound(e: Exponent) -> Fraction:
         return e.a
     # d is no square, so ceil(sqrt(d)) = isqrt(d) + 1
     return e.a + e.b * (math.isqrt(e.d) + 1 if e.b < 0 else 0)
-
-
-def ser_subst(f: PuiseuxSeries, s: PuiseuxSeries, prec: Exponent | None = None, lead_root=None) -> PuiseuxSeries:
-    """Compose f(s) for val(s) > 0 using generalized binomial expansion.
-
-    All exponents of f must be rational; in characteristic p their
-    denominators (and every binomial denominator met along the way) must be
-    coprime to p.  `lead_root` optionally supplies c^gamma for the leading
-    coefficient c of s when fractional powers of it are needed.  The
-    precision rule is SeriesPowers.subst's.
-    """
-    if f.has_irrational_exponent():
-        raise IrrationalExponentInSubstitution(f"cannot substitute into {f}")
-    if not s.terms:
-        raise ZeroLeadingTerm("substitution by a series with no known term")
-    s._check(f)
-    powers = SeriesPowers.of(s, lead_root)
-    if not EXP_ZERO < powers.v:
-        raise ValueError(f"substitution requires positive valuation, got val = {powers.v}")
-    return powers.subst(f, prec)
 
 
 def _collected(dom: FieldSpec | PolyRing, acc: dict, prec: Exponent | None) -> PuiseuxSeries:

@@ -150,8 +150,8 @@ def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     The ansatz for s reaches as far as the pair's mu-conditions read.
     Whether the solved s0 puts eps = a(s0) * b^-1 in mu is read off eps
     known below the quotient's precision, which decides every entry's terms
-    at exponents <= 0 (see Ansatz); the certificate's eps, at the precision
-    a plain substitution gives, is built when first read."""
+    at exponents <= 0 (see Ansatz); the certificate carries eps at the
+    precision a plain substitution gives."""
     if a.scheme != b.scheme:
         return None
     # direct attempt without reparameterization
@@ -188,7 +188,7 @@ def mu_correct(a: Branch, b: Branch) -> TubeCertificate | None:
     eps_low = a.element.map(lambda f: powers.subst(f, ansatz.prec, ansatz.reach)).mul(ansatz.b_inv)
     if not eps_low.in_mu():
         return None
-    return TubeCertificate(s0, build=lambda: a.element.map(powers.subst).mul(ansatz.b_inv))
+    return TubeCertificate(s0, a.element.map(powers.subst).mul(ansatz.b_inv))
 
 
 def _certify(a: Branch, b: Branch) -> TubeCertificate | None:
@@ -217,7 +217,7 @@ def mu_reduce(branch: Branch):
     if dim_before is not None:
         ident_cert = TubeCertificate(
             PuiseuxSeries.monomial(branch.field, exp(1), branch.field.one()),
-            build=lambda: branch.scheme.identity().to_series(),
+            branch.scheme.identity().to_series(),
         )
         best = (dim_before, _term_count(branch.element.entries_flat()), branch, ident_cert)
     irrational = any(s.has_irrational_exponent() for s in branch.element.entries_flat())
@@ -322,8 +322,8 @@ def _pinned_entries(scheme: GroupScheme, flat) -> list[bool]:
     if scheme.root.kind != "SL" or any(s.precision is not None for s in flat):
         return [False] * len(flat)
     # the adjugate is the transposed matrix of cofactors
-    n, adj = scheme.root.n, mat_adjugate(scheme.shape(flat)[0])
-    return [not adj[j][i].is_zero() for i in range(n) for j in range(n)]
+    cofactors = list(zip(*mat_adjugate(scheme.shape(flat)[0])))
+    return [not c.is_zero() for c in scheme.flatten(cofactors)]
 
 
 def _try_candidate(scheme: GroupScheme, flat, original: Branch) -> Branch | None:

@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from functools import cached_property
 from itertools import combinations
-from operator import attrgetter
 
 from .errors import MustabError
 from .fields import Scalar
@@ -90,29 +88,16 @@ class SubgroupDesc(Record):
 
 class TubeCertificate(Record):
     """A reparameterization s and the correction eps in mu with a(s) =
-    eps * b: eps as given, or built by `build()` when first read."""
+    eps * b."""
 
-    # __dict__ holds eps, or its builder until eps is first read
-    __slots__ = ("s", "__dict__")
+    __slots__ = ("s", "eps")
 
-    def __init__(self, s: PuiseuxSeries, eps=None, build: Callable | None = None):
+    def __init__(self, s: PuiseuxSeries, eps):
         self.s = s
-        if build is None:
-            self.eps = eps
-        else:
-            self._build = build
-
-    @cached_property
-    def eps(self):  # GroupElement in mu
-        return self.__dict__.pop("_build")()
+        self.eps = eps  # GroupElement in mu
 
     def to_json(self) -> dict:
         return {"s": series_to_json(self.s), "eps": str(self.eps)}
-
-
-# eps takes part in == and repr as a field does
-TubeCertificate._shown = ("s", "eps")
-TubeCertificate._key = staticmethod(attrgetter(*TubeCertificate._shown))
 
 
 # -- point solving on small constraint varieties -----------------------------
@@ -121,9 +106,8 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
     """One k-point of V(J), or None.
 
     Lex Groebner basis, then back-substitution from the last variable with
-    the root of a linear univariate, else the roots from the certified
-    factorization fragment; unconstrained variables take their default
-    value (0, overridable per name).
+    the roots from the certified factorization fragment; unconstrained
+    variables take their default value (0, overridable per name).
     """
     ring = J.ring
     gb = groebner_basis(J, LEX).gens
@@ -153,7 +137,7 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
         else:
             u = univars[0]
             try:
-                roots = [_linear_root(u)] if u.total_degree() == 1 else scalar_roots(u)
+                roots = scalar_roots(u)
             except (MustabError, ValueError):
                 return None
             candidates = [
@@ -167,12 +151,6 @@ def solve_point(J: Ideal, defaults: dict[str, Scalar] | None = None) -> dict[str
         return None
 
     return backsub({}, list(ring.variables))
-
-
-def _linear_root(u: Poly) -> Scalar:
-    """The root -c0/c1 of u = c1*x + c0, univariate of degree 1."""
-    c1 = next(c for m, c in u.terms.items() if any(m))
-    return -u.constant_coefficient() * c1.inv()
 
 
 def _partial_eval(g: Poly, assign: dict[str, Scalar]) -> Poly:
@@ -432,7 +410,7 @@ def is_solvable(H: SubgroupDesc, frame: Callable[[], KPoint] | None = None) -> S
     ring = scheme.coordinate_ring()
     moved = _conjugated(scheme, frame() if frame is not None else scheme.identity(), ring)
     nf = reducer(_basis(H.ideal, scheme).gens, ring.order)
-    n = scheme.root.n
-    if all(nf(moved[i * n + j]).is_zero() for i in range(n) for j in range(i)):
+    rows = scheme.shape(moved)[0]
+    if all(nf(x).is_zero() for i, row in enumerate(rows) for x in row[:i]):
         return SolvabilityResult(True, "contained in a Borel subgroup")
     return SolvabilityResult(None, "solvable Lie algebra, but not contained in the frame's Borel subgroup")

@@ -558,7 +558,7 @@ def is_rescaling(a, b) -> bool:
         if sa.precision != sb.precision or len(sa.terms) != len(sb.terms):
             return False
         for (ea, ca), (eb, cb) in zip(sa.terms, sb.terms):
-            if ea != eb or not ea.is_rational() or ea.denominator != 1:
+            if ea != eb or not ea.is_rational() or ea.n != 1:
                 return False
             pairs.append((ea.as_fraction().numerator, ca, cb))
     lead = next(((m, cb / ca) for m, ca, cb in pairs if m), None)
